@@ -10,7 +10,8 @@ modes:
 
 - ``base``: serial single-thread invocation, DMA through DRAM;
 - ``pipe``: one thread per accelerator, per-frame synchronization with
-  pthread-style primitives, DMA through DRAM;
+  pthread-style primitives, DMA through DRAM — ``custom`` with every
+  edge DMA, whatever its ``comm`` says;
 - ``p2p``: one thread per accelerator, a single streaming invocation
   each, inter-accelerator data over the p2p service;
 - ``custom``: per-edge transport choice (each edge's ``comm``), the
@@ -41,7 +42,8 @@ class DataflowEdge:
     """A producer -> consumer dependency between two devices.
 
     ``comm`` selects the transport for this edge in ``custom`` mode;
-    the uniform modes (``pipe``, ``p2p``) override it.
+    the uniform modes override it: ``pipe`` is ``custom`` with every
+    edge DMA, ``p2p`` streams over every edge.
     """
 
     src: str
@@ -102,12 +104,6 @@ class Dataflow:
 
     def consumers_of(self, device: str) -> List[str]:
         return [e.dst for e in self.edges if e.src == device]
-
-    def edge_between(self, src: str, dst: str) -> DataflowEdge:
-        for edge in self.edges:
-            if edge.src == src and edge.dst == dst:
-                return edge
-        raise KeyError(f"no edge {src} -> {dst} in dataflow {self.name!r}")
 
     def levels(self) -> List[List[str]]:
         """Topological levels (longest path from any root).

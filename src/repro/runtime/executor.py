@@ -19,12 +19,20 @@ honours each edge's own transport):
   one *streaming* invocation per accelerator covering all frames;
   synchronization moves into hardware, software overhead drops to "the
   ioctl system calls that are used to start the accelerators".
+
+``pipe`` is a preset of the ``custom`` driver: the plan marks no edge
+p2p, so every frame synchronizes in software and moves through DRAM.
+``p2p`` keeps its own driver although it is ``custom`` with every edge
+p2p: it issues one streaming invocation per device over ``n_frames``
+frames with strides, where ``custom`` invokes once per frame. Folding
+it in would multiply the ioctl count and change the very cycle counts
+its Fig. 7 bar measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,7 +55,6 @@ from ..soc import (
     STATUS_DONE,
     STATUS_REG,
     SoCInstance,
-    resolve_coherence,
 )
 from .alloc import Buffer, ContigAllocator
 from .dataflow import Dataflow, EXECUTION_MODES
@@ -126,6 +133,10 @@ class ExecutionPlan:
     input_buffer: Buffer
     output_buffer: Buffer
     inter_buffers: List[Optional[Buffer]]   # one per level boundary
+    #: (producer, consumer) pairs whose data moves over p2p: every edge
+    #: under ``p2p``, the ``comm == "p2p"`` edges under ``custom`` and
+    #: none under ``base``/``pipe``.
+    p2p_edges: FrozenSet[Tuple[str, str]] = frozenset()
     #: Per-device DMA coherence mode; devices not in the mapping run
     #: non-coherent (the seed behaviour).
     coherence: Dict[str, CoherenceMode] = field(default_factory=dict)
@@ -156,12 +167,6 @@ class ExecutionPlan:
 
     def mode_for(self, name: str) -> CoherenceMode:
         return self.coherence.get(name, CoherenceMode.NON_COHERENT)
-
-    @property
-    def coherent(self) -> bool:
-        """Back-compat view: any device running a cached mode."""
-        return any(mode is not CoherenceMode.NON_COHERENT
-                   for mode in self.coherence.values())
 
     @property
     def device_names(self) -> List[str]:
@@ -245,13 +250,12 @@ class DataflowExecutor:
     # -- planning ----------------------------------------------------------
 
     @staticmethod
-    def _resolve_modes(dataflow: Dataflow, coherence,
-                       coherent) -> Dict[str, CoherenceMode]:
+    def _resolve_modes(dataflow: Dataflow,
+                       coherence) -> Dict[str, CoherenceMode]:
         """Per-device coherence assignment for one plan.
 
-        ``coherence`` may be a single mode (enum, string or — via the
-        deprecated ``coherent`` boolean — LLC on/off) applied to every
-        device, or a mapping ``device -> mode`` for mixed-mode
+        ``coherence`` may be a single mode (enum or string) applied to
+        every device, or a mapping ``device -> mode`` for mixed-mode
         pipelines; call-level assignments overlay any modes the
         dataflow itself declares. Non-coherent devices are left out of
         the result so the default plan is empty (seed behaviour).
@@ -260,20 +264,11 @@ class DataflowExecutor:
             device: CoherenceMode.coerce(value)
             for device, value in dataflow.coherence.items()}
         if isinstance(coherence, dict):
-            if coherent is not None:
-                raise TypeError(
-                    "pass either coherence= or the deprecated "
-                    "coherent=, not both")
             overlay = coherence
+        elif coherence is None:
+            overlay = {}
         else:
-            uniform = resolve_coherence(coherence, coherent,
-                                        stacklevel=5)
-            if uniform is CoherenceMode.NON_COHERENT \
-                    and coherence is None and coherent is None:
-                overlay = {}
-            else:
-                overlay = {device: uniform
-                           for device in dataflow.devices}
+            overlay = dict.fromkeys(dataflow.devices, coherence)
         for device, value in overlay.items():
             if device not in dataflow.devices:
                 raise ValueError(
@@ -284,7 +279,7 @@ class DataflowExecutor:
                 if mode is not CoherenceMode.NON_COHERENT}
 
     def plan(self, dataflow: Dataflow, n_frames: int,
-             mode: str, coherence=None, coherent=None,
+             mode: str, coherence=None,
              dvfs: Optional[Dict[str, int]] = None) -> ExecutionPlan:
         if mode not in EXECUTION_MODES:
             raise ValueError(
@@ -297,7 +292,10 @@ class DataflowExecutor:
             dataflow.validate_for_custom()
         else:
             dataflow.validate()
-        modes = self._resolve_modes(dataflow, coherence, coherent)
+        p2p_edges = frozenset(
+            (e.src, e.dst) for e in dataflow.edges
+            if mode == "p2p" or (mode == "custom" and e.comm == "p2p"))
+        modes = self._resolve_modes(dataflow, coherence)
         dvfs = dict(dvfs or {})
         for device, divider in dvfs.items():
             if device not in dataflow.devices:
@@ -334,12 +332,10 @@ class DataflowExecutor:
                                              label=f"{dataflow.name}:out")
         inter_buffers: List[Optional[Buffer]] = []
         for boundary in range(len(levels) - 1):
-            if mode == "p2p":
+            consumers = {n.name for n in levels[boundary + 1]}
+            if all((e.src, e.dst) in p2p_edges for e in dataflow.edges
+                   if e.dst in consumers):
                 inter_buffers.append(None)   # data never touches DRAM
-            elif mode == "custom" and all(
-                    e.comm == "p2p" for e in dataflow.edges
-                    if e.dst in {n.name for n in levels[boundary + 1]}):
-                inter_buffers.append(None)   # every edge here is p2p
             else:
                 words = levels[boundary][0].spec.output_words
                 inter_buffers.append(self.allocator.alloc(
@@ -350,6 +346,7 @@ class DataflowExecutor:
                              input_buffer=input_buffer,
                              output_buffer=output_buffer,
                              inter_buffers=inter_buffers,
+                             p2p_edges=p2p_edges,
                              coherence=modes,
                              dvfs=dvfs,
                              abort=self.soc.env.event())
@@ -749,67 +746,32 @@ class DataflowExecutor:
                 yield from self._run_node(plan, node, src, dst, 1,
                                           no_p2p)
 
-    # -- pipe mode -----------------------------------------------------------------
-
-    def _pipe_thread(self, plan: ExecutionPlan, node: NodePlan,
-                     counters: Dict[str, ProgressCounter]):
-        env = self.soc.env
-        no_p2p = P2PConfig()
-        spec = node.spec
-        for local in range(node.n_frames):
-            frame = node.index + local * node.siblings
-            if node.level > 0:
-                producers = plan.levels[node.level - 1]
-                producer = producers[frame % len(producers)]
-                needed = (frame - producer.index) // producer.siblings + 1
-                tracer = env.tracer
-                sid = None if tracer is None else tracer.begin(
-                    "cpu", f"driver:{node.name}", "frame-sync",
-                    "runtime.sync", producer=producer.name, frame=frame)
-                yield env.timeout(self.costs.sync_cycles)
-                yield counters[producer.name].wait_until(needed)
-                if sid is not None:
-                    tracer.end(sid)
-            src = self._frame_addr(self._src_buffer(plan, node.level),
-                                   frame, spec.input_words)
-            dst = self._frame_addr(self._dst_buffer(plan, node.level),
-                                   frame, spec.output_words)
-            yield from self._run_node(plan, node, src, dst, 1, no_p2p)
-            counters[node.name].increment()
-
-    def _pipe_main(self, plan: ExecutionPlan):
-        env = self.soc.env
-        counters = {node.name: ProgressCounter(env, name=f"done:{node.name}")
-                    for row in plan.levels for node in row}
-        yield from self._spawn_threads(
-            plan, lambda node: self._pipe_thread(plan, node, counters))
-
-    # -- custom mode (per-edge communication) --------------------------------------
+    # -- custom mode (per-edge communication; ``pipe`` is its preset) -------------
 
     def _custom_thread(self, plan: ExecutionPlan, node: NodePlan,
                        counters: Dict[str, ProgressCounter]):
         """Per-frame invocations with each edge's own transport.
 
-        DMA edges synchronize in software (like ``pipe``); p2p edges
-        rely on the hardware handshake and reprogram ``P2P_REG`` every
-        invocation with that frame's single source — the "dynamically
-        configured" per-invocation choice of Sec. V.
+        DMA edges synchronize in software and move each frame through
+        DRAM; p2p edges rely on the hardware handshake and reprogram
+        ``P2P_REG`` every invocation with that frame's single source —
+        the "dynamically configured" per-invocation choice of Sec. V.
+        Under ``pipe`` no edge is p2p, so every frame takes the DMA
+        path.
         """
         env = self.soc.env
-        dataflow = plan.dataflow
+        p2p_edges = plan.p2p_edges
         spec = node.spec
         last = len(plan.levels) - 1
         for local in range(node.n_frames):
             frame = node.index + local * node.siblings
-            load_p2p = False
+            load_p2p = store_p2p = False
             sources: Tuple[Tuple[int, int], ...] = ()
-            src = dst = 0
             if node.level > 0:
                 producers = plan.levels[node.level - 1]
                 producer = producers[frame % len(producers)]
-                edge = dataflow.edge_between(producer.name, node.name)
-                if edge.comm == "p2p":
-                    load_p2p = True
+                load_p2p = (producer.name, node.name) in p2p_edges
+                if load_p2p:
                     sources = (producer.device.coord,)
                 else:
                     needed = (frame - producer.index) \
@@ -823,28 +785,15 @@ class DataflowExecutor:
                     yield counters[producer.name].wait_until(needed)
                     if sid is not None:
                         tracer.end(sid)
-                    src = self._frame_addr(
-                        plan.inter_buffers[node.level - 1], frame,
-                        spec.input_words)
-            else:
-                src = self._frame_addr(plan.input_buffer, frame,
-                                       spec.input_words)
-
-            store_p2p = False
             if node.level < last:
                 consumers = plan.levels[node.level + 1]
                 consumer = consumers[frame % len(consumers)]
-                edge = dataflow.edge_between(node.name, consumer.name)
-                if edge.comm == "p2p":
-                    store_p2p = True
-                else:
-                    dst = self._frame_addr(
-                        plan.inter_buffers[node.level], frame,
-                        spec.output_words)
-            else:
-                dst = self._frame_addr(plan.output_buffer, frame,
-                                       spec.output_words)
-
+                store_p2p = (node.name, consumer.name) in p2p_edges
+            src = 0 if load_p2p else self._frame_addr(
+                self._src_buffer(plan, node.level), frame, spec.input_words)
+            dst = 0 if store_p2p else self._frame_addr(
+                self._dst_buffer(plan, node.level), frame,
+                spec.output_words)
             p2p = P2PConfig(store_enabled=store_p2p,
                             load_enabled=load_p2p, sources=sources)
             yield from self._run_node(plan, node, src, dst, 1, p2p)
@@ -892,10 +841,73 @@ class DataflowExecutor:
         yield from self._spawn_threads(
             plan, lambda node: self._p2p_thread(plan, node))
 
+    #: One driver per mode. ``pipe`` is a preset of ``custom``: its plan
+    #: marks no edge p2p.
+    _DRIVERS = {"base": _base_main, "pipe": _custom_main,
+                "p2p": _p2p_main, "custom": _custom_main}
+
     # -- entry point --------------------------------------------------------------------
 
+    def _prepare(self, dataflow: Dataflow, frames: np.ndarray, mode: str,
+                 coherence, dvfs: Optional[Dict[str, int]]):
+        """Shared front half of :meth:`execute` and :meth:`run_process`.
+
+        Coerces ``frames`` to N x words, plans the run and writes the
+        input buffer; returns ``(frames, plan)``. A frame width the
+        level-0 devices do not take releases the plan before raising,
+        so a rejected call leaks no buffer.
+        """
+        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+        plan = self.plan(dataflow, len(frames), mode, coherence=coherence,
+                         dvfs=dvfs)
+        in_words = plan.levels[0][0].spec.input_words
+        if frames.shape[1] != in_words:
+            self.release_plan(plan)
+            raise ValueError(
+                f"input frames have {frames.shape[1]} words; level-0 "
+                f"devices expect {in_words}")
+        plan.input_buffer.write(frames.reshape(-1))
+        return frames, plan
+
+    def _close_run(self, mode: str, plan: ExecutionPlan, start: int,
+                   degraded: bool) -> int:
+        """Cycles since ``start``; records the run's trace span."""
+        env = self.soc.env
+        if env.tracer is not None:
+            env.tracer.complete(
+                "cpu", "main", f"{mode}:{plan.dataflow.name}",
+                "runtime.run", start, env.now, frames=plan.n_frames,
+                degraded=degraded)
+        return env.now - start
+
+    def _result(self, mode: str, plan: ExecutionPlan, cycles: int,
+                dram_before: int, degraded: bool) -> RunResult:
+        """The outcome of a finished plan, read once its stores landed.
+
+        Runtime counters are the plan's own (a degraded re-run carries
+        the aborted attempt's forward); ``dram_accesses`` is a global
+        delta since ``dram_before``.
+        """
+        out_words = plan.levels[-1][0].spec.output_words
+        outputs = plan.output_buffer.read().reshape(plan.n_frames,
+                                                    out_words)
+        return RunResult(
+            dataflow=plan.dataflow.name,
+            mode=mode,
+            frames=plan.n_frames,
+            cycles=cycles,
+            clock_mhz=self.soc.clock_mhz,
+            dram_accesses=self.soc.memory_map.total_accesses - dram_before,
+            ioctl_calls=plan.ioctl_calls,
+            outputs=outputs,
+            retries=plan.retries,
+            watchdog_timeouts=plan.watchdog_timeouts,
+            software_frames=plan.software_frames,
+            degraded=degraded,
+        )
+
     def execute(self, dataflow: Dataflow, frames: np.ndarray,
-                mode: str, coherence=None, coherent=None,
+                mode: str, coherence=None,
                 dvfs: Optional[Dict[str, int]] = None) -> RunResult:
         """Run the dataflow over ``frames`` (N x input_words).
 
@@ -905,29 +917,14 @@ class DataflowExecutor:
         own. Cached modes require a memory tile with an LLC; without
         one the request silently behaves like non-coherent DMA, as in
         ESP where the fabric downgrades unsupported coherence
-        requests. The boolean ``coherent=`` alias is deprecated.
+        requests.
         """
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        plan = self.plan(dataflow, len(frames), mode,
-                         coherence=coherence, coherent=coherent,
-                         dvfs=dvfs)
-        in_words = plan.levels[0][0].spec.input_words
-        if frames.shape[1] != in_words:
-            raise ValueError(
-                f"input frames have {frames.shape[1]} words; level-0 "
-                f"devices expect {in_words}")
-        plan.input_buffer.write(frames.reshape(-1))
-
+        frames, plan = self._prepare(dataflow, frames, mode, coherence,
+                                     dvfs)
         env = self.soc.env
         dram_before = self.soc.memory_map.total_accesses
-        ioctl_before = self.ioctl_calls
-        retries_before = self.retries
-        watchdogs_before = self.watchdog_timeouts
-        software_before = self.software_frames
         start = env.now
-        mains = {"base": self._base_main, "pipe": self._pipe_main,
-                 "p2p": self._p2p_main, "custom": self._custom_main}
-        done = env.process(mains[mode](plan),
+        done = env.process(self._DRIVERS[mode](self, plan),
                            name=f"main:{mode}:{dataflow.name}")
         degraded = False
         try:
@@ -944,7 +941,7 @@ class DataflowExecutor:
                 # inside the quiesce drain and keep spawning threads for
                 # the aborted run.
                 done.interrupt("degraded re-run")
-            plan = self._degrade(plan, dataflow, frames, dvfs)
+            plan = self._degrade(plan, frames)
             degraded = True
         except BaseException:
             # Any other mid-pipeline failure (AcceleratorTimeout,
@@ -953,39 +950,33 @@ class DataflowExecutor:
             # reusable for the next plan, then let the error surface.
             self._cleanup_failed(plan, done)
             raise
-        cycles = env.now - start
-        if env.tracer is not None:
-            env.tracer.complete(
-                "cpu", "main", f"{mode}:{dataflow.name}", "runtime.run",
-                start, env.now, frames=plan.n_frames, degraded=degraded)
+        cycles = self._close_run(mode, plan, start, degraded)
         # Drain the schedule: stores are posted, so the final write may
         # still be in the memory tile's request queue when the IRQ
         # lands. Dependent DMA traffic is ordered by that queue, but the
         # CPU-side result read below bypasses it, so quiesce first. The
         # tail is a few service cycles and is excluded from the timing.
         env.run()
+        return self._result(mode, plan, cycles, dram_before, degraded)
 
-        out_words = plan.levels[-1][0].spec.output_words
-        outputs = plan.output_buffer.read().reshape(plan.n_frames,
-                                                    out_words)
-        return RunResult(
-            dataflow=dataflow.name,
-            mode=mode,
-            frames=plan.n_frames,
-            cycles=cycles,
-            clock_mhz=self.soc.clock_mhz,
-            dram_accesses=self.soc.memory_map.total_accesses - dram_before,
-            ioctl_calls=self.ioctl_calls - ioctl_before,
-            outputs=outputs,
-            retries=self.retries - retries_before,
-            watchdog_timeouts=self.watchdog_timeouts - watchdogs_before,
-            software_frames=self.software_frames - software_before,
-            degraded=degraded,
-        )
+    def _replan_degraded(self, plan: ExecutionPlan,
+                         frames: np.ndarray) -> ExecutionPlan:
+        """The ``pipe`` re-run of an aborted plan, input written.
 
-    def _degrade(self, plan: ExecutionPlan, dataflow: Dataflow,
-                 frames: np.ndarray,
-                 dvfs: Optional[Dict[str, int]]) -> ExecutionPlan:
+        Carries the aborted attempt's accounting forward so the
+        RunResult reflects the whole request, not just the re-run.
+        """
+        replan = self.plan(plan.dataflow, len(frames), "pipe",
+                           coherence=plan.coherence, dvfs=plan.dvfs)
+        replan.input_buffer.write(frames.reshape(-1))
+        replan.ioctl_calls = plan.ioctl_calls
+        replan.retries = plan.retries
+        replan.watchdog_timeouts = plan.watchdog_timeouts
+        replan.software_frames = plan.software_frames
+        return replan
+
+    def _degrade(self, plan: ExecutionPlan,
+                 frames: np.ndarray) -> ExecutionPlan:
         """Graceful degradation after a p2p stream died permanently.
 
         The failed streaming run cannot be patched in place (its peers
@@ -1004,11 +995,9 @@ class DataflowExecutor:
         env.run()   # drain aborted threads and in-flight hardware
         self._drain_stale_irqs(plan)
         self.release_plan(plan)
-        replan = self.plan(dataflow, len(frames), "pipe",
-                           coherence=plan.coherence, dvfs=dvfs)
-        replan.input_buffer.write(frames.reshape(-1))
-        done = env.process(self._pipe_main(replan),
-                           name=f"main:degraded:{dataflow.name}")
+        replan = self._replan_degraded(plan, frames)
+        done = env.process(self._custom_main(replan),
+                           name=f"main:degraded:{plan.dataflow.name}")
         env.run(until=done)
         return replan
 
@@ -1092,9 +1081,8 @@ class DataflowExecutor:
         self._drain_stale_irqs(plan)
         self.release_plan(plan)
 
-    def _degrade_in_process(self, plan: ExecutionPlan, dataflow: Dataflow,
-                            frames: np.ndarray,
-                            dvfs: Optional[Dict[str, int]]):
+    def _degrade_in_process(self, plan: ExecutionPlan,
+                            frames: np.ndarray):
         """In-process graceful degradation (serving-loop counterpart of
         :meth:`_degrade`, which may not ``env.run`` inside a process).
         """
@@ -1104,22 +1092,14 @@ class DataflowExecutor:
             env.metrics.degraded_runs.inc()
         yield from self._abort_and_release(plan)
         yield env.timeout(self.recovery.reset_cycles)
-        replan = self.plan(dataflow, len(frames), "pipe",
-                           coherence=plan.coherence, dvfs=dvfs)
-        replan.input_buffer.write(frames.reshape(-1))
-        # Carry the aborted attempt's accounting so the RunResult
-        # reflects the whole request, not just the re-run.
-        replan.ioctl_calls = plan.ioctl_calls
-        replan.retries = plan.retries
-        replan.watchdog_timeouts = plan.watchdog_timeouts
-        replan.software_frames = plan.software_frames
-        yield from self._pipe_main(replan)
+        replan = self._replan_degraded(plan, frames)
+        yield from self._custom_main(replan)
         return replan
 
     # -- re-entrant entry point (serving layer) -----------------------------------
 
     def run_process(self, dataflow: Dataflow, frames: np.ndarray,
-                    mode: str, coherence=None, coherent=None,
+                    mode: str, coherence=None,
                     dvfs: Optional[Dict[str, int]] = None,
                     release_buffers: bool = True):
         """Re-entrant ``execute``: a generator to run as a sim process.
@@ -1142,65 +1122,32 @@ class DataflowExecutor:
         - buffers are released on completion (``release_buffers``) so a
           long-lived server does not leak DRAM.
         """
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        plan = self.plan(dataflow, len(frames), mode,
-                         coherence=coherence, coherent=coherent,
-                         dvfs=dvfs)
-        in_words = plan.levels[0][0].spec.input_words
-        if frames.shape[1] != in_words:
-            self.release_plan(plan)
-            raise ValueError(
-                f"input frames have {frames.shape[1]} words; level-0 "
-                f"devices expect {in_words}")
-        plan.input_buffer.write(frames.reshape(-1))
-
+        frames, plan = self._prepare(dataflow, frames, mode, coherence,
+                                     dvfs)
         env = self.soc.env
         dram_before = self.soc.memory_map.total_accesses
         start = env.now
-        mains = {"base": self._base_main, "pipe": self._pipe_main,
-                 "p2p": self._p2p_main, "custom": self._custom_main}
         degraded = False
         try:
-            yield from mains[mode](plan)
+            yield from self._DRIVERS[mode](self, plan)
         except NodeFailed:
             if self.recovery is None or not self.recovery.software_fallback:
                 yield from self._abort_and_release(plan)
                 raise
-            plan = yield from self._degrade_in_process(
-                plan, dataflow, frames, dvfs)
+            plan = yield from self._degrade_in_process(plan, frames)
             degraded = True
         except BaseException:
             # Includes Interrupt (the server cancelling this request):
             # put the tiles and buffers back before propagating.
             yield from self._abort_and_release(plan)
             raise
-        cycles = env.now - start
-        if env.tracer is not None:
-            env.tracer.complete(
-                "cpu", "main", f"{mode}:{dataflow.name}", "runtime.run",
-                start, env.now, frames=plan.n_frames, degraded=degraded)
+        cycles = self._close_run(mode, plan, start, degraded)
         # Posted stores: the final write may still be in flight when
         # the IRQ lands; wait for it to retire before the CPU-side
         # read below (the serving analogue of execute's global drain —
         # the tail is excluded from the timing, as there).
         yield from self._quiesce_stores()
-        out_words = plan.levels[-1][0].spec.output_words
-        outputs = plan.output_buffer.read().reshape(plan.n_frames,
-                                                    out_words)
-        result = RunResult(
-            dataflow=dataflow.name,
-            mode=mode,
-            frames=plan.n_frames,
-            cycles=cycles,
-            clock_mhz=self.soc.clock_mhz,
-            dram_accesses=self.soc.memory_map.total_accesses - dram_before,
-            ioctl_calls=plan.ioctl_calls,
-            outputs=outputs,
-            retries=plan.retries,
-            watchdog_timeouts=plan.watchdog_timeouts,
-            software_frames=plan.software_frames,
-            degraded=degraded,
-        )
+        result = self._result(mode, plan, cycles, dram_before, degraded)
         if release_buffers:
             self.release_plan(plan)
         return result

@@ -336,10 +336,9 @@ class ProgressCounter:
     (pthread-condition style): ``wait_until(n)`` triggers once the
     counter reaches ``n``.
 
-    Formerly named ``Counter``; renamed so the *synchronization
-    primitive* no longer collides with the metrics/tracer counter
-    concepts (a :class:`repro.metrics.Counter` is pure telemetry and
-    never wakes anyone). The old name remains as a deprecated alias.
+    Named apart from the metrics/tracer counter concepts: a
+    :class:`repro.metrics.Counter` is pure telemetry and never wakes
+    anyone.
     """
 
     def __init__(self, env: Environment, value: int = 0,
@@ -375,11 +374,6 @@ class ProgressCounter:
     def waiters(self) -> tuple:
         """(threshold, event) pairs still below the counter value."""
         return tuple(self._waiters)
-
-
-#: Deprecated alias for :class:`ProgressCounter` (the pre-metrics
-#: name). New code should say ``ProgressCounter``.
-Counter = ProgressCounter
 
 
 class Barrier:

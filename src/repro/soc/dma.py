@@ -56,7 +56,6 @@ from .coherence import (
     PrivateCache,
     SHARED,
     line_list_flits,
-    resolve_coherence,
 )
 from .memory import DmaRequest, MemoryMap, MemoryTile
 from .registers import P2PConfig
@@ -211,12 +210,11 @@ class DmaEngine:
 
     # -- regular DMA ---------------------------------------------------------
 
-    def _dma_load(self, offset: int, n_words: int,
-                  coherent: bool = False):
+    def _dma_load(self, offset: int, n_words: int, llc: bool = False):
         tracer = self.env.tracer
         sid = None if tracer is None else tracer.begin(
             self.owner, "dma.load", f"load[{n_words}w]", "dma.load",
-            offset=offset, words=n_words, coherent=coherent)
+            offset=offset, words=n_words, coherent=llc)
         if self.fault_injector is not None:
             yield from self._maybe_stall()
         yield self.env.timeout(self.tlb.translate(offset, n_words))
@@ -231,7 +229,7 @@ class DmaEngine:
                 request = DmaRequest(op="load", offset=local, words=words,
                                      word_bits=self.word_bits,
                                      reply_to=self.coord, tag=tag,
-                                     coherent=coherent)
+                                     coherent=llc)
                 self.mesh.send(Packet(
                     src=self.coord, dst=tile.coord,
                     plane=DMA_REQUEST_PLANE, kind=MessageKind.DMA_REQ,
@@ -253,14 +251,13 @@ class DmaEngine:
             tracer.end(sid)
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def _dma_store(self, offset: int, data: np.ndarray,
-                   coherent: bool = False):
+    def _dma_store(self, offset: int, data: np.ndarray, llc: bool = False):
         data = np.asarray(data, dtype=np.float64).reshape(-1)
         n_words = len(data)
         tracer = self.env.tracer
         sid = None if tracer is None else tracer.begin(
             self.owner, "dma.store", f"store[{n_words}w]", "dma.store",
-            offset=offset, words=n_words, coherent=coherent)
+            offset=offset, words=n_words, coherent=llc)
         if self.fault_injector is not None:
             yield from self._maybe_stall()
         yield self.env.timeout(self.tlb.translate(offset, n_words))
@@ -276,7 +273,7 @@ class DmaEngine:
                                      word_bits=self.word_bits,
                                      reply_to=self.coord,
                                      tag=self._new_tag(), data=chunk,
-                                     coherent=coherent)
+                                     coherent=llc)
                 packet = Packet(
                     src=self.coord, dst=tile.coord,
                     plane=DMA_REQUEST_PLANE, kind=MessageKind.DMA_REQ,
@@ -612,21 +609,18 @@ class DmaEngine:
         self._p2p_round_robin = 0
 
     def load(self, offset: int, n_words: int,
-             p2p: Optional[P2PConfig] = None,
-             coherence=None, coherent=None):
+             p2p: Optional[P2PConfig] = None, coherence=None):
         """Load ``n_words`` into the PLM; DMA or p2p per configuration.
 
         ``coherence`` selects the cache-coherence model
         (:class:`CoherenceMode` or its string value): non-coherent DMA
         straight to DRAM, LLC-coherent DMA through the memory tile's
         last-level cache, or the fully-coherent private-cache path.
-        The boolean ``coherent=`` alias is deprecated (True maps onto
-        LLC-coherent). A generator to be driven with ``yield from``;
-        returns the data.
+        A generator to be driven with ``yield from``; returns the data.
         """
         if n_words < 1:
             raise ValueError(f"n_words must be >= 1, got {n_words}")
-        mode = resolve_coherence(coherence, coherent)
+        mode = CoherenceMode.coerce(coherence)
         if p2p is not None and p2p.load_enabled:
             return (yield from self._p2p_load(n_words, p2p))
         if mode is CoherenceMode.FULLY_COHERENT:
@@ -636,14 +630,12 @@ class DmaEngine:
             self.coherence_downgrades += 1
             mode = CoherenceMode.NON_COHERENT
         return (yield from self._dma_load(
-            offset, n_words,
-            coherent=mode is CoherenceMode.LLC_COHERENT))
+            offset, n_words, llc=mode is CoherenceMode.LLC_COHERENT))
 
     def store(self, offset: int, data: np.ndarray,
-              p2p: Optional[P2PConfig] = None,
-              coherence=None, coherent=None):
+              p2p: Optional[P2PConfig] = None, coherence=None):
         """Store a PLM buffer; DMA or p2p per configuration."""
-        mode = resolve_coherence(coherence, coherent)
+        mode = CoherenceMode.coerce(coherence)
         if p2p is not None and p2p.store_enabled:
             return (yield from self._p2p_store(data))
         if mode is CoherenceMode.FULLY_COHERENT:
@@ -654,5 +646,4 @@ class DmaEngine:
             self.coherence_downgrades += 1
             mode = CoherenceMode.NON_COHERENT
         return (yield from self._dma_store(
-            offset, data,
-            coherent=mode is CoherenceMode.LLC_COHERENT))
+            offset, data, llc=mode is CoherenceMode.LLC_COHERENT))

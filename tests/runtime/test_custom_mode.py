@@ -103,3 +103,38 @@ class TestCustomExecution:
         frames = rng.uniform(0, 1, (8, 8))
         result = rt.esp_run(df, frames, mode="custom")
         np.testing.assert_allclose(result.outputs, frames + 2.0)
+
+
+class TestPipePreset:
+    """``pipe`` is the ``custom`` driver with every edge DMA."""
+
+    def test_pipe_matches_custom_over_dma_edges(self, rng):
+        """``pipe`` ignores each edge's ``comm``; ``custom`` over DMA
+        edges then runs the very same simulation."""
+        frames = rng.uniform(0, 1, (6, 8))
+        runs, outputs = {}, {}
+        for mode, comm in (("pipe", "p2p"), ("custom", "dma")):
+            rt = make_runtime(three_stage_specs())
+            df = chain("m", ["a0", "b0", "c0"], comm=comm)
+            result = rt.esp_run(df, frames, mode=mode)
+            runs[mode] = (result.cycles, rt.soc.env.events_processed,
+                          result.ioctl_calls, result.dram_accesses)
+            outputs[mode] = result.outputs
+        assert runs["pipe"] == runs["custom"]
+        np.testing.assert_array_equal(outputs["pipe"], outputs["custom"])
+
+    def test_pipe_keeps_plain_validation(self, rng):
+        """Crossed edges break the frame interleaving ``custom``
+        requires, but ``pipe`` routes frames round-robin regardless."""
+        specs = [(name, make_spec(name=name, input_words=8,
+                                  output_words=8, latency=60))
+                 for name in ("p0", "p1", "c0", "c1")]
+        df = Dataflow(name="crossed", devices=["p0", "p1", "c0", "c1"],
+                      edges=[DataflowEdge("p0", "c1"),
+                             DataflowEdge("p1", "c0")])
+        with pytest.raises(ValueError, match="interleaving"):
+            df.validate_for_custom()
+        rt = make_runtime(specs, cols=4, rows=3)
+        frames = rng.uniform(0, 1, (4, 8))
+        result = rt.esp_run(df, frames, mode="pipe")
+        np.testing.assert_allclose(result.outputs, frames + 2.0)

@@ -146,6 +146,17 @@ class TestExecutionModes:
         with pytest.raises(ValueError, match="words"):
             rt.esp_run(df, rng.uniform(0, 1, (4, 7)), mode="base")
 
+    @pytest.mark.parametrize("mode", ["pipe", "p2p"])
+    def test_rejected_input_width_leaks_no_buffer(self, mode, rng):
+        rt = two_stage_runtime()
+        df = chain("df", ["prod0", "cons0"])
+        live = rt.allocator.live_buffers
+        words = rt.allocator.words_in_use
+        with pytest.raises(ValueError, match="words"):
+            rt.esp_run(df, rng.uniform(0, 1, (4, 7)), mode=mode)
+        assert rt.allocator.live_buffers == live
+        assert rt.allocator.words_in_use == words
+
     def test_single_device_dataflow(self, rng):
         rt = two_stage_runtime()
         from repro.runtime import Dataflow

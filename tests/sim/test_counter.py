@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, Environment, ProgressCounter
+from repro.sim import Environment, ProgressCounter
 
 
 class TestProgressCounter:
@@ -84,11 +84,3 @@ class TestProgressCounter:
         counter = ProgressCounter(env)
         with pytest.raises(ValueError):
             counter.increment(by=0)
-
-
-def test_deprecated_counter_alias():
-    """The pre-rename name still resolves to the same class."""
-    from repro.sim.channels import Counter as ChannelCounter
-
-    assert Counter is ProgressCounter
-    assert ChannelCounter is ProgressCounter
