@@ -1,7 +1,11 @@
 """Metrics-overhead benchmark: recording is cheap and timing-neutral.
 
 Re-runs the three ``bench_perf`` workloads with the metrics registry
-attached and enforces the subsystem's two contracts:
+attached and enforces the subsystem's two contracts. The NoC, DMA and
+accelerator families are scrape-time views of the hardware counters,
+so each "metrics on" arm wires the SoC collectors and pays one closing
+Prometheus scrape inside its timed window — otherwise a pipeline arm
+would record nothing and compare a run against itself.
 
 1. **Timing neutrality** (hard): metrics-enabled runs land on the
    exact pinned simulated-cycle and event counts of the seed — passive
@@ -37,6 +41,7 @@ from repro.metrics import (
     default_rules,
     instrument_server,
     parse_exposition,
+    register_soc_collectors,
     to_prometheus,
 )
 
@@ -67,11 +72,15 @@ def run_pipeline(mode, n_frames, instrument):
     config = APP_CONFIGS["4nv_4cl"]
     frames, _ = config.make_inputs(n_frames, seed=0)
     runtime = fresh_runtime(config)
+    registry = None
     if instrument:
-        attach_metrics(runtime.soc.env)
+        registry = attach_metrics(runtime.soc.env)
+        register_soc_collectors(registry, runtime.soc)
     dataflow = config.build_dataflow()
     start = time.perf_counter()
     runtime.esp_run(dataflow, frames, mode=mode)
+    if registry is not None:
+        to_prometheus(registry)
     wall = time.perf_counter() - start
     env = runtime.soc.env
     return wall, env.now, env.events_processed

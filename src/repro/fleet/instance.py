@@ -25,7 +25,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..metrics import MetricsRegistry, attach_metrics
+from ..metrics import (MetricsRegistry, attach_metrics,
+                       register_soc_collectors)
 from ..runtime import EspRuntime
 from ..trace.context import TraceContext
 from ..trace.tracer import Tracer, attach_tracer
@@ -73,8 +74,9 @@ class FleetInstance:
         Every call builds a *fresh* SoC (own ``Environment``), boots a
         runtime on it, registers ``tenants`` and wraps the server.
         ``metrics_namespace`` attaches a namespaced
-        :class:`~repro.metrics.MetricsRegistry` so N instances can be
-        scraped into one snapshot without series collisions;
+        :class:`~repro.metrics.MetricsRegistry`, wired to the SoC's
+        hardware counters, so N instances can be scraped into one
+        snapshot without series collisions;
         ``trace_namespace`` does the same for a
         :class:`~repro.trace.Tracer` so N tracers can merge into one
         fleet-wide Chrome trace (``trace_capacity`` bounds it as a
@@ -82,7 +84,8 @@ class FleetInstance:
         """
         soc = soc_builder()
         if metrics_namespace is not None:
-            attach_metrics(soc.env, namespace=metrics_namespace)
+            register_soc_collectors(
+                attach_metrics(soc.env, namespace=metrics_namespace), soc)
         if trace_namespace is not None:
             attach_tracer(soc.env, namespace=trace_namespace,
                           capacity=trace_capacity)

@@ -1,14 +1,18 @@
-"""Scrape-time collectors: hardware counters -> registry gauges.
+"""Scrape-time collectors: hardware counters -> registry series.
 
 The hot-path instrumentation in :mod:`repro.metrics.registry` covers
-*events* (a packet delivered, a request admitted). Occupancy-style
-state — how busy each link is, what each accelerator's status register
-reads, how many words memory has moved — already lives in the
-simulated hardware's own counters; re-recording it per event would
-duplicate work the sockets do anyway. Collectors bridge the two
-worlds: callables registered on the :class:`MetricsRegistry` that copy
-those counters into gauges whenever somebody scrapes (an exporter, the
-health monitor, the dashboard, a :class:`MetricsSampler` tick).
+request-level *events* (a request admitted, a watchdog expired) that
+no hardware counter tracks. Everything the simulated hardware already
+counts — DMA transactions and words, accelerator invocations and
+wrapper phases, NoC packets and flit-hops, link and tile occupancy,
+memory traffic — is counted exactly once, by the owning component,
+and re-recording it per operation would duplicate that work.
+Collectors bridge the two worlds: callables registered on the
+:class:`MetricsRegistry` that copy those counters into the standard
+series whenever somebody scrapes (an exporter, the health monitor,
+the dashboard, a :class:`MetricsSampler` tick). Hardware families
+therefore report since-boot totals, however late the registry was
+attached.
 
 Collectors read simulation state and write registry series; they must
 never schedule events or advance the clock — they run outside the
@@ -22,12 +26,17 @@ from .registry import MetricsRegistry, attach_metrics
 
 
 def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
-    """Wire a built SoC's hardware counters into scrape-time gauges.
+    """Wire a built SoC's hardware counters into scrape-time series.
 
-    Adds gauges for per-link occupancy (busy cycles + utilization,
-    labeled by link endpoints and plane), per-accelerator occupancy
-    (busy cycles, utilization, live ``STATUS_REG`` value), and memory
-    traffic (words read/written per run so far).
+    Fills the registry's standard NoC, DMA and accelerator families
+    (packets and flit-hops per plane, losses, DMA transactions/words
+    per device and op, injected stalls, invocations and their latency
+    histogram, per-phase wrapper cycles, crashes, resets, the progress
+    heartbeat) and adds gauges for per-link occupancy (busy cycles +
+    utilization, labeled by link endpoints and plane), per-accelerator
+    occupancy (busy cycles, utilization, live ``STATUS_REG`` value),
+    and memory traffic (words read/written per run so far). Series a
+    counter never moved stay absent, as they would on the hot path.
     """
     link_busy = registry.gauge(
         "noc_link_busy_cycles", "Cycles each link channel was held",
@@ -51,8 +60,20 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
     mem_written = registry.gauge(
         "mem_words_written", "Words written to the memory tiles")
 
+    def put(family, labels, value) -> None:
+        if value:
+            family.labels(*labels).value = value
+
     def scrape(reg: MetricsRegistry) -> None:
-        for (src, dst, plane), link in soc.mesh.links.items():
+        mesh = soc.mesh
+        for outcome, family in (("delivered", reg.noc_packets),
+                                ("dropped", reg.noc_dropped),
+                                ("corrupted", reg.noc_corrupted)):
+            for plane, packets in mesh.outcomes[outcome].items():
+                put(family, (plane,), packets)
+        for plane, flits in mesh.plane_flits().items():
+            put(reg.noc_flits, (plane,), flits)
+        for (src, dst, plane), link in mesh.links.items():
             if link.flits_carried == 0 \
                     and link.channel.busy_cycles == 0:
                 continue   # keep untouched links out of the exposition
@@ -61,6 +82,24 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
             link_util.labels(label, plane).set(
                 round(link.utilization(), 6))
         for name, tile in soc.accelerators.items():
+            dma = tile.dma
+            for op, count in dma.transactions.items():
+                put(reg.dma_transactions, (name, op), count)
+                put(reg.dma_words, (name, op), dma.words[op])
+            put(reg.dma_stalls, (name,), dma.stalls)
+            put(reg.acc_invocations, (name,), len(tile.invocations))
+            if tile.invocations:
+                # Observe only the invocations the series has not seen,
+                # so repeated scrapes (or collectors) never double-count.
+                latency = reg.acc_invocation_cycles.labels(name)
+                for result in tile.invocations[latency.count:]:
+                    latency.observe(result.cycles)
+            for phase, cycles in dma.phase_cycles.items():
+                reg.acc_phase_cycles.labels(name, phase).value = cycles
+            put(reg.acc_crashes, (name,), tile.kernel_crashes)
+            put(reg.acc_resets, (name,), tile.resets)
+            if dma.last_progress is not None:
+                reg.acc_last_progress.labels(name).set(dma.last_progress)
             acc_busy.labels(name).set(tile.busy_cycles)
             acc_util.labels(name).set(round(tile.utilization(), 6))
             acc_status.labels(name).set(tile.status)

@@ -6,7 +6,7 @@ by keeping aggregated series the way a production inference server's
 telemetry stack does (cf. NVDLA's CSB status interface and VTA's
 runtime instrumentation counters). One :class:`MetricsRegistry`
 attaches to the simulation :class:`~repro.sim.Environment`; every
-layer of the stack reports into it through three series kinds:
+layer of the stack is visible through it in three series kinds:
 
 - :class:`Counter` — monotonically increasing totals (packets, DMA
   words, admissions, watchdog timeouts);
@@ -33,9 +33,16 @@ Design rules (the same contract as the tracer and the fault hooks):
   with ``env.metrics is None`` — one attribute load and a pointer
   compare.
 
-The registry pre-creates the standard instrumentation families (NoC,
-DMA, accelerator, runtime, serve) as attributes so hot sites pay one
-attribute load plus one dict lookup, never a name lookup by string.
+The registry pre-creates the standard families as attributes. Two
+kinds share that schema. The hardware families (NoC, DMA,
+accelerator) are never recorded per operation: the simulated
+hardware already counts each operation once, and
+:func:`~repro.metrics.collect.register_soc_collectors` copies those
+counters in at scrape time, so the hot path does no metrics work for
+them. The request-level families (runtime, serve, control) have no
+hardware counter behind them and are recorded inline, where a hot
+site pays one attribute load plus one dict lookup, never a name
+lookup by string.
 """
 
 from __future__ import annotations
@@ -282,13 +289,14 @@ class Histogram(MetricFamily):
 class MetricsRegistry:
     """All metric families of one simulation, plus scrape collectors.
 
-    Attach with :func:`attach_metrics`; instrumentation sites across
-    the stack then record into the pre-created standard families. A
+    Attach with :func:`attach_metrics`; request-level instrumentation
+    sites then record into the pre-created standard families. A
     *collector* is a callable run at scrape time (:meth:`collect`,
-    :meth:`snapshot`, health evaluation) to refresh gauges from
-    hardware counters the hot path never touches — per-link busy
-    cycles, accelerator occupancy, memory traffic. Collectors read
-    state; they must never schedule simulation events.
+    :meth:`snapshot`, health evaluation) to refresh series from
+    hardware counters the hot path never touches — DMA, NoC and
+    accelerator activity, link and tile occupancy, memory traffic.
+    Collectors read state; they must never schedule simulation
+    events.
     """
 
     def __init__(self, env, namespace: Optional[str] = None) -> None:
@@ -310,8 +318,10 @@ class MetricsRegistry:
         self._families: Dict[str, MetricFamily] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
 
-        # -- standard instrumentation schema (hot-path families are
-        # attributes: one load instead of a string lookup per event) --
+        # -- standard instrumentation schema: the NoC/DMA/accelerator
+        # families are filled at scrape time by the SoC collectors; the
+        # rest are recorded inline (attributes: one load instead of a
+        # string lookup per event) --
         self.noc_packets = self.counter(
             "noc_packets_total", "Packets delivered, per NoC plane",
             ("plane",))

@@ -64,6 +64,10 @@ COH_REQUEST_PLANE = "coh-req"
 COH_FORWARD_PLANE = "coh-fwd"
 COH_RESPONSE_PLANE = "coh-rsp"
 
+#: How a packet leaves the mesh: ejected, lost in flight, or discarded
+#: by the link-level CRC.
+PACKET_OUTCOMES = ("delivered", "dropped", "corrupted")
+
 
 class Mesh2D:
     """The NoC instance: links, ejection queues and transmission."""
@@ -121,9 +125,10 @@ class Mesh2D:
         # of re-running the bounds/plane checks per packet.
         self._checked: set = set()
 
-        # Aggregate statistics.
-        self.packets_delivered = 0
-        self.flit_hops = 0
+        # Hardware counters: packets per ejection outcome and plane
+        # (flit-hops live on the links themselves).
+        self.outcomes: Dict[str, Dict[str, int]] = {
+            outcome: {} for outcome in PACKET_OUTCOMES}
         self.total_latency = 0
         self.delivered_by_kind: Dict[MessageKind, int] = {}
 
@@ -131,8 +136,6 @@ class Mesh2D:
         # (None by default — the hook then costs nothing and timing is
         # identical to a fault-free build).
         self.fault_injector = None
-        self.packets_dropped = 0
-        self.packets_corrupted = 0
 
     # -- topology helpers --------------------------------------------------
 
@@ -215,50 +218,36 @@ class Mesh2D:
                 link.channel.release()
                 if tracer is not None:
                     tracer.end(held_sids[index])
-            self.flit_hops += size_flits * len(route)
-            if self.env.metrics is not None:
-                self.env.metrics.noc_flits.labels(packet.plane).inc(
-                    size_flits * len(route))
         if self.fault_injector is not None:
             # Delivery faults strike after the wormhole released every
             # link, so a lost packet never leaves a stuck channel: the
             # loss is visible only as a missing ejection (and a
-            # watchdog timeout at whoever was waiting for it).
+            # watchdog timeout at whoever was waiting for it). A
+            # corrupted payload is caught by the link-level CRC at
+            # ejection and discarded — detected, never delivered.
             action = self.fault_injector.on_deliver(packet, self.env.now)
-            if action == "drop":
-                self.packets_dropped += 1
-                if self.env.metrics is not None:
-                    self.env.metrics.noc_dropped.labels(
-                        packet.plane).inc()
-                if sid is not None:
-                    tracer.end(sid, outcome="dropped")
-                if packet.on_lost is not None:
-                    packet.on_lost()
-                return packet
-            if action == "corrupt":
-                # Link-level CRC catches the mangled payload at
-                # ejection and discards it — corruption is detected,
-                # never silently delivered.
-                self.packets_corrupted += 1
-                if self.env.metrics is not None:
-                    self.env.metrics.noc_corrupted.labels(
-                        packet.plane).inc()
-                if sid is not None:
-                    tracer.end(sid, outcome="corrupted")
+            if action != "ok":
+                self._retire(packet, "dropped" if action == "drop"
+                             else "corrupted", tracer, sid)
                 if packet.on_lost is not None:
                     packet.on_lost()
                 return packet
         packet.delivered_at = self.env.now
-        self.packets_delivered += 1
-        if self.env.metrics is not None:
-            self.env.metrics.noc_packets.labels(packet.plane).inc()
         self.total_latency += packet.latency
         self.delivered_by_kind[packet.kind] = (
             self.delivered_by_kind.get(packet.kind, 0) + 1)
-        if sid is not None:
-            tracer.end(sid, outcome="delivered")
+        self._retire(packet, "delivered", tracer, sid)
         yield self._inboxes[(packet.dst, packet.plane)].put(packet)
         return packet
+
+    def _retire(self, packet: Packet, outcome: str, tracer,
+                sid: Optional[int]) -> None:
+        """Count one packet outcome and close its span: the mesh's one
+        bookkeeping site per packet."""
+        counts = self.outcomes[outcome]
+        counts[packet.plane] = counts.get(packet.plane, 0) + 1
+        if sid is not None:
+            tracer.end(sid, outcome=outcome)
 
     # -- vectorized transport (wide-mesh sweeps) ----------------------------
 
@@ -305,6 +294,22 @@ class Mesh2D:
         return np.where(hops == 0, self.router_latency, latency)
 
     # -- statistics ----------------------------------------------------------
+
+    @property
+    def packets_delivered(self) -> int:
+        return sum(self.outcomes["delivered"].values())
+
+    @property
+    def packets_dropped(self) -> int:
+        return sum(self.outcomes["dropped"].values())
+
+    @property
+    def packets_corrupted(self) -> int:
+        return sum(self.outcomes["corrupted"].values())
+
+    @property
+    def flit_hops(self) -> int:
+        return sum(link.flits_carried for link in self.links.values())
 
     @property
     def average_latency(self) -> float:

@@ -147,10 +147,14 @@ class AcceleratorTile:
         elif name == CMD_REG and value == CMD_RESET:
             self.host_reset()
 
-    def _raise_irq(self) -> None:
+    def _instant(self, name: str, cat: str, **args) -> None:
+        """A socket event on the tile's trace row (no-op untraced)."""
         if self.env.tracer is not None:
-            self.env.tracer.instant(self.device_name, "socket", "irq",
-                                    "acc.irq", status=self.status)
+            self.env.tracer.instant(self.device_name, "socket", name, cat,
+                                    **args)
+
+    def _raise_irq(self) -> None:
+        self._instant("irq", "acc.irq", status=self.status)
         self.mesh.send(Packet(
             src=self.coord, dst=self.irq_dst, plane=IO_PLANE,
             kind=MessageKind.IRQ, payload_flits=0,
@@ -182,8 +186,6 @@ class AcceleratorTile:
         restart the tile.
         """
         self.resets += 1
-        if self.env.metrics is not None:
-            self.env.metrics.acc_resets.labels(self.device_name).inc()
         self._start._value = 0   # clear start pulses posted while wedged
         if self._abort is not None and not self._abort.triggered:
             # Busy: pull the reset line; the run loop does the cleanup.
@@ -232,14 +234,12 @@ class AcceleratorTile:
             yield self._start.wait()
             self.regs._values[CMD_REG] = 0
             self.regs._values["STATUS_REG"] = STATUS_RUNNING
-            if env.metrics is not None:
-                # Heartbeat: starting counts as progress, so a tile
-                # that sat idle for a long time (a freshly activated
-                # spare) is not instantly "stalled" on its first
-                # invocation — quiet time is measured from the start,
-                # not from whenever the tile last did work.
-                env.metrics.acc_last_progress.labels(
-                    self.device_name).set(env.now)
+            # Heartbeat: starting counts as progress, so a tile that sat
+            # idle for a long time (a freshly activated spare) is not
+            # instantly "stalled" on its first invocation — quiet time
+            # is measured from the start, not from whenever the tile
+            # last did work.
+            self.dma.last_progress = env.now
             config = self._snapshot_config()
             fault = None
             if self.fault_injector is not None:
@@ -254,13 +254,8 @@ class AcceleratorTile:
             except KernelCrash:
                 self._abort = None
                 self.kernel_crashes += 1
-                if env.metrics is not None:
-                    env.metrics.acc_crashes.labels(
-                        self.device_name).inc()
                 self.regs._values["STATUS_REG"] = STATUS_ERROR
-                if env.tracer is not None:
-                    env.tracer.instant(self.device_name, "socket",
-                                       "kernel-crash", "acc.crash")
+                self._instant("kernel-crash", "acc.crash")
                 self._raise_irq()
                 continue
             self._abort = None
@@ -272,15 +267,10 @@ class AcceleratorTile:
                 self.dma.reset()
                 self.regs._values[CMD_REG] = 0
                 self.regs._values["STATUS_REG"] = STATUS_IDLE
-                if env.tracer is not None:
-                    env.tracer.instant(self.device_name, "socket",
-                                       "host-reset", "acc.abort")
+                self._instant("host-reset", "acc.abort")
                 continue
             result = work.value
             if env.tracer is not None:
-                # Mirrors the invocation record exactly, so views built
-                # from the tracer agree with views built from the socket
-                # counters (the store-unification invariant).
                 env.tracer.complete(
                     self.device_name, "socket", self.spec.name,
                     "acc.invocation", result.start_cycle,
@@ -289,13 +279,7 @@ class AcceleratorTile:
             self.invocations.append(result)
             self.frames_processed += result.frames
             self.busy_cycles += result.cycles
-            if env.metrics is not None:
-                metrics = env.metrics
-                metrics.acc_invocations.labels(self.device_name).inc()
-                metrics.acc_invocation_cycles.labels(
-                    self.device_name).observe(result.cycles)
-                metrics.acc_last_progress.labels(
-                    self.device_name).set(env.now)
+            self.dma.last_progress = env.now
             self.regs._values["STATUS_REG"] = STATUS_DONE
             self._raise_irq()
 

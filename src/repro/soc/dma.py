@@ -67,6 +67,16 @@ Coord = Tuple[int, int]
 #: carefully reused available queues in the ESP accelerator tile").
 P2P_QUEUE_DEPTH = 2
 
+#: Op labels of the engine's transaction counters (fully-coherent
+#: transactions count as ``dma_load``/``dma_store``).
+DMA_OPS = ("dma_load", "dma_store", "p2p_load", "p2p_store")
+
+#: Trace-viewer row of each traced operation (``p2p_serve`` is the
+#: sender answering a p2p load: traced, not counted).
+_SPAN_ROWS = {"dma_load": "dma.load", "p2p_load": "dma.load",
+              "dma_store": "dma.store", "p2p_store": "dma.store",
+              "p2p_serve": "p2p-server"}
+
 
 @dataclass
 class P2PLoadRequest:
@@ -112,13 +122,18 @@ class DmaEngine:
         self.cache: Optional[PrivateCache] = None
         self.coherence_downgrades = 0
 
-        # Statistics.
-        self.dma_loads = 0
-        self.dma_stores = 0
-        self.p2p_loads = 0
-        self.p2p_stores = 0
-        self.words_loaded = 0
-        self.words_stored = 0
+        # Hardware counters, per op label: completed transactions, the
+        # words they moved, and injected stalls.
+        self.transactions = dict.fromkeys(DMA_OPS, 0)
+        self.words = dict.fromkeys(DMA_OPS, 0)
+        self.stalls = 0
+
+        # Socket activity registers the wrapper updates (this engine is
+        # its only handle into the socket): cycles per LOAD/COMPUTE/
+        # STORE phase, and the cycle of the tile's last progress — the
+        # heartbeat the accelerator-stall health rule watches.
+        self.phase_cycles: Dict[str, int] = {}
+        self.last_progress: Optional[int] = None
 
         # Fault hook (None = fault-free, zero overhead).
         self.fault_injector = None
@@ -154,18 +169,31 @@ class DmaEngine:
         return words_to_flits(words, self.word_bits,
                               self.mesh.flit_bits(plane))
 
-    def _record_transaction(self, metrics, op: str, words: int) -> None:
-        """One completed transaction into the live metrics registry.
+    @property
+    def words_loaded(self) -> int:
+        return self.words["dma_load"] + self.words["p2p_load"]
 
-        Also refreshes the owner's last-progress heartbeat gauge — the
-        signal the accelerator-stall health rule watches: a hung kernel
-        or wedged DMA engine stops completing transactions, so the
-        heartbeat goes quiet while ``STATUS_REG`` still reads RUNNING.
+    @property
+    def words_stored(self) -> int:
+        return self.words["dma_store"] + self.words["p2p_store"]
+
+    def _op(self, op: str, name: str, cat: str, body, **args):
+        """Drive one operation generator inside its tracer span.
+
+        The engine's one bookkeeping site: a completed transaction is
+        counted here, once, into the hardware counters that the
+        monitors and the scrape-time metrics both read.
         """
-        owner = self.owner
-        metrics.dma_transactions.labels(owner, op).inc()
-        metrics.dma_words.labels(owner, op).inc(words)
-        metrics.acc_last_progress.labels(owner).set(self.env.now)
+        tracer = self.env.tracer
+        sid = None if tracer is None else tracer.begin(
+            self.owner, _SPAN_ROWS[op], name, cat, **args)
+        result = yield from body
+        if op in self.transactions:
+            self.transactions[op] += 1
+            self.words[op] += args["words"]
+        if sid is not None:
+            tracer.end(sid)
+        return result
 
     def _maybe_stall(self):
         """Injected engine stall before a transaction (generator).
@@ -178,8 +206,7 @@ class DmaEngine:
         stall = self.fault_injector.dma_stall(self.coord, self.env.now)
         if stall is None:
             return
-        if self.env.metrics is not None:
-            self.env.metrics.dma_stalls.labels(self.owner).inc()
+        self.stalls += 1
         if stall < 0:   # FaultInjector.HANG
             forever = self.env.event()
             forever.wait_reason = (f"injected dma hang at tile "
@@ -210,11 +237,7 @@ class DmaEngine:
 
     # -- regular DMA ---------------------------------------------------------
 
-    def _dma_load(self, offset: int, n_words: int, llc: bool = False):
-        tracer = self.env.tracer
-        sid = None if tracer is None else tracer.begin(
-            self.owner, "dma.load", f"load[{n_words}w]", "dma.load",
-            offset=offset, words=n_words, coherent=llc)
+    def _dma_load(self, offset: int, n_words: int, llc: bool):
         if self.fault_injector is not None:
             yield from self._maybe_stall()
         yield self.env.timeout(self.tlb.translate(offset, n_words))
@@ -242,22 +265,10 @@ class DmaEngine:
             packet = yield self._response_queue(tag).get()
             parts.append(np.asarray(packet.payload))
             del self._responses[tag]
-        self.dma_loads += 1
-        self.words_loaded += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_load", n_words)
-        if sid is not None:
-            tracer.end(sid)
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def _dma_store(self, offset: int, data: np.ndarray, llc: bool = False):
-        data = np.asarray(data, dtype=np.float64).reshape(-1)
+    def _dma_store(self, offset: int, data: np.ndarray, llc: bool):
         n_words = len(data)
-        tracer = self.env.tracer
-        sid = None if tracer is None else tracer.begin(
-            self.owner, "dma.store", f"store[{n_words}w]", "dma.store",
-            offset=offset, words=n_words, coherent=llc)
         if self.fault_injector is not None:
             yield from self._maybe_stall()
         yield self.env.timeout(self.tlb.translate(offset, n_words))
@@ -292,14 +303,6 @@ class DmaEngine:
         # because its request queue is FIFO).
         for send in sends:
             yield send
-        self.dma_stores += 1
-        self.words_stored += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_store", n_words)
-        if sid is not None:
-            tracer.end(sid)
-        return None
 
     # -- fully-coherent (private cache + MESI-style protocol) ------------------
 
@@ -473,58 +476,26 @@ class DmaEngine:
             yield from self._fc_writebacks(victims)
 
     def _fc_load(self, offset: int, n_words: int):
-        tracer = self.env.tracer
-        sid = None if tracer is None else tracer.begin(
-            self.owner, "dma.load", f"fc-load[{n_words}w]", "coh.load",
-            offset=offset, words=n_words)
         if self.fault_injector is not None:
             yield from self._maybe_stall()
         yield from self._fc_transaction(offset, n_words, write=False)
-        data = self.memory_map.read_words(offset, n_words)
-        self.dma_loads += 1
-        self.words_loaded += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_load", n_words)
-        if sid is not None:
-            tracer.end(sid)
-        return data
+        return self.memory_map.read_words(offset, n_words)
 
     def _fc_store(self, offset: int, data: np.ndarray):
-        data = np.asarray(data, dtype=np.float64).reshape(-1)
-        n_words = len(data)
-        tracer = self.env.tracer
-        sid = None if tracer is None else tracer.begin(
-            self.owner, "dma.store", f"fc-store[{n_words}w]",
-            "coh.store", offset=offset, words=n_words)
         if self.fault_injector is not None:
             yield from self._maybe_stall()
-        yield from self._fc_transaction(offset, n_words, write=True)
+        yield from self._fc_transaction(offset, len(data), write=True)
         # The functional write is out-of-band (zero simulated time):
         # the backing store always holds current data, the dirty
         # private lines only shape timing and writeback traffic. A
         # fully-coherent store is therefore *not* posted — completion
         # means ownership was granted, so no quiesce accounting.
         self.memory_map.write_words(offset, data)
-        self.dma_stores += 1
-        self.words_stored += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "dma_store", n_words)
-        if sid is not None:
-            tracer.end(sid)
-        return None
 
     # -- p2p -------------------------------------------------------------------
 
-    def _p2p_load(self, n_words: int, p2p: P2PConfig):
-        """Receiver side: on-demand request to the next source tile."""
-        source = p2p.sources[self._p2p_round_robin % len(p2p.sources)]
-        self._p2p_round_robin += 1
-        tracer = self.env.tracer
-        sid = None if tracer is None else tracer.begin(
-            self.owner, "dma.load", f"p2p-load[{n_words}w]",
-            "dma.p2p_load", source=str(source), words=n_words)
+    def _p2p_load(self, n_words: int, source: Coord):
+        """Receiver side: on-demand request to the ``source`` tile."""
         tag = self._new_tag()
         request = P2PLoadRequest(words=n_words, word_bits=self.word_bits,
                                  reply_to=self.coord, tag=tag)
@@ -541,13 +512,6 @@ class DmaEngine:
                 tag=tag))
         packet = yield self._response_queue(tag).get()
         del self._responses[tag]
-        self.p2p_loads += 1
-        self.words_loaded += n_words
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "p2p_load", n_words)
-        if sid is not None:
-            tracer.end(sid)
         return np.asarray(packet.payload)
 
     def _p2p_store(self, data: np.ndarray):
@@ -557,20 +521,7 @@ class DmaEngine:
         backpressure that keeps long packets out of the NoC until the
         downstream accelerator is ready (consumption assumption).
         """
-        data = np.asarray(data, dtype=np.float64).reshape(-1)
-        tracer = self.env.tracer
-        sid = None if tracer is None else tracer.begin(
-            self.owner, "dma.store", f"p2p-store[{len(data)}w]",
-            "dma.p2p_store", words=len(data))
         yield self._p2p_store_queue.put(data)
-        self.p2p_stores += 1
-        self.words_stored += len(data)
-        metrics = self.env.metrics
-        if metrics is not None:
-            self._record_transaction(metrics, "p2p_store", len(data))
-        if sid is not None:
-            tracer.end(sid)
-        return None
 
     def _p2p_server(self):
         """Sender side: answer p2p load requests with parked chunks."""
@@ -582,25 +533,24 @@ class DmaEngine:
                 raise TypeError(
                     f"accelerator tile {self.coord} received unexpected "
                     f"request {request!r} on the DMA request plane")
-            tracer = self.env.tracer
-            sid = None if tracer is None else tracer.begin(
-                self.owner, "p2p-server", f"serve[{request.words}w]",
-                "dma.p2p_serve", reply_to=str(request.reply_to),
+            yield from self._op(
+                "p2p_serve", f"serve[{request.words}w]", "dma.p2p_serve",
+                self._p2p_serve(request), reply_to=str(request.reply_to),
                 words=request.words)
-            chunk = yield self._p2p_store_queue.get()
-            if len(chunk) != request.words:
-                raise ValueError(
-                    f"p2p size mismatch at {self.coord}: receiver asked "
-                    f"for {request.words} words, producer parked "
-                    f"{len(chunk)}")
-            self.mesh.send(Packet(
-                src=self.coord, dst=request.reply_to,
-                plane=DMA_RESPONSE_PLANE, kind=MessageKind.P2P_RSP,
-                payload_flits=self._flits(request.words,
-                                          DMA_RESPONSE_PLANE),
-                payload=chunk, tag=request.tag))
-            if sid is not None:
-                tracer.end(sid)
+
+    def _p2p_serve(self, request: P2PLoadRequest):
+        """Forward the next parked chunk to the requesting receiver."""
+        chunk = yield self._p2p_store_queue.get()
+        if len(chunk) != request.words:
+            raise ValueError(
+                f"p2p size mismatch at {self.coord}: receiver asked "
+                f"for {request.words} words, producer parked "
+                f"{len(chunk)}")
+        self.mesh.send(Packet(
+            src=self.coord, dst=request.reply_to,
+            plane=DMA_RESPONSE_PLANE, kind=MessageKind.P2P_RSP,
+            payload_flits=self._flits(request.words, DMA_RESPONSE_PLANE),
+            payload=chunk, tag=request.tag))
 
     # -- public API (what the wrapper calls) -------------------------------------
 
@@ -616,34 +566,61 @@ class DmaEngine:
         (:class:`CoherenceMode` or its string value): non-coherent DMA
         straight to DRAM, LLC-coherent DMA through the memory tile's
         last-level cache, or the fully-coherent private-cache path.
-        A generator to be driven with ``yield from``; returns the data.
+        Checks the request now and returns the transaction as a
+        generator to drive with ``yield from``; it returns the data.
         """
         if n_words < 1:
             raise ValueError(f"n_words must be >= 1, got {n_words}")
         mode = CoherenceMode.coerce(coherence)
         if p2p is not None and p2p.load_enabled:
-            return (yield from self._p2p_load(n_words, p2p))
+            source = p2p.sources[self._p2p_round_robin % len(p2p.sources)]
+            self._p2p_round_robin += 1
+            return self._op(
+                "p2p_load", f"p2p-load[{n_words}w]", "dma.p2p_load",
+                self._p2p_load(n_words, source), source=str(source),
+                words=n_words)
         if mode is CoherenceMode.FULLY_COHERENT:
             if self._fc_supported(offset, n_words):
                 self._ensure_fc()
-                return (yield from self._fc_load(offset, n_words))
+                return self._op(
+                    "dma_load", f"fc-load[{n_words}w]", "coh.load",
+                    self._fc_load(offset, n_words), offset=offset,
+                    words=n_words)
             self.coherence_downgrades += 1
             mode = CoherenceMode.NON_COHERENT
-        return (yield from self._dma_load(
-            offset, n_words, llc=mode is CoherenceMode.LLC_COHERENT))
+        llc = mode is CoherenceMode.LLC_COHERENT
+        return self._op(
+            "dma_load", f"load[{n_words}w]", "dma.load",
+            self._dma_load(offset, n_words, llc), offset=offset,
+            words=n_words, coherent=llc)
 
     def store(self, offset: int, data: np.ndarray,
               p2p: Optional[P2PConfig] = None, coherence=None):
-        """Store a PLM buffer; DMA or p2p per configuration."""
+        """Store a non-empty PLM buffer; DMA or p2p per configuration.
+
+        Checks the request now and returns the transaction as a
+        generator to drive with ``yield from``.
+        """
+        data = np.asarray(data, dtype=np.float64).reshape(-1)
+        n_words = len(data)
+        if n_words < 1:
+            raise ValueError("cannot store an empty buffer")
         mode = CoherenceMode.coerce(coherence)
         if p2p is not None and p2p.store_enabled:
-            return (yield from self._p2p_store(data))
+            return self._op(
+                "p2p_store", f"p2p-store[{n_words}w]", "dma.p2p_store",
+                self._p2p_store(data), words=n_words)
         if mode is CoherenceMode.FULLY_COHERENT:
-            data = np.asarray(data, dtype=np.float64).reshape(-1)
-            if self._fc_supported(offset, max(1, len(data))):
+            if self._fc_supported(offset, n_words):
                 self._ensure_fc()
-                return (yield from self._fc_store(offset, data))
+                return self._op(
+                    "dma_store", f"fc-store[{n_words}w]", "coh.store",
+                    self._fc_store(offset, data), offset=offset,
+                    words=n_words)
             self.coherence_downgrades += 1
             mode = CoherenceMode.NON_COHERENT
-        return (yield from self._dma_store(
-            offset, data, llc=mode is CoherenceMode.LLC_COHERENT))
+        llc = mode is CoherenceMode.LLC_COHERENT
+        return self._op(
+            "dma_store", f"store[{n_words}w]", "dma.store",
+            self._dma_store(offset, data, llc), offset=offset,
+            words=n_words, coherent=llc)

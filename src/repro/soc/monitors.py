@@ -10,27 +10,76 @@ monitor report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
 from .soc_builder import SoCInstance
 
 
 @dataclass(frozen=True)
-class AcceleratorCounters:
+class TileActivity:
+    """Per-accelerator activity between two snapshots.
+
+    The serving layer's attribution primitive: the tile arbiter grants
+    a tenant exclusive tiles, so the counter delta between grant and
+    release is exactly that tenant's hardware activity — no sampling,
+    no estimation.
+    """
+
     device: str
     invocations: int
     frames: int
     busy_cycles: int
-    utilization: float
     dma_loads: int
     dma_stores: int
     p2p_loads: int
     p2p_stores: int
     words_loaded: int
     words_stored: int
+
+    def __add__(self, other: "TileActivity") -> "TileActivity":
+        if other.device != self.device:
+            raise ValueError(f"cannot add activity of {self.device!r} "
+                             f"and {other.device!r}")
+        return _combine(self, other, operator.add)
+
+
+@dataclass(frozen=True)
+class AcceleratorCounters(TileActivity):
+    """One tile's monitor row: its activity plus occupancy and TLB."""
+
+    utilization: float
     tlb_hits: int
     tlb_misses: int
+
+
+def _activity(name: str, tile) -> dict:
+    """The :class:`TileActivity` fields of one tile, read from its
+    socket's hardware counters."""
+    dma = tile.dma
+    return dict(device=name, invocations=len(tile.invocations),
+                frames=tile.frames_processed, busy_cycles=tile.busy_cycles,
+                dma_loads=dma.transactions["dma_load"],
+                dma_stores=dma.transactions["dma_store"],
+                p2p_loads=dma.transactions["p2p_load"],
+                p2p_stores=dma.transactions["p2p_store"],
+                words_loaded=dma.words_loaded,
+                words_stored=dma.words_stored)
+
+
+def _combine(a, b, op, **overrides):
+    """Field-wise ``op(a, b)`` over every counter of one monitor row
+    (each field after the row's key, ``device`` or ``coord``)."""
+    values = {f.name: op(getattr(a, f.name), getattr(b, f.name))
+              for f in fields(a)[1:]}
+    values.update(overrides)
+    return replace(a, **values)
+
+
+def _minus(end, start):
+    """``end - start``; a counter the tile lacks (None) stays None."""
+    return None if end is None else end - (start or 0)
 
 
 @dataclass(frozen=True)
@@ -100,45 +149,6 @@ class MonitorReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class TileActivity:
-    """Per-accelerator activity between two snapshots.
-
-    The serving layer's attribution primitive: the tile arbiter grants
-    a tenant exclusive tiles, so the counter delta between grant and
-    release is exactly that tenant's hardware activity — no sampling,
-    no estimation.
-    """
-
-    device: str
-    invocations: int
-    frames: int
-    busy_cycles: int
-    dma_loads: int
-    dma_stores: int
-    p2p_loads: int
-    p2p_stores: int
-    words_loaded: int
-    words_stored: int
-
-    def __add__(self, other: "TileActivity") -> "TileActivity":
-        if other.device != self.device:
-            raise ValueError(f"cannot add activity of {self.device!r} "
-                             f"and {other.device!r}")
-        return TileActivity(
-            device=self.device,
-            invocations=self.invocations + other.invocations,
-            frames=self.frames + other.frames,
-            busy_cycles=self.busy_cycles + other.busy_cycles,
-            dma_loads=self.dma_loads + other.dma_loads,
-            dma_stores=self.dma_stores + other.dma_stores,
-            p2p_loads=self.p2p_loads + other.p2p_loads,
-            p2p_stores=self.p2p_stores + other.p2p_stores,
-            words_loaded=self.words_loaded + other.words_loaded,
-            words_stored=self.words_stored + other.words_stored,
-        )
-
-
 def tile_activity(soc: SoCInstance, names) -> Dict[str, TileActivity]:
     """Snapshot the activity counters of the named accelerator tiles."""
     out: Dict[str, TileActivity] = {}
@@ -146,19 +156,7 @@ def tile_activity(soc: SoCInstance, names) -> Dict[str, TileActivity]:
         if name not in soc.accelerators:
             raise KeyError(f"unknown accelerator {name!r}; options: "
                            f"{sorted(soc.accelerators)}")
-        tile = soc.accelerators[name]
-        out[name] = TileActivity(
-            device=name,
-            invocations=len(tile.invocations),
-            frames=tile.frames_processed,
-            busy_cycles=tile.busy_cycles,
-            dma_loads=tile.dma.dma_loads,
-            dma_stores=tile.dma.dma_stores,
-            p2p_loads=tile.dma.p2p_loads,
-            p2p_stores=tile.dma.p2p_stores,
-            words_loaded=tile.dma.words_loaded,
-            words_stored=tile.dma.words_stored,
-        )
+        out[name] = TileActivity(**_activity(name, soc.accelerators[name]))
     return out
 
 
@@ -171,18 +169,7 @@ def activity_delta(before: Dict[str, TileActivity],
         start = before.get(name)
         if start is None:
             raise KeyError(f"no 'before' snapshot for {name!r}")
-        out[name] = TileActivity(
-            device=name,
-            invocations=end.invocations - start.invocations,
-            frames=end.frames - start.frames,
-            busy_cycles=end.busy_cycles - start.busy_cycles,
-            dma_loads=end.dma_loads - start.dma_loads,
-            dma_stores=end.dma_stores - start.dma_stores,
-            p2p_loads=end.p2p_loads - start.p2p_loads,
-            p2p_stores=end.p2p_stores - start.p2p_stores,
-            words_loaded=end.words_loaded - start.words_loaded,
-            words_stored=end.words_stored - start.words_stored,
-        )
+        out[name] = _combine(end, start, operator.sub)
     return out
 
 
@@ -205,41 +192,16 @@ def monitor_delta(before: MonitorReport,
         if base is None:
             raise KeyError(f"no 'before' snapshot for {acc.device!r}")
         busy = acc.busy_cycles - base.busy_cycles
-        accelerators.append(AcceleratorCounters(
-            device=acc.device,
-            invocations=acc.invocations - base.invocations,
-            frames=acc.frames - base.frames,
-            busy_cycles=busy,
-            utilization=busy / elapsed if elapsed else 0.0,
-            dma_loads=acc.dma_loads - base.dma_loads,
-            dma_stores=acc.dma_stores - base.dma_stores,
-            p2p_loads=acc.p2p_loads - base.p2p_loads,
-            p2p_stores=acc.p2p_stores - base.p2p_stores,
-            words_loaded=acc.words_loaded - base.words_loaded,
-            words_stored=acc.words_stored - base.words_stored,
-            tlb_hits=acc.tlb_hits - base.tlb_hits,
-            tlb_misses=acc.tlb_misses - base.tlb_misses,
-        ))
+        accelerators.append(_combine(
+            acc, base, operator.sub,
+            utilization=busy / elapsed if elapsed else 0.0))
     before_mem = {m.coord: m for m in before.memories}
     memories = []
     for mem in after.memories:
         base = before_mem.get(mem.coord)
         if base is None:
             raise KeyError(f"no 'before' snapshot for memory {mem.coord}")
-        def _opt(end, start):
-            return None if end is None else end - (start or 0)
-        memories.append(MemoryCounters(
-            coord=mem.coord,
-            words_read=mem.words_read - base.words_read,
-            words_written=mem.words_written - base.words_written,
-            load_transactions=(mem.load_transactions
-                               - base.load_transactions),
-            store_transactions=(mem.store_transactions
-                                - base.store_transactions),
-            llc_hits=_opt(mem.llc_hits, base.llc_hits),
-            llc_misses=_opt(mem.llc_misses, base.llc_misses),
-            llc_writebacks=_opt(mem.llc_writebacks, base.llc_writebacks),
-        ))
+        memories.append(_combine(mem, base, _minus))
     plane_flits = {name: after.noc_plane_flits.get(name, 0)
                    - before.noc_plane_flits.get(name, 0)
                    for name in after.noc_plane_flits}
@@ -262,20 +224,8 @@ def read_monitors(soc: SoCInstance) -> MonitorReport:
         tile = soc.accelerators[name]
         tlb_stats = tile.dma.tlb.stats()
         accelerators.append(AcceleratorCounters(
-            device=name,
-            invocations=len(tile.invocations),
-            frames=tile.frames_processed,
-            busy_cycles=tile.busy_cycles,
-            utilization=tile.utilization(),
-            dma_loads=tile.dma.dma_loads,
-            dma_stores=tile.dma.dma_stores,
-            p2p_loads=tile.dma.p2p_loads,
-            p2p_stores=tile.dma.p2p_stores,
-            words_loaded=tile.dma.words_loaded,
-            words_stored=tile.dma.words_stored,
-            tlb_hits=tlb_stats["hits"],
-            tlb_misses=tlb_stats["misses"],
-        ))
+            **_activity(name, tile), utilization=tile.utilization(),
+            tlb_hits=tlb_stats["hits"], tlb_misses=tlb_stats["misses"]))
     memories = []
     for tile in soc.memory_map.tiles:
         llc = tile.llc

@@ -68,6 +68,35 @@ class InvocationResult:
         return self.end_cycle - self.start_cycle
 
 
+def _phase(env, dma: DmaEngine, row: str, phase: str, index: int, body):
+    """One LOAD/COMPUTE/STORE phase of frame ``index``.
+
+    The wrapper's one bookkeeping site: the phase runs inside its
+    tracer span, its cycles go into the socket's per-phase counter,
+    and its completion stamps the progress heartbeat (a completed
+    compute counts too, so a long-latency kernel does not look stalled
+    between DMA transactions).
+    """
+    tracer = env.tracer
+    sid = None if tracer is None else tracer.begin(
+        dma.owner, row, f"{phase} f{index}", f"acc.{phase}", frame=index)
+    start = env.now
+    result = yield from body
+    end = dma.last_progress = env.now
+    dma.phase_cycles[phase] = dma.phase_cycles.get(phase, 0) + end - start
+    if sid is not None:
+        tracer.end(sid)
+    return result
+
+
+def _compute(env, spec: AcceleratorSpec, frame, cycles: int):
+    """COMPUTE: the kernel's schedule sets the cycle cost (stretched by
+    the tile's DVFS divider); the functional result comes from the
+    bit-accurate NumPy kernel."""
+    yield env.timeout(cycles)
+    return spec.run(frame)
+
+
 def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
                     config: InvocationConfig):
     """One accelerator invocation: the Fig. 4 loop as a sim process.
@@ -83,53 +112,22 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
     dma.reset_p2p_rotation()
     src_stride = config.src_stride or spec.input_words
     dst_stride = config.dst_stride or spec.output_words
-    tracer = env.tracer
-    metrics = env.metrics
-    pid = dma.owner
     for index in range(config.n_frames):
         # LOAD: get and unpack one frame into the PLM.
         in_addr = config.src_offset + index * src_stride
-        sid = None if tracer is None else tracer.begin(
-            pid, "wrapper", f"load f{index}", "acc.load", frame=index)
-        phase_start = env.now if metrics is not None else 0
-        frame = yield from dma.load(in_addr, spec.input_words, p2p=p2p,
-                                    coherence=config.coherence)
-        if metrics is not None:
-            metrics.acc_phase_cycles.labels(pid, "load").inc(
-                env.now - phase_start)
-        if sid is not None:
-            tracer.end(sid)
-
-        # COMPUTE: the kernel's schedule determines the cycle cost,
-        # stretched by the tile's DVFS divider; the functional result
-        # comes from the bit-accurate NumPy kernel.
-        sid = None if tracer is None else tracer.begin(
-            pid, "wrapper", f"compute f{index}", "acc.compute",
-            frame=index)
-        yield env.timeout(spec.latency_cycles * config.clock_divider)
-        result = spec.run(frame)
-        if metrics is not None:
-            metrics.acc_phase_cycles.labels(pid, "compute").inc(
-                spec.latency_cycles * config.clock_divider)
-            # Heartbeat: a completed compute is progress too, so a
-            # long-latency kernel does not look stalled between DMA
-            # transactions.
-            metrics.acc_last_progress.labels(pid).set(env.now)
-        if sid is not None:
-            tracer.end(sid)
-
+        frame = yield from _phase(env, dma, "wrapper", "load", index,
+                                  dma.load(in_addr, spec.input_words,
+                                           p2p=p2p,
+                                           coherence=config.coherence))
+        result = yield from _phase(
+            env, dma, "wrapper", "compute", index,
+            _compute(env, spec, frame,
+                     spec.latency_cycles * config.clock_divider))
         # STORE: pack the output and push it downstream.
         out_addr = config.dst_offset + index * dst_stride
-        sid = None if tracer is None else tracer.begin(
-            pid, "wrapper", f"store f{index}", "acc.store", frame=index)
-        phase_start = env.now if metrics is not None else 0
-        yield from dma.store(out_addr, result, p2p=p2p,
-                             coherence=config.coherence)
-        if metrics is not None:
-            metrics.acc_phase_cycles.labels(pid, "store").inc(
-                env.now - phase_start)
-        if sid is not None:
-            tracer.end(sid)
+        yield from _phase(env, dma, "wrapper", "store", index,
+                          dma.store(out_addr, result, p2p=p2p,
+                                    coherence=config.coherence))
     return InvocationResult(frames=config.n_frames, start_cycle=start,
                             end_cycle=env.now)
 
@@ -155,61 +153,32 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
     in_plm = Fifo(env, capacity=2, name="plm-in")
     out_plm = Fifo(env, capacity=2, name="plm-out")
 
-    tracer = env.tracer
-    metrics = env.metrics
-    pid = dma.owner
-
     def loader():
         for index in range(config.n_frames):
             in_addr = config.src_offset + index * src_stride
-            sid = None if tracer is None else tracer.begin(
-                pid, "loader", f"load f{index}", "acc.load", frame=index)
-            phase_start = env.now if metrics is not None else 0
-            frame = yield from dma.load(in_addr, spec.input_words,
-                                        p2p=p2p,
-                                        coherence=config.coherence)
-            if metrics is not None:
-                metrics.acc_phase_cycles.labels(pid, "load").inc(
-                    env.now - phase_start)
-            if sid is not None:
-                tracer.end(sid)
+            frame = yield from _phase(
+                env, dma, "loader", "load", index,
+                dma.load(in_addr, spec.input_words, p2p=p2p,
+                         coherence=config.coherence))
             yield in_plm.put(frame)
 
     def computer():
-        first = True
         for index in range(config.n_frames):
             frame = yield in_plm.get()
-            cycles = spec.latency_cycles if first else max(
+            cycles = spec.latency_cycles if index == 0 else max(
                 spec.interval_cycles, 1)
-            first = False
-            sid = None if tracer is None else tracer.begin(
-                pid, "compute", f"compute f{index}", "acc.compute",
-                frame=index)
-            yield env.timeout(cycles * config.clock_divider)
-            result = spec.run(frame)
-            if metrics is not None:
-                metrics.acc_phase_cycles.labels(pid, "compute").inc(
-                    cycles * config.clock_divider)
-                metrics.acc_last_progress.labels(pid).set(env.now)
-            if sid is not None:
-                tracer.end(sid)
+            result = yield from _phase(
+                env, dma, "compute", "compute", index,
+                _compute(env, spec, frame, cycles * config.clock_divider))
             yield out_plm.put(result)
 
     def storer():
         for index in range(config.n_frames):
             result = yield out_plm.get()
             out_addr = config.dst_offset + index * dst_stride
-            sid = None if tracer is None else tracer.begin(
-                pid, "storer", f"store f{index}", "acc.store",
-                frame=index)
-            phase_start = env.now if metrics is not None else 0
-            yield from dma.store(out_addr, result, p2p=p2p,
-                                 coherence=config.coherence)
-            if metrics is not None:
-                metrics.acc_phase_cycles.labels(pid, "store").inc(
-                    env.now - phase_start)
-            if sid is not None:
-                tracer.end(sid)
+            yield from _phase(env, dma, "storer", "store", index,
+                              dma.store(out_addr, result, p2p=p2p,
+                                        coherence=config.coherence))
 
     stages = [env.process(loader()), env.process(computer()),
               env.process(storer())]

@@ -30,7 +30,7 @@ from .context import (
     batch_trace_ids,
     primary_trace_id,
 )
-from .store import DeviceSpan, device_spans, device_spans_from_tracer
+from .store import DeviceSpan, device_spans
 from .export import (
     ASYNC_CATEGORIES,
     flame_summary,
@@ -89,7 +89,6 @@ __all__ = [
     "batch_trace_ids",
     "detach_tracer",
     "device_spans",
-    "device_spans_from_tracer",
     "flame_summary",
     "group_of",
     "load_trace",

@@ -2,25 +2,17 @@
 
 The VCD exporter, the text Gantt chart and the utilization summaries
 all answer the same question — *when was each accelerator busy?* —
-so they all consume one span source instead of each re-deriving it
-from the invocation records. Two producers feed the same shape:
-
-- :func:`device_spans` reads the per-tile invocation records every
-  socket keeps (always available, tracing or not);
-- :func:`device_spans_from_tracer` reconstructs the identical spans
-  from the tracer's ``acc.invocation`` records (available when a
-  :class:`~repro.trace.Tracer` was attached for the run).
-
-A traced run must yield the same spans either way — the unification
-test locks that in.
+so they all consume one span source instead of each re-deriving it:
+:func:`device_spans`, read from the per-tile invocation records every
+socket keeps (always available, tracing or not). A tracer's
+``acc.invocation`` spans are written from the same records, so there
+is no second producer to keep in agreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List
-
-from .tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -46,14 +38,4 @@ def device_spans(soc, since_cycle: int = 0) -> List[DeviceSpan]:
              for name, tile in soc.accelerators.items()
              for inv in tile.invocations
              if inv.end_cycle > since_cycle]
-    return sorted(spans, key=lambda s: (s.start, s.device))
-
-
-def device_spans_from_tracer(tracer: Tracer,
-                             since_cycle: int = 0) -> List[DeviceSpan]:
-    """The same spans, reconstructed from ``acc.invocation`` records."""
-    spans = [DeviceSpan(span.args.get("device", span.name),
-                        span.start, span.end)
-             for span in tracer.all_spans(cat="acc.invocation")
-             if span.end > since_cycle]
     return sorted(spans, key=lambda s: (s.start, s.device))

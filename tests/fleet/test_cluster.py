@@ -236,3 +236,10 @@ class TestFleetMetrics:
         assert len(names) == len(set(names))
         assert any(name.startswith("i0_") for name in names)
         assert any(name.startswith("i1_") for name in names)
+        # Hardware families are scrape-time views of each instance's
+        # SoC counters: present, and nonzero, in every registry.
+        totals = {family["name"]: sum(s["value"] for s in family["series"])
+                  for family in merged["families"]
+                  if family["kind"] == "counter"}
+        assert totals["i0_dma_transactions_total"] > 0
+        assert totals["i1_noc_packets_total"] > 0

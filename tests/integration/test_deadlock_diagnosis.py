@@ -59,8 +59,8 @@ class TestHangDiagnosis:
             soc.run(until=done)
         # The shallow queue absorbed its depth before the stall.
         from repro.soc import P2P_QUEUE_DEPTH
-        assert soc.accelerator("prod0").dma.p2p_stores == \
-            P2P_QUEUE_DEPTH
+        assert soc.accelerator("prod0").dma.transactions["p2p_store"] \
+            == P2P_QUEUE_DEPTH
 
     def test_crossed_p2p_pair_deadlocks_detectably(self):
         """Two consumers pointing at each other (a cycle the dataflow

@@ -29,6 +29,7 @@ from repro.metrics import (
     MetricsSampler,
     attach_metrics,
     instrument_server,
+    register_soc_collectors,
 )
 from repro.runtime import EspRuntime, chain
 from repro.serve import (
@@ -37,6 +38,7 @@ from repro.serve import (
     TenantConfig,
     TracedRequest,
 )
+from repro.soc import read_monitors
 
 #: Smoke pins from benchmarks/bench_perf.py — the seed behaviour the
 #: instrumented runs must land on exactly.
@@ -114,6 +116,7 @@ class TestPassiveIdentity:
         """Identity is vacuous if nothing was recorded — prove the
         counters moved while the timing did not."""
         _, _, registry = run_serve(instrumented=True)
+        registry.collect()
         assert registry.noc_packets.total > 0
         assert registry.dma_transactions.total > 0
         assert registry.serve_completed.total == 3
@@ -121,6 +124,48 @@ class TestPassiveIdentity:
         for tenant in ("night-vision", "classifier", "denoiser"):
             series = registry.serve_request_cycles.labels(tenant)
             assert series.count == 1 and series.sum > 0
+
+
+def scraped_vs_monitors(registry, soc):
+    """(scraped totals, MonitorReport totals) of the hardware families."""
+    registry.collect()
+    report = read_monitors(soc)
+    scraped = (registry.dma_transactions.total, registry.noc_packets.total,
+               registry.noc_flits.total, registry.acc_invocations.total)
+    monitors = (sum(a.dma_loads + a.dma_stores + a.p2p_loads + a.p2p_stores
+                    for a in report.accelerators),
+                report.noc_packets, report.noc_flit_hops,
+                sum(a.invocations for a in report.accelerators))
+    return scraped, monitors
+
+
+class TestHardwareViews:
+    """The DMA/NoC/accelerator families are scrape-time views of the
+    hardware counters the monitors read — one count, two read-outs."""
+
+    def test_scraped_families_equal_monitor_totals(self):
+        runtime, server = build_server()
+        registry = instrument_server(server)
+        server.run_trace(build_trace())
+        scraped, monitors = scraped_vs_monitors(registry, runtime.soc)
+        assert scraped == monitors
+        assert all(total > 0 for total in scraped)
+
+    def test_late_attach_reports_since_boot(self):
+        """A registry attached after a run still reports every
+        operation since boot, like the ``mem_words_read`` gauge."""
+        config = APP_CONFIGS["4nv_4cl"]
+        frames, _ = config.make_inputs(PIPE_FRAMES, seed=0)
+        runtime = fresh_runtime(config)
+        runtime.esp_run(config.build_dataflow(), frames, mode="pipe")
+        soc = runtime.soc
+        registry = attach_metrics(soc.env)
+        register_soc_collectors(registry, soc)
+        scraped, monitors = scraped_vs_monitors(registry, soc)
+        assert scraped == monitors
+        assert all(total > 0 for total in scraped)
+        assert registry.get("mem_words_read").value \
+            == soc.memory_map.words_read
 
 
 class TestSamplerIdentity:

@@ -13,6 +13,7 @@ from repro.soc import (
     P2P_QUEUE_DEPTH,
     Tlb,
 )
+from repro.trace import attach_tracer
 
 
 def make_fabric(cols=3):
@@ -45,7 +46,7 @@ class TestDmaLoadStore:
         dma = DmaEngine(env, mesh, (0, 0), mm)
         out = run_gen(env, dma.load(256, 128))
         np.testing.assert_array_equal(out, data)
-        assert dma.dma_loads == 1
+        assert dma.transactions["dma_load"] == 1
         assert dma.words_loaded == 128
 
     def test_store_reaches_memory(self, rng):
@@ -80,6 +81,18 @@ class TestDmaLoadStore:
         dma = DmaEngine(env, mesh, (0, 0), mm)
         with pytest.raises(ValueError):
             run_gen(env, dma.load(0, 0))
+
+    @pytest.mark.parametrize("p2p", [None, P2PConfig(store_enabled=True)],
+                             ids=["dma", "p2p"])
+    def test_empty_store_rejected_at_entry(self, p2p):
+        env, mesh, mm, _ = make_fabric()
+        tracer = attach_tracer(env)
+        dma = DmaEngine(env, mesh, (0, 0), mm)
+        with pytest.raises(ValueError, match="empty"):
+            run_gen(env, dma.store(0, np.array([]), p2p=p2p))
+        assert not any(span.cat.startswith("dma.")
+                       for span in tracer.open_spans)
+        assert sum(dma.transactions.values()) == 0
 
     def test_concurrent_loads_demuxed_by_tag(self, rng):
         env, mesh, mm, memory = make_fabric()
@@ -120,8 +133,8 @@ class TestP2P:
         env.process(recv_side())
         env.run()
         np.testing.assert_array_equal(got["data"], payload)
-        assert sender.p2p_stores == 1
-        assert receiver.p2p_loads == 1
+        assert sender.transactions["p2p_store"] == 1
+        assert receiver.transactions["p2p_load"] == 1
         # p2p data never touched DRAM.
         assert memory.total_accesses == 0
 
