@@ -8,6 +8,7 @@ in Keras, compiled with HLS4ML inside the ESP4ML flow.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -44,10 +45,21 @@ def classifier_model(seed: int = 7) -> Sequential:
 def classifier_hls(model: Optional[Sequential] = None,
                    reuse_factor: int = DEFAULT_REUSE_FACTOR,
                    clock_mhz: float = 78.0) -> HlsModel:
-    """Compile the classifier through the HLS4ML-substitute flow."""
-    model = model or classifier_model()
+    """Compile the classifier through the HLS4ML-substitute flow.
+
+    The default model is compiled once per ``(reuse_factor, clock_mhz)``
+    and the immutable result shared by every SoC; a model passed in is
+    mutable, so it is compiled fresh.
+    """
+    if model is None:
+        return _default_classifier_hls(reuse_factor, clock_mhz)
     config = HlsConfig(reuse_factor=reuse_factor, clock_mhz=clock_mhz)
     return compile_model(model, config)
+
+
+@lru_cache(maxsize=None)
+def _default_classifier_hls(reuse_factor: int, clock_mhz: float) -> HlsModel:
+    return classifier_hls(classifier_model(), reuse_factor, clock_mhz)
 
 
 def spec_from_hls(hls_model: HlsModel, name: str) -> AcceleratorSpec:

@@ -8,6 +8,7 @@ a 3.1% reconstruction error."
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from ..hls4ml_flow import HlsConfig, HlsModel, compile_model
@@ -45,7 +46,9 @@ def denoiser_model(seed: int = 11) -> Sequential:
 def denoiser_hls(model: Optional[Sequential] = None,
                  reuse_factor: int = DEFAULT_REUSE_FACTOR,
                  clock_mhz: float = 78.0) -> HlsModel:
-    model = model or denoiser_model()
+    """Compile the denoiser (default model cached as in classifier_hls)."""
+    if model is None:
+        return _default_denoiser_hls(reuse_factor, clock_mhz)
     layer_reuse = {}
     if reuse_factor == DEFAULT_REUSE_FACTOR:
         names = [layer.name for layer in model.dense_layers()]
@@ -55,10 +58,14 @@ def denoiser_hls(model: Optional[Sequential] = None,
     return compile_model(model, config)
 
 
+@lru_cache(maxsize=None)
+def _default_denoiser_hls(reuse_factor: int, clock_mhz: float) -> HlsModel:
+    return denoiser_hls(denoiser_model(), reuse_factor, clock_mhz)
+
+
 def denoiser_spec(model: Optional[Sequential] = None,
                   reuse_factor: int = DEFAULT_REUSE_FACTOR,
                   clock_mhz: float = 78.0) -> AcceleratorSpec:
     """The denoiser as an SoC-ready accelerator."""
-    hls_model = denoiser_hls(model, reuse_factor, clock_mhz)
-    spec = spec_from_hls(hls_model, name="denoiser")
-    return spec
+    return spec_from_hls(denoiser_hls(model, reuse_factor, clock_mhz),
+                         name="denoiser")

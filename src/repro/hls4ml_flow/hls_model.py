@@ -8,8 +8,8 @@ from its reuse factor, plus a whole-model report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -31,23 +31,21 @@ from ..hls import (
 ACTIVATIONS = ("linear", "relu", "sigmoid", "softmax")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HlsDenseLayer:
-    """One dense layer as compiled for hardware."""
+    """One dense layer as compiled for hardware.
+
+    Immutable, parameters quantized at compile time and read-only (a ROM
+    in hardware), so one compiled model can back every tile of every SoC.
+    """
 
     name: str
-    weights: np.ndarray           # (n_in, n_out), float values on the grid
-    bias: np.ndarray              # (n_out,)
+    weights: np.ndarray           # (n_in, n_out), read-only, on the grid
+    bias: np.ndarray              # (n_out,), read-only, on the grid
     activation: str
     precision: FixedFormat
     reuse_factor: int
     schedule: LoopSchedule
-    # Lazy forward-pass cache: (quantized W^T, quantized bias). The
-    # parameters are constants (a ROM in hardware), so they are snapped
-    # to the grid once instead of on every frame; invalidated implicitly
-    # by never mutating `weights`/`bias` after construction.
-    _quantized_params: Optional[tuple] = field(
-        default=None, repr=False, compare=False)
 
     @property
     def n_in(self) -> int:
@@ -67,14 +65,7 @@ class HlsDenseLayer:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Bit-accurate fixed-point forward pass of this layer."""
-        params = self._quantized_params
-        if params is None:
-            # Exactly what fixed_matvec would compute per call; cached
-            # because quantization is idempotent and W/b never change.
-            params = (self.precision.quantize(self.weights.T),
-                      self.precision.quantize(self.bias))
-            self._quantized_params = params
-        y = fixed_matvec(params[0], np.asarray(x).T, params[1],
+        y = fixed_matvec(self.weights.T, np.asarray(x).T, self.bias,
                          in_fmt=self.precision, weight_fmt=self.precision,
                          out_fmt=self.precision,
                          params_quantized=True).T
@@ -105,10 +96,19 @@ def build_layer(name: str, weights: np.ndarray, bias: np.ndarray,
     reuse = nearest_reuse_factor(n_in * n_out, reuse_factor)
     schedule = dense_layer_schedule(n_in, n_out, reuse,
                                     weight_width=precision.width)
+    # Stored column-major, so ``weights.T`` -- the (n_out, n_in) operand
+    # of the per-frame matvec -- is one contiguous row-major block.
+    # Snapped in column blocks: no second full-size copy is ever alive.
+    stored = np.empty((n_in, n_out), order="F")
+    for col in range(0, n_out, 64):
+        stored[:, col:col + 64] = precision.quantize(weights[:, col:col + 64])
+    bias = precision.quantize(bias)
+    stored.setflags(write=False)
+    bias.setflags(write=False)
     return HlsDenseLayer(
         name=name,
-        weights=precision.quantize(weights),
-        bias=precision.quantize(bias),
+        weights=stored,
+        bias=bias,
         activation=activation,
         precision=precision,
         reuse_factor=reuse,
@@ -119,7 +119,7 @@ def build_layer(name: str, weights: np.ndarray, bias: np.ndarray,
 class HlsModel:
     """A compiled network: layers + aggregate hardware characteristics."""
 
-    def __init__(self, name: str, layers: List[HlsDenseLayer],
+    def __init__(self, name: str, layers: Sequence[HlsDenseLayer],
                  clock_mhz: float) -> None:
         if not layers:
             raise ValueError("an HlsModel needs at least one layer")
@@ -129,7 +129,7 @@ class HlsModel:
                     f"layer {prev.name!r} outputs {prev.n_out} values but "
                     f"{nxt.name!r} expects {nxt.n_in}")
         self.name = name
-        self.layers = layers
+        self.layers = tuple(layers)
         self.clock_mhz = clock_mhz
         self._schedule = dataflow_schedule(*(l.schedule for l in layers))
 

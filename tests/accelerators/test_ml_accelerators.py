@@ -1,5 +1,7 @@
 """Tests for the classifier, denoiser and multi-tile accelerators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,11 @@ from repro.accelerators import (
     denoiser_spec,
     partition_classifier,
 )
-from repro.accelerators.classifier import CLASSIFIER_TOPOLOGY
-from repro.accelerators.denoiser import DENOISER_TOPOLOGY
+from repro.accelerators.classifier import CLASSIFIER_TOPOLOGY, classifier_hls
+from repro.accelerators.denoiser import DENOISER_TOPOLOGY, denoiser_hls
+from repro.fixed import (fixed_matvec, fixed_relu, fixed_sigmoid,
+                         fixed_softmax)
+from repro.hls4ml_flow import HlsModel
 
 
 class TestClassifier:
@@ -97,6 +102,104 @@ class TestMultiTile:
         parts = partition_classifier(hls_model=hls)
         whole_latency = hls.latency_cycles
         assert all(p.latency_cycles < whole_latency for p in parts)
+
+
+def _spec_model(spec):
+    """The compiled ``HlsModel`` a ``spec_from_hls`` spec runs."""
+    (model,) = [cell.cell_contents for cell in spec.compute.__closure__
+                if isinstance(cell.cell_contents, HlsModel)]
+    return model
+
+
+class TestCompiledModelSharing:
+    def test_soc_builds_share_one_compiled_model(self):
+        from repro.eval.apps import build_soc1
+        first, second = build_soc1(), build_soc1()
+        for device in ("cl0", "de0"):
+            model = _spec_model(first.accelerator(device).spec)
+            assert model is _spec_model(second.accelerator(device).spec)
+        assert _spec_model(first.accelerator("cl0").spec) is classifier_hls()
+        assert _spec_model(first.accelerator("de0").spec) is denoiser_hls()
+
+    def test_compile_parameters_key_the_cache(self):
+        assert classifier_hls(reuse_factor=2048) is \
+            classifier_hls(reuse_factor=2048)
+        assert classifier_hls(reuse_factor=2048) is not classifier_hls()
+        assert denoiser_hls(clock_mhz=50.0) is not denoiser_hls()
+
+    def test_compiled_parameters_are_read_only(self):
+        layer = classifier_hls().layers[0]
+        with pytest.raises(ValueError):
+            layer.weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            layer.bias[0] = 1.0
+        with pytest.raises(ValueError):
+            layer.weights.T[0, 0] = 1.0
+
+    def test_compiled_layers_are_frozen(self):
+        hls = denoiser_hls()
+        assert isinstance(hls.layers, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hls.layers[0].weights = np.zeros((1024, 256))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hls.layers[0].activation = "linear"
+
+    def test_caller_model_compiles_fresh(self):
+        shared = _spec_model(classifier_spec())
+        fresh = _spec_model(classifier_spec(classifier_model()))
+        assert fresh is not shared
+        assert fresh is not _spec_model(classifier_spec(classifier_model()))
+        for mine, theirs in zip(fresh.layers, shared.layers):
+            np.testing.assert_array_equal(mine.weights, theirs.weights)
+
+
+_ACTIVATE = {"linear": lambda y, fmt: y, "relu": fixed_relu,
+             "sigmoid": fixed_sigmoid, "softmax": fixed_softmax}
+
+
+def _snapping_reference(layers, x):
+    """Run ``layers`` re-quantizing W (from a row-major copy of W^T) and
+    b on every call, i.e. ``fixed_matvec(..., params_quantized=False)``."""
+    x = np.atleast_2d(x)
+    for layer in layers:
+        fmt = layer.precision
+        y = fixed_matvec(np.array(layer.weights.T, order="C"), x.T,
+                         layer.bias, fmt, fmt, fmt).T
+        x = _ACTIVATE[layer.activation](y, fmt)
+    return x
+
+
+class TestStoredParametersExact:
+    """Forwarding the stored parameters equals re-snapping them per call.
+
+    Compiled layers keep W and b quantized, and ``forward`` passes them
+    to ``fixed_matvec`` with ``params_quantized=True`` (W column-major,
+    so the matvec reads W^T row-major). This equality is exact, not
+    approximate. Every operand is a 16-bit value on the 2^-10 grid, so
+    each product is a multiple of 2^-20 below 2^10 in magnitude and is
+    exact in float64. A 1024-term sum of them plus the bias needs at
+    most 42 of the 53 mantissa bits, so no partial sum is ever rounded
+    and no summation order, blocking or memory layout can change a bit.
+    """
+
+    @pytest.mark.parametrize("which", ["classifier", "denoiser", "part"])
+    def test_matches_per_call_snapping(self, which, rng):
+        if which == "part":
+            layers = classifier_hls(reuse_factor=2048).layers[2:3]
+            part = partition_classifier()[2]
+
+            def predict(batch):
+                return np.stack([part.run(row) for row in batch])
+        else:
+            hls = classifier_hls() if which == "classifier" \
+                else denoiser_hls()
+            layers, predict = hls.layers, hls.predict
+        n_in = layers[0].n_in
+        batches = [rng.uniform(0, 1, (1, n_in)) for _ in range(4)]
+        batches.append(rng.uniform(-2, 2, (32, n_in)))
+        for batch in batches:
+            assert np.array_equal(predict(batch),
+                                  _snapping_reference(layers, batch))
 
 
 class TestRegistry:
