@@ -13,6 +13,7 @@ the sign bit for signed formats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -79,6 +80,9 @@ class FixedFormat:
         except OverflowError:
             object.__setattr__(self, "_raw_min_i64", None)
             object.__setattr__(self, "_raw_max_i64", None)
+        # Formats whose grid snap runs entirely in float64 (see snap).
+        object.__setattr__(self, "_float_snap",
+                           self.overflow == "saturate" and self.width <= 53)
 
     @property
     def fraction_bits(self) -> int:
@@ -160,29 +164,52 @@ class FixedFormat:
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Round-trip real values through this format.
 
-        For saturating formats up to 53 bits the int64 round-trip of
-        ``from_raw(to_raw(...))`` is skipped and the whole grid snap
-        runs in float64: ``floor`` produces exact integral floats, the
-        raw bounds are exactly representable (|raw| < 2**53), and the
-        final multiply by the power-of-two ``scale`` is the same
-        operation ``from_raw`` performs — so the result is bit-identical
-        while saving two array conversions per call. ``quantize`` is
-        the hottest numpy entry point of the whole simulation (every
-        layer of every frame passes through it), which is why the fast
-        path lives here rather than in callers. Wrapping formats and
-        ``ap_ufixed<64>`` keep the generic path.
+        Arrays go through :meth:`snap`; 0-d scalars take the int64
+        round-trip ``from_raw(to_raw(...))``.
         """
-        if (self.overflow != "saturate" or self.width > 53
-                or self._raw_min_i64 is None):
-            return self.from_raw(self.to_raw(values))
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 0:
             return self.from_raw(self.to_raw(values))
-        scaled = values * self._inv_scale
+        return self.snap(values)
+
+    def snap(self, values: np.ndarray, lower: Optional[float] = None,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Quantize a float64 array, optionally clamped below at ``lower``.
+
+        ``snap(a) == quantize(a)`` bit for bit, and
+        ``snap(a, lower=0.0) == fixed_relu(quantize(a))``: ``lower``
+        must be on the grid, and quantize is monotone and keeps on-grid
+        values, so clamping the raw code at ``lower`` equals clamping
+        the quantized value. With ``out`` (``values`` itself, for a
+        freshly computed accumulator) the float path writes no new
+        array. The result is returned either way.
+
+        Saturating formats up to 53 bits snap entirely in float64;
+        wrapping and wider formats take the int64 round-trip
+        ``from_raw(to_raw(...))``. The float path is bit-identical to
+        it: ``floor`` produces exact integral floats, the raw bounds
+        are exactly representable (|raw| < 2**53), and the final
+        multiply by the power-of-two ``scale`` is the same operation
+        ``from_raw`` performs — two array conversions per call saved.
+        This is the hottest numpy entry point of the whole simulation
+        (every layer of every frame passes through it).
+        """
+        if not self._float_snap:
+            result = self.from_raw(self.to_raw(values))
+            if lower is not None:
+                np.maximum(result, lower, out=result)
+            if out is None:
+                return result
+            out[...] = result
+            return out
+        lo = float(self._raw_min)
+        if lower is not None:
+            lo = max(lo, lower * self._inv_scale)
+        scaled = np.multiply(values, self._inv_scale, out=out)
         if self.rounding == "nearest":
             scaled += 0.5
         np.floor(scaled, out=scaled)
-        np.maximum(scaled, float(self._raw_min), out=scaled)
+        np.maximum(scaled, lo, out=scaled)
         np.minimum(scaled, float(self._raw_max), out=scaled)
         scaled *= self._scale
         return scaled

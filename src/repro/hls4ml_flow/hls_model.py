@@ -13,13 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..fixed import (
-    FixedFormat,
-    fixed_matvec,
-    fixed_relu,
-    fixed_sigmoid,
-    fixed_softmax,
-)
+from ..fixed import FixedFormat, fixed_sigmoid, fixed_softmax
 from ..hls import (
     LoopSchedule,
     ResourceEstimate,
@@ -65,16 +59,29 @@ class HlsDenseLayer:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Bit-accurate fixed-point forward pass of this layer."""
-        y = fixed_matvec(self.weights.T, np.asarray(x).T, self.bias,
-                         in_fmt=self.precision, weight_fmt=self.precision,
-                         out_fmt=self.precision,
-                         params_quantized=True).T
+        return self._apply(self.precision.quantize(np.asarray(x).T)).T
+
+    def _apply(self, h: np.ndarray) -> np.ndarray:
+        """``act(cast(W.T @ h + b))`` on column-major activations.
+
+        ``h`` is ``(n_in, batch)`` and already on this layer's grid,
+        so it is not snapped again (quantize is idempotent on the
+        grid). The accumulator is fresh, so the cast snaps it in
+        place, and ReLU is the cast's lower clamp at 0: quantize is
+        monotone and maps 0 to 0, so ``relu(q(a)) == max(q(a), 0)``.
+        Sigmoid and softmax see the ``(batch, n_out)`` view they always
+        did, and the matvec operands keep their memory layouts.
+        """
+        acc = self.weights.T @ h
+        acc += self.bias[:, None]
+        fmt = self.precision
         if self.activation == "relu":
-            return fixed_relu(y, self.precision)
+            return fmt.snap(acc, lower=0.0, out=acc)
+        y = fmt.snap(acc, out=acc)
         if self.activation == "sigmoid":
-            return fixed_sigmoid(y, self.precision)
+            return fixed_sigmoid(y.T, fmt).T
         if self.activation == "softmax":
-            return fixed_softmax(y, self.precision)
+            return fixed_softmax(y.T, fmt).T
         return y
 
 
@@ -136,14 +143,24 @@ class HlsModel:
     # -- functional ------------------------------------------------------
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Bit-accurate fixed-point inference over a batch."""
+        """Bit-accurate fixed-point inference over a batch.
+
+        The input is snapped once; each layer's output is already on
+        the grid of the next layer (one format per model), so only a
+        change of precision between layers snaps again.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_size:
             raise ValueError(
                 f"expected {self.input_size} inputs, got {x.shape[1]}")
+        fmt = self.layers[0].precision
+        h = fmt.quantize(x.T)
         for layer in self.layers:
-            x = layer.forward(x)
-        return x
+            if layer.precision != fmt:
+                fmt = layer.precision
+                h = fmt.quantize(h)
+            h = layer._apply(h)
+        return h.T
 
     # -- shape -----------------------------------------------------------
 

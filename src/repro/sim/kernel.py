@@ -228,7 +228,10 @@ class Process(Event):
 
     ``_resume_cb``/``_send``/``_throw`` cache the bound methods used on
     every resume (one per dispatched event), so the hot loop does no
-    repeated bound-method allocation or attribute lookups.
+    repeated bound-method allocation or attribute lookups. The cached
+    ``_resume`` refers back to the process, so :meth:`_finish` drops
+    all three on termination: a finished process is then freed by
+    reference counting, without waiting for the cyclic collector.
     """
 
     __slots__ = ("_generator", "_target", "name", "_created_at",
@@ -298,6 +301,9 @@ class Process(Event):
         return (f"<{type(self).__name__} {self.name!r} {state} "
                 f"at t={self.env.now}>")
 
+    def _finish(self) -> None:
+        self._resume_cb = self._send = self._throw = None
+
     def _resume(self, event: Event) -> None:
         env = self.env
         send = self._send
@@ -314,6 +320,7 @@ class Process(Event):
                     target = self._throw(event._value)
             except StopIteration as stop:
                 env._active_proc = None
+                self._finish()
                 if env.tracer is not None:
                     env.tracer.complete(
                         "sim", "processes", self.name, "sim.process",
@@ -325,6 +332,7 @@ class Process(Event):
                 # through this process event. If nobody defuses it, the
                 # exception surfaces from the dispatch loop.
                 env._active_proc = None
+                self._finish()
                 if env.tracer is not None:
                     env.tracer.complete(
                         "sim", "processes", self.name, "sim.process",

@@ -12,6 +12,7 @@ results stop round-tripping through this tile.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -53,6 +54,11 @@ class DmaRequest:
             raise ValueError("store request needs data")
 
 
+#: Copy-on-write pages, as np.zeros had: a forked process must not
+#: write into its parent's DRAM (Windows anonymous maps are private).
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
 class MemoryTile:
     """One DRAM channel: storage, a serial controller, access counters."""
 
@@ -73,7 +79,11 @@ class MemoryTile:
         self.dram_latency = dram_latency
         self.words_per_cycle = words_per_cycle
         self.llc = llc
-        self.storage = np.zeros(size_words, dtype=np.float64)
+        # Anonymous mmap, not np.zeros: zero pages stay unbacked until
+        # written, whereas calloc may memset a recycled heap block and
+        # make the whole DRAM resident, depending on malloc's history.
+        self.storage = np.frombuffer(
+            mmap.mmap(-1, size_words * 8, **_PRIVATE), dtype=np.float64)
         # Fig. 8 counters.
         self.words_read = 0
         self.words_written = 0

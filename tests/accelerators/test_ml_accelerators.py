@@ -14,9 +14,10 @@ from repro.accelerators import (
 )
 from repro.accelerators.classifier import CLASSIFIER_TOPOLOGY, classifier_hls
 from repro.accelerators.denoiser import DENOISER_TOPOLOGY, denoiser_hls
-from repro.fixed import (fixed_matvec, fixed_relu, fixed_sigmoid,
-                         fixed_softmax)
-from repro.hls4ml_flow import HlsModel
+from repro.fixed import (FixedFormat, fixed_matvec, fixed_relu,
+                         fixed_sigmoid, fixed_softmax)
+from repro.hls4ml_flow import HlsConfig, HlsModel, build_layer, compile_model
+from repro.nn import Dense, ReLU, Sequential, Sigmoid, Softmax
 
 
 class TestClassifier:
@@ -158,8 +159,9 @@ _ACTIVATE = {"linear": lambda y, fmt: y, "relu": fixed_relu,
 
 
 def _snapping_reference(layers, x):
-    """Run ``layers`` re-quantizing W (from a row-major copy of W^T) and
-    b on every call, i.e. ``fixed_matvec(..., params_quantized=False)``."""
+    """Run ``layers`` re-quantizing W (from a row-major copy of W^T), b
+    and the input on every call: ``fixed_matvec`` followed by the
+    ``fixed_*`` activation."""
     x = np.atleast_2d(x)
     for layer in layers:
         fmt = layer.precision
@@ -169,17 +171,43 @@ def _snapping_reference(layers, x):
     return x
 
 
-class TestStoredParametersExact:
-    """Forwarding the stored parameters equals re-snapping them per call.
+def _small_model(fmt, head):
+    """A 32-input MLP compiled with ``fmt``: a softmax classifier or a
+    sigmoid autoencoder, with a linear layer in the middle."""
+    if head == "softmax":
+        layers = [Dense(16), ReLU(), Dense(8), Dense(4), Softmax()]
+    else:
+        layers = [Dense(16), ReLU(), Dense(8), Dense(32), Sigmoid()]
+    model = Sequential(layers)
+    model.build(32, seed=3)
+    return compile_model(model, HlsConfig(precision=fmt, reuse_factor=1))
 
-    Compiled layers keep W and b quantized, and ``forward`` passes them
-    to ``fixed_matvec`` with ``params_quantized=True`` (W column-major,
-    so the matvec reads W^T row-major). This equality is exact, not
-    approximate. Every operand is a 16-bit value on the 2^-10 grid, so
-    each product is a multiple of 2^-20 below 2^10 in magnitude and is
-    exact in float64. A 1024-term sum of them plus the bias needs at
-    most 42 of the 53 mantissa bits, so no partial sum is ever rounded
-    and no summation order, blocking or memory layout can change a bit.
+
+def _check_exact(layers, predict, rng, scale=1.0):
+    """``predict`` equals the reference byte for byte (``tobytes`` also
+    tells -0.0 from 0.0) on single frames and a 32-frame batch."""
+    n_in = layers[0].n_in
+    batches = [rng.uniform(0, scale, (1, n_in)) for _ in range(4)]
+    batches.append(rng.uniform(-2 * scale, 2 * scale, (32, n_in)))
+    for batch in batches:
+        assert (predict(batch).tobytes()
+                == _snapping_reference(layers, batch).tobytes())
+
+
+class TestStoredParametersExact:
+    """The fused layers equal the layer-by-layer composition, re-snapping
+    the parameters and every layer input on each call.
+
+    Compiled layers keep W and b quantized (W column-major, so the
+    matvec reads W^T row-major). ``predict`` snaps its input once, and
+    each layer casts its accumulator with one snap whose lower clamp is
+    the ReLU. Both shortcuts are exact: quantize is idempotent on the
+    grid, monotone, and maps 0 to 0. The stored parameters are exact
+    too: every operand is a 16-bit value on the 2^-10 grid, so each
+    product is a multiple of 2^-20 below 2^10 in magnitude and is exact
+    in float64. A 1024-term sum of them plus the bias needs at most 42
+    of the 53 mantissa bits, so no partial sum is ever rounded and no
+    summation order, blocking or memory layout can change a bit.
     """
 
     @pytest.mark.parametrize("which", ["classifier", "denoiser", "part"])
@@ -194,12 +222,27 @@ class TestStoredParametersExact:
             hls = classifier_hls() if which == "classifier" \
                 else denoiser_hls()
             layers, predict = hls.layers, hls.predict
-        n_in = layers[0].n_in
-        batches = [rng.uniform(0, 1, (1, n_in)) for _ in range(4)]
-        batches.append(rng.uniform(-2, 2, (32, n_in)))
-        for batch in batches:
-            assert np.array_equal(predict(batch),
-                                  _snapping_reference(layers, batch))
+        _check_exact(layers, predict, rng)
+
+    @pytest.mark.parametrize("fmt", [
+        FixedFormat(10, 3, overflow="wrap"),
+        FixedFormat(12, 4, rounding="nearest"),
+        FixedFormat(12, 2, rounding="nearest", overflow="wrap"),
+        FixedFormat(16, 6),
+    ], ids=lambda f: f"{f}-{f.rounding}-{f.overflow}")
+    @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
+    def test_small_models(self, fmt, head, rng):
+        hls = _small_model(fmt, head)
+        _check_exact(hls.layers, hls.predict, rng, scale=8.0)
+
+    def test_precision_change_between_layers(self, rng):
+        wide, narrow = FixedFormat(16, 6), FixedFormat(8, 3)
+        first = build_layer("a", rng.normal(0, 1, (32, 16)),
+                            rng.normal(0, 1, 16), "relu", wide, 1)
+        second = build_layer("b", rng.normal(0, 1, (16, 4)),
+                             rng.normal(0, 1, 4), "linear", narrow, 1)
+        hls = HlsModel("mixed", [first, second], clock_mhz=78.0)
+        _check_exact(hls.layers, hls.predict, rng, scale=8.0)
 
 
 class TestRegistry:

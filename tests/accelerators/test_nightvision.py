@@ -10,7 +10,10 @@ from repro.accelerators import (
     noise_filter_kernel,
 )
 from repro.accelerators.nightvision import HISTOGRAM_BINS, night_vision_compute
-from repro.datasets import FRAME_PIXELS, darken, flatten_frames, generate
+from repro.datasets import (FRAME_PIXELS, FRAME_SIDE, darken, flatten_frames,
+                            generate)
+from repro.eval.apps import nv_cl_inputs
+from repro.fixed import DEFAULT_FORMAT
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +114,78 @@ class TestNightVisionSpec:
         # Restored frames span most of the dynamic range again.
         assert restored.max() > 0.9
         assert dark.max() <= 0.2 + 1e-9
+
+
+def _partition_median(frame, fmt=DEFAULT_FORMAT):
+    """The former noise filter: ``np.partition`` over sliding windows."""
+    img = np.asarray(frame, dtype=np.float64).reshape(FRAME_SIDE, FRAME_SIDE)
+    padded = np.pad(img, 1, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+    flat = windows.reshape(FRAME_PIXELS, 9)
+    return fmt.quantize(np.partition(flat, 4, axis=1)[:, 4])
+
+
+def _gathered_equalization(frame, hist, fmt=DEFAULT_FORMAT):
+    """The former equalization: quantize the 1024 gathered values."""
+    bins = len(hist)
+    cdf = np.cumsum(hist)
+    nonzero = cdf[cdf > 0]
+    cdf_min = nonzero[0] if len(nonzero) else 0.0
+    total = cdf[-1]
+    if total <= cdf_min:
+        return fmt.quantize(frame)
+    mapping = np.clip((cdf - cdf_min) / (total - cdf_min), 0.0, 1.0)
+    idx = np.clip((frame * bins).astype(np.int64), 0, bins - 1)
+    return fmt.quantize(mapping[idx])
+
+
+@pytest.fixture(scope="module")
+def exactness_frames():
+    """Seeded frames: constant, tie-heavy, saturated, and the 4nv_4cl
+    pipeline inputs."""
+    rng = np.random.default_rng(15)
+    out = [np.full(FRAME_PIXELS, value) for value in (0.0, 0.5, 1.0)]
+    for levels in (2, 3, 5):
+        out.append(rng.integers(0, levels, FRAME_PIXELS) / (levels - 1))
+    for _ in range(3):
+        out.append(np.clip(rng.normal(0.5, 0.8, FRAME_PIXELS), 0.0, 1.0))
+        out.append(rng.uniform(0.0, 1.0, FRAME_PIXELS))
+    out.extend(nv_cl_inputs(32, seed=0)[0])
+    return out
+
+
+class TestFusedKernelsExact:
+    """The sorting-network median and the fused pipeline equal the
+    formulations they replaced, bit for bit (``tobytes`` also tells
+    -0.0 from 0.0)."""
+
+    def test_median_network_on_every_binary_window(self):
+        # 0-1 principle: a min/max network that selects the 5th order
+        # statistic of every 0/1 window selects it for all inputs.
+        for code in range(512):
+            bits = (code >> np.arange(9)) & 1
+            img = np.zeros((FRAME_SIDE, FRAME_SIDE))
+            img[10:13, 10:13] = bits.reshape(3, 3)
+            got = noise_filter_kernel(img.reshape(-1))
+            assert got[11 * FRAME_SIDE + 11] == (bits.sum() >= 5)
+            assert got.tobytes() == _partition_median(img).tobytes()
+
+    def test_median_matches_partition(self, exactness_frames):
+        for index, frame in enumerate(exactness_frames):
+            assert (noise_filter_kernel(frame).tobytes()
+                    == _partition_median(frame).tobytes()), index
+
+    def test_equalization_matches_gathered_quantize(self, exactness_frames):
+        for index, frame in enumerate(exactness_frames):
+            filtered = noise_filter_kernel(frame)
+            hist = histogram_kernel(filtered)
+            assert (histogram_equalization_kernel(filtered, hist).tobytes()
+                    == _gathered_equalization(filtered, hist).tobytes()), index
+
+    def test_fused_compute_matches_public_kernels(self, exactness_frames):
+        for index, frame in enumerate(exactness_frames):
+            filtered = noise_filter_kernel(frame)
+            composed = histogram_equalization_kernel(
+                filtered, histogram_kernel(filtered))
+            assert (night_vision_compute(frame).tobytes()
+                    == composed.tobytes()), index

@@ -76,6 +76,26 @@ class TestActivations:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=0.01)
 
 
+class TestSoftmaxExact:
+    @pytest.mark.parametrize("fmt", [DEFAULT_FORMAT,
+                                     FixedFormat(12, 2, overflow="wrap")],
+                             ids=str)
+    def test_matches_function_form(self, fmt, rng):
+        """Method reductions and an in-place divide and snap are the
+        same float operations as the np.max/np.sum formulation, on row
+        and column-major batches alike."""
+        def reference(x):
+            shifted = x - np.max(x, axis=-1, keepdims=True)
+            expx = np.exp(shifted)
+            return fmt.quantize(expx / np.sum(expx, axis=-1, keepdims=True))
+
+        for logits in (rng.normal(0, 4, 10), rng.normal(0, 4, (1, 10)),
+                       rng.normal(0, 4, (32, 10)),
+                       rng.normal(0, 4, (10, 32)).T):
+            assert (fixed_softmax(logits, fmt).tobytes()
+                    == reference(logits).tobytes())
+
+
 class TestPacking:
     def test_pack_four_16bit_words_per_flit(self):
         raw = np.array([1, 2, 3, 4], dtype=np.int64)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.fixed import DEFAULT_FORMAT, FixedFormat, mac_result_format
+from repro.fixed import (DEFAULT_FORMAT, FixedFormat, fixed_relu,
+                         mac_result_format)
 
 
 class TestConstruction:
@@ -101,6 +102,38 @@ class TestQuantize:
     def test_rms_error_zero_for_representable(self):
         fmt = FixedFormat(width=16, integer_bits=6)
         assert fmt.quantization_error(np.array([1.0, 2.5])) == 0.0
+
+
+SNAP_FORMATS = [
+    FixedFormat(16, 6),
+    FixedFormat(12, 4, rounding="nearest"),
+    FixedFormat(8, 8, signed=False),
+    FixedFormat(10, 3, overflow="wrap"),
+    FixedFormat(60, 20),
+    FixedFormat(56, 10, signed=False),
+]
+
+
+class TestSnap:
+    """``snap`` is quantize, and its lower clamp at 0 is a ReLU of the
+    quantized value, bit for bit (``tobytes`` tells -0.0 from 0.0)."""
+
+    @pytest.mark.parametrize(
+        "fmt", SNAP_FORMATS,
+        ids=lambda f: f"{f}-{f.rounding}-{f.overflow}")
+    def test_matches_quantize_and_relu(self, fmt, rng):
+        edges = [0.0, -0.0, 1e-12, -1e-12, fmt.scale / 2, -fmt.scale / 2,
+                 3 * fmt.max_value, 3 * fmt.min_value - 1]
+        values = np.concatenate([
+            rng.uniform(2 * fmt.min_value - 1, 2 * fmt.max_value, 500),
+            edges])
+        quantized = fmt.quantize(values)
+        relu = fixed_relu(quantized, fmt)
+        assert fmt.snap(values).tobytes() == quantized.tobytes()
+        assert fmt.snap(values, lower=0.0).tobytes() == relu.tobytes()
+        buffer = values.copy()
+        assert fmt.snap(buffer, lower=0.0, out=buffer) is buffer
+        assert buffer.tobytes() == relu.tobytes()
 
 
 class TestParse:

@@ -261,3 +261,41 @@ def test_clock_is_monotonic_across_many_processes():
         env.process(proc(env, period))
     env.run()
     assert stamps == sorted(stamps)
+
+
+def test_finished_process_is_freed_without_the_cyclic_collector():
+    """A process drops its cached bound methods (a cycle back to
+    itself) when it terminates, so reference counting frees it."""
+    import gc
+
+    from repro.sim.kernel import Process
+
+    env = Environment()
+
+    def child():
+        yield env.timeout(2)
+        return 7
+
+    def parent():
+        value = yield env.process(child(), name="freed-child")
+        yield env.timeout(1)
+        return value
+
+    def leaked():
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, Process)
+                and obj.name in ("freed-child", "freed-parent")]
+
+    gc.collect()
+    gc.disable()
+    try:
+        proc = env.process(parent(), name="freed-parent")
+        env.run()
+        assert proc.value == 7
+        del proc
+        # Drops the finished processes from the deadlock registry.
+        assert env.blocked_processes() == []
+        remaining = leaked()
+    finally:
+        gc.enable()
+    assert remaining == []

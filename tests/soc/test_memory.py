@@ -1,5 +1,11 @@
 """Tests for the memory tile (DRAM model) and the memory map."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,3 +163,56 @@ class TestMemoryMap:
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
             MemoryMap([])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_does_not_write_parent_dram():
+    """The mmap-backed DRAM is copy-on-write, like the np.zeros array
+    it replaced: a forked process sees a snapshot, not shared pages."""
+    _, _, tile = make_memory()
+    tile.write_words(0, np.ones(4))
+    pid = os.fork()
+    if pid == 0:
+        tile.write_words(0, np.full(4, 7.0))
+        os._exit(0)
+    os.waitpid(pid, 0)
+    np.testing.assert_array_equal(tile.read_words(0, 4), np.ones(4))
+
+
+_DRAM_RSS_CHILD = """
+import gc, os
+import numpy as np
+from repro.tune import ablation_workloads
+
+def rss_mb():
+    with open("/proc/self/statm") as statm:
+        resident = int(statm.read().split()[1])
+    return resident * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+workloads = ablation_workloads()
+socs = [w.build()[0] for w in workloads]
+# A live heap block above the DRAM arrays keeps malloc from trimming
+# them back to the kernel once they are freed.
+pin = np.ones(200_000)
+del socs
+gc.collect()
+before = rss_mb()
+socs = [w.build()[0] for w in workloads]
+print(rss_mb() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or not os.path.exists("/proc/self/statm"),
+                    reason="needs glibc's malloc tunables and procfs")
+def test_untouched_dram_is_not_resident_after_heap_reuse():
+    """With a 32 MiB mmap threshold, malloc serves the tuner SoCs' 4 MB
+    DRAM arrays from recycled heap, and calloc would memset (make
+    resident) every page; anonymous mmap pages stay unbacked until
+    written."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="33554432",
+               PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _DRAM_RSS_CHILD], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout.split()[-1]) < 4.0
