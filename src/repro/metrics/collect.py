@@ -2,11 +2,14 @@
 
 The hot-path instrumentation in :mod:`repro.metrics.registry` covers
 request-level *events* (a request admitted, a watchdog expired) that
-no hardware counter tracks. Everything the simulated hardware already
-counts — DMA transactions and words, accelerator invocations and
-wrapper phases, NoC packets and flit-hops, link and tile occupancy,
-memory traffic — is counted exactly once, by the owning component,
-and re-recording it per operation would duplicate that work.
+no hardware counter tracks; the runtime and serve layers each record
+them at one counting or settling site, so every event is counted
+once there, as every hardware operation is counted once here.
+Everything the simulated hardware already counts — DMA transactions
+and words, accelerator invocations and wrapper phases, NoC packets and
+flit-hops, link and tile occupancy, memory traffic — is counted
+exactly once, by the owning component, and re-recording it per
+operation would duplicate that work.
 Collectors bridge the two worlds: callables registered on the
 :class:`MetricsRegistry` that copy those counters into the standard
 series whenever somebody scrapes (an exporter, the health monitor,

@@ -40,9 +40,12 @@ hardware already counts each operation once, and
 :func:`~repro.metrics.collect.register_soc_collectors` copies those
 counters in at scrape time, so the hot path does no metrics work for
 them. The request-level families (runtime, serve, control) have no
-hardware counter behind them and are recorded inline, where a hot
-site pays one attribute load plus one dict lookup, never a name
-lookup by string.
+hardware counter behind them and are recorded on the hot path, where
+a site pays one attribute load plus one dict lookup, never a name
+lookup by string. Each layer records them at one site: the executor's
+``_count`` for the ``runtime_*`` recovery outcomes, and the server's
+``_count_queue`` (admissions, batches, queue depth) and ``_settle``
+(completions, rejections, failures) for the ``serve_*`` families.
 """
 
 from __future__ import annotations

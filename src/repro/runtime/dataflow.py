@@ -256,6 +256,16 @@ class Dataflow:
             for device in downstream:
                 self.source_rotation(device)   # edge/interleave check
 
+    def validate_for(self, mode: str) -> None:
+        """The rules of execution ``mode`` (``base`` and ``pipe`` need
+        only the structural ones)."""
+        if mode == "p2p":
+            self.validate_for_p2p()
+        elif mode == "custom":
+            self.validate_for_custom()
+        else:
+            self.validate()
+
 
 def chain(name: str, devices: Sequence[str],
           comm: str = "dma") -> Dataflow:

@@ -105,10 +105,11 @@ class NodePlan:
     index: int            # position among its level's siblings
     siblings: int         # number of devices at this level
     n_frames: int         # frames this instance processes
+    #: The device's name, read by every driver step and span.
+    name: str = field(init=False)
 
-    @property
-    def name(self) -> str:
-        return self.device.name
+    def __post_init__(self) -> None:
+        self.name = self.device.name
 
     @property
     def spec(self):
@@ -121,7 +122,7 @@ class ExecutionPlan:
 
     Plans are self-contained so several can be in flight concurrently
     on one SoC (the serving layer interleaves plans over disjoint tile
-    sets): pipeline threads and runtime-overhead counters live on the
+    sets): pipeline threads and runtime-overhead counts live on the
     plan, not on the executor, and the buffers the plan allocated can
     be released as a unit when it completes.
     """
@@ -144,12 +145,12 @@ class ExecutionPlan:
     #: Pipeline threads spawned for this plan (plan-local so concurrent
     #: plans never clobber each other's thread lists).
     threads: List[Process] = field(default_factory=list)
-    # Per-plan runtime accounting (the executor keeps cumulative totals
-    # too; these attribute overheads to one plan under concurrency).
-    ioctl_calls: int = 0
-    retries: int = 0
-    watchdog_timeouts: int = 0
-    software_frames: int = 0
+    #: Runtime accounting, per plan so concurrent plans never mix
+    #: their counts (a degraded re-run carries the aborted plan's
+    #: forward); the ``runtime_*`` families hold since-boot totals.
+    counts: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("ioctl_calls", "retries", "watchdog_timeouts", "software_frames"),
+        0))
     #: First unrecoverable error a pipeline thread hit. Threads record
     #: it here (and trigger ``abort``) instead of crashing the global
     #: event loop, so a failure inside one plan stays observable by
@@ -227,19 +228,12 @@ class DataflowExecutor:
         #: non-robust one (pay-for-what-you-use). A policy arms the
         #: per-invocation watchdog, bounded retry and software fallback.
         self.recovery = recovery
-        self.ioctl_calls = 0
-        # Recovery accounting (totals across runs).
-        self.retries = 0
-        self.watchdog_timeouts = 0
-        self.software_frames = 0
-        self.degraded_runs = 0
         #: Devices the control plane ordered onto the CPU fallback.
         #: Unlike a registry ``failed`` mark (the hardware's verdict),
         #: a forced device is a *policy* decision: invocations route
         #: straight to software without burning the watchdog ladder,
         #: and an in-flight watchdog wait is preempted immediately.
         self.forced_software: Set[str] = set()
-        self.forced_preemptions = 0
         self._preempts: Dict[str, Event] = {}
         #: Upper bound, in cycles, on the posted-store quiesce wait of
         #: the re-entrant :meth:`run_process` path. ``None`` waits
@@ -286,12 +280,7 @@ class DataflowExecutor:
                 f"mode must be one of {EXECUTION_MODES}, got {mode!r}")
         if n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-        if mode == "p2p":
-            dataflow.validate_for_p2p()
-        elif mode == "custom":
-            dataflow.validate_for_custom()
-        else:
-            dataflow.validate()
+        dataflow.validate_for(mode)
         p2p_edges = frozenset(
             (e.src, e.dst) for e in dataflow.edges
             if mode == "p2p" or (mode == "custom" and e.comm == "p2p"))
@@ -375,16 +364,52 @@ class DataflowExecutor:
                     f"{lower[0].level} expects "
                     f"{lower[0].spec.input_words}")
 
+    # -- the layer's instrumentation sites -----------------------------------
+
+    def _step(self, driver: str, name: str, cat: str, body, close=None,
+              **args):
+        """One step of ``driver``'s thread: ``body`` inside its span.
+
+        The runtime's one span site, shaped like ``DmaEngine._op``.
+        ``body`` is a generator, or a one-timeout tuple for a plain
+        delay (``yield from`` passes the timeout's ``None`` through a
+        tuple iterator: no generator). Untraced, ``body`` is returned
+        as is; traced, :meth:`Tracer.drive` ends the span when ``body``
+        returns (``close`` maps its result to closing args) or raises.
+        """
+        tracer = self.soc.env.tracer
+        if tracer is None:
+            return body
+        return tracer.drive(tracer.begin(
+            "cpu", f"driver:{driver}", name, cat, **args), body, close)
+
+    def _count(self, plan: ExecutionPlan, outcome: str) -> None:
+        """Count one recovery outcome in its ``runtime_*`` family: the
+        runtime's one counting site.
+
+        ``retries`` and ``watchdog_timeouts`` count on the plan too;
+        ``degraded_runs`` shows as ``RunResult.degraded`` instead.
+        """
+        if outcome in plan.counts:
+            plan.counts[outcome] += 1
+        metrics = self.soc.env.metrics
+        if metrics is not None:
+            getattr(metrics, outcome).inc()
+
     # -- driver-level invocation --------------------------------------------
+
+    def _ioctl(self, plan: ExecutionPlan, node: NodePlan):
+        """The system call that opens every invocation."""
+        plan.counts["ioctl_calls"] += 1
+        return self._step(node.name, "ioctl", "runtime.ioctl",
+                          (self.soc.env.timeout(self.costs.ioctl_cycles),),
+                          device=node.name)
 
     def _program_and_start(self, node: NodePlan, src_offset: int,
                            dst_offset: int, n_frames: int, p2p: P2PConfig,
                            src_stride: int, dst_stride: int,
                            coherence: CoherenceMode, divider: int):
         """The driver's register-programming sequence, ending CMD_START."""
-        env = self.soc.env
-        cpu = self.soc.cpu
-        coord = node.device.coord
         writes = (
             (SRC_OFFSET_REG, src_offset),
             (DST_OFFSET_REG, dst_offset),
@@ -396,15 +421,16 @@ class DataflowExecutor:
             (DVFS_REG, divider),
             (CMD_REG, CMD_START),
         )
-        tracer = env.tracer
-        sid = None if tracer is None else tracer.begin(
-            "cpu", f"driver:{node.name}", "config", "runtime.config",
-            device=node.name)
+        return self._step(node.name, "config", "runtime.config",
+                          self._write_regs(node.device.coord, writes),
+                          device=node.name)
+
+    def _write_regs(self, coord, writes):
+        env = self.soc.env
+        cpu = self.soc.cpu
         for reg, value in writes:
             yield env.timeout(self.costs.reg_write_cycles)
             yield from cpu.write_reg(coord, reg, value)
-        if sid is not None:
-            tracer.end(sid)
 
     def _invoke(self, plan: ExecutionPlan, node: NodePlan,
                 src_offset: int, dst_offset: int,
@@ -413,45 +439,37 @@ class DataflowExecutor:
                 coherence: CoherenceMode = CoherenceMode.NON_COHERENT,
                 divider: int = 1):
         """Configure the device over the NoC, start it, await its IRQ."""
-        env = self.soc.env
-        cpu = self.soc.cpu
-        coord = node.device.coord
-        self.ioctl_calls += 1
-        plan.ioctl_calls += 1
-        tracer = env.tracer
-        tid = f"driver:{node.name}"
-        sid = None if tracer is None else tracer.begin(
-            "cpu", tid, "ioctl", "runtime.ioctl", device=node.name)
-        yield env.timeout(self.costs.ioctl_cycles)
-        if sid is not None:
-            tracer.end(sid)
+        yield from self._ioctl(plan, node)
         yield from self._program_and_start(
             node, src_offset, dst_offset, n_frames, p2p, src_stride,
             dst_stride, coherence, divider)
-        sid = None if tracer is None else tracer.begin(
-            "cpu", tid, "wait-completion", "runtime.irq_wait",
-            device=node.name)
-        if self.costs.completion == "poll":
-            poll_start = env.now
-            while True:
-                yield env.timeout(self.costs.poll_interval_cycles)
-                status = yield from cpu.read_reg(coord, STATUS_REG)
-                if status == STATUS_DONE:
-                    break
-                if (self.costs.max_wait_cycles is not None
-                        and env.now - poll_start
-                        >= self.costs.max_wait_cycles):
-                    raise AcceleratorTimeout(
-                        node.name, env.now - poll_start,
-                        detail=f"STATUS_REG stayed {status} past "
-                               f"max_wait_cycles="
-                               f"{self.costs.max_wait_cycles}")
-            # Drain the (unmasked) completion interrupt.
-            yield from cpu.wait_irq(node.name)
-        else:
-            yield from cpu.wait_irq(node.name)
-        if sid is not None:
-            tracer.end(sid)
+        completion = (self._poll(node) if self.costs.completion == "poll"
+                      else self.soc.cpu.wait_irq(node.name))
+        yield from self._step(node.name, "wait-completion",
+                              "runtime.irq_wait", completion,
+                              device=node.name)
+
+    def _poll(self, node: NodePlan):
+        """Poll STATUS_REG until DONE, then drain the interrupt."""
+        env = self.soc.env
+        cpu = self.soc.cpu
+        poll_start = env.now
+        while True:
+            yield env.timeout(self.costs.poll_interval_cycles)
+            status = yield from cpu.read_reg(node.device.coord,
+                                             STATUS_REG)
+            if status == STATUS_DONE:
+                break
+            if (self.costs.max_wait_cycles is not None
+                    and env.now - poll_start
+                    >= self.costs.max_wait_cycles):
+                raise AcceleratorTimeout(
+                    node.name, env.now - poll_start,
+                    detail=f"STATUS_REG stayed {status} past "
+                           f"max_wait_cycles="
+                           f"{self.costs.max_wait_cycles}")
+        # Drain the (unmasked) completion interrupt.
+        yield from cpu.wait_irq(node.name)
 
     # -- control-plane override ---------------------------------------------
 
@@ -486,8 +504,7 @@ class DataflowExecutor:
         interrupt parks in the queue (drained before the next attempt)
         instead of resuming a waiter that gave up. A
         :meth:`force_software` order for the device resolves the race
-        immediately (counted as a preemption, not a timeout, by the
-        caller)."""
+        immediately (not counted as a timeout by the caller)."""
         env = self.soc.env
         cpu = self.soc.cpu
         irq = cpu.irq_event(node.name)
@@ -524,51 +541,33 @@ class DataflowExecutor:
         cpu = self.soc.cpu
         coord = node.device.coord
         policy = self.recovery
-        self.ioctl_calls += 1
-        plan.ioctl_calls += 1
-        tracer = env.tracer
-        tid = f"driver:{node.name}"
-        sid = None if tracer is None else tracer.begin(
-            "cpu", tid, "ioctl", "runtime.ioctl", device=node.name)
-        yield env.timeout(self.costs.ioctl_cycles)
-        if sid is not None:
-            tracer.end(sid)
+        yield from self._ioctl(plan, node)
         for attempt in range(max_attempts):
             if node.name in self.forced_software:
                 # The control plane ordered this device onto the CPU
                 # mid-retry: stop burning the watchdog ladder.
                 return False
             if attempt:
-                self.retries += 1
-                plan.retries += 1
-                if env.metrics is not None:
-                    env.metrics.retries.inc()
+                self._count(plan, "retries")
             # Drain interrupts a previous (abandoned) attempt left over.
             while cpu.try_irq(node.name) is not None:
                 pass
             yield from self._program_and_start(
                 node, src_offset, dst_offset, n_frames, p2p, src_stride,
                 dst_stride, coherence, divider)
-            sid = None if tracer is None else tracer.begin(
-                "cpu", tid, "wait-completion", "runtime.irq_wait",
-                device=node.name, attempt=attempt)
-            arrived = yield from self._await_completion(
-                node, policy.watchdog_for(attempt))
-            if sid is not None:
-                tracer.end(sid, arrived=arrived)
+            arrived = yield from self._step(
+                node.name, "wait-completion", "runtime.irq_wait",
+                self._await_completion(node, policy.watchdog_for(attempt)),
+                lambda arrived: {"arrived": arrived}, device=node.name,
+                attempt=attempt)
             if arrived:
                 status = yield from cpu.read_reg_bounded(
                     coord, STATUS_REG, policy.watchdog_cycles)
                 if status == STATUS_DONE:
                     return True
-            elif node.name in self.forced_software:
-                # Preempted by force_software, not a watchdog verdict.
-                self.forced_preemptions += 1
-            else:
-                self.watchdog_timeouts += 1
-                plan.watchdog_timeouts += 1
-                if env.metrics is not None:
-                    env.metrics.watchdog_timeouts.inc()
+            elif node.name not in self.forced_software:
+                # A force_software preemption is no watchdog verdict.
+                self._count(plan, "watchdog_timeouts")
             # Recover the socket: abort whatever is (not) running.
             yield env.timeout(self.costs.reg_write_cycles)
             yield from cpu.write_reg(coord, CMD_REG, CMD_RESET)
@@ -594,20 +593,13 @@ class DataflowExecutor:
         dst_step = dst_stride or spec.output_words
         cost = max(1, int(spec.latency_cycles
                           * self.recovery.software_slowdown))
-        tracer = env.tracer
-        sid = None if tracer is None else tracer.begin(
-            "cpu", f"driver:{node.name}", "software-fallback",
-            "runtime.software", device=node.name, frames=n_frames)
         for index in range(n_frames):
             yield env.timeout(cost)
             frame = memory.read_words(src_offset + index * src_step,
                                       spec.input_words)
             memory.write_words(dst_offset + index * dst_step,
                                spec.run(frame))
-            self.software_frames += 1
-            plan.software_frames += 1
-        if sid is not None:
-            tracer.end(sid)
+            plan.counts["software_frames"] += 1
 
     def _run_node(self, plan: ExecutionPlan, node: NodePlan,
                   src_offset: int, dst_offset: int, n_frames: int,
@@ -636,40 +628,34 @@ class DataflowExecutor:
         streaming = p2p.uses_p2p
         if self.registry.is_failed(node.name) \
                 or node.name in self.forced_software:
-            if streaming:
-                raise NodeFailed(node.name,
-                                 "device marked failed; a p2p stream "
-                                 "cannot be serviced in software")
-            yield from self._software_node(plan, node, src_offset,
-                                           dst_offset, n_frames,
-                                           src_stride, dst_stride)
-            return
-        # Retrying a p2p stream would desynchronize it from its peers
-        # (they hold partial progress), so streams get one attempt.
-        attempts = 1 if streaming else policy.max_retries + 1
-        ok = yield from self._invoke_guarded(
-            plan, node, src_offset, dst_offset, n_frames, p2p, src_stride,
-            dst_stride, node_mode, divider, attempts)
-        if ok:
-            return
-        if node.name in self.forced_software:
-            # A control-plane order, not a hardware verdict: route to
-            # software without branding the device failed.
-            if streaming:
-                raise NodeFailed(node.name,
-                                 "forced to software mid-stream")
-            yield from self._software_node(plan, node, src_offset,
-                                           dst_offset, n_frames,
-                                           src_stride, dst_stride)
-            return
-        self.registry.mark_failed(node.name)
+            reason = ("device marked failed; a p2p stream cannot be "
+                      "serviced in software")
+        else:
+            # Retrying a p2p stream would desynchronize it from its
+            # peers (they hold partial progress): one attempt.
+            attempts = 1 if streaming else policy.max_retries + 1
+            ok = yield from self._invoke_guarded(
+                plan, node, src_offset, dst_offset, n_frames, p2p,
+                src_stride, dst_stride, node_mode, divider, attempts)
+            if ok:
+                return
+            if node.name in self.forced_software:
+                # A control-plane order, not a hardware verdict: route
+                # to software without branding the device failed.
+                reason = "forced to software mid-stream"
+            else:
+                self.registry.mark_failed(node.name)
+                reason = "watchdog expired mid-stream"
+                if not streaming and not policy.software_fallback:
+                    raise NodeFailed(node.name, "retries exhausted and "
+                                     "software fallback disabled")
         if streaming:
-            raise NodeFailed(node.name, "watchdog expired mid-stream")
-        if not policy.software_fallback:
-            raise NodeFailed(node.name, "retries exhausted and software "
-                                        "fallback disabled")
-        yield from self._software_node(plan, node, src_offset, dst_offset,
-                                       n_frames, src_stride, dst_stride)
+            raise NodeFailed(node.name, reason)
+        yield from self._step(
+            node.name, "software-fallback", "runtime.software",
+            self._software_node(plan, node, src_offset, dst_offset,
+                                n_frames, src_stride, dst_stride),
+            device=node.name, frames=n_frames)
 
     def _thread_guard(self, plan: ExecutionPlan, body):
         """Contain a pipeline thread's failure inside its plan.
@@ -698,15 +684,12 @@ class DataflowExecutor:
         p2p stream on a device marked failed raises immediately).
         """
         env = self.soc.env
-        tracer = env.tracer
         for row in plan.levels:
             for node in row:
-                sid = None if tracer is None else tracer.begin(
-                    "cpu", f"driver:{node.name}", "pthread-create",
-                    "runtime.spawn", device=node.name)
-                yield env.timeout(self.costs.thread_spawn_cycles)
-                if sid is not None:
-                    tracer.end(sid)
+                yield from self._step(
+                    node.name, "pthread-create", "runtime.spawn",
+                    (env.timeout(self.costs.thread_spawn_cycles),),
+                    device=node.name)
                 if plan.failure is not None:
                     raise plan.failure
                 plan.threads.append(env.process(
@@ -759,7 +742,6 @@ class DataflowExecutor:
         Under ``pipe`` no edge is p2p, so every frame takes the DMA
         path.
         """
-        env = self.soc.env
         p2p_edges = plan.p2p_edges
         spec = node.spec
         last = len(plan.levels) - 1
@@ -776,15 +758,10 @@ class DataflowExecutor:
                 else:
                     needed = (frame - producer.index) \
                         // producer.siblings + 1
-                    tracer = env.tracer
-                    sid = None if tracer is None else tracer.begin(
-                        "cpu", f"driver:{node.name}", "frame-sync",
-                        "runtime.sync", producer=producer.name,
-                        frame=frame)
-                    yield env.timeout(self.costs.sync_cycles)
-                    yield counters[producer.name].wait_until(needed)
-                    if sid is not None:
-                        tracer.end(sid)
+                    yield from self._step(
+                        node.name, "frame-sync", "runtime.sync",
+                        self._sync(counters[producer.name], needed),
+                        producer=producer.name, frame=frame)
             if node.level < last:
                 consumers = plan.levels[node.level + 1]
                 consumer = consumers[frame % len(consumers)]
@@ -798,6 +775,11 @@ class DataflowExecutor:
                             load_enabled=load_p2p, sources=sources)
             yield from self._run_node(plan, node, src, dst, 1, p2p)
             counters[node.name].increment()
+
+    def _sync(self, counter: ProgressCounter, needed: int):
+        """Semaphore wait until the producer finished frame ``needed``."""
+        yield self.soc.env.timeout(self.costs.sync_cycles)
+        yield counter.wait_until(needed)
 
     def _custom_main(self, plan: ExecutionPlan):
         env = self.soc.env
@@ -898,12 +880,9 @@ class DataflowExecutor:
             cycles=cycles,
             clock_mhz=self.soc.clock_mhz,
             dram_accesses=self.soc.memory_map.total_accesses - dram_before,
-            ioctl_calls=plan.ioctl_calls,
             outputs=outputs,
-            retries=plan.retries,
-            watchdog_timeouts=plan.watchdog_timeouts,
-            software_frames=plan.software_frames,
             degraded=degraded,
+            **plan.counts,
         )
 
     def execute(self, dataflow: Dataflow, frames: np.ndarray,
@@ -969,10 +948,7 @@ class DataflowExecutor:
         replan = self.plan(plan.dataflow, len(frames), "pipe",
                            coherence=plan.coherence, dvfs=plan.dvfs)
         replan.input_buffer.write(frames.reshape(-1))
-        replan.ioctl_calls = plan.ioctl_calls
-        replan.retries = plan.retries
-        replan.watchdog_timeouts = plan.watchdog_timeouts
-        replan.software_frames = plan.software_frames
+        replan.counts = dict(plan.counts)
         return replan
 
     def _degrade(self, plan: ExecutionPlan,
@@ -988,9 +964,7 @@ class DataflowExecutor:
         whose output buffer holds the results.
         """
         env = self.soc.env
-        self.degraded_runs += 1
-        if env.metrics is not None:
-            env.metrics.degraded_runs.inc()
+        self._count(plan, "degraded_runs")
         self._abort_plan(plan)
         env.run()   # drain aborted threads and in-flight hardware
         self._drain_stale_irqs(plan)
@@ -1086,12 +1060,9 @@ class DataflowExecutor:
         """In-process graceful degradation (serving-loop counterpart of
         :meth:`_degrade`, which may not ``env.run`` inside a process).
         """
-        env = self.soc.env
-        self.degraded_runs += 1
-        if env.metrics is not None:
-            env.metrics.degraded_runs.inc()
+        self._count(plan, "degraded_runs")
         yield from self._abort_and_release(plan)
-        yield env.timeout(self.recovery.reset_cycles)
+        yield self.soc.env.timeout(self.recovery.reset_cycles)
         replan = self._replan_degraded(plan, frames)
         yield from self._custom_main(replan)
         return replan

@@ -377,12 +377,7 @@ class InferenceServer:
                     f"cannot reshard {old!r} ({old_spec}) onto "
                     f"{new!r} ({new_spec}): different kernels")
         dataflow = base.dataflow.substitute(mapping)
-        if base.mode == "p2p":
-            dataflow.validate_for_p2p()
-        elif base.mode == "custom":
-            dataflow.validate_for_custom()
-        else:
-            dataflow.validate()
+        dataflow.validate_for(base.mode)
         tenant.pending_reshard = replace(base, dataflow=dataflow)
         if tenant.in_flight:
             return "deferred"
@@ -465,16 +460,9 @@ class InferenceServer:
                                    priority=priority,
                                    trace_ctx=trace_ctx)
         rejection = self.queue.submit(request, now=self.env.now)
-        metrics = self.env.metrics
         if rejection is not None:
-            self.rejections.append(rejection)
-            if metrics is not None:
-                metrics.serve_rejected.labels(tenant,
-                                              rejection.reason).inc()
+            self._settle(request, rejection, admitted=False)
             return rejection
-        if metrics is not None:
-            metrics.serve_admitted.labels(tenant).inc()
-            metrics.serve_queue_depth.set(self.queue.depth)
         tracer = self.env.tracer
         if tracer is not None:
             self._request_sids[request.request_id] = tracer.begin(
@@ -485,15 +473,8 @@ class InferenceServer:
             tracer.instant("serve", f"tenant:{tenant}", "admit",
                            "serve.submit", request=request.request_id,
                            trace_id=trace_ctx.trace_id)
-            tracer.counter("serve", "queue_depth",
-                           depth=self.queue.depth)
+        self._count_queue(tenant, admitted=True)
         return None
-
-    def _end_request_span(self, request_id: str, outcome: str) -> None:
-        """Close a request's trace span at its terminal state."""
-        sid = self._request_sids.pop(request_id, None)
-        if sid is not None and self.env.tracer is not None:
-            self.env.tracer.end(sid, outcome=outcome)
 
     def _on_admit(self, request: InferenceRequest) -> None:
         event = self._work.get(request.tenant)
@@ -521,22 +502,100 @@ class InferenceServer:
             tenant.in_flight = True
             requests = self.queue.drain(
                 name, tenant.batcher.max_batch_frames)
-            if env.metrics is not None:
-                env.metrics.serve_queue_depth.set(self.queue.depth)
-                env.metrics.serve_batches.labels(name).inc()
+            self._count_queue(name, admitted=False)
             if env.tracer is not None:
-                env.tracer.counter("serve", "queue_depth",
-                                   depth=self.queue.depth)
                 env.tracer.instant("serve", f"tenant:{name}", "batch",
                                    "serve.batch", requests=len(requests),
                                    **_trace_args(requests))
             batch = tenant.batcher.form(requests)
             tenant.in_flight_frames = batch.total_frames
-            granted = yield from self._acquire_tiles(tenant, batch)
-            if granted:
-                yield from self._dispatch(tenant, batch)
-            tenant.in_flight = False
-            tenant.in_flight_frames = 0
+            try:
+                granted = yield from self._acquire_tiles(tenant, batch)
+                if granted:
+                    yield from self._dispatch(tenant, batch)
+            finally:
+                tenant.in_flight = False
+                tenant.in_flight_frames = 0
+
+    # -- the layer's instrumentation sites ------------------------------------
+
+    def _span(self, tenant: str, name: str, cat: str, batch: Batch, body,
+              close, bind: Sequence[str] = (), **args):
+        """One step of ``tenant``'s loop: ``body`` inside its span.
+
+        The serve layer's one span site. Untraced, ``body`` is returned
+        as is; traced, :meth:`Tracer.drive` ends the span with
+        ``close(result)``, or with ``outcome`` ``interrupted`` (loop
+        stopped) or ``failed`` on an exception. While it is open, every
+        record on the devices in ``bind`` (wrapper phases, DMA bursts,
+        driver threads, NoC packets) carries the batch's trace IDs.
+        """
+        tracer = self.env.tracer
+        if tracer is None:
+            return body
+        sid = tracer.begin("serve", f"tenant:{tenant}", name, cat, **args,
+                           **_trace_args(batch.requests))
+        keys: List[object] = []
+        ids = batch_trace_ids(batch.requests)
+        if ids:
+            for device in bind:
+                keys += [device, ("cpu", f"driver:{device}"),
+                         str(self.soc.accelerators[device].coord)]
+            for key in keys:
+                tracer.bind(key, ids)
+        return tracer.drive(sid, body, close, lambda exc: {
+            "outcome": "interrupted" if isinstance(exc, Interrupt)
+            else "failed"}, bound=keys)
+
+    def _count_queue(self, tenant: str, admitted: bool) -> None:
+        """The serve layer's one queue-counting site: one admission (or
+        drained batch) of ``tenant``, and the queue depth after it."""
+        metrics = self.env.metrics
+        if metrics is not None:
+            family = (metrics.serve_admitted if admitted
+                      else metrics.serve_batches)
+            family.labels(tenant).inc()
+            metrics.serve_queue_depth.set(self.queue.depth)
+        if self.env.tracer is not None:
+            self.env.tracer.counter("serve", "queue_depth",
+                                    depth=self.queue.depth)
+
+    def _settle(self, request: InferenceRequest, outcome,
+                admitted: bool = True) -> None:
+        """The serve layer's one settling site: record ``request``'s
+        :class:`Completion`, :class:`Rejection` or :class:`Failure`,
+        count it in its ``serve_*`` family, end the request span and
+        bump the terminal count (the last two only if ``admitted``).
+        """
+        metrics = self.env.metrics
+        tenant = request.tenant
+        if isinstance(outcome, Completion):
+            self.completions.append(outcome)
+            state = "completed"
+            if metrics is not None:
+                exemplar = request.trace_ctx.trace_id
+                metrics.serve_completed.labels(tenant).inc()
+                metrics.serve_frames.labels(tenant).inc(request.n_frames)
+                metrics.serve_request_cycles.labels(tenant).observe(
+                    outcome.latency_cycles, exemplar=exemplar)
+                metrics.serve_queue_wait_cycles.labels(tenant).observe(
+                    outcome.queue_cycles, exemplar=exemplar)
+        elif isinstance(outcome, Failure):
+            self.failures.append(outcome)
+            state = "failed"
+            if metrics is not None:
+                metrics.serve_failed.labels(tenant).inc()
+        else:
+            self.rejections.append(outcome)
+            state = "rejected"
+            if metrics is not None:
+                metrics.serve_rejected.labels(tenant, outcome.reason).inc()
+        if not admitted:
+            return
+        sid = self._request_sids.pop(request.request_id, None)
+        if sid is not None and self.env.tracer is not None:
+            self.env.tracer.end(sid, outcome=state)
+        self._terminal.increment()
 
     def _acquire_tiles(self, tenant: _Tenant, batch: Batch):
         """All-or-nothing grant of the tenant's tile set.
@@ -545,47 +604,46 @@ class InferenceServer:
         (failed), retries the claim in degraded mode if the recovery
         policy supports software fallback, else rejects the batch.
         """
-        env = self.env
+        queued = self.env.now
+        error = yield from self._span(
+            tenant.config.name, "grant-wait", "serve.grant_wait", batch,
+            self._claim(tenant, batch),
+            lambda error: {"granted": error is None},
+            tiles=len(tenant.tiles))
+        if error is not None:
+            for request in batch.requests:
+                self._settle(request, Rejection(
+                    request_id=request.request_id, tenant=request.tenant,
+                    reason=REJECT_TILE_UNAVAILABLE, at=self.env.now,
+                    detail=str(error)))
+            return False
+        self._grant_waits.append(self.env.now - queued)
+        return True
+
+    def _claim(self, tenant: _Tenant, batch: Batch):
+        """Wait for the grant; ``None`` once granted, else the
+        :class:`TileUnavailable` that rejects the batch (retried as a
+        degraded claim first if the software fallback can serve it).
+        An interrupt withdraws the claim, or hands back a grant landed
+        in the same cycle, so a stopped loop holds no tile.
+        """
         priority = max([tenant.config.priority]
                        + [r.priority for r in batch.requests])
         est = tenant.est_cycles_per_frame * batch.total_frames
-        queued = env.now
-        tracer = env.tracer
-        sid = None if tracer is None else tracer.begin(
-            "serve", f"tenant:{tenant.config.name}", "grant-wait",
-            "serve.grant_wait", tiles=len(tenant.tiles),
-            **_trace_args(batch.requests))
-        claim = self.arbiter.acquire(
-            tenant.tiles, priority=priority, est_cycles=est,
-            label=tenant.config.name)
-        try:
-            yield claim
-        except TileUnavailable as exc:
-            if not self._can_degrade():
-                if sid is not None:
-                    tracer.end(sid, granted=False)
-                for request in batch.requests:
-                    self.rejections.append(Rejection(
-                        request_id=request.request_id,
-                        tenant=request.tenant,
-                        reason=REJECT_TILE_UNAVAILABLE, at=env.now,
-                        detail=str(exc)))
-                    if env.metrics is not None:
-                        env.metrics.serve_rejected.labels(
-                            request.tenant,
-                            REJECT_TILE_UNAVAILABLE).inc()
-                    self._end_request_span(request.request_id,
-                                           "rejected")
-                    self._terminal.increment()
-                return False
+        for degraded in (False, True):
             claim = self.arbiter.acquire(
                 tenant.tiles, priority=priority, est_cycles=est,
-                allow_unavailable=True, label=tenant.config.name)
-            yield claim
-        if sid is not None:
-            tracer.end(sid, granted=True)
-        self._grant_waits.append(env.now - queued)
-        return True
+                allow_unavailable=degraded, label=tenant.config.name)
+            try:
+                yield claim
+                return None
+            except TileUnavailable as exc:
+                if not self._can_degrade():
+                    return exc
+            except Interrupt:
+                if not self.arbiter.cancel(claim) and claim.ok:
+                    self.arbiter.release(claim.value)
+                raise
 
     def _dispatch(self, tenant: _Tenant, batch: Batch):
         """Run one coalesced batch; always releases the tile set."""
@@ -597,45 +655,20 @@ class InferenceServer:
         tiles = tenant.tiles
         names = sorted(tiles)
         before = tile_activity(self.soc, names)
-        tracer = env.tracer
-        sid = None
-        bound_keys: List[object] = []
-        if tracer is not None:
-            sid = tracer.begin(
-                "serve", f"tenant:{config.name}", "dispatch",
-                "serve.dispatch", mode=config.mode,
-                frames=batch.total_frames, requests=batch.n_requests,
-                **_trace_args(batch.requests))
-            # Bind the exclusively-granted tile set to this batch's
-            # trace IDs: every span the hardware records against these
-            # devices (wrapper phases, DMA bursts, driver threads, NoC
-            # packets to/from the tiles' coordinates) is annotated
-            # with the batch's trace_id until the tiles release.
-            ids = batch_trace_ids(batch.requests)
-            if ids:
-                for device in names:
-                    bound_keys.append(device)
-                    bound_keys.append(("cpu", f"driver:{device}"))
-                    socket = self.soc.accelerators.get(device)
-                    if socket is not None:
-                        bound_keys.append(str(socket.coord))
-                for key in bound_keys:
-                    tracer.bind(key, ids)
-        error: Optional[BaseException] = None
-        result = None
         try:
-            result = yield from self.executor.run_process(
-                config.dataflow, batch.frames, config.mode,
-                coherence=config.coherence, dvfs=config.dvfs)
+            result = yield from self._span(
+                config.name, "dispatch", "serve.dispatch", batch,
+                self.executor.run_process(
+                    config.dataflow, batch.frames, config.mode,
+                    coherence=config.coherence, dvfs=config.dvfs),
+                lambda result: {"outcome": "completed"}, bind=names,
+                mode=config.mode, frames=batch.total_frames,
+                requests=batch.n_requests)
         except Interrupt:
-            if sid is not None:
-                for key in bound_keys:
-                    tracer.unbind(key)
-                tracer.end(sid, outcome="interrupted")
             self.arbiter.release(tiles)
             raise
         except Exception as exc:
-            error = exc
+            result = exc
         # Attribute the exclusive-ownership window's hardware activity.
         delta = activity_delta(before, tile_activity(self.soc, names))
         for device, activity in delta.items():
@@ -644,27 +677,18 @@ class InferenceServer:
                 activity if held is None else held + activity
         self.arbiter.release(tiles)
         self._quarantine_failed(tiles)
-        if sid is not None:
-            for key in bound_keys:
-                tracer.unbind(key)
-            tracer.end(sid, outcome="failed" if error else "completed")
-        if error is not None:
+        if isinstance(result, Exception):
             for request in batch.requests:
-                self.failures.append(Failure(
+                self._settle(request, Failure(
                     request_id=request.request_id,
                     tenant=request.tenant,
                     submitted_at=request.submitted_at,
-                    failed_at=env.now, error=error))
-                if env.metrics is not None:
-                    env.metrics.serve_failed.labels(
-                        request.tenant).inc()
-                self._end_request_span(request.request_id, "failed")
-                self._terminal.increment()
+                    failed_at=env.now, error=result))
             return
         tenant.batches_served += 1
         tenant.frames_served += batch.real_frames
         for request, outputs in batch.split_outputs(result.outputs):
-            completion = Completion(
+            self._settle(request, Completion(
                 request_id=request.request_id,
                 tenant=request.tenant,
                 submitted_at=request.submitted_at,
@@ -674,23 +698,7 @@ class InferenceServer:
                 batch_frames=batch.total_frames,
                 batch_requests=batch.n_requests,
                 degraded=result.degraded,
-                outputs=np.array(outputs, copy=True))
-            self.completions.append(completion)
-            if env.metrics is not None:
-                metrics = env.metrics
-                exemplar = (None if request.trace_ctx is None
-                            else request.trace_ctx.trace_id)
-                metrics.serve_completed.labels(request.tenant).inc()
-                metrics.serve_frames.labels(request.tenant).inc(
-                    request.n_frames)
-                metrics.serve_request_cycles.labels(
-                    request.tenant).observe(completion.latency_cycles,
-                                            exemplar=exemplar)
-                metrics.serve_queue_wait_cycles.labels(
-                    request.tenant).observe(completion.queue_cycles,
-                                            exemplar=exemplar)
-            self._end_request_span(request.request_id, "completed")
-            self._terminal.increment()
+                outputs=np.array(outputs, copy=True)))
 
     def _quarantine_failed(self, tiles: FrozenSet[str]) -> None:
         registry = self.executor.registry

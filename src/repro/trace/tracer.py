@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -211,6 +211,30 @@ class Tracer:
         if self.capacity is not None:
             self._compact_spans()
         return span
+
+    def drive(self, sid: int, body, close=None, failed=None,
+              bound: Sequence[Any] = ()):
+        """Drive the process step ``body`` (a generator) inside span
+        ``sid``; returns what ``body`` returns.
+
+        The span closes where ``body`` leaves: on return with
+        ``close(result)`` merged into its args, or on an exception
+        (an interrupted process, a failed run) with ``failed(exc)``
+        before the exception propagates. Either way the ``bound`` keys'
+        bindings are dropped first, so they live exactly as long as
+        the span.
+        """
+        try:
+            result = yield from body
+        except Exception as exc:
+            for key in bound:
+                self.unbind(key)
+            self.end(sid, **({} if failed is None else failed(exc)))
+            raise
+        for key in bound:
+            self.unbind(key)
+        self.end(sid, **({} if close is None else close(result)))
+        return result
 
     def complete(self, pid: str, tid: str, name: str, cat: str,
                  start: int, end: int, **args: Any) -> Span:

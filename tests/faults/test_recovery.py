@@ -12,6 +12,7 @@ from repro.faults import (
     RecoveryPolicy,
 )
 from repro.runtime import EspRuntime, RuntimeCosts, chain
+from repro.trace import attach_tracer
 from tests.conftest import make_soc, make_spec
 
 
@@ -61,11 +62,11 @@ class TestWatchdogCap:
         FaultInjector(FaultPlan([
             FaultSpec(kind="acc_hang", target="s1", at_cycle=1,
                       count=1)])).attach(soc)
-        runtime, result, expected = run_chain(
+        _, result, expected = run_chain(
             soc, recovery=policy(max_retries=2, backoff_factor=8.0,
                                  max_watchdog_cycles=25_000))
         assert (result.outputs == expected).all()
-        assert runtime.executor.watchdog_timeouts >= 1
+        assert result.watchdog_timeouts >= 1
 
 
 class TestHangRecovery:
@@ -192,6 +193,22 @@ class TestBoundedPolling:
         assert err.device == "s0"
         assert err.waited_cycles >= 5_000
         assert "max_wait_cycles" in str(err)
+
+    @pytest.mark.parametrize("mode", ["base", "pipe", "p2p"])
+    def test_failed_run_leaves_no_driver_span_open(self, mode):
+        """A run that fails mid-invocation ends every driver step it
+        left: the poll that timed out and the steps of the threads the
+        abort interrupted close at the cycle they were abandoned."""
+        soc = three_stage_soc()
+        FaultInjector(FaultPlan([FaultSpec(kind="acc_hang", target="s1",
+                                           at_cycle=0, count=1)])).attach(soc)
+        tracer = attach_tracer(soc)
+        with pytest.raises(AcceleratorTimeout):
+            run_chain(soc, mode=mode,
+                      costs=RuntimeCosts(completion="poll",
+                                         max_wait_cycles=30_000))
+        assert not [span for span in tracer.open_spans
+                    if span.cat.startswith("runtime.")]
 
     def test_unbounded_poll_is_default(self):
         costs = RuntimeCosts()

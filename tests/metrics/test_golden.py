@@ -1,11 +1,16 @@
 """Golden observability outputs: exposition, Chrome trace, monitors.
 
-Three instrumented runs — the 8-frame ``4nv_4cl`` pipeline in ``p2p``
-and ``pipe`` mode, and the serve trace of ``test_identity`` — each
-with a tracer and a metrics registry wired to the SoC collectors. The
-sha256 of the Prometheus exposition, the key-sorted Chrome trace JSON
-and the monitor report text are pinned: any refactor of how the
-hardware layers count or trace their operations must leave all three
+Six instrumented runs — the 8-frame ``4nv_4cl`` pipeline in ``p2p``
+and ``pipe`` mode, the serve trace of ``test_identity``, and three
+fault runs of the 3-stage chain of ``tests/faults/test_recovery.py``
+with a hung middle stage (in ``pipe`` mode one retry recovers it, and
+with no retries the work is served in software; in ``p2p`` mode the
+stream fails and the whole run degrades to a ``pipe`` re-run) — each
+with a tracer and a metrics
+registry wired to the SoC collectors. The sha256 of the Prometheus
+exposition, the key-sorted Chrome trace JSON and the monitor report
+text are pinned: any refactor of how the hardware, runtime or serve
+layers count or trace their operations must leave all three
 byte-identical. Request IDs come from a process-wide counter, so the
 serve run restarts it to stay independent of test order.
 """
@@ -17,6 +22,7 @@ import json
 import pytest
 
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics import (
     attach_metrics,
     instrument_server,
@@ -26,6 +32,7 @@ from repro.metrics import (
 from repro.serve import request as serve_request
 from repro.soc import read_monitors
 from repro.trace import attach_tracer, to_chrome_trace
+from tests.faults.test_recovery import policy, run_chain, three_stage_soc
 from tests.metrics.test_identity import PIPE_FRAMES, build_server, build_trace
 
 GOLDEN = {
@@ -43,6 +50,21 @@ GOLDEN = {
         "159062dc0bc12a900de78146bac472e8e01a212896bd455b091c77c3cf34e302",
         "eba15167837f3bb50baeb53913b2fd41fe2f3ac524efabd13be15d3790dab70e",
         "2f51e761f2226f89d05c4df44714f94d1e58eaa8256d2f1a7e562c0f76010ed0",
+    ),
+    "degrade": (
+        "8293a14ac52354ce81cef2e5fdc0cb3b65fc699cbe5ba7ac24d11c8929f90900",
+        "14e53e1bcf8a3254413addc90bdee60031d79e2f86a81c2bf18d21e7611fed40",
+        "123a118d6cfcbd82a6fa0765e819d4656297b38f218638fb1125abf8b4a7ee46",
+    ),
+    "retry": (
+        "e8ddebdbd8a1368f60e657d0c1d63ce467e73a9b8ce7dc5c35aa85c59ad35dbb",
+        "dde32591d81cbdb7e8e3352cfc6c606db11129781d8883caab6c6fb19b0e6870",
+        "e2583b30b7e0a37e86a058cdbff3c77b42fa90aa238d339723f50ec6ffb6a7d5",
+    ),
+    "software": (
+        "5658d75bedd8975ac3ca2c8479181cbe544b467477c6465a1650b9a3c8542ac7",
+        "0cb37fde3d9d3dc3107a14114e7852a922299541cd109a71f71096ebcab33ec5",
+        "18228a541eb7ed364fdbfcc4099ad4e4f740b41ba1aa3d32005d37421fe0c620",
     ),
 }
 
@@ -67,6 +89,32 @@ def run_serve():
     return runtime.soc, tracer, registry
 
 
+def run_recovery(max_retries, mode="pipe"):
+    soc = three_stage_soc()
+    FaultInjector(FaultPlan([FaultSpec(kind="acc_hang", target="s1",
+                                       at_cycle=0, count=1)])).attach(soc)
+    tracer = attach_tracer(soc)
+    registry = attach_metrics(soc.env)
+    register_soc_collectors(registry, soc)
+    _, result, expected = run_chain(
+        soc, mode=mode, recovery=policy(max_retries=max_retries))
+    assert (result.outputs == expected).all()
+    assert result.degraded == (mode == "p2p")
+    if mode == "pipe":   # the aborted stream's hardware spans stay open
+        assert not tracer.open_spans
+    return soc, tracer, registry
+
+
+RUNS = {
+    "p2p": lambda: run_pipeline("p2p"),
+    "pipe": lambda: run_pipeline("pipe"),
+    "serve": run_serve,
+    "retry": lambda: run_recovery(max_retries=2),
+    "degrade": lambda: run_recovery(max_retries=2, mode="p2p"),
+    "software": lambda: run_recovery(max_retries=0),
+}
+
+
 def digests(soc, tracer, registry):
     outputs = (to_prometheus(registry),
                json.dumps(to_chrome_trace(tracer), sort_keys=True),
@@ -75,8 +123,7 @@ def digests(soc, tracer, registry):
                  for text in outputs)
 
 
-@pytest.mark.parametrize("run", ["p2p", "pipe", "serve"])
+@pytest.mark.parametrize("run", sorted(RUNS))
 def test_observability_outputs_byte_identical(run, monkeypatch):
     monkeypatch.setattr(serve_request, "_request_ids", itertools.count())
-    stack = run_serve() if run == "serve" else run_pipeline(run)
-    assert digests(*stack) == GOLDEN[run]
+    assert digests(*RUNS[run]()) == GOLDEN[run]

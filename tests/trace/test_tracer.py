@@ -59,6 +59,43 @@ class TestRecording:
             open_span.cycles
         assert tracer._open[sid] is open_span
 
+    def test_drive_closes_span_when_body_returns(self):
+        env = FakeClock()
+        tracer = Tracer(env)
+
+        def body():
+            yield "step"
+            env.now = 40
+            return "done"
+
+        sid = tracer.begin("t", "e", "x", "cat")
+        tracer.bind("t", ("t-1",))
+        driver = tracer.drive(sid, body(),
+                              close=lambda result: {"result": result},
+                              bound=["t"])
+        assert next(driver) == "step"
+        with pytest.raises(StopIteration) as stop:
+            next(driver)
+        assert stop.value.value == "done"
+        (span,) = tracer.spans
+        assert (span.end, span.args) == (40, {"result": "done"})
+        assert tracer._bindings == {}
+
+    def test_drive_closes_span_when_body_raises(self):
+        tracer = Tracer(FakeClock())
+
+        def body():
+            yield "step"
+
+        sid = tracer.begin("t", "e", "x", "cat")
+        driver = tracer.drive(
+            sid, body(), failed=lambda exc: {"error": type(exc).__name__})
+        next(driver)
+        with pytest.raises(KeyError):
+            driver.throw(KeyError("gone"))
+        assert not tracer.open_spans
+        assert tracer.spans[0].args == {"error": "KeyError"}
+
     def test_instants_and_counters(self):
         env = FakeClock()
         tracer = Tracer(env)
