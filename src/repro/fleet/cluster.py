@@ -175,11 +175,12 @@ class Fleet:
         The loop: advance every instance to the arrival cycle, let the
         router observe fresh completions, route, submit. After the
         last arrival all instances drain and are aligned to one final
-        cycle, so the makespan is a fleet-wide quantity.
+        cycle, so the makespan is a fleet-wide quantity. Each instance
+        opens a report window first: the report covers this run alone.
         """
         for instance in self.instances:
             instance.start()
-            instance.server.queue.reset_stats()
+            instance.server.open_window()
         origins = {instance.name: instance.now
                    for instance in self.instances}
         cursors = {tenant: 0 for tenant in inputs}

@@ -25,8 +25,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..metrics import (MetricsRegistry, attach_metrics,
-                       register_soc_collectors)
+from ..metrics import MetricsRegistry, attach_metrics, instrument_server
 from ..runtime import EspRuntime
 from ..trace.context import TraceContext
 from ..trace.tracer import Tracer, attach_tracer
@@ -73,19 +72,16 @@ class FleetInstance:
 
         Every call builds a *fresh* SoC (own ``Environment``), boots a
         runtime on it, registers ``tenants`` and wraps the server.
-        ``metrics_namespace`` attaches a namespaced
-        :class:`~repro.metrics.MetricsRegistry`, wired to the SoC's
-        hardware counters, so N instances can be scraped into one
-        snapshot without series collisions;
+        ``metrics_namespace`` instruments the server
+        (:func:`~repro.metrics.instrument_server`) on a namespaced
+        registry, so N instances can be scraped into one snapshot
+        without series collisions;
         ``trace_namespace`` does the same for a
         :class:`~repro.trace.Tracer` so N tracers can merge into one
         fleet-wide Chrome trace (``trace_capacity`` bounds it as a
         flight-recorder ring).
         """
         soc = soc_builder()
-        if metrics_namespace is not None:
-            register_soc_collectors(
-                attach_metrics(soc.env, namespace=metrics_namespace), soc)
         if trace_namespace is not None:
             attach_tracer(soc.env, namespace=trace_namespace,
                           capacity=trace_capacity)
@@ -93,6 +89,9 @@ class FleetInstance:
         server = InferenceServer(runtime, server_config or ServerConfig())
         for tenant in tenants:
             server.register(tenant)
+        if metrics_namespace is not None:
+            attach_metrics(soc.env, namespace=metrics_namespace)
+            instrument_server(server)
         return cls(name, server)
 
     # -- time ---------------------------------------------------------------
@@ -161,8 +160,7 @@ class FleetInstance:
         zero-delay flush below dispatches the remainder of the current
         cycle without moving the clock.
         """
-        admitted = self.server.queue.admitted
-        self.env.run(until=self.server.wait_terminal(admitted))
+        self.env.run(until=self.server.wait_settled())
         self.env.run(until=self.env.now)
 
     # -- work ---------------------------------------------------------------
@@ -208,7 +206,7 @@ class FleetInstance:
     def tracer(self) -> Optional[Tracer]:
         return self.env.tracer
 
-    def report(self, makespan_cycles: Optional[int] = None) -> ServerReport:
+    def report(self, makespan_cycles: int) -> ServerReport:
         return self.server.report(makespan_cycles=makespan_cycles)
 
     def __repr__(self) -> str:

@@ -1,21 +1,16 @@
-"""Scrape-time collectors: hardware counters -> registry series.
+"""Scrape-time collectors: counters and records -> registry series.
 
-The hot-path instrumentation in :mod:`repro.metrics.registry` covers
-request-level *events* (a request admitted, a watchdog expired) that
-no hardware counter tracks; the runtime and serve layers each record
-them at one counting or settling site, so every event is counted
-once there, as every hardware operation is counted once here.
 Everything the simulated hardware already counts — DMA transactions
 and words, accelerator invocations and wrapper phases, NoC packets and
 flit-hops, link and tile occupancy, memory traffic — is counted
 exactly once, by the owning component, and re-recording it per
-operation would duplicate that work.
-Collectors bridge the two worlds: callables registered on the
-:class:`MetricsRegistry` that copy those counters into the standard
-series whenever somebody scrapes (an exporter, the health monitor,
-the dashboard, a :class:`MetricsSampler` tick). Hardware families
-therefore report since-boot totals, however late the registry was
-attached.
+operation would duplicate that work. So is every request-level fact
+of the serve layer, in the server's records. Collectors are callables
+registered on the :class:`MetricsRegistry` that copy those counters
+and records into the standard series whenever somebody scrapes (an
+exporter, the health monitor, the dashboard, a
+:class:`MetricsSampler` tick), so those families report since-boot
+totals, however late the registry was attached.
 
 Collectors read simulation state and write registry series; they must
 never schedule events or advance the clock — they run outside the
@@ -114,20 +109,46 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
 
 def register_server_collectors(registry: MetricsRegistry,
                                server) -> None:
-    """Wire an :class:`InferenceServer`'s queue state into gauges."""
+    """Fill every ``serve_*`` family from an :class:`InferenceServer`'s
+    admission, outcome and dispatch records, plus gauges for the report
+    window's peak queue depth and each tenant's depth. A scrape reads
+    only the records the last one had not seen, in record order, so
+    histogram buckets and exemplars match hot-path recording."""
     peak = registry.gauge(
         "serve_queue_peak_depth",
         "Deepest the request queue has been this run")
     tenant_depth = registry.gauge(
         "serve_tenant_queue_depth", "Requests queued per tenant",
         ("tenant",))
+    seen: dict = {}
+
+    def fresh(kind: str, records: list) -> list:
+        start, seen[kind] = seen.get(kind, 0), len(records)
+        return records[start:]
 
     def scrape(reg: MetricsRegistry) -> None:
-        reg.serve_queue_depth.set(server.queue.depth)
-        peak.set(server.queue.peak_depth)
-        for tenant in server.queue.tenants:
-            tenant_depth.labels(tenant).set(
-                server.queue.tenant_depth(tenant))
+        queue = server.queue
+        for tenant, _ in fresh("admissions", queue.admissions):
+            reg.serve_admitted.labels(tenant).inc()
+        for done in fresh("completions", server.completions):
+            tenant = done.tenant
+            reg.serve_completed.labels(tenant).inc()
+            reg.serve_frames.labels(tenant).inc(done.n_frames)
+            reg.serve_request_cycles.labels(tenant).observe(
+                done.latency_cycles, exemplar=done.trace_id)
+            reg.serve_queue_wait_cycles.labels(tenant).observe(
+                done.queue_cycles, exemplar=done.trace_id)
+        for failure in fresh("failures", server.failures):
+            reg.serve_failed.labels(failure.tenant).inc()
+        for rejection in fresh("rejections", server.rejections):
+            reg.serve_rejected.labels(rejection.tenant,
+                                      rejection.reason).inc()
+        for tenant, _ in fresh("dispatches", server.dispatches):
+            reg.serve_batches.labels(tenant).inc()
+        reg.serve_queue_depth.set(queue.depth)
+        peak.set(server.peak_queue_depth)
+        for tenant in queue.tenants:
+            tenant_depth.labels(tenant).set(queue.tenant_depth(tenant))
 
     registry.register_collector(scrape)
 

@@ -80,9 +80,17 @@ def render_tile_grid(soc, registry: MetricsRegistry) -> List[str]:
     return lines
 
 
+def _value(family, *labels):
+    """A series' value, 0 when absent (read without creating it)."""
+    series = family.find(*labels)
+    return 0 if series is None else series.value
+
+
 def render_tenant_table(registry: MetricsRegistry,
                         clock_mhz: Optional[float] = None) -> List[str]:
-    """Per-tenant serving table from the live registry series."""
+    """Per-tenant serving table from the live registry series (the
+    ``serve_*`` families are scrape-time views, so this scrapes)."""
+    registry.run_collectors()
     tenants = sorted({values[0] for values, _ in
                       registry.serve_admitted.series()})
     if not tenants:
@@ -93,13 +101,13 @@ def render_tenant_table(registry: MetricsRegistry,
              f"{'p50 ' + unit:>10}{'p95 ' + unit:>10}"
              f"{'p99 ' + unit:>10}{'max ' + unit:>10}"]
     for tenant in tenants:
-        completed = registry.serve_completed.labels(tenant).value
+        completed = _value(registry.serve_completed, tenant)
         rejected = sum(
             series.value for values, series in
             registry.serve_rejected.series() if values[0] == tenant)
-        failed = registry.serve_failed.labels(tenant).value
-        latency = registry.serve_request_cycles.labels(tenant)
-        if latency.count:
+        failed = _value(registry.serve_failed, tenant)
+        latency = registry.serve_request_cycles.find(tenant)
+        if latency is not None and latency.count:
             # Imported here, not at module scope: eval aggregates the
             # whole stack (including repro.control, which needs this
             # package), so a top-level metrics -> eval import is a
@@ -127,7 +135,7 @@ def render_control_actions(registry: MetricsRegistry) -> List[str]:
     lines = [f"{'action':<16}{'outcome':<18}{'count':>7}"
              f"{'last applied':>15}"]
     for (action, outcome), series in rows:
-        last = registry.control_last_action.labels(action).value
+        last = _value(registry.control_last_action, action)
         shown = (f"{int(last):,}"
                  if outcome == "applied" and last else "-")
         lines.append(f"{action:<16}{outcome:<18}"
@@ -141,7 +149,7 @@ def render_dashboard(soc, registry: MetricsRegistry,
     registry.run_collectors()
     env = registry.env
     status = monitor.status() if monitor is not None else "n/a"
-    depth = registry.serve_queue_depth.value
+    depth = _value(registry.serve_queue_depth)
     width = max(60, 12 * soc.config.cols)
     lines = [
         "=" * width,

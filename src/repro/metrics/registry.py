@@ -33,19 +33,16 @@ Design rules (the same contract as the tracer and the fault hooks):
   with ``env.metrics is None`` — one attribute load and a pointer
   compare.
 
-The registry pre-creates the standard families as attributes. Two
-kinds share that schema. The hardware families (NoC, DMA,
-accelerator) are never recorded per operation: the simulated
-hardware already counts each operation once, and
-:func:`~repro.metrics.collect.register_soc_collectors` copies those
-counters in at scrape time, so the hot path does no metrics work for
-them. The request-level families (runtime, serve, control) have no
-hardware counter behind them and are recorded on the hot path, where
-a site pays one attribute load plus one dict lookup, never a name
-lookup by string. Each layer records them at one site: the executor's
-``_count`` for the ``runtime_*`` recovery outcomes, and the server's
-``_count_queue`` (admissions, batches, queue depth) and ``_settle``
-(completions, rejections, failures) for the ``serve_*`` families.
+The registry pre-creates the standard families as attributes. The
+hardware families (NoC, DMA, accelerator) are scrape-time views of
+the counters the simulated hardware keeps
+(:func:`~repro.metrics.collect.register_soc_collectors`), and the
+``serve_*`` families scrape-time views of the server's request
+records (:func:`~repro.metrics.collect.register_server_collectors`),
+so neither costs the hot path anything. Only the ``runtime_*``
+families (the executor's ``_count``; no record of a recovery outcome
+outlives its plan) and the ``control_*`` families are recorded on the
+hot path, one attribute load plus one dict lookup per site.
 """
 
 from __future__ import annotations
@@ -217,6 +214,11 @@ class MetricFamily:
             series = self._series[values] = self._make_series()
         return series
 
+    def find(self, *values: str):
+        """The child series for ``values``, or ``None``: unlike
+        :meth:`labels`, reading through it never creates a series."""
+        return self._series.get(values)
+
     def series(self) -> List[Tuple[Tuple[str, ...], object]]:
         """Every (label values, series) pair, in stable sorted order."""
         return sorted(self._series.items(),
@@ -292,14 +294,13 @@ class Histogram(MetricFamily):
 class MetricsRegistry:
     """All metric families of one simulation, plus scrape collectors.
 
-    Attach with :func:`attach_metrics`; request-level instrumentation
+    Attach with :func:`attach_metrics`; the runtime and control
     sites then record into the pre-created standard families. A
     *collector* is a callable run at scrape time (:meth:`collect`,
-    :meth:`snapshot`, health evaluation) to refresh series from
-    hardware counters the hot path never touches — DMA, NoC and
-    accelerator activity, link and tile occupancy, memory traffic.
-    Collectors read state; they must never schedule simulation
-    events.
+    :meth:`snapshot`, health evaluation) to refresh series from state
+    the hot path never touches — hardware counters and the server's
+    request records. Collectors read state; they must never schedule
+    simulation events.
     """
 
     def __init__(self, env, namespace: Optional[str] = None) -> None:

@@ -159,13 +159,6 @@ class ExecutionPlan:
     failure: Optional[BaseException] = None
     abort: Optional[Event] = None
 
-    def node(self, name: str) -> NodePlan:
-        for level in self.levels:
-            for node in level:
-                if node.name == name:
-                    return node
-        raise KeyError(name)
-
     def mode_for(self, name: str) -> CoherenceMode:
         return self.coherence.get(name, CoherenceMode.NON_COHERENT)
 

@@ -113,9 +113,6 @@ class TileArbiter:
     def pending_claims(self) -> int:
         return len(self._pending)
 
-    def is_available(self, tiles: Iterable[str]) -> bool:
-        return not (set(tiles) & self._unavailable)
-
     # -- acquire / release ----------------------------------------------------
 
     def acquire(self, tiles: Iterable[str], priority: int = 0,

@@ -88,7 +88,6 @@ class Batcher:
         self.batches_formed = 0
         self.requests_coalesced = 0
         self.frames_padded = 0
-        self.widenings = 0
 
     def widen(self, factor: float = 2.0,
               cap: int = 256) -> int:
@@ -104,9 +103,7 @@ class Batcher:
         target = min(int(self.max_batch_frames * factor), cap)
         target = max(target, self.quantum)
         target = math.ceil(target / self.quantum) * self.quantum
-        if target > self.max_batch_frames:
-            self.max_batch_frames = target
-            self.widenings += 1
+        self.max_batch_frames = max(self.max_batch_frames, target)
         return self.max_batch_frames
 
     def form(self, requests: List[InferenceRequest]) -> Batch:

@@ -11,7 +11,7 @@ is guaranteed a slot until its tenant's batch loop drains it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .request import (
     InferenceRequest,
@@ -34,10 +34,10 @@ class RequestQueue:
         #: Called with the request after a successful admit (the server
         #: hooks this to wake the tenant's batch loop).
         self.on_admit: Optional[Callable[[InferenceRequest], None]] = None
-        # Statistics.
-        self.admitted = 0
-        self.rejected_by_reason: Dict[str, int] = {}
-        self.peak_depth = 0
+        #: One ``(tenant, depth after admission)`` record per admitted
+        #: request since boot, never reset: admission counts and peak
+        #: depths over any window are views of it.
+        self.admissions: List[Tuple[str, int]] = []
 
     # -- tenant management --------------------------------------------------
 
@@ -52,19 +52,6 @@ class RequestQueue:
     @property
     def tenants(self) -> List[str]:
         return sorted(self._queues)
-
-    def reset_stats(self) -> None:
-        """Zero the admission statistics (start of a serving run).
-
-        Queued requests are untouched — only the counters restart, so
-        ``peak_depth`` and the admission/rejection totals describe one
-        run instead of accumulating across back-to-back traces.
-        ``peak_depth`` restarts at the *current* depth: requests
-        already queued are part of the new run's peak.
-        """
-        self.admitted = 0
-        self.rejected_by_reason = {}
-        self.peak_depth = self.depth
 
     # -- depth --------------------------------------------------------------
 
@@ -101,45 +88,28 @@ class RequestQueue:
         """
         queue = self._queues.get(request.tenant)
         if queue is None:
-            return self._reject(request, REJECT_UNKNOWN_TENANT, now,
-                                f"registered tenants: {self.tenants}")
+            return Rejection(request.request_id, request.tenant,
+                             REJECT_UNKNOWN_TENANT, now,
+                             f"registered tenants: {self.tenants}")
         expected = self._expected_words[request.tenant]
         if request.frames.shape[1] != expected:
-            return self._reject(
-                request, REJECT_BAD_SHAPE, now,
+            return Rejection(
+                request.request_id, request.tenant, REJECT_BAD_SHAPE, now,
                 f"frames have {request.frames.shape[1]} words, pipeline "
                 f"expects {expected}")
         if self.depth >= self.max_depth:
-            return self._reject(
-                request, REJECT_QUEUE_FULL, now,
+            return Rejection(
+                request.request_id, request.tenant, REJECT_QUEUE_FULL, now,
                 f"queue depth {self.depth} at max_depth "
                 f"{self.max_depth}")
         request.submitted_at = now
         queue.append(request)
-        self.admitted += 1
-        self.peak_depth = max(self.peak_depth, self.depth)
+        self.admissions.append((request.tenant, self.depth))
         if self.on_admit is not None:
             self.on_admit(request)
         return None
 
-    def _reject(self, request: InferenceRequest, reason: str, now: int,
-                detail: str) -> Rejection:
-        self.rejected_by_reason[reason] = \
-            self.rejected_by_reason.get(reason, 0) + 1
-        return Rejection(request_id=request.request_id,
-                         tenant=request.tenant, reason=reason, at=now,
-                         detail=detail)
-
     # -- draining (the batch loops' side) ------------------------------------
-
-    def pop(self, tenant: str) -> Optional[InferenceRequest]:
-        """Remove and return the tenant's oldest request, if any."""
-        queue = self._queues[tenant]
-        return queue.popleft() if queue else None
-
-    def peek(self, tenant: str) -> Optional[InferenceRequest]:
-        queue = self._queues[tenant]
-        return queue[0] if queue else None
 
     def drain(self, tenant: str,
               max_frames: Optional[int] = None) -> List[InferenceRequest]:

@@ -77,6 +77,8 @@ class Completion:
     batch_requests: int      # requests coalesced into that invocation
     degraded: bool
     outputs: np.ndarray = field(repr=False)
+    #: The request's trace ID (the latency histograms' exemplar).
+    trace_id: Optional[str] = None
 
     @property
     def latency_cycles(self) -> int:

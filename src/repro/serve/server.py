@@ -29,14 +29,14 @@ and are rejected with ``tile-unavailable`` when it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..eval.harness import LatencySummary, summarize_latencies
 from ..runtime import Dataflow, DataflowExecutor, EspRuntime
-from ..sim import Environment, Interrupt, Process, ProgressCounter
+from ..sim import Environment, Event, Interrupt, Process
 from ..soc import TileActivity, activity_delta, tile_activity
 from ..trace.context import (TraceContext, TraceIdAllocator,
                              batch_trace_ids)
@@ -109,9 +109,6 @@ class _Tenant:
     tiles: FrozenSet[str]
     input_words: int
     est_cycles_per_frame: int
-    activity: Dict[str, TileActivity] = field(default_factory=dict)
-    batches_served: int = 0
-    frames_served: int = 0
     #: True while a batch is between drain and release: a reshard
     #: arriving then is deferred to the next loop iteration.
     in_flight: bool = False
@@ -141,15 +138,13 @@ class ServerLoad:
     #: Estimated cycles to drain everything queued plus in flight.
     est_backlog_cycles: int
 
-    @property
-    def outstanding_frames(self) -> int:
-        """Queued + in-flight frames (the least-loaded score)."""
-        return self.queued_frames + self.in_flight_frames
-
 
 @dataclass
 class ServerReport:
-    """Everything one serving run measured."""
+    """Everything one serving run measured: a view of the server's
+    records since :meth:`InferenceServer.open_window` (taken at boot,
+    and by ``run_trace`` and ``Fleet.run`` as they start). Every field
+    covers that window alone."""
 
     clock_mhz: float
     makespan_cycles: int
@@ -241,17 +236,25 @@ class InferenceServer:
         self._tenants: Dict[str, _Tenant] = {}
         self._loops: List[Process] = []
         self._work: Dict[str, object] = {}
-        self._terminal = ProgressCounter(self.env, name="serve:terminal")
-        self._grant_waits: List[int] = []
+        self._settle_waiters: List[Event] = []
         self._request_sids: Dict[str, int] = {}
         # Deterministic per-server trace-ID mint ("t-0", "t-1", ...);
         # a fleet router supplies its own context, so routed requests
         # never draw from this counter.
         self._trace_ids = TraceIdAllocator("t")
         self._started = False
+        # Each request-level fact, kept once since boot; reports and
+        # the serve_* metric families are views of these records.
         self.completions: List[Completion] = []
         self.rejections: List[Rejection] = []
         self.failures: List[Failure] = []
+        #: One ``(tenant, grant-wait cycles)`` record per batch
+        #: dispatched (tiles granted).
+        self.dispatches: List[Tuple[str, int]] = []
+        #: One ``(tenant, {device: TileActivity})`` record per batch
+        #: run: the hardware activity of its exclusive-ownership window.
+        self.activity: List[Tuple[str, Dict[str, TileActivity]]] = []
+        self.open_window()
 
     # -- registration ---------------------------------------------------------
 
@@ -338,16 +341,23 @@ class InferenceServer:
             est_backlog_cycles=backlog,
         )
 
-    @property
-    def terminal_count(self) -> int:
-        """Requests that reached a terminal state (completed, failed,
-        or rejected after admission) since boot."""
-        return self._terminal.value
+    def wait_settled(self) -> Event:
+        """Event triggering once every request admitted so far has
+        settled (completed, failed, or rejected after admission) — the
+        drain barrier of ``run_trace`` and ``FleetInstance.drain``."""
+        event = self.env.event()
+        event.wait_reason = "serve: waiting for admitted requests"
+        self._settle_waiters.append(event)
+        self._wake_settled()
+        return event
 
-    def wait_terminal(self, threshold: int):
-        """Event triggering once ``terminal_count`` reaches ``threshold``
-        (the fleet coordinator's drain barrier)."""
-        return self._terminal.wait_until(threshold)
+    def _wake_settled(self) -> None:
+        """Trigger the barrier once no request is queued or in flight."""
+        if self._settle_waiters and self.queue.depth == 0 and not any(
+                tenant.in_flight for tenant in self._tenants.values()):
+            for event in self._settle_waiters:
+                event.succeed()
+            self._settle_waiters = []
 
     # -- remediation hooks (driven by the control plane) ----------------------
 
@@ -461,7 +471,7 @@ class InferenceServer:
                                    trace_ctx=trace_ctx)
         rejection = self.queue.submit(request, now=self.env.now)
         if rejection is not None:
-            self._settle(request, rejection, admitted=False)
+            self._settle(request, rejection)
             return rejection
         tracer = self.env.tracer
         if tracer is not None:
@@ -473,7 +483,7 @@ class InferenceServer:
             tracer.instant("serve", f"tenant:{tenant}", "admit",
                            "serve.submit", request=request.request_id,
                            trace_id=trace_ctx.trace_id)
-        self._count_queue(tenant, admitted=True)
+        self._trace_depth()
         return None
 
     def _on_admit(self, request: InferenceRequest) -> None:
@@ -502,7 +512,7 @@ class InferenceServer:
             tenant.in_flight = True
             requests = self.queue.drain(
                 name, tenant.batcher.max_batch_frames)
-            self._count_queue(name, admitted=False)
+            self._trace_depth()
             if env.tracer is not None:
                 env.tracer.instant("serve", f"tenant:{name}", "batch",
                                    "serve.batch", requests=len(requests),
@@ -516,6 +526,7 @@ class InferenceServer:
             finally:
                 tenant.in_flight = False
                 tenant.in_flight_frames = 0
+            self._wake_settled()
 
     # -- the layer's instrumentation sites ------------------------------------
 
@@ -547,55 +558,31 @@ class InferenceServer:
             "outcome": "interrupted" if isinstance(exc, Interrupt)
             else "failed"}, bound=keys)
 
-    def _count_queue(self, tenant: str, admitted: bool) -> None:
-        """The serve layer's one queue-counting site: one admission (or
-        drained batch) of ``tenant``, and the queue depth after it."""
-        metrics = self.env.metrics
-        if metrics is not None:
-            family = (metrics.serve_admitted if admitted
-                      else metrics.serve_batches)
-            family.labels(tenant).inc()
-            metrics.serve_queue_depth.set(self.queue.depth)
+    def _trace_depth(self) -> None:
+        """Sample the queue depth into the trace's counter track."""
         if self.env.tracer is not None:
             self.env.tracer.counter("serve", "queue_depth",
                                     depth=self.queue.depth)
 
-    def _settle(self, request: InferenceRequest, outcome,
-                admitted: bool = True) -> None:
+    def _settle(self, request: InferenceRequest, outcome) -> None:
         """The serve layer's one settling site: record ``request``'s
-        :class:`Completion`, :class:`Rejection` or :class:`Failure`,
-        count it in its ``serve_*`` family, end the request span and
-        bump the terminal count (the last two only if ``admitted``).
+        :class:`Completion`, :class:`Rejection` or :class:`Failure`
+        and end its request span (a request rejected at submit has
+        none). The ``serve_*`` families are views of these records,
+        filled at scrape time (``register_server_collectors``).
         """
-        metrics = self.env.metrics
-        tenant = request.tenant
         if isinstance(outcome, Completion):
             self.completions.append(outcome)
             state = "completed"
-            if metrics is not None:
-                exemplar = request.trace_ctx.trace_id
-                metrics.serve_completed.labels(tenant).inc()
-                metrics.serve_frames.labels(tenant).inc(request.n_frames)
-                metrics.serve_request_cycles.labels(tenant).observe(
-                    outcome.latency_cycles, exemplar=exemplar)
-                metrics.serve_queue_wait_cycles.labels(tenant).observe(
-                    outcome.queue_cycles, exemplar=exemplar)
         elif isinstance(outcome, Failure):
             self.failures.append(outcome)
             state = "failed"
-            if metrics is not None:
-                metrics.serve_failed.labels(tenant).inc()
         else:
             self.rejections.append(outcome)
             state = "rejected"
-            if metrics is not None:
-                metrics.serve_rejected.labels(tenant, outcome.reason).inc()
-        if not admitted:
-            return
         sid = self._request_sids.pop(request.request_id, None)
         if sid is not None and self.env.tracer is not None:
             self.env.tracer.end(sid, outcome=state)
-        self._terminal.increment()
 
     def _acquire_tiles(self, tenant: _Tenant, batch: Batch):
         """All-or-nothing grant of the tenant's tile set.
@@ -617,7 +604,7 @@ class InferenceServer:
                     reason=REJECT_TILE_UNAVAILABLE, at=self.env.now,
                     detail=str(error)))
             return False
-        self._grant_waits.append(self.env.now - queued)
+        self.dispatches.append((tenant.config.name, self.env.now - queued))
         return True
 
     def _claim(self, tenant: _Tenant, batch: Batch):
@@ -670,11 +657,8 @@ class InferenceServer:
         except Exception as exc:
             result = exc
         # Attribute the exclusive-ownership window's hardware activity.
-        delta = activity_delta(before, tile_activity(self.soc, names))
-        for device, activity in delta.items():
-            held = tenant.activity.get(device)
-            tenant.activity[device] = \
-                activity if held is None else held + activity
+        self.activity.append((config.name, activity_delta(
+            before, tile_activity(self.soc, names))))
         self.arbiter.release(tiles)
         self._quarantine_failed(tiles)
         if isinstance(result, Exception):
@@ -685,8 +669,6 @@ class InferenceServer:
                     submitted_at=request.submitted_at,
                     failed_at=env.now, error=result))
             return
-        tenant.batches_served += 1
-        tenant.frames_served += batch.real_frames
         for request, outputs in batch.split_outputs(result.outputs):
             self._settle(request, Completion(
                 request_id=request.request_id,
@@ -698,7 +680,8 @@ class InferenceServer:
                 batch_frames=batch.total_frames,
                 batch_requests=batch.n_requests,
                 degraded=result.degraded,
-                outputs=np.array(outputs, copy=True)))
+                outputs=np.array(outputs, copy=True),
+                trace_id=request.trace_ctx.trace_id))
 
     def _quarantine_failed(self, tiles: FrozenSet[str]) -> None:
         registry = self.executor.registry
@@ -712,17 +695,16 @@ class InferenceServer:
     def run_trace(self, trace: Sequence[TracedRequest]) -> ServerReport:
         """Drive a timestamped request trace to completion.
 
-        Submits each entry at ``start + entry.at`` cycles, waits until
-        every admitted request reached a terminal state (completed,
-        failed, or rejected post-admission), then stops the loops and
-        returns the report. Owns the event loop while running, like
-        ``DataflowExecutor.execute``.
+        Opens a report window, submits each entry at ``start +
+        entry.at`` cycles, waits until every admitted request settled
+        (completed, failed, or rejected post-admission), then stops the
+        loops and returns the window's report: it counts this trace
+        alone, however many ran on the server before. Owns the event
+        loop while running, like ``DataflowExecutor.execute``.
         """
         env = self.env
         self.start()
-        # Per-run statistics: peak depth and admission counters in the
-        # report describe *this* trace, not every trace since boot.
-        self.queue.reset_stats()
+        self.open_window()
         origin = env.now
 
         def driver():
@@ -734,51 +716,70 @@ class InferenceServer:
                             priority=entry.priority)
             return None
 
-        submitted_before = self.queue.admitted
-        terminal_before = self._terminal.value
-        done = env.process(driver(), name="serve:trace-driver")
-        env.run(until=done)
-        admitted = self.queue.admitted - submitted_before
-        env.run(until=self._terminal.wait_until(
-            terminal_before + admitted))
+        env.run(until=env.process(driver(), name="serve:trace-driver"))
+        env.run(until=self.wait_settled())
         self.stop()
         return self.report(makespan_cycles=env.now - origin)
 
     # -- reporting --------------------------------------------------------------------
 
-    def report(self, makespan_cycles: Optional[int] = None
-               ) -> ServerReport:
-        by_tenant: Dict[str, List[int]] = {}
-        queue_by_tenant: Dict[str, List[int]] = {}
-        for completion in self.completions:
-            by_tenant.setdefault(completion.tenant, []).append(
-                completion.latency_cycles)
-            queue_by_tenant.setdefault(completion.tenant, []).append(
-                completion.queue_cycles)
-        if makespan_cycles is None:
-            if self.completions:
-                first = min(c.submitted_at for c in self.completions)
-                last = max(c.completed_at for c in self.completions)
-                makespan_cycles = last - first
-            else:
-                makespan_cycles = 0
+    def open_window(self) -> None:
+        """Start the next :class:`ServerReport` window here: remember
+        how long each since-boot record is, and the queue depth."""
+        self._marks = {name: len(records)
+                       for name, records in self._records().items()}
+        self._marks["depth"] = self.queue.depth
+
+    def _records(self) -> Dict[str, list]:
+        return {"admissions": self.queue.admissions,
+                "completions": self.completions,
+                "rejections": self.rejections, "failures": self.failures,
+                "dispatches": self.dispatches, "activity": self.activity}
+
+    def _in_window(self) -> Dict[str, list]:
+        """Each record list's part since the window opened."""
+        return {name: records[self._marks[name]:]
+                for name, records in self._records().items()}
+
+    @property
+    def peak_queue_depth(self) -> int:
+        """Deepest the queue has been in the current report window."""
+        return max([self._marks["depth"]] + [
+            depth for _, depth in self._in_window()["admissions"]])
+
+    def report(self, makespan_cycles: int) -> ServerReport:
+        """The current window's report (see :class:`ServerReport`)."""
+        window = self._in_window()
+        completions = window["completions"]
+        served = sorted({c.tenant for c in completions})
+        batches = dict.fromkeys(self._tenants, 0)
+        for tenant, _ in window["dispatches"]:
+            batches[tenant] += 1
+        grant_waits = [wait for _, wait in window["dispatches"]]
+        activity: Dict[str, Dict[str, TileActivity]] = {
+            tenant: {} for tenant in self._tenants}
+        for tenant, delta in window["activity"]:
+            held = activity[tenant]
+            for device, counters in delta.items():
+                held[device] = (counters if device not in held
+                                else held[device] + counters)
         return ServerReport(
             clock_mhz=self.soc.clock_mhz,
             makespan_cycles=makespan_cycles,
-            completions=list(self.completions),
-            rejections=list(self.rejections),
-            failures=list(self.failures),
-            latency_by_tenant={t: summarize_latencies(v)
-                               for t, v in sorted(by_tenant.items())},
-            queue_by_tenant={t: summarize_latencies(v)
-                             for t, v in sorted(queue_by_tenant.items())},
-            activity_by_tenant={t: dict(self._tenants[t].activity)
-                                for t in self._tenants},
-            batches_by_tenant={t: self._tenants[t].batches_served
-                               for t in self._tenants},
-            admitted=self.queue.admitted,
-            peak_queue_depth=self.queue.peak_depth,
-            arbiter_grants=self.arbiter.grants,
-            arbiter_wait_summary=(summarize_latencies(self._grant_waits)
-                                  if self._grant_waits else None),
+            completions=completions,
+            rejections=window["rejections"],
+            failures=window["failures"],
+            latency_by_tenant={t: summarize_latencies(
+                [c.latency_cycles for c in completions if c.tenant == t])
+                for t in served},
+            queue_by_tenant={t: summarize_latencies(
+                [c.queue_cycles for c in completions if c.tenant == t])
+                for t in served},
+            activity_by_tenant=activity,
+            batches_by_tenant=batches,
+            admitted=len(window["admissions"]),
+            peak_queue_depth=self.peak_queue_depth,
+            arbiter_grants=len(grant_waits),
+            arbiter_wait_summary=(summarize_latencies(grant_waits)
+                                  if grant_waits else None),
         )

@@ -220,6 +220,29 @@ class TestFleetMechanics:
         assert report.makespan_cycles == fleet.instances[0].now
 
 
+class TestRepeatedRuns:
+    def test_each_run_reports_its_own_requests_and_drains(self):
+        """Regression: a second ``Fleet.run`` on one fleet used to drain
+        against the first run's admissions, returning with requests
+        still queued and counting both runs' completions."""
+        fleet = build_standard_fleet(n_instances=2,
+                                     policy="least-loaded")
+        inputs = standard_inputs(n_frames=4)
+        arrivals = generate_arrivals(
+            overload_workload(seed=0, smoke=True))[:20]
+        for _ in range(2):
+            report = fleet.run(arrivals, inputs)
+            assert report.offered_requests == 20
+            assert report.admitted + len(report.rejections) \
+                == report.offered_requests
+            assert report.completed_requests + report.failed \
+                == report.admitted
+            for instance in fleet.instances:
+                load = instance.load()
+                assert load.queued_requests == 0
+                assert load.in_flight_batches == 0
+
+
 class TestFleetMetrics:
     def test_namespaced_registries_merge(self):
         fleet = build_standard_fleet(n_instances=2,

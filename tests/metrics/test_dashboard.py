@@ -13,6 +13,7 @@ from repro.metrics import (
     render_dashboard,
     render_tenant_table,
     render_tile_grid,
+    to_prometheus,
 )
 from repro.runtime import EspRuntime, chain
 from repro.serve import (
@@ -81,6 +82,15 @@ def test_full_dashboard_frame():
     # Collector-backed utilization gauges got refreshed by the render.
     busy = registry.get("acc_busy_cycles")
     assert any(series.value > 0 for _, series in busy.series())
+
+
+def test_rendering_leaves_the_exposition_unchanged():
+    """Regression: the tenant table read through ``labels()``, which
+    created a zero ``serve_failed_total`` series on every render."""
+    soc, _, registry = served_setup()
+    before = to_prometheus(registry)
+    render_dashboard(soc, registry)
+    assert to_prometheus(registry) == before
 
 
 def test_dashboard_shows_firing_alerts():

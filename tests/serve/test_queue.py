@@ -30,7 +30,7 @@ class TestAdmission:
         request = req()
         assert queue.submit(request, now=123) is None
         assert request.submitted_at == 123
-        assert queue.admitted == 1
+        assert len(queue.admissions) == 1
         assert queue.depth == 1
 
     def test_unknown_tenant_rejected(self):
@@ -54,7 +54,6 @@ class TestAdmission:
         rejection = queue.submit(req())
         assert rejection.reason == REJECT_QUEUE_FULL
         assert queue.depth == 2
-        assert queue.rejected_by_reason[REJECT_QUEUE_FULL] == 1
 
     def test_depth_bound_is_global_across_tenants(self):
         queue = registered_queue(max_depth=2)
@@ -67,9 +66,9 @@ class TestAdmission:
         queue = registered_queue()
         queue.submit(req())
         queue.submit(req())
-        queue.pop("nv")
+        queue.drain("nv", max_frames=1)
         queue.submit(req())
-        assert queue.peak_depth == 2
+        assert [depth for _, depth in queue.admissions] == [1, 2, 2]
 
     def test_on_admit_hook_fires_only_on_admission(self):
         queue = registered_queue(max_depth=1)
@@ -95,16 +94,9 @@ class TestDraining:
         first, second = req(), req()
         queue.submit(first)
         queue.submit(second)
-        assert queue.pop("nv") is first
-        assert queue.pop("nv") is second
-        assert queue.pop("nv") is None
-
-    def test_peek_does_not_remove(self):
-        queue = registered_queue()
-        request = req()
-        queue.submit(request)
-        assert queue.peek("nv") is request
-        assert queue.depth == 1
+        assert queue.drain("nv", max_frames=1) == [first]
+        assert queue.drain("nv", max_frames=1) == [second]
+        assert queue.drain("nv", max_frames=1) == []
 
     def test_drain_respects_frame_budget(self):
         queue = registered_queue(max_depth=16)
@@ -130,29 +122,13 @@ class TestDraining:
         assert queue.depth == 0
 
 
-class TestResetStats:
-    def test_counters_restart_queued_requests_survive(self):
-        queue = registered_queue(max_depth=4)
-        for _ in range(3):
-            queue.submit(req(), now=0)
-        queue.pop("nv")
-        assert queue.admitted == 3 and queue.peak_depth == 3
-
-        queue.reset_stats()
-        # Statistics restart at the *current* occupancy; the two
-        # still-queued requests are untouched.
-        assert queue.admitted == 0
-        assert queue.rejected_by_reason == {}
-        assert queue.peak_depth == queue.depth == 2
-        assert queue.pop("nv") is not None
-
-    def test_stats_accumulate_after_reset(self):
+class TestAdmissionRecords:
+    def test_records_run_since_boot_and_never_reset(self):
         queue = registered_queue(max_depth=2)
         queue.submit(req(), now=0)
-        queue.submit(req(), now=0)
+        queue.submit(req(tenant="cl", words=4), now=0)
         queue.submit(req(), now=0)      # rejected: full
-        queue.reset_stats()
-        queue.pop("nv")
+        queue.drain("nv")
         queue.submit(req(), now=1)
-        assert queue.admitted == 1
-        assert queue.peak_depth == 2
+        assert len(queue.admissions) == 3
+        assert queue.admissions == [("nv", 1), ("cl", 2), ("nv", 2)]

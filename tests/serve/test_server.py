@@ -154,7 +154,7 @@ class TestAdmissionIntegration:
         server.start()
         frames = frames_of(1, seed=5)
         server.submit("x", frames)
-        env.run(until=server.wait_terminal(1))
+        env.run(until=server.wait_settled())
         (completion,) = server.completions
         np.testing.assert_array_equal(completion.outputs, frames + 2.0)
 
@@ -356,9 +356,23 @@ class TestPerRunStatistics:
         assert first.admitted == 3 and first.peak_queue_depth == 3
         assert second.admitted == 1
         assert second.peak_queue_depth == 1
-        # Completions still accumulate on the server across runs;
-        # only the queue-side statistics are per-run.
-        assert len(second.completions) == 4
+        # Every report field covers its own run; the server's records
+        # still run on since boot.
+        assert len(second.completions) == 1
+        assert len(server.completions) == 4
+
+
+    def test_throughput_counts_only_the_runs_own_frames(self):
+        _, server = make_server()
+        server.register(TenantConfig(name="app",
+                                     dataflow=chain("app", ["a0"])))
+        trace = [TracedRequest(0, "app", frames_of(1, seed=s))
+                 for s in range(2)]
+        for _ in range(2):
+            report = server.run_trace(trace)
+            assert report.completed_frames == 2
+            assert report.throughput_fps == pytest.approx(
+                2 / report.makespan_seconds)
 
 
 class TestRemediationHooks:

@@ -149,7 +149,7 @@ class TestEndToEndPropagation:
         server.start()
         server.submit("app", frames,
                       trace_ctx=TraceContext("f-41"))
-        server.env.run(until=server.wait_terminal(1))
+        server.env.run(until=server.wait_settled())
         server.env.run(until=server.env.now)
         span = tracer.find_span("serve.request")
         assert span.args["trace_id"] == "f-41"
