@@ -6,8 +6,8 @@ driven into overload by a seeded Poisson arrival trace with diurnal and
 bursty envelopes and a deliberately skewed tenant mix (see
 ``repro.eval.fleet``). The same trace runs once per policy —
 round-robin, least-loaded, latency-aware — and the benchmark reports
-fleet-wide p50/p99 latency (per-instance samples pooled through
-``LatencySummary.merge``), goodput and the rejection breakdown.
+fleet-wide p50/p99 latency (every instance's completion latencies
+pooled into one sample), goodput and the rejection breakdown.
 
 Checked contracts:
 

@@ -145,6 +145,21 @@ class ControlPlane:
             description=("a tenant's pipeline maps to a failed, "
                          "forced-to-software, or quarantined tile")))
         self.monitor.subscribe(self._on_evaluate)
+        seen = 0
+
+        def scrape(registry) -> None:
+            # The control_* families are a scrape-time view of
+            # ``actions``: observe only what the last scrape missed.
+            nonlocal seen
+            for action in self.actions[seen:]:
+                registry.control_actions.labels(
+                    action.kind, action.outcome).inc()
+                if action.applied:
+                    registry.control_last_action.labels(
+                        action.kind).set(action.cycle)
+            seen = len(self.actions)
+
+        self.monitor.registry.register_collector(scrape)
         self._attached = True
         return self
 
@@ -345,10 +360,6 @@ class ControlPlane:
                                target=target, rule=rule,
                                outcome=outcome, detail=detail)
         self.actions.append(action)
-        metrics = self.monitor.registry
-        metrics.control_actions.labels(kind, outcome).inc()
-        if action.applied:
-            metrics.control_last_action.labels(kind).set(self.env.now)
         return action
 
     # -- reporting ------------------------------------------------------------

@@ -130,102 +130,10 @@ class LatencySummary:
             max=float(series.max),
         )
 
-    @classmethod
-    def merge(cls, parts) -> "LatencySummary":
-        """Fleet-wide summary over per-instance parts.
-
-        Each part is either a raw latency sample (any sequence of
-        numbers) or a bucketed histogram (anything shaped like a
-        :class:`repro.metrics.HistogramSeries`: ``bounds``/``counts``/
-        ``sum``/``count``/``max`` attributes). Percentiles of N
-        instances cannot be combined from their per-instance
-        percentiles — a p99 of p99s is not the fleet p99 — so merging
-        works on the underlying distributions:
-
-        - **All parts raw samples** — the samples are pooled and the
-          result is *exact* (identical to :func:`summarize_latencies`
-          of the concatenation).
-        - **Any part a histogram** — every histogram part must share
-          one bucket layout; raw parts are bucketed into it, the
-          per-bucket counts are summed, and percentiles are
-          interpolated as in :meth:`from_histogram`. Error bound:
-          same as ``from_histogram`` — each interpolation endpoint
-          lands inside its order statistic's bucket (at most the wider
-          neighbouring bucket's width; within 2x for the default
-          power-of-two bounds). ``count``, ``mean`` and ``max`` stay
-          exact in both cases.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merge of no parts")
-        histograms = [p for p in parts if _is_histogram(p)]
-        samples = [np.asarray(p, dtype=np.float64)
-                   for p in parts if not _is_histogram(p)]
-        if not histograms:
-            pooled = np.concatenate(samples) if samples else \
-                np.empty(0)
-            return summarize_latencies(pooled)
-        bounds = tuple(histograms[0].bounds)
-        for series in histograms[1:]:
-            if tuple(series.bounds) != bounds:
-                raise ValueError(
-                    f"cannot merge histograms with different bucket "
-                    f"layouts: {bounds} vs {tuple(series.bounds)}")
-        counts = [0] * (len(bounds) + 1)
-        total = 0
-        total_sum = 0.0
-        maximum = 0.0
-        for series in histograms:
-            for index, count in enumerate(series.counts):
-                counts[index] += count
-            total += series.count
-            total_sum += series.sum
-            maximum = max(maximum, float(series.max))
-        for sample in samples:
-            for value in sample:
-                counts[_bucket_of(bounds, value)] += 1
-            total += int(sample.size)
-            total_sum += float(sample.sum())
-            if sample.size:
-                maximum = max(maximum, float(sample.max()))
-        if total == 0:
-            raise ValueError("merge of empty parts")
-        return cls.from_histogram(_MergedSeries(
-            bounds=bounds, counts=counts, sum=total_sum, count=total,
-            max=maximum))
-
     def __str__(self) -> str:
         return (f"n={self.count} mean={self.mean:.1f} p50={self.p50:.1f} "
                 f"p95={self.p95:.1f} p99={self.p99:.1f} "
                 f"max={self.max:.1f}")
-
-
-def _is_histogram(part) -> bool:
-    """Histogram-shaped: carries bucket counts rather than samples."""
-    return hasattr(part, "counts") and hasattr(part, "bounds")
-
-
-def _bucket_of(bounds, value) -> int:
-    """Index of the first bound >= value (len(bounds) = overflow)."""
-    lo, hi = 0, len(bounds)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bounds[mid] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-@dataclass
-class _MergedSeries:
-    """Duck-typed histogram series fed back to ``from_histogram``."""
-
-    bounds: tuple
-    counts: list
-    sum: float
-    count: int
-    max: float
 
 
 def summarize_latencies(values) -> LatencySummary:

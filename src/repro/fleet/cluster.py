@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..eval.harness import LatencySummary
+from ..eval.harness import LatencySummary, summarize_latencies
 from ..serve import Rejection, ServerConfig, ServerReport, TenantConfig
 from ..trace.context import TraceContext
 from .instance import FleetInstance
@@ -59,8 +59,8 @@ class FleetReport:
     rejections: List[Tuple[str, Rejection]]
     per_instance: Dict[str, ServerReport]
     decisions: List[RouterDecision]
-    #: Fleet-wide latency: per-instance samples pooled through
-    #: :meth:`LatencySummary.merge` (exact for raw samples).
+    #: Fleet-wide latency: every instance's completion latencies
+    #: pooled into one sample (a p99 of p99s is not the fleet p99).
     latency: Optional[LatencySummary]
 
     @property
@@ -219,9 +219,8 @@ class Fleet:
         reports = {
             instance.name: instance.report(makespan_cycles=final)
             for instance in self.instances}
-        samples = [
-            [c.latency_cycles for c in report.completions]
-            for report in reports.values() if report.completions]
+        samples = [c.latency_cycles for report in reports.values()
+                   for c in report.completions]
         completed = sum(len(r.completions) for r in reports.values())
         return FleetReport(
             policy=self.router.policy,
@@ -237,7 +236,7 @@ class Fleet:
             rejections=rejections,
             per_instance=reports,
             decisions=self.router.decisions[decisions_before:],
-            latency=(LatencySummary.merge(samples) if samples else None),
+            latency=(summarize_latencies(samples) if samples else None),
         )
 
     @staticmethod

@@ -126,9 +126,11 @@ def render_tenant_table(registry: MetricsRegistry,
 def render_control_actions(registry: MetricsRegistry) -> List[str]:
     """Remediation-action counters, from the control-plane families.
 
-    Reads ``control_actions_total`` / ``control_last_action_cycle``
-    only — renderable with or without a live :class:`ControlPlane`
-    attached (empty when no controller ever acted)."""
+    Scrapes, then reads ``control_actions_total`` /
+    ``control_last_action_cycle`` only — renderable with or without a
+    live :class:`ControlPlane` attached (empty when no controller ever
+    acted)."""
+    registry.run_collectors()
     rows = sorted(registry.control_actions.series())
     if not rows:
         return []

@@ -39,10 +39,11 @@ the counters the simulated hardware keeps
 (:func:`~repro.metrics.collect.register_soc_collectors`), and the
 ``serve_*`` families scrape-time views of the server's request
 records (:func:`~repro.metrics.collect.register_server_collectors`),
-so neither costs the hot path anything. Only the ``runtime_*``
-families (the executor's ``_count``; no record of a recovery outcome
-outlives its plan) and the ``control_*`` families are recorded on the
-hot path, one attribute load plus one dict lookup per site.
+so neither costs the hot path anything; nor do the ``control_*``
+families, scrape-time views of the control plane's action log. Only
+the ``runtime_*`` families (the executor's ``_count``; no record of a
+recovery outcome outlives its plan) are recorded on the hot path, one
+attribute load plus one dict lookup per site.
 """
 
 from __future__ import annotations

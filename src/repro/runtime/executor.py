@@ -27,6 +27,12 @@ p2p: it issues one streaming invocation per device over ``n_frames``
 frames with strides, where ``custom`` invokes once per frame. Folding
 it in would multiply the ioctl count and change the very cycle counts
 its Fig. 7 bar measures.
+
+Both entry points share one run path, :meth:`DataflowExecutor._drive`:
+the mode's driver, its recovery (a dead p2p stream degrades to a
+``pipe`` re-run) and its teardown. ``execute`` runs it as its ``main``
+process and owns the event loop; ``run_process`` yields from it inside
+a serving process.
 """
 
 from __future__ import annotations
@@ -896,31 +902,20 @@ class DataflowExecutor:
         env = self.soc.env
         dram_before = self.soc.memory_map.total_accesses
         start = env.now
-        done = env.process(self._DRIVERS[mode](self, plan),
+        done = env.process(self._drive(plan, frames),
                            name=f"main:{mode}:{dataflow.name}")
-        degraded = False
         try:
-            env.run(until=done)
-        except NodeFailed:
-            if self.recovery is None or not self.recovery.software_fallback:
-                self._cleanup_failed(plan, done)
-                raise
-            if done.is_alive:
-                # The failure escaped through a pipeline thread directly
-                # (a thread died before main observed it — e.g. during
-                # the staggered spawn loop, or two streams dying in the
-                # same cycle). Kill main now: left alive it would resume
-                # inside the quiesce drain and keep spawning threads for
-                # the aborted run.
-                done.interrupt("degraded re-run")
-            plan = self._degrade(plan, frames)
-            degraded = True
+            plan, degraded = env.run(until=done)
         except BaseException:
-            # Any other mid-pipeline failure (AcceleratorTimeout,
-            # DeadlockError, ...): stop in-flight accelerators, drain,
-            # and release the plan's buffers so the SoC is immediately
-            # reusable for the next plan, then let the error surface.
-            self._cleanup_failed(plan, done)
+            # A failure inside main has already torn its plan down. A
+            # DeadlockError is raised by env.run itself while main is
+            # still parked: interrupt it into that teardown. Then drain
+            # (in-flight IRQs land), and release in case the teardown's
+            # quiesce wait never ended.
+            done.interrupt("plan aborted")
+            env.run()
+            self._drain_stale_irqs(plan)
+            self.release_plan(plan)
             raise
         cycles = self._close_run(mode, plan, start, degraded)
         # Drain the schedule: stores are posted, so the final write may
@@ -931,42 +926,39 @@ class DataflowExecutor:
         env.run()
         return self._result(mode, plan, cycles, dram_before, degraded)
 
-    def _replan_degraded(self, plan: ExecutionPlan,
-                         frames: np.ndarray) -> ExecutionPlan:
-        """The ``pipe`` re-run of an aborted plan, input written.
+    def _drive(self, plan: ExecutionPlan, frames: np.ndarray):
+        """Run ``plan``'s driver with recovery and teardown; returns
+        ``(plan, degraded)``, the plan whose output buffer holds the
+        results. The one run path of :meth:`execute` and
+        :meth:`run_process`.
 
-        Carries the aborted attempt's accounting forward so the
-        RunResult reflects the whole request, not just the re-run.
+        Any failure (an :class:`Interrupt` too: the server cancelling
+        the request) aborts the plan and releases its buffers before it
+        propagates. A :class:`NodeFailed` under a policy with
+        ``software_fallback`` degrades instead: a dead p2p stream cannot
+        be patched in place (its peers hold partial progress), so after
+        the teardown and a device reset the whole batch re-runs in
+        ``pipe`` mode, where the device marked failed runs in software.
+        The re-run carries the aborted attempt's accounting forward, so
+        the result covers the whole request.
         """
-        replan = self.plan(plan.dataflow, len(frames), "pipe",
+        try:
+            yield from self._DRIVERS[plan.mode](self, plan)
+            return plan, False
+        except Exception as exc:
+            yield from self._abort_and_release(plan)
+            policy = self.recovery
+            if not isinstance(exc, NodeFailed) or policy is None \
+                    or not policy.software_fallback:
+                raise
+        self._count(plan, "degraded_runs")
+        yield self.soc.env.timeout(policy.reset_cycles)
+        replan = self.plan(plan.dataflow, plan.n_frames, "pipe",
                            coherence=plan.coherence, dvfs=plan.dvfs)
         replan.input_buffer.write(frames.reshape(-1))
         replan.counts = dict(plan.counts)
-        return replan
-
-    def _degrade(self, plan: ExecutionPlan,
-                 frames: np.ndarray) -> ExecutionPlan:
-        """Graceful degradation after a p2p stream died permanently.
-
-        The failed streaming run cannot be patched in place (its peers
-        hold partial progress), so: cancel every surviving pipeline
-        thread, hardware-reset every tile of the plan, quiesce, release
-        the aborted plan's buffers, then re-run the whole batch in
-        ``pipe`` mode — the failed device (marked in the registry)
-        executes in software there. Returns the plan of the re-run,
-        whose output buffer holds the results.
-        """
-        env = self.soc.env
-        self._count(plan, "degraded_runs")
-        self._abort_plan(plan)
-        env.run()   # drain aborted threads and in-flight hardware
-        self._drain_stale_irqs(plan)
-        self.release_plan(plan)
-        replan = self._replan_degraded(plan, frames)
-        done = env.process(self._custom_main(replan),
-                           name=f"main:degraded:{plan.dataflow.name}")
-        env.run(until=done)
-        return replan
+        replan, _ = yield from self._drive(replan, frames)
+        return replan, True
 
     # -- plan teardown ------------------------------------------------------------
 
@@ -1004,15 +996,6 @@ class DataflowExecutor:
         for buffer in plan.buffers:
             self.allocator.free(buffer)
 
-    def _cleanup_failed(self, plan: ExecutionPlan, done: Process) -> None:
-        """Blocking-path teardown after ``execute`` caught a failure."""
-        if done.is_alive:
-            done.interrupt("plan aborted")
-        self._abort_plan(plan)
-        self.soc.env.run()   # drain aborted processes and posted stores
-        self._drain_stale_irqs(plan)
-        self.release_plan(plan)
-
     def _quiesce_stores(self):
         """Wait (in-process) until posted stores have retired.
 
@@ -1048,63 +1031,34 @@ class DataflowExecutor:
         self._drain_stale_irqs(plan)
         self.release_plan(plan)
 
-    def _degrade_in_process(self, plan: ExecutionPlan,
-                            frames: np.ndarray):
-        """In-process graceful degradation (serving-loop counterpart of
-        :meth:`_degrade`, which may not ``env.run`` inside a process).
-        """
-        self._count(plan, "degraded_runs")
-        yield from self._abort_and_release(plan)
-        yield self.soc.env.timeout(self.recovery.reset_cycles)
-        replan = self._replan_degraded(plan, frames)
-        yield from self._custom_main(replan)
-        return replan
-
     # -- re-entrant entry point (serving layer) -----------------------------------
 
     def run_process(self, dataflow: Dataflow, frames: np.ndarray,
                     mode: str, coherence=None,
-                    dvfs: Optional[Dict[str, int]] = None,
-                    release_buffers: bool = True):
+                    dvfs: Optional[Dict[str, int]] = None):
         """Re-entrant ``execute``: a generator to run as a sim process.
 
         ``execute`` drives the event loop itself (``env.run``), so only
         one call can be outstanding — fine for the paper's single-app
-        experiments, unusable for serving. ``run_process`` is the same
-        pipeline expressed as a process: several instances can be in
-        flight concurrently over disjoint tile sets, interleaved by the
-        kernel like any other processes. Returns a :class:`RunResult`
-        built from the plan's own counters.
+        experiments, unusable for serving. ``run_process`` runs the
+        same :meth:`_drive` inside the caller's process: several
+        instances can be in flight concurrently over disjoint tile
+        sets, interleaved by the kernel like any other processes.
+        Returns a :class:`RunResult` built from the plan's own
+        counters, and releases the plan's buffers.
 
-        Differences from the blocking path, by necessity:
-
-        - output reads are gated on posted-store quiescence (bounded by
-          ``quiesce_bound``) instead of a global schedule drain;
-        - ``dram_accesses`` is a global delta over the request's
-          lifetime — best-effort attribution when plans overlap (the
-          per-tile monitors give exact per-plan numbers);
-        - buffers are released on completion (``release_buffers``) so a
-          long-lived server does not leak DRAM.
+        The one difference from the blocking path: output reads are
+        gated on posted-store quiescence (bounded by ``quiesce_bound``)
+        instead of a global schedule drain. ``dram_accesses`` is a
+        global delta over the request's lifetime, best-effort when
+        plans overlap (the per-tile monitors give exact per-plan
+        numbers).
         """
         frames, plan = self._prepare(dataflow, frames, mode, coherence,
                                      dvfs)
-        env = self.soc.env
         dram_before = self.soc.memory_map.total_accesses
-        start = env.now
-        degraded = False
-        try:
-            yield from self._DRIVERS[mode](self, plan)
-        except NodeFailed:
-            if self.recovery is None or not self.recovery.software_fallback:
-                yield from self._abort_and_release(plan)
-                raise
-            plan = yield from self._degrade_in_process(plan, frames)
-            degraded = True
-        except BaseException:
-            # Includes Interrupt (the server cancelling this request):
-            # put the tiles and buffers back before propagating.
-            yield from self._abort_and_release(plan)
-            raise
+        start = self.soc.env.now
+        plan, degraded = yield from self._drive(plan, frames)
         cycles = self._close_run(mode, plan, start, degraded)
         # Posted stores: the final write may still be in flight when
         # the IRQ lands; wait for it to retire before the CPU-side
@@ -1112,6 +1066,5 @@ class DataflowExecutor:
         # the tail is excluded from the timing, as there).
         yield from self._quiesce_stores()
         result = self._result(mode, plan, cycles, dram_before, degraded)
-        if release_buffers:
-            self.release_plan(plan)
+        self.release_plan(plan)
         return result

@@ -84,10 +84,6 @@ class Batcher:
         self.dataflow = dataflow
         self.quantum = frame_quantum(dataflow)
         self.max_batch_frames = max(max_batch_frames, self.quantum)
-        # Statistics.
-        self.batches_formed = 0
-        self.requests_coalesced = 0
-        self.frames_padded = 0
 
     def widen(self, factor: float = 2.0,
               cap: int = 256) -> int:
@@ -118,8 +114,5 @@ class Batcher:
         if pad:
             frames = np.concatenate(
                 [frames, np.zeros((pad, frames.shape[1]))], axis=0)
-        self.batches_formed += 1
-        self.requests_coalesced += len(requests)
-        self.frames_padded += pad
         return Batch(requests=list(requests), frames=frames,
                      pad_frames=pad)

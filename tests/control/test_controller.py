@@ -166,6 +166,7 @@ class TestActionGate:
         controller._act(ACTION_WIDEN_BATCH, "t", "r", lambda: "ok")
         controller._act(ACTION_WIDEN_BATCH, "t", "r", lambda: "ok")
         registry = monitor.registry
+        registry.run_collectors()
         assert registry.control_actions.labels(
             ACTION_WIDEN_BATCH, OUTCOME_APPLIED).value == 1
         assert registry.control_actions.labels(

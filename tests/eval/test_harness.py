@@ -189,17 +189,8 @@ class TestFromHistogram:
 
 
 class TestMerge:
-    """LatencySummary.merge vs pooled-sample percentile()."""
-
-    def hist_of(self, sample):
-        from repro.metrics import MetricsRegistry
-        from repro.sim import Environment
-
-        series = MetricsRegistry(Environment()).histogram(
-            "h_cycles").labels()
-        for value in sample:
-            series.observe(value)
-        return series
+    """Fleet-wide summaries pool raw per-instance samples into one
+    summarize_latencies() call, as Fleet.run does."""
 
     def parts_of(self, seed=3, sizes=(400, 250, 150)):
         import numpy as np
@@ -209,13 +200,13 @@ class TestMerge:
                 for size in sizes]
 
     def test_raw_parts_merge_exactly(self):
-        """All-raw merge is exact: identical to percentile() of the
-        pooled sample — per-instance percentiles are never combined."""
-        from repro.eval.harness import LatencySummary, percentile
+        """Pooling is exact: identical to percentile() of the pooled
+        sample — per-instance percentiles are never combined."""
+        from repro.eval.harness import percentile, summarize_latencies
 
         parts = self.parts_of()
         pooled = [v for part in parts for v in part]
-        merged = LatencySummary.merge(parts)
+        merged = summarize_latencies(pooled)
         assert merged.count == len(pooled)
         assert merged.p50 == percentile(pooled, 50)
         assert merged.p95 == percentile(pooled, 95)
@@ -223,61 +214,13 @@ class TestMerge:
         assert merged.max == max(pooled)
 
     def test_merge_is_not_percentile_of_percentiles(self):
-        """The case merge exists for: skewed instances where pooling
-        and averaging per-part p99s disagree."""
-        from repro.eval.harness import LatencySummary, \
-            summarize_latencies
+        """Skewed instances, where pooling and averaging per-part p99s
+        disagree."""
+        from repro.eval.harness import summarize_latencies
 
         fast = list(range(100, 200))
         slow = list(range(10_000, 10_020))
-        merged = LatencySummary.merge([fast, slow])
+        merged = summarize_latencies(fast + slow)
         mean_of_p99s = (summarize_latencies(fast).p99
                         + summarize_latencies(slow).p99) / 2
         assert merged.p99 != mean_of_p99s
-
-    def test_histogram_parts_within_documented_bound(self):
-        from repro.eval.harness import LatencySummary, percentile
-
-        parts = self.parts_of()
-        pooled = [v for part in parts for v in part]
-        merged = LatencySummary.merge(
-            [self.hist_of(part) for part in parts])
-        # count / mean / max carry no bucketing error.
-        assert merged.count == len(pooled)
-        assert merged.mean == pytest.approx(
-            sum(pooled) / len(pooled))
-        assert merged.max == max(pooled)
-        for q, name in ((50, "p50"), (95, "p95"), (99, "p99")):
-            true = percentile(pooled, q)
-            est = getattr(merged, name)
-            assert true / 2 <= est <= true * 2, (name, true, est)
-
-    def test_mixed_raw_and_histogram(self):
-        """Raw parts are bucketed into the shared layout; totals stay
-        exact."""
-        from repro.eval.harness import LatencySummary
-
-        raw, bucketed = self.parts_of(sizes=(300, 300))
-        merged = LatencySummary.merge([raw, self.hist_of(bucketed)])
-        assert merged.count == 600
-        assert merged.max == max(max(raw), max(bucketed))
-
-    def test_mismatched_bucket_layouts_raise(self):
-        from repro.eval.harness import LatencySummary
-        from repro.metrics import MetricsRegistry
-        from repro.sim import Environment
-
-        default = self.hist_of([100])
-        custom = MetricsRegistry(Environment()).histogram(
-            "h_cycles", buckets=(10, 100, 1000)).labels()
-        custom.observe(50)
-        with pytest.raises(ValueError):
-            LatencySummary.merge([default, custom])
-
-    def test_no_parts_raise(self):
-        from repro.eval.harness import LatencySummary
-
-        with pytest.raises(ValueError):
-            LatencySummary.merge([])
-        with pytest.raises(ValueError):
-            LatencySummary.merge([[], []])

@@ -17,6 +17,7 @@ from repro.eval.fleet import (
     standard_inputs,
     standard_tenants,
 )
+from repro.eval.harness import summarize_latencies
 from repro.fleet import (
     Arrival,
     Fleet,
@@ -65,6 +66,19 @@ class TestCampaignPolicies:
         blind rotation on the fleet-wide tail."""
         assert campaign["least-loaded"].latency.p99 \
             < campaign["round-robin"].latency.p99
+
+    def test_fleet_p99_is_not_a_percentile_of_percentiles(self, campaign):
+        """The fleet tail pools every instance's completion latencies;
+        a mean of per-instance p99s would misstate the skewed mix."""
+        report = campaign["round-robin"]
+        parts = [[c.latency_cycles for c in r.completions]
+                 for r in report.per_instance.values() if r.completions]
+        assert len(parts) > 1
+        assert report.latency == summarize_latencies(
+            [v for part in parts for v in part])
+        mean_of_p99s = sum(summarize_latencies(part).p99
+                           for part in parts) / len(parts)
+        assert report.latency.p99 != mean_of_p99s
 
     def test_policies_share_the_trace(self, campaign):
         offered = {(r.offered_requests, r.offered_frames)

@@ -52,9 +52,9 @@ GOLDEN = {
         "2f51e761f2226f89d05c4df44714f94d1e58eaa8256d2f1a7e562c0f76010ed0",
     ),
     "degrade": (
-        "8293a14ac52354ce81cef2e5fdc0cb3b65fc699cbe5ba7ac24d11c8929f90900",
-        "14e53e1bcf8a3254413addc90bdee60031d79e2f86a81c2bf18d21e7611fed40",
-        "123a118d6cfcbd82a6fa0765e819d4656297b38f218638fb1125abf8b4a7ee46",
+        "ac8c9c25e09aebb5006cdba62c5ee871c840c4e5a2363236e7491f396697a33c",
+        "3ac9470eb58f8fb8af56aa16d4ebcc5e98f7f94b43ac1cbc13b92dc4a303dc64",
+        "e2ce886294c8b85694cf77fcb6678bf6f2d81024415944c9708aba4f5c970c2f",
     ),
     "retry": (
         "e8ddebdbd8a1368f60e657d0c1d63ce467e73a9b8ce7dc5c35aa85c59ad35dbb",

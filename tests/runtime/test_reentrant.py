@@ -18,7 +18,9 @@ from repro.faults import (
     RecoveryPolicy,
 )
 from repro.runtime import EspRuntime, RuntimeCosts, chain
+from repro.sim import DeadlockError
 from tests.conftest import make_runtime, make_soc, make_spec
+from tests.faults.test_recovery import DATAFLOW, policy, three_stage_soc
 
 
 def two_stage_specs():
@@ -61,14 +63,14 @@ class TestRunProcess:
         assert runtime.allocator.free_list_words == 0
         assert runtime.allocator.alloc(1).offset == base_probe.offset
 
-    def test_release_buffers_false_keeps_plan_memory(self):
+    def test_closing_a_suspended_run_raises_nothing(self):
+        """``close()`` on a parked run unwinds it: GeneratorExit is no
+        failure to tear down after, so nothing may yield on its way."""
         runtime = make_runtime(two_stage_specs())
-        frames = np.ones((2, 16))
-        result = drive(runtime, chain("df", ["a0", "b0"]), frames,
-                       "p2p", release_buffers=False)
-        assert result.frames == 2
-        probe = runtime.allocator.alloc(1)
-        assert probe.offset > 0        # plan buffers still resident
+        run = runtime.executor.run_process(
+            chain("df", ["a0", "b0"]), np.ones((2, 16)), "pipe")
+        next(run)
+        run.close()
 
     def test_rejects_bad_input_shape_and_releases(self):
         runtime = make_runtime(two_stage_specs())
@@ -186,3 +188,67 @@ class TestFailureCleanup:
         assert isinstance(outcome["doomed"], AcceleratorTimeout)
         np.testing.assert_array_equal(outcome["ok"].outputs, fb + 2.0)
         assert runtime.allocator.free_list_words == 0
+
+
+class TestOneRunPath:
+    """``execute`` and ``run_process`` share one driver, recovery and
+    teardown path, so they agree on every request and clean up alike."""
+
+    FRAMES = np.arange(4 * 16, dtype=float).reshape(4, 16)
+
+    @staticmethod
+    def hung_s1(soc, kind="acc_hang"):
+        FaultInjector(FaultPlan([FaultSpec(kind=kind, target="s1",
+                                           at_cycle=0, count=1)])
+                      ).attach(soc)
+
+    @pytest.mark.parametrize("mode,hang,cycles", [
+        ("base", False, 10_533),
+        ("pipe", False, 5_647),
+        ("p2p", False, 1_522),
+        ("pipe", True, 26_142),     # one watchdog retry
+        ("p2p", True, 31_590),      # stream fails, degrades to pipe
+    ])
+    def test_execute_agrees_with_a_lone_run_process(self, mode, hang,
+                                                    cycles):
+        results = []
+        for blocking in (True, False):
+            soc = three_stage_soc()
+            if hang:
+                self.hung_s1(soc)
+            runtime = EspRuntime(soc, recovery=policy(max_retries=2))
+            dataflow = chain("three", DATAFLOW)
+            if blocking:
+                results.append(runtime.esp_run(dataflow, self.FRAMES,
+                                               mode=mode))
+            else:
+                results.append(drive(runtime, dataflow, self.FRAMES, mode))
+        blocking, serving = results
+        np.testing.assert_array_equal(blocking.outputs, self.FRAMES + 3.0)
+        np.testing.assert_array_equal(serving.outputs, blocking.outputs)
+        fields = ("cycles", "retries", "watchdog_timeouts",
+                  "software_frames", "ioctl_calls", "degraded")
+        assert [getattr(serving, f) for f in fields] == \
+            [getattr(blocking, f) for f in fields]
+        assert blocking.cycles == cycles
+        assert blocking.degraded == (hang and mode == "p2p")
+
+    @pytest.mark.parametrize("kind,mode,recovery,error", [
+        # A dropped p2p request wedges the stream: env.run itself
+        # raises while main is still parked.
+        ("p2p_req_drop", "p2p", None, DeadlockError),
+        ("acc_hang", "pipe",
+         policy(max_retries=0, software_fallback=False), NodeFailed),
+    ])
+    def test_failed_execute_returns_the_allocator_to_pristine(
+            self, kind, mode, recovery, error):
+        soc = three_stage_soc()
+        self.hung_s1(soc, kind)
+        runtime = EspRuntime(soc, recovery=recovery)
+        allocator = runtime.allocator
+        with pytest.raises(error):
+            runtime.esp_run(chain("three", DATAFLOW), self.FRAMES,
+                            mode=mode)
+        assert allocator.live_buffers == 0
+        assert allocator.free_list_words == 0
+        assert allocator.alloc(1).offset == allocator.base

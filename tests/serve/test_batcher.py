@@ -52,7 +52,6 @@ class TestBatcher:
         assert batch.pad_frames == 2
         assert batch.total_frames == 8
         np.testing.assert_array_equal(batch.frames[6:], 0.0)
-        assert batcher.frames_padded == 2
 
     def test_split_outputs_drops_padding(self):
         df = replicated_stage("df", ["a0", "a1"], ["c0"])
@@ -88,7 +87,7 @@ class TestBatcher:
 
     def test_statistics_accumulate(self):
         batcher = Batcher(chain("df", ["a0"]))
-        batcher.form([req(1), req(1)])
-        batcher.form([req(2)])
-        assert batcher.batches_formed == 2
-        assert batcher.requests_coalesced == 3
+        first = batcher.form([req(1), req(1)])
+        second = batcher.form([req(2)])
+        assert (first.n_requests, second.n_requests) == (2, 1)
+        assert (first.real_frames, second.real_frames) == (2, 2)
