@@ -18,7 +18,10 @@ accelerator-stall     after ``stall_escalation_evals`` consecutive
                       evaluations with the same device stalled (the
                       in-flight watchdog/retry ladder got its chance):
                       ``force-degrade`` that device to the CPU software
-                      fallback, preempting the wait.
+                      fallback, preempting the wait. The stalled set
+                      is the rule's own (``stalled_devices`` over
+                      ``stall_threshold``), so the streak starts on
+                      the evaluation the alert fires.
 broken tenant tile    a tile that is registry-failed, forced to software,
 (any firing alert)    or quarantined while a tenant's pipeline maps to it:
                       ``activate-spare`` (reserve-pool tile with the same
@@ -28,7 +31,9 @@ broken tenant tile    a tile that is registry-failed, forced to software,
 Safety rails: each (kind, target) pair observes ``cooldown_cycles``
 between applications, and at most ``max_actions_per_window`` actions
 apply per sliding ``window_cycles`` — an alert storm gets a bounded
-response, not an unbounded one.
+response, not an unbounded one. Alerts themselves fire and resolve on
+a single evaluation; the escalation streak is the loop's one
+persistence mechanism.
 """
 
 from __future__ import annotations
@@ -76,12 +81,7 @@ class ControlConfig:
     #: controller forces it to the software fallback (lets the
     #: executor's own watchdog/retry ladder act first).
     stall_escalation_evals: int = 3
-    #: Heartbeat-quiet threshold fed to ``stalled_devices``; ``None``
-    #: derives 2x the slowest kernel at attach, matching
-    #: ``default_rules``.
-    stall_quiet_cycles: Optional[int] = None
-    #: Batch-widening growth factor and hard cap (frames).
-    widen_factor: float = 2.0
+    #: Hard cap (frames) on batch widening, which doubles the bound.
     widen_cap: int = 256
 
     def __post_init__(self) -> None:
@@ -92,8 +92,6 @@ class ControlConfig:
             raise ValueError("max_actions_per_window must be >= 1")
         if self.stall_escalation_evals < 1:
             raise ValueError("stall_escalation_evals must be >= 1")
-        if self.widen_factor <= 1.0:
-            raise ValueError("widen_factor must be > 1")
 
 
 class ControlPlane:
@@ -117,13 +115,6 @@ class ControlPlane:
         self._spares: Set[str] = set(self.config.reserve_pool)
         self._activated: Set[str] = set()
         self._attached = False
-        quiet = self.config.stall_quiet_cycles
-        if quiet is None:
-            slowest = max((tile.spec.latency_cycles
-                           for tile in server.soc.accelerators.values()),
-                          default=1000)
-            quiet = 2 * slowest
-        self._quiet_cycles = quiet
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -195,7 +186,7 @@ class ControlPlane:
         stalled: Dict[str, int] = {}
         if "accelerator-stall" in monitor.active:
             stalled = dict(stalled_devices(
-                monitor.registry, self.env.now, self._quiet_cycles))
+                monitor.registry, self.env.now, self.server.soc))
         for device in list(self._stall_streak):
             if device not in stalled:
                 del self._stall_streak[device]
@@ -304,8 +295,8 @@ class ControlPlane:
 
         def widen(tenant: str = deepest) -> Optional[str]:
             before = self.server.batch_bound(tenant)
-            after = self.server.widen_batch(
-                tenant, self.config.widen_factor, self.config.widen_cap)
+            after = self.server.widen_batch(tenant,
+                                            self.config.widen_cap)
             if after == before:
                 return None   # already at the cap -> no-op
             return (f"{tenant}: max_batch_frames {before} -> {after} "

@@ -55,9 +55,9 @@ from .health import (
     accelerator_stall_rule,
     default_rules,
     latency_burn_rule,
-    latency_slo_rule,
     link_congestion_rule,
     queue_saturation_rule,
+    stall_threshold,
     stalled_devices,
 )
 from .dashboard import (
@@ -89,7 +89,6 @@ __all__ = [
     "detach_metrics",
     "instrument_server",
     "latency_burn_rule",
-    "latency_slo_rule",
     "link_congestion_rule",
     "merge_snapshots",
     "parse_exemplars",
@@ -102,6 +101,7 @@ __all__ = [
     "render_tenant_table",
     "render_tile_grid",
     "snapshot",
+    "stall_threshold",
     "stalled_devices",
     "to_prometheus",
     "write_snapshot",

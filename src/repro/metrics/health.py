@@ -7,21 +7,26 @@ predicate over the :class:`MetricsRegistry`; the :class:`HealthMonitor`
 evaluates its rule set (typically from a :class:`MetricsSampler` tick)
 and tracks each rule's alert through the ``firing -> resolved``
 transition, keeping a history of every transition with the cycle it
-happened at.
+happened at. An alert fires on the first breaching evaluation and
+resolves on the first clean one; acting only on a *persistent* breach
+is the control plane's job (``ControlConfig.stall_escalation_evals``).
 
 Rule factories for the standard failure modes ship below:
 
 - :func:`queue_saturation_rule` — admission queue near its bound;
-- :func:`latency_slo_rule` — a tenant burning its latency error
-  budget (fraction of requests over target, from histogram buckets);
-- :func:`latency_burn_rule` — the same signal over the *delta*
-  between evaluations, so the alert resolves once recent requests
-  are fast again (the shape a remediating controller needs);
+- :func:`latency_burn_rule` — a tenant burning its latency error
+  budget over the requests completed since the last evaluation, so
+  the alert resolves once recent requests are fast again;
 - :func:`link_congestion_rule` — a NoC link above a utilization
   ceiling;
 - :func:`accelerator_stall_rule` — a tile whose status register says
-  RUNNING but whose progress heartbeat has gone quiet (the observable
-  signature of a hung kernel or wedged DMA engine).
+  RUNNING but whose progress heartbeat has gone quiet for longer than
+  :func:`stall_threshold` (the observable signature of a hung kernel
+  or wedged DMA engine).
+
+:func:`stall_threshold` is the one definition of "quiet too long":
+the stall rule and the control plane's force-degrade escalation both
+read it through :func:`stalled_devices`, so they cannot disagree.
 
 Evaluation reads registry state only: it never schedules events, so a
 monitor (like all recording) cannot perturb simulated timing.
@@ -48,26 +53,17 @@ class SloRule:
 
     ``check(registry, now)`` returns ``None`` when the rule is
     satisfied, or a human-readable violation detail when it is not.
-
-    ``fire_after`` / ``resolve_after`` override the monitor's
-    hysteresis for this rule (0 = inherit the monitor's setting): the
-    rule must breach on that many *consecutive* evaluations before its
-    alert fires, and pass on that many before it resolves.
     """
 
     name: str
     check: Callable[[MetricsRegistry, int], Optional[str]]
     severity: str = "warning"
     description: str = ""
-    fire_after: int = 0
-    resolve_after: int = 0
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}, "
                              f"got {self.severity!r}")
-        if self.fire_after < 0 or self.resolve_after < 0:
-            raise ValueError("fire_after/resolve_after must be >= 0")
 
 
 @dataclass
@@ -95,22 +91,10 @@ class Alert:
 
 @dataclass
 class HealthMonitor:
-    """Evaluates a rule set against the registry; tracks transitions.
-
-    ``fire_after`` / ``resolve_after`` add hysteresis: a rule must
-    breach on that many consecutive evaluations before its alert
-    fires, and pass on that many before it resolves, so one noisy
-    scrape cannot flap an alert. The defaults (1/1) fire and resolve
-    immediately — the pre-hysteresis behavior. Rules can override
-    either knob individually via :class:`SloRule`.
-    """
+    """Evaluates a rule set against the registry; tracks transitions."""
 
     registry: MetricsRegistry
     rules: Sequence[SloRule] = ()
-    #: Consecutive breaching evaluations before an alert fires.
-    fire_after: int = 1
-    #: Consecutive clean evaluations before an alert resolves.
-    resolve_after: int = 1
     #: Currently-firing alert per rule name.
     active: Dict[str, Alert] = field(default_factory=dict)
     #: Every alert ever raised (firing and resolved), in fire order.
@@ -121,11 +105,7 @@ class HealthMonitor:
         names = [rule.name for rule in self.rules]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names in {names}")
-        if self.fire_after < 1 or self.resolve_after < 1:
-            raise ValueError("fire_after/resolve_after must be >= 1")
         self.rules = list(self.rules)
-        self._breach_streak: Dict[str, int] = {}
-        self._clean_streak: Dict[str, int] = {}
         self._subscribers: List[Callable[..., None]] = []
 
     def add_rule(self, rule: SloRule) -> None:
@@ -139,23 +119,17 @@ class HealthMonitor:
         like the control plane also act on alert *persistence*)."""
         self._subscribers.append(fn)
 
-    def _thresholds(self, rule: SloRule) -> tuple:
-        fire = rule.fire_after or self.fire_after
-        resolve = rule.resolve_after or self.resolve_after
-        return fire, resolve
-
     def evaluate(self) -> List[Alert]:
         """One evaluation pass; returns alerts that *transitioned*.
 
         Refreshes collector-backed gauges first, then checks every
-        rule: a violation with no active alert fires one (once the
-        breach streak reaches ``fire_after``); a satisfied rule with
-        an active alert resolves it (once the clean streak reaches
-        ``resolve_after``). A rule that stays violated keeps its
-        original alert (and ``fired_at``) — alerts do not re-fire on
-        every tick, only on state changes, so the history length
-        measures incidents, not evaluations. Subscribers registered
-        via :meth:`subscribe` run after the pass.
+        rule: a violation with no active alert fires one; a satisfied
+        rule with an active alert resolves it. A rule that stays
+        violated keeps its original alert (and ``fired_at``) — alerts
+        do not re-fire on every tick, only on state changes, so the
+        history length measures incidents, not evaluations.
+        Subscribers registered via :meth:`subscribe` run after the
+        pass.
         """
         self.registry.run_collectors()
         now = self.registry.env.now
@@ -164,12 +138,8 @@ class HealthMonitor:
         for rule in self.rules:
             detail = rule.check(self.registry, now)
             alert = self.active.get(rule.name)
-            fire_after, resolve_after = self._thresholds(rule)
             if detail is not None:
-                streak = self._breach_streak.get(rule.name, 0) + 1
-                self._breach_streak[rule.name] = streak
-                self._clean_streak[rule.name] = 0
-                if alert is None and streak >= fire_after:
+                if alert is None:
                     alert = Alert(rule=rule.name,
                                   severity=rule.severity,
                                   state=STATE_FIRING, fired_at=now,
@@ -177,17 +147,13 @@ class HealthMonitor:
                     self.active[rule.name] = alert
                     self.history.append(alert)
                     transitions.append(alert)
-                elif alert is not None:
+                else:
                     alert.detail = detail   # keep the message current
-            else:
-                streak = self._clean_streak.get(rule.name, 0) + 1
-                self._clean_streak[rule.name] = streak
-                self._breach_streak[rule.name] = 0
-                if alert is not None and streak >= resolve_after:
-                    alert.state = STATE_RESOLVED
-                    alert.resolved_at = now
-                    del self.active[rule.name]
-                    transitions.append(alert)
+            elif alert is not None:
+                alert.state = STATE_RESOLVED
+                alert.resolved_at = now
+                del self.active[rule.name]
+                transitions.append(alert)
         for fn in self._subscribers:
             fn(self, transitions)
         return transitions
@@ -243,50 +209,20 @@ def queue_saturation_rule(max_depth: int, fraction: float = 0.8,
                      f"{max_depth}-request bound"))
 
 
-def latency_slo_rule(tenant: str, target_cycles: int,
-                     error_budget: float = 0.01,
-                     min_requests: int = 5,
-                     severity: str = "warning") -> SloRule:
-    """Fires while ``tenant`` burns its latency error budget.
-
-    The burn signal is the fraction of completed requests whose
-    end-to-end latency exceeded ``target_cycles``, computed from the
-    ``serve_request_cycles`` histogram buckets (conservative: a
-    request sharing the target's bucket counts as over — see
-    ``HistogramSeries.fraction_over``). Below ``min_requests``
-    completions the rule stays quiet (no signal, no alert).
-    """
-
-    def check(registry: MetricsRegistry, now: int) -> Optional[str]:
-        series = registry.serve_request_cycles.labels(tenant)
-        if series.count < min_requests:
-            return None
-        over = series.fraction_over(target_cycles)
-        if over > error_budget:
-            return (f"tenant {tenant!r}: {over:.1%} of "
-                    f"{series.count} requests over "
-                    f"{target_cycles} cycles (budget "
-                    f"{error_budget:.1%})")
-        return None
-
-    return SloRule(
-        name=f"latency-slo:{tenant}", check=check, severity=severity,
-        description=(f"{tenant!r} requests over {target_cycles} cycles "
-                     f"beyond a {error_budget:.1%} error budget"))
-
-
 def latency_burn_rule(tenant: str, target_cycles: int,
                       error_budget: float = 0.25,
                       min_requests: int = 2,
                       severity: str = "warning") -> SloRule:
     """Fires while ``tenant``'s *recent* completions burn the budget.
 
-    :func:`latency_slo_rule` computes the over-target fraction over
-    the whole cumulative histogram, so once enough slow requests have
-    accumulated the alert can never resolve — even after a remediation
-    restores hardware-speed serving. This variant evaluates the burn
-    over the **delta** between evaluations: the fraction of requests
-    completed since the last check that exceeded ``target_cycles``.
+    The burn is evaluated over the **delta** between evaluations: the
+    fraction of requests completed since the last check whose
+    end-to-end latency exceeded ``target_cycles``, read from the
+    ``serve_request_cycles`` histogram buckets (conservative: a
+    request sharing the target's bucket counts as over — see
+    ``HistogramSeries.fraction_over``). A burn over the cumulative
+    histogram could never resolve once enough slow requests piled up;
+    the delta resolves as soon as a remediation restores fast serving.
     Windows with fewer than ``min_requests`` new completions hold the
     previous verdict (a stalled tenant completing nothing stays in
     breach; a quiet healthy tenant stays clean).
@@ -350,10 +286,32 @@ def link_congestion_rule(threshold: float = 0.9,
         description=f"a NoC link above {threshold:.0%} utilization")
 
 
+def stall_threshold(soc, device: str) -> int:
+    """Heartbeat-quiet cycles after which a RUNNING ``device`` is
+    stalled.
+
+    The base is twice the slowest kernel's per-frame compute latency
+    on ``soc``: the longest legitimate heartbeat gap is one COMPUTE
+    phase (no DMA completes while the kernel crunches), so 2x that
+    cannot false-positive on a healthy tile, while a hung kernel stays
+    quiet forever. A tile clocked down through ``DVFS_REG`` computes
+    that many times slower, so the base scales by its configured
+    divider (clamped like the wrapper clamps it). The register holds
+    what the driver programmed, not the divider an ``acc_slow`` fault
+    stretches, so a latency spike still trips the rule.
+    """
+    from ..soc.registers import DVFS_REG, MAX_DVFS_DIVIDER
+
+    slowest = max(tile.spec.latency_cycles
+                  for tile in soc.accelerators.values())
+    divider = soc.accelerators[device].regs.read(DVFS_REG)
+    return 2 * slowest * min(MAX_DVFS_DIVIDER, max(1, divider))
+
+
 def stalled_devices(registry: MetricsRegistry, now: int,
-                    quiet_cycles: int) -> List[tuple]:
+                    soc) -> List[tuple]:
     """``(device, quiet)`` pairs for RUNNING tiles whose progress
-    heartbeat is older than ``quiet_cycles``.
+    heartbeat is older than their :func:`stall_threshold`.
 
     Shared by :func:`accelerator_stall_rule` and the control plane
     (which needs the offending device names, not just the alert
@@ -369,59 +327,43 @@ def stalled_devices(registry: MetricsRegistry, now: int,
         device = values[0]
         last = registry.acc_last_progress.labels(device).value
         quiet = now - last
-        if quiet > quiet_cycles:
+        if quiet > stall_threshold(soc, device):
             stalled.append((device, quiet))
     return stalled
 
 
-def accelerator_stall_rule(quiet_cycles: int,
-                           severity: str = "critical") -> SloRule:
+def accelerator_stall_rule(soc, severity: str = "critical") -> SloRule:
     """Fires while a RUNNING tile's progress heartbeat is quiet.
 
     A healthy invocation completes DMA transactions continuously;
     ``acc_last_progress_cycle`` tracks the latest one per device. A
     device whose ``STATUS_REG`` reads RUNNING but whose heartbeat is
-    older than ``quiet_cycles`` is wedged — a hung kernel, a dead DMA
-    engine, or a lost p2p request upstream. Needs the SoC collectors
-    for the live ``acc_status`` gauge.
+    older than its :func:`stall_threshold` is wedged — a hung kernel,
+    a dead DMA engine, or a lost p2p request upstream. Needs the SoC
+    collectors for the live ``acc_status`` gauge.
     """
 
     def check(registry: MetricsRegistry, now: int) -> Optional[str]:
-        stalled = stalled_devices(registry, now, quiet_cycles)
+        stalled = stalled_devices(registry, now, soc)
         if stalled:
             worst = max(stalled, key=lambda s: s[1])
             return (f"device {worst[0]!r} RUNNING with no progress "
                     f"for {worst[1]} cycles (threshold "
-                    f"{quiet_cycles}); {len(stalled)} stalled total")
+                    f"{stall_threshold(soc, worst[0])}); "
+                    f"{len(stalled)} stalled total")
         return None
 
     return SloRule(
         name="accelerator-stall", check=check, severity=severity,
-        description=(f"a RUNNING tile quiet for more than "
-                     f"{quiet_cycles} cycles"))
+        description=("a RUNNING tile quiet for longer than its "
+                     "stall threshold (2x the slowest kernel, times "
+                     "its DVFS divider)"))
 
 
-def default_rules(server, target_cycles: Optional[int] = None,
-                  quiet_cycles: Optional[int] = None) -> List[SloRule]:
-    """A sensible rule set for one :class:`InferenceServer`.
-
-    ``quiet_cycles`` defaults to twice the slowest registered kernel's
-    per-frame compute latency: the longest legitimate heartbeat gap is
-    one COMPUTE phase (no DMA completes while the kernel crunches), so
-    2x that cannot false-positive on a healthy tile, while a genuinely
-    hung kernel stays quiet forever and still trips it.
-    """
-    if quiet_cycles is None:
-        slowest = max((tile.spec.latency_cycles
-                       for tile in server.soc.accelerators.values()),
-                      default=1000)
-        quiet_cycles = 2 * slowest
-    rules = [
+def default_rules(server) -> List[SloRule]:
+    """A sensible rule set for one :class:`InferenceServer`."""
+    return [
         queue_saturation_rule(server.config.max_queue_depth),
         link_congestion_rule(),
-        accelerator_stall_rule(quiet_cycles),
+        accelerator_stall_rule(server.soc),
     ]
-    if target_cycles is not None:
-        for tenant in server.tenants:
-            rules.append(latency_slo_rule(tenant, target_cycles))
-    return rules

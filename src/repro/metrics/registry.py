@@ -26,9 +26,9 @@ Design rules (the same contract as the tracer and the fault hooks):
 - **O(1), allocation-free hot path.** ``Counter.inc`` and
   ``Gauge.set`` are single integer/float updates on a slotted object;
   ``Histogram.observe`` finds its bucket with one ``bit_length`` call
-  (the default buckets are powers of two). No record objects are
-  created per event — that is the difference from the tracer, and why
-  metrics can stay on in production-sized runs.
+  (every histogram uses the power-of-two ``CYCLE_BUCKETS``). No
+  record objects are created per event — that is the difference from
+  the tracer, and why metrics can stay on in production-sized runs.
 - **Near-zero overhead when disabled.** Instrumentation sites guard
   with ``env.metrics is None`` — one attribute load and a pointer
   compare.
@@ -54,10 +54,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Default histogram buckets for cycle-valued observations: log-spaced
-#: powers of two from 1 to 2^24 cycles. Power-of-two spacing makes
-#: ``observe`` O(1) (one ``bit_length``) and bounds the relative error
-#: of any bucket-interpolated quantile by a factor of two (see
+#: The histogram buckets of every family (all observations are cycle
+#: counts): log-spaced powers of two from 1 to 2^24 cycles.
+#: Power-of-two spacing makes ``observe`` O(1) (one ``bit_length``)
+#: and bounds the relative error of any bucket-interpolated quantile
+#: by a factor of two (see
 #: :meth:`repro.eval.harness.LatencySummary.from_histogram`).
 CYCLE_BUCKETS: Tuple[int, ...] = tuple(1 << k for k in range(25))
 
@@ -113,18 +114,18 @@ class HistogramSeries:
     given an exemplar holds a single ``None``.
     """
 
-    __slots__ = ("bounds", "counts", "sum", "count", "max", "_pow2",
-                 "exemplars")
+    __slots__ = ("counts", "sum", "count", "max", "exemplars")
 
-    def __init__(self, bounds: Tuple[int, ...], pow2: bool) -> None:
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
+    #: Upper bucket bounds (the ``+Inf`` overflow bucket is implicit).
+    bounds = CYCLE_BUCKETS
+
+    def __init__(self) -> None:
+        self.counts = [0] * (len(CYCLE_BUCKETS) + 1)
         self.sum = 0
         self.count = 0
         #: Exact maximum observed value (one compare per observation;
         #: lets summaries report a true max instead of a bucket edge).
         self.max = 0
-        self._pow2 = pow2
         #: Lazily created ``{bucket_index: (trace_id, value)}``.
         self.exemplars = None
 
@@ -133,39 +134,22 @@ class HistogramSeries:
         self.sum += value
         if value > self.max:
             self.max = value
-        if self._pow2:
-            # Smallest i with value <= 2**i, in O(1): for v >= 1,
-            # (v - 1).bit_length() == ceil(log2(v)).
-            v = int(value)
-            index = 0 if v <= 1 else (v - 1).bit_length()
-            if index > len(self.bounds):
-                index = len(self.bounds)
-        else:
-            index = self._bisect(value)
+        index = self.bucket_index(value)
         self.counts[index] += 1
         if exemplar is not None:
             if self.exemplars is None:
                 self.exemplars = {}
             self.exemplars[index] = (exemplar, value)
 
-    def _bisect(self, value) -> int:
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def bucket_index(self, value) -> int:
-        """The bucket an observation of ``value`` would land in."""
-        if self._pow2:
-            v = int(value)
-            index = 0 if v <= 1 else (v - 1).bit_length()
-            return min(index, len(self.bounds))
-        return self._bisect(value)
+        """The bucket an observation of ``value`` would land in.
+
+        Smallest i with value <= 2**i, in O(1): for v >= 1,
+        (v - 1).bit_length() == ceil(log2(v)); past the last bound,
+        the overflow bucket."""
+        v = int(value)
+        index = 0 if v <= 1 else (v - 1).bit_length()
+        return min(index, len(CYCLE_BUCKETS))
 
     def fraction_over(self, threshold) -> float:
         """Fraction of observations strictly above ``threshold``.
@@ -266,27 +250,12 @@ class Gauge(MetricFamily):
 
 
 class Histogram(MetricFamily):
-    """A family of fixed-bucket distributions."""
+    """A family of distributions over the fixed ``CYCLE_BUCKETS``."""
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str,
-                 label_names: Sequence[str] = (),
-                 buckets: Sequence[int] = CYCLE_BUCKETS) -> None:
-        super().__init__(name, help, label_names)
-        bounds = tuple(buckets)
-        if not bounds:
-            raise MetricsError(f"{name}: histogram needs >= 1 bucket")
-        if any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise MetricsError(f"{name}: bucket bounds must increase")
-        self.bounds = bounds
-        self._pow2 = all(
-            isinstance(b, int) and b > 0 and b & (b - 1) == 0
-            for b in bounds) and bounds[0] == 1 and all(
-            b == a * 2 for a, b in zip(bounds, bounds[1:]))
-
     def _make_series(self) -> HistogramSeries:
-        return HistogramSeries(self.bounds, self._pow2)
+        return HistogramSeries()
 
     def observe(self, value, exemplar=None) -> None:
         self.labels().observe(value, exemplar=exemplar)
@@ -447,11 +416,9 @@ class MetricsRegistry:
         return self._register(Gauge(self.qualify(name), help, labels))
 
     def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[int] = CYCLE_BUCKETS) -> Histogram:
+                  labels: Sequence[str] = ()) -> Histogram:
         """Get or create a histogram family (idempotent)."""
-        return self._register(Histogram(self.qualify(name), help, labels,
-                                        buckets=buckets))
+        return self._register(Histogram(self.qualify(name), help, labels))
 
     def get(self, name: str) -> MetricFamily:
         """Look up a family by name; the bare (un-namespaced) name

@@ -85,18 +85,15 @@ class Batcher:
         self.quantum = frame_quantum(dataflow)
         self.max_batch_frames = max(max_batch_frames, self.quantum)
 
-    def widen(self, factor: float = 2.0,
-              cap: int = 256) -> int:
-        """Grow ``max_batch_frames`` under queue pressure.
+    def widen(self, cap: int) -> int:
+        """Double ``max_batch_frames`` under queue pressure.
 
         A saturated admission queue with a healthy pipeline means the
         per-invocation overhead dominates: larger batches amortize it
         over more frames. The new bound is rounded up to a multiple of
         the quantum and capped. Returns the new bound (unchanged when
         already at the cap)."""
-        if factor <= 1.0:
-            raise ValueError("widen factor must be > 1")
-        target = min(int(self.max_batch_frames * factor), cap)
+        target = min(self.max_batch_frames * 2, cap)
         target = max(target, self.quantum)
         target = math.ceil(target / self.quantum) * self.quantum
         self.max_batch_frames = max(self.max_batch_frames, target)

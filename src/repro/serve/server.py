@@ -411,14 +411,13 @@ class InferenceServer:
         tenant.est_cycles_per_frame = est
         tenant.reshards += 1
 
-    def widen_batch(self, name: str, factor: float = 2.0,
-                    cap: int = 256) -> int:
-        """Grow a tenant's batch bound (queue-saturation remediation);
-        returns the new ``max_batch_frames``."""
+    def widen_batch(self, name: str, cap: int) -> int:
+        """Double a tenant's batch bound up to ``cap`` (queue-saturation
+        remediation); returns the new ``max_batch_frames``."""
         tenant = self._tenants.get(name)
         if tenant is None:
             raise KeyError(f"no tenant named {name!r}")
-        return tenant.batcher.widen(factor, cap)
+        return tenant.batcher.widen(cap)
 
     def repair_tile(self, tile: str) -> None:
         """Reset a tile and clear its failure state (probation

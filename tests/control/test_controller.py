@@ -26,13 +26,14 @@ from repro.control import (
     OUTCOME_NOOP,
 )
 from repro.eval import build_soc1
-from repro.eval.apps import classifier_inputs
+from repro.eval.apps import classifier_inputs, de_cl_inputs
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, \
     RecoveryPolicy
 from repro.metrics import (
     HealthMonitor,
     MetricsSampler,
     accelerator_stall_rule,
+    default_rules,
     instrument_server,
     queue_saturation_rule,
     render_control_actions,
@@ -98,8 +99,6 @@ class TestAttach:
             ControlConfig(max_actions_per_window=0)
         with pytest.raises(ValueError):
             ControlConfig(stall_escalation_evals=0)
-        with pytest.raises(ValueError):
-            ControlConfig(widen_factor=1.0)
         with pytest.raises(ValueError):
             ControlConfig(window_cycles=0)
 
@@ -269,6 +268,10 @@ class TestClosedLoopScenario:
     """The loop for real: hang under traffic -> force -> reshard."""
 
     def test_hang_is_forced_then_resharded_under_traffic(self):
+        """The controller escalates on the rule's own stalled set: the
+        force lands ``stall_escalation_evals - 1`` sampler ticks after
+        the stall alert fires (2 x 14370 quiet cycles after cl1
+        started, caught on the 30000 tick)."""
         runtime = EspRuntime(build_soc1(), recovery=RecoveryPolicy(
             watchdog_cycles=200_000, max_retries=1,
             software_fallback=True))
@@ -282,7 +285,7 @@ class TestClosedLoopScenario:
             mode="pipe", max_batch_frames=1))
         registry = instrument_server(server)
         monitor = HealthMonitor(registry, [
-            accelerator_stall_rule(quiet_cycles=10_000)])
+            accelerator_stall_rule(runtime.soc)])
         controller = ControlPlane(server, monitor, ControlConfig(
             reserve_pool=("cl2",), cooldown_cycles=10_000,
             stall_escalation_evals=2)).attach()
@@ -302,3 +305,41 @@ class TestClosedLoopScenario:
                              ACTION_ACTIVATE_SPARE, ACTION_RESHARD]
         assert server.tenant_tiles()["classifier"] == {"cl2"}
         assert monitor.status() == "healthy"
+
+        stall = next(a for a in monitor.history
+                     if a.rule == "accelerator-stall")
+        force = controller.applied_actions()[0]
+        evals = controller.config.stall_escalation_evals
+        assert (stall.fired_at, force.cycle) == (30_000, 32_500)
+        assert force.cycle - stall.fired_at == (evals - 1) * 2_500
+
+    def test_dvfs_slowed_tile_is_not_stalled(self):
+        """A tile clocked down through DVFS_REG is slow, not stalled:
+        its stall threshold scales with the divider, so the default
+        rules and the controller leave the healthy tile on hardware."""
+        runtime = EspRuntime(build_soc1(), recovery=RecoveryPolicy(
+            watchdog_cycles=200_000, max_retries=1,
+            software_fallback=True))
+        server = InferenceServer(runtime, ServerConfig())
+        server.register(TenantConfig(
+            name="denoiser", dataflow=chain("1de-dvfs", ["de0"]),
+            mode="pipe", dvfs={"de0": 4}))
+        registry = instrument_server(server)
+        monitor = HealthMonitor(registry, default_rules(server))
+        controller = ControlPlane(server, monitor).attach()
+        MetricsSampler(registry, interval=2_500,
+                       callbacks=[lambda r: monitor.evaluate()]).start()
+
+        frames, _ = de_cl_inputs(2, seed=0)
+        trace = [TracedRequest(0, "denoiser",
+                               np.atleast_2d(frames)[i:i + 1])
+                 for i in range(2)]
+        report = server.run_trace(trace)
+
+        assert len(report.completions) == 2
+        assert monitor.history == []
+        assert controller.actions == []
+        assert server.executor.forced_software == set()
+        # Two frames of 4 x 14370 compute each, on hardware; a forced
+        # software fallback would take ten times longer.
+        assert server.env.now < 150_000

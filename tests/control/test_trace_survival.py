@@ -51,7 +51,7 @@ def run_remediated_stack(tmp_path):
         mode="pipe", max_batch_frames=1))
     registry = instrument_server(server)
     monitor = HealthMonitor(registry, [
-        accelerator_stall_rule(quiet_cycles=10_000)])
+        accelerator_stall_rule(runtime.soc)])
     controller = ControlPlane(server, monitor, ControlConfig(
         reserve_pool=("cl2",), cooldown_cycles=10_000,
         stall_escalation_evals=2)).attach()

@@ -51,8 +51,7 @@ class TestFormat:
 
     def test_histogram_expansion(self):
         registry = fresh_registry()
-        hist = registry.histogram("lat_cycles", "latency", ("t",),
-                                  buckets=(1, 2, 4))
+        hist = registry.histogram("lat_cycles", "latency", ("t",))
         for value in (1, 2, 3, 100):
             hist.labels("a").observe(value)
         text = to_prometheus(registry)
@@ -61,6 +60,8 @@ class TestFormat:
         assert 'repro_lat_cycles_bucket{t="a",le="1"} 1' in text
         assert 'repro_lat_cycles_bucket{t="a",le="2"} 2' in text
         assert 'repro_lat_cycles_bucket{t="a",le="4"} 3' in text
+        assert 'repro_lat_cycles_bucket{t="a",le="64"} 3' in text
+        assert 'repro_lat_cycles_bucket{t="a",le="128"} 4' in text
         assert 'repro_lat_cycles_bucket{t="a",le="+Inf"} 4' in text
         assert 'repro_lat_cycles_sum{t="a"} 106' in text
         assert 'repro_lat_cycles_count{t="a"} 4' in text
@@ -124,50 +125,55 @@ class TestRoundTrip:
 
 
 class TestExemplars:
-    def _observed(self):
+    OVERFLOW = 20_000_000                      # past the 2^24 bound
+
+    def _observed(self, exemplars=True):
         registry = fresh_registry()
-        hist = registry.histogram("lat_cycles", buckets=(100, 10_000))
-        hist.observe(50, exemplar="t-0")
-        hist.observe(70, exemplar="t-3")       # same bucket: last wins
-        hist.observe(5_000)                    # no exemplar recorded
-        hist.observe(1_000_000, exemplar="t-7")   # +Inf bucket
+        hist = registry.histogram("lat_cycles")
+        for value, trace_id in [(65, "t-0"),
+                                (70, "t-3"),     # same bucket: last wins
+                                (5_000, None),   # no exemplar recorded
+                                (self.OVERFLOW, "t-7")]:    # +Inf bucket
+            hist.observe(value, exemplar=trace_id if exemplars else None)
         return registry
 
     def test_bucket_lines_carry_openmetrics_suffix(self):
         text = to_prometheus(self._observed())
-        assert ('le="100"} 2 # {trace_id="t-3"} 70' in text)
-        assert ('le="+Inf"} 4 # {trace_id="t-7"} 1000000' in text)
+        assert ('le="128"} 2 # {trace_id="t-3"} 70' in text)
+        assert ('le="+Inf"} 4 # {trace_id="t-7"} 20000000' in text)
         # The exemplar-less bucket has a bare sample line.
-        assert 'le="10000"} 3\n' in text
+        assert 'le="8192"} 3\n' in text
 
     def test_parse_exemplars_round_trip(self):
         exemplars = parse_exemplars(to_prometheus(self._observed()))
         by_le = {labels["le"]: (ex_labels["trace_id"], ex_value)
                  for name, labels, value, ex_labels, ex_value
                  in exemplars}
-        assert by_le == {"100": ("t-3", 70.0),
-                         "+Inf": ("t-7", 1000000.0)}
+        assert by_le == {"128": ("t-3", 70.0),
+                         "+Inf": ("t-7", 20000000.0)}
 
     def test_parse_exposition_still_three_tuples(self):
         # The exemplar suffix must be invisible to the plain parser:
         # same shape, same values as an exemplar-free exposition.
         samples = parse_exposition(to_prometheus(self._observed()))
-        buckets = [(labels["le"], value) for name, labels, value
-                   in samples if name.endswith("_bucket")]
-        assert buckets == [("100", 2.0), ("10000", 3.0),
-                           ("+Inf", 4.0)]
+        assert samples == parse_exposition(
+            to_prometheus(self._observed(exemplars=False)))
+        buckets = dict((labels["le"], value) for name, labels, value
+                       in samples if name.endswith("_bucket"))
+        assert (buckets["64"], buckets["128"], buckets["8192"],
+                buckets["+Inf"]) == (0.0, 2.0, 3.0, 4.0)
 
     def test_snapshot_includes_exemplars(self):
         snap = self._observed().snapshot()
         family = next(f for f in snap["families"]
                       if f["name"] == "lat_cycles")
         exemplars = family["series"][0]["exemplars"]
-        assert exemplars == {"0": ["t-3", 70],
-                             "2": ["t-7", 1000000]}
+        assert exemplars == {"7": ["t-3", 70],
+                             "25": ["t-7", 20000000]}
 
     def test_exemplar_free_histogram_unchanged(self):
         registry = fresh_registry()
-        hist = registry.histogram("plain_cycles", buckets=(10,))
+        hist = registry.histogram("plain_cycles")
         hist.observe(5)
         text = to_prometheus(registry)
         assert " # {" not in text

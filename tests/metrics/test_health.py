@@ -23,9 +23,10 @@ from repro.metrics import (
     accelerator_stall_rule,
     default_rules,
     instrument_server,
-    latency_slo_rule,
+    latency_burn_rule,
     link_congestion_rule,
     queue_saturation_rule,
+    stall_threshold,
 )
 from repro.metrics.health import STATE_FIRING, STATE_RESOLVED
 from repro.runtime import EspRuntime, chain
@@ -114,87 +115,35 @@ class TestMonitor:
 
 
 class TestHysteresisAndHistory:
+    """Alert lifecycle history and evaluation subscribers. Alerts fire
+    and resolve on one evaluation; acting on a persistent breach is
+    the controller's escalation streak (``tests/control``)."""
+
     def advance(self, registry, cycles):
         env = registry.env
         env.run(until=env.timeout(cycles))
 
-    def test_fire_after_requires_consecutive_breaches(self):
-        registry = fresh_registry()
-        rule, state = flag_rule()
-        monitor = HealthMonitor(registry, [rule], fire_after=3)
-        state["violated"] = True
-        assert monitor.evaluate() == []
-        assert monitor.evaluate() == []
-        assert monitor.status() == "healthy"
-        transitions = monitor.evaluate()
-        assert [a.state for a in transitions] == [STATE_FIRING]
-
-    def test_noisy_scrape_cannot_flap_an_alert(self):
-        registry = fresh_registry()
-        rule, state = flag_rule()
-        monitor = HealthMonitor(registry, [rule], fire_after=2)
-        # Alternating breach/clean never accumulates the streak.
-        for _ in range(4):
-            state["violated"] = True
-            assert monitor.evaluate() == []
-            state["violated"] = False
-            assert monitor.evaluate() == []
-        assert monitor.history == []
-
-    def test_resolve_after_holds_through_one_clean_scrape(self):
-        registry = fresh_registry()
-        rule, state = flag_rule()
-        monitor = HealthMonitor(registry, [rule], resolve_after=2)
-        state["violated"] = True
-        monitor.evaluate()
-        state["violated"] = False
-        assert monitor.evaluate() == []          # one clean: held
-        state["violated"] = True
-        assert monitor.evaluate() == []          # breach resets streak
-        state["violated"] = False
-        assert monitor.evaluate() == []
-        transitions = monitor.evaluate()         # two clean: resolves
-        assert [a.state for a in transitions] == [STATE_RESOLVED]
-        assert len(monitor.history) == 1
-
-    def test_rule_override_beats_monitor_default(self):
-        registry = fresh_registry()
-        slow, slow_state = flag_rule("slow")
-        fast, fast_state = flag_rule("fast")
-        fast = SloRule(name="fast", check=fast.check,
-                       severity="warning", fire_after=1)
-        monitor = HealthMonitor(registry, [slow, fast], fire_after=3)
-        slow_state["violated"] = fast_state["violated"] = True
-        transitions = monitor.evaluate()
-        assert [a.rule for a in transitions] == ["fast"]
-
-    def test_defaults_must_be_positive(self):
-        registry = fresh_registry()
-        with pytest.raises(ValueError):
-            HealthMonitor(registry, [], fire_after=0)
-        with pytest.raises(ValueError):
-            HealthMonitor(registry, [], resolve_after=0)
-
     def test_lifecycle_history_is_ordered_and_non_overlapping(self):
-        """Satellite acceptance: repeated fire -> resolve -> fire
-        cycles on one rule keep an ordered, non-overlapping history
-        with the cycles the hysteresis thresholds were crossed at."""
+        """Repeated fire -> resolve -> fire cycles on one rule keep an
+        ordered, non-overlapping history with the cycle of the first
+        breaching and the first clean evaluation of each incident."""
         registry = fresh_registry()
         rule, state = flag_rule()
-        monitor = HealthMonitor(registry, [rule],
-                                fire_after=2, resolve_after=2)
+        monitor = HealthMonitor(registry, [rule])
         expected = []
         for _ in range(3):
             state["violated"] = True
-            for tick in range(2):       # fires on the second breach
-                self.advance(registry, 100)
-                monitor.evaluate()
+            self.advance(registry, 100)
+            monitor.evaluate()          # fires on the first breach
             expected.append({"fired_at": registry.env.now})
+            self.advance(registry, 100)
+            monitor.evaluate()          # held: same incident
             state["violated"] = False
-            for tick in range(2):       # resolves on the second clean
-                self.advance(registry, 100)
-                monitor.evaluate()
+            self.advance(registry, 100)
+            monitor.evaluate()          # resolves on the first clean
             expected[-1]["resolved_at"] = registry.env.now
+            self.advance(registry, 100)
+            monitor.evaluate()          # stays resolved
 
         assert len(monitor.history) == 3
         assert monitor.active == {}
@@ -210,8 +159,6 @@ class TestHysteresisAndHistory:
             assert earlier.resolved_at <= later.fired_at
         # The fourth incident, left firing, appends after all three.
         state["violated"] = True
-        self.advance(registry, 100)
-        monitor.evaluate()
         self.advance(registry, 100)
         monitor.evaluate()
         assert len(monitor.history) == 4
@@ -246,8 +193,8 @@ class TestRuleFactories:
 
     def test_latency_slo_quiet_below_min_requests(self):
         registry = fresh_registry()
-        rule = latency_slo_rule("t", target_cycles=100,
-                                min_requests=5)
+        rule = latency_burn_rule("t", target_cycles=100,
+                                 min_requests=5)
         series = registry.serve_request_cycles.labels("t")
         for _ in range(4):
             series.observe(10_000)   # way over, but too few samples
@@ -258,11 +205,46 @@ class TestRuleFactories:
 
     def test_latency_slo_within_budget(self):
         registry = fresh_registry()
-        rule = latency_slo_rule("t", target_cycles=1 << 20,
-                                error_budget=0.5)
+        rule = latency_burn_rule("t", target_cycles=1 << 20,
+                                 error_budget=0.5)
         series = registry.serve_request_cycles.labels("t")
         for _ in range(10):
             series.observe(100)
+        assert rule.check(registry, 0) is None
+
+    def test_latency_burn_resolves_once_recent_requests_are_fast(self):
+        registry = fresh_registry()
+        rule = latency_burn_rule("t", target_cycles=1024,
+                                 error_budget=0.25, min_requests=2)
+        series = registry.serve_request_cycles.labels("t")
+        for _ in range(8):
+            series.observe(100_000)
+        assert "100.0% of last 8 requests" in rule.check(registry, 0)
+        # The cumulative histogram is still 80% over target, but the
+        # two completions since the last check were fast.
+        series.observe(100)
+        series.observe(100)
+        assert series.fraction_over(1024) == 0.8
+        assert rule.check(registry, 0) is None
+
+    def test_latency_burn_holds_verdict_through_sparse_windows(self):
+        registry = fresh_registry()
+        rule = latency_burn_rule("t", target_cycles=1024,
+                                 min_requests=2)
+        series = registry.serve_request_cycles.labels("t")
+        series.observe(100_000)
+        series.observe(100_000)
+        breach = rule.check(registry, 0)
+        assert breach is not None
+        # A stalled tenant completing nothing stays in breach; one
+        # fast completion is too few to change the verdict.
+        assert rule.check(registry, 0) == breach
+        series.observe(100)
+        assert rule.check(registry, 0) == breach
+        # The second fast completion closes the window: clean again,
+        # and a quiet window after that stays clean.
+        series.observe(100)
+        assert rule.check(registry, 0) is None
         assert rule.check(registry, 0) is None
 
     def test_link_congestion_silent_without_collectors(self):
@@ -280,16 +262,29 @@ class TestRuleFactories:
     def test_accelerator_stall_needs_running_status(self):
         from repro.soc.registers import STATUS_RUNNING
         registry = fresh_registry()
-        rule = accelerator_stall_rule(quiet_cycles=100)
+        rule = accelerator_stall_rule(build_soc1())
         status = registry.gauge("acc_status", "", ("device",))
         registry.acc_last_progress.labels("de0").set(0)
         # Idle device: never a stall, however quiet.
         status.labels("de0").set(0)
-        assert rule.check(registry, 10_000) is None
+        assert rule.check(registry, 100_000) is None
         # Running and quiet past the threshold: stalled.
         status.labels("de0").set(STATUS_RUNNING)
-        assert rule.check(registry, 99) is None
-        assert "de0" in rule.check(registry, 101)
+        assert rule.check(registry, 28_740) is None
+        assert "de0" in rule.check(registry, 28_741)
+        assert "threshold 28740" in rule.check(registry, 28_741)
+
+    def test_stall_threshold_scales_with_dvfs_divider(self):
+        from repro.soc.registers import DVFS_REG, MAX_DVFS_DIVIDER
+        soc = build_soc1()
+        regs = soc.accelerators["de0"].regs
+        for divider, expected in [(0, 1), (1, 1), (4, 4),
+                                  (MAX_DVFS_DIVIDER, MAX_DVFS_DIVIDER),
+                                  (64, MAX_DVFS_DIVIDER)]:
+            regs.write(DVFS_REG, divider)
+            assert stall_threshold(soc, "de0") == 28_740 * expected
+        # Per device: a neighbour at full speed keeps the base.
+        assert stall_threshold(soc, "nv0") == 28_740
 
     def test_default_rules_derive_quiet_cycles(self):
         runtime = EspRuntime(build_soc1())
@@ -298,14 +293,12 @@ class TestRuleFactories:
             name="denoiser", dataflow=chain("1de-hr", ["de0"]),
             mode="pipe"))
         rules = default_rules(server)
-        names = {r.name for r in rules}
-        assert {"queue-saturation", "link-congestion",
-                "accelerator-stall"} <= names
-        stall = next(r for r in rules
-                     if r.name == "accelerator-stall")
+        assert [r.name for r in rules] == [
+            "queue-saturation", "link-congestion", "accelerator-stall"]
         # 2x the slowest kernel (de0: 14370) — one full COMPUTE phase
         # of heartbeat silence is legitimate, twice that is not.
-        assert "28740" in stall.description
+        assert stall_threshold(server.soc, "de0") == 28_740
+        assert stall_threshold(server.soc, "cl0") == 28_740
 
 
 class TestFaultScenario:
@@ -332,9 +325,10 @@ class TestFaultScenario:
             # Depth >= 4 of 8 while the hung batch blocks the loop.
             queue_saturation_rule(max_depth=8, fraction=0.5),
             # One COMPUTE phase of silence (14370) is legitimate;
-            # 30000 is not, and the watchdog only fires at 45000 —
-            # the monitor sees the stall before recovery kicks in.
-            accelerator_stall_rule(quiet_cycles=30_000),
+            # twice that (28740) is not, and the watchdog only fires
+            # at 45000 — the monitor sees the stall before recovery
+            # kicks in.
+            accelerator_stall_rule(runtime.soc),
         ])
         MetricsSampler(registry, interval=2_500,
                        callbacks=[lambda r: monitor.evaluate()]).start()
@@ -365,3 +359,30 @@ class TestFaultScenario:
         stall = by_rule["accelerator-stall"][0]
         assert stall.fired_at < 45_000
         assert monitor.status() == "healthy"
+
+    def test_slow_fault_on_a_dvfs_tile_still_trips_the_stall(self):
+        """The threshold scales by the divider the driver programmed
+        (DVFS_REG = 2), not by the one an ``acc_slow`` fault stretches
+        (2 x 4 = 8): the spike stays visible as a stall."""
+        runtime = EspRuntime(build_soc1())
+        FaultInjector(FaultPlan([
+            FaultSpec(kind="acc_slow", target="de0", at_cycle=1,
+                      count=1, factor=4.0)])).attach(runtime.soc)
+        server = InferenceServer(runtime, ServerConfig())
+        server.register(TenantConfig(
+            name="denoiser", dataflow=chain("1de-slow", ["de0"]),
+            mode="pipe", dvfs={"de0": 2}))
+        registry = instrument_server(server)
+        monitor = HealthMonitor(registry, [
+            accelerator_stall_rule(runtime.soc)])
+        MetricsSampler(registry, interval=2_500,
+                       callbacks=[lambda r: monitor.evaluate()]).start()
+
+        frames, _ = de_cl_inputs(1, seed=0)
+        report = server.run_trace([
+            TracedRequest(0, "denoiser", np.atleast_2d(frames)[:1])])
+
+        assert len(report.completions) == 1
+        assert stall_threshold(runtime.soc, "de0") == 2 * 28_740
+        assert [a.rule for a in monitor.history] == ["accelerator-stall"]
+        assert "threshold 57480" in monitor.history[0].detail

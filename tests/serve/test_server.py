@@ -445,17 +445,18 @@ class TestRemediationHooks:
                                      dataflow=chain("app", ["a0"]),
                                      max_batch_frames=4))
         assert server.batch_bound("app") == 4
-        assert server.widen_batch("app", factor=2.0, cap=256) == 8
+        assert server.widen_batch("app", cap=256) == 8
         assert server.batch_bound("app") == 8
         # Cap reached: the bound stops growing.
-        assert server.widen_batch("app", factor=2.0, cap=8) == 8
+        assert server.widen_batch("app", cap=8) == 8
 
     def test_widened_bound_survives_a_reshard(self):
         _, server = self.make()
         server.register(TenantConfig(name="app",
                                      dataflow=chain("app", ["a0"]),
                                      max_batch_frames=4))
-        server.widen_batch("app", factor=4.0)
+        server.widen_batch("app", cap=256)
+        server.widen_batch("app", cap=256)
         server.reshard_tenant("app", {"a0": "a1"})
         assert server.batch_bound("app") == 16
 
