@@ -20,6 +20,8 @@ slow IO plane after the fact.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from .registry import MetricsRegistry, attach_metrics
 
 
@@ -58,6 +60,9 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
     mem_written = registry.gauge(
         "mem_words_written", "Words written to the memory tiles")
 
+    # "x,y->x,y" per link, formatted on the link's first scrape.
+    link_labels: Dict[object, str] = {}
+
     def put(family, labels, value) -> None:
         if value:
             family.labels(*labels).value = value
@@ -75,7 +80,10 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
             if link.flits_carried == 0 \
                     and link.channel.busy_cycles == 0:
                 continue   # keep untouched links out of the exposition
-            label = f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
+            label = link_labels.get(link)
+            if label is None:
+                label = link_labels[link] = \
+                    f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
             link_busy.labels(label, plane).set(link.channel.busy_cycles)
             link_util.labels(label, plane).set(
                 round(link.utilization(), 6))

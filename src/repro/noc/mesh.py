@@ -16,6 +16,7 @@ cycles. End-to-end latency of an uncontended packet is the textbook
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +68,16 @@ COH_RESPONSE_PLANE = "coh-rsp"
 #: How a packet leaves the mesh: ejected, lost in flight, or discarded
 #: by the link-level CRC.
 PACKET_OUTCOMES = ("delivered", "dropped", "corrupted")
+
+
+@lru_cache(maxsize=4096)
+def _trace_labels(src: Coord, dst: Coord,
+                  plane: str) -> Tuple[str, str, Tuple[str, ...]]:
+    """The trace labels of a route, formatted on its first traced
+    packet: the src and dst tiles, and one track name per link."""
+    hops = route_hops_cached(src, dst)
+    return (str(src), str(dst),
+            tuple(f"{plane} {a}->{b}" for a, b in hops))
 
 
 class Mesh2D:
@@ -187,10 +198,12 @@ class Mesh2D:
         tracer = self.env.tracer
         sid = None
         if tracer is not None:
-            sid = tracer.begin(
-                "noc", packet.plane, packet.kind.name, "noc.packet",
-                src=str(packet.src), dst=str(packet.dst),
-                flits=packet.size_flits)
+            src, dst, tracks = _trace_labels(packet.src, packet.dst,
+                                             packet.plane)
+            kind = packet.kind._name_
+            flits = packet.size_flits
+            sid = tracer.begin("noc", packet.plane, kind, "noc.packet",
+                               src=src, dst=dst, flits=flits)
         if packet.src == packet.dst:
             # Local ejection: no links, one router traversal.
             yield Timeout(self.env, self.router_latency)
@@ -203,9 +216,8 @@ class Mesh2D:
                 yield link.channel.acquire()
                 if tracer is not None:
                     held_sids.append(tracer.begin(
-                        "noc", f"{packet.plane} {link.src}->{link.dst}",
-                        packet.kind.name, "noc.link",
-                        flits=packet.size_flits))
+                        "noc", tracks[len(held_sids)], kind, "noc.link",
+                        flits=flits))
                 yield Timeout(env, router_latency)
             # Head reached the destination; the body drains behind it.
             # The hold is a single multi-cycle timeout per link set — the

@@ -53,18 +53,6 @@ from .request import (
 )
 
 
-def _trace_args(requests) -> Dict[str, object]:
-    """Span args attributing batch-level work to its member requests:
-    the primary ``trace_id`` plus the full ``trace_ids`` membership
-    when the batch coalesced more than one."""
-    ids = batch_trace_ids(requests)
-    if not ids:
-        return {}
-    if len(ids) == 1:
-        return {"trace_id": ids[0]}
-    return {"trace_id": ids[0], "trace_ids": ids}
-
-
 @dataclass(frozen=True)
 class TenantConfig:
     """One registered application: a dataflow plus serving knobs."""
@@ -512,12 +500,17 @@ class InferenceServer:
             requests = self.queue.drain(
                 name, tenant.batcher.max_batch_frames)
             self._trace_depth()
-            if env.tracer is not None:
-                env.tracer.instant("serve", f"tenant:{name}", "batch",
-                                   "serve.batch", requests=len(requests),
-                                   **_trace_args(requests))
             batch = tenant.batcher.form(requests)
             tenant.in_flight_frames = batch.total_frames
+            # The batch's records on the tenant track (this instant, the
+            # grant-wait and dispatch spans) read back with its trace
+            # IDs: ``trace_id``, plus ``trace_ids`` when it coalesced.
+            tracer = env.tracer
+            if tracer is not None:
+                track = ("serve", f"tenant:{name}")
+                tracer.bind(track, batch_trace_ids(requests))
+                tracer.instant(*track, "batch", "serve.batch",
+                               requests=len(requests))
             try:
                 granted = yield from self._acquire_tiles(tenant, batch)
                 if granted:
@@ -525,6 +518,8 @@ class InferenceServer:
             finally:
                 tenant.in_flight = False
                 tenant.in_flight_frames = 0
+                if tracer is not None:
+                    tracer.unbind(track)
             self._wake_settled()
 
     # -- the layer's instrumentation sites ------------------------------------
@@ -538,13 +533,13 @@ class InferenceServer:
         ``close(result)``, or with ``outcome`` ``interrupted`` (loop
         stopped) or ``failed`` on an exception. While it is open, every
         record on the devices in ``bind`` (wrapper phases, DMA bursts,
-        driver threads, NoC packets) carries the batch's trace IDs.
+        driver threads, NoC packets) carries the batch's trace IDs, as
+        the span itself does through the tenant loop's binding.
         """
         tracer = self.env.tracer
         if tracer is None:
             return body
-        sid = tracer.begin("serve", f"tenant:{tenant}", name, cat, **args,
-                           **_trace_args(batch.requests))
+        sid = tracer.begin("serve", f"tenant:{tenant}", name, cat, **args)
         keys: List[object] = []
         ids = batch_trace_ids(batch.requests)
         if ids:

@@ -28,10 +28,9 @@ Propagation mechanics live in :class:`~repro.trace.tracer.Tracer`
 (see ``Tracer.bind``): the serve layer binds the granted tile set to
 the dispatched batch's context, and every span recorded against those
 tiles — wrapper phases, DMA bursts, driver threads, NoC packets to or
-from the tiles' coordinates — is annotated with the ``trace_id``
-automatically. The arbiter's exclusive grant is what makes the
-binding unambiguous: between grant and release exactly one tenant
-owns a tile.
+from the tiles' coordinates — reads back with the ``trace_id``. The
+arbiter's exclusive grant is what makes the binding unambiguous:
+between grant and release exactly one tenant owns a tile.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .tracer import Tracer
@@ -84,17 +85,15 @@ class _Emitter:
         spans independently, so bare sids would collide in a merge).
         """
         now = tracer.env.now
-        closed = sorted(tracer.spans, key=lambda s: (s.start, s.sid))
-        still_open = sorted(tracer.open_spans,
-                            key=lambda s: (s.start, s.sid))
-        for span, is_open in ([(s, False) for s in closed]
-                              + [(s, True) for s in still_open]):
+        order = attrgetter("start", "sid")
+        for span in (sorted(tracer.spans, key=order)
+                     + sorted(tracer.open_spans, key=order)):
             pid_label = prefix + span.pid
             pid = self.pid_of(pid_label)
             tid = self.tid_of(pid_label, span.tid)
-            args = dict(span.args)
+            args = span.args   # built for this read: ours to extend
             end = span.end
-            if is_open:
+            if end is None:
                 args["open"] = True
                 end = max(now, span.start)
             base = {"name": span.name, "cat": span.cat, "pid": pid,
@@ -118,7 +117,7 @@ class _Emitter:
                                 "tid": self.tid_of(pid_label,
                                                    instant.tid),
                                 "ts": instant.ts * scale,
-                                "args": dict(instant.args)})
+                                "args": instant.args})
         if include_counters:
             for sample in tracer.counters:
                 self.events.append({"ph": "C", "name": sample.name,

@@ -13,6 +13,12 @@ text are pinned: any refactor of how the hardware, runtime or serve
 layers count or trace their operations must leave all three
 byte-identical. Request IDs come from a process-wide counter, so the
 serve run restarts it to stay independent of test order.
+
+The serve trace, at two requests of two frames per tenant, is also
+pinned through a 256-record ring tracer: the sha256 of the flight
+recorder's postmortem capture at the end of the run. That ring evicts
+records, so the pin covers ring eviction and the read-time trace-ID
+resolution of the spans it keeps.
 """
 
 import hashlib
@@ -31,7 +37,7 @@ from repro.metrics import (
 )
 from repro.serve import request as serve_request
 from repro.soc import read_monitors
-from repro.trace import attach_tracer, to_chrome_trace
+from repro.trace import FlightRecorder, attach_tracer, to_chrome_trace
 from tests.faults.test_recovery import policy, run_chain, three_stage_soc
 from tests.metrics.test_identity import PIPE_FRAMES, build_server, build_trace
 
@@ -67,6 +73,12 @@ GOLDEN = {
         "18228a541eb7ed364fdbfcc4099ad4e4f740b41ba1aa3d32005d37421fe0c620",
     ),
 }
+
+#: sha256 of the key-sorted postmortem capture of the ring-traced serve
+#: run (see :func:`test_ring_postmortem_byte_identical`).
+RING_POSTMORTEM = (
+    "e0758010d1fc417e4913ff8ff951cbfedc8d9acbb39e86051c332d7b9ba6be78")
+RING_CAPACITY = 256
 
 
 def run_pipeline(mode):
@@ -127,3 +139,16 @@ def digests(soc, tracer, registry):
 def test_observability_outputs_byte_identical(run, monkeypatch):
     monkeypatch.setattr(serve_request, "_request_ids", itertools.count())
     assert digests(*RUNS[run]()) == GOLDEN[run]
+
+
+def test_ring_postmortem_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(serve_request, "_request_ids", itertools.count())
+    runtime, server = build_server()
+    tracer = attach_tracer(runtime.soc, capacity=RING_CAPACITY)
+    registry = instrument_server(server)
+    server.run_trace(build_trace(n_requests=2, frames_per_request=2))
+    assert tracer.dropped > 0   # the ring evicted: the point of the pin
+    artifact = FlightRecorder(tmp_path, tracer).capture(
+        runtime.soc.env.now, registry=registry)
+    text = json.dumps(artifact, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RING_POSTMORTEM

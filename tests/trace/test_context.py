@@ -73,41 +73,43 @@ class TestBindings:
     def test_bound_key_annotates_matching_track(self):
         tracer = Tracer(FakeClock())
         tracer.bind("a0", ("t-3",))
-        span = tracer.complete("a0", "wrapper", "load", "acc.load",
-                               0, 5)
+        tracer.complete("a0", "wrapper", "load", "acc.load", 0, 5)
+        span = tracer.spans[-1]
         assert span.args["trace_id"] == "t-3"
         tracer.unbind("a0")
-        clean = tracer.complete("a0", "wrapper", "load", "acc.load",
-                                5, 9)
+        tracer.complete("a0", "wrapper", "load", "acc.load", 5, 9)
+        clean = tracer.spans[-1]
         assert "trace_id" not in clean.args
 
     def test_multi_request_batch_gets_id_tuple(self):
         tracer = Tracer(FakeClock())
         tracer.bind("a0", ("t-0", "t-1"))
-        span = tracer.complete("a0", "wrapper", "c", "acc.compute",
-                               0, 5)
+        tracer.complete("a0", "wrapper", "c", "acc.compute", 0, 5)
+        span = tracer.spans[-1]
         assert span.args["trace_id"] == "t-0"
         assert span.args["trace_ids"] == ("t-0", "t-1")
 
     def test_explicit_trace_id_wins_over_binding(self):
         tracer = Tracer(FakeClock())
         tracer.bind("a0", ("t-9",))
-        span = tracer.complete("a0", "wrapper", "c", "acc.compute",
-                               0, 5, trace_id="t-0")
+        tracer.complete("a0", "wrapper", "c", "acc.compute", 0, 5,
+                        trace_id="t-0")
+        span = tracer.spans[-1]
         assert span.args["trace_id"] == "t-0"
 
     def test_src_dst_args_match_bound_coordinates(self):
         tracer = Tracer(FakeClock())
         tracer.bind("(1, 1)", ("t-4",))
-        span = tracer.complete("noc", "dma_req", "PKT", "noc.packet",
-                               0, 3, src="(0, 0)", dst="(1, 1)")
+        tracer.complete("noc", "dma_req", "PKT", "noc.packet", 0, 3,
+                        src="(0, 0)", dst="(1, 1)")
+        span = tracer.spans[-1]
         assert span.args["trace_id"] == "t-4"
 
     def test_unbound_tracks_record_clean_args(self):
         tracer = Tracer(FakeClock())
         tracer.bind("a0", ("t-0",))
-        span = tracer.complete("b9", "wrapper", "c", "acc.compute",
-                               0, 5)
+        tracer.complete("b9", "wrapper", "c", "acc.compute", 0, 5)
+        span = tracer.spans[-1]
         assert "trace_id" not in span.args
 
 
@@ -167,7 +169,7 @@ class TestEndToEndPropagation:
 
     def test_bindings_released_after_dispatch(self):
         _, tracer, _ = traced_serve()
-        assert not tracer._bindings
+        assert not tracer.bindings
 
     def test_ids_do_not_leak_across_requests(self):
         # Spaced-out requests: each request's accelerator spans carry

@@ -67,8 +67,8 @@ class TestAttributeInterval:
 
     def test_exclude_sids_removes_wrapper_span(self):
         tracer = Tracer(FakeClock())
-        wrapper = tracer.complete("cpu", "main", "run", "acc.compute",
-                                  0, 100)
+        tracer.complete("cpu", "main", "run", "acc.compute", 0, 100)
+        wrapper = tracer.spans[-1]
         report = attribute_interval(tracer, 0, 100,
                                     exclude_sids=(wrapper.sid,))
         assert report.coverage == 0.0

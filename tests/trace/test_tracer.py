@@ -3,6 +3,7 @@ zero-timing-impact guarantee across instrumented runs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime import chain
 from repro.sim import Environment
@@ -28,10 +29,11 @@ class TestRecording:
         tracer = Tracer(env)
         sid = tracer.begin("tile", "wrapper", "load", "acc.load", n=4)
         env.now = 25
-        span = tracer.end(sid, ok=True)
+        tracer.end(sid, ok=True)
+        span = tracer.spans[-1]
         assert (span.start, span.end, span.cycles) == (0, 25, 25)
         assert span.args == {"n": 4, "ok": True}
-        assert tracer.spans == [span]
+        assert list(tracer.spans) == [span]
         assert tracer.open_spans == []
 
     def test_end_unknown_sid_raises(self):
@@ -41,8 +43,9 @@ class TestRecording:
 
     def test_complete_records_closed_interval(self):
         tracer = Tracer(FakeClock())
-        span = tracer.complete("t", "e", "x", "cat", 10, 30)
-        assert span.closed and span.cycles == 20
+        tracer.complete("t", "e", "x", "cat", 10, 30)
+        span = tracer.spans[-1]
+        assert span.end == 30 and span.cycles == 20
 
     def test_complete_rejects_backwards_interval(self):
         tracer = Tracer(FakeClock())
@@ -54,10 +57,10 @@ class TestRecording:
         tracer = Tracer(env)
         sid = tracer.begin("t", "e", "x", "cat")
         (open_span,) = tracer.open_spans
-        assert not open_span.closed
+        assert open_span.end is None
         with pytest.raises(ValueError):
             open_span.cycles
-        assert tracer._open[sid] is open_span
+        assert open_span.sid == sid
 
     def test_drive_closes_span_when_body_returns(self):
         env = FakeClock()
@@ -79,7 +82,7 @@ class TestRecording:
         assert stop.value.value == "done"
         (span,) = tracer.spans
         assert (span.end, span.args) == (40, {"result": "done"})
-        assert tracer._bindings == {}
+        assert tracer.bindings == {}
 
     def test_drive_closes_span_when_body_raises(self):
         tracer = Tracer(FakeClock())
@@ -104,17 +107,6 @@ class TestRecording:
         tracer.counter("serve", "queue_depth", depth=3)
         assert tracer.instants[0].ts == 5
         assert tracer.counters[0].values == {"depth": 3}
-
-    def test_clear_drops_everything(self):
-        env = FakeClock()
-        tracer = Tracer(env)
-        tracer.begin("t", "e", "x", "cat")
-        tracer.complete("t", "e", "y", "cat", 0, 1)
-        tracer.instant("t", "e", "i", "cat")
-        tracer.counter("t", "c", v=1)
-        tracer.clear()
-        assert not tracer.spans and not tracer.open_spans
-        assert not tracer.instants and not tracer.counters
 
 
 class TestQueries:
@@ -202,8 +194,8 @@ class TestFlightRecorderRing:
             tracer.complete("t", "e", "s", "cat", i, i + 1)
         assert [s.name for s in tracer.open_spans] == ["inflight"]
         env.now = 30
-        span = tracer.end(sid)
-        assert span.end == 30
+        tracer.end(sid)
+        assert tracer.spans[-1].end == 30
 
     def test_windowing_still_exact_after_eviction(self):
         tracer = self._filled(8, 100)
@@ -284,12 +276,127 @@ class TestSpansBetweenBisect:
                             200 + i, 201 + i)
         assert tracer._ends_sorted
 
-    def test_clear_resets_fast_path_state(self):
-        tracer = Tracer(FakeClock())
-        tracer.complete("t", "e", "a", "cat", 0, 100)
-        tracer.complete("t", "e", "late", "cat", 0, 1)
-        tracer.clear()
-        assert tracer._ends_sorted and tracer._ends == []
+
+# Few tracks and keys, so that bindings often overlap on one record
+# and every step of the resolution precedence is exercised.
+PIDS = ("a0", "noc")
+TIDS = ("wrapper", "dma-req")
+COORDS = ("(0, 0)", "(1, 1)")
+#: Binding keys: device pids, (pid, tid) tracks, tile coordinates.
+KEYS = PIDS + (("a0", "wrapper"), ("noc", "dma-req")) + COORDS
+TRACE_IDS = st.lists(st.sampled_from(("t-0", "t-1", "t-2")), min_size=1,
+                     max_size=3).map(tuple)
+RECORD_ARGS = st.fixed_dictionaries({}, optional={
+    "src": st.sampled_from(COORDS), "dst": st.sampled_from(COORDS),
+    "trace_id": st.just("t-explicit"), "n": st.integers(0, 3)})
+END_ARGS = st.fixed_dictionaries({}, optional={
+    "outcome": st.sampled_from(("ok", "failed")),
+    "trace_id": st.just("t-late"), "n": st.integers(4, 9)})
+TRACK = st.tuples(st.sampled_from(PIDS), st.sampled_from(TIDS))
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("advance"), st.integers(0, 5)),
+    st.tuples(st.just("begin"), TRACK, RECORD_ARGS),
+    st.tuples(st.just("end"), st.integers(0, 7), END_ARGS),
+    st.tuples(st.just("complete"), TRACK, st.integers(0, 12),
+              RECORD_ARGS),
+    st.tuples(st.just("instant"), TRACK, RECORD_ARGS),
+    st.tuples(st.just("counter"), st.sampled_from(PIDS),
+              st.integers(0, 9)),
+    st.tuples(st.just("bind"), st.sampled_from(KEYS), TRACE_IDS),
+    st.tuples(st.just("unbind"), st.sampled_from(KEYS))),
+    min_size=10, max_size=120)
+
+
+def eager_annotation(bindings, pid, tid, args):
+    """The oracle: annotate ``args`` against the bindings live at record
+    time. An explicit trace_id wins, then (pid, tid), pid, src, dst."""
+    args = dict(args)
+    if "trace_id" in args:
+        return args
+    ids = bindings.get((pid, tid))
+    if ids is None:
+        ids = bindings.get(pid)
+    if ids is None:
+        src = args.get("src")
+        if src is not None:
+            ids = bindings.get(src)
+        if ids is None:
+            dst = args.get("dst")
+            if dst is not None:
+                ids = bindings.get(dst)
+    if ids is not None:
+        args["trace_id"] = ids[0]
+        if len(ids) > 1:
+            args["trace_ids"] = ids
+    return args
+
+
+def replay(ops, tracers):
+    """Feed one op stream to every tracer (all on one clock); returns
+    the oracle's expected args per span sid and per instant."""
+    env = tracers[0].env
+    bindings = {}
+    span_args, instant_args, open_sids = {}, [], []
+    for op in ops:
+        kind = op[0]
+        if kind == "advance":
+            env.now += op[1]
+        elif kind == "begin":
+            (pid, tid), args = op[1], op[2]
+            sids = {t.begin(pid, tid, "b", "cat", **args) for t in tracers}
+            (sid,) = sids
+            span_args[sid] = eager_annotation(bindings, pid, tid, args)
+            open_sids.append(sid)
+        elif kind == "end" and open_sids:
+            sid = open_sids.pop(op[1] % len(open_sids))
+            for t in tracers:
+                t.end(sid, **op[2])
+            span_args[sid].update(op[2])
+        elif kind == "complete":
+            (pid, tid), length, args = op[1], op[2], op[3]
+            start = max(0, env.now - length)
+            for t in tracers:
+                t.complete(pid, tid, "c", "cat", start, env.now, **args)
+            sid = tracers[0].spans[-1].sid
+            span_args[sid] = eager_annotation(bindings, pid, tid, args)
+        elif kind == "instant":
+            (pid, tid), args = op[1], op[2]
+            for t in tracers:
+                t.instant(pid, tid, "i", "cat", **args)
+            instant_args.append(eager_annotation(bindings, pid, tid, args))
+        elif kind == "counter":
+            for t in tracers:
+                t.counter(op[1], "depth", depth=op[2])
+        elif kind == "bind":
+            for t in tracers:
+                t.bind(op[1], op[2])
+            bindings[op[1]] = op[2]
+        elif kind == "unbind":
+            for t in tracers:
+                t.unbind(op[1])
+            bindings.pop(op[1], None)
+    return span_args, instant_args
+
+
+class TestRingAccountingProperty:
+    @given(ops=OPS, capacity=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_ring_is_the_tail_of_the_unbounded_stream(self, ops, capacity):
+        env = FakeClock()
+        ring, full = Tracer(env, capacity=capacity), Tracer(env)
+        span_args, instant_args = replay(ops, [ring, full])
+        for kind in ("spans", "instants", "counters"):
+            held, everything = getattr(ring, kind), getattr(full, kind)
+            dropped = getattr(ring, f"dropped_{kind}")
+            assert len(held) + dropped == len(everything), kind
+            assert min(capacity, len(everything)) <= len(held), kind
+            assert len(held) <= 2 * capacity, kind
+            assert list(held) == list(everything)[dropped:], kind
+        assert full.dropped == 0
+        assert ring.open_spans == full.open_spans
+        for span in list(full.spans) + full.open_spans:
+            assert span.args == span_args[span.sid]
+        assert [i.args for i in full.instants] == instant_args
 
 
 class TestAttachment:
