@@ -11,6 +11,10 @@ and contention emerge from the link resources), each router adds a
 fixed pipeline latency, and the body serializes for ``size_flits``
 cycles. End-to-end latency of an uncontended packet is the textbook
 ``hops * router_latency + size_flits``.
+
+A packet in flight is an event, not a process: :meth:`Mesh2D.send`
+returns the packet's delivery event, and the transmission runs as
+callbacks on the link grants and timeouts it waits on.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim import Environment, Fifo, Process, Timeout
+from ..sim import Environment, Event, Fifo, Timeout
+from ..sim.kernel import PENDING
 from .link import Link
 from .packet import Coord, MessageKind, Packet
 from .routing import route_hops_cached, validate_coord
@@ -78,6 +83,161 @@ def _trace_labels(src: Coord, dst: Coord,
     hops = route_hops_cached(src, dst)
     return (str(src), str(dst),
             tuple(f"{plane} {a}->{b}" for a, b in hops))
+
+
+class _Transit(Event):
+    """A packet in flight: the event :meth:`Mesh2D.send` returns.
+
+    Transmission is a chain of callbacks, one per event the wormhole
+    model waits on: the injection event, then per hop the link's
+    acquire and a ``router_latency`` timeout, then the body timeout,
+    the release of every link, the fault hook and the ejection-queue
+    put. The transit itself succeeds with the packet when the put is
+    dispatched, or at release for a packet lost at ejection. A packet
+    over ``h`` links therefore dispatches ``2h + 4`` events, and a
+    local one four. The in-flight state lives in the slots: the route,
+    the index of the next link to acquire and, when traced, the span
+    ids and the link track names.
+    """
+
+    __slots__ = ("mesh", "packet", "route", "hop", "tracer", "sid",
+                 "tracks", "held")
+
+    def __init__(self, mesh: "Mesh2D", packet: Packet) -> None:
+        # The Event fields are assigned directly, as Timeout does: one
+        # transit is built per packet.
+        env = mesh.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.mesh = mesh
+        self.packet = packet
+        inject = Event(env)
+        inject._value = None
+        env._ready.append(inject)
+        inject.callbacks.append(self._inject)
+
+    def _inject(self, event: Event) -> None:
+        env = self.env
+        mesh = self.mesh
+        packet = self.packet
+        packet.injected_at = env.now
+        tracer = self.tracer = env.tracer
+        self.sid = None
+        if tracer is not None:
+            src, dst, self.tracks = _trace_labels(packet.src, packet.dst,
+                                                  packet.plane)
+            self.sid = tracer.begin("noc", packet.plane, packet.kind._name_,
+                                    "noc.packet", src=src, dst=dst,
+                                    flits=packet.size_flits)
+            self.held = []
+        if packet.src == packet.dst:
+            # Local ejection: no links, one router traversal.
+            self.route = ()
+            Timeout(env, mesh.router_latency).callbacks.append(self._eject)
+        else:
+            self.route = mesh.route_links(packet.src, packet.dst,
+                                          packet.plane)
+            self.hop = 0
+            self._advance(event)
+
+    def _advance(self, event: Event) -> None:
+        """Request the next link of the route, or, with the head at
+        the destination, let the body drain behind it."""
+        hop = self.hop
+        route = self.route
+        if hop < len(route):
+            self.hop = hop + 1
+            grant = route[hop].channel.acquire()
+            grant.callbacks.append(self._granted)
+            if grant._value is PENDING:
+                # Contended: list the packet for the deadlock probe
+                # while it queues on the busy link.
+                self.env._register_process(_LinkWait(self.packet, grant))
+        else:
+            # The hold is a single multi-cycle timeout per link set —
+            # the whole serialized body in one event, never one event
+            # per flit (see docs/performance.md).
+            Timeout(self.env, self.packet.size_flits).callbacks.append(
+                self._eject)
+
+    def _granted(self, event: Event) -> None:
+        tracer = self.tracer
+        if tracer is not None:
+            packet = self.packet
+            held = self.held
+            held.append(tracer.begin("noc", self.tracks[len(held)],
+                                     packet.kind._name_, "noc.link",
+                                     flits=packet.size_flits))
+        Timeout(self.env, self.mesh.router_latency).callbacks.append(
+            self._advance)
+
+    def _eject(self, event: Event) -> None:
+        """Release every held link (none for a local packet), then
+        eject: the fault hook, the outcome count and the inbox put."""
+        env = self.env
+        mesh = self.mesh
+        packet = self.packet
+        tracer = self.tracer
+        size_flits = packet.size_flits
+        for link in self.route:
+            link.record(size_flits)
+            link.channel.release()
+        if tracer is not None:
+            for sid in self.held:
+                tracer.end(sid)
+        if mesh.fault_injector is not None:
+            # Delivery faults strike after the wormhole released every
+            # link, so a lost packet never leaves a stuck channel: the
+            # loss is visible only as a missing ejection (and a
+            # watchdog timeout at whoever was waiting for it). A
+            # corrupted payload is caught by the link-level CRC at
+            # ejection and discarded — detected, never delivered.
+            action = mesh.fault_injector.on_deliver(packet, env.now)
+            if action != "ok":
+                mesh._retire(packet, "dropped" if action == "drop"
+                             else "corrupted", tracer, self.sid)
+                if packet.on_lost is not None:
+                    packet.on_lost()
+                self.succeed(packet)
+                return
+        packet.delivered_at = env.now
+        mesh.total_latency += packet.latency
+        mesh.delivered_by_kind[packet.kind] = (
+            mesh.delivered_by_kind.get(packet.kind, 0) + 1)
+        mesh._retire(packet, "delivered", tracer, self.sid)
+        mesh._inboxes[(packet.dst, packet.plane)].put(
+            packet).callbacks.append(self._delivered)
+
+    def _delivered(self, event: Event) -> None:
+        self.succeed(self.packet)
+
+
+class _LinkWait:
+    """A packet queued on a busy link, as the deadlock probe lists it.
+
+    Carries the ``name``, ``target`` and ``is_alive`` that
+    :meth:`Environment.blocked_processes` reads from a process. One is
+    registered only when a link acquire does not grant at once, and it
+    is dead from the grant on.
+    """
+
+    __slots__ = ("packet", "target")
+
+    def __init__(self, packet: Packet, target: Event) -> None:
+        self.packet = packet
+        self.target = target
+
+    @property
+    def name(self) -> str:
+        packet = self.packet
+        return (f"packet {packet.packet_id} {packet.kind._name_} "
+                f"{packet.src}->{packet.dst}@{packet.plane}")
+
+    @property
+    def is_alive(self) -> bool:
+        return self.target._value is PENDING
 
 
 class Mesh2D:
@@ -187,70 +347,13 @@ class Mesh2D:
 
     # -- transmission -------------------------------------------------------
 
-    def send(self, packet: Packet) -> Process:
-        """Inject ``packet``; the process completes at delivery."""
+    def send(self, packet: Packet) -> Event:
+        """Inject ``packet``; the returned event succeeds with the
+        packet at delivery (or, for a packet lost at ejection, once its
+        links are released)."""
         self._check(packet.src, packet.plane)
         self._check(packet.dst, packet.plane)
-        return self.env.process(self._transmit(packet))
-
-    def _transmit(self, packet: Packet):
-        packet.injected_at = self.env.now
-        tracer = self.env.tracer
-        sid = None
-        if tracer is not None:
-            src, dst, tracks = _trace_labels(packet.src, packet.dst,
-                                             packet.plane)
-            kind = packet.kind._name_
-            flits = packet.size_flits
-            sid = tracer.begin("noc", packet.plane, kind, "noc.packet",
-                               src=src, dst=dst, flits=flits)
-        if packet.src == packet.dst:
-            # Local ejection: no links, one router traversal.
-            yield Timeout(self.env, self.router_latency)
-        else:
-            env = self.env
-            router_latency = self.router_latency
-            route = self.route_links(packet.src, packet.dst, packet.plane)
-            held_sids: List[int] = []
-            for link in route:
-                yield link.channel.acquire()
-                if tracer is not None:
-                    held_sids.append(tracer.begin(
-                        "noc", tracks[len(held_sids)], kind, "noc.link",
-                        flits=flits))
-                yield Timeout(env, router_latency)
-            # Head reached the destination; the body drains behind it.
-            # The hold is a single multi-cycle timeout per link set — the
-            # whole serialized body in one event, never one event per
-            # flit (see docs/performance.md).
-            yield Timeout(env, packet.size_flits)
-            size_flits = packet.size_flits
-            for index, link in enumerate(route):
-                link.record(size_flits)
-                link.channel.release()
-                if tracer is not None:
-                    tracer.end(held_sids[index])
-        if self.fault_injector is not None:
-            # Delivery faults strike after the wormhole released every
-            # link, so a lost packet never leaves a stuck channel: the
-            # loss is visible only as a missing ejection (and a
-            # watchdog timeout at whoever was waiting for it). A
-            # corrupted payload is caught by the link-level CRC at
-            # ejection and discarded — detected, never delivered.
-            action = self.fault_injector.on_deliver(packet, self.env.now)
-            if action != "ok":
-                self._retire(packet, "dropped" if action == "drop"
-                             else "corrupted", tracer, sid)
-                if packet.on_lost is not None:
-                    packet.on_lost()
-                return packet
-        packet.delivered_at = self.env.now
-        self.total_latency += packet.latency
-        self.delivered_by_kind[packet.kind] = (
-            self.delivered_by_kind.get(packet.kind, 0) + 1)
-        self._retire(packet, "delivered", tracer, sid)
-        yield self._inboxes[(packet.dst, packet.plane)].put(packet)
-        return packet
+        return _Transit(self, packet)
 
     def _retire(self, packet: Packet, outcome: str, tracer,
                 sid: Optional[int]) -> None:
@@ -274,9 +377,9 @@ class Mesh2D:
         ``size_flits`` flits takes on an otherwise idle mesh: one
         router traversal for local ejection, else the wormhole formula
         ``hops * router_latency + size_flits`` (XY hop count =
-        Manhattan distance). This is the closed form of
-        :meth:`_transmit` with every ``acquire`` immediate — validated
-        against the event-driven path in
+        Manhattan distance). This is the closed form of the callback
+        path behind :meth:`send` with every ``acquire`` immediate —
+        validated against the event-driven path in
         ``tests/noc/test_vectorized.py`` — and exists for wide-mesh
         design-space sweeps where simulating millions of uncontended
         probe packets one event at a time would dominate the sweep.

@@ -503,7 +503,9 @@ class Environment:
         The substrate of the deadlock detector: when the schedule
         drains with work outstanding, this names who is stuck where
         (channel wait events carry a ``wait_reason`` attribute naming
-        the resource).
+        the resource). Any registered entry with a ``name``, a
+        ``target`` and an ``is_alive`` is listed like a process: the
+        NoC registers one for a packet queued on a busy link.
         """
         self._processes = [p for p in self._processes if p.is_alive]
         return [(p, p.target) for p in self._processes

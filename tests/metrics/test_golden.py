@@ -44,32 +44,32 @@ from tests.metrics.test_identity import PIPE_FRAMES, build_server, build_trace
 GOLDEN = {
     "p2p": (
         "f11d6a956c124d543c3e2d41c59c3c636c2882518e3ac8ae3bdae344c57bb821",
-        "27c772e8db034a9a04f76932cd53abdee06e22b190b9c64f658da82200a07f7a",
+        "eb3f71efc1c42158ff4395c75905f9b4aeed7f5d42ca1e0b121c607177a81eb2",
         "fa466501580e1b638ff1eb9d6e51fa3092081a528d068e34dfd922368c17a0c3",
     ),
     "pipe": (
         "472a877c340e9ec1bdd6dd1fd565eb8c83594fa84bd263cb80619b809dddc81c",
-        "8ca08ab51f843170e24b887cfde5ef08d247d4fdbbe12d981dd98663d008045b",
+        "68c04185731e235cd40f422336586e00a46abfd837675f8c3c134c702bb27ffe",
         "f346617c5c7527a1eb9bfc2bdc3ef617418c24219c61dd7b59f18142995bfabb",
     ),
     "serve": (
         "159062dc0bc12a900de78146bac472e8e01a212896bd455b091c77c3cf34e302",
-        "eba15167837f3bb50baeb53913b2fd41fe2f3ac524efabd13be15d3790dab70e",
+        "96f952c2a76a0252e08fa459020e990c5c4b71c338d26ccfdb705a7335c1ed4d",
         "2f51e761f2226f89d05c4df44714f94d1e58eaa8256d2f1a7e562c0f76010ed0",
     ),
     "degrade": (
         "ac8c9c25e09aebb5006cdba62c5ee871c840c4e5a2363236e7491f396697a33c",
-        "3ac9470eb58f8fb8af56aa16d4ebcc5e98f7f94b43ac1cbc13b92dc4a303dc64",
+        "bc72a1d9febc406714b0d470f344b48ecd1628046c97cbae28f1f52977bb6cc8",
         "e2ce886294c8b85694cf77fcb6678bf6f2d81024415944c9708aba4f5c970c2f",
     ),
     "retry": (
         "e8ddebdbd8a1368f60e657d0c1d63ce467e73a9b8ce7dc5c35aa85c59ad35dbb",
-        "dde32591d81cbdb7e8e3352cfc6c606db11129781d8883caab6c6fb19b0e6870",
+        "b732fddbf7d7ee79a8df0b85ffaa9124f57f851f08be4be7aa55b3245e2e3c9f",
         "e2583b30b7e0a37e86a058cdbff3c77b42fa90aa238d339723f50ec6ffb6a7d5",
     ),
     "software": (
         "5658d75bedd8975ac3ca2c8479181cbe544b467477c6465a1650b9a3c8542ac7",
-        "0cb37fde3d9d3dc3107a14114e7852a922299541cd109a71f71096ebcab33ec5",
+        "bbf9998e5e36acb781d632e2fbab538a639424b0614a734b002cbbf05154bdb6",
         "18228a541eb7ed364fdbfcc4099ad4e4f740b41ba1aa3d32005d37421fe0c620",
     ),
 }
@@ -77,7 +77,7 @@ GOLDEN = {
 #: sha256 of the key-sorted postmortem capture of the ring-traced serve
 #: run (see :func:`test_ring_postmortem_byte_identical`).
 RING_POSTMORTEM = (
-    "e0758010d1fc417e4913ff8ff951cbfedc8d9acbb39e86051c332d7b9ba6be78")
+    "abadf136e806ff56e9c333a2a7a4b1dac22ac7f9ab2e2ac6e56062eaab2592a9")
 RING_CAPACITY = 256
 
 
