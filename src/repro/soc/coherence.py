@@ -23,8 +23,13 @@ before the mode existed.
 Modeling note (documented in ``docs/coherence.md``): like the LLC, the
 private caches affect *timing and traffic accounting only*. Functional
 data always moves through the backing store out-of-band, so a protocol
-race (e.g. an invalidation crossing a grant in flight) can only skew a
-few cycles of timing, never corrupt data.
+race never corrupts data. Races do break the MESI state, though: an
+invalidation can overtake an in-flight ``E`` grant and leave two ``E``
+copies of a line.
+
+The bookkeeping is done once per burst, over line ranges: the private
+cache probes a memory tile's run of lines at once and installs a grant
+in one loop, and the LLC serves a run of lines in one call.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (Container, Dict, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..fixed import words_to_flits
 from ..noc import (
@@ -156,56 +162,112 @@ class PrivateCache:
     def _set_of(self, line: int) -> OrderedDict:
         return self._sets[line % self.n_sets]
 
-    def lines_of(self, offset: int, n_words: int) -> range:
-        first = offset // self.line_words
-        last = (offset + n_words - 1) // self.line_words
-        return range(first, last + 1)
-
     def state(self, line: int) -> Optional[str]:
         """The line's MESI state, or ``None`` when not resident."""
         return self._set_of(line).get(line)
 
     def touch(self, line: int, write: bool) -> Optional[str]:
-        """Probe for a local hit; returns the state when it is one.
+        """Probe one line for a local hit; returns the state when it is
+        one (see :meth:`probe`)."""
+        return self.state(line) if self.probe((line,), write)[0] else None
 
-        A read hits in any state. A write hits in ``M`` or ``E``
-        (``E`` upgrades to ``M`` silently); a write to an ``S`` line is
-        a miss — it needs an upgrade request for ownership.
+    def probe(self, lines: Sequence[int], write: bool,
+              whole: range = range(0)
+              ) -> Tuple[int, List[int], List[int], List[int]]:
+        """Probe a run of lines for local hits, in line order.
+
+        A read hits in any state. A write hits in ``M`` or ``E`` (``E``
+        upgrades to ``M`` silently); a write to an ``S`` line is a miss
+        that needs an upgrade request for ownership. A hit moves its
+        line to the LRU end; a miss leaves the set's order alone.
+
+        Returns ``(hits, gets, getm, upgrades)``: the hit count and the
+        missed lines by the request they need. A read miss is a GETS.
+        A write miss is an upgrade (ownership, no data) when the line
+        is ``S`` or lies in ``whole``, the lines the write overwrites
+        completely; otherwise it is a GETM (ownership plus a fill).
         """
-        cache_set = self._set_of(line)
-        state = cache_set.get(line)
-        if state is None:
-            self.misses += 1
-            return None
-        if write and state == SHARED:
-            self.misses += 1
-            return None
-        if write and state == EXCLUSIVE:
-            cache_set[line] = MODIFIED
-        cache_set.move_to_end(line)
-        self.hits += 1
-        return cache_set[line]
+        sets = self._sets
+        n_sets = self.n_sets
+        whole_first, whole_stop = whole.start, whole.stop
+        hits = 0
+        gets: List[int] = []
+        getm: List[int] = []
+        upgrades: List[int] = []
+        for line in lines:
+            cache_set = sets[line % n_sets]
+            state = cache_set.get(line)
+            if state is None:
+                if not write:
+                    gets.append(line)
+                elif whole_first <= line < whole_stop:
+                    upgrades.append(line)
+                else:
+                    getm.append(line)
+                continue
+            if write:
+                if state == SHARED:
+                    upgrades.append(line)
+                    continue
+                if state == EXCLUSIVE:
+                    cache_set[line] = MODIFIED
+            cache_set.move_to_end(line)
+            hits += 1
+        self.hits += hits
+        self.misses += len(lines) - hits
+        return hits, gets, getm, upgrades
 
     def install(self, line: int, state: str) -> Optional[int]:
-        """Install (or restate) a line; returns an evicted dirty line.
+        """Install (or restate) one line; returns an evicted dirty line
+        (see :meth:`install_lines`)."""
+        return next(iter(self.install_lines((line,), state)), None)
 
-        The victim, when one is needed, is the LRU way of the set; a
-        clean victim vanishes silently, a dirty (``M``) victim is
-        returned so the caller can issue the writeback message.
+    def install_lines(self, lines: Iterable[int], state: str,
+                      exclusive: Container[int] = ()) -> List[int]:
+        """Install (or restate) lines in order; returns the evicted
+        dirty lines.
+
+        Lines in ``exclusive`` install ``E`` instead of ``state``. A
+        line not yet resident in a full set evicts the set's LRU way
+        first: a clean victim vanishes silently, a dirty (``M``) victim
+        is returned so the caller can issue the writeback message.
         """
         if state not in (MODIFIED, EXCLUSIVE, SHARED):
             raise ValueError(f"bad MESI state {state!r}")
-        cache_set = self._set_of(line)
-        dirty_victim = None
-        if line not in cache_set and len(cache_set) >= self.ways:
-            victim, victim_state = cache_set.popitem(last=False)
-            self.evictions += 1
-            if victim_state == MODIFIED:
-                self.writebacks += 1
-                dirty_victim = victim
-        cache_set[line] = state
-        cache_set.move_to_end(line)
-        return dirty_victim
+        sets = self._sets
+        n_sets = self.n_sets
+        ways = self.ways
+        victims: List[int] = []
+        for line in lines:
+            cache_set = sets[line % n_sets]
+            line_state = EXCLUSIVE if line in exclusive else state
+            if line in cache_set:
+                cache_set[line] = line_state
+                cache_set.move_to_end(line)
+                continue
+            if len(cache_set) >= ways:
+                victim, victim_state = cache_set.popitem(last=False)
+                self.evictions += 1
+                if victim_state == MODIFIED:
+                    self.writebacks += 1
+                    victims.append(victim)
+            cache_set[line] = line_state
+        return victims
+
+    def install_grant(self, request: CoherenceRequest,
+                      exclusive_lines: Tuple[int, ...]) -> List[int]:
+        """Install a granted request's lines; returns the evicted dirty
+        lines.
+
+        The GETS lines install first, ``E`` when the grant lists them
+        in ``exclusive_lines`` and ``S`` otherwise; then the GETM and
+        upgrade lines install ``M``.
+        """
+        exclusive = set(exclusive_lines) if exclusive_lines else ()
+        victims = self.install_lines(request.gets_lines, SHARED, exclusive)
+        victims += self.install_lines(
+            request.getm_lines + request.upgrade_lines, MODIFIED)
+        return victims
 
     def invalidate(self, line: int) -> bool:
         """Drop a line on a coherence invalidation; True when it was
@@ -373,6 +435,9 @@ class CoherenceDirectory:
         #: distinguish the two — E upgrades to M silently).
         self._owner: Dict[int, Coord] = {}
         self._acks: Dict[str, Fifo] = {}
+        #: Global id of the tile's first line: the LLC indexes lines
+        #: from there.
+        self._base_line = tile.base_words // self.llc.line_words
         self.stats = DirectoryStats()
         self.env.process(self._server(),
                          name=f"coh-dir{tile.coord}")
@@ -380,10 +445,6 @@ class CoherenceDirectory:
                          name=f"coh-dir-rsp{tile.coord}")
 
     # -- helpers -----------------------------------------------------------
-
-    def _local_line(self, line: int) -> int:
-        """Map a global line id onto the tile's local line space."""
-        return line - self.tile.base_words // self.llc.line_words
 
     def _ack_queue(self, tag: str) -> Fifo:
         queue = self._acks.get(tag)
@@ -405,12 +466,8 @@ class CoherenceDirectory:
         the SRAM streaming cycles of the absorption.
         """
         llc = self.llc
-        tile = self.tile
-        for line in lines:
-            _, evicted = llc.access_line(self._local_line(line),
-                                         write=True)
-            if evicted:
-                tile.words_written += llc.line_words
+        _, _, evicted = llc.access_lines(lines, True, self._base_line)
+        self.tile.words_written += evicted * llc.line_words
         self.stats.writebacks_received += len(lines)
         return self._stream_cycles(len(lines) * llc.line_words)
 
@@ -513,16 +570,9 @@ class CoherenceDirectory:
 
             # 2. Data lines through the LLC (timing + DRAM counters,
             # mirroring the LLC-coherent service path).
-            n_hit = n_fill = 0
-            for line in request.data_lines:
-                hit, evicted = llc.access_line(self._local_line(line),
-                                               write=False)
-                if hit:
-                    n_hit += 1
-                else:
-                    n_fill += 1
-                if evicted:
-                    tile.words_written += llc.line_words
+            n_hit, n_fill, evicted = llc.access_lines(
+                request.data_lines, False, self._base_line)
+            tile.words_written += evicted * llc.line_words
             tile.words_read += n_fill * llc.line_words
             cycles = 0
             if n_hit:

@@ -25,9 +25,9 @@ This is all transparent to the accelerator kernel: the wrapper calls
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,14 +49,12 @@ from .coherence import (
     CoherenceRequest,
     CoherenceWriteback,
     DEFAULT_PRIVATE_CACHE_WORDS,
-    EXCLUSIVE,
     InvalidateAck,
     InvalidateRequest,
-    MODIFIED,
     PrivateCache,
-    SHARED,
     line_list_flits,
 )
+from .llc import whole_lines
 from .memory import DmaRequest, MemoryMap, MemoryTile
 from .registers import P2PConfig
 from .tlb import Tlb
@@ -328,6 +326,10 @@ class DmaEngine:
                 capacity_words=self.private_cache_words
                 or DEFAULT_PRIVATE_CACHE_WORDS,
                 line_words=line_words)
+            # A line belongs to the memory tile owning its first word:
+            # per tile, the first line whose first word it owns.
+            self._tile_first_lines = [-(-tile.base_words // line_words)
+                                      for tile in self.memory_map.tiles]
             self.env.process(self._fc_rsp_dispatcher(),
                              name=f"coh-rsp-dispatch{self.coord}")
             self.env.process(self._fc_inv_server(),
@@ -376,10 +378,25 @@ class DmaEngine:
                                       tag=request.tag),
                 tag=request.tag))
 
-    def _line_tile(self, line: int) -> MemoryTile:
-        return self.memory_map.owner(line * self.cache.line_words)[0]
+    def _line_runs(self, offset: int,
+                   n_words: int) -> List[Tuple[MemoryTile, range]]:
+        """The lines [offset, offset+n) touches, as one run per memory
+        tile: a line belongs to the tile owning its first word."""
+        line_words = self.cache.line_words
+        start = offset // line_words * line_words
+        stop = min(-(-(offset + n_words) // line_words) * line_words,
+                   self.memory_map.total_words)
+        runs = []
+        for tile, local, words in self.memory_map.split_range(start,
+                                                              stop - start):
+            first_word = tile.base_words + local
+            lines = range(-(-first_word // line_words),
+                          -(-(first_word + words) // line_words))
+            if lines:
+                runs.append((tile, lines))
+        return runs
 
-    def _fc_writebacks(self, victims):
+    def _fc_writebacks(self, victims: List[int]):
         """Writeback packets for evicted dirty lines.
 
         No ack is awaited (the directory absorbs them asynchronously),
@@ -389,9 +406,12 @@ class DmaEngine:
         generates instead of getting eviction bandwidth for free.
         """
         cache = self.cache
+        tiles = self.memory_map.tiles
+        first_lines = self._tile_first_lines
         by_tile = {}
         for line in victims:
-            by_tile.setdefault(self._line_tile(line), []).append(line)
+            by_tile.setdefault(tiles[bisect_right(first_lines, line) - 1],
+                               []).append(line)
         for tile, lines in by_tile.items():
             yield self.mesh.send(Packet(
                 src=self.coord, dst=tile.coord,
@@ -407,44 +427,30 @@ class DmaEngine:
 
         The cache hierarchy handles the word-granularity access, so
         (unlike DMA) there is no TLB walk — this is why the mode wins
-        on small footprints. Lines hit locally or join a batched
-        request per owning memory tile (GETS for reads; GETM with fill
-        for partial-line stores; an upgrade — no data — for S-state
-        hits and full-line overwrites). Grants install lines S/E/M;
-        dirty victims stream back as writeback packets.
+        on small footprints. Each memory tile's run of lines is probed
+        at once: lines hit locally or join the batched request to that
+        tile (GETS for reads; GETM with fill for partial-line stores;
+        an upgrade — no data — for S-state hits and full-line
+        overwrites). Grants install lines S/E/M; dirty victims stream
+        back as writeback packets.
         """
         cache = self.cache
-        line_words = cache.line_words
-        end = offset + n_words
+        whole = whole_lines(offset, n_words, cache.line_words)
         hit_lines = 0
-        per_tile: Dict[MemoryTile, Tuple[list, list, list]] = {}
-        for line in cache.lines_of(offset, n_words):
-            if cache.touch(line, write=write) is not None:
-                hit_lines += 1
-                continue
-            gets, getm, upgrades = per_tile.setdefault(
-                self._line_tile(line), ([], [], []))
-            if not write:
-                gets.append(line)
-            else:
-                line_start = line * line_words
-                full_cover = (offset <= line_start
-                              and line_start + line_words <= end)
-                state = cache.state(line)
-                # An S-state write needs ownership but no data; so
-                # does a store that overwrites the whole line.
-                if state == SHARED or full_cover:
-                    upgrades.append(line)
-                else:
-                    getm.append(line)
+        misses = []
+        for tile, lines in self._line_runs(offset, n_words):
+            hits, gets, getm, upgrades = cache.probe(lines, write, whole)
+            hit_lines += hits
+            if hits < len(lines):
+                misses.append((tile, gets, getm, upgrades))
         if hit_lines:
             yield self.env.timeout(
                 cache.hit_latency
-                + (hit_lines * line_words + 7) // 8)
-        if not per_tile:
+                + (hit_lines * cache.line_words + 7) // 8)
+        if not misses:
             return
         pending = []
-        for tile, (gets, getm, upgrades) in per_tile.items():
+        for tile, gets, getm, upgrades in misses:
             tile.ensure_directory()
             tag = self._new_tag()
             request = CoherenceRequest(
@@ -461,17 +467,8 @@ class DmaEngine:
         for tag, request in pending:
             packet = yield self._response_queue(tag).get()
             del self._responses[tag]
-            reply = packet.payload
-            exclusive = set(reply.exclusive_lines)
-            for line in request.gets_lines:
-                victim = cache.install(
-                    line, EXCLUSIVE if line in exclusive else SHARED)
-                if victim is not None:
-                    victims.append(victim)
-            for line in request.getm_lines + request.upgrade_lines:
-                victim = cache.install(line, MODIFIED)
-                if victim is not None:
-                    victims.append(victim)
+            victims += cache.install_grant(request,
+                                           packet.payload.exclusive_lines)
         if victims:
             yield from self._fc_writebacks(victims)
 

@@ -15,7 +15,12 @@ tracked at cache-line granularity over the memory tile's word space.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+
+def whole_lines(offset: int, n_words: int, line_words: int) -> range:
+    """Lines that the access [offset, offset+n) covers completely."""
+    return range(-(-offset // line_words), (offset + n_words) // line_words)
 
 
 class LastLevelCache:
@@ -55,22 +60,50 @@ class LastLevelCache:
 
     def access_line(self, line: int, write: bool) -> Tuple[bool, bool]:
         """Touch one line; returns (hit, writeback_needed)."""
-        cache_set = self._sets[line % self.n_sets]
-        writeback = False
-        if line in cache_set:
-            self.hits += 1
-            cache_set[line] = cache_set[line] or write
-            cache_set.move_to_end(line)
-            return True, False
-        self.misses += 1
-        if len(cache_set) >= self.ways:
-            _, dirty = cache_set.popitem(last=False)   # evict LRU
-            self.evictions += 1
-            if dirty:
-                self.writebacks += 1
-                writeback = True
-        cache_set[line] = write
-        return False, writeback
+        hits, _, writebacks = self.access_lines((line,), write)
+        return hits == 1, writebacks == 1
+
+    def access_lines(self, lines: Sequence[int], write: bool,
+                     base: int = 0,
+                     whole: range = range(0)) -> Tuple[int, int, int]:
+        """Touch ``line - base`` for each of ``lines``, in order.
+
+        Each access has the per-line effect: a hit marks the line dirty
+        on a write and moves it to the LRU end; a miss evicts the set's
+        LRU way when the set is full and installs the line. Returns
+        ``(hits, fills, writebacks)``: ``fills`` counts the misses that
+        must fetch the line from DRAM, which is every miss outside
+        ``whole`` (the lines a store overwrites completely; given in
+        the same numbering as ``lines``), and ``writebacks`` the dirty
+        victims.
+        """
+        sets = self._sets
+        n_sets = self.n_sets
+        ways = self.ways
+        whole_first, whole_stop = whole.start, whole.stop
+        hits = fills = evictions = writebacks = 0
+        for line in lines:
+            local = line - base
+            cache_set = sets[local % n_sets]
+            dirty = cache_set.get(local)
+            if dirty is not None:
+                hits += 1
+                if write and not dirty:
+                    cache_set[local] = True
+                cache_set.move_to_end(local)
+                continue
+            if not whole_first <= line < whole_stop:
+                fills += 1
+            if len(cache_set) >= ways:
+                evictions += 1
+                if cache_set.popitem(last=False)[1]:
+                    writebacks += 1
+            cache_set[local] = write
+        self.hits += hits
+        self.misses += len(lines) - hits
+        self.evictions += evictions
+        self.writebacks += writebacks
+        return hits, fills, writebacks
 
     def flush(self) -> int:
         """Write back every dirty line; returns the writeback count."""

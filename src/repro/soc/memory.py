@@ -27,7 +27,7 @@ from ..noc import (
     Packet,
 )
 from ..sim import Environment, Event
-from .llc import LastLevelCache
+from .llc import LastLevelCache, whole_lines
 
 Coord = Tuple[int, int]
 
@@ -161,25 +161,14 @@ class MemoryTile:
         """
         llc = self.llc
         is_store = request.op == "store"
-        n_hit = n_miss = n_writeback = 0
-        n_fill = 0
-        end = request.offset + request.words
-        for line in llc.lines_of(request.offset, request.words):
-            hit, writeback = llc.access_line(line, write=is_store)
-            if hit:
-                n_hit += 1
-            else:
-                n_miss += 1
-                line_start = line * llc.line_words
-                full_cover = (request.offset <= line_start and
-                              line_start + llc.line_words <= end)
-                # Fetch-on-write is skipped when the store overwrites
-                # the whole line (streaming DMA stores hit this path);
-                # loads and partial stores must fill from DRAM.
-                if not (is_store and full_cover):
-                    n_fill += 1
-            if writeback:
-                n_writeback += 1
+        lines = llc.lines_of(request.offset, request.words)
+        # Fetch-on-write is skipped when the store overwrites the whole
+        # line (streaming DMA stores hit this path); loads and partial
+        # stores must fill from DRAM.
+        whole = whole_lines(request.offset, request.words,
+                            llc.line_words) if is_store else range(0)
+        n_hit, n_fill, n_writeback = llc.access_lines(lines, is_store,
+                                                      whole=whole)
         dram_words = (n_fill + n_writeback) * llc.line_words
         self.words_read += n_fill * llc.line_words
         self.words_written += n_writeback * llc.line_words

@@ -1,7 +1,7 @@
 """The vectorized uncontended-transport helper vs the event-driven path.
 
 ``Mesh2D.bulk_uncontended_latencies`` is the closed form of
-``_transmit`` for isolated packets (wide-mesh DSE sweeps); these tests
+``Mesh2D.send`` for isolated packets (wide-mesh DSE sweeps); these tests
 pin it cycle-for-cycle against actually simulating each packet alone
 on an idle mesh.
 """
