@@ -76,9 +76,9 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
                 put(family, (plane,), packets)
         for plane, flits in mesh.plane_flits().items():
             put(reg.noc_flits, (plane,), flits)
-        for (src, dst, plane), link in mesh.links.items():
-            if link.flits_carried == 0 \
-                    and link.channel.busy_cycles == 0:
+        for (src, dst, plane), link in mesh.link_slots():
+            if link is None or (link.flits_carried == 0
+                                and link.channel.busy_cycles == 0):
                 continue   # keep untouched links out of the exposition
             label = link_labels.get(link)
             if label is None:

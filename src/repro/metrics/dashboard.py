@@ -50,7 +50,8 @@ def _tile_cell(soc, registry: MetricsRegistry, coord) -> str:
 
 
 def _link_utilization(soc, a, b) -> float:
-    """Worst per-plane utilization over the two directions of a hop."""
+    """Worst per-plane utilization over the two directions of a hop
+    (a link the mesh has not created is idle)."""
     worst = 0.0
     for src, dst in ((a, b), (b, a)):
         for plane in soc.mesh.planes:

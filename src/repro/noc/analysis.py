@@ -90,16 +90,22 @@ class LinkUtilization:
 def link_utilizations(mesh: Mesh2D, plane: str,
                       elapsed: Optional[int] = None
                       ) -> List[LinkUtilization]:
-    """Per-link utilization on one plane, busiest first."""
+    """Per-link utilization on one plane, busiest first.
+
+    Every link of the plane is listed, a link no route has reached as
+    idle; ties keep the mesh's canonical link order.
+    """
     if plane not in mesh.planes:
         raise ValueError(f"unknown plane {plane!r}")
     out = []
-    for (src, dst, link_plane), link in mesh.links.items():
+    for (src, dst, link_plane), link in mesh.link_slots():
         if link_plane != plane:
             continue
+        idle = link is None
         out.append(LinkUtilization(
-            src=src, dst=dst, plane=plane, flits=link.flits_carried,
-            utilization=link.utilization(elapsed)))
+            src=src, dst=dst, plane=plane,
+            flits=0 if idle else link.flits_carried,
+            utilization=0.0 if idle else link.utilization(elapsed)))
     out.sort(key=lambda l: l.flits, reverse=True)
     return out
 

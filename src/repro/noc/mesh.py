@@ -15,13 +15,18 @@ cycles. End-to-end latency of an uncontended packet is the textbook
 A packet in flight is an event, not a process: :meth:`Mesh2D.send`
 returns the packet's delivery event, and the transmission runs as
 callbacks on the link grants and timeouts it waits on.
+
+The mesh builds only what traffic reaches: a link, with its channel,
+is created when the first route over it is resolved, and an ejection
+queue on its first use. Readers that report every link list the ones
+never created as idle, in one canonical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +74,32 @@ IO_PLANE = "io-irq"
 COH_REQUEST_PLANE = "coh-req"
 COH_FORWARD_PLANE = "coh-fwd"
 COH_RESPONSE_PLANE = "coh-rsp"
+
+#: A directed link's key: its source and destination tiles and plane.
+LinkKey = Tuple[Coord, Coord, str]
+
+
+@lru_cache(maxsize=64)
+def canonical_link_keys(cols: int, rows: int,
+                        planes: Tuple[str, ...]) -> Tuple[LinkKey, ...]:
+    """Every directed link of a ``cols`` x ``rows`` mesh on ``planes``,
+    in the canonical order the link readers report them in: tiles
+    column-major, the east then the south neighbour, the planes in
+    order, the forward then the backward direction. Shared by every
+    mesh of the geometry."""
+    tiles = [[(x, y) for y in range(rows)] for x in range(cols)]
+    keys = []
+    for x in range(cols):
+        for y in range(rows):
+            for nx, ny in ((x + 1, y), (x, y + 1)):
+                if nx >= cols or ny >= rows:
+                    continue
+                a, b = tiles[x][y], tiles[nx][ny]
+                for plane in planes:
+                    keys.append((a, b, plane))
+                    keys.append((b, a, plane))
+    return tuple(keys)
+
 
 #: How a packet leaves the mesh: ejected, lost in flight, or discarded
 #: by the link-level CRC.
@@ -207,8 +238,10 @@ class _Transit(Event):
         mesh.delivered_by_kind[packet.kind] = (
             mesh.delivered_by_kind.get(packet.kind, 0) + 1)
         mesh._retire(packet, "delivered", tracer, self.sid)
-        mesh._inboxes[(packet.dst, packet.plane)].put(
-            packet).callbacks.append(self._delivered)
+        inbox = mesh._inboxes.get((packet.dst, packet.plane))
+        if inbox is None:
+            inbox = mesh._add_inbox(packet.dst, packet.plane)
+        inbox.put(packet).callbacks.append(self._delivered)
 
     def _delivered(self, event: Event) -> None:
         self.succeed(self.packet)
@@ -260,40 +293,32 @@ class Mesh2D:
         if len(self.planes) < len(planes):
             raise ValueError("duplicate plane names")
         self.router_latency = router_latency
+        self.trace_links = trace_links
 
-        self.links: Dict[Tuple[Coord, Coord, str], Link] = {}
-        for x in range(cols):
-            for y in range(rows):
-                for nx, ny in ((x + 1, y), (x, y + 1)):
-                    if nx >= cols or ny >= rows:
-                        continue
-                    for plane in self.planes.values():
-                        for src, dst in (((x, y), (nx, ny)),
-                                         ((nx, ny), (x, y))):
-                            self.links[(src, dst, plane.name)] = Link(
-                                env, src, dst, plane.name,
-                                plane.flit_bits,
-                                record_history=trace_links)
-
+        # Links and ejection queues are created on first use (route
+        # resolution and inbox lookup): an XY route touches few links,
+        # and three of the six planes carry only coherence traffic.
+        # Creating one schedules nothing, so timing is unaffected.
+        # ``links`` holds the created links in creation order; readers
+        # that enumerate them use the canonical order of
+        # ``link_keys()``, where a link not yet created is idle.
+        self.links: Dict[LinkKey, Link] = {}
         self._inboxes: Dict[Tuple[Coord, str], Fifo] = {}
-        for x in range(cols):
-            for y in range(rows):
-                for plane in self.planes:
-                    self._inboxes[((x, y), plane)] = Fifo(
-                        env, name=f"inbox{(x, y)}@{plane}")
 
         # Hop table: (src, dst, plane) -> the Link objects of the XY
-        # route, resolved once (lazily, on first traffic) instead of a
-        # route computation plus per-hop dict lookups on every packet.
-        # Sound because XY routes and the link set are both immutable
-        # for the lifetime of the mesh (see repro.noc.routing).
+        # route, resolved once (on first traffic, which creates the
+        # route's missing links) instead of a route computation plus
+        # per-hop dict lookups on every packet. Sound because XY routes
+        # are immutable (see repro.noc.routing) and a link, once
+        # created, stays for the lifetime of the mesh.
         self._route_links: Dict[Tuple[Coord, Coord, str],
                                 Tuple[Link, ...]] = {}
 
         # Endpoint validation cache: (coord, plane) pairs already
-        # checked. The mesh is immutable, so a pair that validated once
-        # validates forever — send() then costs two set probes instead
-        # of re-running the bounds/plane checks per packet.
+        # checked. The geometry and planes are immutable, so a pair that
+        # validated once validates forever — send() then costs two set
+        # probes instead of re-running the bounds/plane checks per
+        # packet.
         self._checked: set = set()
 
         # Hardware counters: packets per ejection outcome and plane
@@ -314,9 +339,26 @@ class Mesh2D:
         return [(x, y) for y in range(self.rows) for x in range(self.cols)]
 
     def inbox(self, coord: Coord, plane: str) -> Fifo:
-        """The ejection queue of ``coord`` on ``plane``."""
-        self._check(coord, plane)
-        return self._inboxes[(coord, plane)]
+        """The ejection queue of ``coord`` on ``plane``, created on
+        first use."""
+        inbox = self._inboxes.get((coord, plane))
+        if inbox is None:
+            self._check(coord, plane)
+            inbox = self._add_inbox(coord, plane)
+        return inbox
+
+    def link_keys(self) -> Tuple[LinkKey, ...]:
+        """Every link key of the mesh, created or not, in canonical
+        order (see :func:`canonical_link_keys`)."""
+        return canonical_link_keys(self.cols, self.rows,
+                                   tuple(self.planes))
+
+    def link_slots(self) -> Iterator[Tuple[LinkKey, Optional[Link]]]:
+        """Every link key in canonical order with its link, or ``None``
+        for a link no route has reached yet (an idle link)."""
+        links = self.links
+        for key in self.link_keys():
+            yield key, links.get(key)
 
     def flit_bits(self, plane: str) -> int:
         return self.planes[plane].flit_bits
@@ -332,7 +374,8 @@ class Mesh2D:
 
     def route_links(self, src: Coord, dst: Coord,
                     plane: str) -> Tuple[Link, ...]:
-        """The links of the XY route from ``src`` to ``dst`` on ``plane``.
+        """The links of the XY route from ``src`` to ``dst`` on ``plane``,
+        created on the route's first resolution.
 
         Memoized per mesh; the tuple is shared, callers must not
         mutate link state except through the link API.
@@ -340,10 +383,29 @@ class Mesh2D:
         key = (src, dst, plane)
         links = self._route_links.get(key)
         if links is None:
-            links = tuple(self.links[(a, b, plane)]
-                          for a, b in route_hops_cached(src, dst))
-            self._route_links[key] = links
+            route = []
+            for a, b in route_hops_cached(src, dst):
+                link = self.links.get((a, b, plane))
+                if link is None:
+                    link = self._add_link((a, b, plane))
+                route.append(link)
+            links = self._route_links[key] = tuple(route)
         return links
+
+    # The two creating helpers: the only places a link or an ejection
+    # queue is built.
+
+    def _add_link(self, key: LinkKey) -> Link:
+        src, dst, plane = key
+        link = self.links[key] = Link(
+            self.env, src, dst, plane, self.planes[plane].flit_bits,
+            record_history=self.trace_links)
+        return link
+
+    def _add_inbox(self, coord: Coord, plane: str) -> Fifo:
+        inbox = self._inboxes[(coord, plane)] = Fifo(
+            self.env, name=f"inbox{coord}@{plane}")
+        return inbox
 
     # -- transmission -------------------------------------------------------
 
@@ -433,9 +495,20 @@ class Mesh2D:
         return self.total_latency / self.packets_delivered
 
     def busiest_links(self, top: int = 5) -> List[Link]:
-        ranked = sorted(self.links.values(),
-                        key=lambda l: l.flits_carried, reverse=True)
-        return ranked[:top]
+        """The ``top`` links by flits carried, ties in canonical order.
+
+        Idle links rank as carrying nothing; one that makes the cut
+        without having been created is created here.
+        """
+        links = self.links
+
+        def flits(key: LinkKey) -> int:
+            link = links.get(key)
+            return 0 if link is None else link.flits_carried
+
+        ranked = sorted(self.link_keys(), key=flits, reverse=True)[:top]
+        return [links[key] if key in links else self._add_link(key)
+                for key in ranked]
 
     def plane_flits(self) -> Dict[str, int]:
         """Flit-hops per plane (shows DMA planes carrying p2p traffic)."""

@@ -35,7 +35,8 @@ cache-equivalence tests in ``tests/sim/test_fastpath_equivalence.py``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 Coord = Tuple[int, int]
 Hop = Tuple[Coord, Coord]
@@ -110,6 +111,17 @@ def build_routing_table(tile: Coord, cols: int,
             else:
                 table[dst] = xy_route(tile, dst)[1]
     return table
+
+
+@lru_cache(maxsize=64)
+def routing_tables(cols: int,
+                   rows: int) -> Mapping[Coord, Mapping[Coord, Coord]]:
+    """The next-hop table of every tile of a ``cols`` x ``rows`` mesh,
+    row-major. Built once per geometry and shared read-only by every
+    SoC of that geometry."""
+    return MappingProxyType({
+        (x, y): MappingProxyType(build_routing_table((x, y), cols, rows))
+        for y in range(rows) for x in range(cols)})
 
 
 def routes_are_minimal_and_deadlock_free(cols: int, rows: int) -> bool:

@@ -2,7 +2,7 @@
 
 These model the hardware queues of the ESP platform: the shallow FIFOs
 in the accelerator wrapper, the NoC input/output queues, and exclusive
-resources such as a DMA engine or a NoC link.
+resources such as a NoC link.
 
 Invariants
 ----------
@@ -194,7 +194,9 @@ class Fifo:
 class Resource:
     """An exclusive resource with ``slots`` concurrent holders.
 
-    Used for NoC links (1 slot per plane direction) and DMA engines.
+    The channel of a NoC link (one slot per plane direction,
+    :class:`~repro.noc.link.Link`), created with the link on its
+    first use.
     """
 
     def __init__(self, env: Environment, slots: int = 1,

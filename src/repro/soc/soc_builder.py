@@ -10,10 +10,11 @@ software through the runtime layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..hls import ResourceEstimate
-from ..noc import Mesh2D, NocReport, build_routing_table, collect_report
+from ..noc import Mesh2D, NocReport, collect_report
+from ..noc.routing import routing_tables
 from ..sim import Environment
 from .accelerator import AcceleratorTile
 from .config import SoCConfig
@@ -46,7 +47,12 @@ class SoCInstance:
     memory_map: MemoryMap
     accelerators: Dict[str, AcceleratorTile]
     aux_tiles: List[AuxTile]
-    routing_tables: Dict[Coord, Dict[Coord, Coord]]
+
+    @property
+    def routing_tables(self) -> Mapping[Coord, Mapping[Coord, Coord]]:
+        """Per-tile next-hop tables, built on first access and shared
+        read-only by every SoC of the same mesh geometry."""
+        return routing_tables(self.config.cols, self.config.rows)
 
     @property
     def clock_mhz(self) -> float:
@@ -129,10 +135,6 @@ def build_soc(config: SoCConfig,
     aux_tiles = [AuxTile(env, mesh, coord)
                  for coord, _ in config.tiles_of_kind("aux")]
 
-    routing_tables = {coord: build_routing_table(coord, config.cols,
-                                                 config.rows)
-                      for coord in mesh.coords()}
-
     return SoCInstance(
         name=config.name,
         config=config,
@@ -142,5 +144,4 @@ def build_soc(config: SoCConfig,
         memory_map=memory_map,
         accelerators=accelerators,
         aux_tiles=aux_tiles,
-        routing_tables=routing_tables,
     )

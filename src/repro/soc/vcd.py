@@ -102,8 +102,8 @@ def emit_vcd(soc: SoCInstance, include_links: bool = True,
         changes.append((span.end, idents[span.device], 0))
 
     if include_links:
-        traced = [link for link in soc.mesh.links.values()
-                  if link.channel.record_history
+        traced = [link for _, link in soc.mesh.link_slots()
+                  if link is not None and link.channel.record_history
                   and link.channel.history]
         traced.sort(key=lambda l: l.flits_carried, reverse=True)
         for link in traced[:max_links]:

@@ -42,7 +42,13 @@ class TestConstruction:
         # 3x2 mesh: 2*2 horizontal + 3*1 vertical = 7 bidir pairs
         # -> 14 directed links per plane.
         per_plane = 14
-        assert len(mesh.links) == per_plane * 6
+        keys = mesh.link_keys()
+        assert len(keys) == len(set(keys)) == per_plane * 6
+        for src, dst, plane in keys:
+            assert abs(src[0] - dst[0]) + abs(src[1] - dst[1]) == 1
+            assert (dst, src, plane) in keys
+        for plane in mesh.planes:
+            assert sum(1 for key in keys if key[2] == plane) == per_plane
 
     def test_io_plane_narrower(self):
         env = Environment()
