@@ -23,18 +23,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from repro.control import ControlConfig, ControlPlane
-from repro.eval.apps import APP_CONFIGS, fresh_runtime
+from repro.control import ControlConfig
+from repro.eval.apps import APP_CONFIGS
 from repro.eval.chaos import run_chaos_campaign
-from repro.metrics import (
-    HealthMonitor,
-    MetricsSampler,
-    default_rules,
-    instrument_server,
-)
-from repro.serve import InferenceServer, ServerConfig
+from repro.eval.stack import StackSpec, build_stack
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -44,7 +39,7 @@ from bench_perf import (  # noqa: E402
     SMOKE_CYCLES,
     SMOKE_PIPE_FRAMES,
 )
-from bench_serve import build_server, build_trace  # noqa: E402
+from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
 
 #: Sampler tick for the zero-fault pin runs (same as bench_metrics).
 SAMPLE_INTERVAL = 5_000
@@ -57,36 +52,31 @@ SAMPLE_INTERVAL = 5_000
 SERVE_RESERVE_POOL = ("cl2", "cl3", "nv1", "nv2")
 
 
-def _observe_stack(server, controller_on, reserve_pool):
-    """Attach sampler + monitor (+ controller) to a server; return
-    (monitor, controller-or-None, sampler)."""
-    registry = instrument_server(server)
-    monitor = HealthMonitor(registry, default_rules(server))
-    controller = None
-    if controller_on:
-        controller = ControlPlane(server, monitor, ControlConfig(
-            reserve_pool=reserve_pool)).attach()
-    sampler = MetricsSampler(registry, interval=SAMPLE_INTERVAL,
-                             callbacks=[lambda _reg: monitor.evaluate()])
-    return monitor, controller, sampler
+def _observed(spec, controller_on, reserve_pool):
+    """``spec`` with sampler + monitor (+ controller) attached."""
+    return replace(spec, metrics=True, sampler_interval=SAMPLE_INTERVAL,
+                   control=(ControlConfig(reserve_pool=reserve_pool)
+                            if controller_on else None))
+
+
+def _quiet_row(stack):
+    return {
+        "cycles": stack.soc.env.now,
+        "actions": len(stack.controller.actions)
+        if stack.controller else 0,
+        "alerts": len(stack.monitor.history),
+        "health": stack.monitor.status(),
+    }
 
 
 def zero_fault_serve(controller_on, smoke=False):
     """The bench_serve trace with the full stack attached; must land
     exactly on the pinned seed cycle count with zero actions taken."""
-    runtime, server = build_server()
-    monitor, controller, sampler = _observe_stack(
-        server, controller_on, SERVE_RESERVE_POOL)
-    sampler.start()
+    stack = build_stack(_observed(SERVE_SPEC, controller_on,
+                                  SERVE_RESERVE_POOL))
     n_requests, frames = (1, 1) if smoke else (2, 2)
-    server.run_trace(build_trace(n_requests, frames))
-    env = runtime.soc.env
-    return {
-        "cycles": env.now,
-        "actions": len(controller.actions) if controller else 0,
-        "alerts": len(monitor.history),
-        "health": monitor.status(),
-    }
+    stack.server.run_trace(build_trace(n_requests, frames))
+    return _quiet_row(stack)
 
 
 def zero_fault_pipeline(name, controller_on, smoke=False):
@@ -97,21 +87,12 @@ def zero_fault_pipeline(name, controller_on, smoke=False):
     config = APP_CONFIGS["4nv_4cl"]
     n_frames = SMOKE_PIPE_FRAMES if smoke else PIPE_FRAMES
     frames, _ = config.make_inputs(n_frames, seed=0)
-    runtime = fresh_runtime(config)
-    server = InferenceServer(runtime, ServerConfig())
-    monitor, controller, sampler = _observe_stack(
-        server, controller_on, reserve_pool=())
-    sampler.max_samples = max(1, expected // SAMPLE_INTERVAL)
-    sampler.start()
-    runtime.esp_run(config.build_dataflow(), frames,
-                    mode="p2p" if name == "p2p" else "pipe")
-    env = runtime.soc.env
-    return {
-        "cycles": env.now,
-        "actions": len(controller.actions) if controller else 0,
-        "alerts": len(monitor.history),
-        "health": monitor.status(),
-    }
+    stack = build_stack(_observed(StackSpec(), controller_on,
+                                  reserve_pool=()))
+    stack.sampler.max_samples = max(1, expected // SAMPLE_INTERVAL)
+    stack.runtime.esp_run(config.build_dataflow(), frames,
+                          mode="p2p" if name == "p2p" else "pipe")
+    return _quiet_row(stack)
 
 
 def run_zero_fault_pins(smoke=False):

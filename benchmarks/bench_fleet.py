@@ -29,15 +29,16 @@ or:   PYTHONPATH=src python benchmarks/bench_fleet.py [--smoke]
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from repro.eval import build_soc1
 from repro.eval.fleet import (
     CAMPAIGN_POLICIES,
+    FLEET_SPEC,
     run_fleet_campaign,
     standard_inputs,
-    standard_tenants,
 )
+from repro.eval.stack import build_stack
 from repro.fleet import Arrival, Fleet, FleetInstance, FleetRouter
 from repro.serve import ServerConfig
 
@@ -60,9 +61,8 @@ def single_instance_pin(smoke=False):
     would standalone).
     """
     n_requests, frames_per_request = (1, 1) if smoke else (2, 2)
-    instance = FleetInstance.build(
-        "i0", build_soc1, standard_tenants(),
-        server_config=ServerConfig())
+    spec = replace(FLEET_SPEC, server=ServerConfig())
+    instance = FleetInstance("i0", build_stack(spec).server)
     fleet = Fleet([instance], FleetRouter([instance]))
     inputs = standard_inputs(n_frames=n_requests * frames_per_request)
     arrivals = [Arrival(0, tenant, frames_per_request)

@@ -31,15 +31,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
+from repro.eval.stack import build_stack
 from repro.metrics import (
-    HealthMonitor,
-    MetricsSampler,
     attach_metrics,
-    default_rules,
-    instrument_server,
     parse_exposition,
     register_soc_collectors,
     to_prometheus,
@@ -56,7 +54,7 @@ from bench_perf import (  # noqa: E402
     SMOKE_EVENTS,
     SMOKE_PIPE_FRAMES,
 )
-from bench_serve import build_server, build_trace  # noqa: E402
+from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
 
 #: Minimum acceptable (metrics-on events/s) / (metrics-off events/s).
 #: Full runs hold the 10%-overhead bar; the CI smoke variant only
@@ -87,14 +85,12 @@ def run_pipeline(mode, n_frames, instrument):
 
 
 def run_serve(n_requests, frames_per_request, instrument):
-    runtime, server = build_server()
-    if instrument:
-        instrument_server(server)
+    stack = build_stack(replace(SERVE_SPEC, metrics=instrument))
     trace = build_trace(n_requests, frames_per_request)
     start = time.perf_counter()
-    server.run_trace(trace)
+    stack.server.run_trace(trace)
     wall = time.perf_counter() - start
-    env = runtime.soc.env
+    env = stack.soc.env
     return wall, env.now, env.events_processed
 
 
@@ -146,23 +142,18 @@ def run_sampled_serve(smoke=False):
     pin; the sampler's own timeout events are the only event-count
     delta allowed.
     """
-    runtime, server = build_server()
-    registry = instrument_server(server)
-    monitor = HealthMonitor(registry, default_rules(server))
+    stack = build_stack(replace(SERVE_SPEC, metrics=True,
+                                sampler_interval=SAMPLE_INTERVAL))
+    registry, monitor = stack.registry, stack.monitor
     scrapes = []
-
-    def scrape(reg):
-        monitor.evaluate()
-        samples = parse_exposition(to_prometheus(reg))
-        scrapes.append(len(samples))
-
-    MetricsSampler(registry, interval=SAMPLE_INTERVAL,
-                   callbacks=[scrape]).start()
+    # The sampler evaluates the monitor, then scrapes the exposition.
+    stack.sampler.callbacks.append(lambda reg: scrapes.append(
+        len(parse_exposition(to_prometheus(reg)))))
     n_requests, frames = (1, 1) if smoke else (2, 2)
-    server.run_trace(build_trace(n_requests, frames))
+    stack.server.run_trace(build_trace(n_requests, frames))
     monitor.evaluate()
 
-    env = runtime.soc.env
+    env = stack.soc.env
     expected_cycles = (SMOKE_CYCLES if smoke else SEED_CYCLES)["serve"]
     expected_events = (SMOKE_EVENTS if smoke else SEED_EVENTS)["serve"]
     if env.now != expected_cycles:

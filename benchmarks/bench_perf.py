@@ -57,10 +57,11 @@ import time
 from pathlib import Path
 
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
+from repro.eval.stack import build_stack
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_serve import build_server, build_trace  # noqa: E402
+from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
 
 #: Pinned simulated-cycle counts per workload. These are the seed
 #: values: the optimized kernel must land on them exactly.
@@ -128,12 +129,12 @@ def run_pipeline(mode, n_frames):
 
 def run_serve(n_requests, frames_per_request):
     """One serving trace; returns (wall seconds, cycles, events)."""
-    runtime, server = build_server()
+    stack = build_stack(SERVE_SPEC)
     trace = build_trace(n_requests, frames_per_request)
     start = time.perf_counter()
-    server.run_trace(trace)
+    stack.server.run_trace(trace)
     wall = time.perf_counter() - start
-    env = runtime.soc.env
+    env = stack.soc.env
     return wall, env.now, env.events_processed
 
 

@@ -24,19 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.eval import build_soc1
-from repro.eval.apps import (
-    classifier_inputs,
-    dataflow_nv_cl,
-    de_cl_inputs,
-    nv_cl_inputs,
-)
-from repro.runtime import Dataflow, EspRuntime, chain
-from repro.serve import (
-    InferenceServer,
-    ServerConfig,
-    TenantConfig,
-    TracedRequest,
-)
+from repro.eval.fleet import standard_inputs
+from repro.eval.stack import StackSpec, build_stack, soc1_tenants
+from repro.runtime import EspRuntime
+from repro.serve import TracedRequest
 
 #: Requests per tenant / frames per request of the full benchmark.
 BENCH_REQUESTS = 3
@@ -45,41 +36,13 @@ BENCH_FRAMES = 2
 SMOKE_REQUESTS = 2
 SMOKE_FRAMES = 1
 
-
-def tenant_dataflows():
-    """The three concurrent applications and their pipelines."""
-    return {
-        "night-vision": dataflow_nv_cl(1, 1),      # nv0 -> cl0
-        "classifier": chain("1cl-serve", ["cl1"]),
-        "denoiser": chain("1de-serve", ["de0"]),
-    }
-
-
-def tenant_modes():
-    return {"night-vision": "p2p", "classifier": "pipe",
-            "denoiser": "pipe"}
-
-
-def tenant_inputs(n_frames, seed=0):
-    nv, _ = nv_cl_inputs(n_frames, seed=seed)
-    cl, _ = classifier_inputs(n_frames, seed=seed + 1)
-    de, _ = de_cl_inputs(n_frames, seed=seed + 2)
-    return {"night-vision": nv, "classifier": cl, "denoiser": de}
-
-
-def build_server():
-    runtime = EspRuntime(build_soc1())
-    server = InferenceServer(runtime, ServerConfig())
-    modes = tenant_modes()
-    for name, dataflow in tenant_dataflows().items():
-        server.register(TenantConfig(name=name, dataflow=dataflow,
-                                     mode=modes[name]))
-    return runtime, server
+#: The three concurrent applications on one SoC-1.
+SERVE_SPEC = StackSpec(tenants=soc1_tenants("serve"))
 
 
 def build_trace(n_requests, frames_per_request):
     """All tenants submit ``n_requests`` back-to-back at cycle 0."""
-    inputs = tenant_inputs(n_requests * frames_per_request)
+    inputs = standard_inputs(n_requests * frames_per_request)
     trace = []
     for tenant, frames in inputs.items():
         for index in range(n_requests):
@@ -92,14 +55,13 @@ def build_trace(n_requests, frames_per_request):
 def sequential_fps(trace):
     """The same requests, one at a time through ``Executor.execute``."""
     runtime = EspRuntime(build_soc1())
-    dataflows = tenant_dataflows()
-    modes = tenant_modes()
+    tenants = {t.name: t.config() for t in SERVE_SPEC.tenants}
     env = runtime.soc.env
     start = env.now
     total_frames = 0
     for entry in trace:
-        runtime.esp_run(dataflows[entry.tenant], entry.frames,
-                        mode=modes[entry.tenant])
+        tenant = tenants[entry.tenant]
+        runtime.esp_run(tenant.dataflow, entry.frames, mode=tenant.mode)
         total_frames += np.atleast_2d(entry.frames).shape[0]
     elapsed = env.now - start
     return total_frames / (elapsed / (runtime.soc.clock_mhz * 1e6))
@@ -109,26 +71,24 @@ def run_serve_benchmark(n_requests=BENCH_REQUESTS,
                         frames_per_request=BENCH_FRAMES):
     """The three serving measurements plus the bit-exactness probe."""
     # Single-request serving: one request per tenant.
-    _, single_server = build_server()
-    single_report = single_server.run_trace(
+    single_report = build_stack(SERVE_SPEC).server.run_trace(
         build_trace(1, frames_per_request))
 
     # Batched serving: the full trace, coalesced per tenant.
-    _, server = build_server()
-    report = server.run_trace(build_trace(n_requests,
-                                          frames_per_request))
+    report = build_stack(SERVE_SPEC).server.run_trace(
+        build_trace(n_requests, frames_per_request))
 
     # Bit-exactness: the served single requests against esp_run.
     reference = EspRuntime(build_soc1())
-    modes = tenant_modes()
+    inputs = standard_inputs(frames_per_request)
     exact = {}
-    for tenant, dataflow in tenant_dataflows().items():
+    for tenant in SERVE_SPEC.tenants:
+        config = tenant.config()
         completion = next(c for c in single_report.completions
-                          if c.tenant == tenant)
-        frames = tenant_inputs(frames_per_request)[tenant]
-        golden = reference.esp_run(dataflow, frames,
-                                   mode=modes[tenant])
-        exact[tenant] = bool(
+                          if c.tenant == tenant.name)
+        golden = reference.esp_run(config.dataflow, inputs[tenant.name],
+                                   mode=config.mode)
+        exact[tenant.name] = bool(
             (completion.outputs == golden.outputs).all())
 
     return {

@@ -41,6 +41,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +54,7 @@ from repro.eval.apps import (
     nv_cl_inputs,
 )
 from repro.eval.fleet import run_traced_fleet_scenario
-from repro.metrics import (
-    HealthMonitor,
-    default_rules,
-    instrument_server,
-)
+from repro.eval.stack import build_stack
 from repro.runtime import EspRuntime
 from repro.trace import (
     FlightRecorder,
@@ -80,7 +77,7 @@ from bench_perf import (  # noqa: E402
     SMOKE_EVENTS,
     SMOKE_PIPE_FRAMES,
 )
-from bench_serve import build_server, build_trace  # noqa: E402
+from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
 
 #: Frames through the profiling pipeline; smoke (CI) trims the run.
 BENCH_FRAMES = 16
@@ -186,27 +183,30 @@ def _run_pipeline(mode, n_frames, arm):
     return wall, env.now, env.events_processed, tracer
 
 
+#: The serve trace's stack per overhead arm.
+SERVE_ARMS = {
+    "off": SERVE_SPEC,
+    "traced": replace(SERVE_SPEC, tracing=True),
+    "ring": replace(SERVE_SPEC, tracing=True,
+                    trace_capacity=RING_CAPACITY),
+    "armed": replace(SERVE_SPEC, tracing=True,
+                     trace_capacity=RING_CAPACITY, metrics=True),
+}
+
+
 def _run_serve(n_requests, frames_per_request, arm):
-    runtime, server = build_server()
-    tracer = None
-    if arm == "traced":
-        tracer = attach_tracer(runtime.soc.env)
-    elif arm in ("ring", "armed"):
-        tracer = attach_tracer(runtime.soc.env, capacity=RING_CAPACITY)
-    monitor = None
-    if arm == "armed":
-        registry = instrument_server(server)
-        monitor = HealthMonitor(registry, default_rules(server))
-        FlightRecorder("artifacts/postmortems", tracer,
-                       clock_mhz=runtime.soc.clock_mhz).arm(monitor)
+    stack = build_stack(SERVE_ARMS[arm])
+    if stack.monitor is not None:
+        FlightRecorder("artifacts/postmortems", stack.tracer,
+                       clock_mhz=stack.soc.clock_mhz).arm(stack.monitor)
     trace = build_trace(n_requests, frames_per_request)
     start = time.perf_counter()
-    server.run_trace(trace)
+    stack.server.run_trace(trace)
     wall = time.perf_counter() - start
-    if monitor is not None:
-        monitor.evaluate()
-    env = runtime.soc.env
-    return wall, env.now, env.events_processed, tracer
+    if stack.monitor is not None:
+        stack.monitor.evaluate()
+    env = stack.soc.env
+    return wall, env.now, env.events_processed, stack.tracer
 
 
 def _arm_runner(name, smoke):

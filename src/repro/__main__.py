@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 
 def _cmd_table1(args) -> None:
@@ -78,81 +79,45 @@ def _cmd_metrics_top(args) -> None:
     every ``--interval`` cycles — the simulated equivalent of
     watching ``top`` on a production inference server.
     """
-    import numpy as np
+    from .control import ControlConfig
+    from .eval.fleet import standard_inputs
+    from .eval.stack import StackSpec, build_stack, soc1_tenants
+    from .faults import FaultSpec, RecoveryPolicy
+    from .metrics import render_dashboard
+    from .serve import ServerConfig, TracedRequest
 
-    from .eval import build_soc1
-    from .eval.apps import (classifier_inputs, dataflow_nv_cl,
-                            de_cl_inputs, nv_cl_inputs)
-    from .metrics import (HealthMonitor, MetricsSampler, default_rules,
-                          instrument_server, render_dashboard)
-    from .runtime import EspRuntime, chain
-    from .serve import (InferenceServer, ServerConfig, TenantConfig,
-                        TracedRequest)
-
-    recovery = None
+    spec = StackSpec(tenants=soc1_tenants("top"), metrics=True,
+                     sampler_interval=args.interval)
     if args.chaos:
-        from .faults import RecoveryPolicy
-        recovery = RecoveryPolicy(watchdog_cycles=200_000, max_retries=1,
-                                  software_fallback=True)
-    soc = build_soc1()
-    runtime = EspRuntime(soc, recovery=recovery)
-    server = InferenceServer(runtime, ServerConfig(
-        probation_cycles=60_000 if args.chaos else None))
-    dataflows = {"night-vision": dataflow_nv_cl(1, 1),
-                 "classifier": chain("1cl-top", ["cl1"]),
-                 "denoiser": chain("1de-top", ["de0"])}
-    modes = {"night-vision": "p2p", "classifier": "pipe",
-             "denoiser": "pipe"}
-    for name, dataflow in dataflows.items():
-        server.register(TenantConfig(name=name, dataflow=dataflow,
-                                     mode=modes[name]))
-    registry = instrument_server(server)
-    monitor = HealthMonitor(registry, default_rules(server))
-    controller = None
-    if args.chaos:
-        # The live self-healing demo: hang the classifier's tile a
-        # little into the trace and let the control plane reshard it
+        # The live self-healing demo: hang the classifier's tile inside
+        # its first invocation and let the control plane reshard it
         # onto a spare — the dashboard's control-plane section shows
         # every action as it lands.
-        from .control import ControlConfig, ControlPlane
-        from .faults import FaultInjector, FaultPlan, FaultSpec
-        controller = ControlPlane(server, monitor, ControlConfig(
-            reserve_pool=("cl2", "cl3"))).attach()
-        FaultInjector(FaultPlan([FaultSpec(
-            kind="acc_hang", target="cl1", at_cycle=2 * args.interval,
-            count=None)])).attach(soc)
+        spec = replace(
+            spec,
+            server=ServerConfig(probation_cycles=60_000),
+            recovery=RecoveryPolicy(watchdog_cycles=200_000,
+                                    max_retries=1,
+                                    software_fallback=True),
+            control=ControlConfig(reserve_pool=("cl2", "cl3")),
+            faults=(FaultSpec(kind="acc_hang", target="cl1", at_cycle=1,
+                              count=None),))
+    stack = build_stack(spec)
+    stack.sampler.callbacks.append(lambda registry: print(
+        render_dashboard(stack.soc, registry, stack.monitor) + "\n"))
 
-    def frame(reg) -> None:
-        monitor.evaluate()
-        print(render_dashboard(runtime.soc, registry, monitor))
-        print()
-
-    sampler = MetricsSampler(registry, interval=args.interval,
-                             callbacks=[frame])
-    sampler.start()
-
-    per_request = args.frames
-    inputs = {
-        "night-vision": nv_cl_inputs(args.requests * per_request)[0],
-        "classifier": classifier_inputs(args.requests * per_request,
-                                        seed=1)[0],
-        "denoiser": de_cl_inputs(args.requests * per_request,
-                                 seed=2)[0],
-    }
-    trace = []
-    for tenant, frames in inputs.items():
-        for index in range(args.requests):
-            lo = index * per_request
-            trace.append(TracedRequest(
-                0, tenant, np.atleast_2d(frames)[lo:lo + per_request]))
-    server.run_trace(trace)
-    sampler.stop()
-    monitor.evaluate()
+    n_frames = args.requests * args.frames
+    trace = [TracedRequest(0, tenant, frames[lo:lo + args.frames])
+             for tenant, frames in standard_inputs(n_frames).items()
+             for lo in range(0, n_frames, args.frames)]
+    stack.server.run_trace(trace)
+    stack.sampler.stop()
+    stack.monitor.evaluate()
     print("== final ==")
-    print(render_dashboard(runtime.soc, registry, monitor))
-    print(f"\n{monitor.render()}")
-    if controller is not None and controller.actions:
-        print(f"\n{controller.render()}")
+    print(render_dashboard(stack.soc, stack.registry, stack.monitor))
+    print(f"\n{stack.monitor.render()}")
+    if stack.controller is not None and stack.controller.actions:
+        print(f"\n{stack.controller.render()}")
 
 
 def _cmd_chaos(args) -> None:

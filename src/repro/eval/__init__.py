@@ -63,13 +63,13 @@ __all__ = [
     "Span",
     "Table1Column",
     "CAMPAIGN_POLICIES",
-    "build_chaos_stack",
     "build_soc1",
     "build_soc2",
     "build_standard_fleet",
     "campaign_policy",
     "chain3_dataflow",
     "chaos_scenarios",
+    "chaos_spec",
     "classifier_inputs",
     "dataflow_de_cl",
     "dataflow_multitile",
@@ -113,8 +113,8 @@ _CHAOS_EXPORTS = frozenset({
     "ChaosScenario",
     "DEFAULT_RECOVERY_SLOS",
     "ScenarioResult",
-    "build_chaos_stack",
     "chaos_scenarios",
+    "chaos_spec",
     "run_chaos_campaign",
     "run_scenario",
 })

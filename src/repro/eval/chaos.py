@@ -31,29 +31,15 @@ isolates the *control plane's* contribution, not recovery in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..control import ControlConfig, ControlPlane
-from ..faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
-from ..metrics import (
-    HealthMonitor,
-    MetricsSampler,
-    default_rules,
-    instrument_server,
-    latency_burn_rule,
-)
-from ..runtime import Dataflow, EspRuntime, chain
-from ..serve import InferenceServer, ServerConfig, TenantConfig, TracedRequest
-from .apps import (
-    build_soc1,
-    classifier_inputs,
-    dataflow_nv_cl,
-    de_cl_inputs,
-    nv_cl_inputs,
-)
+from ..control import ControlConfig
+from ..faults import FaultSpec, RecoveryPolicy
+from ..metrics import HealthMonitor
+from ..serve import ServerConfig, TracedRequest
+from .fleet import standard_inputs
+from .stack import StackSpec, build_stack, soc1_tenants
 
 #: Sampler tick driving monitor evaluation (and thus control passes).
 SAMPLE_INTERVAL = 2_500
@@ -170,19 +156,38 @@ def chaos_scenarios(inject_cycle: int = 150_000,
 # The serving stack under test
 # ---------------------------------------------------------------------------
 
-def chaos_tenants() -> Dict[str, TenantConfig]:
-    """The three concurrent applications (bench_serve topology)."""
-    return {
-        "night-vision": TenantConfig(
-            name="night-vision", dataflow=dataflow_nv_cl(1, 1),
-            mode="p2p", max_batch_frames=4),
-        "classifier": TenantConfig(
-            name="classifier", dataflow=chain("1cl-chaos", ["cl1"]),
-            mode="pipe", max_batch_frames=8),
-        "denoiser": TenantConfig(
-            name="denoiser", dataflow=chain("1de-chaos", ["de0"]),
-            mode="pipe", max_batch_frames=4),
-    }
+#: The control plane of the controller-on arm.
+CHAOS_CONTROL = ControlConfig(reserve_pool=RESERVE_POOL,
+                              cooldown_cycles=30_000,
+                              window_cycles=300_000,
+                              max_actions_per_window=12,
+                              stall_escalation_evals=3,
+                              widen_cap=16)
+
+
+def chaos_spec(controller_on: bool,
+               faults: Sequence[FaultSpec] = (),
+               latency_targets: Optional[Dict[str, int]] = None
+               ) -> StackSpec:
+    """SoC-1 + three tenants + monitor (+ controller, + faults).
+
+    Both arms run the identical local recovery policy; only the
+    controller (and the probation it relies on) differs. Each latency
+    target arms a request-latency burn rule over ~3 arrival periods of
+    headroom: drained backlogs count against recovery until fresh
+    requests complete fast again.
+    """
+    return StackSpec(
+        tenants=soc1_tenants("chaos", max_batch_frames=(4, 8, 4)),
+        server=ServerConfig(
+            max_queue_depth=24,
+            probation_cycles=60_000 if controller_on else None),
+        recovery=CHAOS_POLICY,
+        control=CHAOS_CONTROL if controller_on else None,
+        metrics=True,
+        latency_targets=tuple(sorted((latency_targets or {}).items())),
+        sampler_interval=SAMPLE_INTERVAL,
+        faults=tuple(faults))
 
 
 def chaos_trace(horizon_cycles: int,
@@ -190,78 +195,15 @@ def chaos_trace(horizon_cycles: int,
                 seed: int = 0) -> List[TracedRequest]:
     """Open-loop traffic: every tenant submits one frame per period,
     phase-staggered so arrivals do not synchronize."""
-    makers = {
-        "night-vision": lambda n: nv_cl_inputs(n, seed=seed)[0],
-        "classifier": lambda n: classifier_inputs(n, seed=seed + 1)[0],
-        "denoiser": lambda n: de_cl_inputs(n, seed=seed + 2)[0],
-    }
-    trace: List[TracedRequest] = []
-    for index, (tenant, make) in enumerate(sorted(makers.items())):
-        offset = index * (period // len(makers))
-        arrivals = list(range(offset, horizon_cycles, period))
-        frames = make(len(arrivals))
-        for slot, at in enumerate(arrivals):
-            trace.append(TracedRequest(at, tenant,
-                                       frames[slot:slot + 1]))
-    return trace
-
-
-@dataclass
-class ChaosStack:
-    """One freshly built serving stack plus its observability."""
-
-    runtime: EspRuntime
-    server: InferenceServer
-    monitor: HealthMonitor
-    sampler: MetricsSampler
-    controller: Optional[ControlPlane]
-    injector: Optional[FaultInjector]
-
-
-def build_chaos_stack(controller_on: bool,
-                      plan: Optional[FaultPlan] = None,
-                      service_targets: Optional[Dict[str, int]] = None
-                      ) -> ChaosStack:
-    """SoC-1 + three tenants + monitor (+ controller, + fault plan).
-
-    Both arms run the identical local recovery policy; only the
-    controller (and the probation it relies on) differs.
-    """
-    soc = build_soc1()
-    runtime = EspRuntime(soc, recovery=CHAOS_POLICY)
-    config = ServerConfig(
-        max_queue_depth=24,
-        probation_cycles=60_000 if controller_on else None)
-    server = InferenceServer(runtime, config)
-    for tenant in chaos_tenants().values():
-        server.register(tenant)
-    registry = instrument_server(server)
-    rules = default_rules(server)
-    for tenant, target in sorted((service_targets or {}).items()):
-        # Request-latency burn over ~3 arrival periods of headroom:
-        # drained backlogs count against recovery until fresh
-        # requests complete fast again.
-        rules.append(latency_burn_rule(tenant, target))
-    monitor = HealthMonitor(registry, rules)
-    controller = None
-    if controller_on:
-        controller = ControlPlane(server, monitor, ControlConfig(
-            reserve_pool=RESERVE_POOL,
-            cooldown_cycles=30_000,
-            window_cycles=300_000,
-            max_actions_per_window=12,
-            stall_escalation_evals=3,
-            widen_cap=16,
-        )).attach()
-    injector = None
-    if plan is not None:
-        injector = FaultInjector(plan).attach(soc)
-    sampler = MetricsSampler(
-        registry, interval=SAMPLE_INTERVAL,
-        callbacks=[lambda _registry: monitor.evaluate()]).start()
-    return ChaosStack(runtime=runtime, server=server, monitor=monitor,
-                      sampler=sampler, controller=controller,
-                      injector=injector)
+    tenants = sorted(tenant.name for tenant in soc1_tenants("chaos"))
+    schedule = {tenant: range(index * (period // len(tenants)),
+                              horizon_cycles, period)
+                for index, tenant in enumerate(tenants)}
+    inputs = standard_inputs(max(len(s) for s in schedule.values()),
+                             seed=seed)
+    return [TracedRequest(at, tenant, inputs[tenant][slot:slot + 1])
+            for tenant in tenants
+            for slot, at in enumerate(schedule[tenant])]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +220,7 @@ def calibrate_service(horizon_cycles: int, seed: int = 0
     the service ceiling and arms the latency-burn rules with the
     latency ceiling.
     """
-    stack = build_chaos_stack(controller_on=False)
+    stack = build_stack(chaos_spec(controller_on=False))
     report = stack.server.run_trace(chaos_trace(horizon_cycles,
                                                 seed=seed))
     service: Dict[str, int] = {}
@@ -343,13 +285,12 @@ def _time_to_detect(monitor: HealthMonitor,
 
 
 def _time_to_recover(completions, tenant: str, inject_cycle: int,
-                     per_frame_target: int,
-                     min_good: int = 2) -> Optional[int]:
+                     per_frame_target: int) -> Optional[int]:
     """Start of the trailing all-in-SLO run of the victim tenant.
 
     Scans the tenant's post-injection completions newest-first for
     the earliest point after which *every* completion meets the
-    per-frame service target (at least ``min_good`` of them).
+    per-frame service target (at least two of them).
     """
     post = sorted((c for c in completions
                    if c.tenant == tenant
@@ -364,7 +305,7 @@ def _time_to_recover(completions, tenant: str, inject_cycle: int,
             break
         good += 1
         start = completion.completed_at
-    if start is None or good < min_good:
+    if start is None or good < 2:
         return None
     return start - inject_cycle
 
@@ -374,12 +315,9 @@ def run_scenario(scenario: ChaosScenario, controller_on: bool,
                  calibration: Dict[str, Dict[str, int]],
                  seed: int = 0) -> ScenarioResult:
     """One arm of one scenario on a fresh SoC."""
-    plan = FaultPlan(faults=[FaultSpec(**{  # fresh specs: plans mutate
-        k: v for k, v in spec.__dict__.items() if k != "fired"})
-        for spec in scenario.specs], seed=seed)
-    stack = build_chaos_stack(
-        controller_on, plan=plan,
-        service_targets=calibration["latency"])
+    stack = build_stack(replace(
+        chaos_spec(controller_on, scenario.specs, calibration["latency"]),
+        fault_seed=seed))
     report = stack.server.run_trace(chaos_trace(horizon_cycles,
                                                 seed=seed))
     monitor = stack.monitor
@@ -401,7 +339,7 @@ def run_scenario(scenario: ChaosScenario, controller_on: bool,
         controller="on" if controller_on else "off",
         inject_cycle=scenario.inject_cycle,
         recovery_slo_cycles=scenario.recovery_slo_cycles,
-        faults_fired=plan.fired,
+        faults_fired=stack.injector.plan.fired,
         ttd_cycles=ttd,
         ttr_cycles=ttr,
         recovered=recovered,

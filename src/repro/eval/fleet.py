@@ -16,6 +16,7 @@ p50/p99 latency, goodput and the rejection breakdown per policy.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,15 +29,9 @@ from ..fleet import (
     build_fleet,
     generate_arrivals,
 )
-from ..runtime import chain
 from ..serve import ServerConfig, TenantConfig
-from .apps import (
-    build_soc1,
-    classifier_inputs,
-    dataflow_nv_cl,
-    de_cl_inputs,
-    nv_cl_inputs,
-)
+from .apps import classifier_inputs, de_cl_inputs, nv_cl_inputs
+from .stack import StackSpec, soc1_tenants
 
 #: Policies the campaign grades, in report order.
 CAMPAIGN_POLICIES = ("round-robin", "least-loaded", "latency-aware")
@@ -47,20 +42,15 @@ CAMPAIGN_POLICIES = ("round-robin", "least-loaded", "latency-aware")
 FLEET_QUEUE_DEPTH = 8
 
 
-def standard_tenants() -> List[TenantConfig]:
-    """The three concurrent applications, freshly configured.
+#: One fleet replica: SoC-1 serving the three standard tenants.
+FLEET_SPEC = StackSpec(
+    tenants=soc1_tenants("fleet"),
+    server=ServerConfig(max_queue_depth=FLEET_QUEUE_DEPTH))
 
-    Called once per instance: each server owns its own
-    :class:`TenantConfig`/dataflow objects.
-    """
-    return [
-        TenantConfig(name="night-vision", dataflow=dataflow_nv_cl(1, 1),
-                     mode="p2p"),
-        TenantConfig(name="classifier",
-                     dataflow=chain("1cl-fleet", ["cl1"]), mode="pipe"),
-        TenantConfig(name="denoiser",
-                     dataflow=chain("1de-fleet", ["de0"]), mode="pipe"),
-    ]
+
+def standard_tenants() -> List[TenantConfig]:
+    """The three concurrent applications, freshly configured."""
+    return [tenant.config() for tenant in FLEET_SPEC.tenants]
 
 
 def standard_inputs(n_frames: int = 64, seed: int = 0
@@ -119,28 +109,15 @@ def overload_workload(seed: int = 0, smoke: bool = False,
 
 def build_standard_fleet(n_instances: int = 4,
                          policy: str = "round-robin",
-                         replicas: Optional[int] = None,
-                         salt: int = 0,
-                         metrics: bool = False,
-                         tracing: bool = False,
-                         trace_capacity: Optional[int] = None) -> Fleet:
+                         salt: int = 0) -> Fleet:
     """A homogeneous SoC-1 fleet serving the standard three tenants.
 
-    ``replicas`` defaults to ``min(3, n_instances)``: tenants shard to
-    a strict subset of a larger fleet, so shards overlap unevenly —
-    the consistent-placement affinity that gives round-robin its blind
-    spots and load-aware policies their edge. ``tracing=True``
-    attaches one namespaced tracer per instance (bounded to
-    ``trace_capacity`` records when given), ready for
-    :func:`repro.trace.merge_chrome_traces`.
+    Tenants shard to ``min(3, n_instances)`` replicas: on a larger
+    fleet the shards overlap unevenly — the consistent-placement
+    affinity that gives round-robin its blind spots and load-aware
+    policies their edge.
     """
-    if replicas is None:
-        replicas = min(3, n_instances)
-    return build_fleet(
-        n_instances, build_soc1, standard_tenants,
-        policy=policy, replicas=replicas, salt=salt,
-        server_config=ServerConfig(max_queue_depth=FLEET_QUEUE_DEPTH),
-        metrics=metrics, tracing=tracing, trace_capacity=trace_capacity)
+    return build_fleet(FLEET_SPEC, n_instances, policy=policy, salt=salt)
 
 
 def run_fleet_campaign(policies: Sequence[str] = CAMPAIGN_POLICIES,
@@ -154,8 +131,8 @@ def run_fleet_campaign(policies: Sequence[str] = CAMPAIGN_POLICIES,
     arrivals = generate_arrivals(spec)
     reports: Dict[str, FleetReport] = {}
     for policy in policies:
-        fleet = build_standard_fleet(n_instances, policy=policy,
-                                     salt=seed, metrics=metrics)
+        fleet = build_fleet(replace(FLEET_SPEC, metrics=metrics),
+                            n_instances, policy=policy, salt=seed)
         reports[policy] = fleet.run(arrivals,
                                     standard_inputs(seed=seed))
     return reports
@@ -191,9 +168,10 @@ def run_traced_fleet_scenario(out_dir: Optional[str] = None,
     from ..metrics import HealthMonitor, SloRule
     from ..trace import FlightRecorder, merge_chrome_traces, trace_ids_in
 
-    fleet = build_standard_fleet(
-        n_instances, policy="least-loaded", salt=seed,
-        metrics=True, tracing=True, trace_capacity=trace_capacity)
+    fleet = build_fleet(
+        replace(FLEET_SPEC, metrics=True, tracing=True,
+                trace_capacity=trace_capacity),
+        n_instances, policy="least-loaded", salt=seed)
     spec = overload_workload(seed=seed, smoke=True)
     arrivals = sorted(generate_arrivals(spec),
                       key=lambda a: a.at)[:n_arrivals]

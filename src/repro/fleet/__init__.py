@@ -12,11 +12,11 @@ open-loop traffic from :mod:`repro.fleet.workload`.
 
 Quick start::
 
+    from repro.eval.fleet import FLEET_SPEC
     from repro.fleet import (TenantLoad, WorkloadSpec, build_fleet,
                              generate_arrivals)
 
-    fleet = build_fleet(4, build_soc1, tenant_factory,
-                        policy="least-loaded")
+    fleet = build_fleet(FLEET_SPEC, 4, policy="least-loaded")
     arrivals = generate_arrivals(WorkloadSpec(
         tenants=(TenantLoad("classifier", weight=3.0),),
         horizon_cycles=200_000, mean_interarrival_cycles=2_000))

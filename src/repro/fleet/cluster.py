@@ -28,13 +28,14 @@ fleet runs are reproducible from (workload seed, policy, salt) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..eval.harness import LatencySummary, summarize_latencies
-from ..serve import Rejection, ServerConfig, ServerReport, TenantConfig
+from ..eval.stack import StackSpec, build_stack
+from ..serve import Rejection, ServerReport
 from ..trace.context import TraceContext
 from .instance import FleetInstance
 from .router import FleetRouter, RouterDecision
@@ -254,39 +255,22 @@ class Fleet:
                 f"router={self.router!r}>")
 
 
-def build_fleet(n_instances: int,
-                soc_builder: Callable[[], object],
-                tenant_factory: Callable[[], Sequence[TenantConfig]],
-                policy: str = "round-robin",
-                replicas: Optional[int] = None,
-                server_config: Optional[ServerConfig] = None,
-                recovery=None,
-                salt: int = 0,
-                metrics: bool = False,
-                tracing: bool = False,
-                trace_capacity: Optional[int] = None) -> Fleet:
-    """Stand up a homogeneous fleet: N replicas of one SoC + tenants.
+def build_fleet(spec: StackSpec, n_instances: int,
+                policy: str = "round-robin", salt: int = 0) -> Fleet:
+    """Stand up a homogeneous fleet: N stacks built from one spec.
 
-    ``tenant_factory`` is called once per instance so each server gets
-    its own :class:`TenantConfig` objects (dataflows are shared-naming
-    but per-instance state lives in the server). ``metrics=True``
-    attaches one namespaced registry per instance (``i0``, ``i1``,
-    ...), ready for :func:`repro.metrics.merge_snapshots`;
-    ``tracing=True`` attaches one namespaced tracer per instance under
-    the same names, ready for
-    :func:`repro.trace.merge_chrome_traces` (``trace_capacity`` turns
-    each into a bounded flight-recorder ring).
+    Instance ``k`` is named ``i{k}`` and built from ``spec`` under
+    namespace ``i{k}``, so with ``metrics`` on its registry is ready
+    for :func:`repro.metrics.merge_snapshots`, and with ``tracing`` on
+    its tracer for :func:`repro.trace.merge_chrome_traces`. Tenants
+    shard to ``min(3, n_instances)`` replicas.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
     instances = [
-        FleetInstance.build(
-            f"i{index}", soc_builder, tenant_factory(),
-            server_config=server_config, recovery=recovery,
-            metrics_namespace=f"i{index}" if metrics else None,
-            trace_namespace=f"i{index}" if tracing else None,
-            trace_capacity=trace_capacity if tracing else None)
-        for index in range(n_instances)]
-    router = FleetRouter(instances, policy=policy, replicas=replicas,
-                         salt=salt)
+        FleetInstance(f"i{k}",
+                      build_stack(replace(spec, namespace=f"i{k}")).server)
+        for k in range(n_instances)]
+    router = FleetRouter(instances, policy=policy,
+                         replicas=min(3, n_instances), salt=salt)
     return Fleet(instances, router)

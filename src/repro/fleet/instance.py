@@ -21,22 +21,20 @@ coupling is the coordinator's lockstep clock (see
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from ..metrics import MetricsRegistry, attach_metrics, instrument_server
+from ..metrics import MetricsRegistry
 from ..runtime import EspRuntime
 from ..trace.context import TraceContext
-from ..trace.tracer import Tracer, attach_tracer
+from ..trace.tracer import Tracer
 from ..serve import (
     Completion,
     InferenceServer,
     Rejection,
-    ServerConfig,
     ServerLoad,
     ServerReport,
-    TenantConfig,
 )
 
 
@@ -58,41 +56,6 @@ class FleetInstance:
         self.env = server.env
         #: Completions already handed out by :meth:`poll_completions`.
         self._polled = 0
-
-    @classmethod
-    def build(cls, name: str,
-              soc_builder: Callable[[], object],
-              tenants: Sequence[TenantConfig],
-              server_config: Optional[ServerConfig] = None,
-              recovery=None,
-              metrics_namespace: Optional[str] = None,
-              trace_namespace: Optional[str] = None,
-              trace_capacity: Optional[int] = None) -> "FleetInstance":
-        """Stand up one full replica stack from a SoC builder.
-
-        Every call builds a *fresh* SoC (own ``Environment``), boots a
-        runtime on it, registers ``tenants`` and wraps the server.
-        ``metrics_namespace`` instruments the server
-        (:func:`~repro.metrics.instrument_server`) on a namespaced
-        registry, so N instances can be scraped into one snapshot
-        without series collisions;
-        ``trace_namespace`` does the same for a
-        :class:`~repro.trace.Tracer` so N tracers can merge into one
-        fleet-wide Chrome trace (``trace_capacity`` bounds it as a
-        flight-recorder ring).
-        """
-        soc = soc_builder()
-        if trace_namespace is not None:
-            attach_tracer(soc.env, namespace=trace_namespace,
-                          capacity=trace_capacity)
-        runtime = EspRuntime(soc, recovery=recovery)
-        server = InferenceServer(runtime, server_config or ServerConfig())
-        for tenant in tenants:
-            server.register(tenant)
-        if metrics_namespace is not None:
-            attach_metrics(soc.env, namespace=metrics_namespace)
-            instrument_server(server)
-        return cls(name, server)
 
     # -- time ---------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (python -m repro ...)."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -43,6 +45,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "frames/s" in out
         assert "#" in out
+
+
+class TestMetricsTop:
+    def test_final_dashboard(self, capsys):
+        assert main(["metrics-top", "--requests", "1", "--frames",
+                     "1"]) == 0
+        final = capsys.readouterr().out.split("== final ==")[1]
+        # The sampler costs no cycles: the serve smoke pin holds.
+        assert "cycle 17,066" in final
+        for tenant in ("classifier", "denoiser", "night-vision"):
+            assert re.search(rf"^ {tenant} +1 +0 +0 ", final, re.M)
+        assert "health: healthy" in final
+
+    def test_chaos_demo_reshards(self, capsys):
+        assert main(["metrics-top", "--chaos"]) == 0
+        out = capsys.readouterr().out
+        assert "reshard classifier" in out
+        assert "classifier: cl1 -> cl2" in out
 
 
 class TestHelp:

@@ -6,18 +6,21 @@ benchmark grades — once per policy, shared module-wide through
 fixtures (fleets are cheap but not free).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.eval.apps import APP_CONFIGS, build_soc_for, build_soc1
+from repro.eval.apps import APP_CONFIGS
 from repro.eval.fleet import (
     CAMPAIGN_POLICIES,
+    FLEET_SPEC,
     build_standard_fleet,
     overload_workload,
     run_fleet_campaign,
     standard_inputs,
-    standard_tenants,
 )
 from repro.eval.harness import summarize_latencies
+from repro.eval.stack import StackSpec, build_stack
 from repro.fleet import (
     Arrival,
     Fleet,
@@ -126,9 +129,8 @@ class TestSingleInstanceFidelity:
     pinned to the seed cycle counts of ``bench_perf``."""
 
     def test_serve_trace_pins(self):
-        instance = FleetInstance.build(
-            "i0", build_soc1, standard_tenants(),
-            server_config=ServerConfig())
+        spec = replace(FLEET_SPEC, server=ServerConfig())
+        instance = FleetInstance("i0", build_stack(spec).server)
         fleet = Fleet([instance], FleetRouter([instance]))
         inputs = standard_inputs(n_frames=4)
         arrivals = [Arrival(0, tenant, 2)
@@ -143,8 +145,7 @@ class TestSingleInstanceFidelity:
         """The instance's runtime is the plain runtime: driving the
         4nv_4cl pipeline through it lands on the pinned cycles."""
         config = APP_CONFIGS["4nv_4cl"]
-        instance = FleetInstance.build(
-            "i0", lambda: build_soc_for(config), tenants=[])
+        instance = FleetInstance("i0", build_stack(StackSpec()).server)
         frames, _ = config.make_inputs(32, seed=0)
         instance.runtime.esp_run(config.build_dataflow(), frames,
                                  mode=mode)
@@ -154,11 +155,10 @@ class TestSingleInstanceFidelity:
 class TestFleetMechanics:
     def test_build_fleet_rejects_empty(self):
         with pytest.raises(ValueError):
-            build_fleet(0, build_soc1, standard_tenants)
+            build_fleet(FLEET_SPEC, 0)
 
     def test_advance_to_rejects_rewind(self):
-        instance = FleetInstance.build("i0", build_soc1,
-                                       standard_tenants())
+        instance = FleetInstance("i0", build_stack(FLEET_SPEC).server)
         instance.advance_to(100)
         with pytest.raises(ValueError):
             instance.advance_to(50)
@@ -182,8 +182,7 @@ class TestFleetMechanics:
         served exactly like the standalone server's back-to-back
         same-cycle submissions, with nothing stranded at drain.
         """
-        instance = FleetInstance.build("i0", build_soc1,
-                                       standard_tenants())
+        instance = FleetInstance("i0", build_stack(FLEET_SPEC).server)
         fleet = Fleet([instance], FleetRouter([instance]))
         inputs = standard_inputs(n_frames=2)
         instance.start()
@@ -259,9 +258,8 @@ class TestRepeatedRuns:
 
 class TestFleetMetrics:
     def test_namespaced_registries_merge(self):
-        fleet = build_standard_fleet(n_instances=2,
-                                     policy="round-robin",
-                                     metrics=True)
+        fleet = build_fleet(replace(FLEET_SPEC, metrics=True),
+                            n_instances=2, policy="round-robin")
         inputs = standard_inputs(n_frames=4)
         spec = overload_workload(seed=3, smoke=True)
         arrivals = generate_arrivals(spec)[:8]

@@ -24,14 +24,15 @@ resolution of the spans it keeps.
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
+from repro.eval.stack import build_stack
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics import (
     attach_metrics,
-    instrument_server,
     register_soc_collectors,
     to_prometheus,
 )
@@ -39,7 +40,7 @@ from repro.serve import request as serve_request
 from repro.soc import read_monitors
 from repro.trace import FlightRecorder, attach_tracer, to_chrome_trace
 from tests.faults.test_recovery import policy, run_chain, three_stage_soc
-from tests.metrics.test_identity import PIPE_FRAMES, build_server, build_trace
+from tests.metrics.test_identity import PIPE_FRAMES, SPEC, build_trace
 
 GOLDEN = {
     "p2p": (
@@ -94,11 +95,9 @@ def run_pipeline(mode):
 
 
 def run_serve():
-    runtime, server = build_server()
-    tracer = attach_tracer(runtime.soc)
-    registry = instrument_server(server)
-    server.run_trace(build_trace())
-    return runtime.soc, tracer, registry
+    stack = build_stack(replace(SPEC, metrics=True, tracing=True))
+    stack.server.run_trace(build_trace())
+    return stack.soc, stack.tracer, stack.registry
 
 
 def run_recovery(max_retries, mode="pipe"):
@@ -143,12 +142,11 @@ def test_observability_outputs_byte_identical(run, monkeypatch):
 
 def test_ring_postmortem_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setattr(serve_request, "_request_ids", itertools.count())
-    runtime, server = build_server()
-    tracer = attach_tracer(runtime.soc, capacity=RING_CAPACITY)
-    registry = instrument_server(server)
-    server.run_trace(build_trace(n_requests=2, frames_per_request=2))
-    assert tracer.dropped > 0   # the ring evicted: the point of the pin
-    artifact = FlightRecorder(tmp_path, tracer).capture(
-        runtime.soc.env.now, registry=registry)
+    stack = build_stack(replace(SPEC, metrics=True, tracing=True,
+                                trace_capacity=RING_CAPACITY))
+    stack.server.run_trace(build_trace(n_requests=2, frames_per_request=2))
+    assert stack.tracer.dropped > 0   # the ring evicted: the point of the pin
+    artifact = FlightRecorder(tmp_path, stack.tracer).capture(
+        stack.soc.env.now, registry=stack.registry)
     text = json.dumps(artifact, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RING_POSTMORTEM

@@ -14,30 +14,13 @@ perturb *other* processes' timing, so a sampled run keeps the exact
 cycle count while dispatching a few extra events — asserted here too.
 """
 
-import numpy as np
+from dataclasses import replace
 
-from repro.eval import build_soc1
-from repro.eval.apps import (
-    APP_CONFIGS,
-    classifier_inputs,
-    dataflow_nv_cl,
-    de_cl_inputs,
-    fresh_runtime,
-    nv_cl_inputs,
-)
-from repro.metrics import (
-    MetricsSampler,
-    attach_metrics,
-    instrument_server,
-    register_soc_collectors,
-)
-from repro.runtime import EspRuntime, chain
-from repro.serve import (
-    InferenceServer,
-    ServerConfig,
-    TenantConfig,
-    TracedRequest,
-)
+from repro.eval.apps import APP_CONFIGS, fresh_runtime
+from repro.eval.fleet import standard_inputs
+from repro.eval.stack import StackSpec, build_stack, soc1_tenants
+from repro.metrics import attach_metrics, register_soc_collectors
+from repro.serve import TracedRequest
 from repro.soc import read_monitors
 
 #: Smoke pins from benchmarks/bench_perf.py — the seed behaviour the
@@ -56,44 +39,27 @@ def run_pipeline(mode, instrumented):
     return env.now, env.events_processed, registry
 
 
-def build_server():
-    runtime = EspRuntime(build_soc1())
-    server = InferenceServer(runtime, ServerConfig())
-    dataflows = {"night-vision": dataflow_nv_cl(1, 1),
-                 "classifier": chain("1cl-id", ["cl1"]),
-                 "denoiser": chain("1de-id", ["de0"])}
-    modes = {"night-vision": "p2p", "classifier": "pipe",
-             "denoiser": "pipe"}
-    for name, dataflow in dataflows.items():
-        server.register(TenantConfig(name=name, dataflow=dataflow,
-                                     mode=modes[name]))
-    return runtime, server
+#: The serve trace's stack: the three SoC-1 tenants, nothing attached.
+SPEC = StackSpec(tenants=soc1_tenants("id"))
 
 
 def build_trace(n_requests=1, frames_per_request=1):
-    n = n_requests * frames_per_request
-    inputs = {"night-vision": nv_cl_inputs(n)[0],
-              "classifier": classifier_inputs(n, seed=1)[0],
-              "denoiser": de_cl_inputs(n, seed=2)[0]}
+    inputs = standard_inputs(n_requests * frames_per_request)
     trace = []
     for tenant, frames in inputs.items():
         for index in range(n_requests):
             lo = index * frames_per_request
             trace.append(TracedRequest(
-                0, tenant,
-                np.atleast_2d(frames)[lo:lo + frames_per_request]))
+                0, tenant, frames[lo:lo + frames_per_request]))
     return trace
 
 
 def run_serve(instrumented, sampler_interval=None):
-    runtime, server = build_server()
-    registry = instrument_server(server) if instrumented else None
-    if sampler_interval is not None:
-        MetricsSampler(registry, interval=sampler_interval,
-                       callbacks=[]).start()
-    server.run_trace(build_trace())
-    env = runtime.soc.env
-    return env.now, env.events_processed, registry
+    stack = build_stack(replace(SPEC, metrics=instrumented,
+                                sampler_interval=sampler_interval))
+    stack.server.run_trace(build_trace())
+    env = stack.soc.env
+    return env.now, env.events_processed, stack.registry
 
 
 class TestPassiveIdentity:
@@ -144,10 +110,9 @@ class TestHardwareViews:
     hardware counters the monitors read — one count, two read-outs."""
 
     def test_scraped_families_equal_monitor_totals(self):
-        runtime, server = build_server()
-        registry = instrument_server(server)
-        server.run_trace(build_trace())
-        scraped, monitors = scraped_vs_monitors(registry, runtime.soc)
+        stack = build_stack(replace(SPEC, metrics=True))
+        stack.server.run_trace(build_trace())
+        scraped, monitors = scraped_vs_monitors(stack.registry, stack.soc)
         assert scraped == monitors
         assert all(total > 0 for total in scraped)
 
@@ -180,13 +145,11 @@ class TestSamplerIdentity:
 
     def test_sampler_callbacks_see_live_state(self):
         depths = []
-        runtime, server = build_server()
-        registry = instrument_server(server)
-        MetricsSampler(
-            registry, interval=2000,
-            callbacks=[lambda r: depths.append(
-                r.serve_completed.total)]).start()
-        server.run_trace(build_trace())
+        stack = build_stack(replace(SPEC, metrics=True,
+                                    sampler_interval=2000))
+        stack.sampler.callbacks.append(
+            lambda r: depths.append(r.serve_completed.total))
+        stack.server.run_trace(build_trace())
         assert depths, "sampler never ticked"
         assert depths == sorted(depths)          # monotone counter
         assert depths[-1] <= 3
