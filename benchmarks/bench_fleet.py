@@ -22,8 +22,14 @@ Checked contracts:
 - fleet runs are deterministic: two runs from the same workload seed
   produce identical routing decisions and identical latency tails.
 
+The committed ``BENCH_fleet.json`` is the full run's report. Every
+field in it is simulated, so it is a pure function of the program:
+``--check`` runs the full campaign, applies the checks above and fails
+on any field that differs from the committed report (without writing
+it), so the report cannot go stale silently.
+
 Run:  pytest benchmarks/bench_fleet.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_fleet.py [--smoke]
+or:   PYTHONPATH=src python benchmarks/bench_fleet.py [--smoke | --check]
 """
 
 import argparse
@@ -49,6 +55,8 @@ from bench_perf import SEED_CYCLES, SMOKE_CYCLES  # noqa: E402
 #: Fleet size and workload seed of the graded campaign.
 FLEET_INSTANCES = 4
 WORKLOAD_SEED = 0
+#: The committed report of the full run.
+REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
 def single_instance_pin(smoke=False):
@@ -179,9 +187,23 @@ def build_payload(results, smoke=False):
 
 
 def write_report(payload):
-    out = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
+    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    return REPORT_PATH
+
+
+def report_drift(committed, fresh, path="report"):
+    """Every field where ``fresh`` differs from ``committed``, as
+    ``path: committed -> fresh`` lines (a missing field reads None)."""
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        drift = []
+        for key in list(committed) + [k for k in fresh
+                                      if k not in committed]:
+            drift += report_drift(committed.get(key), fresh.get(key),
+                                  f"{path}.{key}")
+        return drift
+    if committed != fresh:
+        return [f"{path}: {committed!r} -> {fresh!r}"]
+    return []
 
 
 # -- pytest entry point -----------------------------------------------------
@@ -198,12 +220,27 @@ def test_fleet_policies(once):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="short horizon for CI")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--smoke", action="store_true",
+                      help="short horizon for CI")
+    mode.add_argument("--check", action="store_true",
+                      help="compare a fresh full run with the committed "
+                           f"{REPORT_PATH.name}; write nothing")
     args = parser.parse_args(argv)
     results = run_fleet_benchmark(smoke=args.smoke)
     print(render(results))
     check(results)
+    if args.check:
+        drift = report_drift(json.loads(REPORT_PATH.read_text()),
+                             build_payload(results))
+        for line in drift:
+            print(f"stale: {line}")
+        if drift:
+            print(f"{REPORT_PATH.name} is stale: regenerate it with "
+                  "`PYTHONPATH=src python benchmarks/bench_fleet.py`")
+            return 1
+        print(f"{REPORT_PATH.name} matches a fresh full run")
+        return 0
     path = write_report(build_payload(results, smoke=args.smoke))
     print(f"report: {path}")
     print("fleet benchmark: all assertions passed")

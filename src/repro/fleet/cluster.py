@@ -60,9 +60,15 @@ class FleetReport:
     rejections: List[Tuple[str, Rejection]]
     per_instance: Dict[str, ServerReport]
     decisions: List[RouterDecision]
-    #: Fleet-wide latency: every instance's completion latencies
-    #: pooled into one sample (a p99 of p99s is not the fleet p99).
-    latency: Optional[LatencySummary]
+
+    @property
+    def latency(self) -> Optional[LatencySummary]:
+        """Fleet-wide latency, computed when read: every instance's
+        completion latencies pooled into one sample (a p99 of p99s is
+        not the fleet p99)."""
+        samples = [c.latency_cycles for report in self.per_instance.values()
+                   for c in report.completions]
+        return summarize_latencies(samples) if samples else None
 
     @property
     def makespan_seconds(self) -> float:
@@ -220,8 +226,6 @@ class Fleet:
         reports = {
             instance.name: instance.report(makespan_cycles=final)
             for instance in self.instances}
-        samples = [c.latency_cycles for report in reports.values()
-                   for c in report.completions]
         completed = sum(len(r.completions) for r in reports.values())
         return FleetReport(
             policy=self.router.policy,
@@ -237,7 +241,6 @@ class Fleet:
             rejections=rejections,
             per_instance=reports,
             decisions=self.router.decisions[decisions_before:],
-            latency=(summarize_latencies(samples) if samples else None),
         )
 
     @staticmethod

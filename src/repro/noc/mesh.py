@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim import Environment, Event, Fifo, Timeout
+from ..sim import Environment, Event, Fifo
 from ..sim.kernel import PENDING
 from .link import Link
 from .packet import Coord, MessageKind, Packet
@@ -116,23 +116,46 @@ def _trace_labels(src: Coord, dst: Coord,
             tuple(f"{plane} {a}->{b}" for a, b in hops))
 
 
+#: What a transit's step event means when it is dispatched: the
+#: packet is injected, a link was granted, the router latency after a
+#: grant elapsed, the body drained (or, for a local packet, the one
+#: router traversal ended), or the ejection-queue put was accepted.
+_INJECT, _GRANTED, _ADVANCE, _EJECT, _DELIVERED = range(5)
+
+
 class _Transit(Event):
     """A packet in flight: the event :meth:`Mesh2D.send` returns.
 
     Transmission is a chain of callbacks, one per event the wormhole
-    model waits on: the injection event, then per hop the link's
-    acquire and a ``router_latency`` timeout, then the body timeout,
-    the release of every link, the fault hook and the ejection-queue
-    put. The transit itself succeeds with the packet when the put is
+    model waits on: the injection event, then per hop the link grant
+    and a ``router_latency`` timeout, then the body timeout, the
+    release of every link, the fault hook and the ejection-queue put.
+    The transit itself succeeds with the packet when the put is
     dispatched, or at release for a packet lost at ejection. A packet
     over ``h`` links therefore dispatches ``2h + 4`` events, and a
-    local one four. The in-flight state lives in the slots: the route,
-    the index of the next link to acquire and, when traced, the span
-    ids and the link track names.
+    local one four.
+
+    The injection, the uncontended grants and the timeouts are one
+    event, ``step``, built with the transit and re-armed for each of
+    them: its callback list is the one-element ``calls``, built once,
+    and ``phase`` says what the next dispatch means. A grant pushes
+    ``step`` into the ready queue where the acquire event would have
+    gone (:meth:`Resource.claim`); a timeout goes through
+    ``Environment._schedule``. Only a grant on a busy link waits on an
+    acquire event, and the packet is then listed for the deadlock
+    probe. So a hop allocates nothing; a packet allocates its transit,
+    the step event with its callback list and bound method, and the
+    inbox put.
+
+    The in-flight state lives in the slots: the route, the index of
+    the next link to acquire and, when traced, the span ids and the
+    link track names. ``step`` and ``calls`` refer back to the
+    transit, so it drops them when it finishes, delivered or lost,
+    and reference counting frees it.
     """
 
     __slots__ = ("mesh", "packet", "route", "hop", "tracer", "sid",
-                 "tracks", "held")
+                 "tracks", "held", "step", "calls", "phase")
 
     def __init__(self, mesh: "Mesh2D", packet: Packet) -> None:
         # The Event fields are assigned directly, as Timeout does: one
@@ -144,16 +167,77 @@ class _Transit(Event):
         self._ok = True
         self.mesh = mesh
         self.packet = packet
-        inject = Event(env)
-        inject._value = None
-        env._ready.append(inject)
-        inject.callbacks.append(self._inject)
+        self.phase = _INJECT
+        calls = self.calls = [self._on_step]
+        step = self.step = Event(env)
+        step._value = None
+        step.callbacks = calls
+        env._ready.append(step)
 
-    def _inject(self, event: Event) -> None:
+    def _on_step(self, event: Event) -> None:
+        """The step event (or a contended grant) was dispatched: take
+        the next step of the wormhole model. The per-hop steps run
+        here; injection, ejection and delivery once per packet."""
+        phase = self.phase
+        step = self.step
+        if phase == _GRANTED:
+            # The head holds the link: one router traversal.
+            tracer = self.tracer
+            if tracer is not None:
+                packet = self.packet
+                held = self.held
+                held.append(tracer.begin("noc", self.tracks[len(held)],
+                                         packet.kind._name_, "noc.link",
+                                         flits=packet.size_flits))
+            self.phase = _ADVANCE
+            step.callbacks = self.calls
+            self.env._schedule(step, self.mesh.router_latency)
+            return
+        if phase != _ADVANCE:
+            if phase == _INJECT:
+                if self._inject():
+                    return
+            elif phase == _EJECT:
+                self._eject()
+                return
+            else:
+                self._finish()
+                self.succeed(self.packet)
+                return
+        # Request the next link of the route, or, with the head at the
+        # destination, let the body drain behind it.
+        hop = self.hop
+        route = self.route
+        if hop < len(route):
+            self.hop = hop + 1
+            self.phase = _GRANTED
+            channel = route[hop].channel
+            if channel.claim():
+                step.callbacks = self.calls
+                self.env._ready.append(step)
+            else:
+                # Contended: wait on an acquire event, and list the
+                # packet for the deadlock probe while it queues on the
+                # busy link.
+                grant = channel.acquire()
+                grant.callbacks.append(self.calls[0])
+                self.env._register_process(_LinkWait(self.packet, grant))
+        else:
+            # The hold is a single multi-cycle timeout per link set —
+            # the whole serialized body in one event, never one event
+            # per flit (see docs/performance.md).
+            self.phase = _EJECT
+            step.callbacks = self.calls
+            self.env._schedule(step, self.packet.size_flits)
+
+    def _inject(self) -> bool:
+        """Stamp the injection and resolve the route. Returns True for
+        a local packet, whose one router traversal is then scheduled;
+        a routed one goes on to request its first link."""
         env = self.env
         mesh = self.mesh
         packet = self.packet
-        packet.injected_at = env.now
+        packet.injected_at = env._now
         tracer = self.tracer = env.tracer
         self.sid = None
         if tracer is not None:
@@ -166,45 +250,15 @@ class _Transit(Event):
         if packet.src == packet.dst:
             # Local ejection: no links, one router traversal.
             self.route = ()
-            Timeout(env, mesh.router_latency).callbacks.append(self._eject)
-        else:
-            self.route = mesh.route_links(packet.src, packet.dst,
-                                          packet.plane)
-            self.hop = 0
-            self._advance(event)
+            self.phase = _EJECT
+            self.step.callbacks = self.calls
+            env._schedule(self.step, mesh.router_latency)
+            return True
+        self.route = mesh.route_links(packet.src, packet.dst, packet.plane)
+        self.hop = 0
+        return False
 
-    def _advance(self, event: Event) -> None:
-        """Request the next link of the route, or, with the head at
-        the destination, let the body drain behind it."""
-        hop = self.hop
-        route = self.route
-        if hop < len(route):
-            self.hop = hop + 1
-            grant = route[hop].channel.acquire()
-            grant.callbacks.append(self._granted)
-            if grant._value is PENDING:
-                # Contended: list the packet for the deadlock probe
-                # while it queues on the busy link.
-                self.env._register_process(_LinkWait(self.packet, grant))
-        else:
-            # The hold is a single multi-cycle timeout per link set —
-            # the whole serialized body in one event, never one event
-            # per flit (see docs/performance.md).
-            Timeout(self.env, self.packet.size_flits).callbacks.append(
-                self._eject)
-
-    def _granted(self, event: Event) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            packet = self.packet
-            held = self.held
-            held.append(tracer.begin("noc", self.tracks[len(held)],
-                                     packet.kind._name_, "noc.link",
-                                     flits=packet.size_flits))
-        Timeout(self.env, self.mesh.router_latency).callbacks.append(
-            self._advance)
-
-    def _eject(self, event: Event) -> None:
+    def _eject(self) -> None:
         """Release every held link (none for a local packet), then
         eject: the fault hook, the outcome count and the inbox put."""
         env = self.env
@@ -225,26 +279,31 @@ class _Transit(Event):
             # watchdog timeout at whoever was waiting for it). A
             # corrupted payload is caught by the link-level CRC at
             # ejection and discarded — detected, never delivered.
-            action = mesh.fault_injector.on_deliver(packet, env.now)
+            action = mesh.fault_injector.on_deliver(packet, env._now)
             if action != "ok":
                 mesh._retire(packet, "dropped" if action == "drop"
                              else "corrupted", tracer, self.sid)
                 if packet.on_lost is not None:
                     packet.on_lost()
+                self._finish()
                 self.succeed(packet)
                 return
-        packet.delivered_at = env.now
-        mesh.total_latency += packet.latency
-        mesh.delivered_by_kind[packet.kind] = (
-            mesh.delivered_by_kind.get(packet.kind, 0) + 1)
+        now = packet.delivered_at = env._now
+        mesh.total_latency += now - packet.injected_at
+        counts = mesh._delivered_by_name
+        name = packet.kind._name_
+        counts[name] = counts.get(name, 0) + 1
         mesh._retire(packet, "delivered", tracer, self.sid)
         inbox = mesh._inboxes.get((packet.dst, packet.plane))
         if inbox is None:
             inbox = mesh._add_inbox(packet.dst, packet.plane)
-        inbox.put(packet).callbacks.append(self._delivered)
+        self.phase = _DELIVERED
+        inbox.put(packet).callbacks.append(self.calls[0])
 
-    def _delivered(self, event: Event) -> None:
-        self.succeed(self.packet)
+    def _finish(self) -> None:
+        """Drop the step event and the callback list, which refer back
+        to the transit (see :meth:`Process._finish`)."""
+        self.step = self.calls = None
 
 
 class _LinkWait:
@@ -326,7 +385,9 @@ class Mesh2D:
         self.outcomes: Dict[str, Dict[str, int]] = {
             outcome: {} for outcome in PACKET_OUTCOMES}
         self.total_latency = 0
-        self.delivered_by_kind: Dict[MessageKind, int] = {}
+        # Delivered packets per message-kind name: a str key hashes
+        # from its cache, an Enum member through Enum.__hash__.
+        self._delivered_by_name: Dict[str, int] = {}
 
         # Fault hook: a FaultInjector consulted at packet ejection
         # (None by default — the hook then costs nothing and timing is
@@ -413,8 +474,12 @@ class Mesh2D:
         """Inject ``packet``; the returned event succeeds with the
         packet at delivery (or, for a packet lost at ejection, once its
         links are released)."""
-        self._check(packet.src, packet.plane)
-        self._check(packet.dst, packet.plane)
+        checked = self._checked
+        plane = packet.plane
+        if (packet.src, plane) not in checked:
+            self._check(packet.src, plane)
+        if (packet.dst, plane) not in checked:
+            self._check(packet.dst, plane)
         return _Transit(self, packet)
 
     def _retire(self, packet: Packet, outcome: str, tracer,
@@ -483,6 +548,13 @@ class Mesh2D:
     @property
     def packets_corrupted(self) -> int:
         return sum(self.outcomes["corrupted"].values())
+
+    @property
+    def delivered_by_kind(self) -> Dict[MessageKind, int]:
+        """Delivered packets per message kind, in first-delivery
+        order."""
+        return {MessageKind[name]: count
+                for name, count in self._delivered_by_name.items()}
 
     @property
     def flit_hops(self) -> int:

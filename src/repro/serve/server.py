@@ -139,14 +139,43 @@ class ServerReport:
     completions: List[Completion]
     rejections: List[Rejection]
     failures: List[Failure]
-    latency_by_tenant: Dict[str, LatencySummary]
-    queue_by_tenant: Dict[str, LatencySummary]
     activity_by_tenant: Dict[str, Dict[str, TileActivity]]
     batches_by_tenant: Dict[str, int]
     admitted: int
     peak_queue_depth: int
-    arbiter_grants: int
-    arbiter_wait_summary: Optional[LatencySummary]
+    #: Cycles each batch waited for its tile grant, in grant order.
+    grant_waits: List[int]
+
+    # The summaries are computed when read, from the records above:
+    # building the report costs no percentile.
+
+    @property
+    def latency_by_tenant(self) -> Dict[str, LatencySummary]:
+        """Request latency per served tenant, in tenant order."""
+        return self._by_tenant("latency_cycles")
+
+    @property
+    def queue_by_tenant(self) -> Dict[str, LatencySummary]:
+        """Queueing delay per served tenant, in tenant order."""
+        return self._by_tenant("queue_cycles")
+
+    def _by_tenant(self, attribute: str) -> Dict[str, LatencySummary]:
+        samples: Dict[str, List[int]] = {}
+        for completion in self.completions:
+            samples.setdefault(completion.tenant, []).append(
+                getattr(completion, attribute))
+        return {tenant: summarize_latencies(samples[tenant])
+                for tenant in sorted(samples)}
+
+    @property
+    def arbiter_grants(self) -> int:
+        return len(self.grant_waits)
+
+    @property
+    def arbiter_wait_summary(self) -> Optional[LatencySummary]:
+        if not self.grant_waits:
+            return None
+        return summarize_latencies(self.grant_waits)
 
     @property
     def completed_frames(self) -> int:
@@ -744,12 +773,9 @@ class InferenceServer:
     def report(self, makespan_cycles: int) -> ServerReport:
         """The current window's report (see :class:`ServerReport`)."""
         window = self._in_window()
-        completions = window["completions"]
-        served = sorted({c.tenant for c in completions})
         batches = dict.fromkeys(self._tenants, 0)
         for tenant, _ in window["dispatches"]:
             batches[tenant] += 1
-        grant_waits = [wait for _, wait in window["dispatches"]]
         activity: Dict[str, Dict[str, TileActivity]] = {
             tenant: {} for tenant in self._tenants}
         for tenant, delta in window["activity"]:
@@ -760,20 +786,12 @@ class InferenceServer:
         return ServerReport(
             clock_mhz=self.soc.clock_mhz,
             makespan_cycles=makespan_cycles,
-            completions=completions,
+            completions=window["completions"],
             rejections=window["rejections"],
             failures=window["failures"],
-            latency_by_tenant={t: summarize_latencies(
-                [c.latency_cycles for c in completions if c.tenant == t])
-                for t in served},
-            queue_by_tenant={t: summarize_latencies(
-                [c.queue_cycles for c in completions if c.tenant == t])
-                for t in served},
             activity_by_tenant=activity,
             batches_by_tenant=batches,
             admitted=len(window["admissions"]),
             peak_queue_depth=self.peak_queue_depth,
-            arbiter_grants=len(grant_waits),
-            arbiter_wait_summary=(summarize_latencies(grant_waits)
-                                  if grant_waits else None),
+            grant_waits=[wait for _, wait in window["dispatches"]],
         )

@@ -229,8 +229,11 @@ class Resource:
     def acquire(self) -> Event:
         """Request a slot; the event triggers when the slot is granted."""
         event = Event(self.env)
-        if self._in_use < self.slots:
-            self._grant(event)
+        if self.claim():
+            # A fresh acquire event is pending by construction — inline
+            # trigger (invariant 3).
+            event._value = None
+            self.env._ready.append(event)
         else:
             event.wait_reason = f"acquire of busy resource {self.name!r}"
             self._waiters.append(event)
@@ -254,22 +257,37 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self.busy_cycles += self.env.now - self._busy_since
+            self.busy_cycles += self.env._now - self._busy_since
             self._busy_since = None
         if self.record_history:
-            self.history.append((self.env.now, self._in_use))
+            self.history.append((self.env._now, self._in_use))
         if self._waiters:
             self._grant(self._waiters.popleft())
 
-    def _grant(self, event: Event) -> None:
+    def claim(self) -> bool:
+        """Take a free slot at once, without an acquire event.
+
+        Returns False, changing nothing, when every slot is held. On
+        True the caller holds the slot as if an immediate
+        :meth:`acquire` had granted it, with the same bookkeeping; a
+        caller that stands for the grant with an event of its own
+        appends it to the ready queue at once, where the acquire event
+        would have gone. The NoC grants each hop's link this way.
+        """
+        if self._in_use >= self.slots:
+            return False
         if self._in_use == 0:
-            self._busy_since = self.env.now
+            self._busy_since = self.env._now
         self._in_use += 1
         self.total_acquisitions += 1
         if self.record_history:
-            self.history.append((self.env.now, self._in_use))
-        # Fresh acquire events and dequeued waiters are both pending by
-        # construction — inline trigger (invariant 3).
+            self.history.append((self.env._now, self._in_use))
+        return True
+
+    def _grant(self, event: Event) -> None:
+        """Hand a freed slot to a dequeued waiter, which is pending by
+        construction — inline trigger (invariant 3)."""
+        self.claim()
         event._value = None
         self.env._ready.append(event)
 

@@ -14,17 +14,22 @@ when traced, the NoC spans in the order they begin.
 
 It also pins the deadlock probe: a packet queued on a busy link is
 listed by ``blocked_processes``/``deadlock_report`` with the link it
-waits on, and an uncontended packet is not listed at all.
+waits on, and an uncontended packet is not listed at all. And it pins
+the allocation contract: an uncontended hop calls no
+``Resource.acquire`` and builds no event, and a finished transit
+leaves no reference cycle for the collector.
 """
 
+import gc
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.noc import DMA_REQUEST_PLANE, Mesh2D, MessageKind, Packet
 from repro.noc.mesh import NocPlane
-from repro.sim import Environment
+from repro.sim import Environment, Event, Resource, Timeout
 from repro.trace import attach_tracer
 
 
@@ -324,3 +329,106 @@ def test_uncontended_packet_is_not_listed():
     env.run(until=3)
     assert env.blocked_processes() == []
     assert env.deadlock_report() == "no blocked processes"
+
+
+# ---------------------------------------------------------------------------
+# Allocation contract: a packet allocates per packet, not per hop
+# ---------------------------------------------------------------------------
+
+def counting(monkeypatch, cls, name):
+    """Count the calls of ``cls.name`` (still calling through)."""
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("hops", range(6))
+def test_uncontended_packet_allocates_nothing_per_hop(monkeypatch, hops):
+    """Over ``h`` idle links a packet never calls ``Resource.acquire``
+    and builds no ``Timeout``: its grants and timeouts re-arm one step
+    event. Two events are built whatever ``h``: the step event and the
+    inbox put (the transit assigns its own fields)."""
+    env = Environment()
+    mesh = Mesh2D(env, 6, 1)
+    mesh.inbox((hops, 0), DMA_REQUEST_PLANE)
+    acquires = counting(monkeypatch, Resource, "acquire")
+    timeouts = counting(monkeypatch, Timeout, "__init__")
+    events = counting(monkeypatch, Event, "__init__")
+    packet = Packet(src=(0, 0), dst=(hops, 0), plane=DMA_REQUEST_PLANE,
+                    kind=MessageKind.DMA_REQ, payload_flits=4)
+    assert env.run(until=mesh.send(packet)) is packet
+    assert acquires == [] and timeouts == []
+    assert len(events) == 2
+    assert env.events_processed == 2 * hops + 4
+    assert packet.latency == (hops * mesh.router_latency + packet.size_flits
+                              if hops else mesh.router_latency)
+
+
+def test_contended_packet_acquires_only_the_busy_link(monkeypatch):
+    """A packet queued behind another calls ``Resource.acquire`` once,
+    for the busy first link, and is listed by the deadlock probe while
+    it waits; the links behind it are free by its grant."""
+    env = Environment()
+    mesh = Mesh2D(env, 4, 1)
+    acquires = counting(monkeypatch, Resource, "acquire")
+    sends = [mesh.send(Packet(src=(0, 0), dst=(3, 0),
+                              plane=DMA_REQUEST_PLANE,
+                              kind=MessageKind.DMA_REQ, payload_flits=8))
+             for _ in range(2)]
+    env.run(until=5)
+    assert [r.name for r in acquires] == [LINK]
+    report = env.deadlock_report()
+    assert report.startswith(
+        f"process 'packet {sends[1].packet.packet_id} DMA_REQ "
+        f"(0, 0)->(3, 0)@dma-req' blocked on acquire of busy resource")
+    env.run()
+    assert len(acquires) == 1
+    assert env.deadlock_report() == "no blocked processes"
+    assert [s.value.delivered_at for s in sends] == [15, 30]
+
+
+def test_finished_transits_leave_no_reference_cycle():
+    """A transit and its step event refer to each other while the
+    packet is in flight; finishing, delivered or lost, drops the
+    references, so reference counting frees both and the collector
+    finds neither."""
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        mesh = Mesh2D(env, 3, 2)
+        mesh.fault_injector = ScriptedFaults(
+            {f"f{index}": ("drop" if index % 3 == 2 else "ok")
+             for index in range(12)})
+        coords = mesh.coords()
+        consumed = []
+
+        def consumer(inbox):
+            while True:
+                consumed.append((yield inbox.get()))
+
+        for coord in coords:
+            env.process(consumer(mesh.inbox(coord, DMA_REQUEST_PLANE)))
+        for index in range(12):
+            # Local, one-hop and contended multi-hop packets.
+            mesh.send(Packet(src=coords[index % 2],
+                             dst=coords[(index * 5) % len(coords)],
+                             plane=DMA_REQUEST_PLANE,
+                             kind=MessageKind.DMA_REQ, payload_flits=3,
+                             tag=f"f{index}"))
+        env.run()
+        assert len(consumed) == 8 and mesh.packets_dropped == 4
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, Event)]
+        assert leaked == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
