@@ -26,7 +26,9 @@ The committed ``BENCH_fleet.json`` is the full run's report. Every
 field in it is simulated, so it is a pure function of the program:
 ``--check`` runs the full campaign, applies the checks above and fails
 on any field that differs from the committed report (without writing
-it), so the report cannot go stale silently.
+it), so the report cannot go stale silently. The pytest entry runs
+the smoke variant and writes its report under pytest's ``tmp_path``,
+never over the committed one.
 
 Run:  pytest benchmarks/bench_fleet.py --benchmark-only -s
 or:   PYTHONPATH=src python benchmarks/bench_fleet.py [--smoke | --check]
@@ -186,9 +188,9 @@ def build_payload(results, smoke=False):
     }
 
 
-def write_report(payload):
-    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return REPORT_PATH
+def write_report(payload, path=REPORT_PATH):
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path
 
 
 def report_drift(committed, fresh, path="report"):
@@ -208,11 +210,12 @@ def report_drift(committed, fresh, path="report"):
 
 # -- pytest entry point -----------------------------------------------------
 
-def test_fleet_policies(once):
+def test_fleet_policies(once, tmp_path):
     results = once(run_fleet_benchmark, smoke=True)
     print("\n" + render(results))
     check(results)
-    path = write_report(build_payload(results, smoke=True))
+    path = write_report(build_payload(results, smoke=True),
+                        tmp_path / REPORT_PATH.name)
     print(f"report: {path}")
 
 

@@ -14,7 +14,8 @@ Communication for Programmable Accelerators" measures all of them):
   the memory-tile LLC as the shared directory point.
 
 This module holds the mode enum threaded through the stack, the
-private cache, the protocol message payloads and the directory.
+private cache, the protocol messages, the directory's state and its
+transitions, the MESI invariants and the directory process.
 Everything here is **pay-for-what-you-use**: no process is spawned and
 no state is allocated until the first fully-coherent transaction, so a
 SoC that never uses the mode is event-for-event identical to one built
@@ -35,7 +36,7 @@ in one loop, and the LLC serves a run of lines in one call.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import (Container, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple)
@@ -159,17 +160,9 @@ class PrivateCache:
         self.writebacks = 0
         self.invalidations_received = 0
 
-    def _set_of(self, line: int) -> OrderedDict:
-        return self._sets[line % self.n_sets]
-
     def state(self, line: int) -> Optional[str]:
         """The line's MESI state, or ``None`` when not resident."""
-        return self._set_of(line).get(line)
-
-    def touch(self, line: int, write: bool) -> Optional[str]:
-        """Probe one line for a local hit; returns the state when it is
-        one (see :meth:`probe`)."""
-        return self.state(line) if self.probe((line,), write)[0] else None
+        return self._sets[line % self.n_sets].get(line)
 
     def probe(self, lines: Sequence[int], write: bool,
               whole: range = range(0)
@@ -216,11 +209,6 @@ class PrivateCache:
         self.hits += hits
         self.misses += len(lines) - hits
         return hits, gets, getm, upgrades
-
-    def install(self, line: int, state: str) -> Optional[int]:
-        """Install (or restate) one line; returns an evicted dirty line
-        (see :meth:`install_lines`)."""
-        return next(iter(self.install_lines((line,), state)), None)
 
     def install_lines(self, lines: Iterable[int], state: str,
                       exclusive: Container[int] = ()) -> List[int]:
@@ -269,14 +257,18 @@ class PrivateCache:
             request.getm_lines + request.upgrade_lines, MODIFIED)
         return victims
 
-    def invalidate(self, line: int) -> bool:
-        """Drop a line on a coherence invalidation; True when it was
-        ``M`` (the ack must carry the dirty data back)."""
-        cache_set = self._set_of(line)
-        state = cache_set.pop(line, None)
-        if state is not None:
-            self.invalidations_received += 1
-        return state == MODIFIED
+    def invalidate_lines(self, lines: Iterable[int]) -> Tuple[int, ...]:
+        """Drop lines on a coherence invalidation; returns the ones
+        that were ``M`` (the ack must carry their data back). A line
+        not resident is a no-op."""
+        dirty = []
+        for line in lines:
+            state = self._sets[line % self.n_sets].pop(line, None)
+            if state is not None:
+                self.invalidations_received += 1
+                if state == MODIFIED:
+                    dirty.append(line)
+        return tuple(dirty)
 
     def flush(self) -> int:
         """Drop every line; returns how many were dirty."""
@@ -405,16 +397,118 @@ class DirectoryStats:
         return dict(self.__dict__)
 
 
+class DirectoryState:
+    """Who holds which line, as the directory knows it, and the
+    directory's protocol decisions as transitions over it.
+
+    ``owner`` maps a line to the tile holding it ``E`` or ``M`` (the
+    two look alike here: ``E`` upgrades to ``M`` silently);
+    ``sharers`` maps a line to the tiles holding it ``S``. The
+    transitions touch nothing else, so they need no simulator.
+    """
+
+    def __init__(self) -> None:
+        self.owner: Dict[int, Coord] = {}
+        self.sharers: Dict[int, Set[Coord]] = {}
+
+    def invalidation_targets(
+            self, request: CoherenceRequest
+    ) -> Tuple[Dict[Coord, List[int]], int]:
+        """Which tiles must drop which lines before ``request`` is
+        granted, and how many of those lines are recalls from an owner.
+        Every line is recalled from a remote owner (whose copy may be
+        dirty); a write line is also dropped by every remote sharer."""
+        me = request.requester
+        n_reads = len(request.gets_lines)
+        targets: Dict[Coord, List[int]] = {}
+        recalls = 0
+        for index, line in enumerate(request.all_lines):
+            owner = self.owner.get(line)
+            if owner is not None and owner != me:
+                targets.setdefault(owner, []).append(line)
+                recalls += 1
+            if index >= n_reads:
+                for sharer in self.sharers.get(line, ()):
+                    if sharer != me:
+                        targets.setdefault(sharer, []).append(line)
+        return targets, recalls
+
+    def grant(self, request: CoherenceRequest) -> List[int]:
+        """Record ``request``'s grant; returns the GETS lines granted
+        ``E`` because no other tile shares them. Every other GETS line
+        joins its sharers; GETM and upgrade lines become the
+        requester's."""
+        owner_of = self.owner
+        sharers_of = self.sharers
+        me = request.requester
+        exclusive: List[int] = []
+        for line in request.gets_lines:
+            owner = owner_of.pop(line, None)
+            sharers = sharers_of.setdefault(line, set())
+            sharers.discard(owner)
+            if not sharers:
+                owner_of[line] = me
+                sharers_of.pop(line, None)
+                exclusive.append(line)
+            else:
+                sharers.add(me)
+        for line in request.getm_lines + request.upgrade_lines:
+            owner_of[line] = me
+            sharers_of.pop(line, None)
+        return exclusive
+
+    def forget(self, lines: Iterable[int]) -> None:
+        """Drop written-back lines: their holder evicted them."""
+        for line in lines:
+            self.owner.pop(line, None)
+            self.sharers.pop(line, None)
+
+
+def mesi_violations(caches: Dict[Coord, PrivateCache],
+                    directories: Iterable[DirectoryState]) -> List[str]:
+    """Every broken MESI invariant over the tiles' private caches
+    (``caches``, by tile) and the memory tiles' ``directories``, one
+    line of text each: a line held ``E`` or ``M`` is held by no other
+    tile, an ``E``/``M`` holder is the line's owner, and an ``S``
+    holder is a sharer or the owner. A directory entry with no copy
+    behind it is fine: a clean eviction is silent."""
+    owners: Dict[int, Coord] = {}
+    sharers: Dict[int, Set[Coord]] = {}
+    for directory in directories:
+        owners.update(directory.owner)
+        sharers.update(directory.sharers)
+    holders: Dict[int, List[Tuple[Coord, str]]] = {}
+    for coord, cache in caches.items():
+        for cache_set in cache._sets:
+            for line, state in cache_set.items():
+                holders.setdefault(line, []).append((coord, state))
+    violations = []
+    for line, held in sorted(holders.items()):
+        copies = ", ".join(f"{state} at {coord}" for coord, state in held)
+        if len(held) > 1 and any(state != SHARED for _, state in held):
+            violations.append(f"line {line}: a writer among {copies}")
+        owner = owners.get(line)
+        for coord, state in held:
+            if state != SHARED and owner != coord:
+                violations.append(
+                    f"line {line}: {state} at {coord}, directory owner "
+                    f"{owner}")
+            elif owner != coord and coord not in sharers.get(line, ()):
+                violations.append(
+                    f"line {line}: S at {coord}, not a directory sharer")
+    return violations
+
+
 class CoherenceDirectory:
     """The coherence point of one memory tile.
 
-    Tracks, per cache line, which accelerator tiles hold it (sharers)
-    or own it (``E``/``M``), serves transactions serially from the
-    ``coh-req`` inbox, forwards invalidations on ``coh-fwd`` and
-    collects acks / writebacks / sends grants on ``coh-rsp``. The
-    tile's :class:`~repro.soc.llc.LastLevelCache` is the shared data
-    point: granted lines are looked up there first, and only LLC misses
-    move DRAM words — exactly the accounting of LLC-coherent DMA.
+    Tracks who holds each line in a :class:`DirectoryState`, serves
+    transactions serially from the ``coh-req`` inbox, forwards
+    invalidations on ``coh-fwd`` and collects acks / writebacks /
+    sends grants on ``coh-rsp``. The tile's
+    :class:`~repro.soc.llc.LastLevelCache` is the shared data point:
+    granted lines are looked up there first, and only LLC misses move
+    DRAM words — exactly the accounting of LLC-coherent DMA.
 
     Created lazily by :meth:`MemoryTile.ensure_directory` on the first
     fully-coherent transaction, never at SoC build.
@@ -429,11 +523,7 @@ class CoherenceDirectory:
             raise ValueError(
                 "a coherence directory needs the memory tile to host "
                 "an LLC (the shared directory point)")
-        #: Global line -> tiles holding it S.
-        self._sharers: Dict[int, Set[Coord]] = {}
-        #: Global line -> tile holding it E or M (directory cannot
-        #: distinguish the two — E upgrades to M silently).
-        self._owner: Dict[int, Coord] = {}
+        self.state = DirectoryState()
         self._acks: Dict[str, Fifo] = {}
         #: Global id of the tile's first line: the LLC indexes lines
         #: from there.
@@ -484,9 +574,7 @@ class CoherenceDirectory:
             packet = yield inbox.get()
             payload = packet.payload
             if isinstance(payload, CoherenceWriteback):
-                for line in payload.lines:
-                    self._owner.pop(line, None)
-                    self._sharers.pop(line, None)
+                self.state.forget(payload.lines)
                 yield self.env.timeout(
                     self._absorb_writeback(payload.lines))
             elif isinstance(payload, InvalidateAck):
@@ -495,33 +583,6 @@ class CoherenceDirectory:
                 raise TypeError(
                     f"directory at {self.tile.coord} got unexpected "
                     f"coh-rsp payload {payload!r}")
-
-    def _invalidation_targets(
-            self, request: CoherenceRequest
-    ) -> Dict[Coord, List[int]]:
-        """Which tiles must drop which lines for this transaction."""
-        targets: Dict[Coord, List[int]] = {}
-        me = request.requester
-
-        def add(coord: Coord, line: int) -> None:
-            targets.setdefault(coord, []).append(line)
-
-        for line in request.gets_lines:
-            # A read only recalls the line from a remote owner (whose
-            # copy may be dirty); plain sharers can keep it.
-            owner = self._owner.get(line)
-            if owner is not None and owner != me:
-                add(owner, line)
-                self.stats.recalls += 1
-        for line in request.getm_lines + request.upgrade_lines:
-            owner = self._owner.get(line)
-            if owner is not None and owner != me:
-                add(owner, line)
-                self.stats.recalls += 1
-            for sharer in self._sharers.get(line, ()):
-                if sharer != me:
-                    add(sharer, line)
-        return targets
 
     def _server(self):
         """Serve coherence transactions, one at a time (the directory
@@ -548,7 +609,8 @@ class CoherenceDirectory:
             yield env.timeout(DIRECTORY_LATENCY)
 
             # 1. Invalidate / recall conflicting copies.
-            targets = self._invalidation_targets(request)
+            targets, recalls = self.state.invalidation_targets(request)
+            self.stats.recalls += recalls
             for coord, lines in targets.items():
                 self.stats.invalidations_sent += len(lines)
                 mesh.send(Packet(
@@ -587,23 +649,8 @@ class CoherenceDirectory:
                 yield env.timeout(cycles)
 
             # 3. Update directory state and grant.
-            exclusive: List[int] = []
-            me = request.requester
-            for line in request.gets_lines:
-                owner = self._owner.pop(line, None)
-                sharers = self._sharers.setdefault(line, set())
-                sharers.discard(owner)
-                if not sharers:
-                    # Sole copy on chip: grant E (silent-upgrade MESI).
-                    self._owner[line] = me
-                    self._sharers.pop(line, None)
-                    exclusive.append(line)
-                    self.stats.exclusive_grants += 1
-                else:
-                    sharers.add(me)
-            for line in request.getm_lines + request.upgrade_lines:
-                self._owner[line] = me
-                self._sharers.pop(line, None)
+            exclusive = self.state.grant(request)
+            self.stats.exclusive_grants += len(exclusive)
 
             data_words = len(request.data_lines) * llc.line_words
             flits = words_to_flits(
@@ -611,8 +658,9 @@ class CoherenceDirectory:
                 mesh.flit_bits(COH_RESPONSE_PLANE)) if data_words \
                 else line_list_flits(len(request.upgrade_lines))
             mesh.send(Packet(
-                src=tile.coord, dst=me, plane=COH_RESPONSE_PLANE,
-                kind=MessageKind.COH_RSP, payload_flits=flits,
+                src=tile.coord, dst=request.requester,
+                plane=COH_RESPONSE_PLANE, kind=MessageKind.COH_RSP,
+                payload_flits=flits,
                 payload=CoherenceReply(tag=request.tag,
                                        exclusive_lines=tuple(exclusive)),
                 tag=request.tag))

@@ -364,8 +364,7 @@ class DmaEngine:
                     f"accelerator tile {self.coord} got unexpected "
                     f"coh-fwd payload {request!r}")
             yield self.env.timeout(cache.hit_latency)
-            dirty = tuple(line for line in request.lines
-                          if cache.invalidate(line))
+            dirty = cache.invalidate_lines(request.lines)
             flits = self._flits(len(dirty) * cache.line_words,
                                 COH_RESPONSE_PLANE) if dirty \
                 else line_list_flits(len(request.lines))

@@ -48,20 +48,11 @@ class LastLevelCache:
         self.evictions = 0
         self.writebacks = 0
 
-    def _locate(self, word_addr: int) -> Tuple[OrderedDict, int]:
-        line = word_addr // self.line_words
-        return self._sets[line % self.n_sets], line
-
     def lines_of(self, offset: int, n_words: int) -> range:
         """Line numbers a [offset, offset+n) access touches."""
         first = offset // self.line_words
         last = (offset + n_words - 1) // self.line_words
         return range(first, last + 1)
-
-    def access_line(self, line: int, write: bool) -> Tuple[bool, bool]:
-        """Touch one line; returns (hit, writeback_needed)."""
-        hits, _, writebacks = self.access_lines((line,), write)
-        return hits == 1, writebacks == 1
 
     def access_lines(self, lines: Sequence[int], write: bool,
                      base: int = 0,

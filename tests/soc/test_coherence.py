@@ -228,31 +228,31 @@ class TestPerDeviceAssignment:
 class TestPrivateCacheModel:
     def test_mesi_touch_transitions(self):
         cache = PrivateCache(capacity_words=256, line_words=16, ways=2)
-        cache.install(0, "E")
+        cache.install_lines((0,), "E")
         assert cache.state(0) == "E"
-        assert cache.touch(0, write=True) == "M"   # silent E -> M hit
+        assert cache.probe((0,), write=True)[0] == 1   # silent E -> M hit
         assert cache.state(0) == "M"
-        cache.install(1, "S")
-        assert cache.touch(1, write=False) == "S"  # read hit in S
+        cache.install_lines((1,), "S")
+        assert cache.probe((1,), write=False)[0] == 1  # read hit in S
         # A write to a shared line misses: it needs an upgrade request.
-        assert cache.touch(1, write=True) is None
+        assert cache.probe((1,), write=True) == (0, [], [], [1])
         assert cache.misses == 1
 
     def test_invalidate_and_flush(self):
         cache = PrivateCache(capacity_words=256, line_words=16, ways=2)
-        cache.install(0, "M")
-        cache.install(1, "S")
-        assert cache.invalidate(0)          # dirty: data must go back
-        assert not cache.invalidate(1)      # clean: silent drop
-        assert cache.invalidate(7) is False  # absent: no-op
+        cache.install_lines((0,), "M")
+        cache.install_lines((1,), "S")
+        # Dirty data must go back; a clean line drops silently; an
+        # absent line is a no-op.
+        assert cache.invalidate_lines((0, 1, 7)) == (0,)
         assert cache.invalidations_received == 2
-        cache.install(2, "M")
+        cache.install_lines((2,), "M")
         assert cache.flush() == 1
         assert cache.resident_lines == 0
 
     def test_eviction_returns_dirty_victim(self):
         cache = PrivateCache(capacity_words=32, line_words=16, ways=2)
-        cache.install(0, "M")
-        cache.install(2, "S")   # same set (single-set cache)
-        victim = cache.install(4, "E")   # evicts LRU line 0 (dirty)
-        assert victim == 0
+        cache.install_lines((0,), "M")
+        cache.install_lines((2,), "S")   # same set (single-set cache)
+        # Evicts the LRU line 0, which is dirty.
+        assert cache.install_lines((4,), "E") == [0]

@@ -235,7 +235,8 @@ class ReferenceDirectory(CoherenceDirectory):
             self.stats.requests += 1
             yield env.timeout(DIRECTORY_LATENCY)
 
-            targets = self._invalidation_targets(request)
+            targets, recalls = self.state.invalidation_targets(request)
+            self.stats.recalls += recalls
             for coord, lines in targets.items():
                 self.stats.invalidations_sent += len(lines)
                 mesh.send(Packet(
@@ -278,20 +279,22 @@ class ReferenceDirectory(CoherenceDirectory):
 
             exclusive = []
             me = request.requester
+            owner_of = self.state.owner
+            sharers_of = self.state.sharers
             for line in request.gets_lines:
-                owner = self._owner.pop(line, None)
-                sharers = self._sharers.setdefault(line, set())
+                owner = owner_of.pop(line, None)
+                sharers = sharers_of.setdefault(line, set())
                 sharers.discard(owner)
                 if not sharers:
-                    self._owner[line] = me
-                    self._sharers.pop(line, None)
+                    owner_of[line] = me
+                    sharers_of.pop(line, None)
                     exclusive.append(line)
                     self.stats.exclusive_grants += 1
                 else:
                     sharers.add(me)
             for line in request.getm_lines + request.upgrade_lines:
-                self._owner[line] = me
-                self._sharers.pop(line, None)
+                owner_of[line] = me
+                sharers_of.pop(line, None)
 
             data_words = len(request.data_lines) * llc.line_words
             flits = words_to_flits(
@@ -475,7 +478,7 @@ def run(scenario: Scenario, reference: bool):
                    t.store_transactions) for t in tiles],
         "directories": [
             None if t.directory is None else
-            (t.directory._owner, t.directory._sharers,
+            (t.directory.state.owner, t.directory.state.sharers,
              t.directory.stats.as_dict()) for t in tiles],
     }
 

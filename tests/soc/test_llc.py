@@ -17,9 +17,9 @@ class TestCacheModel:
 
     def test_miss_then_hit(self):
         llc = LastLevelCache(capacity_words=1024, line_words=16, ways=4)
-        hit, _ = llc.access_line(0, write=False)
+        hit, _, _ = llc.access_lines((0,), False)
         assert not hit
-        hit, _ = llc.access_line(0, write=False)
+        hit, _, _ = llc.access_lines((0,), False)
         assert hit
         assert llc.hits == 1 and llc.misses == 1
 
@@ -27,25 +27,25 @@ class TestCacheModel:
         llc = LastLevelCache(capacity_words=128, line_words=16, ways=2)
         # One set (128/(16*2) = 4 sets); use lines mapping to set 0.
         lines = [0, 4, 8]   # all map to set 0 with 4 sets
-        llc.access_line(lines[0], write=False)
-        llc.access_line(lines[1], write=False)
-        llc.access_line(lines[2], write=False)   # evicts line 0
-        hit, _ = llc.access_line(lines[0], write=False)
+        llc.access_lines((lines[0],), False)
+        llc.access_lines((lines[1],), False)
+        llc.access_lines((lines[2],), False)   # evicts line 0
+        hit, _, _ = llc.access_lines((lines[0],), False)
         assert not hit
         assert llc.evictions >= 1
 
     def test_dirty_eviction_writes_back(self):
         llc = LastLevelCache(capacity_words=128, line_words=16, ways=2)
-        llc.access_line(0, write=True)    # dirty
-        llc.access_line(4, write=False)
-        _, writeback = llc.access_line(8, write=False)  # evicts dirty 0
+        llc.access_lines((0,), True)    # dirty
+        llc.access_lines((4,), False)
+        _, _, writeback = llc.access_lines((8,), False)  # evicts dirty 0
         assert writeback
         assert llc.writebacks == 1
 
     def test_flush_counts_dirty_lines(self):
         llc = LastLevelCache(capacity_words=1024, line_words=16, ways=4)
-        llc.access_line(0, write=True)
-        llc.access_line(1, write=False)
+        llc.access_lines((0,), True)
+        llc.access_lines((1,), False)
         assert llc.flush() == 1
         assert llc.resident_lines == 0
 
@@ -58,8 +58,8 @@ class TestCacheModel:
     def test_hit_rate(self):
         llc = LastLevelCache(capacity_words=1024, line_words=16, ways=4)
         assert llc.hit_rate == 0.0
-        llc.access_line(0, write=False)
-        llc.access_line(0, write=False)
+        llc.access_lines((0,), False)
+        llc.access_lines((0,), False)
         assert llc.hit_rate == 0.5
 
     def test_writeback_accounting_across_evictions(self):
@@ -68,13 +68,13 @@ class TestCacheModel:
         back by an eviction."""
         llc = LastLevelCache(capacity_words=32, line_words=16, ways=2)
         # Single set (32 / (16*2)): every line aliases into it.
-        llc.access_line(0, write=True)    # dirty
-        llc.access_line(1, write=True)    # dirty
-        _, wb = llc.access_line(2, write=False)   # evicts dirty 0
+        llc.access_lines((0,), True)    # dirty
+        llc.access_lines((1,), True)    # dirty
+        _, _, wb = llc.access_lines((2,), False)   # evicts dirty 0
         assert wb and llc.writebacks == 1
-        _, wb = llc.access_line(3, write=False)   # evicts dirty 1
+        _, _, wb = llc.access_lines((3,), False)   # evicts dirty 1
         assert wb and llc.writebacks == 2
-        _, wb = llc.access_line(4, write=False)   # evicts clean 2
+        _, _, wb = llc.access_lines((4,), False)   # evicts clean 2
         assert not wb and llc.writebacks == 2
         assert llc.evictions == 3
         # Lines 3 (clean) and 4 (clean) remain: nothing left to flush.
@@ -84,10 +84,10 @@ class TestCacheModel:
     def test_rewritten_line_stays_dirty_until_written_back(self):
         """A read hit must not launder a dirty line clean."""
         llc = LastLevelCache(capacity_words=32, line_words=16, ways=2)
-        llc.access_line(0, write=True)
-        llc.access_line(0, write=False)   # read hit on the dirty line
-        llc.access_line(1, write=False)
-        _, wb = llc.access_line(2, write=False)   # evicts line 0
+        llc.access_lines((0,), True)
+        llc.access_lines((0,), False)   # read hit on the dirty line
+        llc.access_lines((1,), False)
+        _, _, wb = llc.access_lines((2,), False)   # evicts line 0
         assert wb and llc.writebacks == 1
 
     def test_line_granularity_aliasing(self):
@@ -104,9 +104,9 @@ class TestCacheModel:
         assert a_lines & b_lines == {1}
         # A misses line 1 in; B's first touch of line 1 is then a hit.
         for line in sorted(a_lines):
-            hit, _ = llc.access_line(line, write=True)
+            hit, _, _ = llc.access_lines((line,), True)
             assert not hit
-        hit, _ = llc.access_line(1, write=False)
+        hit, _, _ = llc.access_lines((1,), False)
         assert hit
 
     def test_capacity_boundary_lru(self):
@@ -115,15 +115,15 @@ class TestCacheModel:
         hits as recency updates."""
         llc = LastLevelCache(capacity_words=64, line_words=16, ways=4)
         for line in (0, 1, 2, 3):      # single set, exactly full
-            llc.access_line(line, write=False)
+            llc.access_lines((line,), False)
         assert llc.evictions == 0
         assert llc.resident_lines == 4
-        llc.access_line(0, write=False)   # refresh 0: LRU is now 1
-        llc.access_line(4, write=False)   # evicts line 1, not 0
+        llc.access_lines((0,), False)   # refresh 0: LRU is now 1
+        llc.access_lines((4,), False)   # evicts line 1, not 0
         assert llc.evictions == 1
-        hit, _ = llc.access_line(0, write=False)
+        hit, _, _ = llc.access_lines((0,), False)
         assert hit
-        hit, _ = llc.access_line(1, write=False)
+        hit, _, _ = llc.access_lines((1,), False)
         assert not hit
 
 
