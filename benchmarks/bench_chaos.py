@@ -17,9 +17,14 @@ whole observe-decide-act stack attached (sampler + health monitor +
 control plane with a quarantined reserve pool) must stay bit-exact on
 the pinned seed cycle counts of ``bench_perf`` — the control plane is
 pay-for-what-you-use, costing zero cycles until an alert fires.
+
+The standalone run writes ``BENCH_chaos.json`` and prints its wall
+time; the pytest entry makes the same checks and writes nothing.
+
+Run:  pytest benchmarks/bench_chaos.py --benchmark-only -s
+or:   PYTHONPATH=src python benchmarks/bench_chaos.py
 """
 
-import argparse
 import json
 import sys
 import time
@@ -33,12 +38,7 @@ from repro.eval.stack import StackSpec, build_stack
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_perf import (  # noqa: E402
-    PIPE_FRAMES,
-    SEED_CYCLES,
-    SMOKE_CYCLES,
-    SMOKE_PIPE_FRAMES,
-)
+from bench_perf import PIPE_FRAMES, SEED_CYCLES  # noqa: E402
 from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
 
 #: Sampler tick for the zero-fault pin runs (same as bench_metrics).
@@ -69,55 +69,51 @@ def _quiet_row(stack):
     }
 
 
-def zero_fault_serve(controller_on, smoke=False):
+def zero_fault_serve(controller_on):
     """The bench_serve trace with the full stack attached; must land
     exactly on the pinned seed cycle count with zero actions taken."""
     stack = build_stack(_observed(SERVE_SPEC, controller_on,
                                   SERVE_RESERVE_POOL))
-    n_requests, frames = (1, 1) if smoke else (2, 2)
-    stack.server.run_trace(build_trace(n_requests, frames))
+    stack.server.run_trace(build_trace(2, 2))
     return _quiet_row(stack)
 
 
-def zero_fault_pipeline(name, controller_on, smoke=False):
+def zero_fault_pipeline(name, controller_on):
     """One 4nv_4cl pipeline run with the stack attached to an (idle)
     server over the same SoC. ``esp_run`` drains the event loop dry,
     so the sampler is bounded to stop before the pinned end cycle."""
-    expected = (SMOKE_CYCLES if smoke else SEED_CYCLES)[name]
     config = APP_CONFIGS["4nv_4cl"]
-    n_frames = SMOKE_PIPE_FRAMES if smoke else PIPE_FRAMES
-    frames, _ = config.make_inputs(n_frames, seed=0)
+    frames, _ = config.make_inputs(PIPE_FRAMES, seed=0)
     stack = build_stack(_observed(StackSpec(), controller_on,
                                   reserve_pool=()))
-    stack.sampler.max_samples = max(1, expected // SAMPLE_INTERVAL)
+    stack.sampler.max_samples = max(1, SEED_CYCLES[name] // SAMPLE_INTERVAL)
     stack.runtime.esp_run(config.build_dataflow(), frames,
                           mode="p2p" if name == "p2p" else "pipe")
     return _quiet_row(stack)
 
 
-def run_zero_fault_pins(smoke=False):
+def run_zero_fault_pins():
     """Both arms of every pinned workload; raises on any drift."""
-    expected = SMOKE_CYCLES if smoke else SEED_CYCLES
     pins = {}
     for name in ("p2p", "dma", "serve"):
         run = zero_fault_serve if name == "serve" else (
-            lambda on, s, _n=name: zero_fault_pipeline(_n, on, s))
+            lambda on, _n=name: zero_fault_pipeline(_n, on))
         rows = {}
         for arm in ("on", "off"):
-            row = run(arm == "on", smoke)
+            row = run(arm == "on")
             rows[arm] = row
-            if row["cycles"] != expected[name]:
+            if row["cycles"] != SEED_CYCLES[name]:
                 raise AssertionError(
                     f"zero-fault {name!r} (controller {arm}) drifted: "
                     f"{row['cycles']} cycles != pinned "
-                    f"{expected[name]} — the control plane must cost "
+                    f"{SEED_CYCLES[name]} — the control plane must cost "
                     f"zero cycles while healthy")
             if row["actions"] or row["alerts"]:
                 raise AssertionError(
                     f"zero-fault {name!r} (controller {arm}) was not "
                     f"quiet: {row['actions']} actions, "
                     f"{row['alerts']} alerts")
-        pins[name] = {"expected_cycles": expected[name], **rows}
+        pins[name] = {"expected_cycles": SEED_CYCLES[name], **rows}
     return pins
 
 
@@ -142,11 +138,9 @@ def check_campaign(report):
             result.scenario
 
 
-def build_payload(report, pins, wall_s, smoke=False):
+def build_payload(report, pins):
     return {
         "benchmark": "chaos",
-        "variant": "smoke" if smoke else "full",
-        "wall_s": round(wall_s, 3),
         "zero_fault_pins": pins,
         **report.to_dict(),
     }
@@ -158,42 +152,33 @@ def write_report(payload):
     return out
 
 
-def run_bench(smoke=False):
-    start = time.perf_counter()
-    report = run_chaos_campaign(smoke=smoke)
+def run_bench():
+    report = run_chaos_campaign()
     check_campaign(report)
-    pins = run_zero_fault_pins(smoke=smoke)
-    return report, pins, time.perf_counter() - start
+    return report, run_zero_fault_pins()
 
 
 # -- pytest entry points ----------------------------------------------------
 
 def test_chaos_campaign(once):
-    report, pins, wall = once(run_bench, smoke=True)
+    report, _ = once(run_bench)
     print("\n" + report.render())
-    path = write_report(build_payload(report, pins, wall, smoke=True))
-    print(f"report: {path}")
 
 
 # -- standalone -------------------------------------------------------------
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="two-scenario short-horizon campaign for CI")
-    args = parser.parse_args(argv)
-    report, pins, wall = run_bench(smoke=args.smoke)
+def main():
+    start = time.perf_counter()
+    report, pins = run_bench()
+    wall = time.perf_counter() - start
     print(report.render())
     for name, row in pins.items():
         print(f"zero-fault pin {name:6s} {row['expected_cycles']:>6d} "
               f"cycles: controller-on {row['on']['cycles']}, "
               f"controller-off {row['off']['cycles']} — held")
-    path = write_report(build_payload(report, pins, wall,
-                                      smoke=args.smoke))
+    path = write_report(build_payload(report, pins))
     print(f"report: {path} ({wall:.1f}s)")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

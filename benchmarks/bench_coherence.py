@@ -9,15 +9,14 @@ SoC — non-coherent DMA vs LLC-coherent DMA vs fully-coherent private
 caches vs p2p for the same two-stage pipeline — and then sweeps the
 :mod:`repro.tune` ablation workloads through the auto-tuner, gating
 its contract: the tuned assignment is **never worse than the best
-uniform coherence mode** on any workload. The sweep's numbers land in
-``BENCH_coherence.json`` at the repo root (uploaded as a CI artifact
-by the ``coherence-smoke`` job).
+uniform coherence mode** on any workload. The standalone run writes
+the sweep's numbers to ``BENCH_coherence.json`` at the repo root; the
+pytest entries make the same checks and write nothing.
 
 Run:  pytest benchmarks/bench_coherence.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_coherence.py [--smoke]
+or:   PYTHONPATH=src python benchmarks/bench_coherence.py
 """
 
-import argparse
 import json
 from pathlib import Path
 
@@ -28,13 +27,11 @@ from repro.soc import SoCConfig, build_soc
 from repro.tune import UNIFORM_MODES, ablation_workloads, autotune
 
 FRAMES = 24
-#: Frames per workload in the CI smoke variant of the tuner sweep.
-SMOKE_FRAMES = 6
 
 
 def build_runtime(llc_words=1 << 15):
     # Lazy: ``tests`` is importable under pytest (rootdir on sys.path)
-    # but not when CI runs this file directly for the tuner smoke.
+    # but not when this file runs standalone for the tuner sweep.
     from tests.conftest import make_spec
     config = SoCConfig(cols=4, rows=2, name="coherence")
     config.add_cpu((0, 0))
@@ -102,23 +99,25 @@ def test_llc_capacity_sweep(once):
     assert dram[sizes[-1]] < dram[sizes[0]]
 
 
-def run_tuner_sweep(smoke=False):
+def run_tuner_sweep():
     """Autotune every ablation workload; returns name -> TuneResult."""
-    results = {}
-    for wl in ablation_workloads():
-        frames = wl.frames[:SMOKE_FRAMES] if smoke else wl.frames
-        results[wl.name] = autotune(wl.build, wl.dataflow, frames,
-                                    mode=wl.mode)
-    return results
+    return {wl.name: autotune(wl.build, wl.dataflow, wl.frames,
+                              mode=wl.mode)
+            for wl in ablation_workloads()}
 
 
 def check_tuner(results):
-    """The gated contract: tuned never worse than the best uniform."""
+    """The gated contract: tuned never worse than the best uniform,
+    on an ablation suite whose three uniform winners all differ."""
     for name, result in results.items():
         assert result.cycles <= result.best_uniform_cycles, (
             f"{name}: tuned assignment ({result.cycles} cycles) lost "
             f"to the best uniform mode "
             f"({result.best_uniform_cycles} cycles)")
+    winners = {min(UNIFORM_MODES,
+                   key=lambda m: result.measured[m.value]).value
+               for result in results.values()}
+    assert len(winners) == 3, f"expected 3 distinct winners: {winners}"
 
 
 def render_tuner(results):
@@ -134,12 +133,10 @@ def render_tuner(results):
     return "\n".join(lines)
 
 
-def build_payload(results, smoke=False):
-    """``BENCH_coherence.json`` (``BENCH_perf.json`` schema: benchmark
-    / variant / workloads, one entry per ablation point)."""
+def build_payload(results):
+    """``BENCH_coherence.json``: one entry per ablation workload."""
     return {
         "benchmark": "bench_coherence",
-        "variant": "smoke" if smoke else "full",
         "workloads": {
             name: {
                 "measured_cycles": dict(result.measured),
@@ -168,26 +165,13 @@ def test_autotuned_coherence(once):
     results = once(run_tuner_sweep)
     print("\n" + render_tuner(results))
     check_tuner(results)
-    path = write_report(build_payload(results))
-    print(f"report: {path}")
-    # The ablation suite is a real ablation: all three winners differ.
-    winners = set()
-    for result in results.values():
-        best = min(UNIFORM_MODES,
-                   key=lambda m: result.measured[m.value])
-        winners.add(best.value)
-    assert len(winners) == 3, f"expected 3 distinct winners: {winners}"
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="short frames + assertions only (CI)")
-    args = parser.parse_args()
-    results = run_tuner_sweep(smoke=args.smoke)
+    results = run_tuner_sweep()
     print(render_tuner(results))
     check_tuner(results)
-    path = write_report(build_payload(results, smoke=args.smoke))
+    path = write_report(build_payload(results))
     print(f"report: {path}")
     print("coherence benchmark: tuned never worse than best uniform")
 

@@ -8,21 +8,18 @@ bit-exact outputs for at least 95% of fault runs, and arming the
 recovery machinery without faults costs nothing — cycle counts stay
 identical to the unguarded runtime.
 
+The standalone run writes ``BENCH_faults.json``; the pytest entries
+make the same checks and write nothing.
+
 Run:  pytest benchmarks/bench_faults.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_faults.py [--smoke]
+or:   PYTHONPATH=src python benchmarks/bench_faults.py
 """
 
-import argparse
 import json
 from pathlib import Path
 
 from repro.eval import run_fault_campaign
-from repro.eval.faults import (
-    campaign_policy,
-    chain3_dataflow,
-    golden_run,
-    smoke_campaign,
-)
+from repro.eval.faults import campaign_policy, chain3_dataflow, golden_run
 from repro.eval import build_soc1, de_cl_inputs
 from repro.faults import FaultInjector, zero_fault_plan
 from repro.runtime import EspRuntime
@@ -32,9 +29,8 @@ from repro.runtime import EspRuntime
 CAMPAIGN_FRAMES = 4
 
 
-def build_payload(report, smoke=False):
-    """The ``BENCH_faults.json`` payload (``BENCH_perf.json`` schema:
-    benchmark / variant / workloads, one entry per fault kind)."""
+def build_payload(report):
+    """The ``BENCH_faults.json`` payload: one entry per fault kind."""
     workloads = {}
     for record in report.records:
         entry = workloads.setdefault(record.kind, {
@@ -55,7 +51,6 @@ def build_payload(report, smoke=False):
         }
     return {
         "benchmark": "bench_faults",
-        "variant": "smoke" if smoke else "full",
         "recovery_rate": round(report.recovery_rate, 4),
         "faults_fired": report.faults_fired,
         "workloads": workloads,
@@ -68,23 +63,30 @@ def write_report(payload):
     return out
 
 
-def test_fault_campaign(once):
-    report = once(run_fault_campaign, n_frames=CAMPAIGN_FRAMES)
-    print("\n" + report.render())
-    path = write_report(build_payload(report))
-    print(f"report: {path}")
-    print("\ncycle overhead (%) over firing runs, by fault kind:")
-    for kind, summary in report.overhead_by_kind().items():
-        print(f"  {kind:<14} mean={summary.mean:8.1f}%  "
-              f"p95={summary.p95:8.1f}%  max={summary.max:8.1f}%")
-
+def check(report):
+    """The recovery bar, on a campaign in which every kind fires."""
     assert report.recovery_rate >= 0.95, report.render()
-    assert report.faults_fired > 0
+    assert report.faults_fired > 0, "campaign injected nothing"
     # Every fault kind demonstrably strikes at the top swept rate.
     fired_kinds = {r.kind for r in report.records if r.faults_fired}
     assert fired_kinds == {r.kind for r in report.records}
     # Overhead is reported for every kind that fired.
     assert set(report.overhead_by_kind()) == fired_kinds
+
+
+def render(report):
+    lines = [report.render(), "",
+             "cycle overhead (%) over firing runs, by fault kind:"]
+    for kind, summary in report.overhead_by_kind().items():
+        lines.append(f"  {kind:<14} mean={summary.mean:8.1f}%  "
+                     f"p95={summary.p95:8.1f}%  max={summary.max:8.1f}%")
+    return "\n".join(lines)
+
+
+def test_fault_campaign(once):
+    report = once(run_fault_campaign, n_frames=CAMPAIGN_FRAMES)
+    print("\n" + render(report))
+    check(report)
 
 
 def test_zero_fault_plan_costs_nothing(once):
@@ -123,19 +125,10 @@ def test_zero_fault_plan_costs_nothing(once):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="trimmed campaign for CI")
-    args = parser.parse_args()
-    if args.smoke:
-        report = smoke_campaign()
-    else:
-        report = run_fault_campaign(n_frames=CAMPAIGN_FRAMES)
-    print(report.render())
-    assert report.faults_fired > 0, "campaign injected nothing"
-    assert report.recovery_rate >= 0.95, (
-        f"recovery rate {report.recovery_rate:.0%} below bar")
-    path = write_report(build_payload(report, smoke=args.smoke))
+    report = run_fault_campaign(n_frames=CAMPAIGN_FRAMES)
+    print(render(report))
+    check(report)
+    path = write_report(build_payload(report))
     print(f"report: {path}")
 
 

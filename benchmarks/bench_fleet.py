@@ -17,24 +17,18 @@ Checked contracts:
   beats round-robin on fleet-wide p99 under the skewed workload;
 - a single-instance fleet is a faithful wrapper: driving the
   ``bench_serve`` trace through the fleet layer lands on the *pinned*
-  seed cycle count of ``bench_perf`` (65324 full / 17066 smoke) —
-  the lockstep coordinator adds zero simulated-time overhead;
+  seed cycle count of ``bench_perf`` (65324) — the lockstep
+  coordinator adds zero simulated-time overhead;
 - fleet runs are deterministic: two runs from the same workload seed
   produce identical routing decisions and identical latency tails.
 
-The committed ``BENCH_fleet.json`` is the full run's report. Every
-field in it is simulated, so it is a pure function of the program:
-``--check`` runs the full campaign, applies the checks above and fails
-on any field that differs from the committed report (without writing
-it), so the report cannot go stale silently. The pytest entry runs
-the smoke variant and writes its report under pytest's ``tmp_path``,
-never over the committed one.
+The standalone run writes ``BENCH_fleet.json``; the pytest entry
+makes the same checks and writes nothing.
 
 Run:  pytest benchmarks/bench_fleet.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_fleet.py [--smoke | --check]
+or:   PYTHONPATH=src python benchmarks/bench_fleet.py
 """
 
-import argparse
 import json
 import sys
 from dataclasses import replace
@@ -52,16 +46,15 @@ from repro.serve import ServerConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_perf import SEED_CYCLES, SMOKE_CYCLES  # noqa: E402
+from bench_perf import SEED_CYCLES  # noqa: E402
 
 #: Fleet size and workload seed of the graded campaign.
 FLEET_INSTANCES = 4
 WORKLOAD_SEED = 0
-#: The committed report of the full run.
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
-def single_instance_pin(smoke=False):
+def single_instance_pin():
     """Drive the ``bench_serve`` trace through a 1-instance fleet.
 
     Same tenants, same frames, same submission order as the ``serve``
@@ -70,31 +63,30 @@ def single_instance_pin(smoke=False):
     exactly (the instance executes the identical event sequence it
     would standalone).
     """
-    n_requests, frames_per_request = (1, 1) if smoke else (2, 2)
     spec = replace(FLEET_SPEC, server=ServerConfig())
     instance = FleetInstance("i0", build_stack(spec).server)
     fleet = Fleet([instance], FleetRouter([instance]))
-    inputs = standard_inputs(n_frames=n_requests * frames_per_request)
-    arrivals = [Arrival(0, tenant, frames_per_request)
-                for tenant in inputs
-                for _ in range(n_requests)]
+    # Two requests of two frames per tenant, all at cycle 0.
+    inputs = standard_inputs(n_frames=4)
+    arrivals = [Arrival(0, tenant, 2) for tenant in inputs
+                for _ in range(2)]
     report = fleet.run(arrivals, inputs)
     assert not report.rejections and report.failed == 0
     return report.makespan_cycles
 
 
-def run_fleet_benchmark(smoke=False, seed=WORKLOAD_SEED):
+def run_fleet_benchmark():
     """The graded campaign plus the pin and determinism probes."""
     reports = run_fleet_campaign(
         policies=CAMPAIGN_POLICIES, n_instances=FLEET_INSTANCES,
-        seed=seed, smoke=smoke)
+        seed=WORKLOAD_SEED)
     # Determinism probe: a second run of one load-aware policy from
     # the same seed must reproduce routing decisions and the latency
     # tail bit-for-bit. (request_ids come from a process-global
     # counter, so compare (at, tenant, instance), not ids.)
     repeat = run_fleet_campaign(
         policies=("least-loaded",), n_instances=FLEET_INSTANCES,
-        seed=seed, smoke=smoke)["least-loaded"]
+        seed=WORKLOAD_SEED)["least-loaded"]
     first = reports["least-loaded"]
     deterministic = (
         [(d.at, d.tenant, d.instance) for d in first.decisions]
@@ -105,8 +97,8 @@ def run_fleet_benchmark(smoke=False, seed=WORKLOAD_SEED):
     return {
         "reports": reports,
         "deterministic": deterministic,
-        "pin_cycles": single_instance_pin(smoke=smoke),
-        "pin_expected": (SMOKE_CYCLES if smoke else SEED_CYCLES)["serve"],
+        "pin_cycles": single_instance_pin(),
+        "pin_expected": SEED_CYCLES["serve"],
     }
 
 
@@ -150,9 +142,8 @@ def render(results):
     return "\n".join(lines)
 
 
-def build_payload(results, smoke=False):
-    """The ``BENCH_fleet.json`` payload (``BENCH_perf.json`` schema:
-    benchmark / variant / workloads, one entry per policy)."""
+def build_payload(results):
+    """The ``BENCH_fleet.json`` payload: one entry per policy."""
     policies = {}
     for policy, report in results["reports"].items():
         latency = report.latency
@@ -179,7 +170,6 @@ def build_payload(results, smoke=False):
         }
     return {
         "benchmark": "bench_fleet",
-        "variant": "smoke" if smoke else "full",
         "fleet_instances": FLEET_INSTANCES,
         "workload_seed": WORKLOAD_SEED,
         "policies": policies,
@@ -188,67 +178,29 @@ def build_payload(results, smoke=False):
     }
 
 
-def write_report(payload, path=REPORT_PATH):
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def report_drift(committed, fresh, path="report"):
-    """Every field where ``fresh`` differs from ``committed``, as
-    ``path: committed -> fresh`` lines (a missing field reads None)."""
-    if isinstance(committed, dict) and isinstance(fresh, dict):
-        drift = []
-        for key in list(committed) + [k for k in fresh
-                                      if k not in committed]:
-            drift += report_drift(committed.get(key), fresh.get(key),
-                                  f"{path}.{key}")
-        return drift
-    if committed != fresh:
-        return [f"{path}: {committed!r} -> {fresh!r}"]
-    return []
+def write_report(payload):
+    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    return REPORT_PATH
 
 
 # -- pytest entry point -----------------------------------------------------
 
-def test_fleet_policies(once, tmp_path):
-    results = once(run_fleet_benchmark, smoke=True)
+def test_fleet_policies(once):
+    results = once(run_fleet_benchmark)
     print("\n" + render(results))
     check(results)
-    path = write_report(build_payload(results, smoke=True),
-                        tmp_path / REPORT_PATH.name)
-    print(f"report: {path}")
 
 
 # -- standalone -------------------------------------------------------------
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--smoke", action="store_true",
-                      help="short horizon for CI")
-    mode.add_argument("--check", action="store_true",
-                      help="compare a fresh full run with the committed "
-                           f"{REPORT_PATH.name}; write nothing")
-    args = parser.parse_args(argv)
-    results = run_fleet_benchmark(smoke=args.smoke)
+def main():
+    results = run_fleet_benchmark()
     print(render(results))
     check(results)
-    if args.check:
-        drift = report_drift(json.loads(REPORT_PATH.read_text()),
-                             build_payload(results))
-        for line in drift:
-            print(f"stale: {line}")
-        if drift:
-            print(f"{REPORT_PATH.name} is stale: regenerate it with "
-                  "`PYTHONPATH=src python benchmarks/bench_fleet.py`")
-            return 1
-        print(f"{REPORT_PATH.name} matches a fresh full run")
-        return 0
-    path = write_report(build_payload(results, smoke=args.smoke))
+    path = write_report(build_payload(results))
     print(f"report: {path}")
     print("fleet benchmark: all assertions passed")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

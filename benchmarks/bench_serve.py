@@ -11,13 +11,17 @@ aggregate throughput, and checks the serving layer's contract:
 - no request is rejected at the benchmark's offered load;
 - batched, concurrent serving beats running the same requests
   sequentially through ``Executor.execute`` (strictly), and beats
-  single-request serving (monotone non-decreasing).
+  single-request serving (monotone non-decreasing);
+- requests coalesce into batches, and each tenant's hardware activity
+  lands on its own tiles only.
+
+The standalone run writes ``BENCH_serve.json``; the pytest entry makes
+the same checks and writes nothing.
 
 Run:  pytest benchmarks/bench_serve.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_serve.py [--smoke]
+or:   PYTHONPATH=src python benchmarks/bench_serve.py
 """
 
-import argparse
 import json
 from pathlib import Path
 
@@ -29,12 +33,9 @@ from repro.eval.stack import StackSpec, build_stack, soc1_tenants
 from repro.runtime import EspRuntime
 from repro.serve import TracedRequest
 
-#: Requests per tenant / frames per request of the full benchmark.
+#: Requests per tenant / frames per request of the batched trace.
 BENCH_REQUESTS = 3
 BENCH_FRAMES = 2
-#: The smoke variant (CI) trims the trace to keep the job short.
-SMOKE_REQUESTS = 2
-SMOKE_FRAMES = 1
 
 #: The three concurrent applications on one SoC-1.
 SERVE_SPEC = StackSpec(tenants=soc1_tenants("serve"))
@@ -67,20 +68,19 @@ def sequential_fps(trace):
     return total_frames / (elapsed / (runtime.soc.clock_mhz * 1e6))
 
 
-def run_serve_benchmark(n_requests=BENCH_REQUESTS,
-                        frames_per_request=BENCH_FRAMES):
+def run_serve_benchmark():
     """The three serving measurements plus the bit-exactness probe."""
     # Single-request serving: one request per tenant.
     single_report = build_stack(SERVE_SPEC).server.run_trace(
-        build_trace(1, frames_per_request))
+        build_trace(1, BENCH_FRAMES))
 
     # Batched serving: the full trace, coalesced per tenant.
     report = build_stack(SERVE_SPEC).server.run_trace(
-        build_trace(n_requests, frames_per_request))
+        build_trace(BENCH_REQUESTS, BENCH_FRAMES))
 
     # Bit-exactness: the served single requests against esp_run.
     reference = EspRuntime(build_soc1())
-    inputs = standard_inputs(frames_per_request)
+    inputs = standard_inputs(BENCH_FRAMES)
     exact = {}
     for tenant in SERVE_SPEC.tenants:
         config = tenant.config()
@@ -93,7 +93,7 @@ def run_serve_benchmark(n_requests=BENCH_REQUESTS,
 
     return {
         "sequential_fps": sequential_fps(
-            build_trace(n_requests, frames_per_request)),
+            build_trace(BENCH_REQUESTS, BENCH_FRAMES)),
         "single_report": single_report,
         "report": report,
         "bit_exact": exact,
@@ -110,6 +110,11 @@ def check(results):
     # batching), and no regression against single-request serving.
     assert report.throughput_fps > results["sequential_fps"]
     assert report.throughput_fps >= single.throughput_fps
+    # Coalescing actually happened: fewer batches than requests.
+    assert sum(report.batches_by_tenant.values()) < len(report.completions)
+    # Every tenant's hardware activity is attributed exclusively.
+    assert set(report.activity_by_tenant["night-vision"]) == {"nv0", "cl0"}
+    assert set(report.activity_by_tenant["denoiser"]) == {"de0"}
 
 
 def render(results):
@@ -131,9 +136,8 @@ def render(results):
     return "\n".join(lines)
 
 
-def build_payload(results, smoke=False):
-    """The ``BENCH_serve.json`` payload (``BENCH_perf.json`` schema:
-    benchmark / variant / workloads, one entry per measurement)."""
+def build_payload(results):
+    """The ``BENCH_serve.json`` payload: one entry per measurement."""
     report = results["report"]
     single = results["single_report"]
 
@@ -147,7 +151,6 @@ def build_payload(results, smoke=False):
 
     return {
         "benchmark": "bench_serve",
-        "variant": "smoke" if smoke else "full",
         "workloads": {
             "sequential": {
                 "throughput_fps": round(results["sequential_fps"], 2),
@@ -181,32 +184,13 @@ def test_concurrent_serving(once):
     results = once(run_serve_benchmark)
     print("\n" + render(results))
     check(results)
-    path = write_report(build_payload(results))
-    print(f"report: {path}")
-    report = results["report"]
-    # Coalescing actually happened: fewer batches than requests.
-    total_batches = sum(report.batches_by_tenant.values())
-    assert total_batches < len(report.completions)
-    # Every tenant's hardware activity is attributed exclusively.
-    nv = report.activity_by_tenant["night-vision"]
-    assert set(nv) == {"nv0", "cl0"}
-    assert set(report.activity_by_tenant["denoiser"]) == {"de0"}
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small trace + assertions only (CI)")
-    args = parser.parse_args()
-    if args.smoke:
-        results = run_serve_benchmark(
-            n_requests=SMOKE_REQUESTS,
-            frames_per_request=SMOKE_FRAMES)
-    else:
-        results = run_serve_benchmark()
+    results = run_serve_benchmark()
     print(render(results))
     check(results)
-    path = write_report(build_payload(results, smoke=args.smoke))
+    path = write_report(build_payload(results))
     print(f"report: {path}")
     print("serving benchmark: all assertions passed")
 

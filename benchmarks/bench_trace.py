@@ -19,8 +19,8 @@ Three sections, all deterministic where CI gates:
    eviction and an armed recorder cannot move simulated time by one
    cycle. The ring arm also gates the memory bound (held records
    <= 2x capacity; eviction accounting exact). Wall-clock overhead
-   percentages are reported but informational — only the pins and
-   bounds gate.
+   percentages are printed, not stored — only the pins and bounds
+   gate.
 
 3. **Fleet scenario** — the deterministic traced mini-fleet of
    :func:`repro.eval.fleet.run_traced_fleet_scenario`: per-instance
@@ -30,13 +30,15 @@ Three sections, all deterministic where CI gates:
    trace ID, and a forced alert producing a postmortem artifact under
    ``artifacts/postmortems/``.
 
-Results land in ``BENCH_trace.json`` at the repository root.
+The standalone run writes the deterministic results to
+``BENCH_trace.json`` at the repository root; the pytest entry makes
+the same checks, writes its artifacts under a temporary directory and
+writes no report.
 
-Run:  pytest benchmarks/bench_trace.py -s
-or:   PYTHONPATH=src python benchmarks/bench_trace.py [--smoke]
+Run:  pytest benchmarks/bench_trace.py --benchmark-only -s
+or:   PYTHONPATH=src python benchmarks/bench_trace.py
 """
 
-import argparse
 import json
 import os
 import sys
@@ -73,15 +75,11 @@ from bench_perf import (  # noqa: E402
     ROUNDS,
     SEED_CYCLES,
     SEED_EVENTS,
-    SMOKE_CYCLES,
-    SMOKE_EVENTS,
-    SMOKE_PIPE_FRAMES,
 )
 from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
 
-#: Frames through the profiling pipeline; smoke (CI) trims the run.
+#: Frames through the profiling pipeline.
 BENCH_FRAMES = 16
-SMOKE_FRAMES = 4
 
 #: Minimum fraction of the esp_run window the critical-path analyzer
 #: must attribute to a named group (the ISSUE acceptance bar).
@@ -99,6 +97,8 @@ WATERFALL_CATS = ("fleet.route", "serve.request", "serve.dispatch",
                   "noc.packet")
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
+#: Where the Chrome traces and postmortems of a standalone run land.
+ARTIFACTS = Path("artifacts")
 
 
 # -- section 1: pipeline profiling ------------------------------------------
@@ -112,11 +112,10 @@ def run_app(n_frames, tracing):
     return runtime, result, tracer
 
 
-def run_trace_benchmark(n_frames=BENCH_FRAMES,
-                        trace_path="artifacts/trace.json"):
+def run_trace_benchmark(trace_path):
     """Traced + untraced runs, export, validation and attribution."""
-    runtime, traced, tracer = run_app(n_frames, tracing=True)
-    _, untraced, _ = run_app(n_frames, tracing=False)
+    runtime, traced, tracer = run_app(BENCH_FRAMES, tracing=True)
+    _, untraced, _ = run_app(BENCH_FRAMES, tracing=False)
 
     os.makedirs(os.path.dirname(trace_path) or ".", exist_ok=True)
     trace = write_chrome_trace(tracer, trace_path,
@@ -194,12 +193,12 @@ SERVE_ARMS = {
 }
 
 
-def _run_serve(n_requests, frames_per_request, arm):
+def _run_serve(arm):
     stack = build_stack(SERVE_ARMS[arm])
     if stack.monitor is not None:
-        FlightRecorder("artifacts/postmortems", stack.tracer,
+        FlightRecorder(ARTIFACTS / "postmortems", stack.tracer,
                        clock_mhz=stack.soc.clock_mhz).arm(stack.monitor)
-    trace = build_trace(n_requests, frames_per_request)
+    trace = build_trace(2, 2)
     start = time.perf_counter()
     stack.server.run_trace(trace)
     wall = time.perf_counter() - start
@@ -209,13 +208,11 @@ def _run_serve(n_requests, frames_per_request, arm):
     return wall, env.now, env.events_processed, stack.tracer
 
 
-def _arm_runner(name, smoke):
+def _arm_runner(name):
     if name == "serve":
-        n_requests, frames = (1, 1) if smoke else (2, 2)
-        return lambda arm: _run_serve(n_requests, frames, arm)
+        return _run_serve
     mode = "p2p" if name == "p2p" else "pipe"
-    n_frames = SMOKE_PIPE_FRAMES if smoke else PIPE_FRAMES
-    return lambda arm: _run_pipeline(mode, n_frames, arm)
+    return lambda arm: _run_pipeline(mode, PIPE_FRAMES, arm)
 
 
 def _records_of(tracer):
@@ -223,11 +220,14 @@ def _records_of(tracer):
             + len(tracer.counters))
 
 
-def measure_arms(name, smoke=False):
-    """Every arm of one workload, best-of-``ROUNDS``, pins enforced."""
-    run = _arm_runner(name, smoke)
-    expected_cycles = (SMOKE_CYCLES if smoke else SEED_CYCLES)[name]
-    expected_events = (SMOKE_EVENTS if smoke else SEED_EVENTS)[name]
+def measure_arms(name):
+    """Every arm of one workload, best-of-``ROUNDS``, pins enforced.
+
+    Returns the deterministic row and, apart, each instrumented arm's
+    wall-clock overhead in percent over the ``off`` arm."""
+    run = _arm_runner(name)
+    expected_cycles = SEED_CYCLES[name]
+    expected_events = SEED_EVENTS[name]
     arms = ("off", "traced", "ring") + (
         ("armed",) if name == "serve" else ())
     best = {}
@@ -268,33 +268,23 @@ def measure_arms(name, smoke=False):
             f"+ {ring.dropped} dropped != {records_unbounded} "
             f"unbounded records")
 
-    def overhead(arm):
-        return round(100.0 * (best[arm] / best["off"] - 1.0), 1)
-
     row = {
         "cycles": expected_cycles,
         "events": expected_events,
-        "wall_off_s": round(best["off"], 6),
-        "wall_traced_s": round(best["traced"], 6),
-        "wall_ring_s": round(best["ring"], 6),
-        "overhead_traced_pct": overhead("traced"),
-        "overhead_ring_pct": overhead("ring"),
         "records_unbounded": records_unbounded,
         "records_ring": records_ring,
         "dropped_ring": ring.dropped,
         "ring_memory_ratio": round(
             records_ring / records_unbounded, 3),
     }
-    if "armed" in best:
-        row["wall_armed_s"] = round(best["armed"], 6)
-        row["overhead_armed_pct"] = overhead("armed")
-    return row
+    overheads = {arm: 100.0 * (best[arm] / best["off"] - 1.0)
+                 for arm in arms if arm != "off"}
+    return row, overheads
 
 
 # -- section 3: the fleet flight-recorder scenario --------------------------
 
-def run_fleet_scenario(out_dir="artifacts",
-                       postmortem_dir="artifacts/postmortems"):
+def run_fleet_scenario(out_dir, postmortem_dir):
     """Traced mini-fleet: merged trace, waterfall, forced postmortem."""
     scenario = run_traced_fleet_scenario(out_dir=postmortem_dir)
     trace = scenario["trace"]
@@ -366,21 +356,22 @@ def run_fleet_scenario(out_dir="artifacts",
 
 # -- report -----------------------------------------------------------------
 
-def run_bench(smoke=False, trace_path="artifacts/trace.json"):
-    n_frames = SMOKE_FRAMES if smoke else BENCH_FRAMES
-    profile = run_trace_benchmark(n_frames, trace_path=trace_path)
+def run_bench(artifacts=ARTIFACTS):
+    """All three sections; returns the deterministic payload, the
+    profiling and fleet results, and the printed-only overheads."""
+    profile = run_trace_benchmark(str(artifacts / "trace.json"))
     check(profile)
-    arms = {}
+    arms, overheads = {}, {}
     for name in ("p2p", "dma", "serve"):
-        arms[name] = measure_arms(name, smoke=smoke)
-    fleet = run_fleet_scenario()
+        arms[name], overheads[name] = measure_arms(name)
+    fleet = run_fleet_scenario(str(artifacts),
+                               str(artifacts / "postmortems"))
     payload = {
         "benchmark": "bench_trace",
-        "variant": "smoke" if smoke else "full",
         "rounds": ROUNDS,
         "ring_capacity": RING_CAPACITY,
         "pipeline": {
-            "frames": n_frames,
+            "frames": BENCH_FRAMES,
             "cycles": profile["traced"].cycles,
             "coverage": round(profile["report"].coverage, 4),
             "trace_events": len(profile["trace"]["traceEvents"]),
@@ -390,7 +381,7 @@ def run_bench(smoke=False, trace_path="artifacts/trace.json"):
         "fleet": {key: value for key, value in fleet.items()
                   if key != "timeline"},
     }
-    return payload, profile, fleet
+    return payload, profile, fleet, overheads
 
 
 def write_report(payload):
@@ -398,16 +389,14 @@ def write_report(payload):
     return REPORT_PATH
 
 
-def print_report(payload, profile, fleet):
+def print_report(payload, profile, fleet, overheads):
     print(render(profile))
-    print(f"\npinned arms ({payload['variant']}, best of "
-          f"{payload['rounds']} rounds, ring={RING_CAPACITY}):")
+    print(f"\npinned arms (best of {payload['rounds']} rounds, "
+          f"ring={RING_CAPACITY}; wall-clock overhead over untraced):")
     for name, row in payload["workloads"].items():
-        armed = (f"  armed {row['overhead_armed_pct']:+.1f}%"
-                 if "overhead_armed_pct" in row else "")
-        print(f"  {name:6s} {row['cycles']:>7d} cycles  "
-              f"traced {row['overhead_traced_pct']:+.1f}%  "
-              f"ring {row['overhead_ring_pct']:+.1f}%{armed}  "
+        arms = "  ".join(f"{arm} {pct:+.1f}%"
+                         for arm, pct in overheads[name].items())
+        print(f"  {name:6s} {row['cycles']:>7d} cycles  {arms}  "
               f"ring holds {row['records_ring']}/"
               f"{row['records_unbounded']} records "
               f"({row['ring_memory_ratio']:.0%})")
@@ -421,29 +410,20 @@ def print_report(payload, profile, fleet):
           f"{fleet['postmortem_trace_ids']} trace IDs in window)")
 
 
-# -- pytest entry points ----------------------------------------------------
+# -- pytest entry point -----------------------------------------------------
 
-def test_traced_pipeline(once, tmp_path):
-    results = once(run_trace_benchmark, BENCH_FRAMES,
-                   str(tmp_path / "trace.json"))
-    print("\n" + render(results))
-    check(results)
+def test_trace_benchmark(once, tmp_path):
+    results = once(run_bench, tmp_path)
+    print()
+    print_report(*results)
 
 
 # -- standalone -------------------------------------------------------------
 
 def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="short runs + assertions only (CI)")
-    parser.add_argument("--out", default="artifacts/trace.json",
-                        help="where to write the Chrome trace JSON")
-    args = parser.parse_args()
-    payload, profile, fleet = run_bench(smoke=args.smoke,
-                                        trace_path=args.out)
-    path = write_report(payload)
-    print_report(payload, profile, fleet)
+    results = run_bench()
+    path = write_report(results[0])
+    print_report(*results)
     print(f"\nreport: {path}")
     print("tracing benchmark: all assertions passed")
 

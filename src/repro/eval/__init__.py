@@ -32,13 +32,12 @@ from .faults import (
     chain3_dataflow,
     golden_run,
     run_fault_campaign,
-    smoke_campaign,
 )
 from .table1 import Table1Column, generate_table1, render_table1
 from .fig7 import FIG7_CONFIGS, Fig7Cluster, Fig7Data, generate_fig7, render_fig7
 from .fig8 import FIG8_CONFIGS, Fig8Bar, generate_fig8, render_fig8
-from .timeline import (GANTT_BUSY, GANTT_OVERLAP, Span, collect_spans,
-                       render_gantt, utilization_by_device)
+from .timeline import (GANTT_BUSY, GANTT_OVERLAP, render_gantt,
+                       utilization_by_device)
 
 __all__ = [
     "APP_CONFIGS",
@@ -60,7 +59,6 @@ __all__ = [
     "GANTT_BUSY",
     "GANTT_OVERLAP",
     "ScenarioResult",
-    "Span",
     "Table1Column",
     "CAMPAIGN_POLICIES",
     "build_soc1",
@@ -97,10 +95,8 @@ __all__ = [
     "run_fleet_campaign",
     "run_scenario",
     "run_traced_fleet_scenario",
-    "smoke_campaign",
     "standard_inputs",
     "standard_tenants",
-    "collect_spans",
     "utilization_by_device",
 ]
 

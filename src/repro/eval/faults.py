@@ -258,11 +258,3 @@ def run_fault_campaign(kinds: Sequence[str] = FAULT_KINDS,
                     print(f"{kind}/{rate:.0e}/{mode}: "
                           f"fired={plan.fired} recovered={recovered}")
     return report
-
-
-def smoke_campaign(n_frames: int = 2, seed: int = 0) -> CampaignReport:
-    """A fast CI subset: one deterministic transient per regime."""
-    return run_fault_campaign(
-        kinds=("acc_hang", "acc_crash", "link_drop", "dram_bitflip"),
-        rates=(1e-3,), modes=("pipe", "p2p"),
-        n_frames=n_frames, seed=seed)

@@ -12,24 +12,14 @@ the same column) render as ``@``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..trace.store import DeviceSpan, device_spans
+from ..trace.store import device_spans
 from ..soc import SoCInstance
-
-#: Re-exported under the historical name: the timeline's span type is
-#: the shared device-span record.
-Span = DeviceSpan
 
 #: Gantt glyphs: one invocation covers the column / several overlap.
 GANTT_BUSY = "#"
 GANTT_OVERLAP = "@"
-
-
-def collect_spans(soc: SoCInstance,
-                  since_cycle: int = 0) -> List[Span]:
-    """Invocation spans of every accelerator, in start order."""
-    return device_spans(soc, since_cycle=since_cycle)
 
 
 def utilization_by_device(soc: SoCInstance,
@@ -41,7 +31,7 @@ def utilization_by_device(soc: SoCInstance,
     ``[0, 1]`` even when a device's invocations overlap (double-booked
     cycles count once at the cap).
     """
-    spans = collect_spans(soc)
+    spans = device_spans(soc)
     if window is None:
         if not spans:
             return {}
@@ -59,7 +49,7 @@ def utilization_by_device(soc: SoCInstance,
 def render_gantt(soc: SoCInstance, width: int = 72,
                  since_cycle: int = 0) -> str:
     """ASCII Gantt chart of accelerator activity."""
-    spans = collect_spans(soc, since_cycle=since_cycle)
+    spans = device_spans(soc, since_cycle=since_cycle)
     if not spans:
         return "(no accelerator activity)"
     t0 = min(s.start for s in spans)

@@ -1,7 +1,7 @@
 """Chaos campaign plumbing: scenarios, grading, and the verdict.
 
 The full campaign (simulation included) runs in
-``benchmarks/bench_chaos.py`` and the CI ``chaos-smoke`` job; these
+``benchmarks/bench_chaos.py`` and the CI ``benchmarks`` job; these
 tests pin the cheap-but-load-bearing logic around it — scenario
 construction, TTD/TTR grading, and the controller-strictly-better
 verdict — on synthetic data, without spinning up a SoC.

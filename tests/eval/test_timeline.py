@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.eval import (GANTT_BUSY, GANTT_OVERLAP, collect_spans,
-                        render_gantt, utilization_by_device)
+from repro.eval import (GANTT_BUSY, GANTT_OVERLAP, render_gantt,
+                        utilization_by_device)
 from repro.runtime import chain
+from repro.trace import device_spans
 from tests.conftest import make_runtime, make_spec
 
 
@@ -23,31 +24,31 @@ def run_pipeline(mode, n_frames=4):
 class TestSpans:
     def test_base_mode_one_span_per_frame_per_device(self):
         soc = run_pipeline("base", n_frames=4)
-        spans = collect_spans(soc)
+        spans = device_spans(soc)
         assert len(spans) == 8
         assert {s.device for s in spans} == {"a0", "b0"}
 
     def test_p2p_mode_one_span_per_device(self):
         soc = run_pipeline("p2p", n_frames=4)
-        spans = collect_spans(soc)
+        spans = device_spans(soc)
         assert len(spans) == 2
 
     def test_spans_sorted_and_positive(self):
         soc = run_pipeline("pipe")
-        spans = collect_spans(soc)
+        spans = device_spans(soc)
         starts = [s.start for s in spans]
         assert starts == sorted(starts)
         assert all(s.cycles > 0 for s in spans)
 
     def test_base_mode_spans_do_not_overlap(self):
         soc = run_pipeline("base")
-        spans = collect_spans(soc)
+        spans = device_spans(soc)
         for earlier, later in zip(spans, spans[1:]):
             assert later.start >= earlier.end
 
     def test_pipe_mode_spans_overlap(self):
         soc = run_pipeline("pipe", n_frames=8)
-        spans = collect_spans(soc)
+        spans = device_spans(soc)
         overlaps = any(
             a.device != b.device and a.start < b.end and b.start < a.end
             for a in spans for b in spans)
@@ -55,8 +56,8 @@ class TestSpans:
 
     def test_since_cycle_filters(self):
         soc = run_pipeline("base", n_frames=4)
-        all_spans = collect_spans(soc)
-        later = collect_spans(soc, since_cycle=all_spans[3].end)
+        all_spans = device_spans(soc)
+        later = device_spans(soc, since_cycle=all_spans[3].end)
         assert len(later) < len(all_spans)
 
 

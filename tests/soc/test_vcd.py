@@ -145,10 +145,11 @@ class TestBackToBackInvocations:
         assert at_end == f"0{ident}"
 
     def test_utilization_clamped_to_window(self):
-        from repro.eval import collect_spans, utilization_by_device
+        from repro.eval import utilization_by_device
+        from repro.trace import device_spans
 
         soc = self._soc_with_boundary()
-        assert [(s.start, s.end) for s in collect_spans(soc)] == \
+        assert [(s.start, s.end) for s in device_spans(soc)] == \
             [(100, 200), (200, 300)]
         # A window shorter than the device's lifetime busy total must
         # clamp at 1.0, never exceed it.
