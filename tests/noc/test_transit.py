@@ -14,7 +14,9 @@ when traced, the NoC spans in the order they begin.
 
 It also pins the deadlock probe: a packet queued on a busy link is
 listed by ``blocked_processes``/``deadlock_report`` with the link it
-waits on, and an uncontended packet is not listed at all. And it pins
+waits on, and an uncontended packet is not listed at all. A traced
+packet in flight lists its packet span and one span per held link
+among the tracer's open spans. And it pins
 the allocation contract: an uncontended hop calls no
 ``Resource.acquire`` and builds no event, and a finished transit
 leaves no reference cycle for the collector.
@@ -329,6 +331,42 @@ def test_uncontended_packet_is_not_listed():
     env.run(until=3)
     assert env.blocked_processes() == []
     assert env.deadlock_report() == "no blocked processes"
+
+
+# ---------------------------------------------------------------------------
+# In-flight spans
+# ---------------------------------------------------------------------------
+
+def open_noc_spans(tracer):
+    return [(span.cat, span.tid, span.start) for span in tracer.open_spans]
+
+
+def test_packets_in_flight_list_their_span_and_each_held_link():
+    """While a packet is in transit, ``Tracer.open_spans`` holds its
+    ``noc.packet`` span and one ``noc.link`` span per link it holds,
+    each begun at its grant. Two packets take the same five-link
+    route: the first is uncontended, the second queues on the first
+    link until the first releases every link at cycle 15."""
+    env = Environment()
+    tracer = attach_tracer(env)
+    mesh = Mesh2D(env, 4, 3)
+    sends = [mesh.send(Packet(src=(0, 0), dst=(3, 2),
+                              plane=DMA_REQUEST_PLANE,
+                              kind=MessageKind.DMA_REQ, payload_flits=4))
+             for _ in range(2)]
+    route = [f"dma-req {src}->{dst}" for src, dst in (
+        ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)),
+        ((3, 0), (3, 1)), ((3, 1), (3, 2)))]
+    packet = ("noc.packet", "dma-req", 0)
+    env.run(until=5)
+    assert open_noc_spans(tracer) == [packet, packet] + [
+        ("noc.link", track, 2 * hop) for hop, track in enumerate(route[:3])]
+    env.run(until=25)
+    assert open_noc_spans(tracer) == [packet] + [
+        ("noc.link", track, 15 + 2 * hop) for hop, track in enumerate(route)]
+    env.run()
+    assert [send.value.delivered_at for send in sends] == [15, 30]
+    assert tracer.open_spans == []
 
 
 # ---------------------------------------------------------------------------

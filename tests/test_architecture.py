@@ -1,0 +1,514 @@
+"""The platform's structural contracts, checked over ``src/repro``.
+
+Each rule is a small :mod:`ast` visitor whose docstring is its reason.
+A visitor knows the exact class and function it is in, as a qualified
+name (``Mesh2D._add_link``, ``Tracer.counters.<lambda>``), so a nested
+function, a lambda and a method of a second class are each their own
+scope. Every rule must hold over the source tree, and every rule must
+flag its own snippets: exactly the lines marked ``# flagged``, so a
+rule that decays to matching nothing fails.
+
+:func:`violations` runs the rules over any checkout, for example a
+``git worktree`` of an older commit::
+
+    python -c "from tests.test_architecture import violations; \\
+    print(*violations('/path/to/checkout'), sep='\\n')"
+"""
+
+import ast
+import textwrap
+from fnmatch import fnmatch
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src", "repro")
+
+
+def _name(node: ast.AST) -> str:
+    """The last identifier of ``x`` or ``a.b.x``; "" for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
+def _is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+class Rule(ast.NodeVisitor):
+    """Walk one module of ``src/repro``, knowing the exact scope.
+
+    ``files`` are glob patterns over paths relative to ``src/repro``.
+    ``allowed`` holds the ``path::qualname`` scopes where the flagged
+    construct is the contract's one site. ``snippets`` map a path to
+    a module the rule must flag on its ``# flagged`` lines only.
+    """
+
+    files: Tuple[str, ...] = ("*.py",)
+    allowed: Tuple[str, ...] = ()
+    snippets: Dict[str, str] = {}
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.scope: List[str] = []
+        self.hits: List[Tuple[int, str]] = []
+
+    @property
+    def where(self) -> str:
+        return f"{self.path}::{'.'.join(self.scope)}"
+
+    def flag(self, node: ast.AST) -> None:
+        if self.where not in self.allowed:
+            self.hits.append((node.lineno, ".".join(self.scope) or "<module>"))
+
+    def _enter(self, node: ast.AST, name: str, body: list) -> None:
+        """Visit ``body`` in scope ``name``; the decorators, bases,
+        defaults and annotations run in the enclosing scope."""
+        inner = {id(child) for child in body}
+        for child in ast.iter_child_nodes(node):
+            if id(child) not in inner:
+                self.visit(child)
+        self.scope.append(name)
+        for child in body:
+            self.visit(child)
+        self.scope.pop()
+
+    def visit_ClassDef(self, node) -> None:
+        self._enter(node, node.name, node.body)
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self._enter(node, "<lambda>", [node.body])
+
+
+class CallRule(Rule):
+    """A rule over calls: :meth:`calls` gets the callee's last
+    identifier and, for ``a.b.f(...)``, the receiver's (``b``)."""
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        raise NotImplementedError
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        receiver = _name(func.value) if isinstance(func, ast.Attribute) else ""
+        if self.calls(_name(func), receiver):
+            self.flag(node)
+        self.generic_visit(node)
+
+
+class WordRule(Rule):
+    """A rule over every identifier, import and string that contains
+    ``word``."""
+
+    word = ""
+
+    def visit(self, node: ast.AST) -> None:
+        texts = [getattr(node, field, None) for field in (
+            "id", "attr", "arg", "name", "asname", "module")]
+        if isinstance(node, ast.Constant):
+            texts.append(node.value)
+        if any(isinstance(text, str) and self.word in text for text in texts):
+            self.flag(node)
+        super().visit(node)
+
+
+# ---------------------------------------------------------------------------
+# The rules
+# ---------------------------------------------------------------------------
+
+INSTRUMENTED = ("runtime/*.py", "serve/*.py", "control/*.py")
+
+
+class ServeReadsNoMetrics(WordRule):
+    """The serve layer reads no metrics at all: its ``serve_*``
+    families are scrape-time views of the server's request records
+    (``register_server_collectors``)."""
+
+    files = ("serve/*.py",)
+    word = "metrics"
+    snippets = {"serve/server.py": """
+        from ..metrics import Counter  # flagged
+
+        class InferenceServer:
+            def _settle(self, request):
+                self.completions.append(request)
+                registry = self.env.metrics  # flagged
+                return "serve_metrics"  # flagged
+        """}
+
+
+class OnlyExecuteRunsTheLoop(CallRule):
+    """The runtime has one run path (``_drive``): only the blocking
+    ``execute`` drives the event loop."""
+
+    files = ("runtime/*.py",)
+    allowed = ("runtime/executor.py::DataflowExecutor.execute",)
+    snippets = {"runtime/executor.py": """
+        class DataflowExecutor:
+            def execute(self, dataflow, frames):
+                return self.soc.env.run(until=self._drive(dataflow, frames))
+
+            def run_process(self, dataflow, frames):
+                self.soc.env.run()  # flagged
+        """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return callee == "run" and receiver.endswith("env")
+
+
+class ControlDerivesNoStallThreshold(WordRule):
+    """The control plane reads its stall threshold from
+    ``repro.metrics.health.stall_threshold`` and never derives one."""
+
+    files = ("control/*.py",)
+    word = "latency_cycles"
+    snippets = {"control/controller.py": """
+        class ControlPlane:
+            def _stalled(self, device, quiet):
+                return quiet > 2 * device.latency_cycles  # flagged
+        """}
+
+
+class OneCountingSite(Rule):
+    """The runtime counts through one helper: the executor's ``_count``
+    holds the layer's one ``metrics is not None`` guard."""
+
+    files = INSTRUMENTED
+    allowed = ("runtime/executor.py::DataflowExecutor._count",)
+    snippets = {"runtime/executor.py": """
+        class DataflowExecutor:
+            def _count(self, plan, outcome):
+                metrics = self.soc.env.metrics
+                if metrics is not None:
+                    getattr(metrics, outcome).inc()
+
+            def _retry(self, plan):
+                if self.soc.env.metrics is not None:  # flagged
+                    self.soc.env.metrics.retries.inc()
+        """}
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        if (_name(node.left).endswith("metrics")
+                and isinstance(node.ops[0], ast.IsNot)
+                and _is_none(node.comparators[0])):
+            self.flag(node)
+        self.generic_visit(node)
+
+
+class OneTracerGuard(Rule):
+    """The runtime and serve layers open spans through their helpers
+    alone (the executor's ``_step``, the server's ``_span``), so a
+    ``None if tracer is None else`` guard belongs only there. Plain
+    ``if tracer is not None:`` guards around instants and complete
+    records are not checked."""
+
+    files = INSTRUMENTED
+    allowed = ("runtime/executor.py::DataflowExecutor._step",
+               "serve/server.py::InferenceServer._span")
+    snippets = {"serve/server.py": """
+        class InferenceServer:
+            def _span(self, tenant, name, body):
+                tracer = self.env.tracer
+                return None if tracer is None else tracer.drive(body)
+
+            def _dispatch(self, batch):
+                tracer = self.env.tracer
+                sid = None if tracer is None else tracer.begin()  # flagged
+        """}
+
+    def visit_IfExp(self, node: ast.IfExp) -> None:
+        test = node.test
+        if (_is_none(node.body) and isinstance(test, ast.Compare)
+                and _name(test.left).endswith("tracer")
+                and isinstance(test.ops[0], ast.Is)
+                and _is_none(test.comparators[0])):
+            self.flag(node)
+        self.generic_visit(node)
+
+
+class OneSpanSite(CallRule):
+    """Spans open in the layer helpers (``_step``, ``_span``); the
+    request span that ``submit`` opens at admission is the one begin
+    allowed outside them."""
+
+    files = INSTRUMENTED
+    allowed = OneTracerGuard.allowed + (
+        "serve/server.py::InferenceServer.submit",)
+    snippets = {"serve/server.py": """
+        class InferenceServer:
+            def submit(self, tenant, frames):
+                self.sid = self.env.tracer.begin("serve", tenant, "request")
+
+            def _admit(self, request):
+                self.env.tracer.begin("serve", "queue", "admit")  # flagged
+        """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return callee == "begin" and receiver.endswith("tracer")
+
+
+class RecordsBuiltWhenRead(CallRule):
+    """The tracer records flat tuples and builds its record objects
+    only when they are read: no ``Span``, ``Instant`` or
+    ``CounterSample`` in its record methods, nor anywhere else in the
+    package."""
+
+    RECORD_METHODS = tuple(f"trace/tracer.py::Tracer.{method}" for method in (
+        "begin", "end", "complete", "instant", "counter", "drive"))
+    snippets = {
+        "trace/tracer.py": """
+            class Tracer:
+                def instant(self, pid, tid, name, cat, ts):
+                    self._instants.append(Instant(pid, tid, ts))  # flagged
+
+                def end(self, sid, ts):
+                    self._last = lambda: Span(sid, ts)  # flagged
+
+                @property
+                def counters(self):
+                    return RecordView(self._counters,
+                                      lambda record: CounterSample(*record))
+            """,
+        "trace/export.py": """
+            def clamp(span, now):
+                return Span(span.sid, span.pid, span.tid, end=now)  # flagged
+            """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        """A lambda or nested function inside a record method counts as
+        the method."""
+        return (callee in ("Span", "Instant", "CounterSample")
+                and (self.path != "trace/tracer.py"
+                     or any(self.where == method
+                            or self.where.startswith(method + ".")
+                            for method in self.RECORD_METHODS)))
+
+
+class PacketsAreEvents(CallRule):
+    """Packets are events, not processes: ``Mesh2D.send`` returns the
+    packet's delivery event and transmits through callbacks."""
+
+    files = ("noc/*.py",)
+    snippets = {"noc/mesh.py": """
+        class Mesh2D:
+            def send(self, packet):
+                return self.env.process(self._transmit(packet))  # flagged
+
+            def _spawn(self, packet):
+                return Process(self.env, self._transmit(packet))  # flagged
+        """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return ((callee == "process" and receiver.endswith("env"))
+                or callee == "Process")
+
+
+class CoherenceOverRanges(CallRule):
+    """Coherence resolves ranges: the DMA engine, the directory and the
+    memory tile probe, install and access a burst's lines through the
+    range methods (``probe``, ``install_grant``, ``access_lines``),
+    never one line at a time."""
+
+    files = ("soc/*.py",)
+    snippets = {"soc/dma.py": """
+        class DmaEngine:
+            def _fc_load(self, base, lines):
+                for line in lines:
+                    tile = self.soc.memory_map.owner(line)  # flagged
+                    home = self._line_tile(line)  # flagged
+                    self.cache.touch(line)  # flagged
+                    self.cache.install(line, "E")  # flagged
+                    self.llc.access_line(line)  # flagged
+                    self.caches[tile].install(line, "E")  # flagged
+                    self.cache_at(tile).touch(line)  # flagged
+                self.cache.install_grant(base, lines)
+        """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return ((callee == "owner" and receiver.endswith("memory_map"))
+                or callee.endswith("_line_tile"))
+
+    def visit_Call(self, node: ast.Call) -> None:
+        """Any ``.touch(``, ``.install(`` or ``.access_line(`` call,
+        whatever the receiver: a subscript or a call result too."""
+        if (isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("touch", "install", "access_line")):
+            self.flag(node)
+        super().visit_Call(node)
+
+
+class MeshBuiltOnFirstUse(CallRule):
+    """The mesh builds only what traffic reaches: a link is created on
+    its route's first resolution and an ejection queue on its first
+    use, each by one helper (``_add_link``, ``_add_inbox``)."""
+
+    files = ("noc/mesh.py",)
+    allowed = ("noc/mesh.py::Mesh2D._add_link",
+               "noc/mesh.py::Mesh2D._add_inbox")
+    snippets = {"noc/mesh.py": """
+        class Mesh2D:
+            def __init__(self, env, keys):
+                self.links = {key: Link(env, *key) for key in keys}  # flagged
+
+            def _add_link(self, key):
+                link = self.links[key] = Link(self.env, *key)
+                return link
+
+            def _add_inbox(self, coord, plane):
+                return Fifo(self.env, name=f"inbox{coord}@{plane}")
+        """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return callee in ("Link", "Fifo")
+
+
+class OneStackBuilder(CallRule):
+    """Every serving stack is a ``StackSpec`` built by ``build_stack``,
+    in one fixed assembly order: only it, and the serve layer itself,
+    construct an ``InferenceServer``."""
+
+    allowed = ("eval/stack.py::build_stack",)
+    snippets = {
+        "eval/stack.py": """
+            def build_stack(spec):
+                server = InferenceServer(EspRuntime(build_soc1()))
+
+            def build_fleet(spec, n):
+                return [InferenceServer(runtime) for runtime in n]  # flagged
+            """,
+        "__main__.py": """
+            server = InferenceServer(runtime, ServerConfig())  # flagged
+            """,
+        "serve/__init__.py": """
+            def serve(runtime):
+                return InferenceServer(runtime)
+            """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return callee == "InferenceServer" and not self.path.startswith(
+            "serve/")
+
+
+class OneEventPerTransit(CallRule):
+    """A packet allocates per packet, not per hop: a transit builds one
+    step event in ``_Transit.__init__`` and re-arms it for every grant
+    and timeout (``Environment._schedule`` enqueues the delayed ones)."""
+
+    files = ("noc/mesh.py",)
+    snippets = {"noc/mesh.py": """
+        class _Transit(Event):
+            def __init__(self, mesh, packet):
+                self.step = Event(mesh.env)
+
+            def _on_step(self, event):
+                hold = Timeout(self.env, self.packet.size_flits)  # flagged
+                grant = Event(self.env)  # flagged
+        """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return callee == "Timeout" or (
+            callee == "Event"
+            and self.where != "noc/mesh.py::_Transit.__init__")
+
+
+RULES = (ServeReadsNoMetrics, OnlyExecuteRunsTheLoop,
+         ControlDerivesNoStallThreshold, OneCountingSite, OneTracerGuard,
+         OneSpanSite, RecordsBuiltWhenRead, PacketsAreEvents,
+         CoherenceOverRanges, MeshBuiltOnFirstUse, OneStackBuilder,
+         OneEventPerTransit)
+
+
+def check(rule, path: str, source: str) -> List[Tuple[int, str]]:
+    """The ``(line, scope)`` pairs ``rule`` flags in the module at
+    ``src/repro/<path>``, one per line, in line order."""
+    visitor = rule(path)
+    visitor.visit(ast.parse(source))
+    return sorted(dict(reversed(visitor.hits)).items())
+
+
+def violations(root=REPO, rules: Sequence = RULES) -> List[str]:
+    """Every line of ``<root>/src/repro`` that ``rules`` flag, as
+    ``path:line: rule in scope: source``."""
+    package = Path(root) / PACKAGE
+    if not package.is_dir():
+        raise FileNotFoundError(f"no {PACKAGE.as_posix()} under {root}")
+    found = []
+    for file in sorted(package.rglob("*.py")):
+        path = file.relative_to(package).as_posix()
+        applicable = [rule for rule in rules
+                      if any(fnmatch(path, pattern) for pattern in rule.files)]
+        if not applicable:
+            continue
+        source = file.read_text()
+        lines = source.splitlines()
+        hits = sorted((line, rule.__name__, scope) for rule in applicable
+                      for line, scope in check(rule, path, source))
+        found += [f"{PACKAGE.as_posix()}/{path}:{line}: {name} in {scope}: "
+                  f"{lines[line - 1].strip()}" for line, name, scope in hits]
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+def rule_ids(rule) -> str:
+    return rule.__name__
+
+
+@pytest.mark.parametrize("rule", RULES, ids=rule_ids)
+def test_rule_holds(rule):
+    assert violations(REPO, [rule]) == []
+
+
+@pytest.mark.parametrize("rule", RULES, ids=rule_ids)
+def test_rule_flags_its_snippets(rule):
+    flagged = 0
+    for path, snippet in rule.snippets.items():
+        source = textwrap.dedent(snippet)
+        marked = [number for number, line in enumerate(source.splitlines(), 1)
+                  if line.endswith("# flagged")]
+        assert [line for line, _ in check(rule, path, source)] == marked, path
+        flagged += len(marked)
+    assert flagged
+
+
+SCOPES = textwrap.dedent("""
+    class Mesh2D:
+        def _add_link(self, key):
+            def channel():
+                return Link(self.env, *key)
+            link = self.links[key] = Link(self.env, *key, channel())
+            self.rebuild = lambda: Link(self.env, *key)
+            return link
+
+    class Torus:
+        def _add_link(self, key):
+            return Link(self.env, *key)
+    """)
+
+
+def test_violations_reports_file_line_rule_scope_and_source(tmp_path):
+    """A nested function, a lambda and a method of a second class are
+    each attributed to their own scope. A regex on the preceding
+    ``def`` flagged the helper's own link on line 6 as ``channel``'s,
+    put the lambda's link in ``channel`` too, and passed
+    ``Torus._add_link`` as the allowed helper."""
+    mesh = tmp_path / PACKAGE / "noc" / "mesh.py"
+    mesh.parent.mkdir(parents=True)
+    mesh.write_text(SCOPES)
+    assert violations(tmp_path, [MeshBuiltOnFirstUse]) == [
+        "src/repro/noc/mesh.py:5: MeshBuiltOnFirstUse in "
+        "Mesh2D._add_link.channel: return Link(self.env, *key)",
+        "src/repro/noc/mesh.py:7: MeshBuiltOnFirstUse in "
+        "Mesh2D._add_link.<lambda>: "
+        "self.rebuild = lambda: Link(self.env, *key)",
+        "src/repro/noc/mesh.py:12: MeshBuiltOnFirstUse in "
+        "Torus._add_link: return Link(self.env, *key)",
+    ]
