@@ -4,7 +4,8 @@ An :class:`AcceleratorSpec` is the result of one of the two design
 branches of Fig. 3 — the HLS4ML branch (ML kernels) or the generic
 SystemC/Stratus branch (e.g. the Night-Vision kernels). It bundles:
 
-- the functional kernel (bit-accurate NumPy compute),
+- the functional kernel (bit-accurate NumPy compute), optionally with
+  a batch form that evaluates many frames in one call,
 - the per-frame timing from the HLS schedule,
 - the FPGA resource estimate,
 - the I/O geometry (words per input/output frame, word width) that the
@@ -14,7 +15,7 @@ SystemC/Stratus branch (e.g. the Night-Vision kernels). It bundles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +41,12 @@ class AcceleratorSpec:
     #: initiation interval instead of its latency. Off by default (the
     #: Fig. 4 wrapper is sequential); see the double-buffering ablation.
     double_buffered: bool = False
+    #: Optional batch form of ``compute``: ``(n, input_words) -> (n,
+    #: output_words)``, row ``i`` equal to ``compute`` on row ``i``
+    #: byte for byte. A run evaluates it ahead of the timing model (see
+    #: ``DataflowExecutor._prepass``); kernels that are memory-bound
+    #: per frame, like the HLS4ML matrix-vector products, set it.
+    compute_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.input_words < 1:
@@ -70,6 +77,27 @@ class AcceleratorSpec:
             raise ValueError(
                 f"{self.name}: kernel produced {len(out)} words, spec "
                 f"says {self.output_words}")
+        return out
+
+    def run_batch(self, frames: np.ndarray) -> np.ndarray:
+        """Invoke the kernel on ``(n, input_words)`` frames; row ``i``
+        of the result is ``run(frames[i])`` byte for byte.
+
+        One call to the batch form when the spec has one, else one
+        :meth:`run` per frame.
+        """
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self.input_words:
+            raise ValueError(
+                f"{self.name}: expected (n, {self.input_words}) input "
+                f"frames, got shape {frames.shape}")
+        if self.compute_batch is None:
+            return np.array([self.run(frame) for frame in frames])
+        out = np.asarray(self.compute_batch(frames), dtype=np.float64)
+        if out.shape != (len(frames), self.output_words):
+            raise ValueError(
+                f"{self.name}: batch kernel produced shape {out.shape}, "
+                f"spec says ({len(frames)}, {self.output_words})")
         return out
 
     @property

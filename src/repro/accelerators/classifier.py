@@ -78,6 +78,7 @@ def spec_from_hls(hls_model: HlsModel, name: str) -> AcceleratorSpec:
         resources=hls_model.resources,
         word_bits=hls_model.layers[0].precision.width,
         design_flow="hls4ml",
+        compute_batch=hls_model.predict,
     )
 
 

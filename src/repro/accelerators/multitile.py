@@ -49,5 +49,6 @@ def partition_classifier(hls_model: Optional[HlsModel] = None,
             resources=layer.schedule.resources,
             word_bits=layer.precision.width,
             design_flow="hls4ml",
+            compute_batch=layer.forward,
         ))
     return specs

@@ -69,8 +69,12 @@ class HlsDenseLayer:
         grid). The accumulator is fresh, so the cast snaps it in
         place, and ReLU is the cast's lower clamp at 0: quantize is
         monotone and maps 0 to 0, so ``relu(q(a)) == max(q(a), 0)``.
-        Sigmoid and softmax see the ``(batch, n_out)`` view they always
-        did, and the matvec operands keep their memory layouts.
+        The sigmoid is elementwise and sees the ``(batch, n_out)``
+        view. The softmax sums each row, and a float sum's rounding
+        follows the memory layout (numpy sums a contiguous row
+        pairwise, a strided one in sequence), so it gets a row-major
+        copy: every row is then summed as a single frame's is, and
+        row ``i`` of a batch equals that frame run alone byte for byte.
         """
         acc = self.weights.T @ h
         acc += self.bias[:, None]
@@ -81,7 +85,7 @@ class HlsDenseLayer:
         if self.activation == "sigmoid":
             return fixed_sigmoid(y.T, fmt).T
         if self.activation == "softmax":
-            return fixed_softmax(y.T, fmt).T
+            return fixed_softmax(np.ascontiguousarray(y.T), fmt).T
         return y
 
 

@@ -56,11 +56,13 @@ from ..soc import (
     N_FRAMES_REG,
     P2PConfig,
     P2P_REG,
+    Precomputed,
     SRC_OFFSET_REG,
     SRC_STRIDE_REG,
     STATUS_DONE,
     STATUS_REG,
     SoCInstance,
+    frame_key,
 )
 from .alloc import Buffer, ContigAllocator
 from .dataflow import Dataflow, EXECUTION_MODES
@@ -164,6 +166,17 @@ class ExecutionPlan:
     #: running.
     failure: Optional[BaseException] = None
     abort: Optional[Event] = None
+    #: ``(tile table, frame key)`` of every result the prepass handed
+    #: to the plan's tiles; :meth:`drop_precomputed` takes back the ones
+    #: COMPUTE did not.
+    precomputed: List[Tuple[Precomputed, int]] = field(
+        default_factory=list)
+
+    def drop_precomputed(self) -> None:
+        """Remove the plan's unused prepass results from its tiles."""
+        for table, key in self.precomputed:
+            table.pop(key, None)
+        self.precomputed.clear()
 
     def mode_for(self, name: str) -> CoherenceMode:
         return self.coherence.get(name, CoherenceMode.NON_COHERENT)
@@ -833,10 +846,10 @@ class DataflowExecutor:
                  coherence, dvfs: Optional[Dict[str, int]]):
         """Shared front half of :meth:`execute` and :meth:`run_process`.
 
-        Coerces ``frames`` to N x words, plans the run and writes the
-        input buffer; returns ``(frames, plan)``. A frame width the
-        level-0 devices do not take releases the plan before raising,
-        so a rejected call leaks no buffer.
+        Coerces ``frames`` to N x words, plans the run, writes the
+        input buffer and runs the :meth:`_prepass`; returns ``(frames,
+        plan)``. A frame width the level-0 devices do not take releases
+        the plan before raising, so a rejected call leaks no buffer.
         """
         frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
         plan = self.plan(dataflow, len(frames), mode, coherence=coherence,
@@ -848,7 +861,51 @@ class DataflowExecutor:
                 f"input frames have {frames.shape[1]} words; level-0 "
                 f"devices expect {in_words}")
         plan.input_buffer.write(frames.reshape(-1))
+        try:
+            self._prepass(plan, frames)
+        except Exception:
+            # Speculative: a kernel error is raised where the timing
+            # model reaches it, as without the prepass.
+            plan.drop_precomputed()
         return frames, plan
+
+    @staticmethod
+    def _prepass(plan: ExecutionPlan, frames: np.ndarray) -> None:
+        """Evaluate the plan's kernels over its frames before the run.
+
+        Frame ``f`` passes level ``k`` on device ``f mod width(k)``, so
+        each level's inputs are the previous level's outputs, known
+        before any cycle is simulated. Each (level, spec) runs as one
+        :meth:`~AcceleratorSpec.run_batch` call, up to the last level
+        whose spec has a batch kernel; a plan without one does no
+        prepass. Results go to the device's tile with their input
+        frame, and COMPUTE takes one only if LOAD delivered that frame
+        bit for bit, so the result a frame gets is its kernel's on the
+        delivered words, prepass or not. The plan takes back what is
+        left when its driver returns (:meth:`_drive`) or when it is
+        released, which every abort path does.
+        """
+        levels = plan.levels
+        depth = max((k + 1 for k, row in enumerate(levels)
+                     if any(n.spec.compute_batch is not None for n in row)),
+                    default=0)
+        inputs = frames
+        for row in levels[:depth]:
+            width = len(row)
+            outputs = np.empty((len(inputs), row[0].spec.output_words))
+            by_spec: Dict[int, List[NodePlan]] = {}
+            for node in row:
+                by_spec.setdefault(id(node.spec), []).append(node)
+            for nodes in by_spec.values():
+                picked = [f for node in nodes
+                          for f in range(node.index, len(inputs), width)]
+                outputs[picked] = nodes[0].spec.run_batch(inputs[picked])
+            for f, (frame, result) in enumerate(zip(inputs, outputs)):
+                table = row[f % width].device.tile.precomputed
+                key = frame_key(frame)
+                table[key] = frame, result
+                plan.precomputed.append((table, key))
+            inputs = outputs
 
     def _close_run(self, mode: str, plan: ExecutionPlan, start: int,
                    degraded: bool) -> int:
@@ -944,6 +1001,7 @@ class DataflowExecutor:
         """
         try:
             yield from self._DRIVERS[plan.mode](self, plan)
+            plan.drop_precomputed()
             return plan, False
         except Exception as exc:
             yield from self._abort_and_release(plan)
@@ -988,11 +1046,13 @@ class DataflowExecutor:
                 pass
 
     def release_plan(self, plan: ExecutionPlan) -> None:
-        """Return every buffer the plan allocated to the allocator.
+        """Return every buffer the plan allocated to the allocator and
+        drop its unused prepass results.
 
         Idempotent (``free`` ignores already-freed buffers), so a
         failure path and a finally-style caller can both release.
         """
+        plan.drop_precomputed()
         for buffer in plan.buffers:
             self.allocator.free(buffer)
 

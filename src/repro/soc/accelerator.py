@@ -36,7 +36,7 @@ from .registers import (
     STATUS_RUNNING,
 )
 from .tlb import Tlb
-from .wrapper import (InvocationConfig, InvocationResult,
+from .wrapper import (InvocationConfig, InvocationResult, Precomputed,
                       wrapper_process, wrapper_process_double_buffered)
 
 Coord = Tuple[int, int]
@@ -109,6 +109,12 @@ class AcceleratorTile:
         self.busy_cycles = 0
         self.resets = 0
         self.kernel_crashes = 0
+
+        #: Kernel results a run evaluated ahead of the timing model
+        #: (see ``wrapper._compute``). The run fills it before its
+        #: first cycle and takes back what COMPUTE left when it ends
+        #: (``DataflowExecutor._prepass``).
+        self.precomputed: Precomputed = {}
 
         # Fault hook (None = fault-free, zero overhead) and the reset
         # line the host pulls through CMD_RESET to abort a wedged run.
@@ -217,7 +223,8 @@ class AcceleratorTile:
         wrapper = wrapper_process_double_buffered \
             if self.spec.double_buffered else wrapper_process
         result = yield self.env.process(
-            wrapper(self.env, self.spec, self.dma, config),
+            wrapper(self.env, self.spec, self.dma, config,
+                    self.precomputed),
             name=f"wrapper:{self.device_name}")
         return result
 
@@ -288,10 +295,6 @@ class AcceleratorTile:
     @property
     def status(self) -> int:
         return self.regs.read("STATUS_REG")
-
-    @property
-    def is_idle(self) -> bool:
-        return self.status in (STATUS_IDLE, STATUS_DONE)
 
     def utilization(self, elapsed: Optional[int] = None) -> float:
         span = elapsed if elapsed is not None else self.env.now

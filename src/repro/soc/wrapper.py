@@ -12,12 +12,18 @@ registers.
 Here the wrapper is the simulation process executed by an accelerator
 tile for one invocation. It is identical for DMA and p2p communication
 — the p2p remapping happens inside the DMA engine, "completely
-transparent to the accelerator".
+transparent to the accelerator". COMPUTE costs the kernel's cycles
+whatever the data; its result may come from the run's prepass, which
+evaluated the kernel ahead of the timing model, but only for a frame
+whose delivered bits are exactly the ones the prepass saw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
+
+import numpy as np
 
 from ..accelerators.base import AcceleratorSpec
 from .coherence import CoherenceMode
@@ -89,23 +95,50 @@ def _phase(env, dma: DmaEngine, row: str, phase: str, index: int, body):
     return result
 
 
-def _compute(env, spec: AcceleratorSpec, frame, cycles: int):
+#: A tile's kernel results evaluated ahead of the timing model:
+#: ``frame_key(frame) -> (frame, result)``.
+Precomputed = Dict[int, Tuple[np.ndarray, np.ndarray]]
+
+
+def frame_key(frame: np.ndarray) -> int:
+    """A frame's key in a :data:`Precomputed` table: the hash of its
+    exact bytes (so -0.0 and 0.0 differ)."""
+    return hash(frame.tobytes())
+
+
+def _compute(env, spec: AcceleratorSpec, frame, cycles: int,
+             precomputed: Precomputed):
     """COMPUTE: the kernel's schedule sets the cycle cost (stretched by
-    the tile's DVFS divider); the functional result comes from the
-    bit-accurate NumPy kernel."""
+    the tile's DVFS divider); the functional result is the bit-accurate
+    NumPy kernel's on the frame LOAD delivered.
+
+    ``precomputed`` holds the results the run evaluated ahead of the
+    timing model. The entry under this frame's key is taken, and its
+    result used if its input frame has this frame's bits. A frame with
+    no such entry (a DRAM bitflip changed it, the run was re-planned,
+    an identical frame already took it) runs the kernel now. Either
+    way the result is ``spec.run(frame)`` byte for byte.
+    """
     yield env.timeout(cycles)
+    entry = precomputed.pop(frame_key(frame), None) if precomputed \
+        else None
+    if entry is not None and np.array_equal(entry[0].view(np.int64),
+                                            frame.view(np.int64)):
+        return entry[1]
     return spec.run(frame)
 
 
 def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
-                    config: InvocationConfig):
+                    config: InvocationConfig,
+                    precomputed: Precomputed):
     """One accelerator invocation: the Fig. 4 loop as a sim process.
 
     Each loop iteration moves one frame: a LOAD of ``input_words``, a
     COMPUTE of the kernel's latency, a STORE of ``output_words``. The
     source/destination addresses advance by one frame per iteration,
     exactly as the generated wrapper derives them from the iteration
-    index and the configured dataset size.
+    index and the configured dataset size. ``precomputed`` is the
+    tile's table of results evaluated ahead (see :func:`_compute`).
     """
     start = env.now
     p2p = config.p2p
@@ -122,7 +155,8 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
         result = yield from _phase(
             env, dma, "wrapper", "compute", index,
             _compute(env, spec, frame,
-                     spec.latency_cycles * config.clock_divider))
+                     spec.latency_cycles * config.clock_divider,
+                     precomputed))
         # STORE: pack the output and push it downstream.
         out_addr = config.dst_offset + index * dst_stride
         yield from _phase(env, dma, "wrapper", "store", index,
@@ -134,7 +168,8 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
 
 def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
                                     dma: DmaEngine,
-                                    config: InvocationConfig):
+                                    config: InvocationConfig,
+                                    precomputed: Precomputed):
     """Ping-pong variant of the wrapper: LOAD/COMPUTE/STORE overlap.
 
     Three concurrent stages connected by depth-2 FIFOs (the two PLM
@@ -169,7 +204,8 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
                 spec.interval_cycles, 1)
             result = yield from _phase(
                 env, dma, "compute", "compute", index,
-                _compute(env, spec, frame, cycles * config.clock_divider))
+                _compute(env, spec, frame, cycles * config.clock_divider,
+                         precomputed))
             yield out_plm.put(result)
 
     def storer():

@@ -1,0 +1,100 @@
+"""The batch kernels equal their per-frame kernels byte for byte.
+
+A run evaluates every HLS4ML-backed kernel over all its frames in one
+call before the timing model starts (``DataflowExecutor._prepass``),
+and COMPUTE hands out those rows as the kernel's results. That is
+exact only if row ``i`` of ``run_batch`` is ``run(frames[i])`` to the
+bit (``tobytes`` also tells -0.0 from 0.0), for every batch size and
+every input, including inputs the fixed-point cast saturates, negative
+inputs and inputs below one LSB.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.accelerators import (classifier_spec, denoiser_spec,
+                                night_vision_spec, partition_classifier)
+from repro.fixed import DEFAULT_FORMAT, FixedFormat
+from repro.hls4ml_flow import HlsModel, build_layer
+
+LSB = DEFAULT_FORMAT.scale
+LIMIT = DEFAULT_FORMAT.max_value
+
+KERNELS = {"classifier": classifier_spec(), "denoiser": denoiser_spec()}
+KERNELS.update((spec.name, spec) for spec in partition_classifier())
+
+
+def _frames(rng, n, words, regime):
+    """``n`` frames of ``words`` values drawn from one input regime;
+    ``mixed`` draws every value from a random one of the others."""
+    draws = {
+        # Beyond the format's range on both sides: the input cast clamps.
+        "saturating": lambda size: rng.choice([-1, 1], size)
+        * rng.uniform(LIMIT, 8 * LIMIT, size),
+        "negative": lambda size: -rng.uniform(0, LIMIT, size),
+        # Both signs below one LSB, and signed zeros.
+        "sub_lsb": lambda size: rng.choice([-1.0, 1.0], size)
+        * rng.choice([0.0, 1.0], size) * rng.uniform(0, LSB, size),
+        "in_range": lambda size: rng.uniform(-LIMIT, LIMIT, size),
+    }
+    if regime != "mixed":
+        return draws[regime]((n, words))
+    pick = rng.integers(0, len(draws), (n, words))
+    out = np.empty((n, words))
+    for index, draw in enumerate(draws.values()):
+        out[pick == index] = draw(int((pick == index).sum()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from(
+           ["saturating", "negative", "sub_lsb", "in_range", "mixed"]))
+def test_batch_row_equals_single_frame(name, n, seed, regime):
+    spec = KERNELS[name]
+    frames = _frames(np.random.default_rng(seed), n, spec.input_words,
+                     regime)
+    batch = spec.run_batch(frames)
+    assert batch.shape == (n, spec.output_words)
+    for frame, row in zip(frames, batch):
+        assert row.tobytes() == spec.run(frame).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_softmax_sums_each_row_as_a_single_frame(seed):
+    """A float sum's rounding follows the memory layout, so the softmax
+    must sum a batch row-major, as it sums a single frame. The 16-bit
+    kernels above snap away a last-bit difference in the sum; a 53-bit
+    format with 52 fraction bits keeps it. Inputs and weights sit on
+    coarse grids, so the matrix product is exact and only the softmax
+    can differ."""
+    rng = np.random.default_rng(seed)
+    layer = build_layer("softmax", rng.integers(-2, 3, (16, 12)) / 64,
+                        np.zeros(12), "softmax", FixedFormat(53, 1), 1)
+    model = HlsModel("fine-softmax", [layer], clock_mhz=78.0)
+    frames = rng.integers(-64, 64, (64, 16)) / 128
+    for frame, row in zip(frames, model.predict(frames)):
+        assert row.tobytes() == model.predict(frame)[0].tobytes()
+
+
+def test_every_hls4ml_kernel_has_a_batch_form():
+    """The HLS4ML specs set one; night-vision keeps its per-frame
+    kernel (it already vectorizes over the frame's pixels)."""
+    assert all(spec.compute_batch is not None for spec in KERNELS.values())
+    assert night_vision_spec().compute_batch is None
+
+
+def test_run_batch_without_batch_form_runs_each_frame(rng):
+    spec = night_vision_spec()
+    frames = rng.uniform(0, 255, (3, spec.input_words))
+    batch = spec.run_batch(frames)
+    for frame, row in zip(frames, batch):
+        assert row.tobytes() == spec.run(frame).tobytes()
+
+
+def test_run_batch_checks_geometry():
+    spec = KERNELS["classifier"]
+    with pytest.raises(ValueError, match="input frames"):
+        spec.run_batch(np.zeros((2, 16)))

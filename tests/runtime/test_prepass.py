@@ -1,0 +1,213 @@
+"""The prepass: each run evaluates its kernels ahead of the timing model.
+
+``DataflowExecutor._prepass`` runs each (level, spec) of a plan as one
+batch call before the first simulated cycle and hands the results to
+the plan's tiles, keyed by the exact bytes of each input frame.
+COMPUTE takes a result only for the frame LOAD delivered, so a frame
+corrupted in DRAM misses and runs the kernel on its corrupted words.
+The results belong to the plan: none survive it, on success or abort.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.accelerators import AcceleratorSpec
+from repro.eval.apps import (build_soc1, build_soc2, classifier_inputs,
+                             dataflow_de_cl, dataflow_multitile,
+                             dataflow_nv_cl, de_cl_inputs, nv_cl_inputs)
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
+from repro.runtime import EspRuntime, chain
+from repro.runtime.executor import DataflowExecutor
+from repro.sim import Interrupt
+from tests.conftest import make_soc, make_spec
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Records each batch-kernel call by spec name, and every kernel
+    run outside the prepass (a COMPUTE miss) as ``(name, frame)``."""
+    record = {"batch": [], "misses": []}
+    inside = []
+    prepass = DataflowExecutor._prepass
+    run, run_batch = AcceleratorSpec.run, AcceleratorSpec.run_batch
+
+    def watched_prepass(plan, frames):
+        inside.append(True)
+        try:
+            prepass(plan, frames)
+        finally:
+            inside.pop()
+
+    def watched_run(spec, frame):
+        if not inside:
+            record["misses"].append((spec.name, np.array(frame)))
+        return run(spec, frame)
+
+    def watched_run_batch(spec, frames):
+        if spec.compute_batch is not None:
+            record["batch"].append(spec.name)
+        return run_batch(spec, frames)
+
+    monkeypatch.setattr(DataflowExecutor, "_prepass",
+                        staticmethod(watched_prepass))
+    monkeypatch.setattr(AcceleratorSpec, "run", watched_run)
+    monkeypatch.setattr(AcceleratorSpec, "run_batch", watched_run_batch)
+    return record
+
+
+def held_entries(soc):
+    return {name: len(tile.precomputed)
+            for name, tile in soc.accelerators.items() if tile.precomputed}
+
+
+def software(soc, dataflow, frames):
+    """The dataflow's kernels composed frame by frame, off the SoC."""
+    out = []
+    for index, frame in enumerate(frames):
+        for names in dataflow.levels():
+            name = names[index % len(names)]
+            frame = soc.accelerators[name].spec.run(frame)
+        out.append(frame)
+    return np.array(out)
+
+
+#: (SoC, dataflow, inputs, batch kernels in level order): NV (no batch
+#: form) feeding four classifiers, two batch levels, and five.
+PIPELINES = {
+    "4nv_4cl": (build_soc1, lambda: dataflow_nv_cl(4, 4), nv_cl_inputs,
+                ["classifier"]),
+    "1de_1cl": (build_soc1, dataflow_de_cl, de_cl_inputs,
+                ["denoiser", "classifier"]),
+    "1cl_split": (build_soc2, dataflow_multitile, classifier_inputs,
+                  [f"svhn_classifier_part{i}" for i in range(5)]),
+}
+
+
+class TestPlanScope:
+    @pytest.mark.parametrize("mode", ["base", "pipe", "p2p"])
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_one_batch_per_level_and_every_compute_hits(self, calls,
+                                                        pipeline, mode):
+        build, make_dataflow, inputs, kernels = PIPELINES[pipeline]
+        soc = build()
+        runtime = EspRuntime(soc)
+        dataflow = make_dataflow()
+        frames, _ = inputs(8, seed=3)
+        want = software(soc, dataflow, frames)
+        calls["misses"].clear()
+        for run in (1, 2):
+            result = runtime.esp_run(dataflow, frames, mode=mode)
+            assert result.outputs.tobytes() == want.tobytes()
+            assert calls["batch"] == kernels * run
+            assert calls["misses"] == []
+            assert held_entries(soc) == {}
+
+    def test_degraded_run_leaves_no_entry(self, calls):
+        """A hung classifier kills the p2p stream; the run degrades to a
+        ``pipe`` re-plan that runs it in software."""
+        soc = build_soc1()
+        FaultInjector(FaultPlan([FaultSpec(
+            kind="acc_hang", target="cl0", at_cycle=0,
+            count=1)])).attach(soc)
+        runtime = EspRuntime(soc, recovery=RecoveryPolicy(
+            watchdog_cycles=150_000))
+        frames, _ = de_cl_inputs(4, seed=0)
+        result = runtime.esp_run(dataflow_de_cl(), frames, mode="p2p")
+        assert result.degraded
+        assert result.outputs.tobytes() == software(
+            soc, dataflow_de_cl(), frames).tobytes()
+        assert calls["batch"] == ["denoiser", "classifier"]
+        assert held_entries(soc) == {}
+
+    def test_interrupted_run_process_leaves_no_entry(self, calls):
+        soc = build_soc1()
+        runtime = EspRuntime(soc)
+        env = soc.env
+        frames, _ = de_cl_inputs(4, seed=0)
+        outcome = []
+
+        def request():
+            try:
+                yield from runtime.executor.run_process(
+                    dataflow_de_cl(), frames, "pipe")
+            except Interrupt:
+                outcome.append("interrupted")
+
+        process = env.process(request(), name="request")
+        env.run(until=env.timeout(5_000))
+        assert held_entries(soc)   # in flight: entries still to take
+        process.interrupt("cancelled")
+        env.run()
+        assert outcome == ["interrupted"]
+        assert calls["batch"] == ["denoiser", "classifier"]
+        assert held_entries(soc) == {}
+
+
+class TestFaultInterplay:
+    def test_frame_corrupted_after_prepass_misses(self, calls,
+                                                  monkeypatch):
+        """A bit flipped in DRAM after the prepass, as the
+        ``dram_bitflip`` fault flips it: that frame's COMPUTE misses,
+        the kernel runs on the corrupted words, and its output row is
+        the software composition over the corrupted frame."""
+        soc = build_soc1()
+        runtime = EspRuntime(soc)
+        dataflow = dataflow_de_cl()
+        frames, _ = de_cl_inputs(4, seed=0)
+        words = frames.shape[1]
+        victim, word = 2, int(np.argmax(frames[2]))
+        prepare = runtime.executor._prepare
+        delivered = []
+
+        def prepare_then_flip(*args):
+            prepared, plan = prepare(*args)
+            start = plan.input_buffer.offset + victim * words
+            tile, local = soc.memory_map.owner(start + word)
+            tile.storage[local:local + 1].view(np.int64)[0] ^= \
+                np.int64(1) << np.int64(51)
+            delivered.append(soc.memory_map.read_words(start, words))
+            return prepared, plan
+
+        monkeypatch.setattr(runtime.executor, "_prepare",
+                            prepare_then_flip)
+        result = runtime.esp_run(dataflow, frames, mode="pipe")
+        misses = list(calls["misses"])
+
+        corrupted = delivered[0]
+        assert corrupted.tobytes() != frames[victim].tobytes()
+        denoiser = soc.accelerators["de0"].spec
+        # Only the corrupted frame misses: on the denoiser, with the
+        # corrupted words, and downstream where its output changed.
+        assert [name for name, _ in misses] == ["denoiser", "classifier"]
+        assert misses[0][1].tobytes() == corrupted.tobytes()
+        assert misses[1][1].tobytes() == \
+            denoiser.run(corrupted).tobytes()
+        want = software(soc, dataflow, frames)
+        want[victim] = software(soc, dataflow, corrupted[None])[0]
+        assert result.outputs.tobytes() == want.tobytes()
+        assert held_entries(soc) == {}
+
+
+def test_kernel_error_is_raised_where_the_run_reaches_it(calls):
+    """The prepass is speculative: a kernel that raises on a frame
+    fails the run from inside the simulation, as it would without a
+    prepass, and leaves no entry behind."""
+    def picky(frame):
+        if frame[0] == 3.0:
+            raise ValueError("bad frame")
+        return frame + 1.0
+
+    batched = make_spec(name="b")
+    soc = make_soc([
+        ("a0", make_spec(name="a", compute=picky)),
+        ("b0", replace(batched, compute_batch=lambda frames: frames + 1.0)),
+    ])
+    frames = np.arange(4.0)[:, None] + np.zeros((4, 16))
+    with pytest.raises(ValueError, match="bad frame"):
+        EspRuntime(soc).esp_run(chain("ab", ["a0", "b0"]), frames,
+                                mode="pipe")
+    assert soc.env.now > 0
+    assert calls["batch"] == []
+    assert held_entries(soc) == {}
