@@ -17,7 +17,7 @@ import numpy as np
 from repro.accelerators import denoiser_spec, classifier_spec
 from repro.datasets import add_gaussian_noise, flatten_frames, generate
 from repro.flow import train_classifier, train_denoiser
-from repro.nn import accuracy, reconstruction_error
+from repro.nn import accuracy
 from repro.runtime import EspRuntime, replicated_stage
 from repro.soc import SoCConfig, build_soc
 

@@ -15,7 +15,7 @@ SystemC/Stratus branch (e.g. the Night-Vision kernels). It bundles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -99,47 +99,3 @@ class AcceleratorSpec:
                 f"{self.name}: batch kernel produced shape {out.shape}, "
                 f"spec says ({len(frames)}, {self.output_words})")
         return out
-
-    @property
-    def plm_words(self) -> int:
-        """Private-local-memory footprint: in + out ping buffers."""
-        return self.input_words + self.output_words
-
-
-def chain_specs(name: str, stages: Sequence[AcceleratorSpec],
-                design_flow: str = "stratus") -> AcceleratorSpec:
-    """Fuse several kernels into one accelerator (single tile).
-
-    Used for the monolithic Night-Vision accelerator, whose three
-    kernels (noise filter, histogram, equalization) live in one tile.
-    Latency adds; the initiation interval is the sum as well because
-    the fused kernel runs its stages back to back on each frame.
-    """
-    stages = list(stages)
-    if not stages:
-        raise ValueError("at least one stage required")
-    for prev, nxt in zip(stages, stages[1:]):
-        if prev.output_words != nxt.input_words:
-            raise ValueError(
-                f"stage {prev.name!r} outputs {prev.output_words} words, "
-                f"{nxt.name!r} expects {nxt.input_words}")
-
-    def fused(frame: np.ndarray) -> np.ndarray:
-        for stage in stages:
-            frame = stage.run(frame)
-        return frame
-
-    resources = ResourceEstimate()
-    for stage in stages:
-        resources = resources + stage.resources
-    return AcceleratorSpec(
-        name=name,
-        input_words=stages[0].input_words,
-        output_words=stages[-1].output_words,
-        compute=fused,
-        latency_cycles=sum(s.latency_cycles for s in stages),
-        interval_cycles=sum(s.interval_cycles for s in stages),
-        resources=resources,
-        word_bits=stages[0].word_bits,
-        design_flow=design_flow,
-    )

@@ -107,100 +107,19 @@ def _equalize(frame: np.ndarray, idx: np.ndarray, hist: np.ndarray,
     return fmt.quantize(mapping)[idx]
 
 
-def histogram_kernel(frame: np.ndarray,
-                     bins: int = HISTOGRAM_BINS) -> np.ndarray:
-    """Intensity histogram over [0, 1] with ``bins`` buckets."""
-    frame = np.asarray(frame, dtype=np.float64).reshape(-1)
-    # bincount produces the same exact integer counts as the original
-    # np.add.at scatter, without its per-element buffered loop.
-    return np.bincount(_bin_index(frame, bins),
-                       minlength=bins).astype(np.float64)
-
-
-def histogram_equalization_kernel(frame: np.ndarray, hist: np.ndarray,
-                                  fmt: FixedFormat = DEFAULT_FORMAT
-                                  ) -> np.ndarray:
-    """Classic CDF remapping: stretch the (dark) dynamic range."""
-    frame = np.asarray(frame, dtype=np.float64).reshape(-1)
-    hist = np.asarray(hist, dtype=np.float64)
-    return _equalize(frame, _bin_index(frame, len(hist)), hist, fmt)
-
-
 def night_vision_compute(frame: np.ndarray,
                          fmt: FixedFormat = DEFAULT_FORMAT) -> np.ndarray:
     """The fused three-kernel pipeline of the Night-Vision tile.
 
-    Equal to ``histogram_equalization_kernel(f, histogram_kernel(f))``
-    with ``f = noise_filter_kernel(frame)``, but the bucket index of
-    each pixel is computed once and shared by both stages.
+    The histogram of ``f = noise_filter_kernel(frame)``, then its CDF
+    remapping of ``f``; the bucket index of each pixel is computed
+    once and shared by both stages (``tests/accelerators/nightvision.py``
+    holds the two stages as separate kernels).
     """
     filtered = noise_filter_kernel(frame, fmt)
     idx = _bin_index(filtered, HISTOGRAM_BINS)
     hist = np.bincount(idx, minlength=HISTOGRAM_BINS).astype(np.float64)
     return _equalize(filtered, idx, hist, fmt)
-
-
-def night_vision_stage_specs(fmt: FixedFormat = DEFAULT_FORMAT):
-    """The three Night-Vision kernels as *separate* accelerator tiles.
-
-    Fig. 1 of the paper draws the vision kernels as individual boxes
-    that the NoC chains together; the evaluation fuses them into one
-    tile (:func:`night_vision_spec`), but the flow supports either
-    mapping. Because the equalization kernel needs both the filtered
-    frame and its histogram, the histogram stage forwards the frame
-    alongside the 64 bin counts (1024 + 64 = 1088 words).
-    """
-    def filter_stage_compute(frame: np.ndarray) -> np.ndarray:
-        return noise_filter_kernel(frame, fmt)
-
-    def hist_stage_compute(frame: np.ndarray) -> np.ndarray:
-        hist = histogram_kernel(frame)
-        return np.concatenate([np.asarray(frame, dtype=np.float64),
-                               hist])
-
-    def eq_stage_compute(packed: np.ndarray) -> np.ndarray:
-        frame = packed[:FRAME_PIXELS]
-        hist = packed[FRAME_PIXELS:]
-        return histogram_equalization_kernel(frame, hist, fmt)
-
-    window_cost = ResourceEstimate(luts=9_500, ffs=8_800, brams=6)
-    filter_sched = pipelined_loop_schedule(FRAME_PIXELS, interval=3,
-                                           depth=12,
-                                           body_resources=window_cost)
-    hist_cost = ResourceEstimate(luts=2_500, ffs=2_400, brams=2)
-    hist_sched = pipelined_loop_schedule(FRAME_PIXELS, interval=2, depth=4,
-                                         body_resources=hist_cost)
-    eq_cost = ResourceEstimate(luts=5_000, ffs=4_200, brams=4)
-    eq_sched = sequential_schedule(
-        pipelined_loop_schedule(HISTOGRAM_BINS, interval=1, depth=4),
-        pipelined_loop_schedule(FRAME_PIXELS, interval=3, depth=6,
-                                body_resources=eq_cost))
-
-    return [
-        AcceleratorSpec(
-            name="nv_filter", input_words=FRAME_PIXELS,
-            output_words=FRAME_PIXELS, compute=filter_stage_compute,
-            latency_cycles=filter_sched.latency,
-            interval_cycles=filter_sched.interval,
-            resources=filter_sched.resources, word_bits=fmt.width,
-            design_flow="stratus"),
-        AcceleratorSpec(
-            name="nv_histogram", input_words=FRAME_PIXELS,
-            output_words=FRAME_PIXELS + HISTOGRAM_BINS,
-            compute=hist_stage_compute,
-            latency_cycles=hist_sched.latency,
-            interval_cycles=hist_sched.interval,
-            resources=hist_sched.resources, word_bits=fmt.width,
-            design_flow="stratus"),
-        AcceleratorSpec(
-            name="nv_equalize",
-            input_words=FRAME_PIXELS + HISTOGRAM_BINS,
-            output_words=FRAME_PIXELS, compute=eq_stage_compute,
-            latency_cycles=eq_sched.latency,
-            interval_cycles=eq_sched.interval,
-            resources=eq_sched.resources, word_bits=fmt.width,
-            design_flow="stratus"),
-    ]
 
 
 def night_vision_spec(fmt: FixedFormat = DEFAULT_FORMAT) -> AcceleratorSpec:

@@ -154,15 +154,6 @@ class ControlPlane:
         self._attached = True
         return self
 
-    @property
-    def attached(self) -> bool:
-        return self._attached
-
-    @property
-    def spares(self) -> Set[str]:
-        """Reserve tiles not yet consumed by a reshard (copy)."""
-        return set(self._spares)
-
     def applied_actions(self) -> List[ControlAction]:
         return [a for a in self.actions if a.applied]
 

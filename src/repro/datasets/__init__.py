@@ -1,17 +1,13 @@
 """Synthetic SVHN-like dataset and the paper's frame transforms."""
 
-from .glyphs import GLYPH_COLS, GLYPH_ROWS, all_glyphs, glyph
-from .svhn import N_CLASSES, SvhnConfig, generate, generate_frame, splits
+from .glyphs import GLYPH_COLS, GLYPH_ROWS, glyph
+from .svhn import N_CLASSES, SvhnConfig, generate, generate_frame
 from .transforms import (
     FRAME_PIXELS,
     FRAME_SIDE,
     add_gaussian_noise,
     darken,
     flatten_frames,
-    from_pixels,
-    normalize,
-    to_pixels,
-    unflatten_frames,
 )
 
 __all__ = [
@@ -22,15 +18,9 @@ __all__ = [
     "N_CLASSES",
     "SvhnConfig",
     "add_gaussian_noise",
-    "all_glyphs",
     "darken",
     "flatten_frames",
-    "from_pixels",
     "generate",
     "generate_frame",
     "glyph",
-    "normalize",
-    "splits",
-    "to_pixels",
-    "unflatten_frames",
 ]

@@ -91,8 +91,3 @@ def glyph(digit: int) -> np.ndarray:
         raise ValueError(f"digit must be 0-9, got {digit}")
     rows = _GLYPH_ART[digit]
     return np.array([[float(c) for c in row] for row in rows])
-
-
-def all_glyphs() -> np.ndarray:
-    """Stacked (10, 7, 5) array of every digit bitmap."""
-    return np.stack([glyph(d) for d in range(10)])

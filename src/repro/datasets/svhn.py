@@ -149,14 +149,3 @@ def generate(n_samples: int, seed: int = 0,
     onehot = np.zeros((n_samples, N_CLASSES))
     onehot[np.arange(n_samples), digits] = 1.0
     return frames, onehot
-
-
-def splits(n_train: int, n_test: int, n_extra: int = 0, seed: int = 0,
-           config: SvhnConfig = SvhnConfig()):
-    """Train/test/extra splits, mirroring SVHN's three-way structure."""
-    train = generate(n_train, seed=seed, config=config)
-    test = generate(n_test, seed=seed + 1, config=config)
-    if n_extra:
-        extra = generate(n_extra, seed=seed + 2, config=config)
-        return train, test, extra
-    return train, test

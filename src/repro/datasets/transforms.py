@@ -22,12 +22,6 @@ def flatten_frames(frames: np.ndarray) -> np.ndarray:
     return frames.reshape(frames.shape[0], -1)
 
 
-def unflatten_frames(vectors: np.ndarray) -> np.ndarray:
-    """(N, 1024) -> (N, 32, 32)."""
-    vectors = np.asarray(vectors)
-    return vectors.reshape(vectors.shape[0], FRAME_SIDE, FRAME_SIDE)
-
-
 def add_gaussian_noise(frames: np.ndarray, stddev: float = 0.15,
                        seed: int = 0,
                        rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -48,24 +42,3 @@ def darken(frames: np.ndarray, factor: float = 0.25,
     if not 0.0 < factor <= 1.0:
         raise ValueError(f"factor must be in (0, 1], got {factor}")
     return floor + np.asarray(frames) * factor
-
-
-def to_pixels(frames: np.ndarray, levels: int = 256) -> np.ndarray:
-    """[0,1] floats -> integer pixel values 0..levels-1 (uint8 range)."""
-    q = np.floor(np.clip(frames, 0.0, 1.0) * (levels - 1) + 0.5)
-    return q.astype(np.int64)
-
-
-def from_pixels(pixels: np.ndarray, levels: int = 256) -> np.ndarray:
-    """Integer pixels -> [0,1] floats."""
-    return np.asarray(pixels, dtype=np.float64) / (levels - 1)
-
-
-def normalize(frames: np.ndarray) -> np.ndarray:
-    """Per-frame min-max normalization to [0, 1]."""
-    frames = np.asarray(frames, dtype=np.float64)
-    flat = frames.reshape(frames.shape[0], -1)
-    lo = flat.min(axis=1, keepdims=True)
-    hi = flat.max(axis=1, keepdims=True)
-    span = np.where(hi - lo == 0.0, 1.0, hi - lo)
-    return ((flat - lo) / span).reshape(frames.shape)

@@ -20,9 +20,7 @@ from .harness import (
     Measurement,
     format_table,
     measure,
-    measure_all_modes,
     percentile,
-    relative_error,
     summarize_latencies,
 )
 from .faults import (
@@ -80,10 +78,8 @@ __all__ = [
     "generate_fig8",
     "generate_table1",
     "measure",
-    "measure_all_modes",
     "nv_cl_inputs",
     "percentile",
-    "relative_error",
     "summarize_latencies",
     "render_fig7",
     "render_fig8",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -193,20 +193,6 @@ def measure(app_key: str, mode: str, n_frames: int = DEFAULT_FRAMES,
         ioctl_calls=result.ioctl_calls,
         cycles=result.cycles,
     )
-
-
-def measure_all_modes(app_key: str, n_frames: int = DEFAULT_FRAMES,
-                      seed: int = 0) -> Dict[str, Measurement]:
-    """base / pipe / p2p measurements for one configuration."""
-    return {mode: measure(app_key, mode, n_frames=n_frames, seed=seed)
-            for mode in ("base", "pipe", "p2p")}
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """Signed relative deviation of measured vs the paper's value."""
-    if reference == 0:
-        raise ValueError("reference value is zero")
-    return (measured - reference) / reference
 
 
 def format_table(rows, headers) -> str:

@@ -19,15 +19,11 @@ knobs, the observability switches and the faults, and one
    ``fault_seed``;
 8. the sampler (``sampler_interval``), which evaluates the monitor
    on every tick.
-
-A spec round-trips through JSON (:meth:`StackSpec.to_json`,
-:meth:`StackSpec.from_json`), so a stack can be rebuilt from text.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from ..faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
@@ -113,44 +109,6 @@ class StackSpec:
             raise ValueError(f"{', '.join(needs)} need metrics=True")
         if self.trace_capacity is not None and not self.tracing:
             raise ValueError("trace_capacity needs tracing=True")
-
-    def to_json(self) -> str:
-        """The spec as JSON; init fields only (no ``FaultSpec.fired``)."""
-        return json.dumps(_plain(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StackSpec":
-        from ..control import ControlConfig
-        data = _tuples(json.loads(text))
-
-        def load(kind, value):
-            return None if value is None else kind(**value)
-
-        return cls(**{
-            **data,
-            "tenants": tuple(TenantSpec(*t) for t in data["tenants"]),
-            "server": ServerConfig(**data["server"]),
-            "recovery": load(RecoveryPolicy, data["recovery"]),
-            "control": load(ControlConfig, data["control"]),
-            "faults": tuple(FaultSpec(**f) for f in data["faults"]),
-        })
-
-
-def _plain(value):
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name))
-                for f in fields(value) if f.init}
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    return value
-
-
-def _tuples(value):
-    if isinstance(value, dict):
-        return {key: _tuples(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return tuple(_tuples(item) for item in value)
-    return value
 
 
 @dataclass

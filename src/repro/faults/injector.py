@@ -50,16 +50,6 @@ class FaultInjector:
             tile.fault_injector = self
         return self
 
-    @staticmethod
-    def detach(soc) -> None:
-        """Remove any injector from a built SoC."""
-        soc.mesh.fault_injector = None
-        for tile in soc.accelerators.values():
-            tile.fault_injector = None
-            tile.dma.fault_injector = None
-        for tile in soc.memory_map.tiles:
-            tile.fault_injector = None
-
     def _name(self, coord: Coord) -> Optional[str]:
         return self._names_by_coord.get(coord)
 

@@ -4,17 +4,11 @@ from .format import (
     DEFAULT_FORMAT,
     PIXEL_FORMAT,
     FixedFormat,
-    mac_result_format,
 )
 from .array import (
-    fixed_matvec,
-    fixed_relu,
     fixed_sigmoid,
     fixed_softmax,
-    pack_words,
     quantize,
-    roundtrip,
-    unpack_words,
     words_to_flits,
 )
 
@@ -22,14 +16,8 @@ __all__ = [
     "DEFAULT_FORMAT",
     "PIXEL_FORMAT",
     "FixedFormat",
-    "fixed_matvec",
-    "fixed_relu",
     "fixed_sigmoid",
     "fixed_softmax",
-    "mac_result_format",
-    "pack_words",
     "quantize",
-    "roundtrip",
-    "unpack_words",
     "words_to_flits",
 ]

@@ -1,17 +1,14 @@
 """Bit-accurate fixed-point array arithmetic.
 
 The HLS4ML-generated firmware computes layers in fixed point; this
-module provides the matching NumPy reference: quantized matrix-vector
-products, activation functions evaluated on quantized values, and
-pack/unpack helpers that mirror how 16-bit words travel over the 64-bit
-NoC flits of the ESP platform.
+module provides the activation functions evaluated on quantized values
+and the flit count of a packed word transfer over the 64-bit NoC flits
+of the ESP platform.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
-
 import numpy as np
 
 from .format import FixedFormat
@@ -20,29 +17,6 @@ from .format import FixedFormat
 def quantize(values: np.ndarray, fmt: FixedFormat) -> np.ndarray:
     """Quantize an array to ``fmt`` (returns float64 values on the grid)."""
     return fmt.quantize(values)
-
-
-def fixed_matvec(weights: np.ndarray, x: np.ndarray, bias: np.ndarray,
-                 in_fmt: FixedFormat, weight_fmt: FixedFormat,
-                 out_fmt: FixedFormat) -> np.ndarray:
-    """Dense layer in fixed point: ``out = cast(W @ x + b)``.
-
-    Inputs and weights are first snapped to their formats; the
-    accumulation happens in full precision (as HLS does with a wide
-    accumulator) and only the final result is cast to ``out_fmt``.
-    """
-    xq = in_fmt.quantize(x)
-    wq = weight_fmt.quantize(weights)
-    bq = weight_fmt.quantize(bias)
-    acc = wq @ xq
-    # x may be a single vector (n_in,) or a batch (n_in, batch).
-    acc += bq[:, None] if acc.ndim == 2 else bq
-    return out_fmt.quantize(acc)
-
-
-def fixed_relu(x: np.ndarray, fmt: FixedFormat) -> np.ndarray:
-    """ReLU on quantized values (exact in fixed point)."""
-    return fmt.quantize(np.maximum(x, 0.0))
 
 
 @lru_cache(maxsize=None)
@@ -92,48 +66,6 @@ def fixed_softmax(x: np.ndarray, fmt: FixedFormat) -> np.ndarray:
     return fmt.snap(expx, out=expx)
 
 
-def pack_words(raw: np.ndarray, word_bits: int, flit_bits: int) -> np.ndarray:
-    """Pack raw codes into NoC flits (little-endian within the flit).
-
-    This mirrors the wrapper's STORE path: ``word_bits``-wide tokens are
-    packed ``flit_bits // word_bits`` per flit. The final flit is
-    zero-padded.
-    """
-    if flit_bits % word_bits:
-        raise ValueError(
-            f"flit width {flit_bits} not a multiple of word width {word_bits}")
-    per_flit = flit_bits // word_bits
-    raw = np.asarray(raw, dtype=np.int64)
-    mask = (1 << word_bits) - 1
-    codes = raw.astype(np.uint64) & np.uint64(mask)
-    pad = (-len(codes)) % per_flit
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint64)])
-    codes = codes.reshape(-1, per_flit)
-    flits = np.zeros(len(codes), dtype=np.uint64)
-    for lane in range(per_flit):
-        flits |= codes[:, lane] << np.uint64(lane * word_bits)
-    return flits
-
-
-def unpack_words(flits: np.ndarray, count: int, word_bits: int,
-                 flit_bits: int, signed: bool = True) -> np.ndarray:
-    """Inverse of :func:`pack_words`; returns ``count`` raw codes."""
-    if flit_bits % word_bits:
-        raise ValueError(
-            f"flit width {flit_bits} not a multiple of word width {word_bits}")
-    per_flit = flit_bits // word_bits
-    flits = np.asarray(flits, dtype=np.uint64)
-    mask = np.uint64((1 << word_bits) - 1)
-    lanes = [((flits >> np.uint64(lane * word_bits)) & mask)
-             for lane in range(per_flit)]
-    codes = np.stack(lanes, axis=1).reshape(-1)[:count].astype(np.int64)
-    if signed:
-        sign_bit = 1 << (word_bits - 1)
-        codes = np.where(codes >= sign_bit, codes - (1 << word_bits), codes)
-    return codes
-
-
 def words_to_flits(num_words: int, word_bits: int, flit_bits: int) -> int:
     """Number of flits needed to carry ``num_words`` packed words."""
     per_flit = flit_bits // word_bits
@@ -141,17 +73,3 @@ def words_to_flits(num_words: int, word_bits: int, flit_bits: int) -> int:
         raise ValueError(
             f"word width {word_bits} exceeds flit width {flit_bits}")
     return (num_words + per_flit - 1) // per_flit
-
-
-def roundtrip(values: np.ndarray, fmt: FixedFormat, word_bits: int,
-              flit_bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Quantize, pack to flits, unpack; returns (values, flits).
-
-    Used by tests to assert the NoC transport is lossless for any
-    quantized payload.
-    """
-    raw = fmt.to_raw(values)
-    flits = pack_words(raw, word_bits, flit_bits)
-    back = unpack_words(flits, len(raw), word_bits, flit_bits,
-                        signed=fmt.signed)
-    return fmt.from_raw(back), flits

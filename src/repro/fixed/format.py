@@ -85,10 +85,6 @@ class FixedFormat:
                            self.overflow == "saturate" and self.width <= 53)
 
     @property
-    def fraction_bits(self) -> int:
-        return self.width - self.integer_bits
-
-    @property
     def scale(self) -> float:
         """Value of one least-significant bit."""
         return self._scale
@@ -100,18 +96,6 @@ class FixedFormat:
     @property
     def raw_max(self) -> int:
         return self._raw_max
-
-    @property
-    def min_value(self) -> float:
-        return self.raw_min * self.scale
-
-    @property
-    def max_value(self) -> float:
-        return self.raw_max * self.scale
-
-    @property
-    def resolution(self) -> float:
-        return self.scale
 
     def to_raw(self, values: np.ndarray) -> np.ndarray:
         """Quantize real values to integer raw codes (int64).
@@ -177,7 +161,7 @@ class FixedFormat:
         """Quantize a float64 array, optionally clamped below at ``lower``.
 
         ``snap(a) == quantize(a)`` bit for bit, and
-        ``snap(a, lower=0.0) == fixed_relu(quantize(a))``: ``lower``
+        ``snap(a, lower=0.0) == quantize(max(quantize(a), 0))``: ``lower``
         must be on the grid, and quantize is monotone and keeps on-grid
         values, so clamping the raw code at ``lower`` equals clamping
         the quantized value. With ``out`` (``values`` itself, for a
@@ -214,17 +198,6 @@ class FixedFormat:
         scaled *= self._scale
         return scaled
 
-    def representable(self, values: np.ndarray) -> np.ndarray:
-        """Boolean mask of values exactly representable in this format."""
-        values = np.asarray(values, dtype=np.float64)
-        return np.isclose(self.quantize(values), values, rtol=0.0, atol=0.0)
-
-    def quantization_error(self, values: np.ndarray) -> float:
-        """RMS error introduced by quantizing ``values``."""
-        values = np.asarray(values, dtype=np.float64)
-        err = self.quantize(values) - values
-        return float(np.sqrt(np.mean(err * err))) if err.size else 0.0
-
     def __str__(self) -> str:
         kind = "ap_fixed" if self.signed else "ap_ufixed"
         return f"{kind}<{self.width},{self.integer_bits}>"
@@ -250,21 +223,3 @@ DEFAULT_FORMAT = FixedFormat(width=16, integer_bits=6)
 
 #: Unsigned 8-bit pixels, as stored in the SVHN frame buffers.
 PIXEL_FORMAT = FixedFormat(width=8, integer_bits=8, signed=False)
-
-
-def mac_result_format(a: FixedFormat, b: FixedFormat,
-                      terms: int) -> FixedFormat:
-    """Format of a full-precision multiply-accumulate of ``terms`` products.
-
-    Mirrors what HLS infers for ``acc += w * x`` reduction trees before
-    the final cast back to the layer output precision: the product needs
-    ``Wa+Wb`` bits and the accumulation adds ``ceil(log2(terms))`` guard
-    bits on the integer side.
-    """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    guard = int(np.ceil(np.log2(terms))) if terms > 1 else 0
-    width = min(64, a.width + b.width + guard)
-    integer = min(width, a.integer_bits + b.integer_bits + guard)
-    return FixedFormat(width=width, integer_bits=integer,
-                       signed=a.signed or b.signed)

@@ -41,7 +41,6 @@ from .workload import (
     WorkloadSpec,
     burst_windows,
     generate_arrivals,
-    offered_load,
 )
 
 __all__ = [
@@ -57,6 +56,5 @@ __all__ = [
     "build_fleet",
     "burst_windows",
     "generate_arrivals",
-    "offered_load",
     "shard_tenant",
 ]

@@ -263,9 +263,9 @@ def build_fleet(spec: StackSpec, n_instances: int,
     """Stand up a homogeneous fleet: N stacks built from one spec.
 
     Instance ``k`` is named ``i{k}`` and built from ``spec`` under
-    namespace ``i{k}``, so with ``metrics`` on its registry is ready
-    for :func:`repro.metrics.merge_snapshots`, and with ``tracing`` on
-    its tracer for :func:`repro.trace.merge_chrome_traces`. Tenants
+    namespace ``i{k}``, so with ``metrics`` on its families are
+    distinct across instances, and with ``tracing`` on its tracer is
+    ready for :func:`repro.trace.merge_chrome_traces`. Tenants
     shard to ``min(3, n_instances)`` replicas.
     """
     if n_instances < 1:

@@ -168,10 +168,6 @@ class FleetRouter:
                 self._ewma[instance.name] = latency if previous is None \
                     else alpha * latency + (1.0 - alpha) * previous
 
-    def ewma_latency(self, instance: str) -> Optional[float]:
-        """The instance's current latency estimate (None = no signal)."""
-        return self._ewma[instance]
-
     # -- selection ----------------------------------------------------------
 
     def route(self, tenant: str, at: int = 0) -> FleetInstance:

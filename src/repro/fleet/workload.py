@@ -179,19 +179,3 @@ def generate_arrivals(spec: WorkloadSpec) -> List[Arrival]:
                                 n_frames=n_frames,
                                 priority=tenant.priority))
     return arrivals
-
-
-def offered_load(spec: WorkloadSpec, arrivals: List[Arrival]) -> dict:
-    """Summary of what the trace asks of the fleet (for reports)."""
-    by_tenant: dict = {}
-    for arrival in arrivals:
-        entry = by_tenant.setdefault(arrival.tenant,
-                                     {"requests": 0, "frames": 0})
-        entry["requests"] += 1
-        entry["frames"] += arrival.n_frames
-    return {
-        "requests": len(arrivals),
-        "frames": sum(a.n_frames for a in arrivals),
-        "horizon_cycles": spec.horizon_cycles,
-        "by_tenant": by_tenant,
-    }

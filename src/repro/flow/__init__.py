@@ -4,7 +4,6 @@ from .esp4ml import Esp4mlFlow, SoCBundle, auto_grid
 from .keras_bridge import (
     PRESETS,
     TrainingPreset,
-    night_vision_dataset,
     train_classifier,
     train_denoiser,
 )
@@ -16,7 +15,7 @@ from .placement import (
     placement_cost,
     traffic_matrix,
 )
-from .xml_gen import emit_accelerator_xml, parse_accelerator_xml
+from .xml_gen import emit_accelerator_xml
 
 __all__ = [
     "Esp4mlFlow",
@@ -27,11 +26,9 @@ __all__ = [
     "TrainingPreset",
     "auto_grid",
     "emit_accelerator_xml",
-    "night_vision_dataset",
     "optimize_placement",
     "placed_soc_config",
     "placement_cost",
-    "parse_accelerator_xml",
     "traffic_matrix",
     "train_classifier",
     "train_denoiser",

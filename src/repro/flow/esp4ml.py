@@ -7,7 +7,7 @@ Drives the whole path the paper automates:
    directives.tcl).
 2. Generic kernels: SystemC/Stratus-style specs added directly.
 3. SoC integration: floorplan (the ``.esp_config`` GUI step), XML
-   register descriptors, device tree, routing tables.
+   register descriptors, device tree.
 4. "Bitstream": a runnable :class:`~repro.soc.SoCInstance` plus the
    booted software stack (:class:`~repro.runtime.EspRuntime`).
 5. Application generation: dataflow -> ``dflow.h`` + ``user-app.c``.

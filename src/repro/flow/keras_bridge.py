@@ -19,7 +19,7 @@ import numpy as np
 
 from ..accelerators.classifier import classifier_model
 from ..accelerators.denoiser import denoiser_model, TRAINING_NOISE_STDDEV
-from ..datasets import add_gaussian_noise, darken, flatten_frames, generate
+from ..datasets import add_gaussian_noise, flatten_frames, generate
 from ..datasets.svhn import SvhnConfig
 from ..nn import (
     Adam,
@@ -131,10 +131,3 @@ def train_denoiser(preset: str = "fast", seed: int = 0,
     pred = model.predict(noisy_test)
     error = float(np.mean((pred - clean_test) ** 2))
     return model, error
-
-
-def night_vision_dataset(n_frames: int, seed: int = 0,
-                         factor: float = 0.25):
-    """Darkened SVHN frames + labels for the Night-Vision pipeline."""
-    frames, labels = generate(n_frames, seed=seed)
-    return flatten_frames(darken(frames, factor=factor)), labels

@@ -75,12 +75,6 @@ class PlacementResult:
     initial_cost: int
     swaps: int
 
-    @property
-    def improvement(self) -> float:
-        if self.initial_cost == 0:
-            return 0.0
-        return 1.0 - self.cost / self.initial_cost
-
 
 def optimize_placement(slots: Sequence[Coord], devices: Sequence[str],
                        traffic: Dict[Tuple[str, str], int],

@@ -9,7 +9,6 @@ module renders that file for any accelerator spec and parses it back
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import List, Tuple
 
 from ..accelerators.base import AcceleratorSpec
 from ..soc.registers import RegisterFile
@@ -41,14 +40,3 @@ def emit_accelerator_xml(spec: AcceleratorSpec) -> str:
         })
     ET.indent(root)
     return ET.tostring(root, encoding="unicode") + "\n"
-
-
-def parse_accelerator_xml(text: str) -> Tuple[str, List[str]]:
-    """Parse a descriptor back to (module name, register names)."""
-    root = ET.fromstring(text)
-    if root.tag != "module":
-        raise ValueError(f"expected <module> root, got <{root.tag}>")
-    name = root.attrib["name"]
-    registers = [reg.attrib["name"]
-                 for reg in root.findall("./registers/reg")]
-    return name, registers

@@ -25,25 +25,12 @@ from .schedule import (
     sequential_schedule,
     valid_reuse_factor,
 )
-from .timing import (
-    LayerTiming,
-    TimingConstants,
-    TimingReport,
-    ULTRASCALE_PLUS,
-    adder_path_ns,
-    control_path_ns,
-    dense_layer_fmax_mhz,
-    mac_stage_path_ns,
-    memory_stage_path_ns,
-    timing_report_for_model,
-)
 from .directives import (
     Directive,
     DirectiveFile,
     ap_fifo_interface,
     array_partition,
     pipeline,
-    unroll,
 )
 
 __all__ = [
@@ -52,32 +39,21 @@ __all__ = [
     "Directive",
     "DirectiveFile",
     "FpgaDevice",
-    "LayerTiming",
     "LoopSchedule",
     "ResourceEstimate",
-    "TimingConstants",
-    "TimingReport",
-    "ULTRASCALE_PLUS",
     "XCVU9P",
     "XCZU9EG",
     "ZERO_RESOURCES",
-    "adder_path_ns",
     "ap_fifo_interface",
     "array_partition",
     "control_overhead",
-    "control_path_ns",
     "dataflow_schedule",
-    "dense_layer_fmax_mhz",
     "dense_layer_schedule",
-    "mac_stage_path_ns",
     "memory_brams",
-    "memory_stage_path_ns",
     "multiplier_resources",
     "nearest_reuse_factor",
     "pipeline",
     "pipelined_loop_schedule",
     "sequential_schedule",
-    "timing_report_for_model",
-    "unroll",
     "valid_reuse_factor",
 ]

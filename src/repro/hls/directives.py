@@ -9,7 +9,7 @@ produces the same artifacts the paper's toolchain consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,6 @@ class Directive:
 
 def pipeline(location: str, ii: int = 1) -> Directive:
     return Directive("PIPELINE", location, options=f"-II {ii}")
-
-
-def unroll(location: str, factor: Optional[int] = None) -> Directive:
-    options = f"-factor {factor}" if factor else ""
-    return Directive("UNROLL", location, options=options)
 
 
 def array_partition(location: str, variable: str, factor: int,

@@ -67,11 +67,6 @@ class FpgaDevice:
             "dsps": usage.dsps / self.dsps,
         }
 
-    def fits(self, usage: ResourceEstimate) -> bool:
-        util = self.utilization(usage)
-        return all(frac <= 1.0 for frac in util.values())
-
-
 #: Xilinx Virtex Ultrascale+ VU9P (VCU118 board) — the class of "large
 #: Ultrascale+" part the paper notes it used conservatively.
 XCVU9P = FpgaDevice(name="xcvu9p", luts=1_182_240, ffs=2_364_480,

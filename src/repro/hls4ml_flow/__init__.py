@@ -16,17 +16,13 @@ from .codegen import (
     emit_parameters_header,
     emit_weights_header,
 )
-from .report import LayerReport, ModelReport, build_report
-from .importers import from_onnx_graph, from_torch_state, to_onnx_graph
+from .importers import from_onnx_graph, from_torch_state
 
 __all__ = [
     "HlsConfig",
     "HlsDenseLayer",
     "HlsModel",
-    "LayerReport",
-    "ModelReport",
     "build_layer",
-    "build_report",
     "compile_artifacts",
     "compile_model",
     "emit_all",
@@ -36,5 +32,4 @@ __all__ = [
     "emit_weights_header",
     "from_onnx_graph",
     "from_torch_state",
-    "to_onnx_graph",
 ]

@@ -196,10 +196,6 @@ class HlsModel:
     def resources(self) -> ResourceEstimate:
         return self._schedule.resources
 
-    @property
-    def latency_us(self) -> float:
-        return self.latency_cycles / self.clock_mhz
-
     def throughput_fps(self, clock_mhz: Optional[float] = None) -> float:
         """Peak frames/s of the standalone kernel (no I/O overhead)."""
         clock = clock_mhz if clock_mhz is not None else self.clock_mhz

@@ -132,32 +132,3 @@ def from_torch_state(state_dict: Dict[str, np.ndarray],
         fused.append({"name": f"linear_{index}", "weights": weight.T,
                       "bias": bias, "activation": activation})
     return _assemble(name, fused, config)
-
-
-def to_onnx_graph(model: "HlsModel") -> Dict:
-    """Export a compiled model back to the ONNX-like dictionary.
-
-    Round-trips with :func:`from_onnx_graph` (used by tests and by
-    downstream tools that want a framework-neutral dump).
-    """
-    nodes = []
-    initializers = {}
-    prev = "input"
-    for index, layer in enumerate(model.layers):
-        w_name, b_name = f"W{index}", f"B{index}"
-        initializers[w_name] = layer.weights.T.copy()
-        initializers[b_name] = layer.bias.copy()
-        out = f"gemm{index}_out"
-        nodes.append({"op_type": "Gemm", "name": f"gemm{index}",
-                      "inputs": [prev, w_name, b_name],
-                      "outputs": [out]})
-        prev = out
-        if layer.activation != "linear":
-            op = {v: k for k, v in _ONNX_ACTIVATIONS.items()}[
-                layer.activation]
-            act_out = f"act{index}_out"
-            nodes.append({"op_type": op, "inputs": [prev],
-                          "outputs": [act_out]})
-            prev = act_out
-    return {"name": model.name, "nodes": nodes,
-            "initializers": initializers}

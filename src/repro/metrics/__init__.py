@@ -33,7 +33,6 @@ from .registry import (
     MetricsRegistry,
     MetricsSampler,
     attach_metrics,
-    detach_metrics,
 )
 from .collect import (
     instrument_server,
@@ -41,12 +40,9 @@ from .collect import (
     register_soc_collectors,
 )
 from .export import (
-    merge_snapshots,
-    parse_exemplars,
     parse_exposition,
     snapshot,
     to_prometheus,
-    write_snapshot,
 )
 from .health import (
     Alert,
@@ -86,12 +82,9 @@ __all__ = [
     "accelerator_stall_rule",
     "attach_metrics",
     "default_rules",
-    "detach_metrics",
     "instrument_server",
     "latency_burn_rule",
     "link_congestion_rule",
-    "merge_snapshots",
-    "parse_exemplars",
     "parse_exposition",
     "queue_saturation_rule",
     "register_server_collectors",
@@ -104,5 +97,4 @@ __all__ = [
     "stall_threshold",
     "stalled_devices",
     "to_prometheus",
-    "write_snapshot",
 ]

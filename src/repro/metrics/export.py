@@ -14,14 +14,11 @@ Exemplars: histogram buckets that recorded one export an
 OpenMetrics-style suffix on their cumulative ``_bucket`` line —
 ``... 42 # {trace_id="t-7"} 1234`` — linking the bucket straight to a
 request's distributed-trace timeline. :func:`parse_exposition`
-tolerates (and strips) the suffix, keeping its 3-tuple shape;
-:func:`parse_exemplars` returns the exemplar-annotated samples.
+tolerates (and strips) the suffix, keeping its 3-tuple shape.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .registry import MetricsRegistry
@@ -185,7 +182,7 @@ def parse_exposition(text: str) -> List[Sample]:
 
     A deliberately small parser covering what :func:`to_prometheus`
     emits (which is valid text format v0.0.4 plus OpenMetrics exemplar
-    suffixes, which are stripped here — see :func:`parse_exemplars`):
+    suffixes, which are stripped here):
     comments/HELP/TYPE lines are skipped, escaped label values are
     unescaped. Raises ``ValueError`` on a malformed sample line, so
     tests that round-trip a scrape through this are format-conformance
@@ -195,67 +192,6 @@ def parse_exposition(text: str) -> List[Sample]:
             for name, labels, value, _ in _parse_samples(text)]
 
 
-def parse_exemplars(text: str) -> List[Tuple[str, Dict[str, str],
-                                             float, Dict[str, str],
-                                             float]]:
-    """Every exemplar-annotated sample of an exposition.
-
-    Returns ``(name, labels, value, exemplar_labels, exemplar_value)``
-    tuples — ``exemplar_labels["trace_id"]`` is the request timeline a
-    bucket links to.
-    """
-    return [(name, labels, value, ex_labels, ex_value)
-            for name, labels, value, exemplar in _parse_samples(text)
-            if exemplar is not None
-            for ex_labels, ex_value in [exemplar]]
-
-
 def snapshot(registry: MetricsRegistry) -> dict:
     """A JSON-able snapshot (delegates to the registry)."""
     return registry.snapshot()
-
-
-def merge_snapshots(snapshots) -> dict:
-    """Combine per-instance registry snapshots into one fleet snapshot.
-
-    The fleet scrape path: every SoC instance keeps its own registry
-    (its own ``Environment``), and a fleet-wide view concatenates
-    their snapshots. Family names must be globally unique — attach
-    each instance's registry with a distinct ``namespace`` — because
-    two families with the same name from different instances are
-    different totals, and silently keeping either (or summing them)
-    would corrupt the series. A collision therefore raises
-    :class:`~repro.metrics.registry.MetricsError` naming the family,
-    instead of producing a quietly wrong merged snapshot.
-
-    The merged ``cycle`` is the maximum over the parts (instances in a
-    lockstep fleet agree on it anyway).
-    """
-    from .registry import MetricsError
-
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise ValueError("merge_snapshots of no snapshots")
-    families = []
-    owner: Dict[str, int] = {}
-    for index, snap in enumerate(snapshots):
-        for family in snap["families"]:
-            name = family["name"]
-            if name in owner:
-                raise MetricsError(
-                    f"family {name!r} appears in snapshot {owner[name]}"
-                    f" and snapshot {index}: attach each instance's "
-                    f"registry with a distinct namespace before "
-                    f"merging")
-            owner[name] = index
-            families.append(family)
-    return {"cycle": max(s["cycle"] for s in snapshots),
-            "families": families}
-
-
-def write_snapshot(registry: MetricsRegistry, path) -> Path:
-    """Write the JSON snapshot to ``path`` (parents created)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(registry.snapshot(), indent=2) + "\n")
-    return path

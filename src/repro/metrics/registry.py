@@ -95,9 +95,6 @@ class GaugeSeries:
     def inc(self, amount=1) -> None:
         self.value += amount
 
-    def dec(self, amount=1) -> None:
-        self.value -= amount
-
 
 class HistogramSeries:
     """One labeled child of a :class:`Histogram`.
@@ -284,8 +281,8 @@ class MetricsRegistry:
         #: silently collide identical series (``serve_admitted_total``
         #: from instance 0 vs instance 3 are different totals). With
         #: ``namespace="i3"`` the family is ``i3_serve_admitted_total``
-        #: — distinct by construction, and ``merge_snapshots`` /
-        #: :func:`~repro.metrics.export.to_prometheus` need no
+        #: — distinct by construction, and
+        #: :func:`~repro.metrics.export.to_prometheus` needs no
         #: dedup logic. Hot sites are unaffected: they record through
         #: the pre-created attribute families, whatever their names.
         self.namespace = namespace
@@ -578,16 +575,3 @@ def attach_metrics(target,
         return existing
     env.metrics = MetricsRegistry(env, namespace=namespace)
     return env.metrics
-
-
-def detach_metrics(target) -> Optional[MetricsRegistry]:
-    """Detach (and return) the environment's registry, if any.
-
-    After detaching, every instrumentation site is back to its
-    disabled-cost path; the returned registry still holds its series
-    for export.
-    """
-    env = _environment_of(target)
-    registry = getattr(env, "metrics", None)
-    env.metrics = None
-    return registry

@@ -22,7 +22,6 @@ from .model import Sequential
 from .training import (
     Adam,
     History,
-    SGD,
     categorical_crossentropy,
     fit,
     iterate_minibatches,
@@ -35,7 +34,7 @@ from .serialize import (
     model_to_json,
     save_model,
 )
-from .metrics import accuracy, confusion_matrix, psnr, reconstruction_error
+from .metrics import accuracy
 
 __all__ = [
     "Adam",
@@ -46,13 +45,11 @@ __all__ = [
     "History",
     "Layer",
     "ReLU",
-    "SGD",
     "Sequential",
     "Sigmoid",
     "Softmax",
     "accuracy",
     "categorical_crossentropy",
-    "confusion_matrix",
     "fit",
     "inference_layers",
     "iterate_minibatches",
@@ -62,7 +59,5 @@ __all__ = [
     "model_artifacts",
     "model_from_json",
     "model_to_json",
-    "psnr",
-    "reconstruction_error",
     "save_model",
 ]

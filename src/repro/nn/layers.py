@@ -230,12 +230,6 @@ class BatchNormalization(Layer):
         return {"class_name": "BatchNormalization", "name": self.name,
                 "momentum": self.momentum, "eps": self.eps}
 
-    def fold_constants(self):
-        """(scale, shift) so that ``bn(x) = scale * x + shift``."""
-        scale = self.gamma / np.sqrt(self.moving_var + self.eps)
-        shift = self.beta - scale * self.moving_mean
-        return scale, shift
-
 
 class Dropout(Layer):
     """Inverted dropout; active only while training.

@@ -10,35 +10,3 @@ def accuracy(probs: np.ndarray, onehot: np.ndarray) -> float:
     pred = np.argmax(np.atleast_2d(probs), axis=-1)
     truth = np.argmax(np.atleast_2d(onehot), axis=-1)
     return float(np.mean(pred == truth))
-
-
-def reconstruction_error(pred: np.ndarray, target: np.ndarray) -> float:
-    """Relative L2 reconstruction error ("3.1% reconstruction error").
-
-    Defined as ``||pred - target|| / ||target||`` averaged over the
-    batch, which is the conventional autoencoder figure of merit.
-    """
-    pred = np.atleast_2d(pred)
-    target = np.atleast_2d(target)
-    num = np.linalg.norm(pred - target, axis=-1)
-    den = np.linalg.norm(target, axis=-1)
-    den = np.where(den == 0.0, 1.0, den)
-    return float(np.mean(num / den))
-
-
-def psnr(pred: np.ndarray, target: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB (extra denoising metric)."""
-    mse = float(np.mean((np.asarray(pred) - np.asarray(target)) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    return 10.0 * np.log10(peak * peak / mse)
-
-
-def confusion_matrix(probs: np.ndarray, onehot: np.ndarray,
-                     n_classes: int) -> np.ndarray:
-    """Counts[c_true, c_pred] over a batch."""
-    pred = np.argmax(np.atleast_2d(probs), axis=-1)
-    truth = np.argmax(np.atleast_2d(onehot), axis=-1)
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(matrix, (truth, pred), 1)
-    return matrix

@@ -47,24 +47,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Dict[int, Dict[str, np.ndarray]] = {}
-
-    def step(self, model: Sequential) -> None:
-        for layer, key, param, grad in model.trainable():
-            slot = self._velocity.setdefault(id(layer), {})
-            vel = slot.get(key)
-            if vel is None:
-                vel = np.zeros_like(param)
-                slot[key] = vel
-            vel *= self.momentum
-            vel -= self.lr * grad
-            param += vel
-
-
 class Adam(Optimizer):
     def __init__(self, lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:

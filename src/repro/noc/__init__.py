@@ -1,13 +1,7 @@
 """Multi-plane 2D-mesh packet-switched NoC (the ESP interconnect)."""
 
 from .packet import Coord, MessageKind, Packet
-from .routing import (
-    build_routing_table,
-    hop_count,
-    route_hops,
-    routes_are_minimal_and_deadlock_free,
-    xy_route,
-)
+from .routing import hop_count
 from .link import Link
 from .mesh import (
     COH_FORWARD_PLANE,
@@ -20,16 +14,10 @@ from .mesh import (
     Mesh2D,
     NocPlane,
 )
-from .stats import NocReport, collect_report
 from .analysis import (
-    LinkUtilization,
-    average_distance,
     bisection_bandwidth_flits,
     bisection_links,
-    link_utilizations,
-    mesh_diameter,
     saturation_injection_rate,
-    utilization_heatmap,
     zero_load_latency,
 )
 
@@ -43,24 +31,13 @@ __all__ = [
     "DMA_RESPONSE_PLANE",
     "IO_PLANE",
     "Link",
-    "LinkUtilization",
     "Mesh2D",
     "MessageKind",
     "NocPlane",
-    "NocReport",
     "Packet",
-    "average_distance",
     "bisection_bandwidth_flits",
     "bisection_links",
-    "build_routing_table",
-    "collect_report",
     "hop_count",
-    "link_utilizations",
-    "mesh_diameter",
-    "route_hops",
-    "routes_are_minimal_and_deadlock_free",
     "saturation_injection_rate",
-    "utilization_heatmap",
-    "xy_route",
     "zero_load_latency",
 ]

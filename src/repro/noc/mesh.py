@@ -26,14 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim import Environment, Event, Fifo
 from ..sim.kernel import PENDING
 from .link import Link
-from .packet import Coord, MessageKind, Packet
+from .packet import Coord, Packet
 from .routing import route_hops_cached, validate_coord
 
 
@@ -491,50 +489,6 @@ class Mesh2D:
         if sid is not None:
             tracer.end(sid, outcome=outcome)
 
-    # -- vectorized transport (wide-mesh sweeps) ----------------------------
-
-    def bulk_uncontended_latencies(self, srcs: Sequence[Coord],
-                                   dsts: Sequence[Coord],
-                                   size_flits: int,
-                                   plane: str = DMA_REQUEST_PLANE
-                                   ) -> "np.ndarray":
-        """Vectorized end-to-end latencies of uncontended packets.
-
-        For each (src, dst) pair, the cycle count an isolated packet of
-        ``size_flits`` flits takes on an otherwise idle mesh: one
-        router traversal for local ejection, else the wormhole formula
-        ``hops * router_latency + size_flits`` (XY hop count =
-        Manhattan distance). This is the closed form of the callback
-        path behind :meth:`send` with every ``acquire`` immediate —
-        validated against the event-driven path in
-        ``tests/noc/test_vectorized.py`` — and exists for wide-mesh
-        design-space sweeps where simulating millions of uncontended
-        probe packets one event at a time would dominate the sweep.
-        Contended traffic must still go through :meth:`send`; queueing
-        has no closed form.
-        """
-        if size_flits < 1:
-            raise ValueError(f"size_flits must be >= 1, got {size_flits}")
-        if plane not in self.planes:
-            raise ValueError(
-                f"unknown plane {plane!r}; options: {sorted(self.planes)}")
-        src = np.asarray(srcs, dtype=np.int64)
-        dst = np.asarray(dsts, dtype=np.int64)
-        if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
-            raise ValueError("srcs/dsts must be matching (n, 2) coordinate "
-                             f"arrays, got {src.shape} and {dst.shape}")
-        for arr, label in ((src, "src"), (dst, "dst")):
-            if ((arr[:, 0] < 0).any() or (arr[:, 0] >= self.cols).any()
-                    or (arr[:, 1] < 0).any()
-                    or (arr[:, 1] >= self.rows).any()):
-                raise ValueError(f"{label} coordinate out of the "
-                                 f"{self.cols}x{self.rows} mesh")
-        hops = (np.abs(src[:, 0] - dst[:, 0])
-                + np.abs(src[:, 1] - dst[:, 1]))
-        latency = hops * self.router_latency + size_flits
-        # Local ejection: no links, one router traversal, no body drain.
-        return np.where(hops == 0, self.router_latency, latency)
-
     # -- statistics ----------------------------------------------------------
 
     @property
@@ -550,21 +504,8 @@ class Mesh2D:
         return sum(self.outcomes["corrupted"].values())
 
     @property
-    def delivered_by_kind(self) -> Dict[MessageKind, int]:
-        """Delivered packets per message kind, in first-delivery
-        order."""
-        return {MessageKind[name]: count
-                for name, count in self._delivered_by_name.items()}
-
-    @property
     def flit_hops(self) -> int:
         return sum(link.flits_carried for link in self.links.values())
-
-    @property
-    def average_latency(self) -> float:
-        if self.packets_delivered == 0:
-            return 0.0
-        return self.total_latency / self.packets_delivered
 
     def busiest_links(self, top: int = 5) -> List[Link]:
         """The ``top`` links by flits carried, ties in canonical order.

@@ -2,9 +2,6 @@
 
 ESP routes packets with deterministic XY routing; together with the
 decoupled request/response planes this guarantees deadlock freedom.
-The SoC generation flow also emits per-tile routing tables (Sec. IV:
-"generate the appropriate hardware wrappers, including routing
-tables"), reproduced here as explicit next-hop tables.
 
 Invariants
 ----------
@@ -26,17 +23,15 @@ properties, which the simulation's fast paths in turn depend on:
    dependencies within a plane; protocol-level deadlock is ruled out
    separately by the decoupled request/response planes.
 
-Properties 2 and 3 are machine-checked by
-:func:`routes_are_minimal_and_deadlock_free` (exercised over all small
-meshes in ``tests/noc/test_routing.py``); property 1 is pinned by the
+Properties 2 and 3 are machine-checked over all small meshes in
+``tests/noc/test_routing.py``; property 1 is pinned by the
 cache-equivalence tests in ``tests/sim/test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Tuple
 
 Coord = Tuple[int, int]
 Hop = Tuple[Coord, Coord]
@@ -72,11 +67,6 @@ def xy_route_cached(src: Coord, dst: Coord) -> Tuple[Coord, ...]:
     return tuple(path)
 
 
-def xy_route(src: Coord, dst: Coord) -> List[Coord]:
-    """Tile sequence from ``src`` to ``dst``: X first, then Y."""
-    return list(xy_route_cached(src, dst))
-
-
 @lru_cache(maxsize=4096)
 def route_hops_cached(src: Coord, dst: Coord) -> Tuple[Hop, ...]:
     """The (from, to) link hops of the XY route, memoized (immutable)."""
@@ -84,65 +74,6 @@ def route_hops_cached(src: Coord, dst: Coord) -> Tuple[Hop, ...]:
     return tuple(zip(path[:-1], path[1:]))
 
 
-def route_hops(src: Coord, dst: Coord) -> List[Hop]:
-    """The (from, to) link hops of the XY route."""
-    return list(route_hops_cached(src, dst))
-
-
 def hop_count(src: Coord, dst: Coord) -> int:
     """Manhattan distance (number of links traversed)."""
     return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
-
-
-def build_routing_table(tile: Coord, cols: int,
-                        rows: int) -> Dict[Coord, Coord]:
-    """Next-hop table for one tile: destination -> neighbour to forward to.
-
-    This is the artifact the ESP SoC generator bakes into each tile's
-    wrapper. The local tile maps to itself (ejection).
-    """
-    validate_coord(tile, cols, rows)
-    table: Dict[Coord, Coord] = {}
-    for dx in range(cols):
-        for dy in range(rows):
-            dst = (dx, dy)
-            if dst == tile:
-                table[dst] = tile
-            else:
-                table[dst] = xy_route(tile, dst)[1]
-    return table
-
-
-@lru_cache(maxsize=64)
-def routing_tables(cols: int,
-                   rows: int) -> Mapping[Coord, Mapping[Coord, Coord]]:
-    """The next-hop table of every tile of a ``cols`` x ``rows`` mesh,
-    row-major. Built once per geometry and shared read-only by every
-    SoC of that geometry."""
-    return MappingProxyType({
-        (x, y): MappingProxyType(build_routing_table((x, y), cols, rows))
-        for y in range(rows) for x in range(cols)})
-
-
-def routes_are_minimal_and_deadlock_free(cols: int, rows: int) -> bool:
-    """Check the XY invariants over every src/dst pair (test helper).
-
-    XY routing is minimal, and never takes a Y->X turn, which rules out
-    cyclic channel dependencies (the classic turn-model argument).
-    """
-    for sx in range(cols):
-        for sy in range(rows):
-            for dx in range(cols):
-                for dy in range(rows):
-                    src, dst = (sx, sy), (dx, dy)
-                    path = xy_route(src, dst)
-                    if len(path) - 1 != hop_count(src, dst):
-                        return False
-                    turned_to_y = False
-                    for (ax, ay), (bx, by) in zip(path[:-1], path[1:]):
-                        moving_y = ay != by
-                        if turned_to_y and not moving_y:
-                            return False  # illegal Y->X turn
-                        if moving_y:
-                            turned_to_y = True
-    return True

@@ -55,11 +55,6 @@ class Buffer:
         self._check(start, n_words)
         return self.memory_map.read_words(self.offset + start, n_words)
 
-    def word_address(self, index: int = 0) -> int:
-        """Global word address of element ``index`` (for DMA offsets)."""
-        self._check(index, 1)
-        return self.offset + index
-
     def __len__(self) -> int:
         return self.words
 
@@ -74,8 +69,8 @@ class BufferPool:
             buf = pool.alloc(1024, label="req:in")
             ...                    # any exception still frees buf
 
-    Release is idempotent, so buffers freed early (or adopted into the
-    pool after an explicit free) are skipped silently.
+    Release is idempotent, so buffers freed early are skipped
+    silently.
     """
 
     def __init__(self, allocator: "ContigAllocator") -> None:
@@ -84,11 +79,6 @@ class BufferPool:
 
     def alloc(self, n_words: int, label: str = "buf") -> Buffer:
         buffer = self.allocator.alloc(n_words, label=label)
-        self.buffers.append(buffer)
-        return buffer
-
-    def adopt(self, buffer: Buffer) -> Buffer:
-        """Track an externally allocated buffer for release with the pool."""
         self.buffers.append(buffer)
         return buffer
 
@@ -226,16 +216,3 @@ class ContigAllocator:
         self._live.clear()
         self._free_blocks.clear()
         self._cursor = self.base
-
-    @property
-    def live_buffers(self) -> int:
-        return len(self._live)
-
-    @property
-    def words_in_use(self) -> int:
-        return sum(b.words for b in self._live)
-
-    @property
-    def free_list_words(self) -> int:
-        """Words parked on the free list awaiting reuse."""
-        return sum(words for _, words in self._free_blocks)

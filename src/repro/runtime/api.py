@@ -71,6 +71,3 @@ class EspRuntime:
 
     def device_names(self):
         return self.registry.names()
-
-    def device_location(self, name: str):
-        return self.registry.coords_for(name)

@@ -97,21 +97,8 @@ class TileArbiter:
     # -- state inspection ----------------------------------------------------
 
     @property
-    def free_tiles(self) -> FrozenSet[str]:
-        return frozenset(self.tiles - self._busy - self._unavailable)
-
-    @property
     def unavailable_tiles(self) -> FrozenSet[str]:
         return frozenset(self._unavailable)
-
-    @property
-    def readmit_schedule(self) -> Dict[str, int]:
-        """Quarantined tile -> cycle its probation ends (copy)."""
-        return dict(self._readmit_at)
-
-    @property
-    def pending_claims(self) -> int:
-        return len(self._pending)
 
     # -- acquire / release ----------------------------------------------------
 

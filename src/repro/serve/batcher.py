@@ -47,10 +47,6 @@ class Batch:
         return len(self.requests)
 
     @property
-    def real_frames(self) -> int:
-        return sum(r.n_frames for r in self.requests)
-
-    @property
     def total_frames(self) -> int:
         return self.frames.shape[0]
 

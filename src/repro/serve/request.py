@@ -90,11 +90,6 @@ class Completion:
         """Admission-to-dispatch: queueing + batching + arbitration."""
         return self.started_at - self.submitted_at
 
-    @property
-    def service_cycles(self) -> int:
-        """Dispatch-to-complete: the hardware's share."""
-        return self.completed_at - self.started_at
-
 
 @dataclass(frozen=True)
 class Rejection:

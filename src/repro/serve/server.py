@@ -154,11 +154,6 @@ class ServerReport:
         """Request latency per served tenant, in tenant order."""
         return self._by_tenant("latency_cycles")
 
-    @property
-    def queue_by_tenant(self) -> Dict[str, LatencySummary]:
-        """Queueing delay per served tenant, in tenant order."""
-        return self._by_tenant("queue_cycles")
-
     def _by_tenant(self, attribute: str) -> Dict[str, LatencySummary]:
         samples: Dict[str, List[int]] = {}
         for completion in self.completions:

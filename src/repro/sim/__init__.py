@@ -12,12 +12,11 @@ from .kernel import (
     SimulationError,
     Timeout,
 )
-from .channels import Barrier, Fifo, ProgressCounter, Resource, Semaphore
+from .channels import Fifo, ProgressCounter, Resource, Semaphore
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Barrier",
     "Condition",
     "DeadlockError",
     "Environment",

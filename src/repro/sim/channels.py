@@ -78,10 +78,6 @@ class Fifo:
     def is_full(self) -> bool:
         return self.capacity is not None and len(self.items) >= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.items
-
     def put(self, item: Any) -> Event:
         """Enqueue ``item``; the returned event triggers when accepted."""
         event = Event(self.env)
@@ -137,13 +133,6 @@ class Fifo:
                 del self._putters[index]
                 return True
         return False
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the queue is full."""
-        if self.is_full:
-            return False
-        self._accept(item)
-        return True
 
     def try_get(self) -> Any:
         """Non-blocking get; returns None when the queue is empty."""
@@ -221,10 +210,6 @@ class Resource:
     @property
     def in_use(self) -> int:
         return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def acquire(self) -> Event:
         """Request a slot; the event triggers when the slot is granted."""
@@ -394,24 +379,3 @@ class ProgressCounter:
     def waiters(self) -> tuple:
         """(threshold, event) pairs still below the counter value."""
         return tuple(self._waiters)
-
-
-class Barrier:
-    """A reusable barrier for ``parties`` processes (pthread_barrier)."""
-
-    def __init__(self, env: Environment, parties: int) -> None:
-        if parties < 1:
-            raise ValueError(f"parties must be >= 1, got {parties}")
-        self.env = env
-        self.parties = parties
-        self._waiting: List[Event] = []
-
-    def wait(self) -> Event:
-        event = Event(self.env)
-        event.wait_reason = f"wait on barrier of {self.parties}"
-        self._waiting.append(event)
-        if len(self._waiting) >= self.parties:
-            waiting, self._waiting = self._waiting, []
-            for waiter in waiting:
-                waiter.succeed()
-        return event

@@ -57,7 +57,7 @@ Batched dispatch and fast-forward
 
 ``run()`` drains events in *cycle batches*: advancing the clock moves
 the whole calendar bucket into the ready deque in one operation and
-dispatches it inline, without re-entering ``step()``/``peek()`` per
+dispatches it inline, without re-entering ``step()`` per
 event — the stop-time comparison happens once per distinct cycle, not
 once per event. When the next occupied cycle lies beyond the ``until``
 horizon, :meth:`Environment.run` **fast-forwards**: it sets the clock
@@ -65,9 +65,7 @@ to the horizon in O(1), skipping the whole idle span. This is sound
 for the event-driven model by construction — a span with no scheduled
 event is a span in which provably nothing happens (no link transfer,
 no process wake-up), because every state change in this kernel is the
-callback of a scheduled event. :meth:`Environment.fast_forward` makes
-the same jump available to coordinators (the fleet's lockstep
-``advance_to``) with the emptiness precondition checked.
+callback of a scheduled event.
 """
 
 from __future__ import annotations
@@ -428,8 +426,8 @@ class Environment:
     - ``_times`` — min-heap over the distinct keys of ``_buckets``.
 
     Subclasses that need different storage (the reference single-heap
-    oracle in the equivalence tests) override ``_schedule``, ``peek``,
-    ``step`` and ``run``; ``Event.succeed`` additionally appends to
+    oracle in the equivalence tests) override ``_schedule``, ``step``
+    and ``run``; ``Event.succeed`` additionally appends to
     ``_ready`` directly, so such subclasses substitute ``_ready`` with
     a shim object exposing ``append``/``__bool__``/``__len__``.
     """
@@ -466,10 +464,6 @@ class Environment:
     def now(self) -> int:
         """Current simulated time (clock cycles)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_proc
 
     # -- event factories -------------------------------------------------
 
@@ -511,17 +505,6 @@ class Environment:
         return [(p, p.target) for p in self._processes
                 if p.target is not None]
 
-    def deadlock_report(self) -> str:
-        """Human-readable listing of every blocked process."""
-        blocked = self.blocked_processes()
-        if not blocked:
-            return "no blocked processes"
-        lines = []
-        for proc, target in blocked:
-            reason = getattr(target, "wait_reason", None) or repr(target)
-            lines.append(f"process {proc.name!r} blocked on {reason}")
-        return "\n".join(lines)
-
     # -- scheduling / running --------------------------------------------
 
     def _schedule(self, event: Event, delay: int = 0) -> None:
@@ -541,14 +524,6 @@ class Environment:
                 bucket.append(event)
         else:
             self._ready.append(event)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        if self._ready:
-            return self._now
-        if self._times:
-            return self._times[0]
-        return float("inf")
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -576,27 +551,6 @@ class Environment:
             callback(event)
         if not event._ok and not getattr(event, "__sim_defused__", False):
             raise event._value
-
-    def fast_forward(self, cycle: int) -> None:
-        """Jump the clock to ``cycle`` without dispatching anything.
-
-        O(1). Legal only when the span ``(now, cycle]`` is provably
-        empty of scheduled work — no ready event and no calendar
-        bucket at or before ``cycle``; in the event-driven model that
-        *is* the proof that nothing happens in the span (every state
-        change is the callback of a scheduled event, and an idle NoC
-        link or a parked single waiter cannot spontaneously generate
-        one). Raises :class:`SimulationError` when the precondition
-        does not hold, so a coordinator cannot silently skip work.
-        """
-        if cycle < self._now:
-            raise ValueError(
-                f"fast_forward to {cycle} is in the past (now={self._now})")
-        if self._ready or (self._times and self._times[0] <= cycle):
-            raise SimulationError(
-                f"fast_forward({cycle}) would skip a scheduled event "
-                f"(next at {self.peek()})")
-        self._now = cycle
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run until the queue drains, a time is reached, or an event fires.

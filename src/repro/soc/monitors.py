@@ -77,11 +77,6 @@ def _combine(a, b, op, **overrides):
     return replace(a, **values)
 
 
-def _minus(end, start):
-    """``end - start``; a counter the tile lacks (None) stays None."""
-    return None if end is None else end - (start or 0)
-
-
 @dataclass(frozen=True)
 class MemoryCounters:
     coord: tuple
@@ -171,50 +166,6 @@ def activity_delta(before: Dict[str, TileActivity],
             raise KeyError(f"no 'before' snapshot for {name!r}")
         out[name] = _combine(end, start, operator.sub)
     return out
-
-
-def monitor_delta(before: MonitorReport,
-                  after: MonitorReport) -> MonitorReport:
-    """Counter-wise ``after - before``: the activity of one interval.
-
-    Back-to-back pipelines on one SoC share cumulative counters; the
-    delta of two :func:`read_monitors` snapshots attributes activity to
-    the run between them. Utilization is recomputed from the busy-cycle
-    delta over the elapsed-cycle delta.
-    """
-    elapsed = after.elapsed_cycles - before.elapsed_cycles
-    if elapsed < 0:
-        raise ValueError("'after' snapshot precedes 'before'")
-    before_acc = {a.device: a for a in before.accelerators}
-    accelerators = []
-    for acc in after.accelerators:
-        base = before_acc.get(acc.device)
-        if base is None:
-            raise KeyError(f"no 'before' snapshot for {acc.device!r}")
-        busy = acc.busy_cycles - base.busy_cycles
-        accelerators.append(_combine(
-            acc, base, operator.sub,
-            utilization=busy / elapsed if elapsed else 0.0))
-    before_mem = {m.coord: m for m in before.memories}
-    memories = []
-    for mem in after.memories:
-        base = before_mem.get(mem.coord)
-        if base is None:
-            raise KeyError(f"no 'before' snapshot for memory {mem.coord}")
-        memories.append(_combine(mem, base, _minus))
-    plane_flits = {name: after.noc_plane_flits.get(name, 0)
-                   - before.noc_plane_flits.get(name, 0)
-                   for name in after.noc_plane_flits}
-    return MonitorReport(
-        elapsed_cycles=elapsed,
-        clock_mhz=after.clock_mhz,
-        accelerators=accelerators,
-        memories=memories,
-        noc_flit_hops=after.noc_flit_hops - before.noc_flit_hops,
-        noc_packets=after.noc_packets - before.noc_packets,
-        noc_plane_flits=plane_flits,
-        busiest_link=after.busiest_link,
-    )
 
 
 def read_monitors(soc: SoCInstance) -> MonitorReport:

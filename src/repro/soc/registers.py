@@ -179,8 +179,5 @@ class RegisterFile:
     def p2p_config(self) -> P2PConfig:
         return P2PConfig.decode(self._values[P2P_REG])
 
-    def set_p2p(self, config: P2PConfig) -> None:
-        self.write(P2P_REG, config.encode())
-
     def location(self) -> Coord:
         return decode_location(self._values[LOCATION_REG])

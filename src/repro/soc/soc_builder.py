@@ -4,17 +4,17 @@ The ESP flow takes the validated configuration, generates wrappers,
 routing tables, the FPGA bitstream and a bootable Linux image (paper
 Sec. IV). Here generation produces a :class:`SoCInstance`: a live
 simulation with all tiles instantiated on the NoC, ready to execute
-software through the runtime layer.
+software through the runtime layer; XY routing stands in for the
+routing tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..hls import ResourceEstimate
-from ..noc import Mesh2D, NocReport, collect_report
-from ..noc.routing import routing_tables
+from ..noc import Mesh2D
 from ..sim import Environment
 from .accelerator import AcceleratorTile
 from .config import SoCConfig
@@ -49,21 +49,8 @@ class SoCInstance:
     aux_tiles: List[AuxTile]
 
     @property
-    def routing_tables(self) -> Mapping[Coord, Mapping[Coord, Coord]]:
-        """Per-tile next-hop tables, built on first access and shared
-        read-only by every SoC of the same mesh geometry."""
-        return routing_tables(self.config.cols, self.config.rows)
-
-    @property
     def clock_mhz(self) -> float:
         return self.config.clock_mhz
-
-    def cycles_to_seconds(self, cycles: int) -> float:
-        return cycles / (self.clock_mhz * 1e6)
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.cycles_to_seconds(self.env.now)
 
     def run(self, until=None):
         """Advance the simulation (delegates to the environment)."""
@@ -82,9 +69,6 @@ class SoCInstance:
         for _ in range(unassigned):
             total = total + TILE_OVERHEAD["empty"]
         return total
-
-    def noc_report(self) -> NocReport:
-        return collect_report(self.mesh)
 
     def dram_accesses(self) -> int:
         """Total DRAM words moved (Fig. 8 metric)."""

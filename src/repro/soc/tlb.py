@@ -2,10 +2,9 @@
 
 ESP accelerators address their data through a per-tile TLB holding the
 scatter-gather list of the (physically scattered, virtually contiguous)
-buffer allocated by ``esp_alloc`` (paper Sec. IV and [15]). The driver
-preloads the TLB when it configures the accelerator, so steady-state
-DMA transactions translate with a small fixed latency; a cold entry
-costs a page-table walk to memory.
+buffer allocated by ``esp_alloc`` (paper Sec. IV and [15]). A warm
+entry translates with a small fixed latency; a cold entry costs a
+page-table walk to memory.
 
 The paper's p2p support required "minor modifications" to this TLB —
 here, p2p transactions bypass translation entirely (the payload rides
@@ -30,14 +29,6 @@ class Tlb:
         self._entries: Set[int] = set()
         self.hits = 0
         self.misses = 0
-
-    def preload(self, offset_words: int, n_words: int) -> None:
-        """Driver-side TLB fill for a buffer (done at configuration)."""
-        if n_words <= 0:
-            return
-        first = offset_words // self.page_words
-        last = (offset_words + n_words - 1) // self.page_words
-        self._entries.update(range(first, last + 1))
 
     def flush(self) -> None:
         self._entries.clear()

@@ -50,30 +50,6 @@ def picoseconds_per_cycle(clock_mhz: float) -> int:
     return max(1, round(1e6 / clock_mhz))
 
 
-def parse_vcd_timescale(vcd: str) -> Tuple[int, str]:
-    """Round-trip check helper: the ``(magnitude, unit)`` of a VCD.
-
-    Parses the ``$timescale`` declaration out of VCD text; raises
-    ``ValueError`` when the declaration is missing or malformed.
-    """
-    for line in vcd.splitlines():
-        line = line.strip()
-        if not line.startswith("$timescale"):
-            continue
-        body = line[len("$timescale"):].replace("$end", "").strip()
-        for index, ch in enumerate(body):
-            if not ch.isdigit():
-                magnitude, unit = body[:index], body[index:].strip()
-                break
-        else:
-            raise ValueError(f"malformed $timescale: {line!r}")
-        if not magnitude or unit not in ("s", "ms", "us", "ns", "ps",
-                                         "fs"):
-            raise ValueError(f"malformed $timescale: {line!r}")
-        return int(magnitude), unit
-    raise ValueError("no $timescale declaration found")
-
-
 def emit_vcd(soc: SoCInstance, include_links: bool = True,
              max_links: int = 16) -> str:
     """Render the run as VCD text.

@@ -22,13 +22,11 @@ from .tracer import (
     Span,
     Tracer,
     attach_tracer,
-    detach_tracer,
 )
 from .context import (
     TraceContext,
     TraceIdAllocator,
     batch_trace_ids,
-    primary_trace_id,
 )
 from .store import DeviceSpan, device_spans
 from .export import (
@@ -43,7 +41,6 @@ from .critical_path import (
     AttributionReport,
     AttributionSegment,
     GROUP_PRECEDENCE,
-    analyze_request,
     analyze_run,
     analyze_span,
     attribute_interval,
@@ -81,19 +78,16 @@ __all__ = [
     "TraceContext",
     "TraceIdAllocator",
     "Tracer",
-    "analyze_request",
     "analyze_run",
     "analyze_span",
     "attach_tracer",
     "attribute_interval",
     "batch_trace_ids",
-    "detach_tracer",
     "device_spans",
     "flame_summary",
     "group_of",
     "load_trace",
     "merge_chrome_traces",
-    "primary_trace_id",
     "query_trace",
     "to_chrome_trace",
     "trace_ids_in",

@@ -36,7 +36,7 @@ between grant and release exactly one tenant owns a tile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,6 @@ class TraceIdAllocator:
         self.prefix = prefix
         self._next = 0
 
-    @property
-    def allocated(self) -> int:
-        """How many IDs this allocator has handed out."""
-        return self._next
-
     def next_id(self) -> str:
         """The next ID string (advances the counter)."""
         n = self._next
@@ -103,9 +98,3 @@ def batch_trace_ids(requests) -> Tuple[str, ...]:
     """
     return tuple(r.trace_ctx.trace_id for r in requests
                  if getattr(r, "trace_ctx", None) is not None)
-
-
-def primary_trace_id(requests) -> Optional[str]:
-    """The batch's primary (first member's) trace ID, if any."""
-    ids = batch_trace_ids(requests)
-    return ids[0] if ids else None

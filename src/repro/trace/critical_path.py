@@ -188,9 +188,3 @@ def analyze_run(tracer: Tracer, index: int = 0) -> AttributionReport:
     """Attribute the index-th ``runtime.run`` span (one esp_run)."""
     return analyze_span(tracer, tracer.find_span("runtime.run",
                                                  index=index))
-
-
-def analyze_request(tracer: Tracer, index: int = 0) -> AttributionReport:
-    """Attribute the index-th ``serve.request`` span end to end."""
-    return analyze_span(tracer, tracer.find_span("serve.request",
-                                                 index=index))

@@ -180,7 +180,7 @@ def merge_chrome_traces(tracers: Mapping[str, Tracer],
     ``tracers`` maps a namespace to each instance's tracer; the
     namespace becomes the track prefix (``"{ns}/{pid}"``). A tracer
     that carries its own ``namespace`` must agree with its key —
-    mismatches raise, mirroring ``merge_snapshots`` for metrics.
+    mismatches raise.
     ``decisions`` (the fleet router's ``RouterDecision`` log) export
     as instants on a shared ``router`` track, each carrying the
     ``trace_id`` it minted for the routed request.

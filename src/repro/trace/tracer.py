@@ -416,16 +416,3 @@ def attach_tracer(target, namespace: Optional[str] = None,
             f"{tracer.namespace!r}; refusing to re-attach as "
             f"{namespace!r}")
     return tracer
-
-
-def detach_tracer(target) -> Optional[Tracer]:
-    """Detach (and return) the environment's tracer, if any.
-
-    After detaching, every instrumentation site is back to its
-    disabled-cost path; the returned tracer still holds its records
-    for export.
-    """
-    env = _environment_of(target)
-    tracer = getattr(env, "tracer", None)
-    env.tracer = None
-    return tracer

@@ -19,7 +19,7 @@ from repro.fixed import DEFAULT_FORMAT, FixedFormat
 from repro.hls4ml_flow import HlsModel, build_layer
 
 LSB = DEFAULT_FORMAT.scale
-LIMIT = DEFAULT_FORMAT.max_value
+LIMIT = DEFAULT_FORMAT.raw_max * DEFAULT_FORMAT.scale
 
 KERNELS = {"classifier": classifier_spec(), "denoiser": denoiser_spec()}
 KERNELS.update((spec.name, spec) for spec in partition_classifier())

@@ -3,11 +3,88 @@
 import numpy as np
 import pytest
 
-from repro.accelerators import night_vision_spec, night_vision_stage_specs
+from repro.accelerators import (
+    AcceleratorSpec,
+    night_vision_spec,
+    noise_filter_kernel,
+)
 from repro.accelerators.nightvision import HISTOGRAM_BINS
 from repro.datasets import FRAME_PIXELS, darken, flatten_frames, generate
+from repro.fixed import DEFAULT_FORMAT, FixedFormat
+from repro.hls import (
+    ResourceEstimate,
+    pipelined_loop_schedule,
+    sequential_schedule,
+)
 from repro.runtime import chain
+from tests.accelerators.nightvision import (
+    histogram_equalization_kernel,
+    histogram_kernel,
+)
 from tests.conftest import make_runtime
+
+
+def night_vision_stage_specs(fmt: FixedFormat = DEFAULT_FORMAT):
+    """The three Night-Vision kernels as *separate* accelerator tiles.
+
+    Fig. 1 of the paper draws the vision kernels as individual boxes
+    that the NoC chains together; the evaluation fuses them into one
+    tile (:func:`night_vision_spec`), but the flow supports either
+    mapping. Because the equalization kernel needs both the filtered
+    frame and its histogram, the histogram stage forwards the frame
+    alongside the 64 bin counts (1024 + 64 = 1088 words).
+    """
+    def filter_stage_compute(frame: np.ndarray) -> np.ndarray:
+        return noise_filter_kernel(frame, fmt)
+
+    def hist_stage_compute(frame: np.ndarray) -> np.ndarray:
+        hist = histogram_kernel(frame)
+        return np.concatenate([np.asarray(frame, dtype=np.float64),
+                               hist])
+
+    def eq_stage_compute(packed: np.ndarray) -> np.ndarray:
+        frame = packed[:FRAME_PIXELS]
+        hist = packed[FRAME_PIXELS:]
+        return histogram_equalization_kernel(frame, hist, fmt)
+
+    window_cost = ResourceEstimate(luts=9_500, ffs=8_800, brams=6)
+    filter_sched = pipelined_loop_schedule(FRAME_PIXELS, interval=3,
+                                           depth=12,
+                                           body_resources=window_cost)
+    hist_cost = ResourceEstimate(luts=2_500, ffs=2_400, brams=2)
+    hist_sched = pipelined_loop_schedule(FRAME_PIXELS, interval=2, depth=4,
+                                         body_resources=hist_cost)
+    eq_cost = ResourceEstimate(luts=5_000, ffs=4_200, brams=4)
+    eq_sched = sequential_schedule(
+        pipelined_loop_schedule(HISTOGRAM_BINS, interval=1, depth=4),
+        pipelined_loop_schedule(FRAME_PIXELS, interval=3, depth=6,
+                                body_resources=eq_cost))
+
+    return [
+        AcceleratorSpec(
+            name="nv_filter", input_words=FRAME_PIXELS,
+            output_words=FRAME_PIXELS, compute=filter_stage_compute,
+            latency_cycles=filter_sched.latency,
+            interval_cycles=filter_sched.interval,
+            resources=filter_sched.resources, word_bits=fmt.width,
+            design_flow="stratus"),
+        AcceleratorSpec(
+            name="nv_histogram", input_words=FRAME_PIXELS,
+            output_words=FRAME_PIXELS + HISTOGRAM_BINS,
+            compute=hist_stage_compute,
+            latency_cycles=hist_sched.latency,
+            interval_cycles=hist_sched.interval,
+            resources=hist_sched.resources, word_bits=fmt.width,
+            design_flow="stratus"),
+        AcceleratorSpec(
+            name="nv_equalize",
+            input_words=FRAME_PIXELS + HISTOGRAM_BINS,
+            output_words=FRAME_PIXELS, compute=eq_stage_compute,
+            latency_cycles=eq_sched.latency,
+            interval_cycles=eq_sched.interval,
+            resources=eq_sched.resources, word_bits=fmt.width,
+            design_flow="stratus"),
+    ]
 
 
 @pytest.fixture(scope="module")

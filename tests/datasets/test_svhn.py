@@ -7,12 +7,25 @@ from repro.datasets import (
     FRAME_SIDE,
     N_CLASSES,
     SvhnConfig,
-    all_glyphs,
     generate,
     generate_frame,
     glyph,
-    splits,
 )
+
+
+def all_glyphs():
+    return np.stack([glyph(digit) for digit in range(10)])
+
+
+def splits(n_train: int, n_test: int, n_extra: int = 0, seed: int = 0,
+           config: SvhnConfig = SvhnConfig()):
+    """Train/test/extra splits, mirroring SVHN's three-way structure."""
+    train = generate(n_train, seed=seed, config=config)
+    test = generate(n_test, seed=seed + 1, config=config)
+    if n_extra:
+        extra = generate(n_extra, seed=seed + 2, config=config)
+        return train, test, extra
+    return train, test
 
 
 class TestGlyphs:

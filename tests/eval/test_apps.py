@@ -36,7 +36,8 @@ class TestSoCBuilders:
 
     def test_soc1_fits_device(self):
         from repro.hls import XCVU9P
-        assert XCVU9P.fits(build_soc1().resources())
+        usage = XCVU9P.utilization(build_soc1().resources())
+        assert max(usage.values()) <= 1.0
 
 
 class TestDataflows:

@@ -13,7 +13,6 @@ from repro.eval import (
     generate_fig8,
     generate_table1,
     measure,
-    measure_all_modes,
     render_fig7,
     render_fig8,
     render_table1,
@@ -135,7 +134,8 @@ class TestFig8:
 
 class TestMeasurement:
     def test_measure_all_modes(self):
-        results = measure_all_modes("1nv_1cl", n_frames=4)
+        results = {mode: measure("1nv_1cl", mode, n_frames=4)
+                   for mode in ("base", "pipe", "p2p")}
         assert set(results) == {"base", "pipe", "p2p"}
         assert all(r.fps > 0 for r in results.values())
 
@@ -144,6 +144,7 @@ class TestMeasurement:
             measure("8nv_8cl", "p2p")
 
     def test_ioctl_counts(self):
-        results = measure_all_modes("1nv_1cl", n_frames=4)
+        results = {mode: measure("1nv_1cl", mode, n_frames=4)
+                   for mode in ("base", "pipe", "p2p")}
         assert results["base"].ioctl_calls == 8    # 2 devices x 4 frames
         assert results["p2p"].ioctl_calls == 2

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.eval import Measurement, format_table, measure, relative_error
+from repro.eval import Measurement, format_table, measure
+
+
+def relative_error(measured: float, reference: float) -> float:
+    """Signed relative deviation of measured vs the paper's value."""
+    if reference == 0:
+        raise ValueError("reference value is zero")
+    return (measured - reference) / reference
 
 
 class TestFormatTable:

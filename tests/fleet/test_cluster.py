@@ -29,8 +29,8 @@ from repro.fleet import (
     build_fleet,
     generate_arrivals,
 )
-from repro.metrics import merge_snapshots
 from repro.serve import ServerConfig
+from tests.metrics.merge import merge_snapshots
 
 # The bench_perf seed pins (tests must not import from benchmarks/).
 PIN_P2P = 77460

@@ -161,7 +161,7 @@ class TestLatencyAware:
             picked = router.route("t")
             if picked is stalled:
                 stalled.backlog += 3_000
-        assert router.ewma_latency("i1") is None
+        assert router._ewma["i1"] is None
         # Once its backlog exceeds the healthy EWMA, every further
         # decision must go to the healthy instance.
         later = [router.route("t").name for _ in range(10)]
@@ -175,7 +175,7 @@ class TestLatencyAware:
         fleet[1].complete(4_000)
         router.observe()
         assert router.route("t").name == "i0"
-        assert router.ewma_latency("i0") == 1_000.0
+        assert router._ewma["i0"] == 1_000.0
 
     def test_ewma_folds_with_alpha(self):
         fleet = stubs(1)
@@ -185,7 +185,7 @@ class TestLatencyAware:
         router.observe()
         fleet[0].complete(2_000)
         router.observe()
-        assert router.ewma_latency("i0") \
+        assert router._ewma["i0"] \
             == pytest.approx(0.25 * 2_000 + 0.75 * 1_000)
 
     def test_observe_consumes_each_completion_once(self):
@@ -194,7 +194,7 @@ class TestLatencyAware:
         fleet[0].complete(1_000)
         router.observe()
         router.observe()   # nothing new: EWMA must not move
-        assert router.ewma_latency("i0") == 1_000.0
+        assert router._ewma["i0"] == 1_000.0
 
 
 class TestDecisionLog:

@@ -8,8 +8,23 @@ from repro.fleet import (
     WorkloadSpec,
     burst_windows,
     generate_arrivals,
-    offered_load,
 )
+
+
+def offered_load(spec: WorkloadSpec, arrivals) -> dict:
+    """Summary of what the trace asks of the fleet."""
+    by_tenant: dict = {}
+    for arrival in arrivals:
+        entry = by_tenant.setdefault(arrival.tenant,
+                                     {"requests": 0, "frames": 0})
+        entry["requests"] += 1
+        entry["frames"] += arrival.n_frames
+    return {
+        "requests": len(arrivals),
+        "frames": sum(a.n_frames for a in arrivals),
+        "horizon_cycles": spec.horizon_cycles,
+        "by_tenant": by_tenant,
+    }
 
 
 def spec_of(**overrides):

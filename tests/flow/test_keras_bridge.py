@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.flow import PRESETS, night_vision_dataset, train_classifier, train_denoiser
+from repro.datasets import darken, flatten_frames, generate
+from repro.flow import PRESETS, train_classifier, train_denoiser
 from repro.flow.keras_bridge import TrainingPreset
+
+
+def night_vision_dataset(n_frames: int, seed: int = 0,
+                         factor: float = 0.25):
+    """Darkened SVHN frames + labels for the Night-Vision pipeline."""
+    frames, labels = generate(n_frames, seed=seed)
+    return flatten_frames(darken(frames, factor=factor)), labels
 
 
 class TestPresets:

@@ -117,8 +117,7 @@ class TestOptimizer:
         slots = [(0, 0), (1, 0), (2, 0), (3, 0)]
         result = optimize_placement(slots, ["a", "b", "c", "d"], traffic,
                                     memory_coord=(0, 1))
-        assert 0.0 <= result.improvement <= 1.0
-        assert result.cost <= result.initial_cost
+        assert 0 <= result.cost <= result.initial_cost
 
 
 class TestPlacedSoC:

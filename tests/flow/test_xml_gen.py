@@ -1,9 +1,23 @@
 """Tests for accelerator XML descriptor generation."""
 
+import xml.etree.ElementTree as ET
+from typing import List, Tuple
+
 import pytest
 
-from repro.flow import emit_accelerator_xml, parse_accelerator_xml
+from repro.flow import emit_accelerator_xml
 from tests.conftest import make_spec
+
+
+def parse_accelerator_xml(text: str) -> Tuple[str, List[str]]:
+    """Parse a descriptor back to (module name, register names)."""
+    root = ET.fromstring(text)
+    if root.tag != "module":
+        raise ValueError(f"expected <module> root, got <{root.tag}>")
+    name = root.attrib["name"]
+    registers = [reg.attrib["name"]
+                 for reg in root.findall("./registers/reg")]
+    return name, registers
 
 
 class TestEmit:

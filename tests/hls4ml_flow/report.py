@@ -1,12 +1,13 @@
-"""Synthesis-style reports for compiled models (HLS report substitute)."""
+"""Synthesis-style reports for compiled models (HLS report substitute),
+which no flow step writes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..hls import FpgaDevice, ResourceEstimate, XCVU9P
-from .hls_model import HlsModel
+from repro.hls import FpgaDevice, ResourceEstimate, XCVU9P
+from repro.hls4ml_flow import HlsModel
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 from repro.hls4ml_flow import (
     HlsConfig,
-    build_report,
     compile_model,
     emit_all,
     emit_compute_cpp,
@@ -10,6 +9,7 @@ from repro.hls4ml_flow import (
     emit_parameters_header,
     emit_weights_header,
 )
+from tests.hls4ml_flow.report import build_report
 from repro.nn import Dense, ReLU, Sequential, Softmax
 
 

@@ -8,9 +8,36 @@ from repro.hls4ml_flow import (
     compile_model,
     from_onnx_graph,
     from_torch_state,
-    to_onnx_graph,
 )
 from repro.nn import Dense, ReLU, Sequential, Softmax
+
+
+def to_onnx_graph(model) -> dict:
+    """Export a compiled model back to the ONNX-like dictionary.
+
+    Round-trips with :func:`from_onnx_graph`.
+    """
+    nodes = []
+    initializers = {}
+    prev = "input"
+    for index, layer in enumerate(model.layers):
+        w_name, b_name = f"W{index}", f"B{index}"
+        initializers[w_name] = layer.weights.T.copy()
+        initializers[b_name] = layer.bias.copy()
+        out = f"gemm{index}_out"
+        nodes.append({"op_type": "Gemm", "name": f"gemm{index}",
+                      "inputs": [prev, w_name, b_name],
+                      "outputs": [out]})
+        prev = out
+        if layer.activation != "linear":
+            op = {"relu": "Relu", "sigmoid": "Sigmoid",
+                  "softmax": "Softmax"}[layer.activation]
+            act_out = f"act{index}_out"
+            nodes.append({"op_type": op, "inputs": [prev],
+                          "outputs": [act_out]})
+            prev = act_out
+    return {"name": model.name, "nodes": nodes,
+            "initializers": initializers}
 
 
 def reference_model(seed=0):

@@ -4,11 +4,20 @@ import pytest
 
 from repro.metrics import (
     MetricsRegistry,
-    parse_exemplars,
     parse_exposition,
     to_prometheus,
 )
+from repro.metrics.export import _parse_samples
 from repro.sim import Environment
+
+
+def parse_exemplars(text: str):
+    """Every exemplar-annotated sample of an exposition, as
+    ``(name, labels, value, exemplar_labels, exemplar_value)``."""
+    return [(name, labels, value, ex_labels, ex_value)
+            for name, labels, value, exemplar in _parse_samples(text)
+            if exemplar is not None
+            for ex_labels, ex_value in [exemplar]]
 
 
 def fresh_registry():
@@ -184,16 +193,13 @@ class TestExemplars:
         assert parse_exemplars(text) == []
 
 
-def test_snapshot_is_json_serializable(tmp_path):
+def test_snapshot_is_json_serializable():
     import json
-
-    from repro.metrics import write_snapshot
 
     registry = fresh_registry()
     registry.noc_packets.labels("dma-req").inc()
     registry.serve_request_cycles.labels("t").observe(7)
-    path = write_snapshot(registry, tmp_path / "snap.json")
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(json.dumps(registry.snapshot()))
     assert loaded["cycle"] == 0
     assert any(f["name"] == "noc_packets_total"
                for f in loaded["families"])

@@ -26,7 +26,7 @@ from repro.soc import read_monitors
 #: Smoke pins from benchmarks/bench_perf.py — the seed behaviour the
 #: instrumented runs must land on exactly.
 PIPE_FRAMES = 8
-PINS = {"p2p": (24270, 1478), "dma": (28073, 2618)}
+PINS = {"p2p": (24270, 1478), "dma": (28073, 2618), "serve": (17066, 764)}
 
 
 def run_pipeline(mode, instrumented):
@@ -76,7 +76,7 @@ class TestPassiveIdentity:
     def test_serve_trace_bit_identical(self):
         bare = run_serve(instrumented=False)
         instrumented = run_serve(instrumented=True)
-        assert bare[:2] == instrumented[:2]
+        assert bare[:2] == instrumented[:2] == PINS["serve"]
 
     def test_instrumented_run_actually_recorded(self):
         """Identity is vacuous if nothing was recorded — prove the

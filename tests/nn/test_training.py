@@ -7,7 +7,6 @@ from repro.nn import (
     Adam,
     Dense,
     ReLU,
-    SGD,
     Sequential,
     Sigmoid,
     Softmax,
@@ -17,6 +16,7 @@ from repro.nn import (
     iterate_minibatches,
     mean_squared_error,
 )
+from repro.nn.training import Optimizer
 
 
 def toy_classification(n=200, seed=0):
@@ -29,6 +29,24 @@ def toy_classification(n=200, seed=0):
     y[:n // 2, 0] = 1.0
     y[n // 2:, 1] = 1.0
     return x, y
+
+
+class SGD(Optimizer):
+    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
+        self.lr = lr
+        self.momentum = momentum
+        self._velocity = {}
+
+    def step(self, model: Sequential) -> None:
+        for layer, key, param, grad in model.trainable():
+            slot = self._velocity.setdefault(id(layer), {})
+            vel = slot.get(key)
+            if vel is None:
+                vel = np.zeros_like(param)
+                slot[key] = vel
+            vel *= self.momentum
+            vel -= self.lr * grad
+            param += vel
 
 
 class TestLosses:

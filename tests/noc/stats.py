@@ -1,12 +1,9 @@
-"""NoC traffic reporting helpers."""
-
-from __future__ import annotations
+"""A NoC traffic report for one simulation run."""
 
 from dataclasses import dataclass
 from typing import Dict
 
-from .mesh import Mesh2D
-from .packet import MessageKind
+from repro.noc import Mesh2D, MessageKind
 
 
 @dataclass(frozen=True)
@@ -38,8 +35,10 @@ def collect_report(mesh: Mesh2D) -> NocReport:
     return NocReport(
         packets_delivered=mesh.packets_delivered,
         flit_hops=mesh.flit_hops,
-        average_latency=mesh.average_latency,
+        average_latency=(mesh.total_latency / mesh.packets_delivered
+                         if mesh.packets_delivered else 0.0),
         plane_flits=mesh.plane_flits(),
-        delivered_by_kind={k.value: v
-                           for k, v in mesh.delivered_by_kind.items()},
+        delivered_by_kind={MessageKind[name].value: count
+                           for name, count
+                           in mesh._delivered_by_name.items()},
     )

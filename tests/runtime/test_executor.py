@@ -5,6 +5,7 @@ import pytest
 
 from repro.runtime import EspRuntime, chain, replicated_stage
 from tests.conftest import make_runtime, make_spec
+from tests.runtime.alloc import live_buffers, words_in_use
 
 
 def two_stage_runtime(n_extra=0, **kwargs):
@@ -150,12 +151,12 @@ class TestExecutionModes:
     def test_rejected_input_width_leaks_no_buffer(self, mode, rng):
         rt = two_stage_runtime()
         df = chain("df", ["prod0", "cons0"])
-        live = rt.allocator.live_buffers
-        words = rt.allocator.words_in_use
+        live = live_buffers(rt.allocator)
+        words = words_in_use(rt.allocator)
         with pytest.raises(ValueError, match="words"):
             rt.esp_run(df, rng.uniform(0, 1, (4, 7)), mode=mode)
-        assert rt.allocator.live_buffers == live
-        assert rt.allocator.words_in_use == words
+        assert live_buffers(rt.allocator) == live
+        assert words_in_use(rt.allocator) == words
 
     def test_single_device_dataflow(self, rng):
         rt = two_stage_runtime()
@@ -191,5 +192,5 @@ class TestApiSurface:
     def test_device_names_and_location(self):
         rt = two_stage_runtime()
         assert set(rt.device_names()) == {"prod0", "cons0"}
-        assert rt.device_location("prod0") == \
+        assert rt.registry.coords_for("prod0") == \
             rt.soc.accelerator("prod0").coord

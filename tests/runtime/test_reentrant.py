@@ -21,6 +21,7 @@ from repro.runtime import EspRuntime, RuntimeCosts, chain
 from repro.sim import DeadlockError
 from tests.conftest import make_runtime, make_soc, make_spec
 from tests.faults.test_recovery import DATAFLOW, policy, three_stage_soc
+from tests.runtime.alloc import free_list_words, live_buffers
 
 
 def two_stage_specs():
@@ -60,7 +61,7 @@ class TestRunProcess:
         runtime.allocator.free(base_probe)
         drive(runtime, chain("df", ["a0", "b0"]), frames, "p2p")
         # Everything retracted: the next allocation lands at the base.
-        assert runtime.allocator.free_list_words == 0
+        assert free_list_words(runtime.allocator) == 0
         assert runtime.allocator.alloc(1).offset == base_probe.offset
 
     def test_closing_a_suspended_run_raises_nothing(self):
@@ -76,7 +77,7 @@ class TestRunProcess:
         runtime = make_runtime(two_stage_specs())
         with pytest.raises(ValueError, match="words"):
             drive(runtime, chain("df", ["a0"]), np.ones((2, 5)), "pipe")
-        assert runtime.allocator.free_list_words == 0
+        assert free_list_words(runtime.allocator) == 0
         assert runtime.allocator.alloc(1).offset == 0
 
     def test_two_plans_interleave_on_disjoint_tiles(self):
@@ -132,7 +133,7 @@ class TestFailureCleanup:
         with pytest.raises(AcceleratorTimeout):
             runtime.esp_run(dataflow, frames, mode="pipe")
         # Cleanup ran: buffers retracted, tiles reset back to idle.
-        assert runtime.allocator.free_list_words == 0
+        assert free_list_words(runtime.allocator) == 0
         from repro.soc.registers import STATUS_RUNNING
         for tile in soc.accelerators.values():
             assert tile.regs._values["STATUS_REG"] != STATUS_RUNNING
@@ -155,7 +156,7 @@ class TestFailureCleanup:
             runtime.esp_run(chain("df", ["a0", "b0"]), frames,
                             mode="pipe")
         assert runtime.registry.is_failed("a0")
-        assert runtime.allocator.free_list_words == 0
+        assert free_list_words(runtime.allocator) == 0
 
         result = runtime.esp_run(chain("df2", ["b0", "c0"]), frames,
                                  mode="pipe")
@@ -187,7 +188,7 @@ class TestFailureCleanup:
 
         assert isinstance(outcome["doomed"], AcceleratorTimeout)
         np.testing.assert_array_equal(outcome["ok"].outputs, fb + 2.0)
-        assert runtime.allocator.free_list_words == 0
+        assert free_list_words(runtime.allocator) == 0
 
 
 class TestOneRunPath:
@@ -249,6 +250,6 @@ class TestOneRunPath:
         with pytest.raises(error):
             runtime.esp_run(chain("three", DATAFLOW), self.FRAMES,
                             mode=mode)
-        assert allocator.live_buffers == 0
-        assert allocator.free_list_words == 0
+        assert live_buffers(allocator) == 0
+        assert free_list_words(allocator) == 0
         assert allocator.alloc(1).offset == allocator.base

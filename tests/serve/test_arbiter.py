@@ -11,6 +11,7 @@ import pytest
 
 from repro.serve import ARBITER_POLICIES, TileArbiter, TileUnavailable
 from repro.sim import Environment
+from tests.serve.probes import free_tiles, pending_claims, readmit_schedule
 
 
 def make_arbiter(tiles=("a", "b", "c"), policy="fifo"):
@@ -23,7 +24,7 @@ class TestBasicGrants:
         _, arb = make_arbiter()
         claim = arb.acquire({"a", "b"})
         assert claim.triggered and claim.ok
-        assert arb.free_tiles == frozenset({"c"})
+        assert free_tiles(arb) == frozenset({"c"})
         assert arb.grants == 1
 
     def test_all_or_nothing_no_partial_hold(self):
@@ -32,8 +33,8 @@ class TestBasicGrants:
         blocked = arb.acquire({"a", "b"})
         assert not blocked.triggered
         # The blocked claim holds *nothing*: "a" is still grantable.
-        assert "a" in arb.free_tiles
-        assert arb.pending_claims == 1
+        assert "a" in free_tiles(arb)
+        assert pending_claims(arb) == 1
 
     def test_no_head_of_line_blocking_across_disjoint_sets(self):
         _, arb = make_arbiter()
@@ -156,7 +157,7 @@ class TestFailureIntegration:
         claim = arb.acquire({"a"})
         arb.mark_unavailable("a")
         arb.release(claim.value)
-        assert "a" not in arb.free_tiles
+        assert "a" not in free_tiles(arb)
         assert arb.unavailable_tiles == frozenset({"a"})
 
     def test_mark_available_restores_granting(self):
@@ -186,7 +187,7 @@ class TestProbation:
     def test_probation_readmits_after_delay(self):
         env, arb = self.make(probation_cycles=100)
         arb.mark_unavailable("a")
-        assert arb.readmit_schedule == {"a": 100}
+        assert readmit_schedule(arb) == {"a": 100}
         # Probation is checked lazily from acquire — before the delay
         # the tile stays quarantined.
         self.advance(env, 99)
@@ -196,7 +197,7 @@ class TestProbation:
         granted = arb.acquire({"a"})
         assert granted.triggered and granted.ok
         assert arb.readmissions == 1
-        assert arb.readmit_schedule == {}
+        assert readmit_schedule(arb) == {}
 
     def test_repeat_quarantine_backs_off_exponentially(self):
         env, arb = self.make(probation_cycles=100,
@@ -205,7 +206,7 @@ class TestProbation:
         for delay in expected:
             start = env.now
             arb.mark_unavailable("a")
-            assert arb.readmit_schedule["a"] == start + delay
+            assert readmit_schedule(arb)["a"] == start + delay
             self.advance(env, delay)
             arb.acquire({"b"})            # any acquire runs the check
             assert "a" not in arb.unavailable_tiles
@@ -225,22 +226,22 @@ class TestProbation:
         env, arb = self.make(probation_cycles=100)
         arb.mark_unavailable("a")
         arb.mark_available("a")           # explicit repair, no wait
-        assert arb.readmit_schedule == {}
+        assert readmit_schedule(arb) == {}
         # The tile already failed once: the next quarantine starts at
         # the doubled delay, not back at the base.
         arb.mark_unavailable("a")
-        assert arb.readmit_schedule["a"] == env.now + 200
+        assert readmit_schedule(arb)["a"] == env.now + 200
 
     def test_probation_opt_in_and_opt_out_per_call(self):
         env, arb = self.make()                   # no probation default
         arb.mark_unavailable("a", probation=True)
-        assert arb.readmit_schedule["a"] == env.now + 1
+        assert readmit_schedule(arb)["a"] == env.now + 1
         # probation=False forces the permanent hold even when the
         # arbiter has a configured delay (the controller's reserve
         # pool relies on this).
         env2, arb2 = self.make(probation_cycles=100)
         arb2.mark_unavailable("a", probation=False)
-        assert arb2.readmit_schedule == {}
+        assert readmit_schedule(arb2) == {}
         self.advance(env2, 10_000)
         arb2.acquire({"b"})
         assert "a" in arb2.unavailable_tiles

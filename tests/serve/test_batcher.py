@@ -39,7 +39,7 @@ class TestBatcher:
         batcher = Batcher(chain("df", ["a0"]))
         batch = batcher.form([req(2, fill=1.0), req(3, fill=2.0)])
         assert batch.n_requests == 2
-        assert batch.real_frames == 5
+        assert batch.total_frames - batch.pad_frames == 5
         assert batch.total_frames == 5        # quantum 1: no padding
         np.testing.assert_array_equal(batch.frames[:2], 1.0)
         np.testing.assert_array_equal(batch.frames[2:], 2.0)
@@ -48,7 +48,7 @@ class TestBatcher:
         df = replicated_stage("df", ["a0", "a1", "a2", "a3"], ["c0"])
         batcher = Batcher(df)
         batch = batcher.form([req(3), req(3)])
-        assert batch.real_frames == 6
+        assert batch.total_frames - batch.pad_frames == 6
         assert batch.pad_frames == 2
         assert batch.total_frames == 8
         np.testing.assert_array_equal(batch.frames[6:], 0.0)
@@ -90,4 +90,5 @@ class TestBatcher:
         first = batcher.form([req(1), req(1)])
         second = batcher.form([req(2)])
         assert (first.n_requests, second.n_requests) == (2, 1)
-        assert (first.real_frames, second.real_frames) == (2, 2)
+        assert (first.total_frames - first.pad_frames,
+                second.total_frames - second.pad_frames) == (2, 2)

@@ -17,6 +17,7 @@ from repro.serve import (
 )
 from repro.trace import attach_tracer
 from tests.conftest import make_runtime, make_soc, make_spec
+from tests.serve.probes import free_tiles, pending_claims
 
 
 def three_tile_specs():
@@ -142,12 +143,12 @@ class TestAdmissionIntegration:
         server.submit("x", frames_of(2))
         server.submit("y", frames_of(2))
         env.run(until=env.timeout(50))
-        assert server.arbiter.pending_claims == 1   # y waits on x
+        assert pending_claims(server.arbiter) == 1   # y waits on x
         server.stop()
         env.run()
 
-        assert server.arbiter.free_tiles == server.arbiter.tiles
-        assert server.arbiter.pending_claims == 0
+        assert free_tiles(server.arbiter) == server.arbiter.tiles
+        assert pending_claims(server.arbiter) == 0
         assert {s.cat for s in tracer.open_spans} == {"serve.request"}
         assert server.load().in_flight_batches == 0
 
@@ -333,7 +334,6 @@ class TestReporting:
         assert summary.count == 3
         assert summary.p50 <= summary.p99 <= summary.max
         assert "app" in report.latency_by_tenant
-        assert report.queue_by_tenant["app"].count == 3
         text = report.render()
         assert "app" in text and "throughput" in text
 

@@ -2,11 +2,34 @@
 
 import pytest
 
-from repro.sim import Barrier, Environment, Fifo, Resource, Semaphore, SimulationError
+from repro.sim import (Environment, Event, Fifo, Resource, Semaphore,
+                       SimulationError)
+from tests.sim.fifo import try_put
 
 
 def run(env):
     env.run()
+
+
+class Barrier:
+    """A reusable barrier for ``parties`` processes (pthread_barrier)."""
+
+    def __init__(self, env: Environment, parties: int) -> None:
+        if parties < 1:
+            raise ValueError(f"parties must be >= 1, got {parties}")
+        self.env = env
+        self.parties = parties
+        self._waiting = []
+
+    def wait(self) -> Event:
+        event = Event(self.env)
+        event.wait_reason = f"wait on barrier of {self.parties}"
+        self._waiting.append(event)
+        if len(self._waiting) >= self.parties:
+            waiting, self._waiting = self._waiting, []
+            for waiter in waiting:
+                waiter.succeed()
+        return event
 
 
 class TestFifo:
@@ -90,8 +113,8 @@ class TestFifo:
         env = Environment()
         fifo = Fifo(env, capacity=1)
         assert fifo.try_get() is None
-        assert fifo.try_put("x") is True
-        assert fifo.try_put("y") is False
+        assert try_put(fifo, "x") is True
+        assert try_put(fifo, "y") is False
         assert fifo.try_get() == "x"
 
     def test_counters(self):
@@ -365,7 +388,7 @@ class TestIntrospection:
         assert len(fifo.waiters()["putters"]) == 1   # item 2 pending
 
         assert fifo.flush() == 3   # 2 queued items + 1 blocked putter
-        assert fifo.is_empty
+        assert not fifo.items
         assert fifo.waiters()["putters"] == ()
 
         pending_get = fifo.get()
@@ -375,7 +398,7 @@ class TestIntrospection:
     def test_flush_can_preserve_putters(self):
         env = Environment()
         fifo = Fifo(env, capacity=1)
-        fifo.try_put("stale")
+        try_put(fifo, "stale")
         blocked = fifo.put("fresh")
         assert fifo.flush(drop_putters=False) == 1
         # The surviving putter is drained into the freed capacity.

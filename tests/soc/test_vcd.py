@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import EspRuntime, chain
-from repro.soc import (SoCConfig, build_soc, emit_vcd,
-                       parse_vcd_timescale, picoseconds_per_cycle)
+from repro.soc import SoCConfig, build_soc, emit_vcd, picoseconds_per_cycle
 from repro.soc.vcd import _identifier
 from tests.conftest import make_spec
 
@@ -25,6 +24,30 @@ def traced_run(trace_links=True, n_frames=4):
     frames = np.random.default_rng(0).uniform(0, 1, (n_frames, 64))
     rt.esp_run(chain("ab", ["a0", "b0"]), frames, mode="p2p")
     return soc
+
+
+def parse_vcd_timescale(vcd: str) -> tuple:
+    """The ``(magnitude, unit)`` of a VCD.
+
+    Parses the ``$timescale`` declaration out of VCD text; raises
+    ``ValueError`` when the declaration is missing or malformed.
+    """
+    for line in vcd.splitlines():
+        line = line.strip()
+        if not line.startswith("$timescale"):
+            continue
+        body = line[len("$timescale"):].replace("$end", "").strip()
+        for index, ch in enumerate(body):
+            if not ch.isdigit():
+                magnitude, unit = body[:index], body[index:].strip()
+                break
+        else:
+            raise ValueError(f"malformed $timescale: {line!r}")
+        if not magnitude or unit not in ("s", "ms", "us", "ns", "ps",
+                                         "fs"):
+            raise ValueError(f"malformed $timescale: {line!r}")
+        return int(magnitude), unit
+    raise ValueError("no $timescale declaration found")
 
 
 class TestIdentifiers:

@@ -8,6 +8,11 @@ scope. Every rule must hold over the source tree, and every rule must
 flag its own snippets: exactly the lines marked ``# flagged``, so a
 rule that decays to matching nothing fails.
 
+One rule, :class:`HasACaller`, spans the whole tree: a definition in
+``src/repro`` must be named by code in one of its ``callers``
+directories, so it first reads every identifier there (in a snippet,
+the snippet's own).
+
 :func:`violations` runs the rules over any checkout, for example a
 ``git worktree`` of an older commit::
 
@@ -16,10 +21,12 @@ rule that decays to matching nothing fails.
 """
 
 import ast
+import re
 import textwrap
+from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -52,6 +59,7 @@ class Rule(ast.NodeVisitor):
     files: Tuple[str, ...] = ("*.py",)
     allowed: Tuple[str, ...] = ()
     snippets: Dict[str, str] = {}
+    callers: Tuple[str, ...] = ()
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -85,6 +93,10 @@ class Rule(ast.NodeVisitor):
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._enter(node, "<lambda>", [node.body])
+
+    def finish(self, names: Counter) -> None:
+        """Called after the module, with the identifiers named under
+        the ``callers`` directories of the repo."""
 
 
 class CallRule(Rule):
@@ -417,19 +429,131 @@ class OneEventPerTransit(CallRule):
             and self.where != "noc/mesh.py::_Transit.__init__")
 
 
+def identifiers(tree: ast.AST) -> Counter:
+    """How often ``tree`` names each identifier: as a ``Name``, an
+    ``Attribute`` or an identifier string constant, but not as an
+    ``__all__`` entry. A definition or an import binds its name
+    without naming it."""
+    exported = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and "__all__" in map(_name, node.targets)):
+            exported.update(id(entry) for entry in ast.walk(node.value))
+    return Counter(
+        node.value if isinstance(node, ast.Constant) else _name(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier() and id(node) not in exported))
+
+
+FLOW_API = "the paper's user-facing flow API"
+INVARIANT = "an invariant that the seeded stress checker evaluates"
+
+#: The definitions no caller names yet that stay, each with its reason.
+KEPT: Dict[str, str] = {
+    "hls4ml_flow/importers.py::from_onnx_graph": FLOW_API,
+    "hls4ml_flow/importers.py::from_torch_state": FLOW_API,
+    "runtime/api.py::EspRuntime.esp_alloc": FLOW_API,
+    "soc/coherence.py::mesi_violations": INVARIANT,
+}
+
+
+class HasACaller(Rule):
+    """``src/repro`` holds only what the system runs: every top-level
+    function and class, and every method that is not a dunder, is named
+    by code outside ``tests/`` (the ``callers``) as a ``Name``, an
+    ``Attribute`` or an identifier string. A test oracle lives in
+    ``tests/``; a definition nothing runs is deleted. ``KEPT`` holds
+    the exceptions, each with its reason. A name shared with another
+    definition can only let a definition through, never flag one."""
+
+    callers = ("src", "benchmarks", "ledger", "examples", "tools")
+    allowed = tuple(KEPT)
+    snippets = {"soc/cache.py": """
+        def line_of(address, words):
+            return address // words
+
+        def lines_of(burst):  # flagged
+            return [line_of(a, 4) for a in burst]
+
+        class PrivateCache:
+            def __init__(self):
+                self.lines = {}
+
+            def touch(self, line):
+                self.lines[line] = "E"
+                self.evict_all()
+
+            def evict_all(self):
+                self.lines.clear()
+
+            def occupancy(self):  # flagged
+                return len(self.lines)
+
+        cache = PrivateCache()
+        cache.touch(line_of(0, 4))
+        """}
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
+        self.defined: List[Tuple[ast.AST, str]] = []
+
+    def _define(self, node: ast.AST, scope: List[str]) -> None:
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            self.defined.append((node, ".".join(scope + [node.name])))
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        if not self.scope:
+            self._define(node, [])
+        for child in node.body:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._define(child, self.scope + [node.name])
+        super().visit_ClassDef(node)
+
+    def visit_FunctionDef(self, node) -> None:
+        if not self.scope:
+            self._define(node, [])
+        super().visit_FunctionDef(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def finish(self, names: Counter) -> None:
+        """A name counts only outside its own definition."""
+        for node, qualname in self.defined:
+            if (names[node.name] <= identifiers(node)[node.name]
+                    and f"{self.path}::{qualname}" not in self.allowed):
+                self.hits.append((node.lineno, qualname))
+
+
 RULES = (ServeReadsNoMetrics, OnlyExecuteRunsTheLoop,
          ControlDerivesNoStallThreshold, OneCountingSite, OneTracerGuard,
          OneSpanSite, RecordsBuiltWhenRead, PacketsAreEvents,
          CoherenceOverRanges, MeshBuiltOnFirstUse, OneStackBuilder,
-         OneEventPerTransit)
+         OneEventPerTransit, HasACaller)
 
 
-def check(rule, path: str, source: str) -> List[Tuple[int, str]]:
+def check(rule, path: str, source: str,
+          names: Optional[Counter] = None) -> List[Tuple[int, str]]:
     """The ``(line, scope)`` pairs ``rule`` flags in the module at
-    ``src/repro/<path>``, one per line, in line order."""
+    ``src/repro/<path>``, one per line, in line order. ``names`` are
+    the identifiers the rule's callers name; by default the module's
+    own."""
     visitor = rule(path)
-    visitor.visit(ast.parse(source))
+    module = ast.parse(source)
+    visitor.visit(module)
+    visitor.finish(identifiers(module) if names is None else names)
     return sorted(dict(reversed(visitor.hits)).items())
+
+
+def called(root, rules: Sequence) -> Counter:
+    """How often the code under ``rules``' caller directories names
+    each identifier."""
+    names = Counter()
+    for directory in sorted({d for rule in rules for d in rule.callers}):
+        for file in (Path(root) / directory).rglob("*.py"):
+            names.update(identifiers(ast.parse(file.read_text())))
+    return names
 
 
 def violations(root=REPO, rules: Sequence = RULES) -> List[str]:
@@ -438,6 +562,7 @@ def violations(root=REPO, rules: Sequence = RULES) -> List[str]:
     package = Path(root) / PACKAGE
     if not package.is_dir():
         raise FileNotFoundError(f"no {PACKAGE.as_posix()} under {root}")
+    names = called(root, rules)
     found = []
     for file in sorted(package.rglob("*.py")):
         path = file.relative_to(package).as_posix()
@@ -448,7 +573,7 @@ def violations(root=REPO, rules: Sequence = RULES) -> List[str]:
         source = file.read_text()
         lines = source.splitlines()
         hits = sorted((line, rule.__name__, scope) for rule in applicable
-                      for line, scope in check(rule, path, source))
+                      for line, scope in check(rule, path, source, names))
         found += [f"{PACKAGE.as_posix()}/{path}:{line}: {name} in {scope}: "
                   f"{lines[line - 1].strip()}" for line, name, scope in hits]
     return found
@@ -477,6 +602,17 @@ def test_rule_flags_its_snippets(rule):
         assert [line for line, _ in check(rule, path, source)] == marked, path
         flagged += len(marked)
     assert flagged
+
+
+def test_every_kept_definition_has_a_reason_and_no_caller():
+    class Unkept(HasACaller):
+        allowed = ()
+
+    flagged = {"{}::{}".format(*re.match(
+        rf"{PACKAGE.as_posix()}/(\S+):\d+: Unkept in (\S+):", line).groups())
+        for line in violations(REPO, [Unkept])}
+    assert flagged == set(KEPT)
+    assert set(KEPT.values()) <= {FLOW_API, INVARIANT}
 
 
 SCOPES = textwrap.dedent("""

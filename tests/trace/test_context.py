@@ -16,11 +16,16 @@ from repro.trace import (
     TraceIdAllocator,
     attach_tracer,
     batch_trace_ids,
-    primary_trace_id,
 )
 from repro.trace.tracer import Tracer
 from tests.conftest import make_soc, make_spec
 from tests.trace.test_tracer import FakeClock
+
+
+def primary_trace_id(requests):
+    """The batch's primary (first member's) trace ID, if any."""
+    ids = batch_trace_ids(requests)
+    return ids[0] if ids else None
 
 
 class TestAllocator:
@@ -28,7 +33,7 @@ class TestAllocator:
         alloc = TraceIdAllocator("t")
         assert [alloc.next_id() for _ in range(3)] == \
             ["t-0", "t-1", "t-2"]
-        assert alloc.allocated == 3
+        assert alloc._next == 3
 
     def test_mint_wraps_id_in_context(self):
         ctx = TraceIdAllocator("f").mint()
@@ -155,7 +160,7 @@ class TestEndToEndPropagation:
         server.env.run(until=server.env.now)
         span = tracer.find_span("serve.request")
         assert span.args["trace_id"] == "f-41"
-        assert server._trace_ids.allocated == 0
+        assert server._trace_ids._next == 0
 
     def test_id_reaches_every_layer(self):
         _, tracer, _ = traced_serve(n_requests=1)

@@ -11,7 +11,7 @@ from repro.serve import (
     TracedRequest,
 )
 from repro.trace import (
-    analyze_request,
+    analyze_span,
     attach_tracer,
     to_chrome_trace,
     validate_chrome_trace,
@@ -57,7 +57,7 @@ class TestServeSpans:
 
     def test_request_attribution_covers_window(self):
         _, tracer = traced_serve()
-        report = analyze_request(tracer)
+        report = analyze_span(tracer, tracer.find_span("serve.request"))
         assert report.coverage >= 0.95, report.render()
 
     def test_serve_trace_exports_valid(self):

@@ -10,9 +10,21 @@ from repro.sim import Environment
 from repro.trace import (
     Tracer,
     attach_tracer,
-    detach_tracer,
 )
 from tests.conftest import make_runtime, make_spec
+
+
+def detach_tracer(target):
+    """Detach (and return) the environment's tracer, if any.
+
+    After detaching, every instrumentation site is back to its
+    disabled-cost path; the returned tracer still holds its records
+    for export.
+    """
+    env = getattr(target, "env", target)
+    tracer = getattr(env, "tracer", None)
+    env.tracer = None
+    return tracer
 
 
 class FakeClock:
