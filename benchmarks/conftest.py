@@ -7,10 +7,6 @@ deterministic, so each experiment runs once per benchmark round.
 
 import pytest
 
-#: Frames per measured run. Larger values amortize pipeline fill and
-#: tighten the throughput estimates at the cost of wall time.
-BENCH_FRAMES = 32
-
 
 @pytest.fixture
 def once(benchmark):

@@ -25,28 +25,23 @@ import sys
 from dataclasses import replace
 
 
-def _cmd_table1(args) -> None:
-    from .eval import generate_table1, render_table1
-    print(render_table1(generate_table1(n_frames=args.frames)))
-
-
-def _cmd_fig7(args) -> None:
-    from .eval import generate_fig7, render_fig7
-    print(render_fig7(generate_fig7(n_frames=args.frames)))
-
-
-def _cmd_fig8(args) -> None:
-    from .eval import generate_fig8, render_fig8
-    print(render_fig8(generate_fig8(n_frames=args.frames)))
-
-
-def _cmd_all(args) -> None:
-    print("== Table I ==")
-    _cmd_table1(args)
-    print("\n== Fig. 7 ==")
-    _cmd_fig7(args)
-    print("\n== Fig. 8 ==")
-    _cmd_fig8(args)
+def _cmd_paper(args) -> None:
+    """Table I, Fig. 7 or Fig. 8 (``all``: the three), each a view of
+    one evaluation of the paper's 15 (configuration, mode) cells."""
+    from .eval import (evaluate, generate_fig7, generate_fig8,
+                       generate_table1, render_fig7, render_fig8,
+                       render_table1)
+    evaluation = evaluate(n_frames=args.frames)
+    sections = {
+        "table1": ("Table I", render_table1(generate_table1(evaluation))),
+        "fig7": ("Fig. 7", render_fig7(generate_fig7(evaluation))),
+        "fig8": ("Fig. 8", render_fig8(generate_fig8(evaluation))),
+    }
+    if args.command == "all":
+        print("\n\n".join(f"== {title} ==\n{text}"
+                          for title, text in sections.values()))
+    else:
+        print(sections[args.command][1])
 
 
 def _cmd_train(args) -> None:
@@ -233,7 +228,7 @@ def _cmd_trace_query(args) -> None:
 #: One-line description per subcommand — single source for the
 #: ``--help`` listing (every entry must register a parser below).
 COMMANDS = {
-    "table1": "regenerate Table I (fps / power / DRAM per config)",
+    "table1": "regenerate Table I (resources / power / fps per app)",
     "fig7": "regenerate Fig. 7 (performance across configurations)",
     "fig8": "regenerate Fig. 8 (memory-access reduction)",
     "all": "regenerate Table I, Fig. 7 and Fig. 8 in one run",
@@ -262,13 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="COMMAND",
                                 title="commands")
 
-    for name, fn in (("table1", _cmd_table1), ("fig7", _cmd_fig7),
-                     ("fig8", _cmd_fig8), ("all", _cmd_all)):
+    for name in ("table1", "fig7", "fig8", "all"):
         p = sub.add_parser(name, help=COMMANDS[name],
                            description=COMMANDS[name])
         p.add_argument("--frames", type=int, default=32,
                        help="frames per measured run (default 32)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_paper)
 
     p = sub.add_parser("train", help=COMMANDS["train"],
                        description=COMMANDS["train"])

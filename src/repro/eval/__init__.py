@@ -16,8 +16,10 @@ from .apps import (
 )
 from .harness import (
     DEFAULT_FRAMES,
+    FIG7_CONFIGS,
     LatencySummary,
     Measurement,
+    evaluate,
     format_table,
     measure,
     percentile,
@@ -32,7 +34,7 @@ from .faults import (
     run_fault_campaign,
 )
 from .table1 import Table1Column, generate_table1, render_table1
-from .fig7 import FIG7_CONFIGS, Fig7Cluster, Fig7Data, generate_fig7, render_fig7
+from .fig7 import Fig7Cluster, Fig7Data, generate_fig7, render_fig7
 from .fig8 import FIG8_CONFIGS, Fig8Bar, generate_fig8, render_fig8
 from .timeline import (GANTT_BUSY, GANTT_OVERLAP, render_gantt,
                        utilization_by_device)
@@ -71,6 +73,7 @@ __all__ = [
     "dataflow_multitile",
     "dataflow_nv_cl",
     "de_cl_inputs",
+    "evaluate",
     "format_table",
     "fresh_runtime",
     "generate_fig7",

@@ -179,13 +179,7 @@ BEST_CASE = {"nv_cl": "4nv_4cl", "de_cl": "1de_1cl",
              "multitile": "1cl_split"}
 
 
-def build_soc_for(config: AppConfig, **kwargs) -> SoCInstance:
-    if config.soc_key == "soc1":
-        return build_soc1(**kwargs)
-    return build_soc2(**{k: v for k, v in kwargs.items()
-                         if k != "denoiser_model"})
-
-
-def fresh_runtime(config: AppConfig, **kwargs) -> EspRuntime:
+def fresh_runtime(config: AppConfig) -> EspRuntime:
     """A new SoC + booted runtime for one measurement run."""
-    return EspRuntime(build_soc_for(config, **kwargs))
+    return EspRuntime(build_soc1() if config.soc_key == "soc1"
+                      else build_soc2())

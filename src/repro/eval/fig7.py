@@ -16,11 +16,7 @@ from typing import Dict, List
 
 from ..platforms import INTEL_I7_8700K, JETSON_TX1
 from .apps import APP_CONFIGS
-from .harness import DEFAULT_FRAMES, format_table, measure
-
-#: The five bar clusters of the figure, in plot order.
-FIG7_CONFIGS = ("1nv_1cl", "4nv_1cl", "4nv_4cl", "1de_1cl", "1cl_split")
-MODES = ("base", "pipe", "p2p")
+from .harness import FIG7_CONFIGS, MODES, Evaluation, format_table
 
 
 @dataclass
@@ -56,21 +52,17 @@ class Fig7Data:
             for cluster in self.clusters)
 
 
-def generate_fig7(n_frames: int = DEFAULT_FRAMES, seed: int = 0) -> Fig7Data:
-    """Measure every bar of the figure."""
+def generate_fig7(evaluation: Evaluation) -> Fig7Data:
+    """Every bar of the figure: one per evaluated cell."""
     data = Fig7Data()
     for app_key in FIG7_CONFIGS:
         kernels = APP_CONFIGS[app_key].software_kernels
-        fpj: Dict[str, float] = {}
-        fps: Dict[str, float] = {}
-        for mode in MODES:
-            result = measure(app_key, mode, n_frames=n_frames, seed=seed)
-            fpj[mode] = result.frames_per_joule
-            fps[mode] = result.fps
+        cells = {mode: evaluation[app_key, mode] for mode in MODES}
         data.clusters.append(Fig7Cluster(
             app_key=app_key,
-            frames_per_joule=fpj,
-            fps=fps,
+            frames_per_joule={mode: cell.frames_per_joule
+                              for mode, cell in cells.items()},
+            fps={mode: cell.fps for mode, cell in cells.items()},
             i7_frames_per_joule=INTEL_I7_8700K.app_frames_per_joule(
                 kernels),
             jetson_frames_per_joule=JETSON_TX1.app_frames_per_joule(

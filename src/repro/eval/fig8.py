@@ -10,9 +10,9 @@ reduction "varies between 2x and 3x for the target applications".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from .harness import DEFAULT_FRAMES, format_table, measure
+from .harness import Evaluation, format_table
 
 #: The three applications of the figure (best-case configurations).
 FIG8_CONFIGS = ("4nv_4cl", "1de_1cl", "1cl_split")
@@ -35,17 +35,12 @@ class Fig8Bar:
         return self.dram_no_p2p / self.dram_p2p
 
 
-def generate_fig8(n_frames: int = DEFAULT_FRAMES,
-                  seed: int = 0) -> List[Fig8Bar]:
-    """Count DRAM words moved in pipe (no-p2p) vs p2p execution."""
-    bars = []
-    for app_key in FIG8_CONFIGS:
-        no_p2p = measure(app_key, "pipe", n_frames=n_frames, seed=seed)
-        with_p2p = measure(app_key, "p2p", n_frames=n_frames, seed=seed)
-        bars.append(Fig8Bar(app_key=app_key,
-                            dram_no_p2p=no_p2p.dram_accesses,
-                            dram_p2p=with_p2p.dram_accesses))
-    return bars
+def generate_fig8(evaluation: Evaluation) -> List[Fig8Bar]:
+    """DRAM words moved in the pipe (no-p2p) vs the p2p cell."""
+    return [Fig8Bar(app_key=app_key,
+                    dram_no_p2p=evaluation[app_key, "pipe"].dram_accesses,
+                    dram_p2p=evaluation[app_key, "p2p"].dram_accesses)
+            for app_key in FIG8_CONFIGS]
 
 
 def render_fig8(bars: List[Fig8Bar]) -> str:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..nn import Sequential
 from ..platforms import soc_power_watts
 from ..runtime import RunResult
 from .apps import APP_CONFIGS, AppConfig, fresh_runtime
@@ -163,24 +162,22 @@ class Measurement:
     dram_accesses: int
     ioctl_calls: int
     cycles: int
+    plane_flits: Dict[str, int]     # NoC plane -> flit-hops
 
     @property
     def frames_per_joule(self) -> float:
         return self.fps / self.watts
 
 
-def measure(app_key: str, mode: str, n_frames: int = DEFAULT_FRAMES,
-            seed: int = 0,
-            classifier_model: Optional[Sequential] = None,
-            denoiser_model: Optional[Sequential] = None) -> Measurement:
+def measure(app_key: str, mode: str,
+            n_frames: int = DEFAULT_FRAMES) -> Measurement:
     """Run one configuration in one mode on a fresh SoC."""
     if app_key not in APP_CONFIGS:
         raise KeyError(f"unknown app {app_key!r}; options: "
                        f"{sorted(APP_CONFIGS)}")
     config: AppConfig = APP_CONFIGS[app_key]
-    runtime = fresh_runtime(config, classifier_model=classifier_model,
-                            denoiser_model=denoiser_model)
-    frames, _ = config.make_inputs(n_frames, seed=seed)
+    runtime = fresh_runtime(config)
+    frames, _ = config.make_inputs(n_frames)
     result: RunResult = runtime.esp_run(config.build_dataflow(), frames,
                                         mode=mode)
     return Measurement(
@@ -192,7 +189,28 @@ def measure(app_key: str, mode: str, n_frames: int = DEFAULT_FRAMES,
         dram_accesses=result.dram_accesses,
         ioctl_calls=result.ioctl_calls,
         cycles=result.cycles,
+        plane_flits=runtime.soc.mesh.plane_flits(),
     )
+
+
+#: The five configurations of Fig. 7, in plot order. Table I's and
+#: Fig. 8's applications are among them.
+FIG7_CONFIGS = ("1nv_1cl", "4nv_1cl", "4nv_4cl", "1de_1cl", "1cl_split")
+MODES = ("base", "pipe", "p2p")
+
+#: The paper's evaluation: one measurement per (configuration, mode).
+Evaluation = Dict[Tuple[str, str], Measurement]
+
+
+def evaluate(n_frames: int = DEFAULT_FRAMES) -> Evaluation:
+    """Measure each of the paper's 15 (configuration, mode) cells once.
+
+    Table I, Fig. 7 and Fig. 8 are views of the result: Table I reads
+    the p2p cell of each best-case configuration, Fig. 8 the pipe and
+    p2p cells of the same three, Fig. 7 every cell.
+    """
+    return {(app_key, mode): measure(app_key, mode, n_frames)
+            for app_key in FIG7_CONFIGS for mode in MODES}
 
 
 def format_table(rows, headers) -> str:

@@ -22,54 +22,59 @@ from ..platforms import (
     soc_power_watts,
 )
 from .apps import APP_CONFIGS, BEST_CASE, build_soc1, build_soc2
-from .harness import DEFAULT_FRAMES, format_table, measure
+from .harness import Evaluation, format_table
 
 
 @dataclass
 class Table1Column:
-    """One application column of Table I, measured and paper values."""
+    """One application column of Table I, each cell beside the paper's."""
 
     cluster: str              # nv_cl | de_cl | multitile
     app_key: str              # best-case configuration key
     luts: float
+    paper_luts: float
     ffs: float
+    paper_ffs: float
     brams: float
+    paper_brams: float
     power_watts: float
-    fps_esp4ml: float
-    fps_i7: float
-    fps_jetson: float
-    paper_fps_esp4ml: float
-    paper_fps_i7: float
-    paper_fps_jetson: float
     paper_power_watts: float
+    fps_esp4ml: float
+    paper_fps_esp4ml: float
+    fps_i7: float
+    paper_fps_i7: float
+    fps_jetson: float
+    paper_fps_jetson: float
 
 
-def generate_table1(n_frames: int = DEFAULT_FRAMES,
-                    seed: int = 0) -> Dict[str, Table1Column]:
-    """Measure every Table I cell on the simulated platforms."""
+def generate_table1(evaluation: Evaluation) -> Dict[str, Table1Column]:
+    """Table I: each best-case configuration's p2p cell, plus the
+    synthesized resources and power of the SoC that hosts it."""
     socs = {"soc1": build_soc1(), "soc2": build_soc2()}
     columns: Dict[str, Table1Column] = {}
     for cluster, app_key in BEST_CASE.items():
         config = APP_CONFIGS[app_key]
         soc = socs[config.soc_key]
         util = XCVU9P.utilization(soc.resources())
-        hw = measure(app_key, mode="p2p", n_frames=n_frames, seed=seed)
+        paper_util = PAPER_UTILIZATION[config.soc_key]
         kernels = config.software_kernels
         columns[cluster] = Table1Column(
             cluster=cluster,
             app_key=app_key,
             luts=util["luts"],
+            paper_luts=paper_util["luts"],
             ffs=util["ffs"],
+            paper_ffs=paper_util["ffs"],
             brams=util["brams"],
+            paper_brams=paper_util["brams"],
             power_watts=soc_power_watts(soc),
-            fps_esp4ml=hw.fps,
-            fps_i7=INTEL_I7_8700K.app_fps(kernels),
-            fps_jetson=JETSON_TX1.app_fps(kernels),
+            paper_power_watts=PAPER_SOC_POWER_W[config.soc_key],
+            fps_esp4ml=evaluation[app_key, "p2p"].fps,
             paper_fps_esp4ml=PAPER_FPS["esp4ml"][cluster],
+            fps_i7=INTEL_I7_8700K.app_fps(kernels),
             paper_fps_i7=PAPER_FPS["i7"][cluster],
+            fps_jetson=JETSON_TX1.app_fps(kernels),
             paper_fps_jetson=PAPER_FPS["jetson"][cluster],
-            paper_power_watts=PAPER_SOC_POWER_W[
-                "soc1" if config.soc_key == "soc1" else "soc2"],
         )
     return columns
 
@@ -82,31 +87,21 @@ def render_table1(columns: Dict[str, Table1Column]) -> str:
               "multitile": "MULTI-TILE CLASSIFIER"}
     headers = ["metric"] + [titles[c] for c in order]
 
-    def row(label, fmt, attr, paper_attr=None):
+    def row(label, fmt, attr):
         cells = [label]
         for cluster in order:
             col = columns[cluster]
-            text = fmt.format(getattr(col, attr))
-            if paper_attr is not None:
-                text += f" (paper {fmt.format(getattr(col, paper_attr))})"
-            cells.append(text)
+            cells.append(f"{fmt.format(getattr(col, attr))} (paper "
+                         f"{fmt.format(getattr(col, 'paper_' + attr))})")
         return cells
 
-    paper_util = {c: PAPER_UTILIZATION[
-        "soc1" if APP_CONFIGS[BEST_CASE[c]].soc_key == "soc1" else "soc2"]
-        for c in order}
     rows = [
-        ["LUTS"] + [f"{columns[c].luts:.0%} (paper "
-                    f"{paper_util[c]['luts']:.0%})" for c in order],
-        ["FFS"] + [f"{columns[c].ffs:.0%} (paper "
-                   f"{paper_util[c]['ffs']:.0%})" for c in order],
-        ["BRAMS"] + [f"{columns[c].brams:.0%} (paper "
-                     f"{paper_util[c]['brams']:.0%})" for c in order],
-        row("POWER (W)", "{:.2f}", "power_watts", "paper_power_watts"),
-        row("FRAMES/S ESP4ML", "{:,.0f}", "fps_esp4ml",
-            "paper_fps_esp4ml"),
-        row("FRAMES/S INTEL I7", "{:,.0f}", "fps_i7", "paper_fps_i7"),
-        row("FRAMES/S JETSON", "{:,.0f}", "fps_jetson",
-            "paper_fps_jetson"),
+        row("LUTS", "{:.0%}", "luts"),
+        row("FFS", "{:.0%}", "ffs"),
+        row("BRAMS", "{:.0%}", "brams"),
+        row("POWER (W)", "{:.2f}", "power_watts"),
+        row("FRAMES/S ESP4ML", "{:,.0f}", "fps_esp4ml"),
+        row("FRAMES/S INTEL I7", "{:,.0f}", "fps_i7"),
+        row("FRAMES/S JETSON", "{:,.0f}", "fps_jetson"),
     ]
     return format_table(rows, headers)

@@ -286,11 +286,7 @@ class _Transit(Event):
                 self._finish()
                 self.succeed(packet)
                 return
-        now = packet.delivered_at = env._now
-        mesh.total_latency += now - packet.injected_at
-        counts = mesh._delivered_by_name
-        name = packet.kind._name_
-        counts[name] = counts.get(name, 0) + 1
+        packet.delivered_at = env._now
         mesh._retire(packet, "delivered", tracer, self.sid)
         inbox = mesh._inboxes.get((packet.dst, packet.plane))
         if inbox is None:
@@ -382,10 +378,6 @@ class Mesh2D:
         # (flit-hops live on the links themselves).
         self.outcomes: Dict[str, Dict[str, int]] = {
             outcome: {} for outcome in PACKET_OUTCOMES}
-        self.total_latency = 0
-        # Delivered packets per message-kind name: a str key hashes
-        # from its cache, an Enum member through Enum.__hash__.
-        self._delivered_by_name: Dict[str, int] = {}
 
         # Fault hook: a FaultInjector consulted at packet ejection
         # (None by default — the hook then costs nothing and timing is

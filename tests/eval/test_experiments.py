@@ -2,13 +2,16 @@
 
 These are the headline reproduction checks: each test pins one claim
 from the evaluation section (Table I, Fig. 7, Fig. 8) as an invariant,
-using small frame counts to stay fast.
+on views of one evaluation at a small frame count to stay fast.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from benchmarks.bench_paper import check, views
 from repro.eval import (
-    BEST_CASE,
+    evaluate,
     generate_fig7,
     generate_fig8,
     generate_table1,
@@ -23,18 +26,35 @@ FRAMES = 8
 
 
 @pytest.fixture(scope="module")
-def table1():
-    return generate_table1(n_frames=FRAMES)
+def evaluation():
+    return evaluate(n_frames=FRAMES)
 
 
 @pytest.fixture(scope="module")
-def fig7():
-    return generate_fig7(n_frames=FRAMES)
+def table1(evaluation):
+    return generate_table1(evaluation)
 
 
 @pytest.fixture(scope="module")
-def fig8():
-    return generate_fig8(n_frames=FRAMES)
+def fig7(evaluation):
+    return generate_fig7(evaluation)
+
+
+@pytest.fixture(scope="module")
+def fig8(evaluation):
+    return generate_fig8(evaluation)
+
+
+def test_bench_check_rejects_a_broken_claim(evaluation):
+    """``bench_paper.check`` fails on an evaluation where p2p cuts the
+    4NV+4Cl DRAM words by only 1.5x (Fig. 8 claims 2x-3x)."""
+    check(views(evaluation))
+    p2p_words = evaluation["4nv_4cl", "p2p"].dram_accesses
+    broken = dict(evaluation)
+    broken["4nv_4cl", "pipe"] = replace(
+        evaluation["4nv_4cl", "pipe"], dram_accesses=int(1.5 * p2p_words))
+    with pytest.raises(AssertionError, match=r"'4nv_4cl', 1\.5\)"):
+        check(views(broken))
 
 
 class TestTable1(object):
@@ -133,9 +153,13 @@ class TestFig8:
 
 
 class TestMeasurement:
-    def test_measure_all_modes(self):
-        results = {mode: measure("1nv_1cl", mode, n_frames=4)
-                   for mode in ("base", "pipe", "p2p")}
+    @pytest.fixture(scope="class")
+    def results(self):
+        """One 4-frame 1nv_1cl run per mode, shared by two tests."""
+        return {mode: measure("1nv_1cl", mode, n_frames=4)
+                for mode in ("base", "pipe", "p2p")}
+
+    def test_measure_all_modes(self, results):
         assert set(results) == {"base", "pipe", "p2p"}
         assert all(r.fps > 0 for r in results.values())
 
@@ -143,8 +167,6 @@ class TestMeasurement:
         with pytest.raises(KeyError):
             measure("8nv_8cl", "p2p")
 
-    def test_ioctl_counts(self):
-        results = {mode: measure("1nv_1cl", mode, n_frames=4)
-                   for mode in ("base", "pipe", "p2p")}
+    def test_ioctl_counts(self, results):
         assert results["base"].ioctl_calls == 8    # 2 devices x 4 frames
         assert results["p2p"].ioctl_calls == 2

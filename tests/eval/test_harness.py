@@ -43,7 +43,7 @@ class TestMeasurement:
     def test_frames_per_joule(self):
         m = Measurement(app="x", mode="p2p", frames=10, fps=1000.0,
                         watts=2.0, dram_accesses=0, ioctl_calls=1,
-                        cycles=100)
+                        cycles=100, plane_flits={})
         assert m.frames_per_joule == 500.0
 
     def test_measure_populates_everything(self):

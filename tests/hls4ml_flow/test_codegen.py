@@ -9,7 +9,6 @@ from repro.hls4ml_flow import (
     emit_parameters_header,
     emit_weights_header,
 )
-from tests.hls4ml_flow.report import build_report
 from repro.nn import Dense, ReLU, Sequential, Softmax
 
 
@@ -62,17 +61,3 @@ class TestEmitAll:
         files = emit_all(compiled())
         assert set(files) == {"parameters.h", "weights.h", "compute.cpp",
                               "directives.tcl"}
-
-
-class TestReport:
-    def test_report_matches_model(self):
-        hls = compiled()
-        report = build_report(hls)
-        assert report.latency_cycles == hls.latency_cycles
-        assert report.interval_cycles == hls.interval_cycles
-        assert len(report.layers) == 2
-
-    def test_report_text_renders(self):
-        text = build_report(compiled()).to_text()
-        assert "Synthesis report" in text
-        assert "throughput" in text

@@ -13,7 +13,6 @@ from repro.noc import (
     Packet,
 )
 from repro.sim import Environment
-from tests.noc.stats import collect_report
 
 
 def send_and_run(mesh, env, packets):
@@ -201,15 +200,6 @@ class TestStats:
         flits = mesh.plane_flits()
         assert flits[DMA_REQUEST_PLANE] == 2 * 10   # 2 hops x 10 flits
         assert flits[DMA_RESPONSE_PLANE] == 0
-
-    def test_report_renders(self):
-        env = Environment()
-        mesh = Mesh2D(env, 2, 2)
-        mesh.send(packet((0, 0), (1, 1)))
-        env.run()
-        report = collect_report(mesh)
-        assert report.packets_delivered == 1
-        assert "flit-hops" in report.to_text()
 
     def test_busiest_links(self):
         env = Environment()

@@ -93,9 +93,6 @@ def reference_transmit(mesh, packet):
                 packet.on_lost()
             return packet
     packet.delivered_at = env.now
-    mesh.total_latency += packet.latency
-    counts = mesh._delivered_by_name
-    counts[packet.kind.name] = counts.get(packet.kind.name, 0) + 1
     mesh._retire(packet, "delivered", tracer, sid)
     yield mesh.inbox(packet.dst, packet.plane).put(packet)
     return packet
@@ -248,7 +245,6 @@ def simulate(mesh_class, scenario: Scenario) -> dict:
         "log": log,
         "faults": None if faults is None else faults.seen,
         "outcomes": mesh.outcomes,
-        "latency": mesh.total_latency,
         "spans": None if tracer is None else packet_spans(tracer),
     }
 
