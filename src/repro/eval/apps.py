@@ -15,7 +15,7 @@ builder) pair provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from ..accelerators import (
     partition_classifier,
 )
 from ..datasets import add_gaussian_noise, darken, flatten_frames, generate
-from ..nn import Sequential
 from ..runtime import Dataflow, EspRuntime, chain, replicated_stage
 from ..soc import SoCConfig, SoCInstance, build_soc
 
@@ -34,20 +33,15 @@ N_NV_TILES = 4
 N_CL_TILES = 4
 
 
-def build_soc1(classifier_model: Optional[Sequential] = None,
-               denoiser_model: Optional[Sequential] = None,
-               reuse_factor: int = 1024,
-               clock_mhz: float = 78.0) -> SoCInstance:
+def build_soc1() -> SoCInstance:
     """SoC-1: 4x3 mesh, 4 NV + 4 Cl + 1 De accelerator tiles."""
-    config = SoCConfig(cols=4, rows=3, name="esp4ml-soc1",
-                       clock_mhz=clock_mhz)
+    config = SoCConfig(cols=4, rows=3, name="esp4ml-soc1")
     config.add_cpu((0, 0))
     config.add_memory((1, 0))
     config.add_aux((2, 0))
     nv = night_vision_spec()
-    cl = classifier_spec(classifier_model, reuse_factor=reuse_factor,
-                         clock_mhz=clock_mhz)
-    de = denoiser_spec(denoiser_model, clock_mhz=clock_mhz)
+    cl = classifier_spec()
+    de = denoiser_spec()
     for index in range(N_NV_TILES):
         config.add_accelerator(config.next_free(), f"nv{index}", nv)
     for index in range(N_CL_TILES):
@@ -56,18 +50,13 @@ def build_soc1(classifier_model: Optional[Sequential] = None,
     return build_soc(config)
 
 
-def build_soc2(classifier_model: Optional[Sequential] = None,
-               reuse_factor: int = 2048,
-               clock_mhz: float = 78.0) -> SoCInstance:
+def build_soc2() -> SoCInstance:
     """SoC-2: 3x3 mesh, the 5-way partitioned classifier."""
-    config = SoCConfig(cols=3, rows=3, name="esp4ml-soc2",
-                       clock_mhz=clock_mhz)
+    config = SoCConfig(cols=3, rows=3, name="esp4ml-soc2")
     config.add_cpu((0, 0))
     config.add_memory((1, 0))
     config.add_aux((2, 0))
-    for index, spec in enumerate(partition_classifier(
-            model=classifier_model, reuse_factor=reuse_factor,
-            clock_mhz=clock_mhz)):
+    for index, spec in enumerate(partition_classifier()):
         config.add_accelerator(config.next_free(), f"part{index}", spec)
     return build_soc(config)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,10 +38,14 @@ CHAIN3_DEVICES = ("de0", "nv0", "cl0")
 #: Execution modes under test: the threaded DMA pipeline and the p2p
 #: streaming pipeline (the two recovery regimes — per-frame retry vs
 #: whole-run degradation).
-DEFAULT_MODES = ("pipe", "p2p")
+CAMPAIGN_MODES = ("pipe", "p2p")
 
-#: Per-opportunity fault probabilities swept by the default campaign.
-DEFAULT_RATES = (2e-4, 1e-3)
+#: Per-opportunity fault probabilities swept by the campaign.
+CAMPAIGN_RATES = (2e-4, 1e-3)
+
+#: Application-level re-runs a cell gets before it counts as
+#: unrecovered.
+APP_RETRIES = 1
 
 #: Watchdog slack added on top of the fault-free run length.
 WATCHDOG_SLACK = 50_000
@@ -196,44 +200,39 @@ def golden_run(frames: np.ndarray, mode: str
     return result.outputs, result.cycles
 
 
-def run_fault_campaign(kinds: Sequence[str] = FAULT_KINDS,
-                       rates: Sequence[float] = DEFAULT_RATES,
-                       modes: Sequence[str] = DEFAULT_MODES,
-                       n_frames: int = 4, seed: int = 0,
-                       app_retries: int = 1,
-                       verbose: bool = False) -> CampaignReport:
+def run_fault_campaign(n_frames: int = 4) -> CampaignReport:
     """Sweep fault kinds x rates x modes over the 3-stage pipeline.
 
     Each cell builds a fresh SoC, arms the recovery policy, attaches a
     single-transient fault plan and runs the full batch; outputs are
     compared bit-exactly against the fault-free golden run. A mismatch
-    is given ``app_retries`` application-level re-runs (fresh buffers,
+    is given ``APP_RETRIES`` application-level re-runs (fresh buffers,
     same SoC) before the cell counts as unrecovered.
     """
-    frames, _ = de_cl_inputs(n_frames, seed=seed)
+    frames, _ = de_cl_inputs(n_frames)
     report = CampaignReport()
     goldens: Dict[str, np.ndarray] = {}
-    for mode in modes:
+    for mode in CAMPAIGN_MODES:
         golden, cycles = golden_run(frames, mode)
         goldens[mode] = golden
         report.baselines[mode] = cycles
 
-    for kind in kinds:
-        for rate in rates:
-            for mode in modes:
+    for kind in FAULT_KINDS:
+        for rate in CAMPAIGN_RATES:
+            for mode in CAMPAIGN_MODES:
                 if kind == "p2p_req_drop" and mode != "p2p":
                     continue   # the fault site only exists on p2p loads
                 policy = campaign_policy(report.baselines[mode])
                 cell = zlib.crc32(f"{kind}:{mode}:{rate}".encode())
                 plan = FaultPlan(fault_specs_for(kind, rate),
-                                 seed=seed + cell % 100_000)
+                                 seed=cell % 100_000)
                 runtime, injector = _fresh_runtime(policy, plan)
                 dataflow = chain3_dataflow()
                 results = [runtime.esp_run(dataflow, frames, mode=mode)]
                 first_exact = bool(np.array_equal(results[0].outputs,
                                                   goldens[mode]))
                 recovered = first_exact
-                while not recovered and len(results) <= app_retries:
+                while not recovered and len(results) <= APP_RETRIES:
                     results.append(
                         runtime.esp_run(dataflow, frames, mode=mode))
                     recovered = bool(np.array_equal(results[-1].outputs,
@@ -254,7 +253,4 @@ def run_fault_campaign(kinds: Sequence[str] = FAULT_KINDS,
                     app_retries=len(results) - 1,
                 )
                 report.records.append(record)
-                if verbose:
-                    print(f"{kind}/{rate:.0e}/{mode}: "
-                          f"fired={plan.fired} recovered={recovered}")
     return report

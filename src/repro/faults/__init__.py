@@ -16,7 +16,6 @@ without this module.
 """
 
 from .errors import (
-    AcceleratorTimeout,
     FaultError,
     KernelCrash,
     NodeFailed,
@@ -32,7 +31,6 @@ from .injector import FaultInjector
 from .policy import RecoveryPolicy
 
 __all__ = [
-    "AcceleratorTimeout",
     "FAULT_KINDS",
     "FaultError",
     "FaultEvent",

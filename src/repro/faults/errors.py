@@ -7,24 +7,6 @@ class FaultError(Exception):
     """Base class for fault-model failures."""
 
 
-class AcceleratorTimeout(FaultError):
-    """A device did not complete within the allowed wait.
-
-    Raised by the executor's polling guard (``max_wait_cycles``) and by
-    the watchdog path when recovery is disabled.
-    """
-
-    def __init__(self, device: str, waited_cycles: int,
-                 detail: str = "") -> None:
-        self.device = device
-        self.waited_cycles = waited_cycles
-        message = (f"accelerator {device!r} did not signal completion "
-                   f"within {waited_cycles} cycles")
-        if detail:
-            message += f" ({detail})"
-        super().__init__(message)
-
-
 class KernelCrash(FaultError):
     """An injected accelerator-kernel crash (fault kind ``acc_crash``)."""
 

@@ -17,29 +17,22 @@ from typing import Optional
 
 import numpy as np
 
-VALID_ROUNDING = ("truncate", "nearest")
-VALID_OVERFLOW = ("saturate", "wrap")
-
 
 @dataclass(frozen=True)
 class FixedFormat:
     """An ``ap_fixed``-style format: Q(integer_bits).(fraction_bits).
 
+    Quantization truncates (``AP_TRN``) and saturates (``AP_SAT``).
+
     Attributes:
         width: total bit width W.
         integer_bits: bits left of the binary point I (sign included).
         signed: two's-complement when True, unsigned otherwise.
-        rounding: "truncate" (HLS default ``AP_TRN``) or "nearest"
-            (``AP_RND``).
-        overflow: "saturate" (``AP_SAT``) or "wrap" (``AP_WRAP``,
-            the HLS default).
     """
 
     width: int
     integer_bits: int
     signed: bool = True
-    rounding: str = "truncate"
-    overflow: str = "saturate"
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -53,10 +46,6 @@ class FixedFormat:
         if self.signed and self.integer_bits < 1:
             raise ValueError("signed formats need integer_bits >= 1 "
                              "for the sign bit")
-        if self.rounding not in VALID_ROUNDING:
-            raise ValueError(f"rounding must be one of {VALID_ROUNDING}")
-        if self.overflow not in VALID_OVERFLOW:
-            raise ValueError(f"overflow must be one of {VALID_OVERFLOW}")
         # Quantization constants, precomputed once: to_raw/from_raw are
         # the hottest functions of the whole simulation (every frame of
         # every accelerator kernel round-trips through them), so the
@@ -81,8 +70,7 @@ class FixedFormat:
             object.__setattr__(self, "_raw_min_i64", None)
             object.__setattr__(self, "_raw_max_i64", None)
         # Formats whose grid snap runs entirely in float64 (see snap).
-        object.__setattr__(self, "_float_snap",
-                           self.overflow == "saturate" and self.width <= 53)
+        object.__setattr__(self, "_float_snap", self.width <= 53)
 
     @property
     def scale(self) -> float:
@@ -113,27 +101,13 @@ class FixedFormat:
         if values.ndim == 0 or self._raw_min_i64 is None:
             # Scalar (numpy hands back 0-d scalars that reject out=)
             # or ufixed<64>: the straightforward formulation.
-            scaled = values * self._inv_scale
-            if self.rounding == "nearest":
-                raw = np.floor(scaled + 0.5)
-            else:
-                raw = np.floor(scaled)
-            raw = raw.astype(np.int64)
-            if self.overflow == "saturate":
-                return np.clip(raw, self.raw_min, self.raw_max)
-            span = 1 << self.width
-            return np.mod(raw - self.raw_min, span) + self.raw_min
+            raw = np.floor(values * self._inv_scale).astype(np.int64)
+            return np.clip(raw, self.raw_min, self.raw_max)
         scaled = values * self._inv_scale
-        if self.rounding == "nearest":
-            scaled += 0.5
         np.floor(scaled, out=scaled)
         raw = scaled.astype(np.int64)
-        if self.overflow == "saturate":
-            np.maximum(raw, self._raw_min_i64, out=raw)
-            np.minimum(raw, self._raw_max_i64, out=raw)
-        else:
-            span = 1 << self.width
-            raw = np.mod(raw - self.raw_min, span) + self.raw_min
+        np.maximum(raw, self._raw_min_i64, out=raw)
+        np.minimum(raw, self._raw_max_i64, out=raw)
         return raw
 
     def from_raw(self, raw: np.ndarray) -> np.ndarray:
@@ -168,13 +142,13 @@ class FixedFormat:
         freshly computed accumulator) the float path writes no new
         array. The result is returned either way.
 
-        Saturating formats up to 53 bits snap entirely in float64;
-        wrapping and wider formats take the int64 round-trip
-        ``from_raw(to_raw(...))``. The float path is bit-identical to
-        it: ``floor`` produces exact integral floats, the raw bounds
-        are exactly representable (|raw| < 2**53), and the final
-        multiply by the power-of-two ``scale`` is the same operation
-        ``from_raw`` performs — two array conversions per call saved.
+        Formats up to 53 bits snap entirely in float64; wider formats
+        take the int64 round-trip ``from_raw(to_raw(...))``. The float
+        path is bit-identical to it: ``floor`` produces exact integral
+        floats, the raw bounds are exactly representable
+        (|raw| < 2**53), and the final multiply by the power-of-two
+        ``scale`` is the same operation ``from_raw`` performs — two
+        array conversions per call saved.
         This is the hottest numpy entry point of the whole simulation
         (every layer of every frame passes through it).
         """
@@ -190,8 +164,6 @@ class FixedFormat:
         if lower is not None:
             lo = max(lo, lower * self._inv_scale)
         scaled = np.multiply(values, self._inv_scale, out=out)
-        if self.rounding == "nearest":
-            scaled += 0.5
         np.floor(scaled, out=scaled)
         np.maximum(scaled, lo, out=scaled)
         np.minimum(scaled, float(self._raw_max), out=scaled)

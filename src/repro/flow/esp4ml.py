@@ -23,7 +23,7 @@ from ..accelerators.base import AcceleratorSpec
 from ..accelerators.classifier import spec_from_hls
 from ..hls4ml_flow import HlsConfig, compile_model, emit_all
 from ..nn import Sequential
-from ..runtime import Dataflow, EspRuntime, RuntimeCosts
+from ..runtime import Dataflow, EspRuntime
 from ..runtime.codegen import emit_dataflow_header, emit_user_app
 from ..soc import SoCConfig, SoCInstance, build_soc, emit_dts
 from .xml_gen import emit_accelerator_xml
@@ -63,10 +63,8 @@ class SoCBundle:
 class Esp4mlFlow:
     """Builder for the full flow: add accelerators, then generate."""
 
-    def __init__(self, clock_mhz: float = 78.0,
-                 runtime_costs: Optional[RuntimeCosts] = None) -> None:
+    def __init__(self, clock_mhz: float = 78.0) -> None:
         self.clock_mhz = clock_mhz
-        self.runtime_costs = runtime_costs
         self._accelerators: List[Tuple[str, AcceleratorSpec]] = []
         self._artifacts: Dict[str, str] = {}
 
@@ -120,7 +118,7 @@ class Esp4mlFlow:
             config.add_accelerator(config.next_free(), device_name, spec)
 
         soc = build_soc(config)
-        runtime = EspRuntime(soc, costs=self.runtime_costs)
+        runtime = EspRuntime(soc)
         artifacts = dict(self._artifacts)
         artifacts["soc.dts"] = emit_dts(config)
         artifacts["floorplan.txt"] = config.floorplan_text() + "\n"

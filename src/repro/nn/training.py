@@ -85,8 +85,6 @@ class History:
     """Per-epoch training record (Keras History substitute)."""
 
     loss: List[float] = field(default_factory=list)
-    val_loss: List[float] = field(default_factory=list)
-    val_metric: List[float] = field(default_factory=list)
 
 
 def iterate_minibatches(x: np.ndarray, y: np.ndarray, batch_size: int,
@@ -101,10 +99,8 @@ def iterate_minibatches(x: np.ndarray, y: np.ndarray, batch_size: int,
 def fit(model: Sequential, x: np.ndarray, y: np.ndarray, *,
         loss: str = "categorical_crossentropy",
         optimizer: Optional[Optimizer] = None,
-        epochs: int = 10, batch_size: int = 64, seed: int = 0,
-        validation: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        metric: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
-        verbose: bool = False) -> History:
+        epochs: int = 10, batch_size: int = 64,
+        seed: int = 0) -> History:
     """Train ``model``; returns the per-epoch :class:`History`."""
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}; options: {sorted(LOSSES)}")
@@ -113,7 +109,7 @@ def fit(model: Sequential, x: np.ndarray, y: np.ndarray, *,
     rng = np.random.default_rng(seed)
     history = History()
 
-    for epoch in range(epochs):
+    for _ in range(epochs):
         epoch_losses = []
         for xb, yb in iterate_minibatches(x, y, batch_size, rng):
             pred = model.forward(xb, training=True)
@@ -122,20 +118,4 @@ def fit(model: Sequential, x: np.ndarray, y: np.ndarray, *,
             optimizer.step(model)
             epoch_losses.append(value)
         history.loss.append(float(np.mean(epoch_losses)))
-
-        if validation is not None:
-            xv, yv = validation
-            pred = model.predict(xv)
-            val_value, _ = loss_fn(pred, yv)
-            history.val_loss.append(val_value)
-            if metric is not None:
-                history.val_metric.append(metric(pred, yv))
-        if verbose:
-            parts = [f"epoch {epoch + 1}/{epochs}",
-                     f"loss={history.loss[-1]:.4f}"]
-            if history.val_loss:
-                parts.append(f"val_loss={history.val_loss[-1]:.4f}")
-            if history.val_metric:
-                parts.append(f"val_metric={history.val_metric[-1]:.4f}")
-            print("  ".join(parts))
     return history

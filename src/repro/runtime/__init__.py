@@ -1,6 +1,6 @@
 """The ESP4ML software runtime: driver, allocator, dataflow, executor."""
 
-from ..faults import AcceleratorTimeout, NodeFailed, RecoveryPolicy
+from ..faults import NodeFailed, RecoveryPolicy
 from .driver import DeviceRegistry, EspDevice
 from .alloc import Buffer, BufferPool, ContigAllocator
 from .dataflow import (
@@ -16,13 +16,11 @@ from .executor import (
     ExecutionPlan,
     NodePlan,
     RunResult,
-    RuntimeCosts,
 )
 from .api import EspRuntime
 from .codegen import emit_dataflow_header, emit_user_app
 
 __all__ = [
-    "AcceleratorTimeout",
     "Buffer",
     "BufferPool",
     "COMM_KINDS",
@@ -39,7 +37,6 @@ __all__ = [
     "NodePlan",
     "RecoveryPolicy",
     "RunResult",
-    "RuntimeCosts",
     "chain",
     "emit_dataflow_header",
     "emit_user_app",

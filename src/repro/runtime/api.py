@@ -16,7 +16,7 @@ from ..soc import SoCInstance
 from .alloc import Buffer, ContigAllocator
 from .dataflow import Dataflow
 from .driver import DeviceRegistry
-from .executor import DataflowExecutor, RunResult, RuntimeCosts
+from .executor import DataflowExecutor, RunResult
 
 
 class EspRuntime:
@@ -27,15 +27,13 @@ class EspRuntime:
     """
 
     def __init__(self, soc: SoCInstance,
-                 costs: Optional[RuntimeCosts] = None,
                  recovery: Optional[RecoveryPolicy] = None) -> None:
         self.soc = soc
         self.registry = DeviceRegistry()
         self.registry.probe(soc)
         self.allocator = ContigAllocator(soc.memory_map)
         self.executor = DataflowExecutor(soc, self.registry,
-                                         self.allocator, costs=costs,
-                                         recovery=recovery)
+                                         self.allocator, recovery=recovery)
 
     # -- libesp ----------------------------------------------------------
 

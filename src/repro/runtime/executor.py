@@ -42,7 +42,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..faults import AcceleratorTimeout, NodeFailed, RecoveryPolicy
+from ..faults import NodeFailed, RecoveryPolicy
 from ..sim import Event, Interrupt, Process, ProgressCounter
 from ..soc import (
     CMD_REG,
@@ -69,39 +69,11 @@ from .dataflow import Dataflow, EXECUTION_MODES
 from .driver import DeviceRegistry, EspDevice
 
 
-@dataclass(frozen=True)
-class RuntimeCosts:
-    """Software overheads on the RISC-V core, in cycles at SoC clock.
-
-    ``completion`` selects how the driver observes accelerator
-    completion: ``"irq"`` sleeps on the interrupt (the paper's
-    drivers); ``"poll"`` spins on ``STATUS_REG`` over the IO plane
-    every ``poll_interval_cycles`` — cheaper per event but it burns CPU
-    cycles and NoC bandwidth, and adds up to one interval of completion
-    latency.
-    """
-
-    ioctl_cycles: int = 600          # syscall entry/exit + driver work
-    reg_write_cycles: int = 10       # uncached MMIO store issue
-    thread_spawn_cycles: int = 150   # pthread_create
-    sync_cycles: int = 40            # semaphore wait/post pair
-    completion: str = "irq"          # "irq" | "poll"
-    poll_interval_cycles: int = 200
-    #: Upper bound on the STATUS_REG poll loop, in cycles. ``None``
-    #: (the default) preserves the unbounded spin of the original
-    #: driver; a bound turns a dead accelerator into a descriptive
-    #: :class:`~repro.faults.AcceleratorTimeout` instead of a hang.
-    max_wait_cycles: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.completion not in ("irq", "poll"):
-            raise ValueError(
-                f"completion must be 'irq' or 'poll', got "
-                f"{self.completion!r}")
-        if self.poll_interval_cycles < 1:
-            raise ValueError("poll_interval_cycles must be >= 1")
-        if self.max_wait_cycles is not None and self.max_wait_cycles < 1:
-            raise ValueError("max_wait_cycles must be >= 1 (or None)")
+# Software overheads on the RISC-V core, in cycles at SoC clock.
+IOCTL_CYCLES = 600          # syscall entry/exit + driver work
+REG_WRITE_CYCLES = 10       # uncached MMIO store issue
+THREAD_SPAWN_CYCLES = 150   # pthread_create
+SYNC_CYCLES = 40            # semaphore wait/post pair
 
 
 @dataclass
@@ -229,12 +201,10 @@ class DataflowExecutor:
 
     def __init__(self, soc: SoCInstance, registry: DeviceRegistry,
                  allocator: ContigAllocator,
-                 costs: Optional[RuntimeCosts] = None,
                  recovery: Optional[RecoveryPolicy] = None) -> None:
         self.soc = soc
         self.registry = registry
         self.allocator = allocator
-        self.costs = costs or RuntimeCosts()
         #: ``None`` (the default) keeps the original fail-stop runtime:
         #: every wait is unbounded and the execution path is exactly the
         #: non-robust one (pay-for-what-you-use). A policy arms the
@@ -247,11 +217,6 @@ class DataflowExecutor:
         #: and an in-flight watchdog wait is preempted immediately.
         self.forced_software: Set[str] = set()
         self._preempts: Dict[str, Event] = {}
-        #: Upper bound, in cycles, on the posted-store quiesce wait of
-        #: the re-entrant :meth:`run_process` path. ``None`` waits
-        #: until fully quiescent; a bound writes lost stores off so a
-        #: dropped packet cannot wedge the serving loop.
-        self.quiesce_bound: Optional[int] = None
 
     # -- planning ----------------------------------------------------------
 
@@ -414,7 +379,7 @@ class DataflowExecutor:
         """The system call that opens every invocation."""
         plan.counts["ioctl_calls"] += 1
         return self._step(node.name, "ioctl", "runtime.ioctl",
-                          (self.soc.env.timeout(self.costs.ioctl_cycles),),
+                          (self.soc.env.timeout(IOCTL_CYCLES),),
                           device=node.name)
 
     def _program_and_start(self, node: NodePlan, src_offset: int,
@@ -441,7 +406,7 @@ class DataflowExecutor:
         env = self.soc.env
         cpu = self.soc.cpu
         for reg, value in writes:
-            yield env.timeout(self.costs.reg_write_cycles)
+            yield env.timeout(REG_WRITE_CYCLES)
             yield from cpu.write_reg(coord, reg, value)
 
     def _invoke(self, plan: ExecutionPlan, node: NodePlan,
@@ -455,33 +420,10 @@ class DataflowExecutor:
         yield from self._program_and_start(
             node, src_offset, dst_offset, n_frames, p2p, src_stride,
             dst_stride, coherence, divider)
-        completion = (self._poll(node) if self.costs.completion == "poll"
-                      else self.soc.cpu.wait_irq(node.name))
         yield from self._step(node.name, "wait-completion",
-                              "runtime.irq_wait", completion,
+                              "runtime.irq_wait",
+                              self.soc.cpu.wait_irq(node.name),
                               device=node.name)
-
-    def _poll(self, node: NodePlan):
-        """Poll STATUS_REG until DONE, then drain the interrupt."""
-        env = self.soc.env
-        cpu = self.soc.cpu
-        poll_start = env.now
-        while True:
-            yield env.timeout(self.costs.poll_interval_cycles)
-            status = yield from cpu.read_reg(node.device.coord,
-                                             STATUS_REG)
-            if status == STATUS_DONE:
-                break
-            if (self.costs.max_wait_cycles is not None
-                    and env.now - poll_start
-                    >= self.costs.max_wait_cycles):
-                raise AcceleratorTimeout(
-                    node.name, env.now - poll_start,
-                    detail=f"STATUS_REG stayed {status} past "
-                           f"max_wait_cycles="
-                           f"{self.costs.max_wait_cycles}")
-        # Drain the (unmasked) completion interrupt.
-        yield from cpu.wait_irq(node.name)
 
     # -- control-plane override ---------------------------------------------
 
@@ -544,10 +486,7 @@ class DataflowExecutor:
         exponential backoff stretches the window for a slow but live
         device). A missed watchdog or a completion whose STATUS_REG is
         not DONE (kernel crash, lost packet) triggers a hardware
-        CMD_RESET of the socket before the next attempt. Completion is
-        always observed through the interrupt here, even under
-        ``completion="poll"`` costs: the watchdog subsumes the poll
-        loop's purpose.
+        CMD_RESET of the socket before the next attempt.
         """
         env = self.soc.env
         cpu = self.soc.cpu
@@ -581,7 +520,7 @@ class DataflowExecutor:
                 # A force_software preemption is no watchdog verdict.
                 self._count(plan, "watchdog_timeouts")
             # Recover the socket: abort whatever is (not) running.
-            yield env.timeout(self.costs.reg_write_cycles)
+            yield env.timeout(REG_WRITE_CYCLES)
             yield from cpu.write_reg(coord, CMD_REG, CMD_RESET)
             yield env.timeout(policy.reset_cycles)
         return False
@@ -700,7 +639,7 @@ class DataflowExecutor:
             for node in row:
                 yield from self._step(
                     node.name, "pthread-create", "runtime.spawn",
-                    (env.timeout(self.costs.thread_spawn_cycles),),
+                    (env.timeout(THREAD_SPAWN_CYCLES),),
                     device=node.name)
                 if plan.failure is not None:
                     raise plan.failure
@@ -790,7 +729,7 @@ class DataflowExecutor:
 
     def _sync(self, counter: ProgressCounter, needed: int):
         """Semaphore wait until the producer finished frame ``needed``."""
-        yield self.soc.env.timeout(self.costs.sync_cycles)
+        yield self.soc.env.timeout(SYNC_CYCLES)
         yield counter.wait_until(needed)
 
     def _custom_main(self, plan: ExecutionPlan):
@@ -1062,29 +1001,17 @@ class DataflowExecutor:
         The blocking ``execute`` path drains the whole schedule before
         reading outputs; a serving loop cannot (other plans are still
         running), so it waits only for the memory map's posted-store
-        count to reach zero. ``quiesce_bound`` caps the wait: past the
-        bound, stores that never retired (packets lost to injected NoC
-        faults) are written off so one dropped packet cannot wedge the
-        serving loop.
+        count to reach zero.
         """
-        env = self.soc.env
-        memory_map = self.soc.memory_map
-        quiet = memory_map.quiesce_event(env)
-        if self.quiesce_bound is None:
-            yield quiet
-            return
-        yield env.any_of([quiet, env.timeout(self.quiesce_bound)])
-        if not quiet.triggered:
-            memory_map.cancel_quiesce(quiet)
-            memory_map.write_off_in_flight()
+        yield self.soc.memory_map.quiesce_event(self.soc.env)
 
     def _abort_and_release(self, plan: ExecutionPlan):
         """In-process teardown: abort, quiesce, then free the buffers.
 
         The quiesce between the abort and the release is load-bearing:
-        the plan's posted stores must land (or be written off) before
-        its addresses can be handed to the next plan, or a stale store
-        could corrupt the successor's buffers.
+        the plan's posted stores must land before its addresses can be
+        handed to the next plan, or a stale store could corrupt the
+        successor's buffers.
         """
         self._abort_plan(plan)
         yield from self._quiesce_stores()
@@ -1108,11 +1035,10 @@ class DataflowExecutor:
         counters, and releases the plan's buffers.
 
         The one difference from the blocking path: output reads are
-        gated on posted-store quiescence (bounded by ``quiesce_bound``)
-        instead of a global schedule drain. ``dram_accesses`` is a
-        global delta over the request's lifetime, best-effort when
-        plans overlap (the per-tile monitors give exact per-plan
-        numbers).
+        gated on posted-store quiescence instead of a global schedule
+        drain. ``dram_accesses`` is a global delta over the request's
+        lifetime, best-effort when plans overlap (the per-tile monitors
+        give exact per-plan numbers).
         """
         frames, plan = self._prepare(dataflow, frames, mode, coherence,
                                      dvfs)

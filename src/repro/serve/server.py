@@ -62,9 +62,6 @@ class TenantConfig:
     mode: str = "p2p"
     priority: int = 0
     max_batch_frames: int = 32
-    #: After the first request arrives, wait this long for more to
-    #: coalesce before dispatching (0 = dispatch immediately).
-    batch_window_cycles: int = 0
     #: DMA coherence for the tenant's runs: a single
     #: :class:`~repro.soc.CoherenceMode` (or string value), or a
     #: ``device -> mode`` mapping. ``None`` runs non-coherent unless
@@ -79,9 +76,6 @@ class ServerConfig:
 
     max_queue_depth: int = 64
     policy: str = "fifo"             # tile-arbitration policy
-    #: Bound on the posted-store quiesce of each request (see
-    #: ``DataflowExecutor.quiesce_bound``); ``None`` waits fully.
-    quiesce_bound: Optional[int] = None
     #: Probation delay for quarantined tiles (``None`` keeps the
     #: permanent quarantine). On re-admission the server resets the
     #: tile and clears its failed mark before the arbiter grants it.
@@ -237,7 +231,6 @@ class InferenceServer:
         self.soc = runtime.soc
         self.env: Environment = runtime.soc.env
         self.config = config or ServerConfig()
-        self.executor.quiesce_bound = self.config.quiesce_bound
         self.queue = RequestQueue(self.config.max_queue_depth)
         self.queue.on_admit = self._on_admit
         self.arbiter = TileArbiter(
@@ -517,8 +510,6 @@ class InferenceServer:
                 event.wait_reason = f"serve:{name} waiting for requests"
                 self._work[name] = event
                 yield event
-            if tenant.config.batch_window_cycles:
-                yield env.timeout(tenant.config.batch_window_cycles)
             self._apply_reshard(tenant)
             tenant.in_flight = True
             requests = self.queue.drain(

@@ -143,20 +143,17 @@ class Fifo:
         self._drain_putters()
         return item
 
-    def flush(self, drop_putters: bool = True) -> int:
+    def flush(self) -> int:
         """Discard queued items (hardware reset of the queue).
 
-        Pending putters are dropped too by default: their events stay
-        pending forever, which models an aborted producer that was
-        abandoned mid-handshake. Blocked getters are kept — a live
-        server keeps waiting for fresh data. Returns the number of
-        discarded items.
+        Pending putters are dropped too: their events stay pending
+        forever, which models an aborted producer that was abandoned
+        mid-handshake. Blocked getters are kept — a live server keeps
+        waiting for fresh data. Returns the number of discarded items.
         """
-        dropped = len(self.items)
+        dropped = len(self.items) + len(self._putters)
         self.items.clear()
-        if drop_putters:
-            dropped += len(self._putters)
-            self._putters.clear()
+        self._putters.clear()
         return dropped
 
     def _accept(self, item: Any) -> None:

@@ -265,15 +265,15 @@ class Process(Event):
         """The event this process is currently blocked on (if any)."""
         return self._target
 
-    def interrupt(self, cause: Any = None, defuse: bool = True) -> None:
+    def interrupt(self, cause: Any = None) -> None:
         """Abort the process by raising :class:`Interrupt` inside it.
 
         The process is detached from whatever event it was waiting on
-        and resumed with the exception at its current ``yield``. With
-        ``defuse`` (the default) an unhandled interrupt kills the
-        process quietly instead of crashing the event loop — the
-        executor uses this to cancel zombie pipeline threads when a
-        run is aborted for graceful degradation.
+        and resumed with the exception at its current ``yield``. An
+        unhandled interrupt kills the process quietly instead of
+        crashing the event loop — the executor uses this to cancel
+        zombie pipeline threads when a run is aborted for graceful
+        degradation.
         """
         if not self.is_alive:
             return
@@ -284,8 +284,7 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        if defuse:
-            self.__sim_defused__ = True  # type: ignore[attr-defined]
+        self.__sim_defused__ = True  # type: ignore[attr-defined]
         event = Event(self.env)
         event._ok = False
         event._value = Interrupt(cause)

@@ -279,7 +279,6 @@ class MemoryMap:
         # posted store has landed. Counters only; zero simulation cost.
         self.stores_posted = 0
         self.stores_retired = 0
-        self._stores_written_off = 0
         self._quiesce_waiters: List[Event] = []
 
     # -- posted-store quiescence ------------------------------------------
@@ -287,8 +286,7 @@ class MemoryMap:
     @property
     def stores_in_flight(self) -> int:
         """Posted DMA stores not yet applied by a memory tile."""
-        return max(0, self.stores_posted - self.stores_retired
-                   - self._stores_written_off)
+        return max(0, self.stores_posted - self.stores_retired)
 
     def store_posted(self) -> None:
         """A DMA engine handed one store request to the NoC."""
@@ -302,22 +300,6 @@ class MemoryMap:
             for event in waiters:
                 event.succeed()
 
-    def write_off_in_flight(self) -> int:
-        """Declare currently in-flight stores lost (fault recovery).
-
-        A store whose request packet the NoC dropped will never retire;
-        after a bounded quiesce gives up, writing the stragglers off
-        keeps later quiesce waits from being poisoned forever. Returns
-        how many stores were written off.
-        """
-        lost = self.stores_in_flight
-        self._stores_written_off += lost
-        if lost and self.stores_in_flight == 0:
-            waiters, self._quiesce_waiters = self._quiesce_waiters, []
-            for event in waiters:
-                event.succeed()
-        return lost
-
     def quiesce_event(self, env: Environment) -> Event:
         """Event that triggers once no posted store is in flight."""
         event = Event(env)
@@ -328,14 +310,6 @@ class MemoryMap:
                                  f"in-flight posted stores")
             self._quiesce_waiters.append(event)
         return event
-
-    def cancel_quiesce(self, event: Event) -> bool:
-        """Withdraw a pending :meth:`quiesce_event` (bounded wait)."""
-        try:
-            self._quiesce_waiters.remove(event)
-            return True
-        except ValueError:
-            return False
 
     def owner(self, offset: int) -> Tuple[MemoryTile, int]:
         """(tile, local_offset) owning the global word address."""

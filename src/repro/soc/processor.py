@@ -74,32 +74,15 @@ class ProcessorTile:
             kind=MessageKind.REG_ACCESS, payload_flits=1,
             payload=RegWrite(name, value), tag=name))
 
-    def read_reg(self, tile_coord: Coord, name: str):
-        """Uncached MMIO load: round trip over the IO plane (generator).
-
-        Returns the register value. Used by polling-mode drivers that
-        spin on ``STATUS_REG`` instead of sleeping on the interrupt.
-        """
-        self.reg_reads += 1
-        tag = f"rd{next(self._read_tags)}"
-        queue = Fifo(self.env, name=f"rdrply:{tag}")
-        self._read_replies[tag] = queue
-        self.mesh.send(Packet(
-            src=self.coord, dst=tile_coord, plane=IO_PLANE,
-            kind=MessageKind.REG_ACCESS, payload_flits=1,
-            payload=RegRead(name, reply_to=self.coord, tag=tag),
-            tag=tag))
-        reply = yield queue.get()
-        del self._read_replies[tag]
-        return reply.value
-
     def read_reg_bounded(self, tile_coord: Coord, name: str,
                          max_cycles: int):
-        """MMIO load with a watchdog: ``None`` when no reply arrives.
+        """Uncached MMIO load with a watchdog: a round trip over the
+        IO plane (generator) that returns the register value, or
+        ``None`` when no reply arrives.
 
-        The robust variant of :meth:`read_reg` — a lost reply packet
-        (or a dead tile) surfaces as a ``None`` return after
-        ``max_cycles`` instead of blocking the calling thread forever.
+        A lost reply packet (or a dead tile) surfaces as a ``None``
+        return after ``max_cycles`` instead of blocking the calling
+        thread forever.
         """
         if max_cycles < 1:
             raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")

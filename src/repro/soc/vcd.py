@@ -43,6 +43,10 @@ def _sanitize(name: str) -> str:
     return "".join(out)
 
 
+#: Link wires in one dump: the busiest traced links.
+MAX_LINKS = 16
+
+
 def picoseconds_per_cycle(clock_mhz: float) -> int:
     """The VCD timestamp multiplier: one cycle's period in ps."""
     if clock_mhz <= 0:
@@ -50,13 +54,12 @@ def picoseconds_per_cycle(clock_mhz: float) -> int:
     return max(1, round(1e6 / clock_mhz))
 
 
-def emit_vcd(soc: SoCInstance, include_links: bool = True,
-             max_links: int = 16) -> str:
+def emit_vcd(soc: SoCInstance) -> str:
     """Render the run as VCD text.
 
     Accelerator ``busy`` wires toggle at invocation boundaries; link
     wires toggle with channel occupancy (only when the mesh recorded
-    history). The ``max_links`` busiest traced links are included.
+    history). The ``MAX_LINKS`` busiest traced links are included.
     """
     changes: List[Tuple[int, str, int]] = []   # (time, id, value)
     variables: List[Tuple[str, str, str]] = []  # (scope, name, id)
@@ -77,18 +80,17 @@ def emit_vcd(soc: SoCInstance, include_links: bool = True,
         changes.append((span.start, idents[span.device], 1))
         changes.append((span.end, idents[span.device], 0))
 
-    if include_links:
-        traced = [link for _, link in soc.mesh.link_slots()
-                  if link is not None and link.channel.record_history
-                  and link.channel.history]
-        traced.sort(key=lambda l: l.flits_carried, reverse=True)
-        for link in traced[:max_links]:
-            label = (f"{link.src[0]}_{link.src[1]}__to__"
-                     f"{link.dst[0]}_{link.dst[1]}__{link.plane}")
-            ident = new_var("noc", label)
-            changes.append((0, ident, 0))
-            for when, in_use in link.channel.history:
-                changes.append((when, ident, 1 if in_use else 0))
+    traced = [link for _, link in soc.mesh.link_slots()
+              if link is not None and link.channel.record_history
+              and link.channel.history]
+    traced.sort(key=lambda l: l.flits_carried, reverse=True)
+    for link in traced[:MAX_LINKS]:
+        label = (f"{link.src[0]}_{link.src[1]}__to__"
+                 f"{link.dst[0]}_{link.dst[1]}__{link.plane}")
+        ident = new_var("noc", label)
+        changes.append((0, ident, 0))
+        for when, in_use in link.channel.history:
+            changes.append((when, ident, 1 if in_use else 0))
 
     # Header. Timestamps are cycles; the ps-per-cycle multiplier puts
     # the waveform on a true wall-clock timebase for any SoC clock.

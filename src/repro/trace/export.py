@@ -77,8 +77,7 @@ class _Emitter:
         return self._tids[key]
 
     def emit_tracer(self, tracer: Tracer, scale: float,
-                    prefix: str = "",
-                    include_counters: bool = True) -> None:
+                    prefix: str = "") -> None:
         """All of one tracer's records, tracks prefixed by ``prefix``.
 
         Async event ids take the same prefix (each tracer numbers its
@@ -118,14 +117,12 @@ class _Emitter:
                                                    instant.tid),
                                 "ts": instant.ts * scale,
                                 "args": instant.args})
-        if include_counters:
-            for sample in tracer.counters:
-                self.events.append({"ph": "C", "name": sample.name,
-                                    "pid": self.pid_of(prefix
-                                                       + sample.pid),
-                                    "tid": 0,
-                                    "ts": sample.ts * scale,
-                                    "args": dict(sample.values)})
+        for sample in tracer.counters:
+            self.events.append({"ph": "C", "name": sample.name,
+                                "pid": self.pid_of(prefix + sample.pid),
+                                "tid": 0,
+                                "ts": sample.ts * scale,
+                                "args": dict(sample.values)})
 
     def emit_decisions(self, decisions: Iterable[Any],
                        scale: float) -> None:
@@ -149,15 +146,13 @@ class _Emitter:
                                 "args": args})
 
 
-def to_chrome_trace(tracer: Tracer, clock_mhz: float = 1.0,
-                    include_counters: bool = True) -> Dict[str, Any]:
+def to_chrome_trace(tracer: Tracer, clock_mhz: float = 1.0) -> Dict[str, Any]:
     """Render the tracer's records as a Chrome trace-event object."""
     if clock_mhz <= 0:
         raise ValueError(f"clock_mhz must be > 0, got {clock_mhz}")
     scale = 1.0 / clock_mhz   # cycles -> microseconds
     emitter = _Emitter()
-    emitter.emit_tracer(tracer, scale,
-                        include_counters=include_counters)
+    emitter.emit_tracer(tracer, scale)
     return {
         "traceEvents": emitter.events,
         "displayTimeUnit": "ns",
@@ -172,8 +167,7 @@ def to_chrome_trace(tracer: Tracer, clock_mhz: float = 1.0,
 
 def merge_chrome_traces(tracers: Mapping[str, Tracer],
                         clock_mhz: float = 1.0,
-                        decisions: Iterable[Any] = (),
-                        include_counters: bool = True
+                        decisions: Iterable[Any] = ()
                         ) -> Dict[str, Any]:
     """One fleet-wide Chrome trace from many namespaced tracers.
 
@@ -199,8 +193,7 @@ def merge_chrome_traces(tracers: Mapping[str, Tracer],
             raise ValueError(
                 f"tracer namespace {tracer.namespace!r} does not match "
                 f"merge key {name!r}")
-        emitter.emit_tracer(tracer, scale, prefix=f"{name}/",
-                            include_counters=include_counters)
+        emitter.emit_tracer(tracer, scale, prefix=f"{name}/")
         total_spans += len(tracer.spans)
         total_open += len(tracer.open_spans)
         total_dropped += tracer.dropped

@@ -226,11 +226,11 @@ class TestStoredParametersExact:
         _check_exact(layers, predict, rng)
 
     @pytest.mark.parametrize("fmt", [
-        FixedFormat(10, 3, overflow="wrap"),
-        FixedFormat(12, 4, rounding="nearest"),
-        FixedFormat(12, 2, rounding="nearest", overflow="wrap"),
+        FixedFormat(10, 3),
+        FixedFormat(12, 4),
+        FixedFormat(12, 2),
         FixedFormat(16, 6),
-    ], ids=lambda f: f"{f}-{f.rounding}-{f.overflow}")
+    ], ids=str)
     @pytest.mark.parametrize("head", ["softmax", "sigmoid"])
     def test_small_models(self, fmt, head, rng):
         hls = _small_model(fmt, head)

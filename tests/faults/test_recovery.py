@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.faults import (
-    AcceleratorTimeout,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     NodeFailed,
     RecoveryPolicy,
 )
-from repro.runtime import EspRuntime, RuntimeCosts, chain
+from repro.runtime import EspRuntime, chain
+from repro.soc import STATUS_REG
 from repro.trace import attach_tracer
 from tests.conftest import make_soc, make_spec
 
@@ -26,8 +26,8 @@ def three_stage_soc():
 DATAFLOW = ["s0", "s1", "s2"]
 
 
-def run_chain(soc, mode="pipe", n_frames=4, recovery=None, costs=None):
-    runtime = EspRuntime(soc, costs=costs, recovery=recovery)
+def run_chain(soc, mode="pipe", n_frames=4, recovery=None):
+    runtime = EspRuntime(soc, recovery=recovery)
     frames = np.arange(n_frames * 16, dtype=float).reshape(n_frames, 16)
     result = runtime.esp_run(chain("three", DATAFLOW), frames, mode=mode)
     return runtime, result, frames + 3.0   # each stage adds one
@@ -178,45 +178,33 @@ class TestFailedDeviceRouting:
 
 
 class TestBoundedPolling:
-    def test_poll_loop_times_out_with_descriptive_error(self):
-        """Satellite (b): the polling wait carries a configurable bound
-        and raises AcceleratorTimeout instead of spinning forever."""
-        soc = three_stage_soc()
-        plan = FaultPlan([FaultSpec(kind="acc_hang", target="s0",
-                                    at_cycle=0, count=1)])
-        FaultInjector(plan).attach(soc)
-        with pytest.raises(AcceleratorTimeout) as exc_info:
-            run_chain(soc, mode="base",
-                      costs=RuntimeCosts(completion="poll",
-                                         max_wait_cycles=5_000))
-        err = exc_info.value
-        assert err.device == "s0"
-        assert err.waited_cycles >= 5_000
-        assert "max_wait_cycles" in str(err)
+    """Bounded waits on a device: the watchdog that fails a hung run,
+    and the bound of a register read."""
 
     @pytest.mark.parametrize("mode", ["base", "pipe", "p2p"])
     def test_failed_run_leaves_no_driver_span_open(self, mode):
         """A run that fails mid-invocation ends every driver step it
-        left: the poll that timed out and the steps of the threads the
-        abort interrupted close at the cycle they were abandoned."""
+        left: the watchdog wait that gave up and the steps of the
+        threads the abort interrupted close at the cycle they were
+        abandoned."""
         soc = three_stage_soc()
         FaultInjector(FaultPlan([FaultSpec(kind="acc_hang", target="s1",
                                            at_cycle=0, count=1)])).attach(soc)
         tracer = attach_tracer(soc)
-        with pytest.raises(AcceleratorTimeout):
+        with pytest.raises(NodeFailed):
             run_chain(soc, mode=mode,
-                      costs=RuntimeCosts(completion="poll",
-                                         max_wait_cycles=30_000))
+                      recovery=policy(max_retries=0,
+                                      software_fallback=False))
         assert not [span for span in tracer.open_spans
                     if span.cat.startswith("runtime.")]
 
-    def test_unbounded_poll_is_default(self):
-        costs = RuntimeCosts()
-        assert costs.max_wait_cycles is None
-
     def test_bound_validation(self):
-        with pytest.raises(ValueError, match="max_wait_cycles"):
-            RuntimeCosts(max_wait_cycles=0)
+        """A bounded register read needs a bound of at least a cycle."""
+        soc = three_stage_soc()
+        reader = soc.cpu.read_reg_bounded(soc.accelerators["s0"].coord,
+                                          STATUS_REG, max_cycles=0)
+        with pytest.raises(ValueError, match="max_cycles"):
+            next(reader)
 
 
 class TestWatchdogAccounting:
@@ -233,8 +221,6 @@ class TestWatchdogAccounting:
         """A lost register access is abandoned after a bound instead
         of hanging the dispatcher: the bounded read returns None and
         counts the timeout."""
-        from repro.soc import STATUS_REG
-
         soc = three_stage_soc()
         plan = FaultPlan([FaultSpec(kind="link_drop", at_cycle=0,
                                     message_kind="REG_ACCESS", count=1)])

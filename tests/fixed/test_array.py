@@ -74,8 +74,7 @@ class TestActivations:
 
 
 class TestSoftmaxExact:
-    @pytest.mark.parametrize("fmt", [DEFAULT_FORMAT,
-                                     FixedFormat(12, 2, overflow="wrap")],
+    @pytest.mark.parametrize("fmt", [DEFAULT_FORMAT, FixedFormat(12, 2)],
                              ids=str)
     def test_matches_function_form(self, fmt, rng):
         """Method reductions and an in-place divide and snap are the

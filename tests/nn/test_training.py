@@ -104,9 +104,8 @@ class TestFit:
         model = Sequential([Dense(16), ReLU(), Dense(2),
                             Softmax()]).build(4, seed=1)
         history = fit(model, x, y, epochs=20, batch_size=32,
-                      optimizer=Adam(0.01), validation=(x, y),
-                      metric=accuracy)
-        assert history.val_metric[-1] > 0.95
+                      optimizer=Adam(0.01))
+        assert accuracy(model.predict(x), y) > 0.95
         assert history.loss[-1] < history.loss[0]
 
     def test_autoencoder_mse_decreases(self, rng):
@@ -125,11 +124,8 @@ class TestFit:
     def test_history_lengths(self):
         x, y = toy_classification(n=64)
         model = Sequential([Dense(2), Softmax()]).build(4, seed=1)
-        history = fit(model, x, y, epochs=3, validation=(x, y),
-                      metric=accuracy)
+        history = fit(model, x, y, epochs=3)
         assert len(history.loss) == 3
-        assert len(history.val_loss) == 3
-        assert len(history.val_metric) == 3
 
     def test_reproducible_with_seed(self):
         x, y = toy_classification(n=64)

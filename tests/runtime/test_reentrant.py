@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from repro.faults import (
-    AcceleratorTimeout,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     NodeFailed,
     RecoveryPolicy,
 )
-from repro.runtime import EspRuntime, RuntimeCosts, chain
+from repro.runtime import EspRuntime, chain
 from repro.sim import DeadlockError
 from tests.conftest import make_runtime, make_soc, make_spec
 from tests.faults.test_recovery import DATAFLOW, policy, three_stage_soc
@@ -113,24 +112,27 @@ class TestFailureCleanup:
     """A failed plan must leave the SoC serviceable: tiles reset,
     stale IRQs drained, buffers freed."""
 
-    def poll_costs(self):
-        return RuntimeCosts(completion="poll", max_wait_cycles=5_000)
+    @staticmethod
+    def fail_stop():
+        """Watchdog armed, no retry, no fallback: a hang is NodeFailed."""
+        return RecoveryPolicy(watchdog_cycles=5_000, max_retries=0,
+                              software_fallback=False)
 
     def hang_injector(self, soc, target="a0"):
         FaultInjector(FaultPlan([
             FaultSpec(kind="acc_hang", target=target, at_cycle=0,
                       count=1)])).attach(soc)
 
-    def test_second_plan_succeeds_after_poll_timeout(self):
-        """The satellite scenario: a plan times out mid-pipeline; a
-        second plan over the same SoC right after must succeed."""
+    def test_same_plan_succeeds_after_watchdog_failure(self):
+        """A plan fails mid-pipeline on the watchdog; the same plan
+        over the same SoC right after must succeed."""
         soc = make_soc(two_stage_specs())
         self.hang_injector(soc)
-        runtime = EspRuntime(soc, costs=self.poll_costs())
+        runtime = EspRuntime(soc, recovery=self.fail_stop())
         dataflow = chain("df", ["a0", "b0"])
         frames = np.random.default_rng(0).uniform(0, 1, (4, 16))
 
-        with pytest.raises(AcceleratorTimeout):
+        with pytest.raises(NodeFailed):
             runtime.esp_run(dataflow, frames, mode="pipe")
         # Cleanup ran: buffers retracted, tiles reset back to idle.
         assert free_list_words(runtime.allocator) == 0
@@ -146,10 +148,7 @@ class TestFailureCleanup:
         failed device stays quarantined but the rest of the SoC works."""
         soc = make_soc(two_stage_specs())
         self.hang_injector(soc)
-        runtime = EspRuntime(
-            soc, recovery=RecoveryPolicy(watchdog_cycles=5_000,
-                                         max_retries=0,
-                                         software_fallback=False))
+        runtime = EspRuntime(soc, recovery=self.fail_stop())
         frames = np.random.default_rng(0).uniform(0, 1, (4, 16))
 
         with pytest.raises(NodeFailed):
@@ -166,7 +165,7 @@ class TestFailureCleanup:
         """A dying plan must not poison a concurrently running one."""
         soc = make_soc(two_stage_specs())
         self.hang_injector(soc)
-        runtime = EspRuntime(soc, costs=self.poll_costs())
+        runtime = EspRuntime(soc, recovery=self.fail_stop())
         env = soc.env
         fb = np.random.default_rng(3).uniform(0, 1, (4, 16))
         outcome = {}
@@ -175,7 +174,7 @@ class TestFailureCleanup:
             try:
                 yield from runtime.executor.run_process(
                     chain("da", ["a0"]), np.ones((2, 16)), "pipe")
-            except AcceleratorTimeout as exc:
+            except NodeFailed as exc:
                 outcome["doomed"] = exc
 
         def survivor():
@@ -186,7 +185,7 @@ class TestFailureCleanup:
         pb = env.process(survivor(), name="survivor")
         env.run(until=env.all_of([pa, pb]))
 
-        assert isinstance(outcome["doomed"], AcceleratorTimeout)
+        assert isinstance(outcome["doomed"], NodeFailed)
         np.testing.assert_array_equal(outcome["ok"].outputs, fb + 2.0)
         assert free_list_words(runtime.allocator) == 0
 

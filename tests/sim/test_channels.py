@@ -395,17 +395,6 @@ class TestIntrospection:
         assert fifo.flush() == 0
         assert fifo.waiters()["getters"] == (pending_get,)
 
-    def test_flush_can_preserve_putters(self):
-        env = Environment()
-        fifo = Fifo(env, capacity=1)
-        try_put(fifo, "stale")
-        blocked = fifo.put("fresh")
-        assert fifo.flush(drop_putters=False) == 1
-        # The surviving putter is drained into the freed capacity.
-        fifo._drain_putters()
-        assert blocked.triggered
-        assert fifo.try_get() == "fresh"
-
     def test_resource_waiters_and_cancel(self):
         env = Environment()
         gate = Resource(env, slots=1, name="gate")

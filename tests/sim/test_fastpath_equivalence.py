@@ -625,35 +625,25 @@ def test_route_results_are_fresh_lists():
 def _reference_to_raw(fmt, values):
     """The seed quantizer: divide, floor, clip — no in-place tricks."""
     values = np.asarray(values, dtype=np.float64)
-    scaled = values / fmt.scale
-    if fmt.rounding == "nearest":
-        raw = np.floor(scaled + 0.5)
-    else:
-        raw = np.floor(scaled)
-    raw = raw.astype(np.int64)
-    if fmt.overflow == "saturate":
-        return np.clip(raw, fmt.raw_min, fmt.raw_max)
-    span = 1 << fmt.width
-    return np.mod(raw - fmt.raw_min, span) + fmt.raw_min
+    raw = np.floor(values / fmt.scale).astype(np.int64)
+    return np.clip(raw, fmt.raw_min, fmt.raw_max)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_to_raw_matches_reference_on_random_formats(seed):
     """Multiply-by-reciprocal + in-place clamp == divide + clip.
 
-    Random formats across every rounding/overflow combination, random
-    values spanning in-range, boundary and far-out-of-range — the raw
-    codes must agree bit for bit (the reciprocal of a power of two is
-    exact, so only the float exponent differs mid-computation).
+    Random formats (width, integer bits, signedness), random values
+    spanning in-range, boundary and far-out-of-range — the raw codes
+    must agree bit for bit (the reciprocal of a power of two is exact,
+    so only the float exponent differs mid-computation).
     """
     rng = np.random.default_rng(seed)
     width = int(rng.integers(2, 33))
     signed = bool(rng.integers(0, 2))
     integer_bits = int(rng.integers(1 if signed else 0, width + 1))
-    fmt = FixedFormat(
-        width=width, integer_bits=integer_bits, signed=signed,
-        rounding=["truncate", "nearest"][int(rng.integers(0, 2))],
-        overflow=["saturate", "wrap"][int(rng.integers(0, 2))])
+    fmt = FixedFormat(width=width, integer_bits=integer_bits,
+                      signed=signed)
     lo, hi = fmt.raw_min * fmt.scale, fmt.raw_max * fmt.scale
     span = max(abs(lo), abs(hi), fmt.scale)
     values = np.concatenate([
@@ -673,8 +663,7 @@ def test_quantize_is_idempotent():
     layer-parameter cache in ``repro.hls4ml_flow.hls_model``."""
     rng = np.random.default_rng(7)
     for fmt in (FixedFormat(16, 6), FixedFormat(8, 8, signed=False),
-                FixedFormat(12, 4, rounding="nearest"),
-                FixedFormat(10, 3, overflow="wrap")):
+                FixedFormat(12, 4), FixedFormat(10, 3)):
         values = rng.uniform(-100, 100, 256)
         once = fmt.quantize(values)
         np.testing.assert_array_equal(fmt.quantize(once), once)

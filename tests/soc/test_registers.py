@@ -10,9 +10,11 @@ from repro.soc import (
     P2PConfig,
     P2P_REG,
     RegisterFile,
+    STATUS_REG,
     decode_location,
     encode_location,
 )
+from tests.conftest import make_soc, make_spec
 
 
 class TestLocationReg:
@@ -111,3 +113,50 @@ class TestRegisterFile:
         config = P2PConfig(load_enabled=True, sources=((2, 1),))
         regs.write(P2P_REG, config.encode())
         assert regs.p2p_config() == config
+
+
+class TestMmioReads:
+    """``read_reg_bounded`` over the IO plane, with a bound every reply
+    meets: the round trip and the per-tag demultiplexing of replies."""
+
+    BOUND = 10_000
+
+    @staticmethod
+    def soc():
+        return make_soc([("a0", make_spec(name="a", input_words=8,
+                                          output_words=8)),
+                         ("b0", make_spec(name="b", input_words=8,
+                                          output_words=8))])
+
+    def test_status_read_roundtrip_primitive(self):
+        soc = self.soc()
+        tile = soc.accelerator("a0")
+        values = []
+
+        def proc():
+            for name in (STATUS_REG, "SRC_OFFSET_REG"):
+                value = yield from soc.cpu.read_reg_bounded(
+                    tile.coord, name, self.BOUND)
+                values.append(value)
+
+        done = soc.env.process(proc())
+        soc.run(until=done)
+        assert values == [0, 0]
+        assert soc.cpu.reg_read_timeouts == 0
+
+    def test_concurrent_reads_demuxed(self):
+        soc = self.soc()
+        a = soc.accelerator("a0")
+        b = soc.accelerator("b0")
+        a.regs._values["SRC_OFFSET_REG"] = 111
+        b.regs._values["SRC_OFFSET_REG"] = 222
+        got = {}
+
+        def reader(key, coord):
+            got[key] = yield from soc.cpu.read_reg_bounded(
+                coord, "SRC_OFFSET_REG", self.BOUND)
+
+        soc.env.process(reader("a", a.coord))
+        soc.env.process(reader("b", b.coord))
+        soc.run()
+        assert got == {"a": 111, "b": 222}

@@ -5,6 +5,7 @@ import pytest
 
 from repro.runtime import EspRuntime, chain
 from repro.soc import SoCConfig, build_soc, emit_vcd, picoseconds_per_cycle
+from repro.soc import vcd as vcd_module
 from repro.soc.vcd import _identifier
 from tests.conftest import make_spec
 
@@ -123,11 +124,12 @@ class TestEmitVcd:
                   if l.startswith("#")]
         assert stamps == sorted(stamps)
 
-    def test_max_links_cap(self):
-        vcd = emit_vcd(traced_run(), max_links=2)
+    def test_max_links_cap(self, monkeypatch):
+        monkeypatch.setattr(vcd_module, "MAX_LINKS", 2)
+        vcd = emit_vcd(traced_run())
         link_vars = [l for l in vcd.splitlines()
                      if "$var" in l and "__to__" in l]
-        assert len(link_vars) <= 2
+        assert len(link_vars) == 2
 
 
 class TestBackToBackInvocations:
@@ -156,7 +158,7 @@ class TestBackToBackInvocations:
         # rising edge of invocation 2 collapse: later changes at the
         # same timestamp override earlier ones, so the wire stays 1.
         soc = self._soc_with_boundary()
-        vcd = emit_vcd(soc, include_links=False)
+        vcd = emit_vcd(soc)
         ident = next(line.split()[3] for line in vcd.splitlines()
                      if line.endswith("a0_busy $end"))
         ps = picoseconds_per_cycle(soc.clock_mhz)

@@ -5,7 +5,8 @@ module, an attribute, or ``module.method`` where a class of that
 module defines the method; a name followed by ``/v<N>``, as in
 ``repro.postmortem/v1``, is a schema string and is skipped. Every
 backticked repository path to a ``.py`` file exists, relative to the
-repository root, ``src/`` or ``src/repro/``.
+repository root, ``src/`` or ``src/repro/``. Every relative markdown
+link, and its ``#anchor``, resolves (``tools/check_links.py``).
 """
 
 import importlib
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from tools.check_links import check_file
+
 REPO = Path(__file__).resolve().parent.parent
 DOCS = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
         *sorted((REPO / "docs").glob("*.md")),
@@ -22,6 +25,7 @@ DOCS = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
 NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+(?!\w)(/v\d)?")
 PATH = re.compile(r"[\w.-]*(?:/[\w.-]+)+\.py\b")
 BASES = (REPO, REPO / "src", REPO / "src" / "repro")
+LINKED = [*DOCS, REPO / "ROADMAP.md"]
 
 
 def resolves(name: str) -> bool:
@@ -63,3 +67,9 @@ def test_doc_names_resolve(doc):
               if not (resolves(text) if kind == "name" else
                       any((base / text).exists() for base in BASES))]
     assert broken == []
+
+
+@pytest.mark.parametrize("doc", LINKED, ids=lambda doc: doc.relative_to(
+    REPO).as_posix())
+def test_doc_links_resolve(doc):
+    assert check_file(doc, {}) == []

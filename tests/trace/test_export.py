@@ -82,11 +82,6 @@ class TestToChromeTrace:
         counter = next(e for e in trace["traceEvents"] if e["ph"] == "C")
         assert counter["args"] == {"depth": 2}
 
-    def test_counters_can_be_dropped(self):
-        trace = to_chrome_trace(synthetic_tracer(),
-                                include_counters=False)
-        assert not any(e["ph"] == "C" for e in trace["traceEvents"])
-
     def test_open_spans_clamped_to_export_cycle(self):
         tracer = synthetic_tracer()
         tracer.env.now = 60
