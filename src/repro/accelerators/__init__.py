@@ -4,10 +4,7 @@ from .base import AcceleratorSpec
 from .classifier import classifier_model, classifier_spec
 from .denoiser import denoiser_model, denoiser_spec
 from .multitile import partition_classifier
-from .nightvision import (
-    night_vision_spec,
-    noise_filter_kernel,
-)
+from .nightvision import night_vision_spec
 
 __all__ = [
     "AcceleratorSpec",
@@ -16,6 +13,5 @@ __all__ = [
     "denoiser_model",
     "denoiser_spec",
     "night_vision_spec",
-    "noise_filter_kernel",
     "partition_classifier",
 ]

@@ -44,8 +44,10 @@ class AcceleratorSpec:
     #: Optional batch form of ``compute``: ``(n, input_words) -> (n,
     #: output_words)``, row ``i`` equal to ``compute`` on row ``i``
     #: byte for byte. A run evaluates it ahead of the timing model (see
-    #: ``DataflowExecutor._prepass``); kernels that are memory-bound
-    #: per frame, like the HLS4ML matrix-vector products, set it.
+    #: ``DataflowExecutor._prepass``). Every kernel of the paper's SoCs
+    #: sets it: the HLS4ML matrix-vector products read their weights
+    #: once per batch instead of once per frame, and Night-Vision runs
+    #: its steps over chunks of frames in fewer, larger numpy calls.
     compute_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:

@@ -27,11 +27,9 @@ class RecoveryPolicy:
     - ``software_fallback``: after retries are exhausted, execute the
       node's kernel on the CPU so the pipeline still completes
       (graceful degradation). When False the failure surfaces as
-      :class:`~repro.faults.NodeFailed`.
-    - ``software_slowdown``: CPU execution cost, as a multiple of the
-      accelerator's latency (Table 1 of the paper measures SW/HW gaps
-      of one to three orders of magnitude; 40x is a conservative
-      mid-range default).
+      :class:`~repro.faults.NodeFailed`. A node on the CPU costs
+      ``SOFTWARE_SLOWDOWN`` times its accelerator's latency per frame
+      (:mod:`repro.runtime.executor`).
     - ``reset_cycles``: driver-side cost of a device reset ioctl.
     - ``max_watchdog_cycles``: ceiling for the backed-off deadline.
       Unbounded exponential backoff can stretch a single retry past
@@ -44,7 +42,6 @@ class RecoveryPolicy:
     max_retries: int = 2
     backoff_factor: float = 2.0
     software_fallback: bool = True
-    software_slowdown: float = 40.0
     reset_cycles: int = 400
     max_watchdog_cycles: Optional[int] = None
 
@@ -60,8 +57,6 @@ class RecoveryPolicy:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
-        if self.software_slowdown < 1.0:
-            raise ValueError("software_slowdown must be >= 1")
         if self.reset_cycles < 0:
             raise ValueError("reset_cycles must be >= 0")
 

@@ -74,6 +74,10 @@ IOCTL_CYCLES = 600          # syscall entry/exit + driver work
 REG_WRITE_CYCLES = 10       # uncached MMIO store issue
 THREAD_SPAWN_CYCLES = 150   # pthread_create
 SYNC_CYCLES = 40            # semaphore wait/post pair
+#: CPU execution cost of a kernel, as a multiple of the accelerator's
+#: latency (Table 1 of the paper measures SW/HW gaps of one to three
+#: orders of magnitude; 40x is a conservative mid-range value).
+SOFTWARE_SLOWDOWN = 40.0
 
 
 @dataclass
@@ -532,7 +536,7 @@ class DataflowExecutor:
         """Graceful degradation: run the node's kernel on the CPU.
 
         Bit-exact with the accelerator (same NumPy kernel), but each
-        frame costs ``latency_cycles * software_slowdown`` — the
+        frame costs ``latency_cycles * SOFTWARE_SLOWDOWN`` — the
         scalar-core penalty the paper's accelerators exist to avoid.
         The compute delay also quiesces in-flight posted stores from
         upstream accelerators before the CPU-side read.
@@ -542,8 +546,7 @@ class DataflowExecutor:
         memory = self.soc.memory_map
         src_step = src_stride or spec.input_words
         dst_step = dst_stride or spec.output_words
-        cost = max(1, int(spec.latency_cycles
-                          * self.recovery.software_slowdown))
+        cost = max(1, int(spec.latency_cycles * SOFTWARE_SLOWDOWN))
         for index in range(n_frames):
             yield env.timeout(cost)
             frame = memory.read_words(src_offset + index * src_step,

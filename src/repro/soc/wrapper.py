@@ -102,7 +102,8 @@ Precomputed = Dict[int, Tuple[np.ndarray, np.ndarray]]
 
 def frame_key(frame: np.ndarray) -> int:
     """A frame's key in a :data:`Precomputed` table: the hash of its
-    exact bytes (so -0.0 and 0.0 differ)."""
+    exact bytes (so -0.0 and 0.0 differ). COMPUTE hashes the delivered
+    frame's bytes the same way."""
     return hash(frame.tobytes())
 
 
@@ -114,17 +115,19 @@ def _compute(env, spec: AcceleratorSpec, frame, cycles: int,
 
     ``precomputed`` holds the results the run evaluated ahead of the
     timing model. The entry under this frame's key is taken, and its
-    result used if its input frame has this frame's bits. A frame with
-    no such entry (a DRAM bitflip changed it, the run was re-planned,
-    an identical frame already took it) runs the kernel now. Either
-    way the result is ``spec.run(frame)`` byte for byte.
+    result used if its input frame has this frame's bytes. A frame
+    with no such entry (a DRAM bitflip changed it, the run was
+    re-planned, an identical frame already took it) runs the kernel
+    now. Either way the result is ``spec.run(frame)`` byte for byte.
+    The frame's bytes are made once, for the key and the compare; the
+    table holds the input array, not a bytes copy of it.
     """
     yield env.timeout(cycles)
-    entry = precomputed.pop(frame_key(frame), None) if precomputed \
-        else None
-    if entry is not None and np.array_equal(entry[0].view(np.int64),
-                                            frame.view(np.int64)):
-        return entry[1]
+    if precomputed:
+        data = frame.tobytes()
+        entry = precomputed.pop(hash(data), None)
+        if entry is not None and entry[0].tobytes() == data:
+            return entry[1]
     return spec.run(frame)
 
 

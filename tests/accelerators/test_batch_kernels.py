@@ -1,12 +1,14 @@
 """The batch kernels equal their per-frame kernels byte for byte.
 
-A run evaluates every HLS4ML-backed kernel over all its frames in one
-call before the timing model starts (``DataflowExecutor._prepass``),
-and COMPUTE hands out those rows as the kernel's results. That is
-exact only if row ``i`` of ``run_batch`` is ``run(frames[i])`` to the
-bit (``tobytes`` also tells -0.0 from 0.0), for every batch size and
-every input, including inputs the fixed-point cast saturates, negative
-inputs and inputs below one LSB.
+A run evaluates every kernel over all its frames in one call before
+the timing model starts (``DataflowExecutor._prepass``), and COMPUTE
+hands out those rows as the kernel's results. That is exact only if
+row ``i`` of ``run_batch`` is ``run(frames[i])`` to the bit
+(``tobytes`` also tells -0.0 from 0.0), for every batch size and every
+input, including inputs the fixed-point cast saturates, negative
+inputs and inputs below one LSB. Night-Vision's rows are also checked
+against its per-frame oracle (``tests/accelerators/nightvision.py``),
+over batch sizes that cross its chunk size.
 """
 
 import numpy as np
@@ -15,19 +17,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.accelerators import (classifier_spec, denoiser_spec,
                                 night_vision_spec, partition_classifier)
+from repro.accelerators.nightvision import CHUNK_FRAMES, HISTOGRAM_BINS
 from repro.fixed import DEFAULT_FORMAT, FixedFormat
 from repro.hls4ml_flow import HlsModel, build_layer
+from tests.accelerators.nightvision import night_vision_compute
+from tests.conftest import make_spec
 
 LSB = DEFAULT_FORMAT.scale
 LIMIT = DEFAULT_FORMAT.raw_max * DEFAULT_FORMAT.scale
 
-KERNELS = {"classifier": classifier_spec(), "denoiser": denoiser_spec()}
+KERNELS = {"classifier": classifier_spec(), "denoiser": denoiser_spec(),
+           "night_vision": night_vision_spec()}
 KERNELS.update((spec.name, spec) for spec in partition_classifier())
+#: Per-frame oracles that rows must equal besides the spec's own ``run``.
+ORACLES = {"night_vision": night_vision_compute}
 
 
 def _frames(rng, n, words, regime):
     """``n`` frames of ``words`` values drawn from one input regime;
     ``mixed`` draws every value from a random one of the others."""
+    bucket = rng.integers(0, HISTOGRAM_BINS)
     draws = {
         # Beyond the format's range on both sides: the input cast clamps.
         "saturating": lambda size: rng.choice([-1, 1], size)
@@ -37,6 +46,10 @@ def _frames(rng, n, words, regime):
         "sub_lsb": lambda size: rng.choice([-1.0, 1.0], size)
         * rng.choice([0.0, 1.0], size) * rng.uniform(0, LSB, size),
         "in_range": lambda size: rng.uniform(-LIMIT, LIMIT, size),
+        "negative_zero": lambda size: np.full(size, -0.0),
+        # Every pixel in one Night-Vision histogram bucket.
+        "one_bucket": lambda size: rng.uniform(
+            bucket / HISTOGRAM_BINS, (bucket + 1) / HISTOGRAM_BINS, size),
     }
     if regime != "mixed":
         return draws[regime]((n, words))
@@ -51,7 +64,8 @@ def _frames(rng, n, words, regime):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
        regime=st.sampled_from(
-           ["saturating", "negative", "sub_lsb", "in_range", "mixed"]))
+           ["saturating", "negative", "sub_lsb", "in_range", "mixed",
+            "negative_zero", "one_bucket"]))
 def test_batch_row_equals_single_frame(name, n, seed, regime):
     spec = KERNELS[name]
     frames = _frames(np.random.default_rng(seed), n, spec.input_words,
@@ -60,6 +74,24 @@ def test_batch_row_equals_single_frame(name, n, seed, regime):
     assert batch.shape == (n, spec.output_words)
     for frame, row in zip(frames, batch):
         assert row.tobytes() == spec.run(frame).tobytes()
+        if name in ORACLES:
+            assert row.tobytes() == ORACLES[name](frame).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES,
+                               CHUNK_FRAMES + 1, 4 * CHUNK_FRAMES + 3])
+@pytest.mark.parametrize("regime", ["sub_lsb", "negative_zero",
+                                    "one_bucket"])
+def test_night_vision_rows_across_chunks(n, regime):
+    """Chunk edges, and the single-bucket branch that returns the
+    filtered pixels themselves (where -0.0 survives), on rows that mix
+    it with stretched rows in one chunk."""
+    rng = np.random.default_rng(n)
+    frames = _frames(rng, n, KERNELS["night_vision"].input_words, regime)
+    frames[::2] = rng.uniform(0.0, 1.0, frames[::2].shape)
+    batch = KERNELS["night_vision"].run_batch(frames)
+    for frame, row in zip(frames, batch):
+        assert row.tobytes() == night_vision_compute(frame).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -79,15 +111,12 @@ def test_softmax_sums_each_row_as_a_single_frame(seed):
         assert row.tobytes() == model.predict(frame)[0].tobytes()
 
 
-def test_every_hls4ml_kernel_has_a_batch_form():
-    """The HLS4ML specs set one; night-vision keeps its per-frame
-    kernel (it already vectorizes over the frame's pixels)."""
+def test_every_kernel_has_a_batch_form():
     assert all(spec.compute_batch is not None for spec in KERNELS.values())
-    assert night_vision_spec().compute_batch is None
 
 
 def test_run_batch_without_batch_form_runs_each_frame(rng):
-    spec = night_vision_spec()
+    spec = make_spec()
     frames = rng.uniform(0, 255, (3, spec.input_words))
     batch = spec.run_batch(frames)
     for frame, row in zip(frames, batch):

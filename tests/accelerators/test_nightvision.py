@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.accelerators import night_vision_spec, noise_filter_kernel
-from repro.accelerators.nightvision import HISTOGRAM_BINS, night_vision_compute
+from repro.accelerators import night_vision_spec
+from repro.accelerators.nightvision import HISTOGRAM_BINS
 from repro.datasets import (FRAME_PIXELS, FRAME_SIDE, darken, flatten_frames,
                             generate)
 from repro.eval.apps import nv_cl_inputs
@@ -12,6 +12,8 @@ from repro.fixed import DEFAULT_FORMAT
 from tests.accelerators.nightvision import (
     histogram_equalization_kernel,
     histogram_kernel,
+    night_vision_compute,
+    noise_filter_kernel,
 )
 
 

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accelerators import (
-    AcceleratorSpec,
-    night_vision_spec,
-    noise_filter_kernel,
-)
+from repro.accelerators import AcceleratorSpec, night_vision_spec
 from repro.accelerators.nightvision import HISTOGRAM_BINS
 from repro.datasets import FRAME_PIXELS, darken, flatten_frames, generate
 from repro.fixed import DEFAULT_FORMAT, FixedFormat
@@ -20,6 +16,7 @@ from repro.runtime import chain
 from tests.accelerators.nightvision import (
     histogram_equalization_kernel,
     histogram_kernel,
+    noise_filter_kernel,
 )
 from tests.conftest import make_runtime
 

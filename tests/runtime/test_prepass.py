@@ -21,6 +21,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
 from repro.runtime import EspRuntime, chain
 from repro.runtime.executor import DataflowExecutor
 from repro.sim import Interrupt
+from repro.soc import frame_key
 from tests.conftest import make_soc, make_spec
 
 
@@ -73,11 +74,11 @@ def software(soc, dataflow, frames):
     return np.array(out)
 
 
-#: (SoC, dataflow, inputs, batch kernels in level order): NV (no batch
-#: form) feeding four classifiers, two batch levels, and five.
+#: (SoC, dataflow, inputs, batch kernels in level order): two batch
+#: levels of four devices each, two of one device each, and five.
 PIPELINES = {
     "4nv_4cl": (build_soc1, lambda: dataflow_nv_cl(4, 4), nv_cl_inputs,
-                ["classifier"]),
+                ["night_vision", "classifier"]),
     "1de_1cl": (build_soc1, dataflow_de_cl, de_cl_inputs,
                 ["denoiser", "classifier"]),
     "1cl_split": (build_soc2, dataflow_multitile, classifier_inputs,
@@ -187,6 +188,43 @@ class TestFaultInterplay:
         want = software(soc, dataflow, frames)
         want[victim] = software(soc, dataflow, corrupted[None])[0]
         assert result.outputs.tobytes() == want.tobytes()
+        assert held_entries(soc) == {}
+
+    def test_entry_differing_by_a_zero_sign_misses(self, calls,
+                                                   monkeypatch):
+        """An entry found under the delivered frame's key is used only
+        if its input frame has the same bytes: here the entry's frame
+        holds -0.0 where the delivered frame holds 0.0, values that
+        compare equal. That frame's COMPUTE misses and runs the kernel
+        on the delivered words; every other frame hits."""
+        soc = build_soc1()
+        runtime = EspRuntime(soc)
+        dataflow = dataflow_nv_cl(4, 4)
+        frames, _ = nv_cl_inputs(8, seed=3)
+        victim, word = 5, 100
+        frames[victim, word] = 0.0
+        prepare = runtime.executor._prepare
+
+        def prepare_then_sign(*args):
+            prepared, plan = prepare(*args)
+            key = frame_key(frames[victim])
+            table = next(tile.precomputed
+                         for tile in soc.accelerators.values()
+                         if key in tile.precomputed)
+            signed, result = table[key]
+            signed = signed.copy()
+            signed[word] = -0.0
+            table[key] = signed, result
+            return prepared, plan
+
+        monkeypatch.setattr(runtime.executor, "_prepare",
+                            prepare_then_sign)
+        result = runtime.esp_run(dataflow, frames, mode="p2p")
+        misses = [(name, frame.tobytes())
+                  for name, frame in calls["misses"]]
+        assert misses == [("night_vision", frames[victim].tobytes())]
+        assert result.outputs.tobytes() == \
+            software(soc, dataflow, frames).tobytes()
         assert held_entries(soc) == {}
 
 

@@ -20,7 +20,7 @@ from repro.runtime import EspRuntime, chain
 from repro.sim import DeadlockError
 from tests.conftest import make_runtime, make_soc, make_spec
 from tests.faults.test_recovery import DATAFLOW, policy, three_stage_soc
-from tests.runtime.alloc import free_list_words, live_buffers
+from tests.runtime.alloc import free_list_words, live_buffers, words_in_use
 
 
 def two_stage_specs():
@@ -134,7 +134,8 @@ class TestFailureCleanup:
 
         with pytest.raises(NodeFailed):
             runtime.esp_run(dataflow, frames, mode="pipe")
-        # Cleanup ran: buffers retracted, tiles reset back to idle.
+        # Cleanup ran: buffers freed and retracted, tiles reset to idle.
+        assert words_in_use(runtime.allocator) == 0
         assert free_list_words(runtime.allocator) == 0
         from repro.soc.registers import STATUS_RUNNING
         for tile in soc.accelerators.values():
@@ -155,6 +156,7 @@ class TestFailureCleanup:
             runtime.esp_run(chain("df", ["a0", "b0"]), frames,
                             mode="pipe")
         assert runtime.registry.is_failed("a0")
+        assert words_in_use(runtime.allocator) == 0
         assert free_list_words(runtime.allocator) == 0
 
         result = runtime.esp_run(chain("df2", ["b0", "c0"]), frames,
@@ -187,7 +189,28 @@ class TestFailureCleanup:
 
         assert isinstance(outcome["doomed"], NodeFailed)
         np.testing.assert_array_equal(outcome["ok"].outputs, fb + 2.0)
+        assert words_in_use(runtime.allocator) == 0
         assert free_list_words(runtime.allocator) == 0
+
+    @pytest.mark.parametrize("mode,resets", [
+        ("base", {"a0": 2, "b0": 1, "c0": 0}),
+        ("pipe", {"a0": 2, "b0": 1, "c0": 0}),
+        ("p2p", {"a0": 2, "b0": 2, "c0": 0}),
+    ])
+    def test_abort_resets_every_tile_of_the_plan(self, mode, resets):
+        """The abort resets each tile of the failed plan once more,
+        and no other tile. The watchdog resets come first: the hung
+        tile's, and in p2p that of its starved consumer, whose
+        watchdog fires too. STATUS cannot show the abort's reset,
+        since the watchdog already left the hung tile idle."""
+        soc = make_soc(two_stage_specs())
+        self.hang_injector(soc)
+        runtime = EspRuntime(soc, recovery=self.fail_stop())
+        with pytest.raises(NodeFailed):
+            runtime.esp_run(chain("df", ["a0", "b0"]), np.ones((4, 16)),
+                            mode=mode)
+        assert {name: tile.resets
+                for name, tile in soc.accelerators.items()} == resets
 
 
 class TestOneRunPath:

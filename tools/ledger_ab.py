@@ -9,10 +9,12 @@ both sides alike. Every run is a fresh interpreter with the same
 ``--workload``, ``--seed`` and ``--seconds``.
 
 Prints each pair, then, for every end-to-end metric of the
-``BENCHMARK.json`` in B's checkout, each side's median and quartiles
-and the pairs B won (better by the metric's direction; ties count for
-neither side). ``iter_cost_p50`` comes first. Exits 1 when any run is
-incorrect (a failed check, a pin mismatch or no result), 0 otherwise.
+``BENCHMARK.json`` in B's checkout, each side's median and quartiles,
+the ratio of B's median to A's as a signed percentage (``-6.4%`` is B
+6.4% below A) and the pairs B won (better by the metric's direction;
+ties count for neither side). ``iter_cost_p50`` comes first. Exits 1
+when any run is incorrect (a failed check, a pin mismatch or no
+result), 0 otherwise.
 The worktrees are removed on exit.
 
 Usage::
@@ -78,23 +80,33 @@ def wins(a: Sequence[float], b: Sequence[float], better: str) -> int:
     return sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
 
 
+def ratio(a: float, b: float) -> str:
+    """B's median relative to A's, as a signed percentage."""
+    if a == 0:
+        return "n/a"
+    return f"{(b / a - 1) * 100:+.1f}%"
+
+
 def summarize(pairs: List[Dict[str, Dict[str, float]]],
               spec: List[dict]) -> List[str]:
-    """One line per metric: A and B medians with quartiles, B's wins."""
+    """One line per metric: A and B medians with quartiles, B/A of the
+    medians, B's wins."""
     ordered = sorted(spec, key=lambda m: m["name"] != PRIMARY)
     lines = [f"{'metric':<24}{'A median (q1-q3)':>34}"
-             f"{'B median (q1-q3)':>34}{'B won':>8}"]
+             f"{'B median (q1-q3)':>34}{'B/A':>9}{'B won':>8}"]
     for metric in ordered:
         name = metric["name"]
         a = [pair["A"][name] for pair in pairs if name in pair["A"]]
         b = [pair["B"][name] for pair in pairs if name in pair["B"]]
         if not a or len(a) != len(b):
             continue
-        cells = []
+        cells, medians = [], []
         for values in (a, b):
             q1, q2, q3 = quartiles(values)
             cells.append(f"{q2:.6g} ({q1:.6g}-{q3:.6g})")
+            medians.append(q2)
         lines.append(f"{name:<24}{cells[0]:>34}{cells[1]:>34}"
+                     f"{ratio(*medians):>9}"
                      f"{wins(a, b, metric['better']):>5}/{len(a)}")
     return lines
 
