@@ -48,6 +48,11 @@ class AcceleratorSpec:
     #: sets it: the HLS4ML matrix-vector products read their weights
     #: once per batch instead of once per frame, and Night-Vision runs
     #: its steps over chunks of frames in fewer, larger numpy calls.
+    #: The object also names the kernel: a fleet run keys the results
+    #: it evaluates ahead by it (``Fleet._kernel_pass``), so specs that
+    #: share it share those results. The HLS4ML specs of one compiled
+    #: model share its ``predict`` and the Night-Vision specs of one
+    #: format share one kernel; a fresh callable per spec shares none.
     compute_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:

@@ -14,6 +14,9 @@ The per-frame kernels it equals row by row are the tests' oracle
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
+from typing import Callable
+
 import numpy as np
 
 from ..datasets.transforms import FRAME_PIXELS, FRAME_SIDE
@@ -142,6 +145,16 @@ def night_vision_batch(frames: np.ndarray,
     return out
 
 
+@lru_cache(maxsize=None)
+def _night_vision_kernel(fmt: FixedFormat
+                         ) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch kernel for ``fmt``: one object per format, shared by
+    every spec built for it, as the HLS4ML specs share their model's
+    ``predict``. A kernel is known by this object, so results
+    evaluated for one spec are valid on every tile that runs it."""
+    return partial(night_vision_batch, fmt=fmt)
+
+
 def night_vision_spec(fmt: FixedFormat = DEFAULT_FORMAT) -> AcceleratorSpec:
     """Synthesize the Night-Vision accelerator (Stratus-flow stand-in).
 
@@ -169,12 +182,13 @@ def night_vision_spec(fmt: FixedFormat = DEFAULT_FORMAT) -> AcceleratorSpec:
                                           body_resources=eq_cost)
     schedule = sequential_schedule(filter_stage, hist_stage, cdf_stage,
                                    remap_stage)
+    kernel = _night_vision_kernel(fmt)
     return AcceleratorSpec(
         name="night_vision",
         input_words=FRAME_PIXELS,
         output_words=FRAME_PIXELS,
-        compute=lambda frame: night_vision_batch(frame[None], fmt)[0],
-        compute_batch=lambda frames: night_vision_batch(frames, fmt),
+        compute=lambda frame: kernel(frame[None])[0],
+        compute_batch=kernel,
         latency_cycles=schedule.latency,
         interval_cycles=schedule.interval,
         resources=schedule.resources,

@@ -29,13 +29,14 @@ fleet runs are reproducible from (workload seed, policy, salt) alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..eval.harness import LatencySummary, summarize_latencies
 from ..eval.stack import StackSpec, build_stack
 from ..serve import Rejection, ServerReport
+from ..soc import Precomputed, frame_key
 from ..trace.context import TraceContext
 from .instance import FleetInstance
 from .router import FleetRouter, RouterDecision
@@ -179,29 +180,96 @@ class Fleet:
         policy-independent — two policies compared on the same trace
         see byte-identical requests.
 
+        Every frame an arrival will carry is known before the first
+        cycle, so the run first evaluates each tenant's kernels over
+        them (:meth:`_kernel_pass`): one batch per level and kernel,
+        across all instances. Each tile sees its kernel's table for
+        the run, and each plan's prepass takes its frames' rows from
+        it instead of batching them again; the tiles drop the tables
+        when the run returns or raises, so nothing outlives the run.
+
         The loop: advance every instance to the arrival cycle, let the
         router observe fresh completions, route, submit. After the
         last arrival all instances drain and are aligned to one final
         cycle, so the makespan is a fleet-wide quantity. Each instance
         opens a report window first: the report covers this run alone.
         """
+        ordered = sorted(arrivals, key=lambda a: a.at)
+        cursors = dict.fromkeys(inputs, 0)
+        rows = [self._take_rows(inputs, cursors, arrival)
+                for arrival in ordered]
+        tables = self._kernel_pass(ordered, rows, inputs)
+        try:
+            for instance in self.instances:
+                instance.share_results(tables)
+            return self._replay(ordered, rows, inputs)
+        finally:
+            for instance in self.instances:
+                instance.share_results({})
+
+    def _kernel_pass(self, ordered: Sequence[Arrival],
+                     rows: Sequence[List[int]],
+                     inputs: Dict[str, np.ndarray]
+                     ) -> Dict[Callable, Precomputed]:
+        """Each tenant's offered frames through its kernels, once.
+
+        A tenant's frames are the pool rows its arrivals take, each
+        row once. They pass its dataflow's levels up to the first one
+        whose devices do not share one batch kernel, one
+        :meth:`~repro.accelerators.AcceleratorSpec.run_batch` per
+        level; instances whose dataflows run the same kernels share
+        the batch. Results are keyed by kernel (a spec's
+        ``compute_batch`` object), then by their input frame's bytes,
+        as the plan's own prepass keys them. Speculative, like that
+        prepass: a kernel that raises ends its tenant's pass, and the
+        plans reach the error themselves.
+        """
+        offered: Dict[str, set] = {}
+        for arrival, picked in zip(ordered, rows):
+            offered.setdefault(arrival.tenant, set()).update(picked)
+        tables: Dict[Callable, Precomputed] = {}
+        for tenant, picked in offered.items():
+            chains = {}
+            for instance in self.instances:
+                if tenant in instance.tenants:
+                    chain = instance.kernel_chain(tenant)
+                    chains[tuple(s.compute_batch for s in chain)] = chain
+            # Views of the pool's rows: the tables add no copy of them.
+            pool = np.asarray(inputs[tenant], dtype=np.float64)
+            frames = [pool[row] for row in sorted(picked)]
+            for chain in chains.values():
+                batch = frames
+                try:
+                    for spec in chain:
+                        out = spec.run_batch(batch)
+                        table = tables.setdefault(spec.compute_batch, {})
+                        for frame, result in zip(batch, out):
+                            table[frame_key(frame)] = frame, result
+                        batch = out
+                except Exception:
+                    pass
+        return tables
+
+    def _replay(self, ordered: Sequence[Arrival],
+                rows: Sequence[List[int]],
+                inputs: Dict[str, np.ndarray]) -> FleetReport:
+        """The lockstep loop of :meth:`run` over the sorted arrivals,
+        each with the pool rows it takes."""
         for instance in self.instances:
             instance.start()
             instance.server.open_window()
         origins = {instance.name: instance.now
                    for instance in self.instances}
-        cursors = {tenant: 0 for tenant in inputs}
         rejections: List[Tuple[str, Rejection]] = []
         offered_frames = 0
         decisions_before = len(self.router.decisions)
 
-        ordered = sorted(arrivals, key=lambda a: a.at)
-        for arrival in ordered:
+        for arrival, picked in zip(ordered, rows):
             for instance in self.instances:
                 instance.advance_to(origins[instance.name] + arrival.at)
             self.router.observe()
             instance = self.router.route(arrival.tenant, at=arrival.at)
-            frames = self._take_frames(inputs, cursors, arrival)
+            frames = inputs[arrival.tenant][picked]
             offered_frames += arrival.n_frames
             # Propagate the router-minted trace identity: the decision
             # instant and every instance-side span of this request
@@ -244,14 +312,15 @@ class Fleet:
         )
 
     @staticmethod
-    def _take_frames(inputs: Dict[str, np.ndarray],
-                     cursors: Dict[str, int],
-                     arrival: Arrival) -> np.ndarray:
-        pool = inputs[arrival.tenant]
+    def _take_rows(inputs: Dict[str, np.ndarray],
+                   cursors: Dict[str, int],
+                   arrival: Arrival) -> List[int]:
+        """The pool rows ``arrival`` takes; advances its tenant's
+        cursor."""
+        size = len(inputs[arrival.tenant])
         cursor = cursors[arrival.tenant]
-        rows = [(cursor + k) % len(pool) for k in range(arrival.n_frames)]
-        cursors[arrival.tenant] = (cursor + arrival.n_frames) % len(pool)
-        return pool[rows]
+        cursors[arrival.tenant] = (cursor + arrival.n_frames) % size
+        return [(cursor + k) % size for k in range(arrival.n_frames)]
 
     def __repr__(self) -> str:
         return (f"<Fleet {len(self.instances)} instances, "

@@ -21,12 +21,14 @@ coupling is the coordinator's lockstep clock (see
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..accelerators import AcceleratorSpec
 from ..metrics import MetricsRegistry
 from ..runtime import EspRuntime
+from ..soc import Precomputed
 from ..trace.context import TraceContext
 from ..trace.tracer import Tracer
 from ..serve import (
@@ -139,6 +141,28 @@ class FleetInstance:
         """
         return self.server.submit(tenant, frames, priority=priority,
                                   trace_ctx=trace_ctx)
+
+    # -- kernels ------------------------------------------------------------
+
+    def kernel_chain(self, tenant: str) -> List[AcceleratorSpec]:
+        """One spec per level of ``tenant``'s dataflow, up to the first
+        level whose devices do not all run one batch kernel: the levels
+        a fleet run can evaluate ahead for this tenant."""
+        chain = []
+        for names in self.server.dataflow(tenant).levels():
+            specs = [self.soc.accelerators[name].spec for name in names]
+            kernels = {spec.compute_batch for spec in specs}
+            if len(kernels) != 1 or None in kernels:
+                break
+            chain.append(specs[0])
+        return chain
+
+    def share_results(self, tables: Dict[Callable, Precomputed]) -> None:
+        """Point each tile at its kernel's table in ``tables`` (a
+        kernel is its spec's ``compute_batch`` object), or at none:
+        the table every plan's prepass reads."""
+        for tile in self.soc.accelerators.values():
+            tile.shared_results = tables.get(tile.spec.compute_batch)
 
     # -- introspection ------------------------------------------------------
 

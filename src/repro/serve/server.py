@@ -311,6 +311,11 @@ class InferenceServer:
             placed[name] = frozenset(config.dataflow.devices)
         return placed
 
+    def dataflow(self, name: str) -> Dataflow:
+        """A tenant's current dataflow (a pending reshard not applied
+        yet)."""
+        return self._tenants[name].config.dataflow
+
     def batch_bound(self, name: str) -> int:
         """A tenant's current ``max_batch_frames`` (widening included)."""
         return self._tenants[name].batcher.max_batch_frames

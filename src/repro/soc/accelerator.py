@@ -115,6 +115,12 @@ class AcceleratorTile:
         #: first cycle and takes back what COMPUTE left when it ends
         #: (``DataflowExecutor._prepass``).
         self.precomputed: Precomputed = {}
+        #: Results of this tile's kernel evaluated ahead of a run of
+        #: many plans (a fleet run), one table shared by every tile of
+        #: the same kernel. The prepass copies a plan's hits from it
+        #: into ``precomputed``; COMPUTE never reads it. ``None``
+        #: outside such a run.
+        self.shared_results: Optional[Precomputed] = None
 
         # Fault hook (None = fault-free, zero overhead) and the reset
         # line the host pulls through CMD_RESET to abort a wedged run.

@@ -113,8 +113,10 @@ def _compute(env, spec: AcceleratorSpec, frame, cycles: int,
     the tile's DVFS divider); the functional result is the bit-accurate
     NumPy kernel's on the frame LOAD delivered.
 
-    ``precomputed`` holds the results the run evaluated ahead of the
-    timing model. The entry under this frame's key is taken, and its
+    ``precomputed`` holds the results the run's prepass evaluated ahead
+    of the timing model, some of them copied from a fleet run's shared
+    table of this kernel; COMPUTE reads only this plan table, never the
+    shared one. The entry under this frame's key is taken, and its
     result used if its input frame has this frame's bytes. A frame
     with no such entry (a DRAM bitflip changed it, the run was
     re-planned, an identical frame already took it) runs the kernel

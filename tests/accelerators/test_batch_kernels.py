@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.accelerators import (classifier_spec, denoiser_spec,
                                 night_vision_spec, partition_classifier)
 from repro.accelerators.nightvision import CHUNK_FRAMES, HISTOGRAM_BINS
+from repro.eval.apps import build_soc1
 from repro.fixed import DEFAULT_FORMAT, FixedFormat
 from repro.hls4ml_flow import HlsModel, build_layer
 from tests.accelerators.nightvision import night_vision_compute
@@ -113,6 +114,25 @@ def test_softmax_sums_each_row_as_a_single_frame(seed):
 
 def test_every_kernel_has_a_batch_form():
     assert all(spec.compute_batch is not None for spec in KERNELS.values())
+
+
+def test_specs_of_one_kernel_share_its_batch_form():
+    """A kernel is known by its batch-form object: a fleet run keys the
+    results it evaluates ahead by it. Two SoC-1 builds share each
+    kernel's object, Night-Vision's included, and rows of the shared
+    Night-Vision kernel equal the per-frame oracle."""
+    first, second = build_soc1(), build_soc1()
+    for name in ("nv0", "cl0", "de0"):
+        assert first.accelerators[name].spec.compute_batch == \
+            second.accelerators[name].spec.compute_batch
+    nv = [soc.accelerators["nv0"].spec for soc in (first, second)]
+    assert nv[0].compute_batch is nv[1].compute_batch
+    assert night_vision_spec(FixedFormat(16, 4)).compute_batch \
+        is not nv[0].compute_batch
+    frames = np.random.default_rng(5).uniform(0.0, 1.0, (3, 1024))
+    for frame, row in zip(frames, nv[1].run_batch(frames)):
+        assert row.tobytes() == night_vision_compute(frame).tobytes()
+        assert row.tobytes() == nv[0].run(frame).tobytes()
 
 
 def test_run_batch_without_batch_form_runs_each_frame(rng):

@@ -6,6 +6,16 @@ the plan's tiles, keyed by the exact bytes of each input frame.
 COMPUTE takes a result only for the frame LOAD delivered, so a frame
 corrupted in DRAM misses and runs the kernel on its corrupted words.
 The results belong to the plan: none survive it, on success or abort.
+
+A fleet run goes one level up (``Fleet.run``): every frame its
+arrivals carry is known before the first cycle, so it runs each
+tenant's offered frames through the tenant's kernels once, one batch
+per level, across all instances. Each tile sees the table of its own
+kernel (the spec's ``compute_batch`` object) for the run, and a plan's
+prepass copies its hits from there into its own entries and batches
+only the misses. COMPUTE still reads only the plan's entries, so the
+delivered-bytes guard is unchanged, and the tables leave the tiles
+when the run returns or raises.
 """
 
 from dataclasses import replace
@@ -17,7 +27,9 @@ from repro.accelerators import AcceleratorSpec
 from repro.eval.apps import (build_soc1, build_soc2, classifier_inputs,
                              dataflow_de_cl, dataflow_multitile,
                              dataflow_nv_cl, de_cl_inputs, nv_cl_inputs)
+from repro.eval.fleet import build_standard_fleet, standard_inputs
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
+from repro.fleet import Arrival, Fleet, FleetInstance
 from repro.runtime import EspRuntime, chain
 from repro.runtime.executor import DataflowExecutor
 from repro.sim import Interrupt
@@ -249,3 +261,158 @@ def test_kernel_error_is_raised_where_the_run_reaches_it(calls):
     assert soc.env.now > 0
     assert calls["batch"] == []
     assert held_entries(soc) == {}
+
+
+def fleet_outputs(report):
+    """Every completion's output rows, by tenant, in instance and
+    request order."""
+    rows = {}
+    for name in sorted(report.per_instance):
+        for c in sorted(report.per_instance[name].completions,
+                        key=lambda c: c.request_id):
+            rows.setdefault(c.tenant, []).extend(c.outputs)
+    return rows
+
+
+def software_rows(fleet, inputs):
+    """tenant -> the bytes of its software outputs over its whole pool."""
+    soc = fleet.instances[0].soc
+    server = fleet.instances[0].server
+    return {tenant: {row.tobytes() for row in software(
+        soc, server.dataflow(tenant), pool)}
+        for tenant, pool in inputs.items()}
+
+
+def fleet_held(fleet):
+    return [(instance.name, name)
+            for instance in fleet.instances
+            for name, tile in instance.soc.accelerators.items()
+            if tile.shared_results is not None or tile.precomputed]
+
+
+#: A few requests per tenant, spread so that none is rejected and no
+#: pool row is offered twice in one batch.
+FLEET_ARRIVALS = [Arrival(0, "classifier", 3),
+                  Arrival(200, "night-vision", 2),
+                  Arrival(400, "denoiser", 1),
+                  Arrival(600, "classifier", 2),
+                  Arrival(30_000, "night-vision", 2),
+                  Arrival(30_200, "classifier", 3)]
+#: One batch per (tenant, level), sorted: night-vision's two levels,
+#: then one level each for the classifier and the denoiser.
+FLEET_BATCHES = ["classifier", "classifier", "denoiser", "night_vision"]
+
+
+class TestFleetScope:
+    """``Fleet.run`` evaluates each tenant's offered frames once, across
+    its instances, before the first arrival; each plan's prepass takes
+    its rows from that run-scoped table."""
+
+    def test_one_batch_per_tenant_level_and_every_compute_hits(
+            self, calls, monkeypatch):
+        inputs = standard_inputs(n_frames=8, seed=4)
+        fleet = build_standard_fleet(n_instances=2, policy="round-robin")
+        report = fleet.run(FLEET_ARRIVALS, inputs)
+        assert report.completed_requests == len(FLEET_ARRIVALS)
+        # Every batch call is the fleet pass's: none in a dispatch.
+        assert sorted(calls["batch"]) == FLEET_BATCHES
+        assert calls["misses"] == []
+        outputs = fleet_outputs(report)
+        want = software_rows(fleet, inputs)
+        assert all(row.tobytes() in want[tenant]
+                   for tenant, rows in outputs.items() for row in rows)
+        # Byte-identical to the same run with per-plan prepasses only.
+        monkeypatch.setattr(Fleet, "_kernel_pass",
+                            lambda self, *args: {})
+        alone = build_standard_fleet(n_instances=2, policy="round-robin")
+        reference = fleet_outputs(alone.run(FLEET_ARRIVALS, inputs))
+        assert {t: np.array(r).tobytes() for t, r in outputs.items()} == \
+            {t: np.array(r).tobytes() for t, r in reference.items()}
+
+    def test_no_table_outlives_the_run(self, calls, monkeypatch):
+        inputs = standard_inputs(n_frames=8, seed=4)
+        fleet = build_standard_fleet(n_instances=2, policy="round-robin")
+        for run in (1, 2):
+            fleet.run(FLEET_ARRIVALS, inputs)
+            assert fleet_held(fleet) == []
+            assert sorted(calls["batch"]) == sorted(FLEET_BATCHES * run)
+
+        failing = build_standard_fleet(n_instances=2,
+                                       policy="round-robin")
+        route = failing.router.route
+        routed = []
+
+        def route_then_fail(tenant, at):
+            if len(routed) == 3:
+                raise RuntimeError("router down")
+            routed.append(tenant)
+            return route(tenant, at=at)
+
+        monkeypatch.setattr(failing.router, "route", route_then_fail)
+        with pytest.raises(RuntimeError, match="router down"):
+            failing.run(FLEET_ARRIVALS, inputs)
+        assert all(tile.shared_results is None
+                   for instance in failing.instances
+                   for tile in instance.soc.accelerators.values())
+        # The plans still in flight take their own entries back.
+        for instance in failing.instances:
+            instance.drain()
+        assert fleet_held(failing) == []
+
+    def test_entry_of_one_kernel_never_reaches_another(self, calls,
+                                                       monkeypatch):
+        """The classifier and the denoiser are offered the same frames
+        (equal input bytes, equal keys): each tile still sees only its
+        own kernel's table."""
+        pool = standard_inputs(n_frames=8, seed=4)
+        inputs = dict(pool, denoiser=pool["classifier"].copy())
+        shared = []
+        share = FleetInstance.share_results
+
+        def watched_share(instance, tables):
+            if tables:
+                shared.append(tables)
+            share(instance, tables)
+
+        monkeypatch.setattr(FleetInstance, "share_results", watched_share)
+        fleet = build_standard_fleet(n_instances=2, policy="round-robin")
+        report = fleet.run(FLEET_ARRIVALS, inputs)
+        soc = fleet.instances[0].soc
+        tables = shared[0]
+        classifier = tables[soc.accelerators["cl1"].spec.compute_batch]
+        denoiser = tables[soc.accelerators["de0"].spec.compute_batch]
+        assert classifier is not denoiser
+        assert set(denoiser) <= set(classifier)
+        assert calls["misses"] == []
+        want = software_rows(fleet, inputs)
+        for tenant, rows in fleet_outputs(report).items():
+            assert all(row.tobytes() in want[tenant] for row in rows)
+
+    def test_frame_flipped_in_dram_misses_on_its_instance(self, calls):
+        """A ``dram_bitflip`` on one instance after the fleet pass: the
+        first load there delivers one classifier frame with one bit
+        flipped. That frame misses and the classifier runs on its
+        corrupted words; every other frame takes its row."""
+        inputs = standard_inputs(n_frames=8, seed=4)
+        fleet = build_standard_fleet(n_instances=2, policy="round-robin")
+        flipped = fleet.instances[0]
+        FaultInjector(FaultPlan([FaultSpec(
+            kind="dram_bitflip", at_cycle=0, count=1)])).attach(flipped.soc)
+        report = fleet.run(FLEET_ARRIVALS, inputs)
+        assert report.completed_requests == len(FLEET_ARRIVALS)
+
+        [(name, corrupted)] = calls["misses"]
+        assert name == "classifier"
+        differs = (corrupted != inputs["classifier"]).sum(axis=1)
+        assert sorted(differs)[0] == 1
+        spec = flipped.soc.accelerators["cl1"].spec
+        want = software_rows(fleet, inputs)
+        rows = {}
+        for instance, served in report.per_instance.items():
+            rows[instance] = [row.tobytes() for c in served.completions
+                              if c.tenant == "classifier"
+                              for row in c.outputs]
+        assert spec.run(corrupted).tobytes() in rows[flipped.name]
+        other = [row for instance, served in rows.items()
+                 if instance != flipped.name for row in served]
+        assert other and all(row in want["classifier"] for row in other)

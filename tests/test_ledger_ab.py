@@ -20,14 +20,17 @@ def test_summarize_two_pairs():
     ]
     header, *rows = summarize(pairs, SPEC)
     assert header.split() == ["metric", "A", "median", "(q1-q3)", "B",
-                              "median", "(q1-q3)", "B/A", "B", "won"]
+                              "median", "(q1-q3)", "B/A", "gap/IQR", "B",
+                              "won"]
     # The primary metric first, then the spec's order; each row is the
-    # medians with quartiles, B's median over A's, and B's wins.
+    # medians with quartiles, B's median over A's, the gap of the
+    # medians over A's interquartile range (none when A's is 0), and
+    # B's wins.
     assert [row.split() for row in rows] == [
         ["iter_cost_p50", "2.1", "(2.05-2.15)", "2.05", "(1.925-2.175)",
-         "-2.4%", "1/2"],
+         "-2.4%", "-0.50", "1/2"],
         ["peak_rss_mb", "50", "(50-50)", "50", "(49.5-50.5)", "+0.0%",
-         "1/2"],
+         "n/a", "1/2"],
         ["frames_per_ref", "10", "(10-10)", "11.5", "(11.25-11.75)",
-         "+15.0%", "2/2"],
+         "+15.0%", "n/a", "2/2"],
     ]

@@ -11,10 +11,13 @@ both sides alike. Every run is a fresh interpreter with the same
 Prints each pair, then, for every end-to-end metric of the
 ``BENCHMARK.json`` in B's checkout, each side's median and quartiles,
 the ratio of B's median to A's as a signed percentage (``-6.4%`` is B
-6.4% below A) and the pairs B won (better by the metric's direction;
-ties count for neither side). ``iter_cost_p50`` comes first. Exits 1
-when any run is incorrect (a failed check, a pin mismatch or no
-result), 0 otherwise.
+6.4% below A), the gap between the medians in units of A's
+interquartile range (``gap/IQR``: ``(B median - A median) / (A q3 - A
+q1)``; a clear gain is a gap larger than A's spread, ``|gap/IQR| >
+1``) and the pairs B won (better by the metric's direction; ties count
+for neither side). ``iter_cost_p50`` comes first. Exits 1 when any run
+is incorrect (a failed check, a pin mismatch or no result), 0
+otherwise.
 The worktrees are removed on exit.
 
 Usage::
@@ -22,7 +25,11 @@ Usage::
     python tools/ledger_ab.py HEAD~1 HEAD --workload pipe-dma \\
         --pairs 10 --seconds 10 --seed 0
 
-The worktrees go to a temporary directory (``TMPDIR`` chooses where).
+``python tools/ledger_ab.py HEAD HEAD ...`` is the same-revision (A/A)
+control: both sides run one program, so any gap it prints is drift
+between the two checkouts' runs, the noise floor a claimed gain must
+clear. The worktrees go to a temporary directory (``TMPDIR`` chooses
+where).
 """
 
 from __future__ import annotations
@@ -87,26 +94,33 @@ def ratio(a: float, b: float) -> str:
     return f"{(b / a - 1) * 100:+.1f}%"
 
 
+def gap_over_iqr(a: Tuple[float, float, float], b_median: float) -> str:
+    """B's median minus A's, in units of A's interquartile range."""
+    iqr = a[2] - a[0]
+    if iqr == 0:
+        return "n/a"
+    return f"{(b_median - a[1]) / iqr:+.2f}"
+
+
 def summarize(pairs: List[Dict[str, Dict[str, float]]],
               spec: List[dict]) -> List[str]:
     """One line per metric: A and B medians with quartiles, B/A of the
-    medians, B's wins."""
+    medians, the median gap over A's IQR, B's wins."""
     ordered = sorted(spec, key=lambda m: m["name"] != PRIMARY)
     lines = [f"{'metric':<24}{'A median (q1-q3)':>34}"
-             f"{'B median (q1-q3)':>34}{'B/A':>9}{'B won':>8}"]
+             f"{'B median (q1-q3)':>34}{'B/A':>9}{'gap/IQR':>9}"
+             f"{'B won':>8}"]
     for metric in ordered:
         name = metric["name"]
         a = [pair["A"][name] for pair in pairs if name in pair["A"]]
         b = [pair["B"][name] for pair in pairs if name in pair["B"]]
         if not a or len(a) != len(b):
             continue
-        cells, medians = [], []
-        for values in (a, b):
-            q1, q2, q3 = quartiles(values)
-            cells.append(f"{q2:.6g} ({q1:.6g}-{q3:.6g})")
-            medians.append(q2)
+        qa, qb = quartiles(a), quartiles(b)
+        cells = [f"{q2:.6g} ({q1:.6g}-{q3:.6g})" for q1, q2, q3 in (qa, qb)]
         lines.append(f"{name:<24}{cells[0]:>34}{cells[1]:>34}"
-                     f"{ratio(*medians):>9}"
+                     f"{ratio(qa[1], qb[1]):>9}"
+                     f"{gap_over_iqr(qa, qb[1]):>9}"
                      f"{wins(a, b, metric['better']):>5}/{len(a)}")
     return lines
 
