@@ -44,15 +44,16 @@ class AcceleratorSpec:
     #: Optional batch form of ``compute``: ``(n, input_words) -> (n,
     #: output_words)``, row ``i`` equal to ``compute`` on row ``i``
     #: byte for byte. A run evaluates it ahead of the timing model (see
-    #: ``DataflowExecutor._prepass``). Every kernel of the paper's SoCs
+    #: ``repro.soc.fill_memo``). Every kernel of the paper's SoCs
     #: sets it: the HLS4ML matrix-vector products read their weights
     #: once per batch instead of once per frame, and Night-Vision runs
     #: its steps over chunks of frames in fewer, larger numpy calls.
-    #: The object also names the kernel: a fleet run keys the results
-    #: it evaluates ahead by it (``Fleet._kernel_pass``), so specs that
-    #: share it share those results. The HLS4ML specs of one compiled
-    #: model share its ``predict`` and the Night-Vision specs of one
-    #: format share one kernel; a fresh callable per spec shares none.
+    #: The object also names the kernel: the run's memo keys results
+    #: by it, then by their input bytes, so specs that share it share
+    #: those results and COMPUTE reads only its own kernel's. The
+    #: HLS4ML specs of one compiled model share its ``predict`` and
+    #: the Night-Vision specs of one format share one kernel; a fresh
+    #: callable per spec shares none.
     compute_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:

@@ -29,14 +29,14 @@ fleet runs are reproducible from (workload seed, policy, salt) alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..eval.harness import LatencySummary, summarize_latencies
 from ..eval.stack import StackSpec, build_stack
 from ..serve import Rejection, ServerReport
-from ..soc import Precomputed, frame_key
+from ..soc import KernelMemo, fill_memo, run_memo
 from ..trace.context import TraceContext
 from .instance import FleetInstance
 from .router import FleetRouter, RouterDecision
@@ -183,10 +183,11 @@ class Fleet:
         Every frame an arrival will carry is known before the first
         cycle, so the run first evaluates each tenant's kernels over
         them (:meth:`_kernel_pass`): one batch per level and kernel,
-        across all instances. Each tile sees its kernel's table for
-        the run, and each plan's prepass takes its frames' rows from
-        it instead of batching them again; the tiles drop the tables
-        when the run returns or raises, so nothing outlives the run.
+        across all instances. The results go to one kernel memo that
+        every instance's tiles hold for the run
+        (:func:`~repro.soc.run_memo`), so each plan finds its frames
+        there instead of batching them again; the tiles drop it when
+        the run returns or raises, so nothing outlives the run.
 
         The loop: advance every instance to the arrival cycle, let the
         router observe fresh completions, route, submit. After the
@@ -198,57 +199,39 @@ class Fleet:
         cursors = dict.fromkeys(inputs, 0)
         rows = [self._take_rows(inputs, cursors, arrival)
                 for arrival in ordered]
-        tables = self._kernel_pass(ordered, rows, inputs)
-        try:
-            for instance in self.instances:
-                instance.share_results(tables)
+        tiles = [tile for instance in self.instances
+                 for tile in instance.soc.accelerators.values()]
+        with run_memo(tiles) as memo:
+            self._kernel_pass(memo, ordered, rows, inputs)
             return self._replay(ordered, rows, inputs)
-        finally:
-            for instance in self.instances:
-                instance.share_results({})
 
-    def _kernel_pass(self, ordered: Sequence[Arrival],
+    def _kernel_pass(self, memo: KernelMemo, ordered: Sequence[Arrival],
                      rows: Sequence[List[int]],
-                     inputs: Dict[str, np.ndarray]
-                     ) -> Dict[Callable, Precomputed]:
+                     inputs: Dict[str, np.ndarray]) -> None:
         """Each tenant's offered frames through its kernels, once.
 
         A tenant's frames are the pool rows its arrivals take, each
         row once. They pass its dataflow's levels up to the first one
-        whose devices do not share one batch kernel, one
+        whose devices do not share one batch kernel
+        (:meth:`FleetInstance.kernel_chain`), by the fill a plan makes
+        of its own frames (:func:`~repro.soc.fill_memo`): one
         :meth:`~repro.accelerators.AcceleratorSpec.run_batch` per
-        level; instances whose dataflows run the same kernels share
-        the batch. Results are keyed by kernel (a spec's
-        ``compute_batch`` object), then by their input frame's bytes,
-        as the plan's own prepass keys them. Speculative, like that
-        prepass: a kernel that raises ends its tenant's pass, and the
-        plans reach the error themselves.
+        level, once for all instances whose dataflows run the same
+        kernels.
         """
         offered: Dict[str, set] = {}
         for arrival, picked in zip(ordered, rows):
             offered.setdefault(arrival.tenant, set()).update(picked)
-        tables: Dict[Callable, Precomputed] = {}
         for tenant, picked in offered.items():
             chains = {}
             for instance in self.instances:
                 if tenant in instance.tenants:
                     chain = instance.kernel_chain(tenant)
                     chains[tuple(s.compute_batch for s in chain)] = chain
-            # Views of the pool's rows: the tables add no copy of them.
-            pool = np.asarray(inputs[tenant], dtype=np.float64)
-            frames = [pool[row] for row in sorted(picked)]
+            frames = np.asarray(inputs[tenant],
+                                dtype=np.float64)[sorted(picked)]
             for chain in chains.values():
-                batch = frames
-                try:
-                    for spec in chain:
-                        out = spec.run_batch(batch)
-                        table = tables.setdefault(spec.compute_batch, {})
-                        for frame, result in zip(batch, out):
-                            table[frame_key(frame)] = frame, result
-                        batch = out
-                except Exception:
-                    pass
-        return tables
+                fill_memo(memo, [[spec] for spec in chain], frames)
 
     def _replay(self, ordered: Sequence[Arrival],
                 rows: Sequence[List[int]],

@@ -21,14 +21,13 @@ coupling is the coordinator's lockstep clock (see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..accelerators import AcceleratorSpec
 from ..metrics import MetricsRegistry
 from ..runtime import EspRuntime
-from ..soc import Precomputed
 from ..trace.context import TraceContext
 from ..trace.tracer import Tracer
 from ..serve import (
@@ -156,13 +155,6 @@ class FleetInstance:
                 break
             chain.append(specs[0])
         return chain
-
-    def share_results(self, tables: Dict[Callable, Precomputed]) -> None:
-        """Point each tile at its kernel's table in ``tables`` (a
-        kernel is its spec's ``compute_batch`` object), or at none:
-        the table every plan's prepass reads."""
-        for tile in self.soc.accelerators.values():
-            tile.shared_results = tables.get(tile.spec.compute_batch)
 
     # -- introspection ------------------------------------------------------
 

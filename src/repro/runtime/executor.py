@@ -56,12 +56,13 @@ from ..soc import (
     N_FRAMES_REG,
     P2PConfig,
     P2P_REG,
-    Precomputed,
     SRC_OFFSET_REG,
     SRC_STRIDE_REG,
     STATUS_DONE,
     STATUS_REG,
     SoCInstance,
+    fill_memo,
+    run_memo,
 )
 from .alloc import Buffer, ContigAllocator
 from .dataflow import Dataflow, EXECUTION_MODES
@@ -141,17 +142,6 @@ class ExecutionPlan:
     #: running.
     failure: Optional[BaseException] = None
     abort: Optional[Event] = None
-    #: ``(tile table, frame key)`` of every result the prepass handed
-    #: to the plan's tiles; :meth:`drop_precomputed` takes back the ones
-    #: COMPUTE did not.
-    precomputed: List[Tuple[Precomputed, int]] = field(
-        default_factory=list)
-
-    def drop_precomputed(self) -> None:
-        """Remove the plan's unused prepass results from its tiles."""
-        for table, key in self.precomputed:
-            table.pop(key, None)
-        self.precomputed.clear()
 
     def mode_for(self, name: str) -> CoherenceMode:
         return self.coherence.get(name, CoherenceMode.NON_COHERENT)
@@ -787,10 +777,10 @@ class DataflowExecutor:
                  coherence, dvfs: Optional[Dict[str, int]]):
         """Shared front half of :meth:`execute` and :meth:`run_process`.
 
-        Coerces ``frames`` to N x words, plans the run, writes the
-        input buffer and runs the :meth:`_prepass`; returns ``(frames,
-        plan)``. A frame width the level-0 devices do not take releases
-        the plan before raising, so a rejected call leaks no buffer.
+        Coerces ``frames`` to N x words, plans the run and writes the
+        input buffer; returns ``(frames, plan)``. A frame width the
+        level-0 devices do not take releases the plan before raising,
+        so a rejected call leaks no buffer.
         """
         frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
         plan = self.plan(dataflow, len(frames), mode, coherence=coherence,
@@ -802,62 +792,7 @@ class DataflowExecutor:
                 f"input frames have {frames.shape[1]} words; level-0 "
                 f"devices expect {in_words}")
         plan.input_buffer.write(frames.reshape(-1))
-        try:
-            self._prepass(plan, frames)
-        except Exception:
-            # Speculative: a kernel error is raised where the timing
-            # model reaches it, as without the prepass.
-            plan.drop_precomputed()
         return frames, plan
-
-    @staticmethod
-    def _prepass(plan: ExecutionPlan, frames: np.ndarray) -> None:
-        """Evaluate the plan's kernels over its frames before the run.
-
-        Frame ``f`` passes level ``k`` on device ``f mod width(k)``, so
-        each level's inputs are the previous level's outputs, known
-        before any cycle is simulated. A frame whose device's tile
-        shares a table of its kernel's results (``shared_results``,
-        filled by a fleet run) takes the row under its key if the row's
-        input frame has its bytes. The misses of each (level, spec) run
-        as one :meth:`~AcceleratorSpec.run_batch` call, up to the last
-        level whose spec has a batch kernel; a plan without one does no
-        prepass. Results go to the device's tile with their input
-        frame, and COMPUTE takes one only if LOAD delivered that frame
-        bit for bit, so the result a frame gets is its kernel's on the
-        delivered words, prepass or not. The plan takes back what is
-        left when its driver returns (:meth:`_drive`) or when it is
-        released, which every abort path does; the shared tables are
-        only read.
-        """
-        levels = plan.levels
-        depth = max((k + 1 for k, row in enumerate(levels)
-                     if any(n.spec.compute_batch is not None for n in row)),
-                    default=0)
-        inputs = frames
-        for row in levels[:depth]:
-            width = len(row)
-            outputs = np.empty((len(inputs), row[0].spec.output_words))
-            keys = []
-            misses: Dict[int, List[int]] = {}
-            for f, frame in enumerate(inputs):
-                data = frame.tobytes()
-                keys.append(hash(data))
-                node = row[f % width]
-                shared = node.device.tile.shared_results
-                entry = None if shared is None else shared.get(keys[f])
-                if entry is not None and entry[0].tobytes() == data:
-                    outputs[f] = entry[1]
-                else:
-                    misses.setdefault(id(node.spec), []).append(f)
-            for picked in misses.values():
-                spec = row[picked[0] % width].spec
-                outputs[picked] = spec.run_batch(inputs[picked])
-            for f, (frame, result) in enumerate(zip(inputs, outputs)):
-                table = row[f % width].device.tile.precomputed
-                table[keys[f]] = frame, result
-                plan.precomputed.append((table, keys[f]))
-            inputs = outputs
 
     def _close_run(self, mode: str, plan: ExecutionPlan, start: int,
                    degraded: bool) -> int:
@@ -941,6 +876,11 @@ class DataflowExecutor:
         results. The one run path of :meth:`execute` and
         :meth:`run_process`.
 
+        Before the driver starts, the plan's frames pass its kernels
+        into the run's memo (:func:`~repro.soc.fill_memo`), which the
+        plan's tiles hold until the run ends
+        (:func:`~repro.soc.run_memo`).
+
         Any failure (an :class:`Interrupt` too: the server cancelling
         the request) aborts the plan and releases its buffers before it
         propagates. A :class:`NodeFailed` under a policy with
@@ -951,24 +891,27 @@ class DataflowExecutor:
         The re-run carries the aborted attempt's accounting forward, so
         the result covers the whole request.
         """
-        try:
-            yield from self._DRIVERS[plan.mode](self, plan)
-            plan.drop_precomputed()
-            return plan, False
-        except Exception as exc:
-            yield from self._abort_and_release(plan)
-            policy = self.recovery
-            if not isinstance(exc, NodeFailed) or policy is None \
-                    or not policy.software_fallback:
-                raise
-        self._count(plan, "degraded_runs")
-        yield self.soc.env.timeout(policy.reset_cycles)
-        replan = self.plan(plan.dataflow, plan.n_frames, "pipe",
-                           coherence=plan.coherence, dvfs=plan.dvfs)
-        replan.input_buffer.write(frames.reshape(-1))
-        replan.counts = dict(plan.counts)
-        replan, _ = yield from self._drive(replan, frames)
-        return replan, True
+        tiles = [node.device.tile for row in plan.levels for node in row]
+        with run_memo(tiles) as memo:
+            fill_memo(memo, [[node.spec for node in row]
+                             for row in plan.levels], frames)
+            try:
+                yield from self._DRIVERS[plan.mode](self, plan)
+                return plan, False
+            except Exception as exc:
+                yield from self._abort_and_release(plan)
+                policy = self.recovery
+                if not isinstance(exc, NodeFailed) or policy is None \
+                        or not policy.software_fallback:
+                    raise
+            self._count(plan, "degraded_runs")
+            yield self.soc.env.timeout(policy.reset_cycles)
+            replan = self.plan(plan.dataflow, plan.n_frames, "pipe",
+                               coherence=plan.coherence, dvfs=plan.dvfs)
+            replan.input_buffer.write(frames.reshape(-1))
+            replan.counts = dict(plan.counts)
+            replan, _ = yield from self._drive(replan, frames)
+            return replan, True
 
     # -- plan teardown ------------------------------------------------------------
 
@@ -998,13 +941,11 @@ class DataflowExecutor:
                 pass
 
     def release_plan(self, plan: ExecutionPlan) -> None:
-        """Return every buffer the plan allocated to the allocator and
-        drop its unused prepass results.
+        """Return every buffer the plan allocated to the allocator.
 
         Idempotent (``free`` ignores already-freed buffers), so a
         failure path and a finally-style caller can both release.
         """
-        plan.drop_precomputed()
         for buffer in plan.buffers:
             self.allocator.free(buffer)
 

@@ -37,7 +37,7 @@ import numpy as np
 from ..eval.harness import LatencySummary, summarize_latencies
 from ..runtime import Dataflow, DataflowExecutor, EspRuntime
 from ..sim import Environment, Event, Interrupt, Process
-from ..soc import TileActivity, activity_delta, tile_activity
+from ..soc import TileActivity, activity_delta, run_memo, tile_activity
 from ..trace.context import (TraceContext, TraceIdAllocator,
                              batch_trace_ids)
 from .arbiter import TileArbiter, TileUnavailable
@@ -714,7 +714,10 @@ class InferenceServer:
         (completed, failed, or rejected post-admission), then stops the
         loops and returns the window's report: it counts this trace
         alone, however many ran on the server before. Owns the event
-        loop while running, like ``DataflowExecutor.execute``.
+        loop while running, like ``DataflowExecutor.execute``, and the
+        kernel memo of the SoC's tiles (:func:`~repro.soc.run_memo`):
+        each dispatched plan adds to it the results its frames miss,
+        so frames an earlier request carried are not batched again.
         """
         env = self.env
         self.start()
@@ -730,8 +733,9 @@ class InferenceServer:
                             priority=entry.priority)
             return None
 
-        env.run(until=env.process(driver(), name="serve:trace-driver"))
-        env.run(until=self.wait_settled())
+        with run_memo(self.soc.accelerators.values()):
+            env.run(until=env.process(driver(), name="serve:trace-driver"))
+            env.run(until=self.wait_settled())
         self.stop()
         return self.report(makespan_cycles=env.now - origin)
 

@@ -8,8 +8,9 @@ logic, and — new in ESP4ML — the p2p communication service.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..accelerators.base import AcceleratorSpec
 from ..faults.errors import KernelCrash
@@ -36,7 +37,7 @@ from .registers import (
     STATUS_RUNNING,
 )
 from .tlb import Tlb
-from .wrapper import (InvocationConfig, InvocationResult, Precomputed,
+from .wrapper import (InvocationConfig, InvocationResult, KernelMemo,
                       wrapper_process, wrapper_process_double_buffered)
 
 Coord = Tuple[int, int]
@@ -78,8 +79,41 @@ class RegReadReply:
         self.tag = tag
 
 
+@contextmanager
+def run_memo(tiles: Iterable[AcceleratorTile]) -> Iterator[KernelMemo]:
+    """The kernel memo of the run that drives ``tiles``, for its
+    duration.
+
+    The outermost run owns it: if no tile holds a memo, a fresh one is
+    installed on all of them and cleared when the block exits,
+    normally or not. A run nested in another (a plan dispatched by a
+    serving trace or a fleet run) finds the outer memo, adds to it and
+    clears nothing.
+    """
+    tiles = list(tiles)
+    held = next((tile.memo for tile in tiles if tile.memo is not None),
+                None)
+    if held is not None:
+        yield held
+        return
+    memo: KernelMemo = {}
+    for tile in tiles:
+        tile.memo = memo
+    try:
+        yield memo
+    finally:
+        for tile in tiles:
+            tile.memo = None
+
+
 class AcceleratorTile:
     """One accelerator tile: socket + wrapper + kernel."""
+
+    #: The kernel results of the run that drives this tile, evaluated
+    #: ahead of the timing model and read by COMPUTE (see
+    #: ``wrapper._compute``); ``None`` outside a run. Only
+    #: :func:`run_memo` sets it.
+    memo: Optional[KernelMemo] = None
 
     def __init__(self, env: Environment, mesh: Mesh2D, coord: Coord,
                  spec: AcceleratorSpec, memory_map: MemoryMap,
@@ -109,18 +143,6 @@ class AcceleratorTile:
         self.busy_cycles = 0
         self.resets = 0
         self.kernel_crashes = 0
-
-        #: Kernel results a run evaluated ahead of the timing model
-        #: (see ``wrapper._compute``). The run fills it before its
-        #: first cycle and takes back what COMPUTE left when it ends
-        #: (``DataflowExecutor._prepass``).
-        self.precomputed: Precomputed = {}
-        #: Results of this tile's kernel evaluated ahead of a run of
-        #: many plans (a fleet run), one table shared by every tile of
-        #: the same kernel. The prepass copies a plan's hits from it
-        #: into ``precomputed``; COMPUTE never reads it. ``None``
-        #: outside such a run.
-        self.shared_results: Optional[Precomputed] = None
 
         # Fault hook (None = fault-free, zero overhead) and the reset
         # line the host pulls through CMD_RESET to abort a wedged run.
@@ -229,8 +251,7 @@ class AcceleratorTile:
         wrapper = wrapper_process_double_buffered \
             if self.spec.double_buffered else wrapper_process
         result = yield self.env.process(
-            wrapper(self.env, self.spec, self.dma, config,
-                    self.precomputed),
+            wrapper(self.env, self.spec, self.dma, config, self.memo),
             name=f"wrapper:{self.device_name}")
         return result
 

@@ -13,15 +13,15 @@ Here the wrapper is the simulation process executed by an accelerator
 tile for one invocation. It is identical for DMA and p2p communication
 — the p2p remapping happens inside the DMA engine, "completely
 transparent to the accelerator". COMPUTE costs the kernel's cycles
-whatever the data; its result may come from the run's prepass, which
-evaluated the kernel ahead of the timing model, but only for a frame
-whose delivered bits are exactly the ones the prepass saw.
+whatever the data; its result may come from the run's memo of kernel
+results evaluated ahead of the timing model, but only for a frame
+whose delivered bytes are exactly the ones the memo holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -95,55 +95,87 @@ def _phase(env, dma: DmaEngine, row: str, phase: str, index: int, body):
     return result
 
 
-#: A tile's kernel results evaluated ahead of the timing model:
-#: ``frame_key(frame) -> (frame, result)``.
-Precomputed = Dict[int, Tuple[np.ndarray, np.ndarray]]
+#: One run's kernel results evaluated ahead of the timing model:
+#: ``{kernel: {input frame bytes: result}}``, where the kernel is a
+#: spec's ``compute_batch`` object. A synthesized kernel has fixed
+#: weights, so its result is a function of its input's exact bytes
+#: alone (-0.0 and 0.0 differ), and every plan of the run may read
+#: it. Entries are added during the run and never taken.
+KernelMemo = Dict[Callable, Dict[bytes, np.ndarray]]
 
 
-def frame_key(frame: np.ndarray) -> int:
-    """A frame's key in a :data:`Precomputed` table: the hash of its
-    exact bytes (so -0.0 and 0.0 differ). COMPUTE hashes the delivered
-    frame's bytes the same way."""
-    return hash(frame.tobytes())
+def fill_memo(memo: KernelMemo,
+              levels: Sequence[Sequence[AcceleratorSpec]],
+              frames: np.ndarray) -> None:
+    """Evaluate ``frames`` through ``levels`` into ``memo`` before the
+    timing model runs.
+
+    Frame ``f`` passes level ``k`` on spec ``levels[k][f mod width]``,
+    so each level's inputs are the previous level's outputs. The pass
+    covers the leading levels whose every spec has a batch kernel. A
+    frame the memo already holds under its spec's kernel is not run
+    again; the rest of each (level, spec) run as one
+    :meth:`~AcceleratorSpec.run_batch` call. Speculative: a kernel
+    that raises ends the pass, and the run reaches the error itself
+    in COMPUTE.
+    """
+    inputs = frames
+    try:
+        for row in levels:
+            if any(spec.compute_batch is None for spec in row):
+                return
+            tables = [memo.setdefault(spec.compute_batch, {})
+                      for spec in row]
+            width = len(row)
+            outputs = np.empty((len(inputs), row[0].output_words))
+            misses: Dict[int, List[int]] = {}
+            for f, frame in enumerate(inputs):
+                hit = tables[f % width].get(frame.tobytes())
+                if hit is None:
+                    misses.setdefault(id(row[f % width]), []).append(f)
+                else:
+                    outputs[f] = hit
+            for picked in misses.values():
+                spec = row[picked[0] % width]
+                outputs[picked] = spec.run_batch(inputs[picked])
+                for f in picked:
+                    tables[f % width][inputs[f].tobytes()] = outputs[f]
+            inputs = outputs
+    except Exception:
+        pass
 
 
 def _compute(env, spec: AcceleratorSpec, frame, cycles: int,
-             precomputed: Precomputed):
+             memo: Optional[KernelMemo]):
     """COMPUTE: the kernel's schedule sets the cycle cost (stretched by
     the tile's DVFS divider); the functional result is the bit-accurate
     NumPy kernel's on the frame LOAD delivered.
 
-    ``precomputed`` holds the results the run's prepass evaluated ahead
-    of the timing model, some of them copied from a fleet run's shared
-    table of this kernel; COMPUTE reads only this plan table, never the
-    shared one. The entry under this frame's key is taken, and its
-    result used if its input frame has this frame's bytes. A frame
-    with no such entry (a DRAM bitflip changed it, the run was
-    re-planned, an identical frame already took it) runs the kernel
-    now. Either way the result is ``spec.run(frame)`` byte for byte.
-    The frame's bytes are made once, for the key and the compare; the
-    table holds the input array, not a bytes copy of it.
+    ``memo`` is the run's :data:`KernelMemo` (``None`` outside a run).
+    The entry under this tile's kernel and the delivered frame's exact
+    bytes is used as is. A frame with no entry (a DRAM bitflip changed
+    it, or no pass reached it) runs the kernel now. Either way the
+    result is ``spec.run(frame)`` byte for byte.
     """
     yield env.timeout(cycles)
-    if precomputed:
-        data = frame.tobytes()
-        entry = precomputed.pop(hash(data), None)
-        if entry is not None and entry[0].tobytes() == data:
-            return entry[1]
+    if memo:
+        result = memo.get(spec.compute_batch, {}).get(frame.tobytes())
+        if result is not None:
+            return result
     return spec.run(frame)
 
 
 def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
                     config: InvocationConfig,
-                    precomputed: Precomputed):
+                    memo: Optional[KernelMemo]):
     """One accelerator invocation: the Fig. 4 loop as a sim process.
 
     Each loop iteration moves one frame: a LOAD of ``input_words``, a
     COMPUTE of the kernel's latency, a STORE of ``output_words``. The
     source/destination addresses advance by one frame per iteration,
     exactly as the generated wrapper derives them from the iteration
-    index and the configured dataset size. ``precomputed`` is the
-    tile's table of results evaluated ahead (see :func:`_compute`).
+    index and the configured dataset size. ``memo`` is the run's
+    results evaluated ahead (see :func:`_compute`).
     """
     start = env.now
     p2p = config.p2p
@@ -161,7 +193,7 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
             env, dma, "wrapper", "compute", index,
             _compute(env, spec, frame,
                      spec.latency_cycles * config.clock_divider,
-                     precomputed))
+                     memo))
         # STORE: pack the output and push it downstream.
         out_addr = config.dst_offset + index * dst_stride
         yield from _phase(env, dma, "wrapper", "store", index,
@@ -174,7 +206,7 @@ def wrapper_process(env, spec: AcceleratorSpec, dma: DmaEngine,
 def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
                                     dma: DmaEngine,
                                     config: InvocationConfig,
-                                    precomputed: Precomputed):
+                                    memo: Optional[KernelMemo]):
     """Ping-pong variant of the wrapper: LOAD/COMPUTE/STORE overlap.
 
     Three concurrent stages connected by depth-2 FIFOs (the two PLM
@@ -210,7 +242,7 @@ def wrapper_process_double_buffered(env, spec: AcceleratorSpec,
             result = yield from _phase(
                 env, dma, "compute", "compute", index,
                 _compute(env, spec, frame, cycles * config.clock_divider,
-                         precomputed))
+                         memo))
             yield out_plm.put(result)
 
     def storer():

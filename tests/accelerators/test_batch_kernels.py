@@ -1,8 +1,8 @@
 """The batch kernels equal their per-frame kernels byte for byte.
 
 A run evaluates every kernel over all its frames in one call before
-the timing model starts (``DataflowExecutor._prepass``), and COMPUTE
-hands out those rows as the kernel's results. That is exact only if
+the timing model starts (``repro.soc.fill_memo``), and COMPUTE hands
+out those rows as the kernel's results. That is exact only if
 row ``i`` of ``run_batch`` is ``run(frames[i])`` to the bit
 (``tobytes`` also tells -0.0 from 0.0), for every batch size and every
 input, including inputs the fixed-point cast saturates, negative

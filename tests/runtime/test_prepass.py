@@ -1,21 +1,24 @@
 """The prepass: each run evaluates its kernels ahead of the timing model.
 
-``DataflowExecutor._prepass`` runs each (level, spec) of a plan as one
-batch call before the first simulated cycle and hands the results to
-the plan's tiles, keyed by the exact bytes of each input frame.
-COMPUTE takes a result only for the frame LOAD delivered, so a frame
-corrupted in DRAM misses and runs the kernel on its corrupted words.
-The results belong to the plan: none survive it, on success or abort.
+A run holds one kernel memo on the tiles it drives
+(``repro.soc.run_memo``): ``{kernel: {input frame bytes: result}}``,
+where the kernel is a spec's ``compute_batch`` object. Before a plan's
+driver starts, ``repro.soc.fill_memo`` runs each (level, spec) of the
+plan as one batch call over the frames the memo does not hold yet, for
+the leading levels whose every spec has a batch kernel. COMPUTE looks
+a result up under its tile's kernel and the exact bytes LOAD
+delivered, and never takes it out, so a frame corrupted in DRAM
+misses and runs the kernel on its corrupted words, and a frame that
+appears twice hits twice.
 
-A fleet run goes one level up (``Fleet.run``): every frame its
-arrivals carry is known before the first cycle, so it runs each
-tenant's offered frames through the tenant's kernels once, one batch
-per level, across all instances. Each tile sees the table of its own
-kernel (the spec's ``compute_batch`` object) for the run, and a plan's
-prepass copies its hits from there into its own entries and batches
-only the misses. COMPUTE still reads only the plan's entries, so the
-delivered-bytes guard is unchanged, and the tables leave the tiles
-when the run returns or raises.
+The outermost run owns the memo and clears it when it returns or
+raises: ``execute``/``run_process`` for a lone plan,
+``InferenceServer.run_trace`` for a trace, ``Fleet.run`` for a fleet.
+A plan nested in a trace or fleet run adds its misses to that run's
+memo. A fleet run knows every frame its arrivals carry before the
+first cycle, so it fills the memo with each tenant's offered frames
+first, one batch per level, across all instances, and the plans it
+dispatches batch nothing.
 """
 
 from dataclasses import replace
@@ -29,33 +32,24 @@ from repro.eval.apps import (build_soc1, build_soc2, classifier_inputs,
                              dataflow_nv_cl, de_cl_inputs, nv_cl_inputs)
 from repro.eval.fleet import build_standard_fleet, standard_inputs
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
-from repro.fleet import Arrival, Fleet, FleetInstance
+from repro.fleet import Arrival, Fleet
 from repro.runtime import EspRuntime, chain
-from repro.runtime.executor import DataflowExecutor
+from repro.runtime import executor
+from repro.serve import InferenceServer, TenantConfig, TracedRequest
 from repro.sim import Interrupt
-from repro.soc import frame_key
 from tests.conftest import make_soc, make_spec
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Records each batch-kernel call by spec name, and every kernel
-    run outside the prepass (a COMPUTE miss) as ``(name, frame)``."""
+    """Records each batch-kernel call by spec name, and every
+    single-frame kernel run as ``(name, frame)``. The prepass runs
+    only batch kernels, so on a run each of those is a COMPUTE miss."""
     record = {"batch": [], "misses": []}
-    inside = []
-    prepass = DataflowExecutor._prepass
     run, run_batch = AcceleratorSpec.run, AcceleratorSpec.run_batch
 
-    def watched_prepass(plan, frames):
-        inside.append(True)
-        try:
-            prepass(plan, frames)
-        finally:
-            inside.pop()
-
     def watched_run(spec, frame):
-        if not inside:
-            record["misses"].append((spec.name, np.array(frame)))
+        record["misses"].append((spec.name, np.array(frame)))
         return run(spec, frame)
 
     def watched_run_batch(spec, frames):
@@ -63,16 +57,14 @@ def calls(monkeypatch):
             record["batch"].append(spec.name)
         return run_batch(spec, frames)
 
-    monkeypatch.setattr(DataflowExecutor, "_prepass",
-                        staticmethod(watched_prepass))
     monkeypatch.setattr(AcceleratorSpec, "run", watched_run)
     monkeypatch.setattr(AcceleratorSpec, "run_batch", watched_run_batch)
     return record
 
 
 def held_entries(soc):
-    return {name: len(tile.precomputed)
-            for name, tile in soc.accelerators.items() if tile.precomputed}
+    return {name: tile.memo for name, tile in soc.accelerators.items()
+            if tile.memo is not None}
 
 
 def software(soc, dataflow, frames):
@@ -204,33 +196,27 @@ class TestFaultInterplay:
 
     def test_entry_differing_by_a_zero_sign_misses(self, calls,
                                                    monkeypatch):
-        """An entry found under the delivered frame's key is used only
-        if its input frame has the same bytes: here the entry's frame
-        holds -0.0 where the delivered frame holds 0.0, values that
-        compare equal. That frame's COMPUTE misses and runs the kernel
-        on the delivered words; every other frame hits."""
+        """An entry is used only for its input frame's exact bytes:
+        here the victim's entry is keyed by its frame with -0.0 where
+        the delivered frame holds 0.0, values that compare equal. That
+        frame's COMPUTE misses and runs the kernel on the delivered
+        words; every other frame hits."""
         soc = build_soc1()
         runtime = EspRuntime(soc)
         dataflow = dataflow_nv_cl(4, 4)
         frames, _ = nv_cl_inputs(8, seed=3)
         victim, word = 5, 100
         frames[victim, word] = 0.0
-        prepare = runtime.executor._prepare
+        fill = executor.fill_memo
 
-        def prepare_then_sign(*args):
-            prepared, plan = prepare(*args)
-            key = frame_key(frames[victim])
-            table = next(tile.precomputed
-                         for tile in soc.accelerators.values()
-                         if key in tile.precomputed)
-            signed, result = table[key]
-            signed = signed.copy()
+        def fill_then_sign(memo, levels, filled):
+            fill(memo, levels, filled)
+            table = memo[levels[0][0].compute_batch]
+            signed = frames[victim].copy()
             signed[word] = -0.0
-            table[key] = signed, result
-            return prepared, plan
+            table[signed.tobytes()] = table.pop(frames[victim].tobytes())
 
-        monkeypatch.setattr(runtime.executor, "_prepare",
-                            prepare_then_sign)
+        monkeypatch.setattr(executor, "fill_memo", fill_then_sign)
         result = runtime.esp_run(dataflow, frames, mode="p2p")
         misses = [(name, frame.tobytes())
                   for name, frame in calls["misses"]]
@@ -243,24 +229,33 @@ class TestFaultInterplay:
 def test_kernel_error_is_raised_where_the_run_reaches_it(calls):
     """The prepass is speculative: a kernel that raises on a frame
     fails the run from inside the simulation, as it would without a
-    prepass, and leaves no entry behind."""
+    prepass, and leaves no entry behind. Twice: level 0 without a
+    batch form, which the prepass does not reach, and with one that
+    raises on the same frame and ends the prepass."""
     def picky(frame):
         if frame[0] == 3.0:
             raise ValueError("bad frame")
         return frame + 1.0
 
+    def picky_batch(frames):
+        return np.array([picky(frame) for frame in frames])
+
     batched = make_spec(name="b")
-    soc = make_soc([
-        ("a0", make_spec(name="a", compute=picky)),
-        ("b0", replace(batched, compute_batch=lambda frames: frames + 1.0)),
-    ])
-    frames = np.arange(4.0)[:, None] + np.zeros((4, 16))
-    with pytest.raises(ValueError, match="bad frame"):
-        EspRuntime(soc).esp_run(chain("ab", ["a0", "b0"]), frames,
-                                mode="pipe")
-    assert soc.env.now > 0
-    assert calls["batch"] == []
-    assert held_entries(soc) == {}
+    for batch_form, batches in [(None, []), (picky_batch, ["a"])]:
+        calls["batch"].clear()
+        soc = make_soc([
+            ("a0", replace(make_spec(name="a", compute=picky),
+                           compute_batch=batch_form)),
+            ("b0", replace(batched,
+                           compute_batch=lambda frames: frames + 1.0)),
+        ])
+        frames = np.arange(4.0)[:, None] + np.zeros((4, 16))
+        with pytest.raises(ValueError, match="bad frame"):
+            EspRuntime(soc).esp_run(chain("ab", ["a0", "b0"]), frames,
+                                    mode="pipe")
+        assert soc.env.now > 0
+        assert calls["batch"] == batches
+        assert held_entries(soc) == {}
 
 
 def fleet_outputs(report):
@@ -287,7 +282,7 @@ def fleet_held(fleet):
     return [(instance.name, name)
             for instance in fleet.instances
             for name, tile in instance.soc.accelerators.items()
-            if tile.shared_results is not None or tile.precomputed]
+            if tile.memo is not None]
 
 
 #: A few requests per tenant, spread so that none is rejected and no
@@ -301,33 +296,47 @@ FLEET_ARRIVALS = [Arrival(0, "classifier", 3),
 #: One batch per (tenant, level), sorted: night-vision's two levels,
 #: then one level each for the classifier and the denoiser.
 FLEET_BATCHES = ["classifier", "classifier", "denoiser", "night_vision"]
+#: One request of nine frames from a pool of eight: pool row 0 reaches
+#: one classifier tile twice in one batch.
+TWICE_ARRIVALS = [Arrival(0, "classifier", 9)]
 
 
 class TestFleetScope:
     """``Fleet.run`` evaluates each tenant's offered frames once, across
-    its instances, before the first arrival; each plan's prepass takes
-    its rows from that run-scoped table."""
+    its instances, before the first arrival; each plan finds its frames
+    in that run-scoped memo."""
 
     def test_one_batch_per_tenant_level_and_every_compute_hits(
             self, calls, monkeypatch):
+        """Two arrival sets: requests spread so that no pool row
+        repeats in a batch, and one request whose pool row 0 reaches
+        one classifier tile twice in one batch."""
         inputs = standard_inputs(n_frames=8, seed=4)
-        fleet = build_standard_fleet(n_instances=2, policy="round-robin")
-        report = fleet.run(FLEET_ARRIVALS, inputs)
-        assert report.completed_requests == len(FLEET_ARRIVALS)
-        # Every batch call is the fleet pass's: none in a dispatch.
-        assert sorted(calls["batch"]) == FLEET_BATCHES
-        assert calls["misses"] == []
-        outputs = fleet_outputs(report)
-        want = software_rows(fleet, inputs)
-        assert all(row.tobytes() in want[tenant]
-                   for tenant, rows in outputs.items() for row in rows)
-        # Byte-identical to the same run with per-plan prepasses only.
-        monkeypatch.setattr(Fleet, "_kernel_pass",
-                            lambda self, *args: {})
-        alone = build_standard_fleet(n_instances=2, policy="round-robin")
-        reference = fleet_outputs(alone.run(FLEET_ARRIVALS, inputs))
-        assert {t: np.array(r).tobytes() for t, r in outputs.items()} == \
-            {t: np.array(r).tobytes() for t, r in reference.items()}
+        for arrivals, batches in [(FLEET_ARRIVALS, FLEET_BATCHES),
+                                  (TWICE_ARRIVALS, ["classifier"])]:
+            calls["batch"].clear()
+            calls["misses"].clear()
+            fleet = build_standard_fleet(n_instances=2,
+                                         policy="round-robin")
+            report = fleet.run(arrivals, inputs)
+            assert report.completed_requests == len(arrivals)
+            # Every batch call is the fleet pass's: none in a dispatch.
+            assert sorted(calls["batch"]) == batches
+            assert calls["misses"] == []
+            outputs = fleet_outputs(report)
+            want = software_rows(fleet, inputs)
+            assert all(row.tobytes() in want[tenant]
+                       for tenant, rows in outputs.items() for row in rows)
+            # Byte-identical to the same run with per-plan prepasses
+            # only.
+            with monkeypatch.context() as patch:
+                patch.setattr(Fleet, "_kernel_pass", lambda *args: None)
+                alone = build_standard_fleet(n_instances=2,
+                                             policy="round-robin")
+                reference = fleet_outputs(alone.run(arrivals, inputs))
+            assert {t: np.array(r).tobytes()
+                    for t, r in outputs.items()} == \
+                {t: np.array(r).tobytes() for t, r in reference.items()}
 
     def test_no_table_outlives_the_run(self, calls, monkeypatch):
         inputs = standard_inputs(n_frames=8, seed=4)
@@ -351,10 +360,8 @@ class TestFleetScope:
         monkeypatch.setattr(failing.router, "route", route_then_fail)
         with pytest.raises(RuntimeError, match="router down"):
             failing.run(FLEET_ARRIVALS, inputs)
-        assert all(tile.shared_results is None
-                   for instance in failing.instances
-                   for tile in instance.soc.accelerators.values())
-        # The plans still in flight take their own entries back.
+        assert fleet_held(failing) == []
+        # The plans still in flight install no memo of their own.
         for instance in failing.instances:
             instance.drain()
         assert fleet_held(failing) == []
@@ -362,19 +369,18 @@ class TestFleetScope:
     def test_entry_of_one_kernel_never_reaches_another(self, calls,
                                                        monkeypatch):
         """The classifier and the denoiser are offered the same frames
-        (equal input bytes, equal keys): each tile still sees only its
-        own kernel's table."""
+        (equal input bytes, equal keys): each tile still reads only its
+        own kernel's results."""
         pool = standard_inputs(n_frames=8, seed=4)
         inputs = dict(pool, denoiser=pool["classifier"].copy())
         shared = []
-        share = FleetInstance.share_results
+        kernel_pass = Fleet._kernel_pass
 
-        def watched_share(instance, tables):
-            if tables:
-                shared.append(tables)
-            share(instance, tables)
+        def watched_pass(fleet, memo, *args):
+            kernel_pass(fleet, memo, *args)
+            shared.append(memo)
 
-        monkeypatch.setattr(FleetInstance, "share_results", watched_share)
+        monkeypatch.setattr(Fleet, "_kernel_pass", watched_pass)
         fleet = build_standard_fleet(n_instances=2, policy="round-robin")
         report = fleet.run(FLEET_ARRIVALS, inputs)
         soc = fleet.instances[0].soc
@@ -416,3 +422,27 @@ class TestFleetScope:
         other = [row for instance, served in rows.items()
                  if instance != flipped.name for row in served]
         assert other and all(row in want["classifier"] for row in other)
+
+
+class TestTraceScope:
+    """``InferenceServer.run_trace`` owns one memo for the trace."""
+
+    def test_frames_a_request_repeats_are_not_batched_again(self, calls):
+        soc = build_soc1()
+        server = InferenceServer(EspRuntime(soc))
+        server.register(TenantConfig(name="de", dataflow=dataflow_de_cl(),
+                                     mode="pipe"))
+        frames, _ = de_cl_inputs(2, seed=0)
+        report = server.run_trace([TracedRequest(0, "de", frames),
+                                   TracedRequest(200_000, "de",
+                                                 frames.copy())])
+        assert report.batches_by_tenant == {"de": 2}
+        assert [len(c.outputs) for c in report.completions] == [2, 2]
+        # The first request's plan batched both levels; the second
+        # found every frame in the trace's memo.
+        assert calls["batch"] == ["denoiser", "classifier"]
+        assert calls["misses"] == []
+        want = software(soc, dataflow_de_cl(), frames).tobytes()
+        assert all(np.array(c.outputs).tobytes() == want
+                   for c in report.completions)
+        assert held_entries(soc) == {}

@@ -429,6 +429,50 @@ class OneEventPerTransit(CallRule):
             and self.where != "noc/mesh.py::_Transit.__init__")
 
 
+class OneMemoOwner(Rule):
+    """A run's kernel memo has one owner: only ``run_memo`` installs it
+    on the tiles and clears it, so the decision which run is the
+    outermost, and so owns the memo, is made in one place."""
+
+    allowed = ("soc/accelerator.py::run_memo",)
+    snippets = {
+        "soc/accelerator.py": """
+            @contextmanager
+            def run_memo(tiles):
+                for tile in tiles:
+                    tile.memo = {}
+                yield
+                for tile in tiles:
+                    tile.memo = None
+
+            class AcceleratorTile:
+                memo = None
+
+                def host_reset(self):
+                    self.memo = None  # flagged
+            """,
+        "fleet/cluster.py": """
+            class Fleet:
+                def run(self, memo):
+                    for tile in self.tiles:
+                        tile.memo, seen = memo, True  # flagged
+                        setattr(tile, "memo", memo)  # flagged
+                    return tile.memo.get(None)
+            """}
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "memo" and not isinstance(node.ctx, ast.Load):
+            self.flag(node)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if (_name(node.func) == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "memo"):
+            self.flag(node)
+        self.generic_visit(node)
+
+
 def identifiers(tree: ast.AST) -> Counter:
     """How often ``tree`` names each identifier: as a ``Name``, an
     ``Attribute`` or an identifier string constant, but not as an
@@ -530,7 +574,7 @@ RULES = (ServeReadsNoMetrics, OnlyExecuteRunsTheLoop,
          ControlDerivesNoStallThreshold, OneCountingSite, OneTracerGuard,
          OneSpanSite, RecordsBuiltWhenRead, PacketsAreEvents,
          CoherenceOverRanges, MeshBuiltOnFirstUse, OneStackBuilder,
-         OneEventPerTransit, HasACaller)
+         OneEventPerTransit, OneMemoOwner, HasACaller)
 
 
 def check(rule, path: str, source: str,

@@ -18,7 +18,9 @@ q1)``; a clear gain is a gap larger than A's spread, ``|gap/IQR| >
 for neither side). ``iter_cost_p50`` comes first. Exits 1 when any run
 is incorrect (a failed check, a pin mismatch or no result), 0
 otherwise.
-The worktrees are removed on exit.
+The worktrees are removed on exit, on SIGTERM and SIGINT too, and a
+start removes the ones a run killed by an uncatchable signal left
+behind, so run one A/B at a time per repository.
 
 Usage::
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -46,11 +49,38 @@ from typing import Dict, List, Optional, Sequence, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The metric the pairs are judged on, reported first.
 PRIMARY = "iter_cost_p50"
+#: Prefix of the temporary directory that holds one run's worktrees.
+PREFIX = "ledger-ab-"
+#: The signals that end a run through its cleanup.
+STOPS = (signal.SIGTERM, signal.SIGINT)
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=REPO_ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def prune_stale() -> None:
+    """Remove every worktree of an earlier run: one registered under a
+    directory named with :data:`PREFIX`."""
+    for line in git("worktree", "list", "--porcelain").splitlines():
+        if not line.startswith("worktree "):
+            continue
+        path = Path(line[len("worktree "):])
+        if not path.parent.name.startswith(PREFIX):
+            continue
+        if path.exists():
+            git("worktree", "remove", "--force", str(path))
+        try:
+            path.parent.rmdir()
+        except OSError:
+            pass   # not empty yet: its other worktree comes next
+    git("worktree", "prune")
+
+
+def stop(signum, frame) -> None:
+    """End the run as an exit, so that its ``finally`` runs."""
+    raise SystemExit(128 + signum)
 
 
 def run_ledger(checkout: Path, workload: str, seed: int,
@@ -142,7 +172,10 @@ def main(argv=None) -> int:
     print(f"A = {args.rev_a} ({revs['A'][:12]}), "
           f"B = {args.rev_b} ({revs['B'][:12]}); {args.workload}, "
           f"seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
-    with tempfile.TemporaryDirectory(prefix="ledger-ab-") as scratch:
+    prune_stale()
+    for signum in STOPS:
+        signal.signal(signum, stop)
+    with tempfile.TemporaryDirectory(prefix=PREFIX) as scratch:
         checkouts = {side: Path(scratch) / side for side in revs}
         try:
             for side, rev in revs.items():
@@ -169,6 +202,8 @@ def main(argv=None) -> int:
                       f"B {pair['B'].get(PRIMARY, float('nan')):.4f}",
                       flush=True)
         finally:
+            for signum in STOPS:
+                signal.signal(signum, signal.SIG_IGN)
             for checkout in checkouts.values():
                 if checkout.exists():
                     git("worktree", "remove", "--force", str(checkout))
