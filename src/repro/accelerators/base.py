@@ -4,8 +4,8 @@ An :class:`AcceleratorSpec` is the result of one of the two design
 branches of Fig. 3 — the HLS4ML branch (ML kernels) or the generic
 SystemC/Stratus branch (e.g. the Night-Vision kernels). It bundles:
 
-- the functional kernel (bit-accurate NumPy compute), optionally with
-  a batch form that evaluates many frames in one call,
+- the functional kernel (bit-accurate NumPy compute over a batch of
+  frames),
 - the per-frame timing from the HLS schedule,
 - the FPGA resource estimate,
 - the I/O geometry (words per input/output frame, word width) that the
@@ -15,7 +15,7 @@ SystemC/Stratus branch (e.g. the Night-Vision kernels). It bundles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -29,32 +29,30 @@ class AcceleratorSpec:
     name: str
     input_words: int
     output_words: int
-    compute: Callable[[np.ndarray], np.ndarray]
+    #: The kernel: ``(n, input_words) -> (n, output_words)``, row ``i``
+    #: a function of input row ``i``'s bytes alone, so row ``i`` of any
+    #: batch equals the batch of one byte for byte. A run evaluates it
+    #: ahead of the timing model (see ``repro.soc.fill_memo``): the
+    #: HLS4ML matrix-vector products read their weights once per batch
+    #: instead of once per frame, and Night-Vision runs its steps over
+    #: chunks of frames in fewer, larger numpy calls. The object also
+    #: names the kernel: the run's memo keys results by it, then by
+    #: their input bytes, so specs that share it share those results
+    #: and COMPUTE reads only its own kernel's. The HLS4ML specs of one
+    #: compiled model share its ``predict`` and the Night-Vision specs
+    #: of one format share one kernel; a fresh callable per spec shares
+    #: none.
+    kernel: Callable[[np.ndarray], np.ndarray]
     latency_cycles: int
     interval_cycles: int
     resources: ResourceEstimate = field(default_factory=ResourceEstimate)
     word_bits: int = 16
     design_flow: str = "hls4ml"   # "hls4ml" | "stratus"
-    user_registers: Tuple[str, ...] = ()
     #: Ping-pong PLM buffers: the wrapper overlaps LOAD/COMPUTE/STORE
     #: across frames, so sustained cadence approaches the kernel's
     #: initiation interval instead of its latency. Off by default (the
     #: Fig. 4 wrapper is sequential); see the double-buffering ablation.
     double_buffered: bool = False
-    #: Optional batch form of ``compute``: ``(n, input_words) -> (n,
-    #: output_words)``, row ``i`` equal to ``compute`` on row ``i``
-    #: byte for byte. A run evaluates it ahead of the timing model (see
-    #: ``repro.soc.fill_memo``). Every kernel of the paper's SoCs
-    #: sets it: the HLS4ML matrix-vector products read their weights
-    #: once per batch instead of once per frame, and Night-Vision runs
-    #: its steps over chunks of frames in fewer, larger numpy calls.
-    #: The object also names the kernel: the run's memo keys results
-    #: by it, then by their input bytes, so specs that share it share
-    #: those results and COMPUTE reads only its own kernel's. The
-    #: HLS4ML specs of one compiled model share its ``predict`` and
-    #: the Night-Vision specs of one format share one kernel; a fresh
-    #: callable per spec shares none.
-    compute_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.input_words < 1:
@@ -74,36 +72,27 @@ class AcceleratorSpec:
             raise ValueError(f"unknown design flow {self.design_flow!r}")
 
     def run(self, frame: np.ndarray) -> np.ndarray:
-        """Invoke the kernel on one frame, validating I/O geometry."""
+        """Invoke the kernel on one frame, validating I/O geometry: the
+        batch of one."""
         frame = np.asarray(frame, dtype=np.float64).reshape(-1)
         if len(frame) != self.input_words:
             raise ValueError(
                 f"{self.name}: expected {self.input_words} input words, "
                 f"got {len(frame)}")
-        out = np.asarray(self.compute(frame), dtype=np.float64).reshape(-1)
-        if len(out) != self.output_words:
-            raise ValueError(
-                f"{self.name}: kernel produced {len(out)} words, spec "
-                f"says {self.output_words}")
-        return out
+        return self.run_batch(frame[None])[0]
 
     def run_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Invoke the kernel on ``(n, input_words)`` frames; row ``i``
-        of the result is ``run(frames[i])`` byte for byte.
-
-        One call to the batch form when the spec has one, else one
-        :meth:`run` per frame.
-        """
+        """Invoke the kernel on ``(n, input_words)`` frames, validating
+        I/O geometry; row ``i`` of the result is ``run(frames[i])`` byte
+        for byte."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[1] != self.input_words:
             raise ValueError(
                 f"{self.name}: expected (n, {self.input_words}) input "
                 f"frames, got shape {frames.shape}")
-        if self.compute_batch is None:
-            return np.array([self.run(frame) for frame in frames])
-        out = np.asarray(self.compute_batch(frames), dtype=np.float64)
+        out = np.asarray(self.kernel(frames), dtype=np.float64)
         if out.shape != (len(frames), self.output_words):
             raise ValueError(
-                f"{self.name}: batch kernel produced shape {out.shape}, "
-                f"spec says ({len(frames)}, {self.output_words})")
+                f"{self.name}: kernel produced shape {out.shape}, spec "
+                f"says ({len(frames)}, {self.output_words})")
         return out

@@ -11,8 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from ..hls4ml_flow import HlsConfig, HlsModel, compile_model
 from ..nn import Dense, Dropout, ReLU, Sequential, Softmax
 from .base import AcceleratorSpec
@@ -64,21 +62,16 @@ def _default_classifier_hls(reuse_factor: int, clock_mhz: float) -> HlsModel:
 
 def spec_from_hls(hls_model: HlsModel, name: str) -> AcceleratorSpec:
     """Wrap any compiled HLS model into an SoC-ready spec."""
-
-    def compute(frame: np.ndarray) -> np.ndarray:
-        return hls_model.predict(frame)[0]
-
     return AcceleratorSpec(
         name=name,
         input_words=hls_model.input_size,
         output_words=hls_model.output_size,
-        compute=compute,
+        kernel=hls_model.predict,
         latency_cycles=hls_model.latency_cycles,
         interval_cycles=hls_model.interval_cycles,
         resources=hls_model.resources,
         word_bits=hls_model.layers[0].precision.width,
         design_flow="hls4ml",
-        compute_batch=hls_model.predict,
     )
 
 

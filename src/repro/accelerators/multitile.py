@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..hls4ml_flow import HlsModel
 from ..nn import Sequential
 from .base import AcceleratorSpec
@@ -35,20 +33,15 @@ def partition_classifier(hls_model: Optional[HlsModel] = None,
 
     specs: List[AcceleratorSpec] = []
     for index, layer in enumerate(hls_model.layers):
-
-        def compute(frame: np.ndarray, _layer=layer) -> np.ndarray:
-            return _layer.forward(np.atleast_2d(frame))[0]
-
         specs.append(AcceleratorSpec(
             name=f"{hls_model.name}_part{index}",
             input_words=layer.n_in,
             output_words=layer.n_out,
-            compute=compute,
+            kernel=layer.forward,
             latency_cycles=layer.schedule.latency,
             interval_cycles=layer.schedule.interval,
             resources=layer.schedule.resources,
             word_bits=layer.precision.width,
             design_flow="hls4ml",
-            compute_batch=layer.forward,
         ))
     return specs

@@ -182,13 +182,11 @@ def night_vision_spec(fmt: FixedFormat = DEFAULT_FORMAT) -> AcceleratorSpec:
                                           body_resources=eq_cost)
     schedule = sequential_schedule(filter_stage, hist_stage, cdf_stage,
                                    remap_stage)
-    kernel = _night_vision_kernel(fmt)
     return AcceleratorSpec(
         name="night_vision",
         input_words=FRAME_PIXELS,
         output_words=FRAME_PIXELS,
-        compute=lambda frame: kernel(frame[None])[0],
-        compute_batch=kernel,
+        kernel=_night_vision_kernel(fmt),
         latency_cycles=schedule.latency,
         interval_cycles=schedule.interval,
         resources=schedule.resources,

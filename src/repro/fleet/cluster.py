@@ -212,7 +212,7 @@ class Fleet:
 
         A tenant's frames are the pool rows its arrivals take, each
         row once. They pass its dataflow's levels up to the first one
-        whose devices do not share one batch kernel
+        whose devices run different kernels
         (:meth:`FleetInstance.kernel_chain`), by the fill a plan makes
         of its own frames (:func:`~repro.soc.fill_memo`): one
         :meth:`~repro.accelerators.AcceleratorSpec.run_batch` per
@@ -227,7 +227,7 @@ class Fleet:
             for instance in self.instances:
                 if tenant in instance.tenants:
                     chain = instance.kernel_chain(tenant)
-                    chains[tuple(s.compute_batch for s in chain)] = chain
+                    chains[tuple(s.kernel for s in chain)] = chain
             frames = np.asarray(inputs[tenant],
                                 dtype=np.float64)[sorted(picked)]
             for chain in chains.values():

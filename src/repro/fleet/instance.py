@@ -145,13 +145,12 @@ class FleetInstance:
 
     def kernel_chain(self, tenant: str) -> List[AcceleratorSpec]:
         """One spec per level of ``tenant``'s dataflow, up to the first
-        level whose devices do not all run one batch kernel: the levels
-        a fleet run can evaluate ahead for this tenant."""
+        level whose devices run different kernels: the levels a fleet
+        run can evaluate ahead for this tenant."""
         chain = []
         for names in self.server.dataflow(tenant).levels():
             specs = [self.soc.accelerators[name].spec for name in names]
-            kernels = {spec.compute_batch for spec in specs}
-            if len(kernels) != 1 or None in kernels:
+            if len({spec.kernel for spec in specs}) != 1:
                 break
             chain.append(specs[0])
         return chain

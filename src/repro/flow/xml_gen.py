@@ -28,10 +28,8 @@ def emit_accelerator_xml(spec: AcceleratorSpec) -> str:
     ET.SubElement(generic, "param", {"name": "output_words",
                                      "value": str(spec.output_words)})
     registers = ET.SubElement(root, "registers")
-    # The standard socket registers plus the accelerator's own.
-    reg_names = RegisterFile((0, 0),
-                             user_registers=["N_FRAMES_REG",
-                                             *spec.user_registers]).names
+    # The standard socket registers plus the frame count.
+    reg_names = RegisterFile((0, 0), user_registers=["N_FRAMES_REG"]).names
     for index, name in enumerate(reg_names):
         ET.SubElement(registers, "reg", {
             "name": name,

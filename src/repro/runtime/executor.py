@@ -879,7 +879,17 @@ class DataflowExecutor:
         Before the driver starts, the plan's frames pass its kernels
         into the run's memo (:func:`~repro.soc.fill_memo`), which the
         plan's tiles hold until the run ends
-        (:func:`~repro.soc.run_memo`).
+        (:func:`~repro.soc.run_memo`). The degraded re-run of
+        :meth:`_run_plan` finds its frames there.
+        """
+        tiles = [node.device.tile for row in plan.levels for node in row]
+        with run_memo(tiles) as memo:
+            fill_memo(memo, [[node.spec for node in row]
+                             for row in plan.levels], frames)
+            return (yield from self._run_plan(plan, frames))
+
+    def _run_plan(self, plan: ExecutionPlan, frames: np.ndarray):
+        """The driver of :meth:`_drive`, with recovery and teardown.
 
         Any failure (an :class:`Interrupt` too: the server cancelling
         the request) aborts the plan and releases its buffers before it
@@ -891,27 +901,23 @@ class DataflowExecutor:
         The re-run carries the aborted attempt's accounting forward, so
         the result covers the whole request.
         """
-        tiles = [node.device.tile for row in plan.levels for node in row]
-        with run_memo(tiles) as memo:
-            fill_memo(memo, [[node.spec for node in row]
-                             for row in plan.levels], frames)
-            try:
-                yield from self._DRIVERS[plan.mode](self, plan)
-                return plan, False
-            except Exception as exc:
-                yield from self._abort_and_release(plan)
-                policy = self.recovery
-                if not isinstance(exc, NodeFailed) or policy is None \
-                        or not policy.software_fallback:
-                    raise
-            self._count(plan, "degraded_runs")
-            yield self.soc.env.timeout(policy.reset_cycles)
-            replan = self.plan(plan.dataflow, plan.n_frames, "pipe",
-                               coherence=plan.coherence, dvfs=plan.dvfs)
-            replan.input_buffer.write(frames.reshape(-1))
-            replan.counts = dict(plan.counts)
-            replan, _ = yield from self._drive(replan, frames)
-            return replan, True
+        try:
+            yield from self._DRIVERS[plan.mode](self, plan)
+            return plan, False
+        except Exception as exc:
+            yield from self._abort_and_release(plan)
+            policy = self.recovery
+            if not isinstance(exc, NodeFailed) or policy is None \
+                    or not policy.software_fallback:
+                raise
+        self._count(plan, "degraded_runs")
+        yield self.soc.env.timeout(policy.reset_cycles)
+        replan = self.plan(plan.dataflow, plan.n_frames, "pipe",
+                           coherence=plan.coherence, dvfs=plan.dvfs)
+        replan.input_buffer.write(frames.reshape(-1))
+        replan.counts = dict(plan.counts)
+        replan, _ = yield from self._run_plan(replan, frames)
+        return replan, True
 
     # -- plan teardown ------------------------------------------------------------
 

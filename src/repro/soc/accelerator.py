@@ -126,8 +126,7 @@ class AcceleratorTile:
         self.spec = spec
         self.device_name = device_name
         self.irq_dst = irq_dst
-        self.regs = RegisterFile(
-            coord, user_registers=[N_FRAMES_REG, *spec.user_registers])
+        self.regs = RegisterFile(coord, user_registers=[N_FRAMES_REG])
         self.dma = DmaEngine(env, mesh, coord, memory_map, tlb=tlb,
                              word_bits=spec.word_bits,
                              max_burst_words=max(spec.input_words,

@@ -97,7 +97,7 @@ def _phase(env, dma: DmaEngine, row: str, phase: str, index: int, body):
 
 #: One run's kernel results evaluated ahead of the timing model:
 #: ``{kernel: {input frame bytes: result}}``, where the kernel is a
-#: spec's ``compute_batch`` object. A synthesized kernel has fixed
+#: spec's ``kernel`` object. A synthesized kernel has fixed
 #: weights, so its result is a function of its input's exact bytes
 #: alone (-0.0 and 0.0 differ), and every plan of the run may read
 #: it. Entries are added during the run and never taken.
@@ -111,10 +111,9 @@ def fill_memo(memo: KernelMemo,
     timing model runs.
 
     Frame ``f`` passes level ``k`` on spec ``levels[k][f mod width]``,
-    so each level's inputs are the previous level's outputs. The pass
-    covers the leading levels whose every spec has a batch kernel. A
-    frame the memo already holds under its spec's kernel is not run
-    again; the rest of each (level, spec) run as one
+    so each level's inputs are the previous level's outputs. A frame
+    the memo already holds under its spec's kernel is not run again;
+    the rest of each (level, spec) run as one
     :meth:`~AcceleratorSpec.run_batch` call. Speculative: a kernel
     that raises ends the pass, and the run reaches the error itself
     in COMPUTE.
@@ -122,10 +121,7 @@ def fill_memo(memo: KernelMemo,
     inputs = frames
     try:
         for row in levels:
-            if any(spec.compute_batch is None for spec in row):
-                return
-            tables = [memo.setdefault(spec.compute_batch, {})
-                      for spec in row]
+            tables = [memo.setdefault(spec.kernel, {}) for spec in row]
             width = len(row)
             outputs = np.empty((len(inputs), row[0].output_words))
             misses: Dict[int, List[int]] = {}
@@ -152,14 +148,15 @@ def _compute(env, spec: AcceleratorSpec, frame, cycles: int,
     NumPy kernel's on the frame LOAD delivered.
 
     ``memo`` is the run's :data:`KernelMemo` (``None`` outside a run).
-    The entry under this tile's kernel and the delivered frame's exact
-    bytes is used as is. A frame with no entry (a DRAM bitflip changed
-    it, or no pass reached it) runs the kernel now. Either way the
-    result is ``spec.run(frame)`` byte for byte.
+    The entry under this tile's ``spec.kernel`` and the delivered
+    frame's exact bytes is used as is. A frame with no entry (a DRAM
+    bitflip changed it, or the pass ended at a kernel that raised)
+    runs the kernel now. Either way the result is ``spec.run(frame)``
+    byte for byte.
     """
     yield env.timeout(cycles)
     if memo:
-        result = memo.get(spec.compute_batch, {}).get(frame.tobytes())
+        result = memo.get(spec.kernel, {}).get(frame.tobytes())
         if result is not None:
             return result
     return spec.run(frame)

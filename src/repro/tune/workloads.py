@@ -73,7 +73,7 @@ def _frames(n_frames: int, words: int) -> np.ndarray:
 def _spec(name: str, words: int, latency: int) -> AcceleratorSpec:
     return AcceleratorSpec(name=name, input_words=words,
                            output_words=words,
-                           compute=lambda x: x * 0.5 + 1.0,
+                           kernel=lambda x: x * 0.5 + 1.0,
                            latency_cycles=latency,
                            interval_cycles=max(1, latency // 4))
 
@@ -89,7 +89,7 @@ def fc_streaming() -> Workload:
         dataflow=chain("fc-streaming", ["pump"]),
         frames=_frames(24, words),
         build=lambda: _soc(llc_words=2048,
-                           specs=[("pump", _spec("wide", words, 200))],
+                           specs=[("pump", spec)],
                            private_cache_words=256))
 
 

@@ -24,10 +24,10 @@ def chain_specs(name: str, stages: Sequence[AcceleratorSpec],
                 f"stage {prev.name!r} outputs {prev.output_words} words, "
                 f"{nxt.name!r} expects {nxt.input_words}")
 
-    def fused(frame: np.ndarray) -> np.ndarray:
+    def fused(frames: np.ndarray) -> np.ndarray:
         for stage in stages:
-            frame = stage.run(frame)
-        return frame
+            frames = stage.run_batch(frames)
+        return frames
 
     resources = ResourceEstimate()
     for stage in stages:
@@ -36,7 +36,7 @@ def chain_specs(name: str, stages: Sequence[AcceleratorSpec],
         name=name,
         input_words=stages[0].input_words,
         output_words=stages[-1].output_words,
-        compute=fused,
+        kernel=fused,
         latency_cycles=sum(s.latency_cycles for s in stages),
         interval_cycles=sum(s.interval_cycles for s in stages),
         resources=resources,
@@ -65,7 +65,7 @@ class TestSpecValidation:
     def test_rejects_unknown_flow(self):
         with pytest.raises(ValueError):
             AcceleratorSpec(name="x", input_words=4, output_words=4,
-                            compute=lambda f: f, latency_cycles=1,
+                            kernel=lambda f: f, latency_cycles=1,
                             interval_cycles=1, design_flow="chisel")
 
 

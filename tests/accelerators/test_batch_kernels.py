@@ -1,14 +1,16 @@
-"""The batch kernels equal their per-frame kernels byte for byte.
+"""Every row of a kernel's batch equals its batch of one, byte for byte.
 
 A run evaluates every kernel over all its frames in one call before
 the timing model starts (``repro.soc.fill_memo``), and COMPUTE hands
-out those rows as the kernel's results. That is exact only if
-row ``i`` of ``run_batch`` is ``run(frames[i])`` to the bit
-(``tobytes`` also tells -0.0 from 0.0), for every batch size and every
-input, including inputs the fixed-point cast saturates, negative
-inputs and inputs below one LSB. Night-Vision's rows are also checked
-against its per-frame oracle (``tests/accelerators/nightvision.py``),
-over batch sizes that cross its chunk size.
+out those rows as the kernel's results. That is exact only if row
+``i`` of ``run_batch`` is ``run(frames[i])``, the batch of one, to the
+bit (``tobytes`` also tells -0.0 from 0.0), for every batch size and
+every input, including inputs the fixed-point cast saturates, negative
+inputs and inputs below one LSB. The kernels are those of the paper's
+SoCs and the tuner's ablation SoCs. Night-Vision's rows are also
+checked against its per-frame oracle
+(``tests/accelerators/nightvision.py``), over batch sizes that cross
+its chunk size.
 """
 
 import numpy as np
@@ -21,8 +23,8 @@ from repro.accelerators.nightvision import CHUNK_FRAMES, HISTOGRAM_BINS
 from repro.eval.apps import build_soc1
 from repro.fixed import DEFAULT_FORMAT, FixedFormat
 from repro.hls4ml_flow import HlsModel, build_layer
+from repro.tune import ablation_workloads
 from tests.accelerators.nightvision import night_vision_compute
-from tests.conftest import make_spec
 
 LSB = DEFAULT_FORMAT.scale
 LIMIT = DEFAULT_FORMAT.raw_max * DEFAULT_FORMAT.scale
@@ -30,6 +32,9 @@ LIMIT = DEFAULT_FORMAT.raw_max * DEFAULT_FORMAT.scale
 KERNELS = {"classifier": classifier_spec(), "denoiser": denoiser_spec(),
            "night_vision": night_vision_spec()}
 KERNELS.update((spec.name, spec) for spec in partition_classifier())
+KERNELS.update((tile.spec.name, tile.spec)
+               for workload in ablation_workloads()
+               for tile in workload.build()[0].accelerators.values())
 #: Per-frame oracles that rows must equal besides the spec's own ``run``.
 ORACLES = {"night_vision": night_vision_compute}
 
@@ -112,35 +117,23 @@ def test_softmax_sums_each_row_as_a_single_frame(seed):
         assert row.tobytes() == model.predict(frame)[0].tobytes()
 
 
-def test_every_kernel_has_a_batch_form():
-    assert all(spec.compute_batch is not None for spec in KERNELS.values())
-
-
 def test_specs_of_one_kernel_share_its_batch_form():
-    """A kernel is known by its batch-form object: a fleet run keys the
+    """A kernel is known by its ``kernel`` object: a run keys the
     results it evaluates ahead by it. Two SoC-1 builds share each
     kernel's object, Night-Vision's included, and rows of the shared
     Night-Vision kernel equal the per-frame oracle."""
     first, second = build_soc1(), build_soc1()
     for name in ("nv0", "cl0", "de0"):
-        assert first.accelerators[name].spec.compute_batch == \
-            second.accelerators[name].spec.compute_batch
+        assert first.accelerators[name].spec.kernel == \
+            second.accelerators[name].spec.kernel
     nv = [soc.accelerators["nv0"].spec for soc in (first, second)]
-    assert nv[0].compute_batch is nv[1].compute_batch
-    assert night_vision_spec(FixedFormat(16, 4)).compute_batch \
-        is not nv[0].compute_batch
+    assert nv[0].kernel is nv[1].kernel
+    assert night_vision_spec(FixedFormat(16, 4)).kernel \
+        is not nv[0].kernel
     frames = np.random.default_rng(5).uniform(0.0, 1.0, (3, 1024))
     for frame, row in zip(frames, nv[1].run_batch(frames)):
         assert row.tobytes() == night_vision_compute(frame).tobytes()
         assert row.tobytes() == nv[0].run(frame).tobytes()
-
-
-def test_run_batch_without_batch_form_runs_each_frame(rng):
-    spec = make_spec()
-    frames = rng.uniform(0, 255, (3, spec.input_words))
-    batch = spec.run_batch(frames)
-    for frame, row in zip(frames, batch):
-        assert row.tobytes() == spec.run(frame).tobytes()
 
 
 def test_run_batch_checks_geometry():

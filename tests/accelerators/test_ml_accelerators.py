@@ -107,8 +107,8 @@ class TestMultiTile:
 
 def _spec_model(spec):
     """The compiled ``HlsModel`` a ``spec_from_hls`` spec runs."""
-    (model,) = [cell.cell_contents for cell in spec.compute.__closure__
-                if isinstance(cell.cell_contents, HlsModel)]
+    model = spec.kernel.__self__
+    assert isinstance(model, HlsModel)
     return model
 
 

@@ -18,7 +18,7 @@ from tests.accelerators.nightvision import (
     histogram_kernel,
     noise_filter_kernel,
 )
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, per_frame
 
 
 def night_vision_stage_specs(fmt: FixedFormat = DEFAULT_FORMAT):
@@ -60,7 +60,7 @@ def night_vision_stage_specs(fmt: FixedFormat = DEFAULT_FORMAT):
     return [
         AcceleratorSpec(
             name="nv_filter", input_words=FRAME_PIXELS,
-            output_words=FRAME_PIXELS, compute=filter_stage_compute,
+            output_words=FRAME_PIXELS, kernel=per_frame(filter_stage_compute),
             latency_cycles=filter_sched.latency,
             interval_cycles=filter_sched.interval,
             resources=filter_sched.resources, word_bits=fmt.width,
@@ -68,7 +68,7 @@ def night_vision_stage_specs(fmt: FixedFormat = DEFAULT_FORMAT):
         AcceleratorSpec(
             name="nv_histogram", input_words=FRAME_PIXELS,
             output_words=FRAME_PIXELS + HISTOGRAM_BINS,
-            compute=hist_stage_compute,
+            kernel=per_frame(hist_stage_compute),
             latency_cycles=hist_sched.latency,
             interval_cycles=hist_sched.interval,
             resources=hist_sched.resources, word_bits=fmt.width,
@@ -76,7 +76,7 @@ def night_vision_stage_specs(fmt: FixedFormat = DEFAULT_FORMAT):
         AcceleratorSpec(
             name="nv_equalize",
             input_words=FRAME_PIXELS + HISTOGRAM_BINS,
-            output_words=FRAME_PIXELS, compute=eq_stage_compute,
+            output_words=FRAME_PIXELS, kernel=per_frame(eq_stage_compute),
             latency_cycles=eq_sched.latency,
             interval_cycles=eq_sched.interval,
             resources=eq_sched.resources, word_bits=fmt.width,

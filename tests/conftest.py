@@ -9,12 +9,21 @@ from repro.runtime import EspRuntime
 from repro.soc import SoCConfig, build_soc
 
 
+def per_frame(compute):
+    """A batch kernel that runs the per-frame ``compute`` on each row."""
+    def kernel(frames):
+        return np.array([np.asarray(compute(frame), dtype=np.float64)
+                         .reshape(-1) for frame in frames])
+    return kernel
+
+
 def make_spec(name="toy", input_words=16, output_words=16,
               latency=50, interval=50, word_bits=16, compute=None):
     """A small, fast accelerator spec for SoC-level tests.
 
-    The default kernel negates nothing — it adds 1 to every word, which
-    makes data corruption visible in assertions.
+    ``compute`` is a per-frame kernel; the spec's kernel applies it to
+    each row of a batch. The default adds 1 to every word, which makes
+    data corruption visible in assertions.
     """
     if compute is None:
         def compute(frame):
@@ -25,7 +34,7 @@ def make_spec(name="toy", input_words=16, output_words=16,
         name=name,
         input_words=input_words,
         output_words=output_words,
-        compute=compute,
+        kernel=per_frame(compute),
         latency_cycles=latency,
         interval_cycles=interval,
         resources=ResourceEstimate(luts=1000, ffs=1000, brams=1, dsps=4),

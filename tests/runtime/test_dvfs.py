@@ -89,7 +89,7 @@ class TestDvfsPower:
         def hog_pipeline():
             hog = AcceleratorSpec(
                 name="hog", input_words=8, output_words=8,
-                compute=lambda f: np.asarray(f) + 1.0,
+                kernel=lambda frames: np.asarray(frames) + 1.0,
                 latency_cycles=200, interval_cycles=200,
                 resources=ResourceEstimate(luts=200_000, ffs=150_000,
                                            brams=300, dsps=2_000))

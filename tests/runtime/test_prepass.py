@@ -2,10 +2,9 @@
 
 A run holds one kernel memo on the tiles it drives
 (``repro.soc.run_memo``): ``{kernel: {input frame bytes: result}}``,
-where the kernel is a spec's ``compute_batch`` object. Before a plan's
-driver starts, ``repro.soc.fill_memo`` runs each (level, spec) of the
-plan as one batch call over the frames the memo does not hold yet, for
-the leading levels whose every spec has a batch kernel. COMPUTE looks
+where the kernel is a spec's ``kernel`` object. Before a plan's driver
+starts, ``repro.soc.fill_memo`` runs each (level, spec) of the plan as
+one batch call over the frames the memo does not hold yet. COMPUTE looks
 a result up under its tile's kernel and the exact bytes LOAD
 delivered, and never takes it out, so a frame corrupted in DRAM
 misses and runs the kernel on its corrupted words, and a frame that
@@ -37,23 +36,30 @@ from repro.runtime import EspRuntime, chain
 from repro.runtime import executor
 from repro.serve import InferenceServer, TenantConfig, TracedRequest
 from repro.sim import Interrupt
-from tests.conftest import make_soc, make_spec
+from repro.tune.workloads import llc_resident
+from tests.conftest import make_soc, make_spec, per_frame
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Records each batch-kernel call by spec name, and every
-    single-frame kernel run as ``(name, frame)``. The prepass runs
-    only batch kernels, so on a run each of those is a COMPUTE miss."""
+    """Records each batch call by spec name, and every single-frame
+    kernel run as ``(name, frame)``. ``run`` is the batch of one, which
+    is not recorded as a batch. The prepass runs only batches, so on a
+    run each single-frame run is a COMPUTE miss."""
     record = {"batch": [], "misses": []}
     run, run_batch = AcceleratorSpec.run, AcceleratorSpec.run_batch
+    single = []
 
     def watched_run(spec, frame):
         record["misses"].append((spec.name, np.array(frame)))
-        return run(spec, frame)
+        single.append(spec)
+        try:
+            return run(spec, frame)
+        finally:
+            single.pop()
 
     def watched_run_batch(spec, frames):
-        if spec.compute_batch is not None:
+        if not single:
             record["batch"].append(spec.name)
         return run_batch(spec, frames)
 
@@ -109,9 +115,18 @@ class TestPlanScope:
             assert calls["misses"] == []
             assert held_entries(soc) == {}
 
-    def test_degraded_run_leaves_no_entry(self, calls):
+    def test_degraded_run_leaves_no_entry(self, calls, monkeypatch):
         """A hung classifier kills the p2p stream; the run degrades to a
-        ``pipe`` re-plan that runs it in software."""
+        ``pipe`` re-plan that runs it in software. The run fills the
+        memo once: the re-plan finds its frames there."""
+        fill = executor.fill_memo
+        fills = []
+
+        def counted_fill(*args):
+            fills.append(args)
+            fill(*args)
+
+        monkeypatch.setattr(executor, "fill_memo", counted_fill)
         soc = build_soc1()
         FaultInjector(FaultPlan([FaultSpec(
             kind="acc_hang", target="cl0", at_cycle=0,
@@ -121,9 +136,24 @@ class TestPlanScope:
         frames, _ = de_cl_inputs(4, seed=0)
         result = runtime.esp_run(dataflow_de_cl(), frames, mode="p2p")
         assert result.degraded
+        assert len(fills) == 1
         assert result.outputs.tobytes() == software(
             soc, dataflow_de_cl(), frames).tobytes()
         assert calls["batch"] == ["denoiser", "classifier"]
+        assert held_entries(soc) == {}
+
+    def test_coherent_ablation_run_hits_every_compute(self, calls):
+        """A tuner ablation SoC, fully coherent: its two levels share
+        one kernel, and each is one batch; every COMPUTE hits."""
+        workload = llc_resident()
+        soc, runtime = workload.build()
+        result = runtime.esp_run(workload.dataflow, workload.frames,
+                                 mode=workload.mode,
+                                 coherence="fully-coherent")
+        assert calls["batch"] == ["mid", "mid"]
+        assert calls["misses"] == []
+        assert result.outputs.tobytes() == software(
+            soc, workload.dataflow, workload.frames).tobytes()
         assert held_entries(soc) == {}
 
     def test_interrupted_run_process_leaves_no_entry(self, calls):
@@ -211,7 +241,7 @@ class TestFaultInterplay:
 
         def fill_then_sign(memo, levels, filled):
             fill(memo, levels, filled)
-            table = memo[levels[0][0].compute_batch]
+            table = memo[levels[0][0].kernel]
             signed = frames[victim].copy()
             signed[word] = -0.0
             table[signed.tobytes()] = table.pop(frames[victim].tobytes())
@@ -227,35 +257,46 @@ class TestFaultInterplay:
 
 
 def test_kernel_error_is_raised_where_the_run_reaches_it(calls):
-    """The prepass is speculative: a kernel that raises on a frame
-    fails the run from inside the simulation, as it would without a
-    prepass, and leaves no entry behind. Twice: level 0 without a
-    batch form, which the prepass does not reach, and with one that
-    raises on the same frame and ends the prepass."""
+    """The prepass is speculative: a kernel that raises ends it, and
+    the run reaches the error itself, or not. Level 0's kernel raises
+    on one frame: the run fails from inside the simulation, as it
+    would without a prepass. Or it raises only on batches of more than
+    one row, which only the prepass makes: the run completes, every
+    frame a COMPUTE miss. Neither leaves an entry behind."""
     def picky(frame):
         if frame[0] == 3.0:
             raise ValueError("bad frame")
         return frame + 1.0
 
-    def picky_batch(frames):
-        return np.array([picky(frame) for frame in frames])
+    def one_row_only(frames):
+        if len(frames) > 1:
+            raise ValueError("batch of more than one row")
+        return frames + 1.0
 
-    batched = make_spec(name="b")
-    for batch_form, batches in [(None, []), (picky_batch, ["a"])]:
-        calls["batch"].clear()
-        soc = make_soc([
-            ("a0", replace(make_spec(name="a", compute=picky),
-                           compute_batch=batch_form)),
-            ("b0", replace(batched,
-                           compute_batch=lambda frames: frames + 1.0)),
-        ])
-        frames = np.arange(4.0)[:, None] + np.zeros((4, 16))
-        with pytest.raises(ValueError, match="bad frame"):
-            EspRuntime(soc).esp_run(chain("ab", ["a0", "b0"]), frames,
-                                    mode="pipe")
-        assert soc.env.now > 0
-        assert calls["batch"] == batches
-        assert held_entries(soc) == {}
+    frames = np.arange(4.0)[:, None] + np.zeros((4, 16))
+    dataflow = chain("ab", ["a0", "b0"])
+
+    def soc_with(kernel):
+        return make_soc([("a0", replace(make_spec(name="a"),
+                                        kernel=kernel)),
+                         ("b0", make_spec(name="b"))])
+
+    soc = soc_with(per_frame(picky))
+    with pytest.raises(ValueError, match="bad frame"):
+        EspRuntime(soc).esp_run(dataflow, frames, mode="pipe")
+    assert soc.env.now > 0
+    assert calls["batch"] == ["a"]
+    assert held_entries(soc) == {}
+
+    calls["batch"].clear()
+    calls["misses"].clear()
+    soc = soc_with(one_row_only)
+    result = EspRuntime(soc).esp_run(dataflow, frames, mode="pipe")
+    assert result.outputs.tobytes() == (frames + 2.0).tobytes()
+    assert calls["batch"] == ["a"]
+    assert sorted(name for name, _ in calls["misses"]) == \
+        ["a"] * 4 + ["b"] * 4
+    assert held_entries(soc) == {}
 
 
 def fleet_outputs(report):
@@ -385,8 +426,8 @@ class TestFleetScope:
         report = fleet.run(FLEET_ARRIVALS, inputs)
         soc = fleet.instances[0].soc
         tables = shared[0]
-        classifier = tables[soc.accelerators["cl1"].spec.compute_batch]
-        denoiser = tables[soc.accelerators["de0"].spec.compute_batch]
+        classifier = tables[soc.accelerators["cl1"].spec.kernel]
+        denoiser = tables[soc.accelerators["de0"].spec.kernel]
         assert classifier is not denoiser
         assert set(denoiser) <= set(classifier)
         assert calls["misses"] == []
