@@ -18,15 +18,12 @@ control plane with a quarantined reserve pool) must stay bit-exact on
 the pinned seed cycle counts of ``bench_perf`` — the control plane is
 pay-for-what-you-use, costing zero cycles until an alert fires.
 
-The standalone run writes ``BENCH_chaos.json`` and prints its wall
-time; the pytest entry makes the same checks and writes nothing.
+The run writes ``BENCH_chaos.json`` and prints its wall time.
 
-Run:  pytest benchmarks/bench_chaos.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_chaos.py
+Run:  PYTHONPATH=src python benchmarks/bench_chaos.py
 """
 
 import json
-import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -36,10 +33,8 @@ from repro.eval.apps import APP_CONFIGS
 from repro.eval.chaos import run_chaos_campaign
 from repro.eval.stack import StackSpec, build_stack
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_perf import PIPE_FRAMES, SEED_CYCLES  # noqa: E402
-from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
+from bench_perf import PIPE_FRAMES, SEED_CYCLES
+from bench_serve import SERVE_SPEC, build_trace
 
 #: Sampler tick for the zero-fault pin runs (same as bench_metrics).
 SAMPLE_INTERVAL = 5_000
@@ -157,15 +152,6 @@ def run_bench():
     check_campaign(report)
     return report, run_zero_fault_pins()
 
-
-# -- pytest entry points ----------------------------------------------------
-
-def test_chaos_campaign(once):
-    report, _ = once(run_bench)
-    print("\n" + report.render())
-
-
-# -- standalone -------------------------------------------------------------
 
 def main():
     start = time.perf_counter()

@@ -22,15 +22,12 @@ Checked contracts:
 - fleet runs are deterministic: two runs from the same workload seed
   produce identical routing decisions and identical latency tails.
 
-The standalone run writes ``BENCH_fleet.json``; the pytest entry
-makes the same checks and writes nothing.
+The run writes ``BENCH_fleet.json``.
 
-Run:  pytest benchmarks/bench_fleet.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_fleet.py
+Run:  PYTHONPATH=src python benchmarks/bench_fleet.py
 """
 
 import json
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,9 +41,7 @@ from repro.eval.stack import build_stack
 from repro.fleet import Arrival, Fleet, FleetInstance, FleetRouter
 from repro.serve import ServerConfig
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_perf import SEED_CYCLES  # noqa: E402
+from bench_perf import SEED_CYCLES
 
 #: Fleet size and workload seed of the graded campaign.
 FLEET_INSTANCES = 4
@@ -182,16 +177,6 @@ def write_report(payload):
     REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return REPORT_PATH
 
-
-# -- pytest entry point -----------------------------------------------------
-
-def test_fleet_policies(once):
-    results = once(run_fleet_benchmark)
-    print("\n" + render(results))
-    check(results)
-
-
-# -- standalone -------------------------------------------------------------
 
 def main():
     results = run_fleet_benchmark()

@@ -23,8 +23,7 @@ The scraped exposition is validated end-to-end (``to_prometheus`` ->
 in ``artifacts/metrics.json`` together with the overhead table — the
 artifact the ``metrics-smoke`` CI job uploads.
 
-Run:  pytest benchmarks/bench_metrics.py -s
-or:   PYTHONPATH=src python benchmarks/bench_metrics.py [--smoke]
+Run:  PYTHONPATH=src python benchmarks/bench_metrics.py [--smoke]
 """
 
 import argparse
@@ -43,9 +42,7 @@ from repro.metrics import (
     to_prometheus,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_perf import (  # noqa: E402
+from bench_perf import (
     PIPE_FRAMES,
     ROUNDS,
     SEED_CYCLES,
@@ -54,7 +51,7 @@ from bench_perf import (  # noqa: E402
     SMOKE_EVENTS,
     SMOKE_PIPE_FRAMES,
 )
-from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
+from bench_serve import SERVE_SPEC, build_trace
 
 #: Minimum acceptable (metrics-on events/s) / (metrics-off events/s).
 #: Full runs hold the 10%-overhead bar; the CI smoke variant only
@@ -229,17 +226,6 @@ def print_report(payload):
           f"+{stats['sampler_extra_events']} sampler events, "
           f"health {stats['health']}")
 
-
-# -- pytest entry points ----------------------------------------------------
-
-def test_metrics_overhead():
-    payload = run_bench(smoke=False)
-    path = write_report(payload)
-    print_report(payload)
-    print(f"  report: {path}")
-
-
-# -- standalone -------------------------------------------------------------
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -21,14 +21,12 @@ It checks the claims they support:
 - contribution 1: p2p traffic rides the two DMA planes; no other plane
   carries accelerator data.
 
-The standalone run writes ``BENCH_paper.json``: every Table I cell
-beside the paper's, every Fig. 7 bar and line, every Fig. 8 count and
-each cell's run (with its flit-hops per NoC plane). The pytest entry
-makes the same checks and writes nothing. EXPERIMENTS.md quotes the
-file; ``tests/test_experiments_doc.py`` keeps the two equal.
+The run writes ``BENCH_paper.json``: every Table I cell beside the
+paper's, every Fig. 7 bar and line, every Fig. 8 count and each
+cell's run (with its flit-hops per NoC plane). EXPERIMENTS.md quotes
+the file; ``tests/test_experiments_doc.py`` keeps the two equal.
 
-Run:  pytest benchmarks/bench_paper.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_paper.py
+Run:  PYTHONPATH=src python benchmarks/bench_paper.py
 """
 
 import json
@@ -119,12 +117,6 @@ def write_report(payload):
     out = Path(__file__).resolve().parent.parent / "BENCH_paper.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     return out
-
-
-def test_paper(once):
-    results = once(run_paper_benchmark)
-    print("\n" + render(results))
-    check(results)
 
 
 def main():

@@ -46,8 +46,7 @@ once, on one machine, against a baseline measured on that same
 machine — are deterministic. The live smoke run still hard-asserts
 the cycle and event pins on every round.
 
-Run:  pytest benchmarks/bench_perf.py -s
-or:   PYTHONPATH=src python benchmarks/bench_perf.py [--smoke] [--check]
+Run:  PYTHONPATH=src python benchmarks/bench_perf.py [--smoke] [--check]
 """
 
 import argparse
@@ -59,9 +58,7 @@ from pathlib import Path
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
 from repro.eval.stack import build_stack
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
+from bench_serve import SERVE_SPEC, build_trace
 
 #: Pinned simulated-cycle counts per workload. These are the seed
 #: values: the optimized kernel must land on them exactly.
@@ -279,20 +276,6 @@ def print_report(payload):
               f"{row['events']:>6d} events  {row['wall_s'] * 1e3:8.1f} ms  "
               f"{row['events_per_sec']:>8d} ev/s{extra}")
 
-
-# -- pytest entry points ----------------------------------------------------
-
-def test_perf_baseline():
-    """Cycle pins hold and the report is written (full workloads)."""
-    payload = run_bench(smoke=False)
-    path = write_report(payload)
-    print_report(payload)
-    print(f"  report: {path}")
-    for row in payload["workloads"].values():
-        assert row["events_per_sec"] > 0
-
-
-# -- standalone -------------------------------------------------------------
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -15,11 +15,9 @@ aggregate throughput, and checks the serving layer's contract:
 - requests coalesce into batches, and each tenant's hardware activity
   lands on its own tiles only.
 
-The standalone run writes ``BENCH_serve.json``; the pytest entry makes
-the same checks and writes nothing.
+The run writes ``BENCH_serve.json``.
 
-Run:  pytest benchmarks/bench_serve.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_serve.py
+Run:  PYTHONPATH=src python benchmarks/bench_serve.py
 """
 
 import json
@@ -178,12 +176,6 @@ def write_report(payload):
     out = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     return out
-
-
-def test_concurrent_serving(once):
-    results = once(run_serve_benchmark)
-    print("\n" + render(results))
-    check(results)
 
 
 def main():

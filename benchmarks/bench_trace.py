@@ -30,18 +30,14 @@ Three sections, all deterministic where CI gates:
    trace ID, and a forced alert producing a postmortem artifact under
    ``artifacts/postmortems/``.
 
-The standalone run writes the deterministic results to
-``BENCH_trace.json`` at the repository root; the pytest entry makes
-the same checks, writes its artifacts under a temporary directory and
-writes no report.
+The run writes the deterministic results to ``BENCH_trace.json`` at
+the repository root.
 
-Run:  pytest benchmarks/bench_trace.py --benchmark-only -s
-or:   PYTHONPATH=src python benchmarks/bench_trace.py
+Run:  PYTHONPATH=src python benchmarks/bench_trace.py
 """
 
 import json
 import os
-import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -68,15 +64,13 @@ from repro.trace import (
     write_chrome_trace,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_perf import (  # noqa: E402
+from bench_perf import (
     PIPE_FRAMES,
     ROUNDS,
     SEED_CYCLES,
     SEED_EVENTS,
 )
-from bench_serve import SERVE_SPEC, build_trace  # noqa: E402
+from bench_serve import SERVE_SPEC, build_trace
 
 #: Frames through the profiling pipeline.
 BENCH_FRAMES = 16
@@ -97,7 +91,7 @@ WATERFALL_CATS = ("fleet.route", "serve.request", "serve.dispatch",
                   "noc.packet")
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
-#: Where the Chrome traces and postmortems of a standalone run land.
+#: Where the Chrome traces and postmortems of a run land.
 ARTIFACTS = Path("artifacts")
 
 
@@ -356,16 +350,16 @@ def run_fleet_scenario(out_dir, postmortem_dir):
 
 # -- report -----------------------------------------------------------------
 
-def run_bench(artifacts=ARTIFACTS):
+def run_bench():
     """All three sections; returns the deterministic payload, the
     profiling and fleet results, and the printed-only overheads."""
-    profile = run_trace_benchmark(str(artifacts / "trace.json"))
+    profile = run_trace_benchmark(str(ARTIFACTS / "trace.json"))
     check(profile)
     arms, overheads = {}, {}
     for name in ("p2p", "dma", "serve"):
         arms[name], overheads[name] = measure_arms(name)
-    fleet = run_fleet_scenario(str(artifacts),
-                               str(artifacts / "postmortems"))
+    fleet = run_fleet_scenario(str(ARTIFACTS),
+                               str(ARTIFACTS / "postmortems"))
     payload = {
         "benchmark": "bench_trace",
         "rounds": ROUNDS,
@@ -409,16 +403,6 @@ def print_report(payload, profile, fleet, overheads):
           f"({fleet['postmortem_spans']} spans, "
           f"{fleet['postmortem_trace_ids']} trace IDs in window)")
 
-
-# -- pytest entry point -----------------------------------------------------
-
-def test_trace_benchmark(once, tmp_path):
-    results = once(run_bench, tmp_path)
-    print()
-    print_report(*results)
-
-
-# -- standalone -------------------------------------------------------------
 
 def main():
     results = run_bench()

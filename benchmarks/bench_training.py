@@ -3,12 +3,21 @@
 The paper quotes two model-quality numbers: "The trained model
 accuracy is 92%" (classifier) and "trained the model with a 3.1%
 reconstruction error" (denoiser). This benchmark trains both models on
-the synthetic SVHN stream (fast preset by default; see EXPERIMENTS.md
-for full-preset results) and reports the achieved figures, plus the
-fixed-point accuracy after HLS4ML compilation.
+the synthetic SVHN stream with the fast preset (the paper's budget is
+``python -m repro train --preset full``), checks each against its
+band, and checks the classifier's fixed-point accuracy after
+HLS4ML compilation against its float accuracy.
 
-Run:  pytest benchmarks/bench_training.py --benchmark-only -s
+The run writes ``BENCH_training.json``: both accuracies exactly (they
+are counts over 400 and 256 frames) and the denoiser's MSE rounded to
+1e-4. EXPERIMENTS.md quotes the file; ``tests/test_experiments_doc.py``
+keeps the two equal.
+
+Run:  PYTHONPATH=src python benchmarks/bench_training.py
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -17,33 +26,47 @@ from repro.datasets import flatten_frames, generate
 from repro.flow import train_classifier, train_denoiser
 from repro.nn import accuracy
 
+REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_training.json"
 
-def test_classifier_training(once):
-    model, acc = once(train_classifier, preset="fast")
-    print(f"\nclassifier accuracy (fast preset): {acc:.1%} "
-          f"(paper, full training: 92%)")
-    assert acc > 0.60   # fast preset band; full preset reaches ~0.9
-
-
-def test_denoiser_training(once):
-    model, err = once(train_denoiser, preset="fast")
-    print(f"\ndenoiser reconstruction error/MSE (fast preset): {err:.1%} "
-          f"(paper, full training: 3.1%)")
-    assert err < 0.05
+#: Sec. VI: "The trained model accuracy is 92%", and "a 3.1%
+#: reconstruction error".
+PAPER = {"classifier_accuracy": 0.92, "denoiser_mse": 0.031}
 
 
-def test_fixed_point_preserves_accuracy(once):
-    """HLS4ML's 16-bit fixed point should not change accuracy much."""
-    model, float_acc = train_classifier(preset="fast")
+def run_training():
+    model, float_acc = train_classifier(preset="fast", force=True)
+    _, mse = train_denoiser(preset="fast", force=True)
+    spec = classifier_spec(model)
+    frames, labels = generate(256, seed=123)
+    outputs = np.stack([spec.run(frame) for frame in flatten_frames(frames)])
+    return {"classifier_accuracy": float_acc,
+            "fixed_point_accuracy": accuracy(outputs, labels),
+            "denoiser_mse": round(mse, 4)}
 
-    def quantized_accuracy():
-        spec = classifier_spec(model)
-        frames, labels = generate(256, seed=123)
-        x = flatten_frames(frames)
-        outputs = np.stack([spec.run(f) for f in x])
-        return accuracy(outputs, labels)
 
-    fixed_acc = once(quantized_accuracy)
-    print(f"\nfloat accuracy {float_acc:.1%} -> "
-          f"ap_fixed<16,6> accuracy {fixed_acc:.1%}")
-    assert fixed_acc > float_acc - 0.05
+def check(results):
+    # Fast-preset bands; the paper's 92% and 3.1% need the full preset.
+    assert results["classifier_accuracy"] > 0.60
+    assert results["denoiser_mse"] < 0.05
+    # HLS4ML's ap_fixed<16,6> should not cost much accuracy.
+    assert (results["fixed_point_accuracy"]
+            > results["classifier_accuracy"] - 0.05)
+
+
+def main():
+    results = run_training()
+    print(f"classifier accuracy {results['classifier_accuracy']:.1%} "
+          f"(paper: {PAPER['classifier_accuracy']:.0%}) -> ap_fixed<16,6> "
+          f"accuracy {results['fixed_point_accuracy']:.1%}")
+    print(f"denoiser reconstruction error (MSE) "
+          f"{results['denoiser_mse']:.1%} "
+          f"(paper: {PAPER['denoiser_mse']:.1%})")
+    check(results)
+    REPORT_PATH.write_text(json.dumps(
+        {"benchmark": "bench_training", "preset": "fast", **results,
+         "paper": PAPER}, indent=2) + "\n")
+    print(f"report: {REPORT_PATH}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,7 +1,7 @@
 """Synthetic SVHN-like dataset and the paper's frame transforms."""
 
 from .glyphs import GLYPH_COLS, GLYPH_ROWS, glyph
-from .svhn import N_CLASSES, SvhnConfig, generate, generate_frame
+from .svhn import N_CLASSES, generate, generate_frame
 from .transforms import (
     FRAME_PIXELS,
     FRAME_SIDE,
@@ -16,7 +16,6 @@ __all__ = [
     "GLYPH_COLS",
     "GLYPH_ROWS",
     "N_CLASSES",
-    "SvhnConfig",
     "add_gaussian_noise",
     "darken",
     "flatten_frames",

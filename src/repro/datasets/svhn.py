@@ -13,7 +13,6 @@ distortion and sensor noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -23,24 +22,17 @@ from .transforms import FRAME_SIDE
 
 N_CLASSES = 10
 
-
-@dataclass(frozen=True)
-class SvhnConfig:
-    """Knobs for the synthetic generator.
-
-    The defaults produce a task difficulty on which the paper's MLP
-    reaches accuracy in the same band the paper reports (92%).
-    """
-
-    side: int = FRAME_SIDE
-    noise_stddev: float = 0.06
-    shadow_prob: float = 0.5
-    distractor_prob: float = 0.6
-    distortion: float = 0.15
-    min_scale: float = 2.4
-    max_scale: float = 3.6
-    contrast_low: float = 0.55
-    contrast_high: float = 1.0
+# The generator's nuisance factors. They set a task difficulty on which
+# the paper's MLP reaches accuracy in the same band the paper reports
+# (92%).
+#: Standard deviation of the per-pixel sensor noise (the default).
+NOISE_STDDEV = 0.06
+SHADOW_PROB = 0.5
+DISTRACTOR_PROB = 0.6
+#: Maximum horizontal shear of a pasted glyph.
+DISTORTION = 0.15
+MIN_SCALE, MAX_SCALE = 2.4, 3.6
+CONTRAST_LOW, CONTRAST_HIGH = 0.55, 1.0
 
 
 def _paste_glyph(frame: np.ndarray, digit: int, center: Tuple[float, float],
@@ -103,39 +95,40 @@ def _shadow(frame: np.ndarray, rng: np.random.Generator) -> None:
 
 
 def generate_frame(digit: int, rng: np.random.Generator,
-                   config: SvhnConfig = SvhnConfig()) -> np.ndarray:
+                   noise_stddev: float = NOISE_STDDEV) -> np.ndarray:
     """One synthetic SVHN frame for ``digit``; values in [0, 1]."""
-    side = config.side
+    side = FRAME_SIDE
     frame = _background(side, rng)
 
     # Distractor digits clipped at the crop edges, as in real SVHN where
     # neighbouring house-number digits intrude into the 32x32 crop.
-    if rng.random() < config.distractor_prob:
+    if rng.random() < DISTRACTOR_PROB:
         edge_center = (rng.uniform(0, side),
                        rng.choice([rng.uniform(-4, 2),
                                    rng.uniform(side - 2, side + 4)]))
         _paste_glyph(frame, int(rng.integers(0, N_CLASSES)), edge_center,
-                     scale=rng.uniform(config.min_scale, config.max_scale),
-                     shear=rng.uniform(-config.distortion, config.distortion),
+                     scale=rng.uniform(MIN_SCALE, MAX_SCALE),
+                     shear=rng.uniform(-DISTORTION, DISTORTION),
                      intensity=rng.uniform(0.5, 0.9), rng=rng)
 
     # The labelled digit, roughly centered.
     center = (side / 2 + rng.uniform(-3, 3), side / 2 + rng.uniform(-3, 3))
-    intensity = rng.uniform(config.contrast_low, config.contrast_high)
+    intensity = rng.uniform(CONTRAST_LOW, CONTRAST_HIGH)
     _paste_glyph(frame, digit, center,
-                 scale=rng.uniform(config.min_scale, config.max_scale),
-                 shear=rng.uniform(-config.distortion, config.distortion),
+                 scale=rng.uniform(MIN_SCALE, MAX_SCALE),
+                 shear=rng.uniform(-DISTORTION, DISTORTION),
                  intensity=intensity, rng=rng)
 
-    if rng.random() < config.shadow_prob:
+    if rng.random() < SHADOW_PROB:
         _shadow(frame, rng)
 
-    frame += rng.normal(0.0, config.noise_stddev, size=frame.shape)
+    frame += rng.normal(0.0, noise_stddev, size=frame.shape)
     return np.clip(frame, 0.0, 1.0)
 
 
 def generate(n_samples: int, seed: int = 0,
-             config: SvhnConfig = SvhnConfig()) -> Tuple[np.ndarray, np.ndarray]:
+             noise_stddev: float = NOISE_STDDEV
+             ) -> Tuple[np.ndarray, np.ndarray]:
     """Generate ``(frames, onehot_labels)``.
 
     Returns frames shaped ``(n, side, side)`` in [0,1] and one-hot
@@ -145,7 +138,8 @@ def generate(n_samples: int, seed: int = 0,
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, N_CLASSES, size=n_samples)
-    frames = np.stack([generate_frame(int(d), rng, config) for d in digits])
+    frames = np.stack([generate_frame(int(d), rng, noise_stddev)
+                       for d in digits])
     onehot = np.zeros((n_samples, N_CLASSES))
     onehot[np.arange(n_samples), digits] = 1.0
     return frames, onehot

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..accelerators.classifier import classifier_model
 from ..accelerators.denoiser import denoiser_model, TRAINING_NOISE_STDDEV
 from ..datasets import add_gaussian_noise, flatten_frames, generate
-from ..datasets.svhn import SvhnConfig
 from ..nn import (
     Adam,
     Sequential,
@@ -50,47 +49,56 @@ PRESETS = {
                            batch_size=64),
 }
 
-#: The denoiser trains against noise-free structure: its targets are
-#: frames rendered without the sensor-noise term (a denoiser cannot —
-#: and should not — reproduce incompressible per-pixel noise).
-DENOISER_DATA = SvhnConfig(noise_stddev=0.0)
 
-
-def _cache_paths(cache_dir: Path, name: str) -> Tuple[Path, Path]:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    return cache_dir / f"{name}.json", cache_dir / f"{name}.npz"
-
-
-def train_classifier(preset: str = "fast", seed: int = 0,
-                     cache_dir: Optional[Path] = None,
-                     force: bool = False) -> Tuple[Sequential, float]:
-    """Train (or load) the SVHN classifier; returns (model, accuracy)."""
+def _load_or_fit(name: str, preset: str, cache_dir: Optional[Path],
+                 force: bool, build: Callable[[], Sequential],
+                 train_data: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+                 loss: str) -> Tuple[Sequential, TrainingPreset]:
+    """Load ``<name>_<preset>`` from the cache, or build, fit and cache
+    it; returns the model and the preset."""
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; options: "
                          f"{sorted(PRESETS)}")
-    cache_dir = Path(cache_dir) if cache_dir else DEFAULT_CACHE
-    json_path, npz_path = _cache_paths(cache_dir, f"classifier_{preset}")
     config = PRESETS[preset]
-
-    x_test_img, y_test = generate(config.n_test, seed=seed + 1)
-    x_test = flatten_frames(x_test_img)
-
+    cache_dir = Path(cache_dir) if cache_dir else DEFAULT_CACHE
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    json_path = cache_dir / f"{name}_{preset}.json"
+    npz_path = cache_dir / f"{name}_{preset}.npz"
     if not force and json_path.exists() and npz_path.exists():
-        model = load_model(json_path, npz_path)
-    else:
-        x_train_img, y_train = generate(config.n_train, seed=seed)
-        x_train = flatten_frames(x_train_img)
-        model = classifier_model(seed=seed + 7)
-        fit(model, x_train, y_train,
-            loss="categorical_crossentropy",
-            optimizer=Adam(config.learning_rate),
-            epochs=config.epochs, batch_size=config.batch_size, seed=seed)
-        save_model(model, json_path, npz_path)
-    test_accuracy = accuracy(model.predict(x_test), y_test)
-    return model, test_accuracy
+        return load_model(json_path, npz_path), config
+    x, y = train_data(config.n_train)
+    model = build()
+    fit(model, x, y, loss=loss, optimizer=Adam(config.learning_rate),
+        epochs=config.epochs, batch_size=config.batch_size, seed=0)
+    save_model(model, json_path, npz_path)
+    return model, config
 
 
-def train_denoiser(preset: str = "fast", seed: int = 0,
+def _svhn(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``n`` flattened SVHN frames and their one-hot labels."""
+    frames, labels = generate(n, seed=seed)
+    return flatten_frames(frames), labels
+
+
+def train_classifier(preset: str = "fast",
+                     cache_dir: Optional[Path] = None,
+                     force: bool = False) -> Tuple[Sequential, float]:
+    """Train (or load) the SVHN classifier; returns (model, accuracy)."""
+    model, config = _load_or_fit(
+        "classifier", preset, cache_dir, force,
+        lambda: classifier_model(seed=7),
+        lambda n: _svhn(n, seed=0), "categorical_crossentropy")
+    x_test, y_test = _svhn(config.n_test, seed=1)
+    return model, accuracy(model.predict(x_test), y_test)
+
+
+def _clean_frames(n: int, seed: int) -> np.ndarray:
+    """Frames rendered without the sensor-noise term: the denoiser's
+    targets (it cannot, and should not, reproduce per-pixel noise)."""
+    return flatten_frames(generate(n, seed=seed, noise_stddev=0.0)[0])
+
+
+def train_denoiser(preset: str = "fast",
                    cache_dir: Optional[Path] = None,
                    force: bool = False) -> Tuple[Sequential, float]:
     """Train (or load) the denoiser; returns (model, reconstruction err).
@@ -100,34 +108,17 @@ def train_denoiser(preset: str = "fast", seed: int = 0,
     and trained the model"), so fitting frames against themselves
     trains denoising. The returned reconstruction error is the mean
     squared error of denoising a held-out noisy set, the conventional
-    Keras autoencoder figure (paper: 3.1%); see EXPERIMENTS.md for the
-    stricter relative-L2 number as well.
+    Keras autoencoder figure (paper: 3.1%).
     """
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; options: "
-                         f"{sorted(PRESETS)}")
-    cache_dir = Path(cache_dir) if cache_dir else DEFAULT_CACHE
-    json_path, npz_path = _cache_paths(cache_dir, f"denoiser_{preset}")
-    config = PRESETS[preset]
+    def train_data(n):
+        clean = _clean_frames(n, seed=2)
+        return clean, clean
 
-    clean_test_img, _ = generate(config.n_test, seed=seed + 3,
-                                 config=DENOISER_DATA)
-    clean_test = flatten_frames(clean_test_img)
+    model, config = _load_or_fit("denoiser", preset, cache_dir, force,
+                                 lambda: denoiser_model(seed=11),
+                                 train_data, "mse")
+    clean_test = _clean_frames(config.n_test, seed=3)
     noisy_test = add_gaussian_noise(clean_test,
-                                    stddev=TRAINING_NOISE_STDDEV,
-                                    seed=seed + 4)
-
-    if not force and json_path.exists() and npz_path.exists():
-        model = load_model(json_path, npz_path)
-    else:
-        clean_img, _ = generate(config.n_train, seed=seed + 2,
-                                config=DENOISER_DATA)
-        clean = flatten_frames(clean_img)
-        model = denoiser_model(seed=seed + 11)
-        fit(model, clean, clean, loss="mse",
-            optimizer=Adam(config.learning_rate),
-            epochs=config.epochs, batch_size=config.batch_size, seed=seed)
-        save_model(model, json_path, npz_path)
+                                    stddev=TRAINING_NOISE_STDDEV, seed=4)
     pred = model.predict(noisy_test)
-    error = float(np.mean((pred - clean_test) ** 2))
-    return model, error
+    return model, float(np.mean((pred - clean_test) ** 2))

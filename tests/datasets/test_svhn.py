@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import (
     FRAME_SIDE,
     N_CLASSES,
-    SvhnConfig,
     generate,
     generate_frame,
     glyph,
@@ -17,13 +16,12 @@ def all_glyphs():
     return np.stack([glyph(digit) for digit in range(10)])
 
 
-def splits(n_train: int, n_test: int, n_extra: int = 0, seed: int = 0,
-           config: SvhnConfig = SvhnConfig()):
+def splits(n_train: int, n_test: int, n_extra: int = 0, seed: int = 0):
     """Train/test/extra splits, mirroring SVHN's three-way structure."""
-    train = generate(n_train, seed=seed, config=config)
-    test = generate(n_test, seed=seed + 1, config=config)
+    train = generate(n_train, seed=seed)
+    test = generate(n_test, seed=seed + 1)
     if n_extra:
-        extra = generate(n_extra, seed=seed + 2, config=config)
+        extra = generate(n_extra, seed=seed + 2)
         return train, test, extra
     return train, test
 
@@ -75,9 +73,7 @@ class TestGenerate:
     def test_digit_region_brighter_than_background(self):
         # The labelled digit should add energy near the center.
         rng = np.random.default_rng(0)
-        config = SvhnConfig(noise_stddev=0.0, shadow_prob=0.0,
-                            distractor_prob=0.0)
-        frame = generate_frame(8, rng, config)
+        frame = generate_frame(8, rng, noise_stddev=0.0)
         center = frame[8:24, 8:24]
         border = np.concatenate([frame[:4].ravel(), frame[-4:].ravel()])
         assert center.max() > border.mean()
