@@ -47,7 +47,7 @@ from repro.platforms import soc_power_watts_dvfs
 from repro.runtime import Dataflow, EspRuntime, chain, replicated_stage
 from repro.sim import Environment
 from repro.soc import SoCConfig, build_soc
-from tests.conftest import make_spec
+from tests.specs import make_spec
 
 REPORT_PATH = (Path(__file__).resolve().parent.parent /
                "BENCH_ablations.json")

@@ -24,7 +24,7 @@ import numpy as np
 from repro.runtime import EspRuntime, chain
 from repro.soc import SoCConfig, build_soc
 from repro.tune import UNIFORM_MODES, ablation_workloads, autotune
-from tests.conftest import make_spec
+from tests.specs import make_spec
 
 FRAMES = 24
 

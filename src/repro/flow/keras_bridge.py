@@ -2,7 +2,10 @@
 
 Trains the paper's two models on the synthetic SVHN stream and caches
 weights on disk so the flow (and the benchmarks) do not retrain on
-every run. Two quality presets:
+every run. The cache is the checkout's ``artifacts/models``, found
+from this file's path, so a run from any working directory reuses the
+models the last run trained; ``cache_dir=`` names another. Two
+quality presets:
 
 - ``fast``: small sample budget, for tests and quick demos;
 - ``full``: the budget used to reproduce the paper's accuracy numbers
@@ -29,8 +32,9 @@ from ..nn import (
     save_model,
 )
 
-#: Default cache directory for trained model artifacts.
-DEFAULT_CACHE = Path("artifacts/models")
+#: Default cache directory for trained model artifacts: the
+#: checkout's ``artifacts/models`` (src/repro/flow -> repository root).
+DEFAULT_CACHE = Path(__file__).resolve().parents[3] / "artifacts" / "models"
 
 
 @dataclass(frozen=True)

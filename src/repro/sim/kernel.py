@@ -304,7 +304,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         env = self.env
         send = self._send
-        env._active_proc = self
         while True:
             try:
                 if event._ok:
@@ -316,7 +315,6 @@ class Process(Event):
                     event.__sim_defused__ = True  # type: ignore[attr-defined]
                     target = self._throw(event._value)
             except StopIteration as stop:
-                env._active_proc = None
                 self._finish()
                 if env.tracer is not None:
                     env.tracer.complete(
@@ -328,7 +326,6 @@ class Process(Event):
                 # The process dies; waiters (if any) observe the failure
                 # through this process event. If nobody defuses it, the
                 # exception surfaces from the dispatch loop.
-                env._active_proc = None
                 self._finish()
                 if env.tracer is not None:
                     env.tracer.complete(
@@ -339,7 +336,6 @@ class Process(Event):
                 return
 
             if not isinstance(target, Event):
-                env._active_proc = None
                 raise SimulationError(
                     f"process yielded a non-event: {target!r}")
             if target.callbacks is None:
@@ -348,7 +344,6 @@ class Process(Event):
                 continue
             self._target = target
             target.callbacks.append(self._resume_cb)
-            env._active_proc = None
             return
 
 
@@ -443,7 +438,6 @@ class Environment:
         #: Min-heap of the distinct occupied cycles (one entry per
         #: bucket, pushed at bucket creation).
         self._times: List[int] = []
-        self._active_proc: Optional[Process] = None
         self._processes: List[Process] = []
         self._prune_at = 64
         #: Events dispatched so far (one increment per event) — the

@@ -124,9 +124,10 @@ def fill_memo(memo: KernelMemo,
             tables = [memo.setdefault(spec.kernel, {}) for spec in row]
             width = len(row)
             outputs = np.empty((len(inputs), row[0].output_words))
+            keys = [frame.tobytes() for frame in inputs]
             misses: Dict[int, List[int]] = {}
-            for f, frame in enumerate(inputs):
-                hit = tables[f % width].get(frame.tobytes())
+            for f, key in enumerate(keys):
+                hit = tables[f % width].get(key)
                 if hit is None:
                     misses.setdefault(id(row[f % width]), []).append(f)
                 else:
@@ -135,7 +136,7 @@ def fill_memo(memo: KernelMemo,
                 spec = row[picked[0] % width]
                 outputs[picked] = spec.run_batch(inputs[picked])
                 for f in picked:
-                    tables[f % width][inputs[f].tobytes()] = outputs[f]
+                    tables[f % width][keys[f]] = outputs[f]
             inputs = outputs
     except Exception:
         pass

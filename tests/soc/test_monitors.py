@@ -1,12 +1,9 @@
 """Tests for the SoC performance-monitor aggregation."""
 
-import operator
-
 import numpy as np
 import pytest
 
 from repro.soc import read_monitors
-from repro.soc.monitors import MonitorReport, _combine
 from repro.runtime import EspRuntime, chain
 from repro.soc import SoCConfig, build_soc
 from tests.conftest import make_runtime, make_spec
@@ -21,55 +18,6 @@ def run_and_read(mode="p2p", n_frames=6):
     frames = np.random.default_rng(0).uniform(0, 1, (n_frames, 8))
     rt.esp_run(chain("ab", ["a0", "b0"]), frames, mode=mode)
     return read_monitors(rt.soc)
-
-
-def _minus(end, start):
-    """``end - start``; a counter the tile lacks (None) stays None."""
-    return None if end is None else end - (start or 0)
-
-
-def monitor_delta(before: MonitorReport,
-                  after: MonitorReport) -> MonitorReport:
-    """Counter-wise ``after - before``: the activity of one interval.
-
-    Back-to-back pipelines on one SoC share cumulative counters; the
-    delta of two :func:`read_monitors` snapshots attributes activity to
-    the run between them. Utilization is recomputed from the busy-cycle
-    delta over the elapsed-cycle delta.
-    """
-    elapsed = after.elapsed_cycles - before.elapsed_cycles
-    if elapsed < 0:
-        raise ValueError("'after' snapshot precedes 'before'")
-    before_acc = {a.device: a for a in before.accelerators}
-    accelerators = []
-    for acc in after.accelerators:
-        base = before_acc.get(acc.device)
-        if base is None:
-            raise KeyError(f"no 'before' snapshot for {acc.device!r}")
-        busy = acc.busy_cycles - base.busy_cycles
-        accelerators.append(_combine(
-            acc, base, operator.sub,
-            utilization=busy / elapsed if elapsed else 0.0))
-    before_mem = {m.coord: m for m in before.memories}
-    memories = []
-    for mem in after.memories:
-        base = before_mem.get(mem.coord)
-        if base is None:
-            raise KeyError(f"no 'before' snapshot for memory {mem.coord}")
-        memories.append(_combine(mem, base, _minus))
-    plane_flits = {name: after.noc_plane_flits.get(name, 0)
-                   - before.noc_plane_flits.get(name, 0)
-                   for name in after.noc_plane_flits}
-    return MonitorReport(
-        elapsed_cycles=elapsed,
-        clock_mhz=after.clock_mhz,
-        accelerators=accelerators,
-        memories=memories,
-        noc_flit_hops=after.noc_flit_hops - before.noc_flit_hops,
-        noc_packets=after.noc_packets - before.noc_packets,
-        noc_plane_flits=plane_flits,
-        busiest_link=after.busiest_link,
-    )
 
 
 class TestMonitorReport:
@@ -166,32 +114,6 @@ class TestDeltaAttribution:
         # The cumulative view is the sum of the two windows.
         assert snap2["a0"].frames == \
             snap0["a0"].frames + first["a0"].frames + second["a0"].frames
-
-    def test_monitor_delta_recomputes_utilization(self):
-        rt = self.runtime()
-        self.run_frames(rt, 6, seed=1)
-        before = read_monitors(rt.soc)
-        self.run_frames(rt, 4, seed=2)
-        after = read_monitors(rt.soc)
-
-        delta = monitor_delta(before, after)
-        by_name = {a.device: a for a in delta.accelerators}
-        assert by_name["a0"].frames == 4
-        assert by_name["b0"].frames == 4
-        assert 0 < by_name["a0"].utilization <= 1.0
-        assert delta.elapsed_cycles == \
-            after.elapsed_cycles - before.elapsed_cycles
-        # p2p second run: DRAM only sees input + output words.
-        assert delta.total_dram_words == 2 * 4 * 8
-        assert delta.noc_flit_hops > 0
-
-    def test_monitor_delta_rejects_reversed_snapshots(self):
-        rt = self.runtime()
-        before = read_monitors(rt.soc)
-        self.run_frames(rt, 2)
-        after = read_monitors(rt.soc)
-        with pytest.raises(ValueError, match="precedes"):
-            monitor_delta(after, before)
 
     def test_tile_activity_validates_names(self):
         from repro.soc import tile_activity

@@ -2,8 +2,12 @@
 
 The examples are callers too: code that only an example names stays in
 ``src/repro`` (``tests/test_architecture.py::HasACaller``), so each one
-must keep working. They write under ``./artifacts`` (model caches,
-waveforms, generated firmware), hence a fresh directory per run.
+must keep working. They write under ``./artifacts`` (waveforms,
+generated firmware), hence a fresh directory per run. The trained
+models are the exception: their cache is the checkout's
+``artifacts/models`` (``repro.flow.keras_bridge.DEFAULT_CACHE``), so
+``denoiser_pipeline.py`` loads the models the last run trained and
+trains them only in a checkout that has none.
 """
 
 import os
