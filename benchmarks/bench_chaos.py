@@ -15,12 +15,12 @@ software-fallback machinery) must recover strictly fewer.
 The second half is the safety claim: a *fault-free* run with the
 whole observe-decide-act stack attached (sampler + health monitor +
 control plane with a quarantined reserve pool) must stay bit-exact on
-the pinned seed cycle counts of ``bench_perf`` — the control plane is
+the pinned seed cycle counts of ``tests/specs.py`` — the control plane is
 pay-for-what-you-use, costing zero cycles until an alert fires.
 
 The run writes ``BENCH_chaos.json`` and prints its wall time.
 
-Run:  PYTHONPATH=src python benchmarks/bench_chaos.py
+Run:  PYTHONPATH=src:. python benchmarks/bench_chaos.py
 """
 
 import json
@@ -32,9 +32,9 @@ from repro.control import ControlConfig
 from repro.eval.apps import APP_CONFIGS
 from repro.eval.chaos import run_chaos_campaign
 from repro.eval.stack import StackSpec, build_stack
+from tests.specs import PIPE_FRAMES, SEED_CYCLES, build_trace
 
-from bench_perf import PIPE_FRAMES, SEED_CYCLES
-from bench_serve import SERVE_SPEC, build_trace
+from bench_serve import SERVE_SPEC
 
 #: Sampler tick for the zero-fault pin runs (same as bench_metrics).
 SAMPLE_INTERVAL = 5_000

@@ -17,14 +17,14 @@ Checked contracts:
   beats round-robin on fleet-wide p99 under the skewed workload;
 - a single-instance fleet is a faithful wrapper: driving the
   ``bench_serve`` trace through the fleet layer lands on the *pinned*
-  seed cycle count of ``bench_perf`` (65324) — the lockstep
+  seed cycle count of ``tests/specs.py`` (65324) — the lockstep
   coordinator adds zero simulated-time overhead;
 - fleet runs are deterministic: two runs from the same workload seed
   produce identical routing decisions and identical latency tails.
 
 The run writes ``BENCH_fleet.json``.
 
-Run:  PYTHONPATH=src python benchmarks/bench_fleet.py
+Run:  PYTHONPATH=src:. python benchmarks/bench_fleet.py
 """
 
 import json
@@ -40,8 +40,7 @@ from repro.eval.fleet import (
 from repro.eval.stack import build_stack
 from repro.fleet import Arrival, Fleet, FleetInstance, FleetRouter
 from repro.serve import ServerConfig
-
-from bench_perf import SEED_CYCLES
+from tests.specs import SEED_CYCLES
 
 #: Fleet size and workload seed of the graded campaign.
 FLEET_INSTANCES = 4
@@ -52,11 +51,11 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 def single_instance_pin():
     """Drive the ``bench_serve`` trace through a 1-instance fleet.
 
-    Same tenants, same frames, same submission order as the ``serve``
-    workload of ``bench_perf`` — if the fleet layer is a faithful
-    wrapper, the makespan must equal the pinned seed cycle count
-    exactly (the instance executes the identical event sequence it
-    would standalone).
+    Same tenants, same frames, same submission order as the full-size
+    ``serve`` seed workload of ``tests/specs.py`` — if the fleet layer
+    is a faithful wrapper, the makespan must equal the pinned seed
+    cycle count exactly (the instance executes the identical event
+    sequence it would standalone).
     """
     spec = replace(FLEET_SPEC, server=ServerConfig())
     instance = FleetInstance("i0", build_stack(spec).server)

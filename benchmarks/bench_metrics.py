@@ -1,11 +1,12 @@
 """Metrics-overhead benchmark: recording is cheap and timing-neutral.
 
-Re-runs the three ``bench_perf`` workloads with the metrics registry
-attached and enforces the subsystem's two contracts. The NoC, DMA and
-accelerator families are scrape-time views of the hardware counters,
-so each "metrics on" arm wires the SoC collectors and pays one closing
-Prometheus scrape inside its timed window — otherwise a pipeline arm
-would record nothing and compare a run against itself.
+Re-runs the three seed workloads of ``tests/specs.py`` with the
+metrics registry attached and enforces the subsystem's two contracts.
+The NoC, DMA and accelerator families are scrape-time views of the
+hardware counters, so each "metrics on" arm wires the SoC collectors
+and pays one closing Prometheus scrape inside its timed window —
+otherwise a pipeline arm would record nothing and compare a run
+against itself.
 
 1. **Timing neutrality** (hard): metrics-enabled runs land on the
    exact pinned simulated-cycle and event counts of the seed — passive
@@ -20,10 +21,10 @@ would record nothing and compare a run against itself.
 
 The scraped exposition is validated end-to-end (``to_prometheus`` ->
 ``parse_exposition`` round-trip) and the final registry snapshot lands
-in ``artifacts/metrics.json`` together with the overhead table — the
-artifact the ``metrics-smoke`` CI job uploads.
+in ``artifacts/metrics.json`` together with the overhead table, which
+the ``benchmarks`` CI job uploads with the other artifacts.
 
-Run:  PYTHONPATH=src python benchmarks/bench_metrics.py [--smoke]
+Run:  PYTHONPATH=src:. python benchmarks/bench_metrics.py [--smoke]
 """
 
 import argparse
@@ -41,23 +42,27 @@ from repro.metrics import (
     register_soc_collectors,
     to_prometheus,
 )
-
-from bench_perf import (
+from tests.specs import (
     PIPE_FRAMES,
-    ROUNDS,
     SEED_CYCLES,
     SEED_EVENTS,
     SMOKE_CYCLES,
     SMOKE_EVENTS,
     SMOKE_PIPE_FRAMES,
+    build_trace,
 )
-from bench_serve import SERVE_SPEC, build_trace
+
+from bench_serve import SERVE_SPEC
 
 #: Minimum acceptable (metrics-on events/s) / (metrics-off events/s).
 #: Full runs hold the 10%-overhead bar; the CI smoke variant only
 #: guards against pathological regressions.
 OVERHEAD_FLOOR = 0.90
 SMOKE_OVERHEAD_FLOOR = 0.50
+
+#: Timing repetitions per arm; the minimum is compared (least-noise
+#: estimator for a deterministic computation).
+ROUNDS = 5
 
 #: Scrape interval of the sampled run, in cycles.
 SAMPLE_INTERVAL = 5_000

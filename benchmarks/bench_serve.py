@@ -17,7 +17,7 @@ aggregate throughput, and checks the serving layer's contract:
 
 The run writes ``BENCH_serve.json``.
 
-Run:  PYTHONPATH=src python benchmarks/bench_serve.py
+Run:  PYTHONPATH=src:. python benchmarks/bench_serve.py
 """
 
 import json
@@ -29,7 +29,7 @@ from repro.eval import build_soc1
 from repro.eval.fleet import standard_inputs
 from repro.eval.stack import StackSpec, build_stack, soc1_tenants
 from repro.runtime import EspRuntime
-from repro.serve import TracedRequest
+from tests.specs import build_trace
 
 #: Requests per tenant / frames per request of the batched trace.
 BENCH_REQUESTS = 3
@@ -37,18 +37,6 @@ BENCH_FRAMES = 2
 
 #: The three concurrent applications on one SoC-1.
 SERVE_SPEC = StackSpec(tenants=soc1_tenants("serve"))
-
-
-def build_trace(n_requests, frames_per_request):
-    """All tenants submit ``n_requests`` back-to-back at cycle 0."""
-    inputs = standard_inputs(n_requests * frames_per_request)
-    trace = []
-    for tenant, frames in inputs.items():
-        for index in range(n_requests):
-            lo = index * frames_per_request
-            trace.append(TracedRequest(
-                0, tenant, frames[lo:lo + frames_per_request]))
-    return trace
 
 
 def sequential_fps(trace):

@@ -10,7 +10,7 @@ Three sections, all deterministic where CI gates:
    ``esp_run`` window (>= 95% coverage bar). An untraced re-run must
    be bit-identical — the zero-timing-impact contract.
 
-2. **Pinned overhead arms** — the three ``bench_perf`` workloads
+2. **Pinned arms** — the three seed workloads of ``tests/specs.py``
    re-run with (a) an unbounded tracer, (b) a bounded
    flight-recorder ring (``RING_CAPACITY`` records), and — for the
    serve workload — (c) ring + metrics + health monitor + an armed
@@ -18,9 +18,8 @@ Three sections, all deterministic where CI gates:
    exact pinned seed cycle *and* event counts: recording, ring
    eviction and an armed recorder cannot move simulated time by one
    cycle. The ring arm also gates the memory bound (held records
-   <= 2x capacity; eviction accounting exact). Wall-clock overhead
-   percentages are printed, not stored — only the pins and bounds
-   gate.
+   <= 2x capacity; eviction accounting exact). Host-time cost of the
+   instruments is the ledger's to measure (``serve-observed``).
 
 3. **Fleet scenario** — the deterministic traced mini-fleet of
    :func:`repro.eval.fleet.run_traced_fleet_scenario`: per-instance
@@ -31,14 +30,14 @@ Three sections, all deterministic where CI gates:
    ``artifacts/postmortems/``.
 
 The run writes the deterministic results to ``BENCH_trace.json`` at
-the repository root.
+the repository root, and the artifacts under the checkout's
+``artifacts/`` whatever the working directory.
 
-Run:  PYTHONPATH=src python benchmarks/bench_trace.py
+Run:  PYTHONPATH=src:. python benchmarks/bench_trace.py
 """
 
 import json
 import os
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,14 +62,9 @@ from repro.trace import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from tests.specs import PIPE_FRAMES, SEED_CYCLES, SEED_EVENTS, build_trace
 
-from bench_perf import (
-    PIPE_FRAMES,
-    ROUNDS,
-    SEED_CYCLES,
-    SEED_EVENTS,
-)
-from bench_serve import SERVE_SPEC, build_trace
+from bench_serve import SERVE_SPEC
 
 #: Frames through the profiling pipeline.
 BENCH_FRAMES = 16
@@ -90,9 +84,15 @@ WATERFALL_CATS = ("fleet.route", "serve.request", "serve.dispatch",
                   "runtime.irq_wait", "dma.load", "acc.compute",
                   "noc.packet")
 
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace.json"
+REPO = Path(__file__).resolve().parent.parent
+REPORT_PATH = REPO / "BENCH_trace.json"
 #: Where the Chrome traces and postmortems of a run land.
-ARTIFACTS = Path("artifacts")
+ARTIFACTS = REPO / "artifacts"
+
+
+def repo_relative(path):
+    """``path`` as the checkout-relative string the report stores."""
+    return Path(path).relative_to(REPO).as_posix()
 
 
 # -- section 1: pipeline profiling ------------------------------------------
@@ -157,7 +157,7 @@ def render(results):
     return "\n".join(lines)
 
 
-# -- section 2: pinned overhead arms ----------------------------------------
+# -- section 2: pinned arms -------------------------------------------------
 
 def _run_pipeline(mode, n_frames, arm):
     config = APP_CONFIGS["4nv_4cl"]
@@ -168,15 +168,12 @@ def _run_pipeline(mode, n_frames, arm):
         tracer = attach_tracer(runtime.soc.env)
     elif arm == "ring":
         tracer = attach_tracer(runtime.soc.env, capacity=RING_CAPACITY)
-    dataflow = config.build_dataflow()
-    start = time.perf_counter()
-    runtime.esp_run(dataflow, frames, mode=mode)
-    wall = time.perf_counter() - start
+    runtime.esp_run(config.build_dataflow(), frames, mode=mode)
     env = runtime.soc.env
-    return wall, env.now, env.events_processed, tracer
+    return env.now, env.events_processed, tracer
 
 
-#: The serve trace's stack per overhead arm.
+#: The serve trace's stack per arm.
 SERVE_ARMS = {
     "off": SERVE_SPEC,
     "traced": replace(SERVE_SPEC, tracing=True),
@@ -192,14 +189,11 @@ def _run_serve(arm):
     if stack.monitor is not None:
         FlightRecorder(ARTIFACTS / "postmortems", stack.tracer,
                        clock_mhz=stack.soc.clock_mhz).arm(stack.monitor)
-    trace = build_trace(2, 2)
-    start = time.perf_counter()
-    stack.server.run_trace(trace)
-    wall = time.perf_counter() - start
+    stack.server.run_trace(build_trace(2, 2))
     if stack.monitor is not None:
         stack.monitor.evaluate()
     env = stack.soc.env
-    return wall, env.now, env.events_processed, stack.tracer
+    return env.now, env.events_processed, stack.tracer
 
 
 def _arm_runner(name):
@@ -215,32 +209,25 @@ def _records_of(tracer):
 
 
 def measure_arms(name):
-    """Every arm of one workload, best-of-``ROUNDS``, pins enforced.
-
-    Returns the deterministic row and, apart, each instrumented arm's
-    wall-clock overhead in percent over the ``off`` arm."""
+    """Every arm of one workload once, pins enforced; the
+    deterministic row."""
     run = _arm_runner(name)
     expected_cycles = SEED_CYCLES[name]
     expected_events = SEED_EVENTS[name]
     arms = ("off", "traced", "ring") + (
         ("armed",) if name == "serve" else ())
-    best = {}
     tracers = {}
     for arm in arms:
-        for _ in range(ROUNDS):
-            wall, cycles, events, tracer = run(arm)
-            if cycles != expected_cycles:
-                raise AssertionError(
-                    f"cycle drift on {name!r} (arm {arm!r}): {cycles} "
-                    f"!= pinned {expected_cycles} — tracing, ring "
-                    f"eviction and armed recorders must be "
-                    f"timing-neutral")
-            if events != expected_events:
-                raise AssertionError(
-                    f"event drift on {name!r} (arm {arm!r}): {events} "
-                    f"!= pinned {expected_events}")
-            best[arm] = min(best.get(arm, wall), wall)
-            tracers[arm] = tracer
+        cycles, events, tracers[arm] = run(arm)
+        if cycles != expected_cycles:
+            raise AssertionError(
+                f"cycle drift on {name!r} (arm {arm!r}): {cycles} "
+                f"!= pinned {expected_cycles} — tracing, ring "
+                f"eviction and armed recorders must be timing-neutral")
+        if events != expected_events:
+            raise AssertionError(
+                f"event drift on {name!r} (arm {arm!r}): {events} "
+                f"!= pinned {expected_events}")
 
     unbounded = tracers["traced"]
     ring = tracers["ring"]
@@ -262,7 +249,7 @@ def measure_arms(name):
             f"+ {ring.dropped} dropped != {records_unbounded} "
             f"unbounded records")
 
-    row = {
+    return {
         "cycles": expected_cycles,
         "events": expected_events,
         "records_unbounded": records_unbounded,
@@ -271,9 +258,6 @@ def measure_arms(name):
         "ring_memory_ratio": round(
             records_ring / records_unbounded, 3),
     }
-    overheads = {arm: 100.0 * (best[arm] / best["off"] - 1.0)
-                 for arm in arms if arm != "off"}
-    return row, overheads
 
 
 # -- section 3: the fleet flight-recorder scenario --------------------------
@@ -351,31 +335,31 @@ def run_fleet_scenario(out_dir, postmortem_dir):
 # -- report -----------------------------------------------------------------
 
 def run_bench():
-    """All three sections; returns the deterministic payload, the
-    profiling and fleet results, and the printed-only overheads."""
+    """All three sections; returns the deterministic payload and the
+    profiling and fleet results."""
     profile = run_trace_benchmark(str(ARTIFACTS / "trace.json"))
     check(profile)
-    arms, overheads = {}, {}
-    for name in ("p2p", "dma", "serve"):
-        arms[name], overheads[name] = measure_arms(name)
+    arms = {name: measure_arms(name) for name in ("p2p", "dma", "serve")}
     fleet = run_fleet_scenario(str(ARTIFACTS),
                                str(ARTIFACTS / "postmortems"))
+    fleet_row = {key: value for key, value in fleet.items()
+                 if key != "timeline"}
+    for key in ("fleet_trace", "postmortem"):
+        fleet_row[key] = repo_relative(fleet_row[key])
     payload = {
         "benchmark": "bench_trace",
-        "rounds": ROUNDS,
         "ring_capacity": RING_CAPACITY,
         "pipeline": {
             "frames": BENCH_FRAMES,
             "cycles": profile["traced"].cycles,
             "coverage": round(profile["report"].coverage, 4),
             "trace_events": len(profile["trace"]["traceEvents"]),
-            "trace_path": profile["trace_path"],
+            "trace_path": repo_relative(profile["trace_path"]),
         },
         "workloads": arms,
-        "fleet": {key: value for key, value in fleet.items()
-                  if key != "timeline"},
+        "fleet": fleet_row,
     }
-    return payload, profile, fleet, overheads
+    return payload, profile, fleet
 
 
 def write_report(payload):
@@ -383,14 +367,12 @@ def write_report(payload):
     return REPORT_PATH
 
 
-def print_report(payload, profile, fleet, overheads):
+def print_report(payload, profile, fleet):
     print(render(profile))
-    print(f"\npinned arms (best of {payload['rounds']} rounds, "
-          f"ring={RING_CAPACITY}; wall-clock overhead over untraced):")
+    print(f"\npinned arms (ring={RING_CAPACITY}):")
     for name, row in payload["workloads"].items():
-        arms = "  ".join(f"{arm} {pct:+.1f}%"
-                         for arm, pct in overheads[name].items())
-        print(f"  {name:6s} {row['cycles']:>7d} cycles  {arms}  "
+        print(f"  {name:6s} {row['cycles']:>7d} cycles  "
+              f"{row['events']:>6d} events  "
               f"ring holds {row['records_ring']}/"
               f"{row['records_unbounded']} records "
               f"({row['ring_memory_ratio']:.0%})")

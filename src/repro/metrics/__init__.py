@@ -41,7 +41,6 @@ from .collect import (
 )
 from .export import (
     parse_exposition,
-    snapshot,
     to_prometheus,
 )
 from .health import (
@@ -93,7 +92,6 @@ __all__ = [
     "render_dashboard",
     "render_tenant_table",
     "render_tile_grid",
-    "snapshot",
     "stall_threshold",
     "stalled_devices",
     "to_prometheus",

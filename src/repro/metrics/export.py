@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text exposition and JSON snapshots.
+"""Exporter: Prometheus text exposition and its round-trip parser.
 
 The exposition format follows the Prometheus text format v0.0.4:
 ``# HELP`` / ``# TYPE`` per family, one ``name{labels} value`` sample
@@ -190,8 +190,3 @@ def parse_exposition(text: str) -> List[Sample]:
     """
     return [(name, labels, value)
             for name, labels, value, _ in _parse_samples(text)]
-
-
-def snapshot(registry: MetricsRegistry) -> dict:
-    """A JSON-able snapshot (delegates to the registry)."""
-    return registry.snapshot()

@@ -501,8 +501,9 @@ class MetricsSampler:
     Determinism note: the sampler schedules its own timeout events, so
     it adds to ``events_processed`` — but pure timeouts cannot perturb
     any other process, so simulated *cycle* counts of the workload are
-    unchanged. Runs that pin event counts (``bench_perf``) must not
-    arm a sampler; runs that pin cycle counts may.
+    unchanged. Runs that pin event counts (the ``SEED_EVENTS`` and
+    ``SMOKE_EVENTS`` of ``tests/specs.py``, the ledger's) must not arm
+    a sampler; runs that pin cycle counts may.
     """
 
     def __init__(self, registry: MetricsRegistry, interval: int,

@@ -440,9 +440,9 @@ class Environment:
         self._times: List[int] = []
         self._processes: List[Process] = []
         self._prune_at = 64
-        #: Events dispatched so far (one increment per event) — the
-        #: numerator of the events/second throughput metric reported by
-        #: ``benchmarks/bench_perf.py``.
+        #: Events dispatched so far (one increment per event) — pinned
+        #: per seed workload (``tests/specs.py``, ``ledger/``) and the
+        #: numerator of the ledger's ``sim.events_per_host_s``.
         self.events_processed = 0
         #: Optional cycle-level tracer (see :mod:`repro.trace`). ``None``
         #: keeps every instrumentation site on its one-comparison path.

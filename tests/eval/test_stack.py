@@ -19,7 +19,8 @@ from repro.control import ControlConfig
 from repro.eval.stack import StackSpec, TenantSpec, build_stack, soc1_tenants
 from repro.faults import FaultSpec, RecoveryPolicy
 from repro.serve import ServerConfig
-from tests.metrics.test_identity import SPEC, build_trace
+from tests.metrics.test_identity import SPEC
+from tests.specs import build_trace
 
 
 def to_json(spec: StackSpec) -> str:

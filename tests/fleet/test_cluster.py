@@ -31,11 +31,7 @@ from repro.fleet import (
 )
 from repro.serve import ServerConfig
 from tests.metrics.merge import merge_snapshots
-
-# The bench_perf seed pins (tests must not import from benchmarks/).
-PIN_P2P = 77460
-PIN_DMA = 90139
-PIN_SERVE = 65324
+from tests.specs import PIPE_FRAMES, SEED_CYCLES
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +122,7 @@ class TestDeterminism:
 
 class TestSingleInstanceFidelity:
     """A 1-instance fleet executes the standalone event sequence —
-    pinned to the seed cycle counts of ``bench_perf``."""
+    pinned to the seed cycle counts of ``tests/specs.py``."""
 
     def test_serve_trace_pins(self):
         spec = replace(FLEET_SPEC, server=ServerConfig())
@@ -137,16 +133,16 @@ class TestSingleInstanceFidelity:
                     for tenant in inputs for _ in range(2)]
         report = fleet.run(arrivals, inputs)
         assert not report.rejections and report.failed == 0
-        assert report.makespan_cycles == PIN_SERVE
+        assert report.makespan_cycles == SEED_CYCLES["serve"]
 
-    @pytest.mark.parametrize("mode,pin", [("p2p", PIN_P2P),
-                                          ("pipe", PIN_DMA)])
+    @pytest.mark.parametrize("mode,pin", [("p2p", SEED_CYCLES["p2p"]),
+                                          ("pipe", SEED_CYCLES["dma"])])
     def test_pipeline_pins_through_instance_runtime(self, mode, pin):
         """The instance's runtime is the plain runtime: driving the
         4nv_4cl pipeline through it lands on the pinned cycles."""
         config = APP_CONFIGS["4nv_4cl"]
         instance = FleetInstance("i0", build_stack(StackSpec()).server)
-        frames, _ = config.make_inputs(32, seed=0)
+        frames, _ = config.make_inputs(PIPE_FRAMES, seed=0)
         instance.runtime.esp_run(config.build_dataflow(), frames,
                                  mode=mode)
         assert instance.now == pin

@@ -40,7 +40,8 @@ from repro.serve import request as serve_request
 from repro.soc import read_monitors
 from repro.trace import FlightRecorder, attach_tracer, to_chrome_trace
 from tests.faults.test_recovery import policy, run_chain, three_stage_soc
-from tests.metrics.test_identity import PIPE_FRAMES, SPEC, build_trace
+from tests.metrics.test_identity import SPEC
+from tests.specs import SMOKE_PIPE_FRAMES, build_trace
 
 GOLDEN = {
     "p2p": (
@@ -84,7 +85,7 @@ RING_CAPACITY = 256
 
 def run_pipeline(mode):
     config = APP_CONFIGS["4nv_4cl"]
-    frames, _ = config.make_inputs(PIPE_FRAMES, seed=0)
+    frames, _ = config.make_inputs(SMOKE_PIPE_FRAMES, seed=0)
     runtime = fresh_runtime(config)
     soc = runtime.soc
     tracer = attach_tracer(soc)

@@ -4,9 +4,11 @@ The registry's contract (``Environment.metrics``) is that recording
 only mutates Python ints and never yields, schedules, or touches the
 event queue: a metrics-enabled run is *bit-identical* — same final
 cycle, same number of dispatched kernel events — to the same run with
-``env.metrics is None``. These tests enforce that contract on the same
-workloads ``benchmarks/bench_perf.py`` pins (smoke sizes), plus the
-multi-tenant serving trace.
+``env.metrics is None``. These tests enforce that contract on the
+smoke-size seed workloads of ``tests/specs.py`` (the 8-frame p2p and
+pipe runs of the 4nv_4cl pipeline, and the 1x1 multi-tenant serve
+trace): each bare run lands on its ``SMOKE_CYCLES``/``SMOKE_EVENTS``
+pin, and so does its instrumented twin.
 
 The one deliberate exception is the opt-in :class:`MetricsSampler`,
 which schedules its own periodic timeout events. Pure timeouts never
@@ -17,21 +19,25 @@ cycle count while dispatching a few extra events — asserted here too.
 from dataclasses import replace
 
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
-from repro.eval.fleet import standard_inputs
 from repro.eval.stack import StackSpec, build_stack, soc1_tenants
 from repro.metrics import attach_metrics, register_soc_collectors
-from repro.serve import TracedRequest
 from repro.soc import read_monitors
+from tests.specs import (
+    SMOKE_CYCLES,
+    SMOKE_EVENTS,
+    SMOKE_PIPE_FRAMES,
+    build_trace,
+)
 
-#: Smoke pins from benchmarks/bench_perf.py — the seed behaviour the
-#: instrumented runs must land on exactly.
-PIPE_FRAMES = 8
-PINS = {"p2p": (24270, 1478), "dma": (28073, 2618), "serve": (17066, 764)}
+#: (cycles, events) per smoke workload: the seed behaviour the bare
+#: and the instrumented runs must land on exactly.
+PINS = {name: (SMOKE_CYCLES[name], SMOKE_EVENTS[name])
+        for name in SMOKE_CYCLES}
 
 
 def run_pipeline(mode, instrumented):
     config = APP_CONFIGS["4nv_4cl"]
-    frames, _ = config.make_inputs(PIPE_FRAMES, seed=0)
+    frames, _ = config.make_inputs(SMOKE_PIPE_FRAMES, seed=0)
     runtime = fresh_runtime(config)
     registry = attach_metrics(runtime.soc.env) if instrumented else None
     runtime.esp_run(config.build_dataflow(), frames, mode=mode)
@@ -41,17 +47,6 @@ def run_pipeline(mode, instrumented):
 
 #: The serve trace's stack: the three SoC-1 tenants, nothing attached.
 SPEC = StackSpec(tenants=soc1_tenants("id"))
-
-
-def build_trace(n_requests=1, frames_per_request=1):
-    inputs = standard_inputs(n_requests * frames_per_request)
-    trace = []
-    for tenant, frames in inputs.items():
-        for index in range(n_requests):
-            lo = index * frames_per_request
-            trace.append(TracedRequest(
-                0, tenant, frames[lo:lo + frames_per_request]))
-    return trace
 
 
 def run_serve(instrumented, sampler_interval=None):
@@ -120,7 +115,7 @@ class TestHardwareViews:
         """A registry attached after a run still reports every
         operation since boot, like the ``mem_words_read`` gauge."""
         config = APP_CONFIGS["4nv_4cl"]
-        frames, _ = config.make_inputs(PIPE_FRAMES, seed=0)
+        frames, _ = config.make_inputs(SMOKE_PIPE_FRAMES, seed=0)
         runtime = fresh_runtime(config)
         runtime.esp_run(config.build_dataflow(), frames, mode="pipe")
         soc = runtime.soc

@@ -1,4 +1,5 @@
-"""Small accelerator specs and SoCs for tests and benchmarks.
+"""Small accelerator specs and SoCs, the seed pins and the serve trace,
+for tests and benchmarks.
 
 Plain helpers with no pytest import, so the benchmark scripts can use
 them too (``from tests.specs import make_spec``, with the repository
@@ -8,9 +9,39 @@ root on ``PYTHONPATH``).
 import numpy as np
 
 from repro.accelerators import AcceleratorSpec
+from repro.eval.fleet import standard_inputs
 from repro.hls import ResourceEstimate
 from repro.runtime import EspRuntime
+from repro.serve import TracedRequest
 from repro.soc import SoCConfig, build_soc
+
+#: Frames through the 4nv_4cl pipeline (full / smoke).
+PIPE_FRAMES = 32
+SMOKE_PIPE_FRAMES = 8
+
+#: Simulated cycles and dispatched kernel events of the three seed
+#: workloads: the 4nv_4cl pipeline in p2p and pipe ("dma") mode, and
+#: the serve trace on SoC-1. Full size is ``PIPE_FRAMES`` frames and
+#: ``build_trace(2, 2)``; smoke size is ``SMOKE_PIPE_FRAMES`` frames
+#: and ``build_trace()``. Recording, tracing, an armed recorder or an
+#: idle control plane must land on them exactly.
+SEED_CYCLES = {"p2p": 77460, "dma": 90139, "serve": 65324}
+SEED_EVENTS = {"p2p": 2762, "dma": 10274, "serve": 2015}
+SMOKE_CYCLES = {"p2p": 24270, "dma": 28073, "serve": 17066}
+SMOKE_EVENTS = {"p2p": 1478, "dma": 2618, "serve": 764}
+
+
+def build_trace(n_requests=1, frames_per_request=1):
+    """Every SoC-1 tenant submits ``n_requests`` requests of
+    ``frames_per_request`` frames back to back at cycle 0."""
+    inputs = standard_inputs(n_requests * frames_per_request)
+    trace = []
+    for tenant, frames in inputs.items():
+        for index in range(n_requests):
+            lo = index * frames_per_request
+            trace.append(TracedRequest(
+                0, tenant, frames[lo:lo + frames_per_request]))
+    return trace
 
 
 def per_frame(compute):

@@ -1,10 +1,9 @@
-"""Every benchmark is a plain script, and CI diffs every golden it writes.
+"""Every benchmark is a plain script that CI runs, and CI diffs every
+golden it writes.
 
 A bench asserts its claims in ``check()`` and rewrites its committed
 ``BENCH_*.json``; no second runner (pytest entries, a ``once`` fixture,
-a pytest plugin) repeats or replaces that run. The wall-clock
-reports of ``bench_perf.py`` are the only committed reports CI does not
-diff.
+a pytest plugin) repeats or replaces that run.
 """
 
 import ast
@@ -12,9 +11,6 @@ import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-
-#: Committed wall-clock reports: a rerun cannot reproduce them.
-WALL_CLOCK = {"BENCH_perf.json", "BENCH_perf_delta.json"}
 
 
 def second_runner_sites(bench_dir):
@@ -56,4 +52,13 @@ def test_no_second_runner_in_benchmarks():
 def test_ci_diffs_every_deterministic_report():
     committed = {path.name for path in REPO.glob("BENCH_*.json")}
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    assert committed - WALL_CLOCK <= diffed_reports(ci)
+    assert committed <= diffed_reports(ci)
+
+
+def test_ci_runs_every_bench_script():
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    run = "\n".join(re.findall(r"^\s*run:.*$", ci, re.M))
+    missing = [path.name for path in
+               sorted((REPO / "benchmarks").glob("bench_*.py"))
+               if f"benchmarks/{path.name}" not in run]
+    assert missing == []
