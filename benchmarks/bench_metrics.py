@@ -148,9 +148,10 @@ def run_sampled_serve(smoke=False):
                                 sampler_interval=SAMPLE_INTERVAL))
     registry, monitor = stack.registry, stack.monitor
     scrapes = []
-    # The sampler evaluates the monitor, then scrapes the exposition.
-    stack.sampler.callbacks.append(lambda reg: scrapes.append(
-        len(parse_exposition(to_prometheus(reg)))))
+    # Each evaluation (a sampler tick, and the last one below) ends by
+    # scraping the exposition.
+    monitor.subscribe(lambda _monitor, _: scrapes.append(
+        len(parse_exposition(to_prometheus(registry)))))
     n_requests, frames = (1, 1) if smoke else (2, 2)
     stack.server.run_trace(build_trace(n_requests, frames))
     monitor.evaluate()

@@ -70,9 +70,9 @@ def _cmd_metrics_top(args) -> None:
     """Live ops dashboard over a multi-tenant serving trace.
 
     Runs the three-tenant SoC-1 serving workload with the metrics
-    registry attached and a sampler rendering one dashboard frame
-    every ``--interval`` cycles — the simulated equivalent of
-    watching ``top`` on a production inference server.
+    registry attached and a monitor subscriber rendering one dashboard
+    frame per sampler tick (every ``--interval`` cycles) — the
+    simulated equivalent of watching ``top`` on a production server.
     """
     from .control import ControlConfig
     from .eval.fleet import standard_inputs
@@ -98,8 +98,8 @@ def _cmd_metrics_top(args) -> None:
             faults=(FaultSpec(kind="acc_hang", target="cl1", at_cycle=1,
                               count=None),))
     stack = build_stack(spec)
-    stack.sampler.callbacks.append(lambda registry: print(
-        render_dashboard(stack.soc, registry, stack.monitor) + "\n"))
+    stack.monitor.subscribe(lambda monitor, _: print(
+        render_dashboard(stack.soc, monitor.registry, monitor) + "\n"))
 
     n_frames = args.requests * args.frames
     trace = [TracedRequest(0, tenant, frames[lo:lo + args.frames])
@@ -107,10 +107,9 @@ def _cmd_metrics_top(args) -> None:
              for lo in range(0, n_frames, args.frames)]
     stack.server.run_trace(trace)
     stack.sampler.stop()
-    stack.monitor.evaluate()
     print("== final ==")
-    print(render_dashboard(stack.soc, stack.registry, stack.monitor))
-    print(f"\n{stack.monitor.render()}")
+    stack.monitor.evaluate()    # its subscriber prints the last frame
+    print(stack.monitor.render())
     if stack.controller is not None and stack.controller.actions:
         print(f"\n{stack.controller.render()}")
 

@@ -17,8 +17,8 @@ knobs, the observability switches and the faults, and one
 6. the control plane (``control``);
 7. the fault injector, over fresh copies of ``faults`` seeded by
    ``fault_seed``;
-8. the sampler (``sampler_interval``), which evaluates the monitor
-   on every tick.
+8. the sampler (``sampler_interval``): one monitor evaluation, and
+   so one scrape, per tick; the control plane subscribed in step 6.
 """
 
 from __future__ import annotations
@@ -162,9 +162,7 @@ def build_stack(spec: StackSpec) -> Stack:
                          seed=spec.fault_seed)
         injector = FaultInjector(plan).attach(soc)
     if spec.sampler_interval is not None:
-        sampler = MetricsSampler(
-            registry, interval=spec.sampler_interval,
-            callbacks=[lambda _registry: monitor.evaluate()]).start()
+        sampler = MetricsSampler(monitor, spec.sampler_interval).start()
     return Stack(server=server, tracer=tracer, registry=registry,
                  monitor=monitor, controller=controller,
                  injector=injector, sampler=sampler)

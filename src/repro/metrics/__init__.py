@@ -31,7 +31,6 @@ from .registry import (
     HistogramSeries,
     MetricsError,
     MetricsRegistry,
-    MetricsSampler,
     attach_metrics,
 )
 from .collect import (
@@ -46,6 +45,7 @@ from .export import (
 from .health import (
     Alert,
     HealthMonitor,
+    MetricsSampler,
     SloRule,
     accelerator_stall_rule,
     default_rules,

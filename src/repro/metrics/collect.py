@@ -8,9 +8,10 @@ operation would duplicate that work. So is every request-level fact
 of the serve layer, in the server's records. Collectors are callables
 registered on the :class:`MetricsRegistry` that copy those counters
 and records into the standard series whenever somebody scrapes (an
-exporter, the health monitor, the dashboard, a
-:class:`MetricsSampler` tick), so those families report since-boot
-totals, however late the registry was attached.
+exporter, a dashboard frame, a health-monitor evaluation, which is
+each :class:`~repro.metrics.health.MetricsSampler` tick), so those
+families report since-boot totals, however late the registry was
+attached.
 
 Collectors read simulation state and write registry series; they must
 never schedule events or advance the clock — they run outside the
@@ -76,9 +77,8 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
                 put(family, (plane,), packets)
         for plane, flits in mesh.plane_flits().items():
             put(reg.noc_flits, (plane,), flits)
-        for (src, dst, plane), link in mesh.link_slots():
-            if link is None or (link.flits_carried == 0
-                                and link.channel.busy_cycles == 0):
+        for (src, dst, plane), link in mesh.built_links():
+            if link.flits_carried == 0 and link.channel.busy_cycles == 0:
                 continue   # keep untouched links out of the exposition
             label = link_labels.get(link)
             if label is None:

@@ -89,9 +89,9 @@ def _value(family, *labels):
 
 def render_tenant_table(registry: MetricsRegistry,
                         clock_mhz: Optional[float] = None) -> List[str]:
-    """Per-tenant serving table from the live registry series (the
-    ``serve_*`` families are scrape-time views, so this scrapes)."""
-    registry.run_collectors()
+    """Per-tenant serving table from the registry series as the last
+    scrape left them (the ``serve_*`` families are scrape-time views:
+    scrape first, as :func:`render_dashboard` does)."""
     tenants = sorted({values[0] for values, _ in
                       registry.serve_admitted.series()})
     if not tenants:
@@ -127,11 +127,10 @@ def render_tenant_table(registry: MetricsRegistry,
 def render_control_actions(registry: MetricsRegistry) -> List[str]:
     """Remediation-action counters, from the control-plane families.
 
-    Scrapes, then reads ``control_actions_total`` /
-    ``control_last_action_cycle`` only — renderable with or without a
-    live :class:`ControlPlane` attached (empty when no controller ever
+    Reads ``control_actions_total`` / ``control_last_action_cycle`` as
+    the last scrape left them — renderable with or without a live
+    :class:`ControlPlane` attached (empty when no controller ever
     acted)."""
-    registry.run_collectors()
     rows = sorted(registry.control_actions.series())
     if not rows:
         return []
@@ -148,7 +147,7 @@ def render_control_actions(registry: MetricsRegistry) -> List[str]:
 
 def render_dashboard(soc, registry: MetricsRegistry,
                      monitor: Optional[HealthMonitor] = None) -> str:
-    """One full dashboard frame as a string."""
+    """One full dashboard frame, from one scrape all its parts read."""
     registry.run_collectors()
     env = registry.env
     status = monitor.status() if monitor is not None else "n/a"

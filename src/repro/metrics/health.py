@@ -4,12 +4,12 @@ A production serving stack does not read dashboards — it evaluates
 *rules* against the live metrics and pages when one fires. This module
 is that layer for the simulated SoC: an :class:`SloRule` is a named
 predicate over the :class:`MetricsRegistry`; the :class:`HealthMonitor`
-evaluates its rule set (typically from a :class:`MetricsSampler` tick)
-and tracks each rule's alert through the ``firing -> resolved``
-transition, keeping a history of every transition with the cycle it
-happened at. An alert fires on the first breaching evaluation and
-resolves on the first clean one; acting only on a *persistent* breach
-is the control plane's job (``ControlConfig.stall_escalation_evals``).
+scrapes the registry, evaluates its rule set and tracks each rule's
+alert through the ``firing -> resolved`` transition, keeping a history
+of every transition with the cycle it happened at. An alert fires on
+the first breaching evaluation and resolves on the first clean one;
+acting only on a *persistent* breach is the control plane's job
+(``ControlConfig.stall_escalation_evals``).
 
 Rule factories for the standard failure modes ship below:
 
@@ -122,7 +122,7 @@ class HealthMonitor:
     def evaluate(self) -> List[Alert]:
         """One evaluation pass; returns alerts that *transitioned*.
 
-        Refreshes collector-backed gauges first, then checks every
+        Scrapes the registry (its one scrape), then checks every
         rule: a violation with no active alert fires one; a satisfied
         rule with an active alert resolves it. A rule that stays
         violated keeps its original alert (and ``fired_at``) — alerts
@@ -178,6 +178,61 @@ class HealthMonitor:
             lines.append(f"  FIRING [{alert.severity}] {alert.rule} "
                          f"since cycle {alert.fired_at}: {alert.detail}")
         return "\n".join(lines)
+
+
+class MetricsSampler:
+    """Opt-in periodic evaluation loop running *inside* the simulation.
+
+    Recording is passive, so live views (the dashboard, SLO evaluation
+    during a run) need something to trigger scrapes while the event
+    loop is owned by a workload. The sampler is that trigger: a
+    simulation process whose every tick, each ``interval`` cycles, is
+    one ``monitor.evaluate()``: one scrape, the rules, then the
+    monitor's subscribers, where anything that runs on a tick goes.
+
+    Determinism note: the sampler schedules its own timeout events, so
+    it adds to ``events_processed`` — but pure timeouts cannot perturb
+    any other process, so simulated *cycle* counts of the workload are
+    unchanged. Runs that pin event counts (the ``SEED_EVENTS`` and
+    ``SMOKE_EVENTS`` of ``tests/specs.py``, the ledger's) must not arm
+    a sampler; runs that pin cycle counts may.
+    """
+
+    def __init__(self, monitor: HealthMonitor, interval: int,
+                 max_samples: Optional[int] = None) -> None:
+        if interval < 1:
+            raise ValueError(f"interval must be >= 1, got {interval}")
+        self.monitor = monitor
+        self.interval = interval
+        self.max_samples = max_samples
+        self.samples_taken = 0
+        self._process = None
+        self._stopped = False
+
+    def start(self) -> "MetricsSampler":
+        if self._process is not None:
+            return self
+        env = self.monitor.registry.env
+        self._process = env.process(self._loop(), name="metrics-sampler")
+        return self
+
+    def stop(self) -> None:
+        self._stopped = True
+        if self._process is not None and self._process.is_alive:
+            self._process.interrupt("sampler stopped")
+        self._process = None
+
+    def _loop(self):
+        env = self.monitor.registry.env
+        while not self._stopped:
+            yield env.timeout(self.interval)
+            if self._stopped:
+                return
+            self.monitor.evaluate()
+            self.samples_taken += 1
+            if (self.max_samples is not None
+                    and self.samples_taken >= self.max_samples):
+                return
 
 
 # -- rule factories ---------------------------------------------------------

@@ -20,9 +20,9 @@ Design rules (the same contract as the tracer and the fault hooks):
 - **Zero timing impact.** Recording never yields, never schedules an
   event and never advances the clock: a metrics-enabled run is
   cycle-for-cycle *and event-for-event* identical to a metrics-off
-  run. Only the opt-in :class:`MetricsSampler` schedules anything,
-  and even it only adds its own timeout events — it cannot perturb
-  the timing of other processes.
+  run. Only the opt-in :class:`~repro.metrics.health.MetricsSampler`
+  schedules anything, and even it only adds its own timeout events —
+  it cannot perturb the timing of other processes.
 - **O(1), allocation-free hot path.** ``Counter.inc`` and
   ``Gauge.set`` are single integer/float updates on a slotted object;
   ``Histogram.observe`` finds its bucket with one ``bit_length`` call
@@ -487,64 +487,6 @@ class MetricsRegistry:
         series = sum(len(f._series) for f in self._families.values())
         return (f"<MetricsRegistry {len(self._families)} families, "
                 f"{series} series, {len(self._collectors)} collectors>")
-
-
-class MetricsSampler:
-    """Opt-in periodic scrape loop running *inside* the simulation.
-
-    Recording is passive, so live views (the dashboard, SLO evaluation
-    during a run) need something to trigger scrapes while the event
-    loop is owned by a workload. The sampler is that trigger: a
-    simulation process that calls the given callbacks every
-    ``interval`` cycles.
-
-    Determinism note: the sampler schedules its own timeout events, so
-    it adds to ``events_processed`` — but pure timeouts cannot perturb
-    any other process, so simulated *cycle* counts of the workload are
-    unchanged. Runs that pin event counts (the ``SEED_EVENTS`` and
-    ``SMOKE_EVENTS`` of ``tests/specs.py``, the ledger's) must not arm
-    a sampler; runs that pin cycle counts may.
-    """
-
-    def __init__(self, registry: MetricsRegistry, interval: int,
-                 callbacks: Sequence[Callable[[MetricsRegistry], None]],
-                 max_samples: Optional[int] = None) -> None:
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        self.registry = registry
-        self.interval = interval
-        self.callbacks = list(callbacks)
-        self.max_samples = max_samples
-        self.samples_taken = 0
-        self._process = None
-        self._stopped = False
-
-    def start(self) -> "MetricsSampler":
-        if self._process is not None:
-            return self
-        env = self.registry.env
-        self._process = env.process(self._loop(), name="metrics-sampler")
-        return self
-
-    def stop(self) -> None:
-        self._stopped = True
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("sampler stopped")
-        self._process = None
-
-    def _loop(self):
-        env = self.registry.env
-        while not self._stopped:
-            yield env.timeout(self.interval)
-            if self._stopped:
-                return
-            self.registry.run_collectors()
-            for callback in self.callbacks:
-                callback(self.registry)
-            self.samples_taken += 1
-            if (self.max_samples is not None
-                    and self.samples_taken >= self.max_samples):
-                return
 
 
 def _environment_of(target):

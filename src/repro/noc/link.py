@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..sim import Environment, Resource
 
@@ -37,8 +37,8 @@ class Link:
         self.flits_carried += flits
         self.packets_carried += 1
 
-    def utilization(self, elapsed: Optional[int] = None) -> float:
-        return self.channel.utilization(elapsed)
+    def utilization(self) -> float:
+        return self.channel.utilization()
 
     def __repr__(self) -> str:
         return (f"<Link {self.src}->{self.dst} plane={self.plane} "

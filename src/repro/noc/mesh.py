@@ -18,15 +18,15 @@ callbacks on the link grants and timeouts it waits on.
 
 The mesh builds only what traffic reaches: a link, with its channel,
 is created when the first route over it is resolved, and an ejection
-queue on its first use. Readers that report every link list the ones
-never created as idle, in one canonical order.
+queue on its first use. Readers visit the built links in one canonical
+order (:meth:`Mesh2D.built_links`); a link never created is idle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim import Environment, Event, Fifo
 from ..sim.kernel import PENDING
@@ -352,10 +352,11 @@ class Mesh2D:
         # resolution and inbox lookup): an XY route touches few links,
         # and three of the six planes carry only coherence traffic.
         # Creating one schedules nothing, so timing is unaffected.
-        # ``links`` holds the created links in creation order; readers
-        # that enumerate them use the canonical order of
-        # ``link_keys()``, where a link not yet created is idle.
+        # ``links`` holds the created links in creation order;
+        # ``built_links()`` lists them in canonical order, sorted again
+        # only after a link is built.
         self.links: Dict[LinkKey, Link] = {}
+        self._built: Optional[Tuple[Tuple[LinkKey, Link], ...]] = ()
         self._inboxes: Dict[Tuple[Coord, str], Fifo] = {}
 
         # Hop table: (src, dst, plane) -> the Link objects of the XY
@@ -404,12 +405,14 @@ class Mesh2D:
         return canonical_link_keys(self.cols, self.rows,
                                    tuple(self.planes))
 
-    def link_slots(self) -> Iterator[Tuple[LinkKey, Optional[Link]]]:
-        """Every link key in canonical order with its link, or ``None``
-        for a link no route has reached yet (an idle link)."""
-        links = self.links
-        for key in self.link_keys():
-            yield key, links.get(key)
+    def built_links(self) -> Tuple[Tuple[LinkKey, Link], ...]:
+        """The links traffic built, with their keys, in canonical
+        order (an idle link is absent)."""
+        if self._built is None:
+            links = self.links
+            self._built = tuple((key, links[key]) for key in
+                                self.link_keys() if key in links)
+        return self._built
 
     def flit_bits(self, plane: str) -> int:
         return self.planes[plane].flit_bits
@@ -451,6 +454,7 @@ class Mesh2D:
         link = self.links[key] = Link(
             self.env, src, dst, plane, self.planes[plane].flit_bits,
             record_history=self.trace_links)
+        self._built = None
         return link
 
     def _add_inbox(self, coord: Coord, plane: str) -> Fifo:

@@ -80,9 +80,8 @@ def emit_vcd(soc: SoCInstance) -> str:
         changes.append((span.start, idents[span.device], 1))
         changes.append((span.end, idents[span.device], 0))
 
-    traced = [link for _, link in soc.mesh.link_slots()
-              if link is not None and link.channel.record_history
-              and link.channel.history]
+    traced = [link for _, link in soc.mesh.built_links()
+              if link.channel.record_history and link.channel.history]
     traced.sort(key=lambda l: l.flits_carried, reverse=True)
     for link in traced[:MAX_LINKS]:
         label = (f"{link.src[0]}_{link.src[1]}__to__"

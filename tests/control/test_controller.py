@@ -287,8 +287,7 @@ class TestClosedLoopScenario:
         controller = ControlPlane(server, monitor, ControlConfig(
             reserve_pool=("cl2",), cooldown_cycles=10_000,
             stall_escalation_evals=2)).attach()
-        MetricsSampler(registry, interval=2_500,
-                       callbacks=[lambda r: monitor.evaluate()]).start()
+        MetricsSampler(monitor, interval=2_500).start()
 
         frames, _ = classifier_inputs(6, seed=1)
         trace = [TracedRequest(5_000 * i, "classifier",
@@ -325,8 +324,7 @@ class TestClosedLoopScenario:
         registry = instrument_server(server)
         monitor = HealthMonitor(registry, default_rules(server))
         controller = ControlPlane(server, monitor).attach()
-        MetricsSampler(registry, interval=2_500,
-                       callbacks=[lambda r: monitor.evaluate()]).start()
+        MetricsSampler(monitor, interval=2_500).start()
 
         frames, _ = de_cl_inputs(2, seed=0)
         trace = [TracedRequest(0, "denoiser",

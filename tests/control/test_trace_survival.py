@@ -58,8 +58,7 @@ def run_remediated_stack(tmp_path):
     recorder = FlightRecorder(
         tmp_path / "pm", tracer, controller=controller,
         window_cycles=100_000).arm(monitor)
-    MetricsSampler(registry, interval=2_500,
-                   callbacks=[lambda r: monitor.evaluate()]).start()
+    MetricsSampler(monitor, interval=2_500).start()
 
     frames, _ = classifier_inputs(6, seed=1)
     trace = [TracedRequest(5_000 * i, "classifier",

@@ -57,6 +57,7 @@ def test_tile_grid_shape_and_cells():
 
 def test_tenant_table_lists_traffic():
     _, _, registry = served_setup()
+    registry.collect()      # the table reads what the last scrape set
     lines = render_tenant_table(registry)
     assert any(line.startswith("denoiser") for line in lines)
     header = lines[0]

@@ -330,8 +330,7 @@ class TestFaultScenario:
             # kicks in.
             accelerator_stall_rule(runtime.soc),
         ])
-        MetricsSampler(registry, interval=2_500,
-                       callbacks=[lambda r: monitor.evaluate()]).start()
+        MetricsSampler(monitor, interval=2_500).start()
 
         frames, _ = de_cl_inputs(6, seed=0)
         trace = [TracedRequest(500 * i, "denoiser",
@@ -375,8 +374,7 @@ class TestFaultScenario:
         registry = instrument_server(server)
         monitor = HealthMonitor(registry, [
             accelerator_stall_rule(runtime.soc)])
-        MetricsSampler(registry, interval=2_500,
-                       callbacks=[lambda r: monitor.evaluate()]).start()
+        MetricsSampler(monitor, interval=2_500).start()
 
         frames, _ = de_cl_inputs(1, seed=0)
         report = server.run_trace([

@@ -13,11 +13,13 @@ pin, and so does its instrumented twin.
 The one deliberate exception is the opt-in :class:`MetricsSampler`,
 which schedules its own periodic timeout events. Pure timeouts never
 perturb *other* processes' timing, so a sampled run keeps the exact
-cycle count while dispatching a few extra events — asserted here too.
+cycle count while dispatching a few extra events — asserted here too,
+with the sampler's cost: one scrape per sample.
 """
 
 from dataclasses import replace
 
+from repro.control import ControlConfig
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
 from repro.eval.stack import StackSpec, build_stack, soc1_tenants
 from repro.metrics import attach_metrics, register_soc_collectors
@@ -138,12 +140,29 @@ class TestSamplerIdentity:
         extra = sampled[1] - passive[1]
         assert extra <= passive[0] // 1000 + 1
 
+    def test_one_scrape_per_sample(self):
+        """A tick is one monitor evaluation, and an evaluation is one
+        scrape: the control plane's and any other subscriber's reads
+        scrape nothing more."""
+        stack = build_stack(replace(SPEC, metrics=True,
+                                    control=ControlConfig(),
+                                    sampler_interval=1000))
+        scrapes = []
+        stack.registry.register_collector(
+            lambda registry: scrapes.append(registry.env.now))
+        stack.server.run_trace(build_trace())
+        stack.monitor.evaluate()
+        ticks = stack.sampler.samples_taken
+        assert ticks > 0
+        assert len(scrapes) == ticks + 1 == stack.monitor.evaluations
+        assert scrapes[:ticks] == [1000 * n for n in range(1, ticks + 1)]
+
     def test_sampler_callbacks_see_live_state(self):
         depths = []
         stack = build_stack(replace(SPEC, metrics=True,
                                     sampler_interval=2000))
-        stack.sampler.callbacks.append(
-            lambda r: depths.append(r.serve_completed.total))
+        stack.monitor.subscribe(lambda monitor, _: depths.append(
+            monitor.registry.serve_completed.total))
         stack.server.run_trace(build_trace())
         assert depths, "sampler never ticked"
         assert depths == sorted(depths)          # monotone counter

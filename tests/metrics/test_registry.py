@@ -6,6 +6,7 @@ import pytest
 
 from repro.metrics import (
     CYCLE_BUCKETS,
+    HealthMonitor,
     MetricsError,
     MetricsRegistry,
     MetricsSampler,
@@ -187,11 +188,10 @@ class TestAttach:
 class TestSampler:
     def test_periodic_ticks(self):
         env = Environment()
-        registry = attach_metrics(env)
+        monitor = HealthMonitor(attach_metrics(env))
         seen = []
-        sampler = MetricsSampler(registry, interval=10,
-                                 callbacks=[lambda r: seen.append(
-                                     r.env.now)])
+        monitor.subscribe(lambda m, _: seen.append(m.registry.env.now))
+        sampler = MetricsSampler(monitor, interval=10)
         sampler.start()
 
         def workload():
@@ -199,14 +199,14 @@ class TestSampler:
 
         env.run(until=env.process(workload()))
         assert seen == [10, 20, 30]
+        assert monitor.evaluations == sampler.samples_taken == 3
 
     def test_max_samples_stops(self):
         env = Environment()
-        registry = attach_metrics(env)
+        monitor = HealthMonitor(attach_metrics(env))
         seen = []
-        MetricsSampler(registry, interval=5,
-                       callbacks=[lambda r: seen.append(r.env.now)],
-                       max_samples=2).start()
+        monitor.subscribe(lambda m, _: seen.append(m.registry.env.now))
+        MetricsSampler(monitor, interval=5, max_samples=2).start()
 
         def workload():
             yield env.timeout(100)
@@ -215,9 +215,8 @@ class TestSampler:
         assert seen == [5, 10]
 
     def test_bad_interval(self):
-        registry = fresh_registry()
         with pytest.raises(ValueError):
-            MetricsSampler(registry, interval=0, callbacks=[])
+            MetricsSampler(HealthMonitor(fresh_registry()), interval=0)
 
 
 class TestNamespace:

@@ -14,7 +14,6 @@ from repro.noc import (
 )
 from repro.noc.routing import hop_count
 from repro.sim import Environment
-from tests.noc.utilization import link_utilizations, utilization_heatmap
 
 
 def mesh_diameter(cols: int, rows: int) -> int:
@@ -84,39 +83,3 @@ class TestClosedForm:
     def test_saturation_one_column(self):
         assert saturation_injection_rate(1, 4) == float("inf")
 
-
-class TestPostRunAnalysis:
-    def _loaded_mesh(self):
-        env = Environment()
-        mesh = Mesh2D(env, 3, 1)
-        for _ in range(4):
-            mesh.send(Packet(src=(0, 0), dst=(2, 0),
-                             plane=DMA_REQUEST_PLANE,
-                             kind=MessageKind.DMA_REQ,
-                             payload_flits=20))
-        env.run()
-        return mesh
-
-    def test_link_utilizations_sorted(self):
-        mesh = self._loaded_mesh()
-        utils = link_utilizations(mesh, DMA_REQUEST_PLANE)
-        flits = [u.flits for u in utils]
-        assert flits == sorted(flits, reverse=True)
-        assert utils[0].flits == 4 * 21
-
-    def test_unknown_plane(self):
-        mesh = self._loaded_mesh()
-        with pytest.raises(ValueError):
-            link_utilizations(mesh, "warp")
-
-    def test_heatmap_shape_and_peak(self):
-        mesh = self._loaded_mesh()
-        text = utilization_heatmap(mesh, DMA_REQUEST_PLANE)
-        rows = [l for l in text.splitlines() if l.startswith("|")]
-        assert len(rows) == 1
-        assert "@" in rows[0]   # the forwarding tiles saturate
-
-    def test_heatmap_empty_plane(self):
-        mesh = self._loaded_mesh()
-        text = utilization_heatmap(mesh, "coh-req")
-        assert "peak" in text

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy
-from repro.metrics import MetricsSampler, instrument_server
+from repro.metrics import HealthMonitor, MetricsSampler, instrument_server
 from repro.runtime import chain
 from repro.serve import REJECT_TILE_UNAVAILABLE, TenantConfig, TracedRequest
 from tests.serve.test_server import make_server
@@ -50,8 +50,9 @@ def build(seed):
                                  mode=str(rng.choice(["pipe", "p2p"])),
                                  max_batch_frames=int(rng.integers(1, 5))))
     registry = instrument_server(server)
-    MetricsSampler(registry, interval=int(rng.integers(500, 5_000)),
-                   callbacks=[], max_samples=50).start()
+    MetricsSampler(HealthMonitor(registry),
+                   interval=int(rng.integers(500, 5_000)),
+                   max_samples=50).start()
     return server, registry, [random_trace(rng), random_trace(rng)]
 
 

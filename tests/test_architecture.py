@@ -407,6 +407,40 @@ class OneStackBuilder(CallRule):
             "serve/")
 
 
+class OneScrapeSite(CallRule):
+    """A scrape runs the collectors in one of three places: an
+    explicit ``collect``, a health-monitor evaluation (which is what a
+    sampler tick runs) and a dashboard frame, whose parts read what it
+    scraped. A sampler tick is one scrape."""
+
+    allowed = ("metrics/registry.py::MetricsRegistry.collect",
+               "metrics/health.py::HealthMonitor.evaluate",
+               "metrics/dashboard.py::render_dashboard")
+    snippets = {
+        "metrics/health.py": """
+            class HealthMonitor:
+                def evaluate(self):
+                    self.registry.run_collectors()
+
+            class MetricsSampler:
+                def _loop(self):
+                    while True:
+                        yield self.env.timeout(self.interval)
+                        self.monitor.registry.run_collectors()  # flagged
+                        self.monitor.evaluate()
+            """,
+        "metrics/dashboard.py": """
+            def render_tenant_table(registry):
+                registry.run_collectors()  # flagged
+
+            def render_dashboard(soc, registry, monitor=None):
+                registry.run_collectors()
+            """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return callee == "run_collectors"
+
+
 class OneEventPerTransit(CallRule):
     """A packet allocates per packet, not per hop: a transit builds one
     step event in ``_Transit.__init__`` and re-arms it for every grant
@@ -574,7 +608,7 @@ RULES = (ServeReadsNoMetrics, OnlyExecuteRunsTheLoop,
          ControlDerivesNoStallThreshold, OneCountingSite, OneTracerGuard,
          OneSpanSite, RecordsBuiltWhenRead, PacketsAreEvents,
          CoherenceOverRanges, MeshBuiltOnFirstUse, OneStackBuilder,
-         OneEventPerTransit, OneMemoOwner, HasACaller)
+         OneScrapeSite, OneEventPerTransit, OneMemoOwner, HasACaller)
 
 
 def check(rule, path: str, source: str,
