@@ -7,7 +7,8 @@ artifacts the repository offers:
 - the SoC monitor report (every hardware counter),
 - an ASCII Gantt chart of accelerator activity,
 - a VCD waveform (viewable in GTKWave) with accelerator-busy and
-  NoC-link-occupancy signals.
+  NoC-link-occupancy signals, the latter drawn from the ``noc.link``
+  spans of the tracer attached to the SoC.
 
 Run:  python examples/waveforms_and_monitors.py [out.vcd]
 """
@@ -18,14 +19,15 @@ from repro.eval import APP_CONFIGS, render_gantt
 from repro.runtime import EspRuntime
 from repro.eval.apps import build_soc1
 from repro.soc import emit_vcd, read_monitors
+from repro.trace import attach_tracer
 
 
 def main(vcd_path: str = "artifacts/run.vcd"):
     config = APP_CONFIGS["4nv_4cl"]
-    # Build SoC-1's floorplan, then instantiate it with link tracing
-    # enabled so the VCD gets NoC occupancy signals.
-    from repro.soc import build_soc
-    soc = build_soc(build_soc1().config, trace_links=True)
+    # Trace SoC-1 so the VCD gets NoC occupancy signals: the link
+    # wires are drawn from the tracer's noc.link spans.
+    soc = build_soc1()
+    attach_tracer(soc)
     runtime = EspRuntime(soc)
     frames, _ = config.make_inputs(12)
     result = runtime.esp_run(config.build_dataflow(), frames, mode="p2p")

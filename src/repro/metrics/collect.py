@@ -86,7 +86,7 @@ def register_soc_collectors(registry: MetricsRegistry, soc) -> None:
                     f"{src[0]},{src[1]}->{dst[0]},{dst[1]}"
             link_busy.labels(label, plane).set(link.channel.busy_cycles)
             link_util.labels(label, plane).set(
-                round(link.utilization(), 6))
+                round(link.channel.utilization(), 6))
         for name, tile in soc.accelerators.items():
             dma = tile.dma
             for op, count in dma.transactions.items():

@@ -57,7 +57,7 @@ def _link_utilization(soc, a, b) -> float:
         for plane in soc.mesh.planes:
             link = soc.mesh.links.get((src, dst, plane))
             if link is not None:
-                worst = max(worst, link.utilization())
+                worst = max(worst, link.channel.utilization())
     return worst
 
 

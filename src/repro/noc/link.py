@@ -18,27 +18,15 @@ class Link:
     """
 
     def __init__(self, env: Environment, src: Coord, dst: Coord,
-                 plane: str, flit_bits: int,
-                 record_history: bool = False) -> None:
+                 plane: str) -> None:
         if abs(src[0] - dst[0]) + abs(src[1] - dst[1]) != 1:
             raise ValueError(f"link endpoints {src}->{dst} are not adjacent")
-        self.env = env
         self.src = src
         self.dst = dst
         self.plane = plane
-        self.flit_bits = flit_bits
         self.channel = Resource(env, slots=1,
-                                name=f"link{src}->{dst}@{plane}",
-                                record_history=record_history)
+                                name=f"link{src}->{dst}@{plane}")
         self.flits_carried = 0
-        self.packets_carried = 0
-
-    def record(self, flits: int) -> None:
-        self.flits_carried += flits
-        self.packets_carried += 1
-
-    def utilization(self) -> float:
-        return self.channel.utilization()
 
     def __repr__(self) -> str:
         return (f"<Link {self.src}->{self.dst} plane={self.plane} "

@@ -104,6 +104,16 @@ def canonical_link_keys(cols: int, rows: int,
 PACKET_OUTCOMES = ("delivered", "dropped", "corrupted")
 
 
+#: The category of the span a packet's hop over a link reads back as.
+LINK_CAT = "noc.link"
+
+
+def link_track(key: LinkKey) -> str:
+    """The trace track of a link's ``noc.link`` spans."""
+    src, dst, plane = key
+    return f"{plane} {src}->{dst}"
+
+
 @lru_cache(maxsize=4096)
 def _trace_labels(src: Coord, dst: Coord,
                   plane: str) -> Tuple[str, str, Tuple[str, ...]]:
@@ -111,7 +121,7 @@ def _trace_labels(src: Coord, dst: Coord,
     packet: the src and dst tiles, and one track name per link."""
     hops = route_hops_cached(src, dst)
     return (str(src), str(dst),
-            tuple(f"{plane} {a}->{b}" for a, b in hops))
+            tuple(link_track((a, b, plane)) for a, b in hops))
 
 
 #: What a transit's step event means when it is dispatched: the
@@ -146,14 +156,14 @@ class _Transit(Event):
     inbox put.
 
     The in-flight state lives in the slots: the route, the index of
-    the next link to acquire and, when traced, the span ids and the
-    link track names. ``step`` and ``calls`` refer back to the
-    transit, so it drops them when it finishes, delivered or lost,
-    and reference counting frees it.
+    the next link to acquire and, when traced, the packet's span id
+    and the hops its record carries. ``step`` and ``calls`` refer back
+    to the transit, so it drops them when it finishes, delivered or
+    lost, and reference counting frees it.
     """
 
     __slots__ = ("mesh", "packet", "route", "hop", "tracer", "sid",
-                 "tracks", "held", "step", "calls", "phase")
+                 "hops", "step", "calls", "phase")
 
     def __init__(self, mesh: "Mesh2D", packet: Packet) -> None:
         # The Event fields are assigned directly, as Timeout does: one
@@ -182,11 +192,7 @@ class _Transit(Event):
             # The head holds the link: one router traversal.
             tracer = self.tracer
             if tracer is not None:
-                packet = self.packet
-                held = self.held
-                held.append(tracer.begin("noc", self.tracks[len(held)],
-                                         packet.kind._name_, "noc.link",
-                                         flits=packet.size_flits))
+                self.hops.append((self.env._now, tracer.next_sid()))
             self.phase = _ADVANCE
             step.callbacks = self.calls
             self.env._schedule(step, self.mesh.router_latency)
@@ -239,12 +245,14 @@ class _Transit(Event):
         tracer = self.tracer = env.tracer
         self.sid = None
         if tracer is not None:
-            src, dst, self.tracks = _trace_labels(packet.src, packet.dst,
-                                                  packet.plane)
-            self.sid = tracer.begin("noc", packet.plane, packet.kind._name_,
-                                    "noc.packet", src=src, dst=dst,
-                                    flits=packet.size_flits)
-            self.held = []
+            src, dst, tracks = _trace_labels(packet.src, packet.dst,
+                                             packet.plane)
+            # A granted hop appends (grant cycle, sid): a LINK_CAT span.
+            hops = self.hops = []
+            self.sid = tracer.begin(
+                "noc", packet.plane, packet.kind._name_, "noc.packet",
+                (LINK_CAT, tracks, {"flits": packet.size_flits}, hops),
+                src=src, dst=dst, flits=packet.size_flits)
         if packet.src == packet.dst:
             # Local ejection: no links, one router traversal.
             self.route = ()
@@ -265,11 +273,8 @@ class _Transit(Event):
         tracer = self.tracer
         size_flits = packet.size_flits
         for link in self.route:
-            link.record(size_flits)
+            link.flits_carried += size_flits
             link.channel.release()
-        if tracer is not None:
-            for sid in self.held:
-                tracer.end(sid)
         if mesh.fault_injector is not None:
             # Delivery faults strike after the wormhole released every
             # link, so a lost packet never leaves a stuck channel: the
@@ -331,8 +336,7 @@ class Mesh2D:
 
     def __init__(self, env: Environment, cols: int, rows: int,
                  planes: Iterable[NocPlane] = DEFAULT_PLANES,
-                 router_latency: int = 2,
-                 trace_links: bool = False) -> None:
+                 router_latency: int = 2) -> None:
         if cols < 1 or rows < 1:
             raise ValueError(f"mesh must be at least 1x1, got {cols}x{rows}")
         if router_latency < 1:
@@ -346,7 +350,6 @@ class Mesh2D:
         if len(self.planes) < len(planes):
             raise ValueError("duplicate plane names")
         self.router_latency = router_latency
-        self.trace_links = trace_links
 
         # Links and ejection queues are created on first use (route
         # resolution and inbox lookup): an XY route touches few links,
@@ -450,10 +453,7 @@ class Mesh2D:
     # queue is built.
 
     def _add_link(self, key: LinkKey) -> Link:
-        src, dst, plane = key
-        link = self.links[key] = Link(
-            self.env, src, dst, plane, self.planes[plane].flit_bits,
-            record_history=self.trace_links)
+        link = self.links[key] = Link(self.env, *key)
         self._built = None
         return link
 

@@ -186,8 +186,7 @@ class Resource:
     """
 
     def __init__(self, env: Environment, slots: int = 1,
-                 name: str = "resource",
-                 record_history: bool = False) -> None:
+                 name: str = "resource") -> None:
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         self.env = env
@@ -198,15 +197,6 @@ class Resource:
         # Utilization accounting.
         self._busy_since: Optional[int] = None
         self.busy_cycles = 0
-        self.total_acquisitions = 0
-        # Optional occupancy trace: (time, in_use) transitions, for
-        # waveform export.
-        self.record_history = record_history
-        self.history: List[tuple] = []
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
 
     def acquire(self) -> Event:
         """Request a slot; the event triggers when the slot is granted."""
@@ -241,8 +231,6 @@ class Resource:
         if self._in_use == 0 and self._busy_since is not None:
             self.busy_cycles += self.env._now - self._busy_since
             self._busy_since = None
-        if self.record_history:
-            self.history.append((self.env._now, self._in_use))
         if self._waiters:
             self._grant(self._waiters.popleft())
 
@@ -261,9 +249,6 @@ class Resource:
         if self._in_use == 0:
             self._busy_since = self.env._now
         self._in_use += 1
-        self.total_acquisitions += 1
-        if self.record_history:
-            self.history.append((self.env._now, self._in_use))
         return True
 
     def _grant(self, event: Event) -> None:

@@ -83,17 +83,11 @@ class SoCInstance:
 
 
 def build_soc(config: SoCConfig,
-              env: Optional[Environment] = None,
-              trace_links: bool = False) -> SoCInstance:
-    """Generate a runnable SoC from a validated configuration.
-
-    ``trace_links`` records per-link occupancy transitions so the run
-    can be exported as a VCD waveform (:mod:`repro.soc.vcd`).
-    """
+              env: Optional[Environment] = None) -> SoCInstance:
+    """Generate a runnable SoC from a validated configuration."""
     config.validate()
     env = env or Environment()
-    mesh = Mesh2D(env, config.cols, config.rows,
-                  trace_links=trace_links)
+    mesh = Mesh2D(env, config.cols, config.rows)
 
     cpu_tiles = config.tiles_of_kind("cpu")
     cpu_coord = cpu_tiles[0][0]

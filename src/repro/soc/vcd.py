@@ -3,8 +3,8 @@
 Dumps the signals a hardware engineer would probe on the real SoC —
 per-accelerator ``busy`` and the occupancy of the NoC's DMA-plane
 links — as a standard Value Change Dump file viewable in GTKWave &co.
-Link signals require the SoC to be built with ``trace_links=True``
-(:func:`repro.soc.build_soc`); accelerator signals come from the
+Link signals are the ``noc.link`` spans of the SoC's unbounded tracer
+(:func:`repro.trace.attach_tracer`); accelerator signals come from the
 shared device-span store (:mod:`repro.trace.store`), the same source
 the Gantt chart and utilization summaries read.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..noc.mesh import LINK_CAT, link_track
 from ..trace.store import device_spans
 from .soc_builder import SoCInstance
 
@@ -58,9 +59,13 @@ def emit_vcd(soc: SoCInstance) -> str:
     """Render the run as VCD text.
 
     Accelerator ``busy`` wires toggle at invocation boundaries; link
-    wires toggle with channel occupancy (only when the mesh recorded
-    history). The ``MAX_LINKS`` busiest traced links are included.
+    wires rise at each ``noc.link`` span's start and fall at its end
+    (an open span only rises), for the ``MAX_LINKS`` busiest links. A
+    ring tracer raises ``ValueError``: what it evicted would draw idle.
     """
+    tracer = soc.env.tracer
+    if tracer is not None and tracer.capacity is not None:
+        raise ValueError("emit_vcd needs an unbounded tracer, not a ring")
     changes: List[Tuple[int, str, int]] = []   # (time, id, value)
     variables: List[Tuple[str, str, str]] = []  # (scope, name, id)
     next_id = 0
@@ -80,16 +85,25 @@ def emit_vcd(soc: SoCInstance) -> str:
         changes.append((span.start, idents[span.device], 1))
         changes.append((span.end, idents[span.device], 0))
 
-    traced = [link for _, link in soc.mesh.built_links()
-              if link.channel.record_history and link.channel.history]
-    traced.sort(key=lambda l: l.flits_carried, reverse=True)
-    for link in traced[:MAX_LINKS]:
+    # Each link's rises and falls, in grant order: the closed link
+    # spans by start, then the open ones, which rise only.
+    edges: Dict[str, List[Tuple[int, int]]] = {}
+    if tracer is not None:
+        for span in tracer.all_spans(cat=LINK_CAT):
+            edges.setdefault(span.tid, []).extend(
+                ((span.start, 1), (span.end, 0)))
+        for span in tracer.open_spans:
+            if span.cat == LINK_CAT:
+                edges.setdefault(span.tid, []).append((span.start, 1))
+    traced = [(link, wire) for key, link in soc.mesh.built_links()
+              if (wire := edges.get(link_track(key)))]
+    traced.sort(key=lambda pair: pair[0].flits_carried, reverse=True)
+    for link, wire in traced[:MAX_LINKS]:
         label = (f"{link.src[0]}_{link.src[1]}__to__"
                  f"{link.dst[0]}_{link.dst[1]}__{link.plane}")
         ident = new_var("noc", label)
         changes.append((0, ident, 0))
-        for when, in_use in link.channel.history:
-            changes.append((when, ident, 1 if in_use else 0))
+        changes.extend((when, ident, value) for when, value in wire)
 
     # Header. Timestamps are cycles; the ps-per-cycle multiplier puts
     # the waveform on a true wall-clock timebase for any SoC clock.

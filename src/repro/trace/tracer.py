@@ -25,7 +25,9 @@ Design rules:
   :class:`Span`, :class:`Instant` and :class:`CounterSample` objects
   and their trace IDs are built only when read — by the exporters,
   ``trace-query``, the critical path and flight-recorder dumps;
-  ``len()`` of a record view and ``dropped`` build nothing.
+  ``len()`` of a record view and ``dropped`` build nothing. A span's
+  ``children`` (a NoC packet's link hops) are ``(start, sid)`` pairs
+  its record carries, read back as spans before it (see ``begin``).
 
 Tracks: every record carries a ``(pid, tid)`` pair — process and
 thread labels in Chrome-trace terms. By convention ``pid`` names the
@@ -40,7 +42,8 @@ a driver thread).
   the append that takes it past that drops all but the newest
   ``capacity`` in one ``del`` (O(1) amortized), counted in
   ``dropped_spans`` / ``dropped_instants`` / ``dropped_counters``.
-  Open spans are never evicted.
+  Open spans are never evicted. A span weighs 1 plus its children
+  and goes whole, so a cut may keep that many fewer spans.
 - **Trace-context bindings** (``bind``/``unbind``): the serve layer
   binds the tiles it was exclusively granted to the dispatched batch's
   trace IDs, and every span/instant recorded on a bound key — a device
@@ -106,7 +109,9 @@ class CounterSample:
 
 
 # Record layouts. An open span is (sid, pid, tid, name, cat, start,
-# args, bindings); closing it appends (open span, end, closing args).
+# args, bindings, children), where children is None or the
+# (cat, tracks, args, starts) of begin; closing it appends (open span,
+# end, closing args).
 # An instant is (pid, tid, name, cat, ts, args, bindings), a counter
 # sample (pid, name, ts, values).
 _END = itemgetter(1)
@@ -131,11 +136,34 @@ def _resolve(pid: str, tid: str, args: Dict[str, Any],
     return args
 
 
-def _span(record: tuple, end: Optional[int] = None,
-          extra: Optional[Dict[str, Any]] = None) -> Span:
-    sid, pid, tid, name, cat, start, args, bindings = record
-    return Span(sid, pid, tid, name, cat, start, end,
-                _resolve(pid, tid, args, bindings, extra))
+def _in_cat(cat: str, prefix: Optional[str]) -> bool:
+    """Whether ``cat`` is ``prefix`` or one of its dotted subcategories
+    (any category when ``prefix`` is None)."""
+    return prefix is None or cat == prefix or cat.startswith(prefix + ".")
+
+
+def _children(record: tuple) -> int:
+    """How many child spans an open span record carries."""
+    children = record[8]
+    return 0 if children is None else len(children[3])
+
+
+def _spans(record: tuple, end: Optional[int] = None,
+           extra: Optional[Dict[str, Any]] = None,
+           cat: Optional[str] = None) -> List[Span]:
+    """A span record read back: its child spans, then itself; only
+    those in category ``cat`` are built when it is given."""
+    sid, pid, tid, name, own_cat, start, args, bindings, children = record
+    spans = []
+    if children is not None and _in_cat(children[0], cat):
+        child_cat, tracks, child_args, starts = children
+        spans = [Span(child, pid, track, name, child_cat, begun, end,
+                      _resolve(pid, track, child_args, bindings))
+                 for track, (begun, child) in zip(tracks, starts)]
+    if _in_cat(own_cat, cat):
+        spans.append(Span(sid, pid, tid, name, own_cat, start, end,
+                          _resolve(pid, tid, args, bindings, extra)))
+    return spans
 
 
 def _instant(pid: str, tid: str, name: str, cat: str, ts: int,
@@ -160,6 +188,36 @@ class RecordView(Sequence):
         if isinstance(index, slice):
             return [self._build(r) for r in self._records[index]]
         return self._build(self._records[index])
+
+
+class SpanView(RecordView):
+    """The closed spans: a record reads back as its child spans, then
+    itself. ``len()`` counts them without building anything, and an
+    index builds only the record that holds it."""
+
+    def __init__(self, tracer: "Tracer") -> None:
+        super().__init__(tracer._spans, None)
+        self._children = tracer._child_spans
+
+    def __len__(self) -> int:
+        return len(self._records) + self._children
+
+    def __iter__(self):
+        for record in self._records:
+            yield from _spans(*record)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        # Walk the record weights from the end the index counts from.
+        back = index < 0
+        rest = ~index if back else index
+        for record in reversed(self._records) if back else self._records:
+            weight = 1 + _children(record[0])
+            if rest < weight:
+                return _spans(*record)[~rest if back else rest]
+            rest -= weight
+        raise IndexError("span index out of range")
 
 
 class Tracer:
@@ -191,8 +249,10 @@ class Tracer:
         self.dropped_spans = 0
         self.dropped_instants = 0
         self.dropped_counters = 0
+        self._child_spans = 0   # the children of the closed records
         self._open: Dict[int, tuple] = {}
-        self._next_sid = itertools.count().__next__
+        #: Draws the next span id; a child span's site draws its own.
+        self.next_sid = itertools.count().__next__
         # Spans append when they close, so their end cycles are
         # monotone unless a complete() back-dates an end — tracked by
         # the flag, which keeps spans_between on its bisect path.
@@ -229,11 +289,16 @@ class Tracer:
     # -- recording ---------------------------------------------------------
 
     def begin(self, pid: str, tid: str, name: str, cat: str,
-              **args: Any) -> int:
-        """Open a span at the current cycle; returns its id."""
-        sid = self._next_sid()
+              children: Optional[tuple] = None, /, **args: Any) -> int:
+        """Open a span at the current cycle; returns its id.
+
+        ``children`` is ``(cat, tracks, args, starts)``: the site
+        appends a ``(start cycle, sid from next_sid)`` pair to
+        ``starts`` per child, read back as a span on the matching
+        track that ends with this one."""
+        sid = self.next_sid()
         self._open[sid] = (sid, pid, tid, name, cat, self.env.now, args,
-                           self._bindings)
+                           self._bindings, children)
         return sid
 
     def end(self, sid: int, **args: Any) -> None:
@@ -243,7 +308,9 @@ class Tracer:
             raise KeyError(f"no open span with id {sid}")
         spans = self._spans
         spans.append((record, self.env.now, args))
-        if len(spans) > self._limit:
+        if record[8] is not None:
+            self._child_spans += len(record[8][3])
+        if len(spans) + self._child_spans > self._limit:
             self._evict_spans()
 
     def drive(self, sid: int, body, close=None, failed=None,
@@ -280,9 +347,9 @@ class Tracer:
             # A back-dated end breaks the record-order monotonicity;
             # spans_between falls back to the linear scan.
             self._ends_sorted = False
-        spans.append(((self._next_sid(), pid, tid, name, cat, start, args,
-                       self._bindings), end, None))
-        if len(spans) > self._limit:
+        spans.append(((self.next_sid(), pid, tid, name, cat, start, args,
+                       self._bindings, None), end, None))
+        if len(spans) + self._child_spans > self._limit:
             self._evict_spans()
 
     def instant(self, pid: str, tid: str, name: str, cat: str,
@@ -305,7 +372,14 @@ class Tracer:
         return drop
 
     def _evict_spans(self) -> None:
-        self.dropped_spans += self._evict(self._spans)
+        excess = len(self._spans) + self._child_spans - self.capacity
+        drop = dropped = 0
+        while dropped < excess:
+            dropped += 1 + _children(self._spans[drop][0])
+            drop += 1
+        del self._spans[:drop]
+        self._child_spans -= dropped - drop
+        self.dropped_spans += dropped
         if not self._ends_sorted:
             # Cheap re-check: eviction may have dropped the
             # out-of-order prefix, restoring the fast path.
@@ -321,9 +395,9 @@ class Tracer:
     # -- queries -----------------------------------------------------------
 
     @property
-    def spans(self) -> RecordView:
+    def spans(self) -> SpanView:
         """Closed spans, in the order they closed."""
-        return RecordView(self._spans, lambda record: _span(*record))
+        return SpanView(self)
 
     @property
     def instants(self) -> RecordView:
@@ -336,7 +410,9 @@ class Tracer:
 
     @property
     def open_spans(self) -> List[Span]:
-        return [_span(record) for record in self._open.values()]
+        """Open spans, in the order they began."""
+        return sorted((s for r in self._open.values() for s in _spans(r)),
+                      key=lambda span: span.sid)
 
     def all_spans(self, cat: Optional[str] = None) -> List[Span]:
         """Closed spans in start order, optionally filtered by category
@@ -346,8 +422,7 @@ class Tracer:
         (exact segment-prefix match, so ``"acc"`` does not match
         ``"accel"``).
         """
-        spans = [s for s in self.spans if cat is None or s.cat == cat
-                 or s.cat.startswith(cat + ".")]
+        spans = [s for r in self._spans for s in _spans(*r, cat=cat)]
         return sorted(spans, key=lambda s: (s.start, s.sid))
 
     def spans_between(self, t0: int, t1: int) -> List[Span]:
@@ -367,7 +442,7 @@ class Tracer:
             records = records[bisect_right(records, t0, key=_END):]
         else:
             records = [r for r in records if r[1] > t0]
-        return [_span(*r) for r in records if r[0][5] < t1]
+        return [s for r in records for s in _spans(*r) if s.start < t1]
 
     def find_span(self, cat: str, name: Optional[str] = None,
                   index: int = 0) -> Span:
@@ -383,8 +458,8 @@ class Tracer:
         ns = f" ns={self.namespace!r}" if self.namespace else ""
         ring = (f" ring={self.capacity}" if self.capacity is not None
                 else "")
-        return (f"<Tracer{ns}{ring} {len(self._spans)} spans "
-                f"({len(self._open)} open), {len(self._instants)} "
+        return (f"<Tracer{ns}{ring} {len(self.spans)} spans "
+                f"({len(self.open_spans)} open), {len(self._instants)} "
                 f"instants, {len(self._counters)} counter samples>")
 
 

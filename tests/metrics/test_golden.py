@@ -18,7 +18,9 @@ The serve trace, at two requests of two frames per tenant, is also
 pinned through a 256-record ring tracer: the sha256 of the flight
 recorder's postmortem capture at the end of the run. That ring evicts
 records, so the pin covers ring eviction and the read-time trace-ID
-resolution of the spans it keeps.
+resolution of the spans it keeps. Where the ring cuts may move with
+how it weighs its records; what a kept span says may not: every span
+of that postmortem is the same-sid span of an unbounded run.
 """
 
 import hashlib
@@ -39,6 +41,7 @@ from repro.metrics import (
 from repro.serve import request as serve_request
 from repro.soc import read_monitors
 from repro.trace import FlightRecorder, attach_tracer, to_chrome_trace
+from repro.trace.flight import _span_record
 from tests.faults.test_recovery import policy, run_chain, three_stage_soc
 from tests.metrics.test_identity import SPEC
 from tests.specs import SMOKE_PIPE_FRAMES, build_trace
@@ -141,11 +144,35 @@ def test_observability_outputs_byte_identical(run, monkeypatch):
     assert digests(*RUNS[run]()) == GOLDEN[run]
 
 
-def test_ring_postmortem_byte_identical(tmp_path, monkeypatch):
+def ring_serve(monkeypatch, capacity=RING_CAPACITY):
+    """The postmortem scenario's stack, run, traced into ``capacity``
+    records (unbounded for ``None``)."""
     monkeypatch.setattr(serve_request, "_request_ids", itertools.count())
     stack = build_stack(replace(SPEC, metrics=True, tracing=True,
-                                trace_capacity=RING_CAPACITY))
+                                trace_capacity=capacity))
     stack.server.run_trace(build_trace(n_requests=2, frames_per_request=2))
+    return stack
+
+
+def test_ring_postmortem_spans_are_the_unbounded_runs(tmp_path,
+                                                      monkeypatch):
+    ring, full = ring_serve(monkeypatch), ring_serve(monkeypatch, None)
+    now = ring.soc.env.now
+    assert full.soc.env.now == now and ring.tracer.dropped > 0
+    recorder = FlightRecorder(tmp_path, ring.tracer)
+    t0 = max(0, now - recorder.window_cycles)
+    kept = sorted(ring.tracer.spans_between(t0, now + 1)
+                  + ring.tracer.open_spans, key=lambda s: (s.start, s.sid))
+    assert {"noc.packet", "noc.link"} <= {span.cat for span in kept}
+    unbounded = {span.sid: span for span in
+                 list(full.tracer.spans) + full.tracer.open_spans}
+    assert all(span == unbounded[span.sid] for span in kept)
+    assert recorder.capture(now)["spans"] == {"soc": [
+        _span_record(unbounded[span.sid], now) for span in kept]}
+
+
+def test_ring_postmortem_byte_identical(tmp_path, monkeypatch):
+    stack = ring_serve(monkeypatch)
     assert stack.tracer.dropped > 0   # the ring evicted: the point of the pin
     artifact = FlightRecorder(tmp_path, stack.tracer).capture(
         stack.soc.env.now, registry=stack.registry)

@@ -6,7 +6,7 @@ an eager reference: the same mesh with every canonical link and every
 inbox created before any traffic, as the mesh was once built. Both are
 driven through the same seeded traffic: meshes from 1x1 to 5x4, local
 and multi-hop packets, mixed planes and sizes, packets contending for
-shared links, with per-link history on and off. Every observable must
+shared links, traced and untraced. Every observable must
 match: the clock and the events dispatched, each packet's delivery
 cycle, flit-hops per plane, the busiest links, the VCD text and the
 metrics exposition of a collector scraped mid-run and at the end. Both
@@ -41,6 +41,7 @@ from repro.noc.routing import route_hops_cached
 from repro.runtime import EspRuntime, chain
 from repro.sim import Environment
 from repro.soc import SoCConfig, build_soc, emit_vcd, soc_builder
+from repro.trace import attach_tracer
 from tests.conftest import make_spec
 from tests.noc.routing import build_routing_table, routing_tables
 
@@ -76,7 +77,7 @@ class Scenario:
     rows: int
     planes: Tuple[NocPlane, ...]
     router_latency: int
-    trace_links: bool
+    traced: bool
     scrape_at: int
     flows: Tuple[Flow, ...]
 
@@ -101,14 +102,14 @@ def scenarios(draw):
                           inject_at=draw(st.integers(0, 10))))
     return Scenario(cols=cols, rows=rows, planes=planes,
                     router_latency=draw(st.integers(1, 3)),
-                    trace_links=draw(st.booleans()),
+                    traced=draw(st.booleans()),
                     scrape_at=draw(st.integers(0, 40)),
                     flows=tuple(flows))
 
 
 def link_rows(links) -> List[tuple]:
     return [(link.src, link.dst, link.plane, link.flits_carried,
-             link.packets_carried, link.channel.busy_cycles)
+             link.channel.busy_cycles)
             for link in links]
 
 
@@ -134,10 +135,11 @@ def reports(mesh, soc, registry) -> dict:
 def simulate(mesh_class, scenario: Scenario) -> dict:
     """Run ``scenario`` on a fresh mesh; return every observable."""
     env = Environment()
+    if scenario.traced:
+        attach_tracer(env)
     mesh = mesh_class(env, scenario.cols, scenario.rows,
                       planes=scenario.planes,
-                      router_latency=scenario.router_latency,
-                      trace_links=scenario.trace_links)
+                      router_latency=scenario.router_latency)
     # The bare mesh stands in for a SoC with no accelerators.
     soc = SimpleNamespace(
         name="mesh", env=env, mesh=mesh, accelerators={}, clock_mhz=78.0,
@@ -201,7 +203,7 @@ def test_contended_traffic_matches_the_eager_oracle():
         Flow((2, 1), (0, 0), 1, 4, 3),
     )
     scenario = Scenario(cols=3, rows=2, planes=planes, router_latency=2,
-                        trace_links=True, scrape_at=9, flows=flows)
+                        traced=True, scrape_at=9, flows=flows)
     lazy = simulate(Mesh2D, scenario)
     eager = simulate(EagerMesh, scenario)
     assert lazy.pop("created") != eager.pop("created")
@@ -259,10 +261,11 @@ def soc_config(name="test-soc"):
 
 
 def run_soc(mesh_class, monkeypatch) -> dict:
-    """A 2-stage pipe run on a 4x2 test SoC with link history."""
+    """A traced 2-stage pipe run on a 4x2 test SoC."""
     monkeypatch.setattr(soc_builder, "Mesh2D", mesh_class)
-    soc = build_soc(soc_config(), trace_links=True)
+    soc = build_soc(soc_config())
     monkeypatch.undo()
+    attach_tracer(soc)
     assert type(soc.mesh) is mesh_class
     registry = attach_metrics(soc)
     register_soc_collectors(registry, soc)

@@ -80,7 +80,7 @@ def reference_transmit(mesh, packet):
             yield env.timeout(mesh.router_latency)
         yield env.timeout(packet.size_flits)
         for index, link in enumerate(route):
-            link.record(packet.size_flits)
+            link.flits_carried += packet.size_flits
             link.channel.release()
             if tracer is not None:
                 tracer.end(held[index])
@@ -236,9 +236,7 @@ def simulate(mesh_class, scenario: Scenario) -> dict:
         "times": [(p.tag, p.injected_at, p.delivered_at) for p in packets],
         "events": env.events_processed,
         "now": env.now,
-        "links": {key: (link.flits_carried, link.packets_carried,
-                        link.channel.busy_cycles,
-                        link.channel.total_acquisitions)
+        "links": {key: (link.flits_carried, link.channel.busy_cycles)
                   for key, link in mesh.links.items()},
         "inboxes": {key: [p.tag for p in mesh.inbox(*key).items]
                     for key in mesh._inboxes},
@@ -271,8 +269,9 @@ def test_contended_and_lost_traffic_matches_the_process_oracle():
                         faults=True, traced=True, flows=flows)
     result = simulate(Mesh2D, scenario)
     assert result == simulate(ReferenceMesh, scenario)
-    shared = result["links"][((0, 0), (1, 0), "p0")]
-    assert shared[3] == 4                       # four packets took it
+    shared = [span for span in result["spans"]
+              if span[1] == "p0 (0, 0)->(1, 0)"]
+    assert len(shared) == 4                     # four packets took it
     assert [entry for entry in result["log"] if entry[0] == "lost"] \
         == [("lost", "f1", 16), ("lost", "f2", 23)]
     # Queued behind f0, f3 is delivered well after its uncontended

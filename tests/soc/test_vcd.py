@@ -1,16 +1,46 @@
-"""Tests for the VCD waveform exporter."""
+"""Tests for the VCD waveform exporter.
+
+The link wires are drawn from the SoC's tracer. Two dumps are pinned
+by sha256, as they were rendered from the links' own occupancy
+records before the tracer became the only one:
+:func:`traced_run`'s and the 12-frame dump of
+``examples/waveforms_and_monitors.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import runpy
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.noc import DMA_REQUEST_PLANE, Mesh2D, MessageKind, Packet
 from repro.runtime import EspRuntime, chain
+from repro.sim import Environment
 from repro.soc import SoCConfig, build_soc, emit_vcd, picoseconds_per_cycle
 from repro.soc import vcd as vcd_module
 from repro.soc.vcd import _identifier
+from repro.trace import attach_tracer
 from tests.conftest import make_spec
 
+#: sha256 of ``emit_vcd(traced_run())``.
+TRACED_RUN_VCD = (
+    "c7699a153f74e1298ed18c7107a17b4c19e7902a4624998973b7bf1a29be6d1d")
+#: sha256 of the VCD ``examples/waveforms_and_monitors.py`` writes.
+EXAMPLE_VCD = (
+    "a2de0f2b8be1fc9c968f8502715c6be50052178cdb4a9674272d612b6e68a495")
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / \
+    "waveforms_and_monitors.py"
 
-def traced_run(trace_links=True, n_frames=4):
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def traced_run(traced=True, n_frames=4, capacity=None):
     config = SoCConfig(cols=4, rows=1, name="vcd")
     config.add_cpu((0, 0))
     config.add_memory((1, 0))
@@ -20,7 +50,9 @@ def traced_run(trace_links=True, n_frames=4):
     config.add_accelerator((3, 0), "b0",
                            make_spec(input_words=64, output_words=64,
                                      latency=50))
-    soc = build_soc(config, trace_links=trace_links)
+    soc = build_soc(config)
+    if traced:
+        attach_tracer(soc, capacity=capacity)
     rt = EspRuntime(soc)
     frames = np.random.default_rng(0).uniform(0, 1, (n_frames, 64))
     rt.esp_run(chain("ab", ["a0", "b0"]), frames, mode="p2p")
@@ -96,17 +128,55 @@ class TestEmitVcd:
             parse_vcd_timescale("$timescale banana $end\n")
 
     def test_link_signals_present_when_traced(self):
-        vcd = emit_vcd(traced_run(trace_links=True))
+        vcd = emit_vcd(traced_run(traced=True))
         assert "dma_req" in vcd
         assert "dma_rsp" in vcd
 
     def test_no_link_signals_without_tracing(self):
-        vcd = emit_vcd(traced_run(trace_links=False))
+        # Without a tracer there is no record of link occupancy.
+        vcd = emit_vcd(traced_run(traced=False))
         assert "dma_req" not in vcd
         assert "a0_busy" in vcd   # accelerator signals always there
 
+    def test_held_link_rises_and_does_not_fall(self):
+        # Mid-flight, a packet holds both links of its route: their
+        # noc.link spans are open, so each wire rises and stays high.
+        env = Environment()
+        attach_tracer(env)
+        mesh = Mesh2D(env, 3, 1)
+        mesh.send(Packet(src=(0, 0), dst=(2, 0), plane=DMA_REQUEST_PLANE,
+                         kind=MessageKind.DMA_REQ, payload_flits=8))
+        env.run(until=5)
+        soc = SimpleNamespace(name="mesh", env=env, mesh=mesh,
+                              accelerators={}, clock_mhz=78.0)
+        lines = emit_vcd(soc).splitlines()
+        idents = [line.split()[3] for line in lines
+                  if line.startswith("$var") and "__to__" in line]
+        assert len(idents) == 2
+        for ident in idents:
+            values = [line[0] for line in lines if line[1:] == ident]
+            assert values[-1] == "1" and values.count("1") == 1
+
+    def test_ring_tracer_is_refused(self):
+        # A ring holds only the tail of the occupancy record: rendering
+        # it would draw idle links where the ring evicted their spans.
+        soc = traced_run(capacity=64)
+        assert soc.env.tracer.dropped > 0
+        with pytest.raises(ValueError, match="ring"):
+            emit_vcd(soc)
+
+    def test_traced_run_is_pinned(self):
+        assert sha256(emit_vcd(traced_run())) == TRACED_RUN_VCD
+
+    def test_example_dump_is_pinned(self, tmp_path):
+        main = runpy.run_path(str(EXAMPLE), run_name="example")["main"]
+        path = tmp_path / "run.vcd"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(str(path))
+        assert sha256(path.read_text()) == EXAMPLE_VCD
+
     def test_busy_toggles_per_invocation(self):
-        soc = traced_run(trace_links=False)
+        soc = traced_run(traced=False)
         vcd = emit_vcd(soc)
         # p2p mode: one streaming invocation each -> one rise per device
         # after the initial 0.

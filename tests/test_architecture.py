@@ -441,6 +441,39 @@ class OneScrapeSite(CallRule):
         return callee == "run_collectors"
 
 
+class OneNocSpanSite(CallRule):
+    """A packet is one span record: ``_Transit._inject`` opens it and
+    ``Mesh2D._retire`` closes it. Its hops are ``(grant cycle, sid)``
+    pairs the record carries and the tracer reads back as ``noc.link``
+    spans, so no hop opens or closes a span of its own."""
+
+    files = ("noc/*.py",)
+    SITES = {"begin": "noc/mesh.py::_Transit._inject",
+             "end": "noc/mesh.py::Mesh2D._retire",
+             "complete": None}
+    snippets = {"noc/mesh.py": """
+        class _Transit(Event):
+            def _inject(self):
+                self.sid = self.tracer.begin("noc", plane, kind, "noc.packet")
+
+            def _on_step(self, event):
+                self.held.append(self.tracer.begin("noc", track))  # flagged
+
+            def _eject(self):
+                for sid in self.held:
+                    self.tracer.end(sid)  # flagged
+
+        class Mesh2D:
+            def _retire(self, packet, outcome, tracer, sid):
+                tracer.end(sid, outcome=outcome)
+                tracer.complete("noc", track, kind, "link", 0, 9)  # flagged
+        """}
+
+    def calls(self, callee: str, receiver: str) -> bool:
+        return (callee in self.SITES and receiver.endswith("tracer")
+                and self.where != self.SITES[callee])
+
+
 class OneEventPerTransit(CallRule):
     """A packet allocates per packet, not per hop: a transit builds one
     step event in ``_Transit.__init__`` and re-arms it for every grant
@@ -608,7 +641,8 @@ RULES = (ServeReadsNoMetrics, OnlyExecuteRunsTheLoop,
          ControlDerivesNoStallThreshold, OneCountingSite, OneTracerGuard,
          OneSpanSite, RecordsBuiltWhenRead, PacketsAreEvents,
          CoherenceOverRanges, MeshBuiltOnFirstUse, OneStackBuilder,
-         OneScrapeSite, OneEventPerTransit, OneMemoOwner, HasACaller)
+         OneScrapeSite, OneNocSpanSite, OneEventPerTransit, OneMemoOwner,
+         HasACaller)
 
 
 def check(rule, path: str, source: str,

@@ -3,7 +3,7 @@ zero-timing-impact guarantee across instrumented runs."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.runtime import chain
 from repro.sim import Environment
@@ -305,9 +305,18 @@ END_ARGS = st.fixed_dictionaries({}, optional={
     "outcome": st.sampled_from(("ok", "failed")),
     "trace_id": st.just("t-late"), "n": st.integers(4, 9)})
 TRACK = st.tuples(st.sampled_from(PIDS), st.sampled_from(TIDS))
+#: The most links a routed span crosses in these streams: it weighs
+#: up to 1 + MAX_HOPS spans, more than the smallest capacities.
+MAX_HOPS = 4
+#: The category of a routed span's children.
+LINK = "link"
+LINK_TRACKS = st.lists(st.sampled_from(TIDS), max_size=MAX_HOPS)
 OPS = st.lists(st.one_of(
     st.tuples(st.just("advance"), st.integers(0, 5)),
     st.tuples(st.just("begin"), TRACK, RECORD_ARGS),
+    st.tuples(st.just("route"), TRACK, LINK_TRACKS, RECORD_ARGS,
+              st.integers(1, 9)),
+    st.tuples(st.just("hop"), st.integers(0, 7), st.integers(1, MAX_HOPS)),
     st.tuples(st.just("end"), st.integers(0, 7), END_ARGS),
     st.tuples(st.just("complete"), TRACK, st.integers(0, 12),
               RECORD_ARGS),
@@ -345,10 +354,15 @@ def eager_annotation(bindings, pid, tid, args):
 
 def replay(ops, tracers):
     """Feed one op stream to every tracer (all on one clock); returns
-    the oracle's expected args per span sid and per instant."""
+    the oracle's expected args per span sid and per instant, and the
+    most hops any closed routed span carried (0 if none closed)."""
     env = tracers[0].env
     bindings = {}
     span_args, instant_args, open_sids = {}, [], []
+    # An open routed span's sid -> (pid, tracks, flits, the bindings at
+    # its begin, each tracer's live hop list).
+    routes = {}
+    closed_hops = 0
     for op in ops:
         kind = op[0]
         if kind == "advance":
@@ -359,11 +373,38 @@ def replay(ops, tracers):
             (sid,) = sids
             span_args[sid] = eager_annotation(bindings, pid, tid, args)
             open_sids.append(sid)
+        elif kind == "route":
+            (pid, tid), tracks, args, flits = op[1:]
+            args = {**args, "flits": flits}
+            hops = [[] for _ in tracers]
+            sids = {t.begin(pid, tid, "p", "packet",
+                            (LINK, tracks, {"flits": flits}, held), **args)
+                    for t, held in zip(tracers, hops)}
+            (sid,) = sids
+            span_args[sid] = eager_annotation(bindings, pid, tid, args)
+            open_sids.append(sid)
+            routes[sid] = (pid, tracks, flits, dict(bindings), hops)
+        elif kind == "hop":
+            routed = [sid for sid in open_sids if sid in routes
+                      and len(routes[sid][4][0]) < len(routes[sid][1])]
+            if routed:
+                pid, tracks, flits, begun, hops = routes[
+                    routed[op[1] % len(routed)]]
+                for track in tracks[len(hops[0]):][:op[2]]:
+                    sids = set()
+                    for t, held in zip(tracers, hops):
+                        held.append((env.now, t.next_sid()))
+                        sids.add(held[-1][1])
+                    (sid,) = sids
+                    span_args[sid] = eager_annotation(begun, pid, track,
+                                                      {"flits": flits})
         elif kind == "end" and open_sids:
             sid = open_sids.pop(op[1] % len(open_sids))
             for t in tracers:
                 t.end(sid, **op[2])
             span_args[sid].update(op[2])
+            if sid in routes:
+                closed_hops = max(closed_hops, len(routes[sid][4][0]))
         elif kind == "complete":
             (pid, tid), length, args = op[1], op[2], op[3]
             start = max(0, env.now - length)
@@ -387,23 +428,54 @@ def replay(ops, tracers):
             for t in tracers:
                 t.unbind(op[1])
             bindings.pop(op[1], None)
-    return span_args, instant_args
+    return span_args, instant_args, closed_hops
+
+
+#: Streams whose ring cuts fall on routed spans heavier than the
+#: capacity: a 4-hop packet evicted whole, a plain span evicted with
+#: the packet after it, and an open packet's hops kept over a cut.
+ROUTED = (("noc", "dma-req"), ["wrapper", "dma-req", "wrapper", "dma-req"],
+          {"src": "(0, 0)"}, 2)
+CUTS = (
+    [("bind", "(0, 0)", ("t-0",)), ("route", *ROUTED), ("advance", 1),
+     ("hop", 0, 4), ("advance", 1), ("end", 0, {}),
+     ("complete", ("a0", "wrapper"), 1, {}),
+     ("complete", ("a0", "wrapper"), 1, {})],
+    [("begin", ("a0", "wrapper"), {}), ("route", *ROUTED), ("advance", 1),
+     ("hop", 0, 2), ("advance", 1), ("end", 0, {}), ("hop", 0, 1),
+     ("end", 0, {}), ("complete", ("a0", "wrapper"), 0, {"n": 1}),
+     ("complete", ("a0", "wrapper"), 0, {"n": 2})],
+    [("route", *ROUTED), ("hop", 0, 3), ("advance", 2),
+     *[("complete", ("a0", "wrapper"), 1, {})] * 5, ("hop", 0, 1),
+     ("end", 0, {}), ("complete", ("a0", "wrapper"), 1, {})],
+)
 
 
 class TestRingAccountingProperty:
     @given(ops=OPS, capacity=st.integers(1, 6))
-    @settings(max_examples=200, deadline=None)
+    @example(ops=CUTS[0], capacity=2)
+    @example(ops=CUTS[1], capacity=3)
+    @example(ops=CUTS[2], capacity=1)
+    @example(ops=CUTS[2], capacity=3)
+    @settings(max_examples=400, deadline=None)
     def test_ring_is_the_tail_of_the_unbounded_stream(self, ops, capacity):
         env = FakeClock()
         ring, full = Tracer(env, capacity=capacity), Tracer(env)
-        span_args, instant_args = replay(ops, [ring, full])
+        span_args, instant_args, closed_hops = replay(ops, [ring, full])
         for kind in ("spans", "instants", "counters"):
             held, everything = getattr(ring, kind), getattr(full, kind)
             dropped = getattr(ring, f"dropped_{kind}")
             assert len(held) + dropped == len(everything), kind
-            assert min(capacity, len(everything)) <= len(held), kind
+            # A routed span is evicted whole, with its hops, so a cut
+            # may keep that many fewer; a route-free stream keeps the
+            # last ``capacity`` exactly.
+            slack = closed_hops if kind == "spans" else 0
+            assert min(capacity, len(everything)) - slack <= len(held), kind
             assert len(held) <= 2 * capacity, kind
             assert list(held) == list(everything)[dropped:], kind
+            # Indexing, from either end, reads what iteration does.
+            assert [held[i] for i in range(-len(held), len(held))] == (
+                list(held) * 2), kind
         assert full.dropped == 0
         assert ring.open_spans == full.open_spans
         for span in list(full.spans) + full.open_spans:
