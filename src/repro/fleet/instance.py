@@ -34,7 +34,6 @@ from ..serve import (
     Completion,
     InferenceServer,
     Rejection,
-    ServerLoad,
     ServerReport,
 )
 
@@ -157,9 +156,10 @@ class FleetInstance:
 
     # -- introspection ------------------------------------------------------
 
-    def load(self) -> ServerLoad:
-        """The server's queued/in-flight load (pure read)."""
-        return self.server.load()
+    def backlog_cycles(self) -> int:
+        """The server's estimated backlog in cycles (pure read): the
+        least-loaded router's score."""
+        return self.server.backlog_cycles()
 
     def poll_completions(self) -> List[Completion]:
         """Completions that landed since the last poll.

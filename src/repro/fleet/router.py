@@ -21,13 +21,14 @@ it, in two stages:
    - ``least-loaded`` — the instance whose server reports the
      smallest estimated backlog (queued + in-flight frames weighted
      by each tenant's ``est_cycles_per_frame``), read live from
-     :meth:`repro.serve.InferenceServer.load` — the fleet analogue of
-     queue-depth-based dispatch.
+     :meth:`repro.serve.InferenceServer.backlog_cycles` — the fleet
+     analogue of queue-depth-based dispatch.
    - ``latency-aware`` — the instance with the lowest exponentially
      weighted moving average of *recently completed* request
      latencies, fed by :meth:`FleetInstance.poll_completions` after
-     every lockstep advance. Instances with no signal yet score 0, so
-     cold replicas are explored first and the estimator self-corrects.
+     every lockstep advance. Instances with no signal yet score their
+     current backlog, so idle cold replicas are explored first and the
+     estimator self-corrects.
 
 Ties break on shard order (and shard order is itself deterministic),
 so routing is a pure function of (arrival sequence, completions seen)
@@ -178,31 +179,27 @@ class FleetRouter:
             self._rotation[tenant] = index + 1
             name = shard[index % len(shard)]
             score = float(index % len(shard))
-        elif self.policy == "least-loaded":
-            name, score = min(
-                ((candidate,
-                  float(self._by_name[candidate]
-                        .load().est_backlog_cycles))
-                 for candidate in shard),
-                key=lambda pair: (pair[1], shard.index(pair[0])))
-        else:   # latency-aware
-            # A never-observed EWMA (None) must not read as "fastest":
-            # an instance that has completed nothing — possibly because
-            # it is stalled — would then absorb all traffic forever.
-            # Cold instances are scored by their current backlog
-            # instead (same unit: cycles): an idle cold instance still
-            # gets explored (backlog 0), while a stalled one
-            # accumulates backlog and stops attracting requests.
-            def _score(candidate: str) -> float:
-                ewma = self._ewma[candidate]
-                if ewma is not None:
-                    return ewma
-                return float(
-                    self._by_name[candidate].load().est_backlog_cycles)
-
-            name, score = min(
-                ((candidate, _score(candidate)) for candidate in shard),
-                key=lambda pair: (pair[1], shard.index(pair[0])))
+        else:
+            by_name = self._by_name
+            if self.policy == "least-loaded":
+                scores = [float(by_name[candidate].backlog_cycles())
+                          for candidate in shard]
+            else:   # latency-aware
+                # A never-observed EWMA (None) must not read as
+                # "fastest": an instance that has completed nothing —
+                # possibly because it is stalled — would then absorb all
+                # traffic forever. Cold instances are scored by their
+                # current backlog instead (same unit: cycles): an idle
+                # cold instance still gets explored (backlog 0), while a
+                # stalled one accumulates backlog and stops attracting
+                # requests.
+                ewmas = self._ewma
+                scores = [float(by_name[candidate].backlog_cycles())
+                          if ewmas[candidate] is None
+                          else ewmas[candidate] for candidate in shard]
+            # The lowest score; a tie goes to the first in shard order.
+            score = min(scores)
+            name = shard[scores.index(score)]
         self.decisions.append(RouterDecision(
             at=at, tenant=tenant, instance=name, policy=self.policy,
             shard=shard, score=score,

@@ -44,6 +44,7 @@ import numpy as np
 
 from ..faults import NodeFailed, RecoveryPolicy
 from ..sim import Event, Interrupt, Process, ProgressCounter
+from ..sim.kernel import PENDING
 from ..soc import (
     CMD_REG,
     CMD_RESET,
@@ -78,6 +79,85 @@ SYNC_CYCLES = 40            # semaphore wait/post pair
 #: latency (Table 1 of the paper measures SW/HW gaps of one to three
 #: orders of magnitude; 40x is a conservative mid-range value).
 SOFTWARE_SLOWDOWN = 40.0
+
+
+class RegisterStores(Event):
+    """The driver's register-programming sequence: an event, not a
+    generator.
+
+    The driver issues each posted store ``REG_WRITE_CYCLES`` after the
+    previous one was delivered, and the sequence succeeds when the last
+    store reaches the tile. One step event, built with the sequence and
+    re-armed for every gap, sends the next store when it is dispatched
+    (:meth:`ProcessorTile.write_reg`), and the same callback rides each
+    store's delivery event. At the last delivery the sequence resumes
+    its waiters inline, inside that dispatch; a store that raises is
+    thrown into them the same way. So the sequence itself is never
+    dispatched: a store over ``h`` hops dispatches ``2h + 6`` events
+    (the step, the packet's ``2h + 4`` and the tile's inbox get) at the
+    cycles and in the order of the generator it replaces, which resumed
+    the driver thread after each of them.
+
+    The sequence runs only while something waits on it: a waiter
+    interrupted mid-sequence (an aborted plan) lets the stores already
+    sent land and sends no further one, as the closed generator did.
+    """
+
+    __slots__ = ("cpu", "coord", "writes", "sent", "last", "step", "calls")
+
+    def __init__(self, cpu, coord, writes) -> None:
+        # The Event fields are assigned directly, as Timeout does: one
+        # sequence is built per invocation.
+        env = cpu.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self.cpu = cpu
+        self.coord = coord
+        self.writes = writes
+        self.sent = 0
+        self.last = len(writes)
+        self.calls = [self._advance]
+        step = self.step = Event(env)
+        step._value = None
+        step.callbacks = self.calls
+        env._schedule(step, REG_WRITE_CYCLES)
+
+    def _advance(self, event: Event) -> None:
+        """The step event or a store's delivery was dispatched."""
+        if not self.callbacks:
+            # The waiter is gone: stop before the next store.
+            self.step = self.calls = None
+            return
+        step = self.step
+        if event is step:
+            reg, value = self.writes[self.sent]
+            self.sent += 1
+            try:
+                delivery = self.cpu.write_reg(self.coord, reg, value)
+            except Exception as exc:
+                self._resume(False, exc)
+                return
+            delivery.callbacks.append(self.calls[0])
+        elif self.sent < self.last:
+            step.callbacks = self.calls
+            self.env._schedule(step, REG_WRITE_CYCLES)
+        else:
+            self._resume(True, None)
+
+    def _resume(self, ok: bool, value) -> None:
+        """Trigger the sequence and run its waiters now, as the kernel
+        runs a dispatched event's callbacks. Dropping the step event
+        and the callback list, which refer back to the sequence, lets
+        reference counting free it."""
+        self.step = self.calls = None
+        self._ok = ok
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
 
 
 @dataclass
@@ -341,11 +421,12 @@ class DataflowExecutor:
         """One step of ``driver``'s thread: ``body`` inside its span.
 
         The runtime's one span site, shaped like ``DmaEngine._op``.
-        ``body`` is a generator, or a one-timeout tuple for a plain
-        delay (``yield from`` passes the timeout's ``None`` through a
-        tuple iterator: no generator). Untraced, ``body`` is returned
-        as is; traced, :meth:`Tracer.drive` ends the span when ``body``
-        returns (``close`` maps its result to closing args) or raises.
+        ``body`` is a generator, or a one-event tuple for a plain delay
+        or a :class:`RegisterStores` sequence (``yield from`` passes the
+        event's ``None`` through a tuple iterator: no generator).
+        Untraced, ``body`` is returned as is; traced,
+        :meth:`Tracer.drive` ends the span when ``body`` returns
+        (``close`` maps its result to closing args) or raises.
         """
         tracer = self.soc.env.tracer
         if tracer is None:
@@ -392,15 +473,9 @@ class DataflowExecutor:
             (CMD_REG, CMD_START),
         )
         return self._step(node.name, "config", "runtime.config",
-                          self._write_regs(node.device.coord, writes),
+                          (RegisterStores(self.soc.cpu, node.device.coord,
+                                          writes),),
                           device=node.name)
-
-    def _write_regs(self, coord, writes):
-        env = self.soc.env
-        cpu = self.soc.cpu
-        for reg, value in writes:
-            yield env.timeout(REG_WRITE_CYCLES)
-            yield from cpu.write_reg(coord, reg, value)
 
     def _invoke(self, plan: ExecutionPlan, node: NodePlan,
                 src_offset: int, dst_offset: int,
@@ -513,8 +588,7 @@ class DataflowExecutor:
                 # A force_software preemption is no watchdog verdict.
                 self._count(plan, "watchdog_timeouts")
             # Recover the socket: abort whatever is (not) running.
-            yield env.timeout(REG_WRITE_CYCLES)
-            yield from cpu.write_reg(coord, CMD_REG, CMD_RESET)
+            yield RegisterStores(cpu, coord, ((CMD_REG, CMD_RESET),))
             yield env.timeout(policy.reset_cycles)
         return False
 

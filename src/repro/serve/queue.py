@@ -30,6 +30,8 @@ class RequestQueue:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.max_depth = max_depth
         self._queues: Dict[str, Deque[InferenceRequest]] = {}
+        #: Frames queued per tenant, kept with the deques.
+        self._frames: Dict[str, int] = {}
         self._expected_words: Dict[str, int] = {}
         #: Called with the request after a successful admit (the server
         #: hooks this to wake the tenant's batch loop).
@@ -47,6 +49,7 @@ class RequestQueue:
         if input_words < 1:
             raise ValueError("input_words must be >= 1")
         self._queues[tenant] = deque()
+        self._frames[tenant] = 0
         self._expected_words[tenant] = input_words
 
     @property
@@ -68,11 +71,10 @@ class RequestQueue:
 
         Frames are what the hardware will actually run, so a router
         comparing backlogs sees two one-frame requests as lighter than
-        one eight-frame request. O(queued requests) — introspection,
-        not a hot path.
+        one eight-frame request. O(1): the fleet router reads it at
+        every arrival.
         """
-        queue = self._queues[tenant]
-        return len(queue), sum(r.n_frames for r in queue)
+        return len(self._queues[tenant]), self._frames[tenant]
 
     # -- admission ----------------------------------------------------------
 
@@ -104,6 +106,7 @@ class RequestQueue:
                 f"{self.max_depth}")
         request.submitted_at = now
         queue.append(request)
+        self._frames[request.tenant] += request.n_frames
         self.admissions.append((request.tenant, self.depth))
         if self.on_admit is not None:
             self.on_admit(request)
@@ -129,4 +132,5 @@ class RequestQueue:
                 break
             out.append(queue.popleft())
             total += head.n_frames
+        self._frames[tenant] -= total
         return out

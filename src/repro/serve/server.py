@@ -332,24 +332,34 @@ class InferenceServer:
         queued_frames = 0
         in_flight_batches = 0
         in_flight_frames = 0
-        backlog = 0
         for name, tenant in self._tenants.items():
             requests, frames = self.queue.tenant_backlog(name)
             queued_requests += requests
             queued_frames += frames
-            backlog += frames * tenant.est_cycles_per_frame
             if tenant.in_flight:
                 in_flight_batches += 1
                 in_flight_frames += tenant.in_flight_frames
-                backlog += (tenant.in_flight_frames
-                            * tenant.est_cycles_per_frame)
         return ServerLoad(
             queued_requests=queued_requests,
             queued_frames=queued_frames,
             in_flight_batches=in_flight_batches,
             in_flight_frames=in_flight_frames,
-            est_backlog_cycles=backlog,
+            est_backlog_cycles=self.backlog_cycles(),
         )
+
+    def backlog_cycles(self) -> int:
+        """Estimated cycles to drain every queued and in-flight frame,
+        each weighted by its tenant's ``est_cycles_per_frame``: the
+        one backlog rule, read by :meth:`load` and by the fleet
+        router's least-loaded policy. A pure read, like :meth:`load`.
+        """
+        backlog = 0
+        for name, tenant in self._tenants.items():
+            # ``in_flight_frames`` is 0 between batches.
+            frames = self.queue.tenant_backlog(name)[1] \
+                + tenant.in_flight_frames
+            backlog += frames * tenant.est_cycles_per_frame
+        return backlog
 
     def wait_settled(self) -> Event:
         """Event triggering once every request admitted so far has

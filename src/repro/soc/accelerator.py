@@ -187,7 +187,8 @@ class AcceleratorTile:
                                     **args)
 
     def _raise_irq(self) -> None:
-        self._instant("irq", "acc.irq", status=self.status)
+        if self.env.tracer is not None:
+            self._instant("irq", "acc.irq", status=self.status)
         self.mesh.send(Packet(
             src=self.coord, dst=self.irq_dst, plane=IO_PLANE,
             kind=MessageKind.IRQ, payload_flits=0,
@@ -196,17 +197,17 @@ class AcceleratorTile:
     # -- execution -------------------------------------------------------------
 
     def _snapshot_config(self) -> InvocationConfig:
+        regs = self.regs
+        read = regs.read
         return InvocationConfig(
-            src_offset=self.regs.read(SRC_OFFSET_REG),
-            dst_offset=self.regs.read(DST_OFFSET_REG),
-            n_frames=max(1, self.regs.read(N_FRAMES_REG)),
-            p2p=self.regs.p2p_config(),
-            src_stride=self.regs.read(SRC_STRIDE_REG),
-            dst_stride=self.regs.read(DST_STRIDE_REG),
-            coherence=CoherenceMode.from_register(
-                self.regs.read(COHERENCE_REG)),
-            clock_divider=min(MAX_DVFS_DIVIDER,
-                              max(1, self.regs.read(DVFS_REG))),
+            src_offset=read(SRC_OFFSET_REG),
+            dst_offset=read(DST_OFFSET_REG),
+            n_frames=max(1, read(N_FRAMES_REG)),
+            p2p=regs.p2p_config(),
+            src_stride=read(SRC_STRIDE_REG),
+            dst_stride=read(DST_STRIDE_REG),
+            coherence=CoherenceMode.from_register(read(COHERENCE_REG)),
+            clock_divider=min(MAX_DVFS_DIVIDER, max(1, read(DVFS_REG))),
         )
 
     def host_reset(self) -> None:

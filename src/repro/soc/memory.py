@@ -13,6 +13,7 @@ results stop round-tripping through this tile.
 from __future__ import annotations
 
 import mmap
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -316,10 +317,8 @@ class MemoryMap:
         if offset < 0 or offset >= self.total_words:
             raise ValueError(
                 f"address {offset} outside {self.total_words}-word space")
-        for tile, base in zip(reversed(self.tiles), reversed(self._bases)):
-            if offset >= base:
-                return tile, offset - base
-        raise AssertionError("unreachable")
+        index = bisect_right(self._bases, offset) - 1
+        return self.tiles[index], offset - self._bases[index]
 
     def split_range(self, offset: int,
                     n_words: int) -> List[Tuple[MemoryTile, int, int]]:

@@ -61,15 +61,17 @@ class ProcessorTile:
                     f"processor tile got unexpected {packet.kind} on the "
                     f"IO plane")
 
-    def write_reg(self, tile_coord: Coord, name: str, value: int):
-        """Uncached MMIO store to an accelerator register (generator).
+    def write_reg(self, tile_coord: Coord, name: str, value: int) -> Event:
+        """Uncached MMIO store to an accelerator register: one posted
+        store, returned as its packet's delivery event.
 
-        Completes when the write packet reaches the tile, which is when
-        the hardware applies it — so a sequence of yielded writes is
-        applied in program order.
+        The event succeeds when the write packet reaches the tile,
+        which is when the hardware applies it, so stores awaited one
+        after another are applied in program order. The runtime's
+        store sequence is :class:`repro.runtime.executor.RegisterStores`.
         """
         self.reg_writes += 1
-        yield self.mesh.send(Packet(
+        return self.mesh.send(Packet(
             src=self.coord, dst=tile_coord, plane=IO_PLANE,
             kind=MessageKind.REG_ACCESS, payload_flits=1,
             payload=RegWrite(name, value), tag=name))

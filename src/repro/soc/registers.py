@@ -15,6 +15,7 @@ the ESP integration flow; :mod:`repro.flow.xml_gen` emits it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 Coord = Tuple[int, int]
@@ -115,6 +116,13 @@ class P2PConfig:
         return self.store_enabled or self.load_enabled
 
 
+#: ``P2P_REG`` value -> its decoded :class:`P2PConfig`. The config is
+#: frozen, so one decode serves every read of the same value on any
+#: socket; a value that fails validation is not cached and raises on
+#: every read.
+_decode_p2p = lru_cache(maxsize=256)(P2PConfig.decode)
+
+
 def encode_location(coord: Coord) -> int:
     """``LOCATION_REG`` encoding: y in bits 4-7, x in bits 0-3."""
     x, y = coord
@@ -177,7 +185,7 @@ class RegisterFile:
             hook(name, int(value))
 
     def p2p_config(self) -> P2PConfig:
-        return P2PConfig.decode(self._values[P2P_REG])
+        return _decode_p2p(self._values[P2P_REG])
 
     def location(self) -> Coord:
         return decode_location(self._values[LOCATION_REG])

@@ -186,7 +186,7 @@ class TestFleetMechanics:
         # Advance into the middle of the first request's service.
         mid = instance.now + 500
         instance.advance_to(mid)
-        assert instance.load().est_backlog_cycles > 0   # still busy
+        assert instance.backlog_cycles() > 0   # still busy
         # The arrival lands at exactly the instance's current cycle:
         # the lockstep advance is a no-op and must not strand the
         # admission handshake.
@@ -247,7 +247,7 @@ class TestRepeatedRuns:
             assert report.completed_requests + report.failed \
                 == report.admitted
             for instance in fleet.instances:
-                load = instance.load()
+                load = instance.server.load()
                 assert load.queued_requests == 0
                 assert load.in_flight_batches == 0
 

@@ -1,9 +1,9 @@
 """Tests for tenant sharding and the load-balancing policies.
 
 Policy mechanics are tested against stub instances (the router only
-touches ``name`` / ``load()`` / ``poll_completions()``), so each case
-pins one decision rule without simulating SoCs; the end-to-end policy
-behaviour on real instances lives in ``test_cluster.py``.
+touches ``name`` / ``backlog_cycles()`` / ``poll_completions()``), so
+each case pins one decision rule without simulating SoCs; the end-to-end
+policy behaviour on real instances lives in ``test_cluster.py``.
 """
 
 from types import SimpleNamespace
@@ -21,8 +21,8 @@ class StubInstance:
         self.backlog = backlog
         self.pending = []
 
-    def load(self):
-        return SimpleNamespace(est_backlog_cycles=self.backlog)
+    def backlog_cycles(self):
+        return self.backlog
 
     def poll_completions(self):
         fresh, self.pending = self.pending, []

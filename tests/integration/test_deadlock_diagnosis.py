@@ -21,11 +21,11 @@ def start_raw(soc, name, n_frames, p2p):
     tile = soc.accelerator(name)
 
     def proc():
-        yield from cpu.write_reg(tile.coord, "SRC_OFFSET_REG", 0)
-        yield from cpu.write_reg(tile.coord, "DST_OFFSET_REG", 4096)
-        yield from cpu.write_reg(tile.coord, N_FRAMES_REG, n_frames)
-        yield from cpu.write_reg(tile.coord, "P2P_REG", p2p.encode())
-        yield from cpu.write_reg(tile.coord, CMD_REG, CMD_START)
+        yield cpu.write_reg(tile.coord, "SRC_OFFSET_REG", 0)
+        yield cpu.write_reg(tile.coord, "DST_OFFSET_REG", 4096)
+        yield cpu.write_reg(tile.coord, N_FRAMES_REG, n_frames)
+        yield cpu.write_reg(tile.coord, "P2P_REG", p2p.encode())
+        yield cpu.write_reg(tile.coord, CMD_REG, CMD_START)
         yield from cpu.wait_irq(name)
 
     return soc.env.process(proc())

@@ -106,6 +106,25 @@ class TestDraining:
         assert len(batch) == 2        # 3 + 3 fit, a third would be 9
         assert queue.tenant_depth("nv") == 2
 
+    def test_tenant_backlog_follows_admissions_and_drains(self):
+        """The per-tenant frame count kept beside the deques equals the
+        frames of the requests still queued, through rejections and
+        drains."""
+        queue = registered_queue(max_depth=5)
+        for n_frames in (3, 1, 2, 4):
+            queue.submit(req(n_frames=n_frames))
+        queue.submit(req(tenant="cl", n_frames=2, words=4))
+        assert queue.submit(req(n_frames=7)) is not None   # full
+        assert queue.tenant_backlog("nv") == (4, 10)
+        assert queue.tenant_backlog("cl") == (1, 2)
+        queue.drain("nv", max_frames=4)       # 3 + 1
+        assert queue.tenant_backlog("nv") == (2, 6)
+        queue.drain("nv", max_frames=1)       # 2, oversized
+        assert queue.tenant_backlog("nv") == (1, 4)
+        queue.drain("nv")
+        assert queue.tenant_backlog("nv") == (0, 0)
+        assert queue.tenant_backlog("cl") == (1, 2)
+
     def test_drain_always_takes_one_even_oversized(self):
         queue = registered_queue(max_depth=16)
         queue.submit(req(n_frames=10))

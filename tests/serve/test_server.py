@@ -338,6 +338,36 @@ class TestReporting:
         assert "app" in text and "throughput" in text
 
 
+class TestLoad:
+    def test_backlog_cycles_is_the_loads_estimate(self):
+        """The fleet router's score and ``load().est_backlog_cycles``
+        are one rule: on a server with batches in flight and requests
+        queued they agree, and both weigh every queued and in-flight
+        frame by its own tenant's per-frame estimate."""
+        _, server = make_server()
+        server.register(TenantConfig(name="x", dataflow=chain("x", ["a0"]),
+                                     max_batch_frames=2))
+        server.register(TenantConfig(name="y",
+                                     dataflow=chain("y", ["b0", "c0"]),
+                                     max_batch_frames=2))
+        server.start()
+        for seed in range(3):
+            for tenant in ("x", "y"):
+                assert server.submit(tenant, frames_of(2, seed)) is None
+        server.env.run(until=server.env.now + 300)
+
+        load = server.load()
+        assert (load.queued_frames, load.in_flight_frames) == (8, 4)
+        assert load.in_flight_batches == 2
+        per_frame = {name: server._tenants[name].est_cycles_per_frame
+                     for name in ("x", "y")}
+        assert per_frame["x"] != per_frame["y"]
+        # Each tenant: two frames in flight, four queued.
+        expected = 6 * per_frame["x"] + 6 * per_frame["y"]
+        assert server.backlog_cycles() == expected
+        assert load.est_backlog_cycles == expected
+
+
 class TestPerRunStatistics:
     def test_consecutive_run_trace_reports_are_per_run(self):
         """Regression: queue statistics must describe one trace, not

@@ -33,7 +33,7 @@ def start_device(soc, name, src, dst, n_frames, p2p=P2PConfig(),
             (CMD_REG, CMD_START),
         ]
         for reg, value in writes:
-            yield from cpu.write_reg(tile.coord, reg, value)
+            yield cpu.write_reg(tile.coord, reg, value)
         yield from cpu.wait_irq(name)
 
     return soc.env.process(proc())

@@ -496,6 +496,48 @@ class OneEventPerTransit(CallRule):
             and self.where != "noc/mesh.py::_Transit.__init__")
 
 
+class RegisterStoresAreEvents(Rule):
+    """Register programming is an event, not a generator: the driver's
+    posted stores go out through ``RegisterStores``, whose step event
+    carries the ``REG_WRITE_CYCLES`` gap, so only the chain calls
+    ``write_reg`` and no ``REG_WRITE_CYCLES`` timeout is built for a
+    thread to yield."""
+
+    allowed = ("runtime/executor.py::RegisterStores._advance",)
+    snippets = {
+        "runtime/executor.py": """
+            class RegisterStores(Event):
+                def _advance(self, event):
+                    delivery = self.cpu.write_reg(self.coord, reg, value)
+                    self.env._schedule(self.step, REG_WRITE_CYCLES)
+                    gap = Timeout(self.env, REG_WRITE_CYCLES)  # flagged
+
+            class DataflowExecutor:
+                def _write_regs(self, env, cpu, writes):
+                    for reg, value in writes:
+                        yield env.timeout(REG_WRITE_CYCLES)  # flagged
+                        yield from cpu.write_reg(reg, value)  # flagged
+
+                def _invoke_guarded(self, env):
+                    yield env.timeout(IOCTL_CYCLES)
+            """,
+        "serve/server.py": """
+            class InferenceServer:
+                def repair_tile(self, cpu, tile):
+                    yield cpu.write_reg(tile.coord, CMD_REG, 2)  # flagged
+            """}
+
+    def visit_Call(self, node: ast.Call) -> None:
+        callee = _name(node.func)
+        if callee == "write_reg":
+            self.flag(node)
+        elif (callee in ("timeout", "Timeout")
+              and any(_name(arg) == "REG_WRITE_CYCLES" for arg in node.args)):
+            # Not even the chain builds one.
+            self.hits.append((node.lineno, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
 class OneMemoOwner(Rule):
     """A run's kernel memo has one owner: only ``run_memo`` installs it
     on the tiles and clears it, so the decision which run is the
@@ -641,8 +683,8 @@ RULES = (ServeReadsNoMetrics, OnlyExecuteRunsTheLoop,
          ControlDerivesNoStallThreshold, OneCountingSite, OneTracerGuard,
          OneSpanSite, RecordsBuiltWhenRead, PacketsAreEvents,
          CoherenceOverRanges, MeshBuiltOnFirstUse, OneStackBuilder,
-         OneScrapeSite, OneNocSpanSite, OneEventPerTransit, OneMemoOwner,
-         HasACaller)
+         OneScrapeSite, OneNocSpanSite, OneEventPerTransit,
+         RegisterStoresAreEvents, OneMemoOwner, HasACaller)
 
 
 def check(rule, path: str, source: str,
