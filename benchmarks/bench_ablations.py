@@ -27,10 +27,10 @@ Run:  PYTHONPATH=src:. python benchmarks/bench_ablations.py
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 
+from benchmarks import write_report
 from repro.accelerators import classifier_spec, night_vision_spec
 from repro.datasets import darken, flatten_frames, generate
 from repro.eval import APP_CONFIGS, fresh_runtime
@@ -48,9 +48,6 @@ from repro.runtime import Dataflow, EspRuntime, chain, replicated_stage
 from repro.sim import Environment
 from repro.soc import SoCConfig, build_soc
 from tests.specs import make_spec
-
-REPORT_PATH = (Path(__file__).resolve().parent.parent /
-               "BENCH_ablations.json")
 
 
 def _frames(n, words):
@@ -286,10 +283,6 @@ SWEEPS = {"reuse_factor": reuse_factor, "noc": noc,
           "double_buffering": double_buffering, "placement": placement}
 
 
-def run_ablations():
-    return {name: sweep() for name, sweep in SWEEPS.items()}
-
-
 def check(results):
     kernel = results["reuse_factor"]["kernel"]
     intervals = [row["interval"] for row in kernel.values()]
@@ -352,18 +345,18 @@ def check(results):
     assert cycles["optimized"] <= cycles["adversarial"]
 
 
-def write_report(results):
-    REPORT_PATH.write_text(json.dumps(
-        {"benchmark": "bench_ablations", **results}, indent=2) + "\n")
-    return REPORT_PATH
-
-
-def main():
-    results = run_ablations()
+def payload():
+    """Every sweep, printed and checked; the ``BENCH_ablations.json``
+    payload: one section per ablation."""
+    results = {name: sweep() for name, sweep in SWEEPS.items()}
     for name, section in results.items():
         print(f"== {name} ==\n{json.dumps(section, indent=1)}")
     check(results)
-    print(f"report: {write_report(results)}")
+    return {"benchmark": "bench_ablations", **results}
+
+
+def main():
+    write_report("BENCH_ablations.json", payload())
     print("ablation benchmark: all assertions passed")
 
 

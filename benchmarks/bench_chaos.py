@@ -23,18 +23,15 @@ The run writes ``BENCH_chaos.json`` and prints its wall time.
 Run:  PYTHONPATH=src:. python benchmarks/bench_chaos.py
 """
 
-import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
+from benchmarks import write_report
 from repro.control import ControlConfig
 from repro.eval.apps import APP_CONFIGS
 from repro.eval.chaos import run_chaos_campaign
 from repro.eval.stack import StackSpec, build_stack
-from tests.specs import PIPE_FRAMES, SEED_CYCLES, build_trace
-
-from bench_serve import SERVE_SPEC
+from tests.specs import PIPE_FRAMES, SEED_CYCLES, SERVE_SPEC, build_trace
 
 #: Sampler tick for the zero-fault pin runs (same as bench_metrics).
 SAMPLE_INTERVAL = 5_000
@@ -133,37 +130,25 @@ def check_campaign(report):
             result.scenario
 
 
-def build_payload(report, pins):
-    return {
-        "benchmark": "chaos",
-        "zero_fault_pins": pins,
-        **report.to_dict(),
-    }
-
-
-def write_report(payload):
-    out = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
-
-
-def run_bench():
+def payload():
+    """The campaign and the zero-fault pins, printed and checked; the
+    ``BENCH_chaos.json`` payload."""
     report = run_chaos_campaign()
-    check_campaign(report)
-    return report, run_zero_fault_pins()
-
-
-def main():
-    start = time.perf_counter()
-    report, pins = run_bench()
-    wall = time.perf_counter() - start
     print(report.render())
+    check_campaign(report)
+    pins = run_zero_fault_pins()
     for name, row in pins.items():
         print(f"zero-fault pin {name:6s} {row['expected_cycles']:>6d} "
               f"cycles: controller-on {row['on']['cycles']}, "
               f"controller-off {row['off']['cycles']} — held")
-    path = write_report(build_payload(report, pins))
-    print(f"report: {path} ({wall:.1f}s)")
+    return {"benchmark": "chaos", "zero_fault_pins": pins,
+            **report.to_dict()}
+
+
+def main():
+    start = time.perf_counter()
+    write_report("BENCH_chaos.json", payload())
+    print(f"wall time: {time.perf_counter() - start:.1f}s")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,9 @@ root.
 Run:  PYTHONPATH=src:. python benchmarks/bench_coherence.py
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 
+from benchmarks import write_report
 from repro.runtime import EspRuntime, chain
 from repro.soc import SoCConfig, build_soc
 from repro.tune import UNIFORM_MODES, ablation_workloads, autotune
@@ -64,7 +62,7 @@ def run_tuner_sweep():
             for wl in ablation_workloads()}
 
 
-def run_bench():
+def measure():
     return {"models": run_models(), "llc_dram": run_llc_sweep(),
             "tuner": run_tuner_sweep()}
 
@@ -125,9 +123,13 @@ def render(results):
     return "\n".join(lines)
 
 
-def build_payload(results):
-    """``BENCH_coherence.json``: one entry per tuner workload, then the
-    coherence models and the LLC capacity sweep."""
+def payload():
+    """The models, the LLC sweep and the tuner sweep, printed and
+    checked; the ``BENCH_coherence.json`` payload: one entry per tuner
+    workload, then the coherence models and the LLC capacity sweep."""
+    results = measure()
+    print(render(results))
+    check(results)
     tuner = results["tuner"]
     return {
         "benchmark": "bench_coherence",
@@ -154,19 +156,8 @@ def build_payload(results):
     }
 
 
-def write_report(payload):
-    out = (Path(__file__).resolve().parent.parent /
-           "BENCH_coherence.json")
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
-
-
 def main():
-    results = run_bench()
-    print(render(results))
-    check(results)
-    path = write_report(build_payload(results))
-    print(f"report: {path}")
+    write_report("BENCH_coherence.json", payload())
     print("coherence benchmark: tuned never worse than best uniform")
 
 

@@ -11,21 +11,19 @@ the outputs bit-exact.
 
 The run writes ``BENCH_faults.json``.
 
-Run:  PYTHONPATH=src python benchmarks/bench_faults.py
+Run:  PYTHONPATH=src:. python benchmarks/bench_faults.py
 """
 
-import json
-from pathlib import Path
-
-from repro.eval import run_fault_campaign
-from repro.eval.faults import campaign_policy, chain3_dataflow, golden_run
-from repro.eval import build_soc1, de_cl_inputs
+from benchmarks import write_report
+from repro.eval import build_soc1, de_cl_inputs, run_fault_campaign
+from repro.eval.faults import (
+    CAMPAIGN_FRAMES,
+    campaign_policy,
+    chain3_dataflow,
+    golden_run,
+)
 from repro.faults import FaultInjector, zero_fault_plan
 from repro.runtime import EspRuntime
-
-#: Frames per campaign run: small enough that the full sweep stays in
-#: benchmark territory, large enough that every pipeline stage overlaps.
-CAMPAIGN_FRAMES = 4
 
 
 def zero_fault_runs():
@@ -47,42 +45,6 @@ def zero_fault_runs():
                      "armed_cycles": runs["armed"].cycles,
                      "outputs_exact": all((run.outputs == golden).all()
                                           for run in runs.values())}
-    return out
-
-
-def build_payload(report, zero_fault):
-    """The ``BENCH_faults.json`` payload: one entry per fault kind, then
-    the zero-fault runs."""
-    workloads = {}
-    for record in report.records:
-        entry = workloads.setdefault(record.kind, {
-            "runs": 0, "recovered": 0, "faults_fired": 0,
-            "retries": 0, "watchdog_timeouts": 0, "degraded_runs": 0,
-        })
-        entry["runs"] += 1
-        entry["recovered"] += int(record.recovered)
-        entry["faults_fired"] += record.faults_fired
-        entry["retries"] += record.retries
-        entry["watchdog_timeouts"] += record.watchdog_timeouts
-        entry["degraded_runs"] += int(record.degraded)
-    for kind, summary in report.overhead_by_kind().items():
-        workloads[kind]["overhead_pct"] = {
-            "mean": round(summary.mean, 1),
-            "p95": round(summary.p95, 1),
-            "max": round(summary.max, 1),
-        }
-    return {
-        "benchmark": "bench_faults",
-        "recovery_rate": round(report.recovery_rate, 4),
-        "faults_fired": report.faults_fired,
-        "workloads": workloads,
-        "zero_fault_plan": zero_fault,
-    }
-
-
-def write_report(payload):
-    out = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
     return out
 
 
@@ -114,13 +76,43 @@ def render(report, zero_fault):
     return "\n".join(lines)
 
 
-def main():
-    report = run_fault_campaign(n_frames=CAMPAIGN_FRAMES)
+def payload():
+    """The campaign and the zero-fault runs, printed and checked; the
+    ``BENCH_faults.json`` payload: one entry per fault kind, then the
+    zero-fault runs."""
+    report = run_fault_campaign()
     zero_fault = zero_fault_runs()
     print(render(report, zero_fault))
     check(report, zero_fault)
-    path = write_report(build_payload(report, zero_fault))
-    print(f"report: {path}")
+    workloads = {}
+    for record in report.records:
+        entry = workloads.setdefault(record.kind, {
+            "runs": 0, "recovered": 0, "faults_fired": 0,
+            "retries": 0, "watchdog_timeouts": 0, "degraded_runs": 0,
+        })
+        entry["runs"] += 1
+        entry["recovered"] += int(record.recovered)
+        entry["faults_fired"] += record.faults_fired
+        entry["retries"] += record.retries
+        entry["watchdog_timeouts"] += record.watchdog_timeouts
+        entry["degraded_runs"] += int(record.degraded)
+    for kind, summary in report.overhead_by_kind().items():
+        workloads[kind]["overhead_pct"] = {
+            "mean": round(summary.mean, 1),
+            "p95": round(summary.p95, 1),
+            "max": round(summary.max, 1),
+        }
+    return {
+        "benchmark": "bench_faults",
+        "recovery_rate": round(report.recovery_rate, 4),
+        "faults_fired": report.faults_fired,
+        "workloads": workloads,
+        "zero_fault_plan": zero_fault,
+    }
+
+
+def main():
+    write_report("BENCH_faults.json", payload())
 
 
 if __name__ == "__main__":

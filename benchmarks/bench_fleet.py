@@ -27,10 +27,9 @@ The run writes ``BENCH_fleet.json``.
 Run:  PYTHONPATH=src:. python benchmarks/bench_fleet.py
 """
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
+from benchmarks import write_report
 from repro.eval.fleet import (
     CAMPAIGN_POLICIES,
     FLEET_SPEC,
@@ -45,7 +44,6 @@ from tests.specs import SEED_CYCLES
 #: Fleet size and workload seed of the graded campaign.
 FLEET_INSTANCES = 4
 WORKLOAD_SEED = 0
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
 def single_instance_pin():
@@ -69,7 +67,7 @@ def single_instance_pin():
     return report.makespan_cycles
 
 
-def run_fleet_benchmark():
+def measure():
     """The graded campaign plus the pin and determinism probes."""
     reports = run_fleet_campaign(
         policies=CAMPAIGN_POLICIES, n_instances=FLEET_INSTANCES,
@@ -136,8 +134,12 @@ def render(results):
     return "\n".join(lines)
 
 
-def build_payload(results):
-    """The ``BENCH_fleet.json`` payload: one entry per policy."""
+def payload():
+    """The campaign and the probes, printed and checked; the
+    ``BENCH_fleet.json`` payload: one entry per policy."""
+    results = measure()
+    print(render(results))
+    check(results)
     policies = {}
     for policy, report in results["reports"].items():
         latency = report.latency
@@ -172,17 +174,8 @@ def build_payload(results):
     }
 
 
-def write_report(payload):
-    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return REPORT_PATH
-
-
 def main():
-    results = run_fleet_benchmark()
-    print(render(results))
-    check(results)
-    path = write_report(build_payload(results))
-    print(f"report: {path}")
+    write_report("BENCH_fleet.json", payload())
     print("fleet benchmark: all assertions passed")
 
 

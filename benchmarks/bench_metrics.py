@@ -22,18 +22,17 @@ against itself.
 The scraped exposition is validated end-to-end (``to_prometheus`` ->
 ``parse_exposition`` round-trip) and the final registry snapshot lands
 in ``artifacts/metrics.json`` together with the overhead table, which
-the ``benchmarks`` CI job uploads with the other artifacts.
+the ``benchmarks`` CI job uploads.
 
 Run:  PYTHONPATH=src:. python benchmarks/bench_metrics.py [--smoke]
 """
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
+from benchmarks import write_report
 from repro.eval.apps import APP_CONFIGS, fresh_runtime
 from repro.eval.stack import build_stack
 from repro.metrics import (
@@ -49,10 +48,9 @@ from tests.specs import (
     SMOKE_CYCLES,
     SMOKE_EVENTS,
     SMOKE_PIPE_FRAMES,
+    SERVE_SPEC,
     build_trace,
 )
-
-from bench_serve import SERVE_SPEC
 
 #: Minimum acceptable (metrics-on events/s) / (metrics-off events/s).
 #: Full runs hold the 10%-overhead bar; the CI smoke variant only
@@ -184,13 +182,15 @@ def run_sampled_serve(smoke=False):
     return registry.snapshot(), stats
 
 
-def run_bench(smoke=False):
+def payload(smoke=False):
+    """Every workload and the sampled serve, with the overhead floor
+    asserted; the ``artifacts/metrics.json`` payload."""
     floor = SMOKE_OVERHEAD_FLOOR if smoke else OVERHEAD_FLOOR
     workloads = {}
     for name in ("p2p", "dma", "serve"):
         workloads[name] = measure_workload(name, smoke=smoke)
     snapshot, scrape_stats = run_sampled_serve(smoke=smoke)
-    payload = {
+    report = {
         "benchmark": "bench_metrics",
         "variant": "smoke" if smoke else "full",
         "rounds": ROUNDS,
@@ -206,27 +206,19 @@ def run_bench(smoke=False):
                 f"{row['events_per_sec_on']} ev/s on vs "
                 f"{row['events_per_sec_off']} ev/s off "
                 f"(ratio {row['throughput_ratio']} < floor {floor})")
-    return payload
+    return report
 
 
-def write_report(payload):
-    out_dir = Path(__file__).resolve().parent.parent / "artifacts"
-    out_dir.mkdir(exist_ok=True)
-    out = out_dir / "metrics.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
-
-
-def print_report(payload):
-    print(f"\nmetrics overhead ({payload['variant']}, best of "
-          f"{payload['rounds']} rounds, floor "
-          f"{payload['overhead_floor']}):")
-    for name, row in payload["workloads"].items():
+def print_report(report):
+    print(f"\nmetrics overhead ({report['variant']}, best of "
+          f"{report['rounds']} rounds, floor "
+          f"{report['overhead_floor']}):")
+    for name, row in report["workloads"].items():
         print(f"  {name:6s} {row['cycles']:>7d} cycles  "
               f"off {row['events_per_sec_off']:>8d} ev/s  "
               f"on {row['events_per_sec_on']:>8d} ev/s  "
               f"ratio {row['throughput_ratio']:.3f}")
-    stats = payload["sampled_serve"]
+    stats = report["sampled_serve"]
     print(f"  sampled serve: {stats['scrapes']} scrapes, "
           f"{stats['final_exposition_samples']} exposition samples, "
           f"+{stats['sampler_extra_events']} sampler events, "
@@ -238,10 +230,9 @@ def main(argv=None):
     parser.add_argument("--smoke", action="store_true",
                         help="trimmed workloads + relaxed floor for CI")
     args = parser.parse_args(argv)
-    payload = run_bench(smoke=args.smoke)
-    path = write_report(payload)
-    print_report(payload)
-    print(f"  report: {path}")
+    report = payload(smoke=args.smoke)
+    print_report(report)
+    write_report("artifacts/metrics.json", report)
     return 0
 
 

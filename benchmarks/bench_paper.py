@@ -26,13 +26,12 @@ paper's, every Fig. 7 bar and line, every Fig. 8 count and each
 cell's run (with its flit-hops per NoC plane). EXPERIMENTS.md quotes
 the file; ``tests/test_experiments_doc.py`` keeps the two equal.
 
-Run:  PYTHONPATH=src python benchmarks/bench_paper.py
+Run:  PYTHONPATH=src:. python benchmarks/bench_paper.py
 """
 
-import json
 from dataclasses import asdict
-from pathlib import Path
 
+from benchmarks import write_report
 from repro.eval import (
     evaluate,
     generate_fig7,
@@ -51,10 +50,6 @@ def views(evaluation):
             "table1": generate_table1(evaluation),
             "fig7": generate_fig7(evaluation),
             "fig8": generate_fig8(evaluation)}
-
-
-def run_paper_benchmark():
-    return views(evaluate())
 
 
 def check(results):
@@ -101,8 +96,12 @@ def render(results):
         f"flit-hops per plane, 4nv_4cl p2p: {flits}"])
 
 
-def build_payload(results):
-    """The ``BENCH_paper.json`` payload: the three views, then the runs."""
+def payload():
+    """The 32-frame evaluation, printed and checked; the
+    ``BENCH_paper.json`` payload: the three views, then the runs."""
+    results = views(evaluate())
+    print(render(results))
+    check(results)
     return {
         "benchmark": "bench_paper",
         "table1": {cluster: asdict(column)
@@ -113,18 +112,8 @@ def build_payload(results):
     }
 
 
-def write_report(payload):
-    out = Path(__file__).resolve().parent.parent / "BENCH_paper.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
-
-
 def main():
-    results = run_paper_benchmark()
-    print(render(results))
-    check(results)
-    path = write_report(build_payload(results))
-    print(f"report: {path}")
+    write_report("BENCH_paper.json", payload())
     print("paper benchmark: all assertions passed")
 
 

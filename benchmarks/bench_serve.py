@@ -20,23 +20,18 @@ The run writes ``BENCH_serve.json``.
 Run:  PYTHONPATH=src:. python benchmarks/bench_serve.py
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 
+from benchmarks import write_report
 from repro.eval import build_soc1
 from repro.eval.fleet import standard_inputs
-from repro.eval.stack import StackSpec, build_stack, soc1_tenants
+from repro.eval.stack import build_stack
 from repro.runtime import EspRuntime
-from tests.specs import build_trace
+from tests.specs import SERVE_SPEC, build_trace
 
 #: Requests per tenant / frames per request of the batched trace.
 BENCH_REQUESTS = 3
 BENCH_FRAMES = 2
-
-#: The three concurrent applications on one SoC-1.
-SERVE_SPEC = StackSpec(tenants=soc1_tenants("serve"))
 
 
 def sequential_fps(trace):
@@ -54,7 +49,7 @@ def sequential_fps(trace):
     return total_frames / (elapsed / (runtime.soc.clock_mhz * 1e6))
 
 
-def run_serve_benchmark():
+def measure():
     """The three serving measurements plus the bit-exactness probe."""
     # Single-request serving: one request per tenant.
     single_report = build_stack(SERVE_SPEC).server.run_trace(
@@ -122,8 +117,12 @@ def render(results):
     return "\n".join(lines)
 
 
-def build_payload(results):
-    """The ``BENCH_serve.json`` payload: one entry per measurement."""
+def payload():
+    """The measurements, printed and checked; the ``BENCH_serve.json``
+    payload: one entry per measurement."""
+    results = measure()
+    print(render(results))
+    check(results)
     report = results["report"]
     single = results["single_report"]
 
@@ -160,18 +159,8 @@ def build_payload(results):
     }
 
 
-def write_report(payload):
-    out = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    return out
-
-
 def main():
-    results = run_serve_benchmark()
-    print(render(results))
-    check(results)
-    path = write_report(build_payload(results))
-    print(f"report: {path}")
+    write_report("BENCH_serve.json", payload())
     print("serving benchmark: all assertions passed")
 
 

@@ -1,7 +1,7 @@
 """Tracing benchmark: profiling, pinned overhead arms and the fleet
 flight-recorder scenario.
 
-Three sections, all deterministic where CI gates:
+Three sections, all deterministic where tier-1 gates:
 
 1. **Pipeline profiling** — the paper's flagship application (nv0 ->
    cl0, p2p streaming) with the tracer attached: Chrome trace export
@@ -31,18 +31,20 @@ Three sections, all deterministic where CI gates:
 
 The run writes the deterministic results to ``BENCH_trace.json`` at
 the repository root, and the artifacts under the checkout's
-``artifacts/`` whatever the working directory.
+``artifacts/`` whatever the working directory. ``payload(artifacts)``
+writes them under any other directory; the report records them under
+``artifacts/`` either way.
 
 Run:  PYTHONPATH=src:. python benchmarks/bench_trace.py
 """
 
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from benchmarks import REPO, write_report
 from repro.eval import build_soc1
 from repro.eval.apps import (
     APP_CONFIGS,
@@ -62,15 +64,19 @@ from repro.trace import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from tests.specs import PIPE_FRAMES, SEED_CYCLES, SEED_EVENTS, build_trace
-
-from bench_serve import SERVE_SPEC
+from tests.specs import (
+    PIPE_FRAMES,
+    SEED_CYCLES,
+    SEED_EVENTS,
+    SERVE_SPEC,
+    build_trace,
+)
 
 #: Frames through the profiling pipeline.
 BENCH_FRAMES = 16
 
 #: Minimum fraction of the esp_run window the critical-path analyzer
-#: must attribute to a named group (the ISSUE acceptance bar).
+#: must attribute to a named group.
 COVERAGE_BAR = 0.95
 
 #: Ring capacity of the bounded arms — small enough that every
@@ -84,15 +90,14 @@ WATERFALL_CATS = ("fleet.route", "serve.request", "serve.dispatch",
                   "runtime.irq_wait", "dma.load", "acc.compute",
                   "noc.packet")
 
-REPO = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO / "BENCH_trace.json"
 #: Where the Chrome traces and postmortems of a run land.
 ARTIFACTS = REPO / "artifacts"
 
 
-def repo_relative(path):
-    """``path`` as the checkout-relative string the report stores."""
-    return Path(path).relative_to(REPO).as_posix()
+def recorded(path, artifacts):
+    """``path`` under ``artifacts`` as the report stores it: under the
+    checkout's ``artifacts/``."""
+    return (Path("artifacts") / Path(path).relative_to(artifacts)).as_posix()
 
 
 # -- section 1: pipeline profiling ------------------------------------------
@@ -106,12 +111,11 @@ def run_app(n_frames, tracing):
     return runtime, result, tracer
 
 
-def run_trace_benchmark(trace_path):
+def profile_pipeline(trace_path):
     """Traced + untraced runs, export, validation and attribution."""
     runtime, traced, tracer = run_app(BENCH_FRAMES, tracing=True)
     _, untraced, _ = run_app(BENCH_FRAMES, tracing=False)
 
-    os.makedirs(os.path.dirname(trace_path) or ".", exist_ok=True)
     trace = write_chrome_trace(tracer, trace_path,
                                clock_mhz=runtime.soc.clock_mhz)
     return {
@@ -184,10 +188,10 @@ SERVE_ARMS = {
 }
 
 
-def _run_serve(arm):
+def _run_serve(arm, artifacts):
     stack = build_stack(SERVE_ARMS[arm])
     if stack.monitor is not None:
-        FlightRecorder(ARTIFACTS / "postmortems", stack.tracer,
+        FlightRecorder(artifacts / "postmortems", stack.tracer,
                        clock_mhz=stack.soc.clock_mhz).arm(stack.monitor)
     stack.server.run_trace(build_trace(2, 2))
     if stack.monitor is not None:
@@ -196,9 +200,9 @@ def _run_serve(arm):
     return env.now, env.events_processed, stack.tracer
 
 
-def _arm_runner(name):
+def _arm_runner(name, artifacts):
     if name == "serve":
-        return _run_serve
+        return lambda arm: _run_serve(arm, artifacts)
     mode = "p2p" if name == "p2p" else "pipe"
     return lambda arm: _run_pipeline(mode, PIPE_FRAMES, arm)
 
@@ -208,10 +212,10 @@ def _records_of(tracer):
             + len(tracer.counters))
 
 
-def measure_arms(name):
+def measure_arms(name, artifacts):
     """Every arm of one workload once, pins enforced; the
     deterministic row."""
-    run = _arm_runner(name)
+    run = _arm_runner(name, artifacts)
     expected_cycles = SEED_CYCLES[name]
     expected_events = SEED_EVENTS[name]
     arms = ("off", "traced", "ring") + (
@@ -262,9 +266,9 @@ def measure_arms(name):
 
 # -- section 3: the fleet flight-recorder scenario --------------------------
 
-def run_fleet_scenario(out_dir, postmortem_dir):
+def run_fleet_scenario(artifacts):
     """Traced mini-fleet: merged trace, waterfall, forced postmortem."""
-    scenario = run_traced_fleet_scenario(out_dir=postmortem_dir)
+    scenario = run_traced_fleet_scenario(out_dir=artifacts / "postmortems")
     trace = scenario["trace"]
     problems = validate_chrome_trace(trace)
     if problems:
@@ -295,8 +299,7 @@ def run_fleet_scenario(out_dir, postmortem_dir):
         raise AssertionError(
             f"waterfall attribution empty: {timeline.busy_cycles}")
 
-    os.makedirs(out_dir, exist_ok=True)
-    fleet_trace_path = str(Path(out_dir) / "fleet_trace.json")
+    fleet_trace_path = artifacts / "fleet_trace.json"
     with open(fleet_trace_path, "w") as handle:
         json.dump(trace, handle)
 
@@ -318,14 +321,14 @@ def run_fleet_scenario(out_dir, postmortem_dir):
         "arrivals": len(scenario["report"].decisions),
         "trace_ids": len(trace_ids),
         "merged_events": len(trace["traceEvents"]),
-        "fleet_trace": fleet_trace_path,
+        "fleet_trace": recorded(fleet_trace_path, artifacts),
         "waterfall_id": waterfall_id,
         "waterfall_events": len(timeline.events),
         "waterfall_routed_to": timeline.routed_to,
         "waterfall_latency_cycles": timeline.latency_cycles,
         "waterfall_queue_cycles": timeline.queue_cycles,
         "waterfall_busy_cycles": timeline.busy_cycles,
-        "postmortem": str(postmortem_path),
+        "postmortem": recorded(postmortem_path, artifacts),
         "postmortem_spans": window_spans,
         "postmortem_trace_ids": len(artifact["trace_ids"]),
         "timeline": timeline,
@@ -334,19 +337,35 @@ def run_fleet_scenario(out_dir, postmortem_dir):
 
 # -- report -----------------------------------------------------------------
 
-def run_bench():
-    """All three sections; returns the deterministic payload and the
-    profiling and fleet results."""
-    profile = run_trace_benchmark(str(ARTIFACTS / "trace.json"))
+def payload(artifacts):
+    """All three sections, printed and checked, with the traces and the
+    postmortem written under the ``artifacts`` directory; the
+    ``BENCH_trace.json`` payload."""
+    artifacts = Path(artifacts)
+    artifacts.mkdir(exist_ok=True)
+    profile = profile_pipeline(artifacts / "trace.json")
+    print(render(profile))
     check(profile)
-    arms = {name: measure_arms(name) for name in ("p2p", "dma", "serve")}
-    fleet = run_fleet_scenario(str(ARTIFACTS),
-                               str(ARTIFACTS / "postmortems"))
-    fleet_row = {key: value for key, value in fleet.items()
-                 if key != "timeline"}
-    for key in ("fleet_trace", "postmortem"):
-        fleet_row[key] = repo_relative(fleet_row[key])
-    payload = {
+    arms = {name: measure_arms(name, artifacts)
+            for name in ("p2p", "dma", "serve")}
+    print(f"\npinned arms (ring={RING_CAPACITY}):")
+    for name, row in arms.items():
+        print(f"  {name:6s} {row['cycles']:>7d} cycles  "
+              f"{row['events']:>6d} events  "
+              f"ring holds {row['records_ring']}/"
+              f"{row['records_unbounded']} records "
+              f"({row['ring_memory_ratio']:.0%})")
+    fleet = run_fleet_scenario(artifacts)
+    timeline = fleet.pop("timeline")
+    print(f"\nfleet scenario: {fleet['instances']} instances, "
+          f"{fleet['arrivals']} arrivals, {fleet['trace_ids']} trace "
+          f"IDs, {fleet['merged_events']} merged events -> "
+          f"{fleet['fleet_trace']}")
+    print(timeline.render(limit=12))
+    print(f"postmortem: {fleet['postmortem']} "
+          f"({fleet['postmortem_spans']} spans, "
+          f"{fleet['postmortem_trace_ids']} trace IDs in window)\n")
+    return {
         "benchmark": "bench_trace",
         "ring_capacity": RING_CAPACITY,
         "pipeline": {
@@ -354,43 +373,15 @@ def run_bench():
             "cycles": profile["traced"].cycles,
             "coverage": round(profile["report"].coverage, 4),
             "trace_events": len(profile["trace"]["traceEvents"]),
-            "trace_path": repo_relative(profile["trace_path"]),
+            "trace_path": recorded(profile["trace_path"], artifacts),
         },
         "workloads": arms,
-        "fleet": fleet_row,
+        "fleet": fleet,
     }
-    return payload, profile, fleet
-
-
-def write_report(payload):
-    REPORT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return REPORT_PATH
-
-
-def print_report(payload, profile, fleet):
-    print(render(profile))
-    print(f"\npinned arms (ring={RING_CAPACITY}):")
-    for name, row in payload["workloads"].items():
-        print(f"  {name:6s} {row['cycles']:>7d} cycles  "
-              f"{row['events']:>6d} events  "
-              f"ring holds {row['records_ring']}/"
-              f"{row['records_unbounded']} records "
-              f"({row['ring_memory_ratio']:.0%})")
-    print(f"\nfleet scenario: {fleet['instances']} instances, "
-          f"{fleet['arrivals']} arrivals, {fleet['trace_ids']} trace "
-          f"IDs, {fleet['merged_events']} merged events -> "
-          f"{fleet['fleet_trace']}")
-    print(fleet["timeline"].render(limit=12))
-    print(f"postmortem: {fleet['postmortem']} "
-          f"({fleet['postmortem_spans']} spans, "
-          f"{fleet['postmortem_trace_ids']} trace IDs in window)")
 
 
 def main():
-    results = run_bench()
-    path = write_report(results[0])
-    print_report(*results)
-    print(f"\nreport: {path}")
+    write_report("BENCH_trace.json", payload(ARTIFACTS))
     print("tracing benchmark: all assertions passed")
 
 

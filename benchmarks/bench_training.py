@@ -14,18 +14,14 @@ are counts over those 400 frames) and the denoiser's MSE rounded to
 1e-4. EXPERIMENTS.md quotes the file; ``tests/test_experiments_doc.py``
 keeps the two equal.
 
-Run:  PYTHONPATH=src python benchmarks/bench_training.py
+Run:  PYTHONPATH=src:. python benchmarks/bench_training.py
 """
 
-import json
-from pathlib import Path
-
+from benchmarks import write_report
 from repro.accelerators import classifier_spec
 from repro.datasets import flatten_frames, generate
 from repro.flow import PRESETS, train_classifier, train_denoiser
 from repro.nn import accuracy
-
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_training.json"
 
 #: Sec. VI: "The trained model accuracy is 92%", and "a 3.1%
 #: reconstruction error".
@@ -52,7 +48,9 @@ def check(results):
             > results["classifier_accuracy"] - 0.05)
 
 
-def main():
+def payload():
+    """Both models trained, scored and checked; the
+    ``BENCH_training.json`` payload."""
     results = run_training()
     print(f"classifier accuracy {results['classifier_accuracy']:.1%} "
           f"(paper: {PAPER['classifier_accuracy']:.0%}) -> ap_fixed<16,6> "
@@ -61,10 +59,12 @@ def main():
           f"{results['denoiser_mse']:.1%} "
           f"(paper: {PAPER['denoiser_mse']:.1%})")
     check(results)
-    REPORT_PATH.write_text(json.dumps(
-        {"benchmark": "bench_training", "preset": "fast", **results,
-         "paper": PAPER}, indent=2) + "\n")
-    print(f"report: {REPORT_PATH}")
+    return {"benchmark": "bench_training", "preset": "fast", **results,
+            "paper": PAPER}
+
+
+def main():
+    write_report("BENCH_training.json", payload())
 
 
 if __name__ == "__main__":

@@ -424,16 +424,12 @@ class ChaosReport:
         }
 
 
-def run_chaos_campaign(smoke: bool = False, seed: int = 0,
-                       horizon_cycles: Optional[int] = None,
-                       scenarios: Optional[Sequence[ChaosScenario]]
-                       = None) -> ChaosReport:
+def run_chaos_campaign(smoke: bool = False,
+                       seed: int = 0) -> ChaosReport:
     """The full campaign: calibrate, then each scenario on/off."""
-    if horizon_cycles is None:
-        horizon_cycles = 500_000 if smoke else 1_200_000
-    if scenarios is None:
-        inject = 80_000 if smoke else 150_000
-        scenarios = chaos_scenarios(inject_cycle=inject, smoke=smoke)
+    horizon_cycles = 500_000 if smoke else 1_200_000
+    scenarios = chaos_scenarios(inject_cycle=80_000 if smoke else 150_000,
+                                smoke=smoke)
     calibration = calibrate_service(horizon_cycles, seed=seed)
     results: List[ScenarioResult] = []
     for scenario in scenarios:

@@ -43,6 +43,10 @@ CAMPAIGN_MODES = ("pipe", "p2p")
 #: Per-opportunity fault probabilities swept by the campaign.
 CAMPAIGN_RATES = (2e-4, 1e-3)
 
+#: Frames per campaign run: small enough that the full sweep stays in
+#: benchmark territory, large enough that every pipeline stage overlaps.
+CAMPAIGN_FRAMES = 4
+
 #: Application-level re-runs a cell gets before it counts as
 #: unrecovered.
 APP_RETRIES = 1
@@ -200,7 +204,7 @@ def golden_run(frames: np.ndarray, mode: str
     return result.outputs, result.cycles
 
 
-def run_fault_campaign(n_frames: int = 4) -> CampaignReport:
+def run_fault_campaign() -> CampaignReport:
     """Sweep fault kinds x rates x modes over the 3-stage pipeline.
 
     Each cell builds a fresh SoC, arms the recovery policy, attaches a
@@ -209,7 +213,7 @@ def run_fault_campaign(n_frames: int = 4) -> CampaignReport:
     is given ``APP_RETRIES`` application-level re-runs (fresh buffers,
     same SoC) before the cell counts as unrecovered.
     """
-    frames, _ = de_cl_inputs(n_frames)
+    frames, _ = de_cl_inputs(CAMPAIGN_FRAMES)
     report = CampaignReport()
     goldens: Dict[str, np.ndarray] = {}
     for mode in CAMPAIGN_MODES:

@@ -144,14 +144,6 @@ class FaultPlan:
             return spec
         return None
 
-    def summary(self) -> str:
-        counts: dict = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        if not counts:
-            return "no faults fired"
-        return ", ".join(f"{kind}x{n}" for kind, n in sorted(counts.items()))
-
 
 def zero_fault_plan(seed: int = 0) -> FaultPlan:
     """An attached-but-empty plan (for pay-for-what-you-use checks)."""

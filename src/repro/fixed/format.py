@@ -55,7 +55,8 @@ class FixedFormat:
         fraction = self.width - self.integer_bits
         raw_min = -(1 << (self.width - 1)) if self.signed else 0
         raw_max = (1 << (self.width - 1 if self.signed else self.width)) - 1
-        object.__setattr__(self, "_scale", 2.0 ** (-fraction))
+        #: Value of one least-significant bit.
+        object.__setattr__(self, "scale", 2.0 ** (-fraction))
         # Exact reciprocal: both are powers of two, so multiplying by
         # 2**fraction is bit-identical to dividing by 2**-fraction.
         object.__setattr__(self, "_inv_scale", 2.0 ** fraction)
@@ -71,11 +72,6 @@ class FixedFormat:
             object.__setattr__(self, "_raw_max_i64", None)
         # Formats whose grid snap runs entirely in float64 (see snap).
         object.__setattr__(self, "_float_snap", self.width <= 53)
-
-    @property
-    def scale(self) -> float:
-        """Value of one least-significant bit."""
-        return self._scale
 
     @property
     def raw_min(self) -> int:
@@ -114,9 +110,9 @@ class FixedFormat:
         """Convert integer raw codes back to real values."""
         out = np.asarray(raw)
         if out.ndim == 0:
-            return np.asarray(raw, dtype=np.float64) * self._scale
+            return np.asarray(raw, dtype=np.float64) * self.scale
         out = out.astype(np.float64)
-        out *= self._scale
+        out *= self.scale
         return out
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
@@ -167,7 +163,7 @@ class FixedFormat:
         np.floor(scaled, out=scaled)
         np.maximum(scaled, lo, out=scaled)
         np.minimum(scaled, float(self._raw_max), out=scaled)
-        scaled *= self._scale
+        scaled *= self.scale
         return scaled
 
     def __str__(self) -> str:

@@ -13,7 +13,7 @@ class Sequential:
     """A linear stack of layers with forward/backward passes.
 
     Mirrors the small slice of the Keras API that the ESP4ML flow needs:
-    build, predict, summary, and (de)serialization of topology/weights.
+    build, predict, and (de)serialization of topology/weights.
     """
 
     def __init__(self, layers: Optional[List[Layer]] = None,
@@ -85,25 +85,6 @@ class Sequential:
         sizes = [self.input_dim]
         sizes.extend(l.units for l in self.dense_layers())
         return sizes
-
-    @property
-    def n_parameters(self) -> int:
-        self._require_built()
-        return sum(p.size for layer in self.layers
-                   for p in layer.params().values())
-
-    def summary(self) -> str:
-        self._require_built()
-        lines = [f"Model: {self.name}",
-                 f"{'Layer':<24}{'Output dim':<12}{'Params':<10}"]
-        dim = self.input_dim
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                dim = layer.units
-            params = sum(p.size for p in layer.params().values())
-            lines.append(f"{layer.name:<24}{dim:<12}{params:<10}")
-        lines.append(f"Total params: {self.n_parameters}")
-        return "\n".join(lines)
 
     def get_weights(self) -> Dict[str, np.ndarray]:
         """Flat name->array mapping (HDF5-file substitute)."""

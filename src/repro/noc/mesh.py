@@ -390,9 +390,6 @@ class Mesh2D:
 
     # -- topology helpers --------------------------------------------------
 
-    def coords(self) -> List[Coord]:
-        return [(x, y) for y in range(self.rows) for x in range(self.cols)]
-
     def inbox(self, coord: Coord, plane: str) -> Fifo:
         """The ejection queue of ``coord`` on ``plane``, created on
         first use."""

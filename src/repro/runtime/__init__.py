@@ -2,7 +2,7 @@
 
 from ..faults import NodeFailed, RecoveryPolicy
 from .driver import DeviceRegistry, EspDevice
-from .alloc import Buffer, BufferPool, ContigAllocator
+from .alloc import Buffer, ContigAllocator
 from .dataflow import (
     COMM_KINDS,
     Dataflow,
@@ -22,7 +22,6 @@ from .codegen import emit_dataflow_header, emit_user_app
 
 __all__ = [
     "Buffer",
-    "BufferPool",
     "COMM_KINDS",
     "ContigAllocator",
     "Dataflow",

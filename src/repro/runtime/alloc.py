@@ -8,10 +8,9 @@ direct read/write access to buffer contents (the CPU side of Fig. 5's
 
 Beyond the paper's one-shot allocate-run-cleanup lifecycle, the
 allocator supports per-buffer :meth:`~ContigAllocator.free` (idempotent,
-with first-fit reuse of freed space) and scoped :class:`BufferPool`s so
-long-lived multi-tenant workloads — the serving layer runs thousands of
-plans on one SoC — neither leak nor exhaust the accelerator address
-space.
+with first-fit reuse of freed space) so long-lived multi-tenant
+workloads — the serving layer runs thousands of plans on one SoC —
+neither leak nor exhaust the accelerator address space.
 """
 
 from __future__ import annotations
@@ -57,44 +56,6 @@ class Buffer:
 
     def __len__(self) -> int:
         return self.words
-
-
-class BufferPool:
-    """A scoped group of allocations released together.
-
-    Context-manager form guarantees release even when the scope dies
-    mid-request (a crashed plan cannot leak buffer space)::
-
-        with allocator.pool() as pool:
-            buf = pool.alloc(1024, label="req:in")
-            ...                    # any exception still frees buf
-
-    Release is idempotent, so buffers freed early are skipped
-    silently.
-    """
-
-    def __init__(self, allocator: "ContigAllocator") -> None:
-        self.allocator = allocator
-        self.buffers: List[Buffer] = []
-
-    def alloc(self, n_words: int, label: str = "buf") -> Buffer:
-        buffer = self.allocator.alloc(n_words, label=label)
-        self.buffers.append(buffer)
-        return buffer
-
-    def release(self) -> int:
-        """Free every tracked buffer; returns how many were live."""
-        freed = 0
-        for buffer in self.buffers:
-            freed += self.allocator.free(buffer)
-        self.buffers.clear()
-        return freed
-
-    def __enter__(self) -> "BufferPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
 
 
 class ContigAllocator:
@@ -204,10 +165,6 @@ class ContigAllocator:
             return False
         self._insert_free(buffer.offset, buffer.words)
         return True
-
-    def pool(self) -> BufferPool:
-        """A scoped allocation group (see :class:`BufferPool`)."""
-        return BufferPool(self)
 
     def cleanup(self) -> None:
         """Free every allocation (the ``esp_cleanup`` call)."""

@@ -108,16 +108,6 @@ class Fifo:
             self._getters.append(event)
         return event
 
-    def waiters(self) -> dict:
-        """Introspect blocked endpoints: pending put/get events.
-
-        Used by the simulation deadlock detector and by backpressure
-        statistics; the returned events are the live wait objects, so
-        callers must not trigger them.
-        """
-        return {"putters": tuple(event for event, _ in self._putters),
-                "getters": tuple(self._getters)}
-
     def cancel(self, event: Event) -> bool:
         """Withdraw a pending put/get event (watchdog gave up on it).
 
@@ -210,10 +200,6 @@ class Resource:
             event.wait_reason = f"acquire of busy resource {self.name!r}"
             self._waiters.append(event)
         return event
-
-    def waiters(self) -> tuple:
-        """The pending acquire events (deadlock/backpressure probes)."""
-        return tuple(self._waiters)
 
     def cancel(self, event: Event) -> bool:
         """Withdraw a pending acquire (it will never be granted)."""
@@ -311,10 +297,6 @@ class Semaphore:
             self._waiters.append(event)
         return event
 
-    def waiters(self) -> tuple:
-        """The pending wait events (deadlock/backpressure probes)."""
-        return tuple(self._waiters)
-
 
 class ProgressCounter:
     """A monotonically increasing counter with threshold waits.
@@ -357,7 +339,3 @@ class ProgressCounter:
                                  f"{self.name!r} (value={self._value})")
             self._waiters.append((threshold, event))
         return event
-
-    def waiters(self) -> tuple:
-        """(threshold, event) pairs still below the counter value."""
-        return tuple(self._waiters)

@@ -150,8 +150,7 @@ class RegisterFile:
             LOCATION_REG: encode_location(coord),
             P2P_REG: 0,
         }
-        self._user_registers = tuple(user_registers or ())
-        for name in self._user_registers:
+        for name in user_registers or ():
             if name in self._values:
                 raise ValueError(f"register name {name!r} collides with a "
                                  f"standard register")
@@ -161,10 +160,6 @@ class RegisterFile:
     @property
     def names(self) -> Tuple[str, ...]:
         return tuple(self._values)
-
-    @property
-    def user_registers(self) -> Tuple[str, ...]:
-        return self._user_registers
 
     def on_write(self, hook: Callable[[str, int], None]) -> None:
         """Register a side-effect hook (the socket's start logic)."""

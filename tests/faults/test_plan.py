@@ -95,13 +95,13 @@ class TestFaultPlan:
         plan.draw("acc_hang", "dev", 9)
         assert plan.fired == 2
         assert [e.cycle for e in plan.events] == [5, 9]
-        assert plan.summary() == "acc_hangx2"
+        assert [e.kind for e in plan.events] == ["acc_hang", "acc_hang"]
 
     def test_zero_fault_plan_never_fires(self):
         plan = zero_fault_plan()
         for kind in FAULT_KINDS:
             assert plan.draw(kind, "dev", 0) is None
-        assert plan.summary() == "no faults fired"
+        assert plan.events == []
 
     def test_first_matching_spec_wins(self):
         first = FaultSpec(kind="acc_hang", at_cycle=0, count=1)

@@ -75,15 +75,6 @@ class TestIntrospection:
         model = mlp(units=(256, 128, 64, 32, 10), input_dim=1024)
         assert model.topology == [1024, 256, 128, 64, 32, 10]
 
-    def test_n_parameters(self):
-        model = Sequential([Dense(8)]).build(4)
-        assert model.n_parameters == 4 * 8 + 8
-
-    def test_summary_contains_layers_and_total(self):
-        text = mlp().summary()
-        assert "dense" in text
-        assert "Total params" in text
-
     def test_dense_layers_excludes_activations(self):
         model = mlp(units=(8, 4))
         assert len(model.dense_layers()) == 2

@@ -42,7 +42,9 @@ class TestJson:
         model = sample_model()
         rebuilt = model_from_json(model_to_json(model))
         # Weights are re-initialized, not carried by the JSON.
-        assert rebuilt.n_parameters == model.n_parameters
+        shapes = {name: w.shape for name, w in model.get_weights().items()}
+        assert {name: w.shape for name, w in
+                rebuilt.get_weights().items()} == shapes
 
 
 class TestSaveLoad:

@@ -16,7 +16,6 @@ from repro.nn import (
     iterate_minibatches,
     mean_squared_error,
 )
-from repro.nn.training import Optimizer
 
 
 def toy_classification(n=200, seed=0):
@@ -29,24 +28,6 @@ def toy_classification(n=200, seed=0):
     y[:n // 2, 0] = 1.0
     y[n // 2:, 1] = 1.0
     return x, y
-
-
-class SGD(Optimizer):
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = {}
-
-    def step(self, model: Sequential) -> None:
-        for layer, key, param, grad in model.trainable():
-            slot = self._velocity.setdefault(id(layer), {})
-            vel = slot.get(key)
-            if vel is None:
-                vel = np.zeros_like(param)
-                slot[key] = vel
-            vel *= self.momentum
-            vel -= self.lr * grad
-            param += vel
 
 
 class TestLosses:
@@ -88,12 +69,6 @@ class TestOptimizers:
         after = categorical_crossentropy(model.predict(x), y)[0]
         assert after < before
 
-    def test_sgd_decreases_loss(self):
-        self._one_step_decreases_loss(SGD(lr=0.5))
-
-    def test_sgd_momentum_decreases_loss(self):
-        self._one_step_decreases_loss(SGD(lr=0.2, momentum=0.9))
-
     def test_adam_decreases_loss(self):
         self._one_step_decreases_loss(Adam(lr=0.01))
 
@@ -133,7 +108,7 @@ class TestFit:
         def run():
             model = Sequential([Dense(4), ReLU(), Dense(2),
                                 Softmax()]).build(4, seed=5)
-            fit(model, x, y, epochs=2, seed=9, optimizer=SGD(lr=0.1))
+            fit(model, x, y, epochs=2, seed=9, optimizer=Adam(0.01))
             return model.predict(x)
 
         np.testing.assert_array_equal(run(), run())

@@ -9,6 +9,11 @@ from repro.noc import Coord
 from repro.noc.routing import validate_coord, xy_route_cached
 
 
+def coords(mesh) -> List[Coord]:
+    """Every tile of ``mesh``, row-major."""
+    return [(x, y) for y in range(mesh.rows) for x in range(mesh.cols)]
+
+
 def xy_route(src: Coord, dst: Coord) -> List[Coord]:
     """Tile sequence from ``src`` to ``dst``: X first, then Y."""
     return list(xy_route_cached(src, dst))

@@ -43,7 +43,7 @@ from repro.sim import Environment
 from repro.soc import SoCConfig, build_soc, emit_vcd, soc_builder
 from repro.trace import attach_tracer
 from tests.conftest import make_spec
-from tests.noc.routing import build_routing_table, routing_tables
+from tests.noc.routing import build_routing_table, coords, routing_tables
 
 
 class EagerMesh(Mesh2D):
@@ -53,7 +53,7 @@ class EagerMesh(Mesh2D):
         super().__init__(*args, **kwargs)
         for key in self.link_keys():
             self._add_link(key)
-        for coord in self.coords():
+        for coord in coords(self):
             for plane in self.planes:
                 self._add_inbox(coord, plane)
 
@@ -291,7 +291,7 @@ def test_routing_tables_are_built_once_per_geometry():
     tables = routing_tables(4, 2)
     assert routing_tables(first.config.cols, first.config.rows) is tables
     assert routing_tables(second.config.cols, second.config.rows) is tables
-    assert list(tables) == first.mesh.coords()
+    assert list(tables) == coords(first.mesh)
     for coord, table in tables.items():
         assert table == build_routing_table(coord, 4, 2)
     with pytest.raises(TypeError):

@@ -67,11 +67,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Mesh2D(env, 2, 2, planes=[NocPlane("a"), NocPlane("a")])
 
-    def test_coords_row_major(self):
-        env = Environment()
-        mesh = Mesh2D(env, 2, 2)
-        assert mesh.coords() == [(0, 0), (1, 0), (0, 1), (1, 1)]
-
 
 class TestLatency:
     def test_uncontended_wormhole_formula(self):

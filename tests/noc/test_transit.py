@@ -33,6 +33,7 @@ from repro.noc import DMA_REQUEST_PLANE, Mesh2D, MessageKind, Packet
 from repro.noc.mesh import NocPlane
 from repro.sim import Environment, Event, Resource, Timeout
 from repro.trace import attach_tracer
+from tests.noc.routing import coords
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def simulate(mesh_class, scenario: Scenario) -> dict:
         packet.on_lost = (lambda tag=tag: log.append(("lost", tag,
                                                       env.now)))
         packets.append(packet)
-    for coord in mesh.coords():
+    for coord in coords(mesh):
         env.process(consumer(mesh.inbox(coord, "p0")))
     env.process(inject())
     env.run()
@@ -452,19 +453,19 @@ def test_finished_transits_leave_no_reference_cycle():
         mesh.fault_injector = ScriptedFaults(
             {f"f{index}": ("drop" if index % 3 == 2 else "ok")
              for index in range(12)})
-        coords = mesh.coords()
+        tiles = coords(mesh)
         consumed = []
 
         def consumer(inbox):
             while True:
                 consumed.append((yield inbox.get()))
 
-        for coord in coords:
+        for coord in tiles:
             env.process(consumer(mesh.inbox(coord, DMA_REQUEST_PLANE)))
         for index in range(12):
             # Local, one-hop and contended multi-hop packets.
-            mesh.send(Packet(src=coords[index % 2],
-                             dst=coords[(index * 5) % len(coords)],
+            mesh.send(Packet(src=tiles[index % 2],
+                             dst=tiles[(index * 5) % len(tiles)],
                              plane=DMA_REQUEST_PLANE,
                              kind=MessageKind.DMA_REQ, payload_flits=3,
                              tag=f"f{index}"))

@@ -1,9 +1,9 @@
-"""Tests for per-buffer free, free-list reuse and scoped buffer pools."""
+"""Tests for per-buffer free and free-list reuse."""
 
 import numpy as np
 import pytest
 
-from repro.runtime import BufferPool, ContigAllocator
+from repro.runtime import ContigAllocator
 from tests.conftest import make_soc, make_spec
 from tests.runtime.alloc import free_list_words
 
@@ -75,49 +75,3 @@ class TestFree:
         assert offsets[0] == reference[0]
         assert offsets == sorted(offsets)
         assert all(off % ContigAllocator.ALIGN == 0 for off in offsets)
-
-
-class TestBufferPool:
-    def test_pool_releases_on_exit(self):
-        alloc = make_allocator()
-        with alloc.pool() as pool:
-            a = pool.alloc(64)
-            b = pool.alloc(64)
-            assert not a.freed and not b.freed
-        assert a.freed and b.freed
-        assert free_list_words(alloc) == 0      # full retraction
-
-    def test_pool_releases_on_exception(self):
-        alloc = make_allocator()
-        with pytest.raises(RuntimeError, match="boom"):
-            with alloc.pool() as pool:
-                buffer = pool.alloc(64)
-                raise RuntimeError("boom")
-        assert buffer.freed
-
-    def test_early_free_inside_pool_is_safe(self):
-        alloc = make_allocator()
-        with alloc.pool() as pool:
-            buffer = pool.alloc(64)
-            alloc.free(buffer)
-        assert buffer.freed        # no double-free blowup on exit
-
-    def test_adopt_tracks_external_allocations(self):
-        alloc = make_allocator()
-        outside = alloc.alloc(32)
-        with alloc.pool() as pool:
-            pool.buffers.append(outside)
-        assert outside.freed
-
-    def test_release_reports_live_count(self):
-        alloc = make_allocator()
-        pool = alloc.pool()
-        pool.alloc(16)
-        second = pool.alloc(16)
-        alloc.free(second)
-        assert pool.release() == 1     # only the still-live one
-        assert pool.release() == 0     # emptied
-
-    def test_pool_type_exported(self):
-        alloc = make_allocator()
-        assert isinstance(alloc.pool(), BufferPool)

@@ -1,35 +1,14 @@
-"""Tests for FIFO channels, resources, semaphores and barriers."""
+"""Tests for FIFO channels, resources and semaphores."""
 
 import pytest
 
-from repro.sim import (Environment, Event, Fifo, Resource, Semaphore,
+from repro.sim import (Environment, Fifo, Resource, Semaphore,
                        SimulationError)
 from tests.sim.fifo import try_put
 
 
 def run(env):
     env.run()
-
-
-class Barrier:
-    """A reusable barrier for ``parties`` processes (pthread_barrier)."""
-
-    def __init__(self, env: Environment, parties: int) -> None:
-        if parties < 1:
-            raise ValueError(f"parties must be >= 1, got {parties}")
-        self.env = env
-        self.parties = parties
-        self._waiting = []
-
-    def wait(self) -> Event:
-        event = Event(self.env)
-        event.wait_reason = f"wait on barrier of {self.parties}"
-        self._waiting.append(event)
-        if len(self._waiting) >= self.parties:
-            waiting, self._waiting = self._waiting, []
-            for waiter in waiting:
-                waiter.succeed()
-        return event
 
 
 class TestFifo:
@@ -298,42 +277,9 @@ class TestSemaphore:
         assert woken == [0, 1, 2]
 
 
-class TestBarrier:
-    def test_barrier_releases_all_at_last_arrival(self):
-        env = Environment()
-        barrier = Barrier(env, parties=3)
-        times = []
-
-        def proc(env, delay):
-            yield env.timeout(delay)
-            yield barrier.wait()
-            times.append(env.now)
-
-        for delay in (1, 5, 9):
-            env.process(proc(env, delay))
-        run(env)
-        assert times == [9, 9, 9]
-
-    def test_barrier_is_reusable(self):
-        env = Environment()
-        barrier = Barrier(env, parties=2)
-        times = []
-
-        def proc(env, delays):
-            for delay in delays:
-                yield env.timeout(delay)
-                yield barrier.wait()
-                times.append(env.now)
-
-        env.process(proc(env, [1, 1]))
-        env.process(proc(env, [3, 4]))
-        run(env)
-        assert times == [3, 3, 7, 7]
-
-
 class TestIntrospection:
-    """waiters()/cancel()/flush(): the probes the deadlock detector and
-    the recovery watchdogs are built on."""
+    """Blocked endpoints, cancel() and flush(): the state the deadlock
+    report and the recovery watchdogs are built on."""
 
     def test_fifo_waiters_reports_blocked_endpoints(self):
         env = Environment()
@@ -345,10 +291,9 @@ class TestIntrospection:
 
         env.process(putter(env))
         run(env)
-        waiters = fifo.waiters()
-        assert len(waiters["putters"]) == 1
-        assert waiters["getters"] == ()
-        assert "narrow" in waiters["putters"][0].wait_reason
+        assert len(fifo._putters) == 1
+        assert not fifo._getters
+        assert "narrow" in fifo._putters[0][0].wait_reason
 
         drained = Fifo(env, name="drained")
 
@@ -357,17 +302,16 @@ class TestIntrospection:
 
         env.process(getter(env))
         run(env)
-        waiters = drained.waiters()
-        assert waiters["putters"] == ()
-        assert len(waiters["getters"]) == 1
-        assert "drained" in waiters["getters"][0].wait_reason
+        assert not drained._putters
+        assert len(drained._getters) == 1
+        assert "drained" in drained._getters[0].wait_reason
 
     def test_fifo_cancel_withdraws_a_pending_get(self):
         env = Environment()
         fifo = Fifo(env)
         event = fifo.get()
         assert fifo.cancel(event) is True
-        assert fifo.waiters()["getters"] == ()
+        assert not fifo._getters
         # A second cancel (or cancelling a serviced event) is a no-op.
         assert fifo.cancel(event) is False
         fifo.put("x")
@@ -385,23 +329,23 @@ class TestIntrospection:
         env.process(putter(env))
         run(env)
         assert len(fifo.items) == 2
-        assert len(fifo.waiters()["putters"]) == 1   # item 2 pending
+        assert len(fifo._putters) == 1   # item 2 pending
 
         assert fifo.flush() == 3   # 2 queued items + 1 blocked putter
         assert not fifo.items
-        assert fifo.waiters()["putters"] == ()
+        assert not fifo._putters
 
         pending_get = fifo.get()
         assert fifo.flush() == 0
-        assert fifo.waiters()["getters"] == (pending_get,)
+        assert list(fifo._getters) == [pending_get]
 
     def test_resource_waiters_and_cancel(self):
         env = Environment()
         gate = Resource(env, slots=1, name="gate")
         gate.acquire()             # granted immediately
         queued = gate.acquire()    # waits
-        assert gate.waiters() == (queued,)
+        assert list(gate._waiters) == [queued]
         assert "gate" in queued.wait_reason
         assert gate.cancel(queued) is True
-        assert gate.waiters() == ()
+        assert not gate._waiters
         assert gate.cancel(queued) is False

@@ -307,8 +307,8 @@ class TestStalledConsumer:
         np.testing.assert_array_equal(observed["data"], data)
 
     def test_wedged_store_queue_is_introspectable(self):
-        """The blocked producer shows up on the store queue's waiters()
-        — the hook the deadlock detector and the watchdog report use."""
+        """The blocked producer waits on the store queue with a reason
+        — what the deadlock report and the watchdog report name."""
         env, mesh, mm, _ = make_fabric()
         producer = DmaEngine(env, mesh, (0, 0), mm)
 
@@ -319,9 +319,9 @@ class TestStalledConsumer:
 
         env.process(wedge(), name="wedged-producer")
         env.run(until=5_000)
-        waiters = producer._p2p_store_queue.waiters()
-        assert len(waiters["putters"]) == 1
-        reason = getattr(waiters["putters"][0], "wait_reason", "")
+        putters = producer._p2p_store_queue._putters
+        assert len(putters) == 1
+        reason = getattr(putters[0][0], "wait_reason", "")
         assert "p2p-store" in reason
 
     def test_consumer_timeout_leaves_queue_recoverable(self):

@@ -1,5 +1,5 @@
-"""Small accelerator specs and SoCs, the seed pins and the serve trace,
-for tests and benchmarks.
+"""Small accelerator specs and SoCs, the seed pins and the serve
+stack and trace, for tests and benchmarks.
 
 Plain helpers with no pytest import, so the benchmark scripts can use
 them too (``from tests.specs import make_spec``, with the repository
@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.accelerators import AcceleratorSpec
 from repro.eval.fleet import standard_inputs
+from repro.eval.stack import StackSpec, soc1_tenants
 from repro.hls import ResourceEstimate
 from repro.runtime import EspRuntime
 from repro.serve import TracedRequest
@@ -29,6 +30,11 @@ SEED_CYCLES = {"p2p": 77460, "dma": 90139, "serve": 65324}
 SEED_EVENTS = {"p2p": 2762, "dma": 10274, "serve": 2015}
 SMOKE_CYCLES = {"p2p": 24270, "dma": 28073, "serve": 17066}
 SMOKE_EVENTS = {"p2p": 1478, "dma": 2618, "serve": 764}
+
+
+#: The three concurrent applications on one SoC-1 that the serve trace
+#: drives.
+SERVE_SPEC = StackSpec(tenants=soc1_tenants("serve"))
 
 
 def build_trace(n_requests=1, frames_per_request=1):
